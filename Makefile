@@ -5,7 +5,7 @@
 # facade's integration suites. Always go through `make test` (or pass
 # --workspace yourself) so local coverage matches CI.
 
-.PHONY: build test lint fmt bench-smoke query-smoke serve-smoke obs-smoke chaos-smoke chaos-matrix dist-matrix index-lifecycle plan-smoke all
+.PHONY: build test lint fmt bench-smoke query-smoke serve-smoke obs-smoke chaos-smoke chaos-matrix dist-matrix index-lifecycle plan-smoke ledger-smoke all
 
 all: lint build test
 
@@ -97,6 +97,14 @@ index-lifecycle:
 plan-smoke:
 	GAS_PLAN_TINY=1 cargo run --release --locked -p gas-bench --bin placement_sweep
 	cargo run --release --locked -p gas-bench --bin bench_trend -- --plan
+
+# The CI ledger-smoke step: the perf ledger (bench/ledger, its own
+# package and lock file) on its tiny fixtures — all four workloads
+# untraced and traced, every metric of BENCHMARK.json present, every
+# oracle green (timings are marked non-comparable) — then its own tests.
+ledger-smoke:
+	cargo run --release --offline --locked --quiet --manifest-path bench/ledger/Cargo.toml -- --smoke
+	cargo test --offline --manifest-path bench/ledger/Cargo.toml
 
 # One cell of the CI dist-matrix job, e.g.:
 #   make dist-matrix RANKS=8 REPLICATION=2 SEGMENTS=7

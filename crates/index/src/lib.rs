@@ -26,7 +26,7 @@
 //!   every live segment, score candidates in parallel (rayon map +
 //!   reduce), merge across segments deterministically (tombstones
 //!   honored, score ties keep the lowest sample id), optionally re-rank
-//!   exactly over the `gas_sparse` popcount-AND kernel; the distributed
+//!   exactly (a merge-join per candidate over the query's rows); the distributed
 //!   variant shards bands *and* signature rows per segment across
 //!   `gas_dstsim` ranks (each rank stores `~rows/p` of every segment
 //!   and fetches only the rows its probes touch) and merges per-rank

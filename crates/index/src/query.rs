@@ -3,16 +3,16 @@
 //! A query is a set of attribute values (k-mer codes). Serving it means:
 //! sign the query with the index's [`SignatureScheme`], probe every LSH
 //! band bucket for candidates, score the candidates by signature
-//! agreement in parallel (rayon map + reduce over candidate chunks,
-//! merging per-chunk top lists), and optionally re-rank the survivors
-//! with *exact* Jaccard computed over the bit-packed popcount-AND path of
-//! `gas_sparse` (Eq. 7 applied per candidate pair instead of as a full
-//! `AᵀA`). Everything is deterministic: candidate sets are sorted, and
+//! agreement (rayon map + reduce over candidate chunks, merging
+//! per-chunk top lists), and optionally re-rank the survivors with
+//! *exact* Jaccard (Eq. 7 applied per candidate pair instead of as a
+//! full `AᵀA`, with the query as the row universe — see
+//! [`exact_scores_popcount`]). A batch is one parallel pass over its
+//! queries. Everything is deterministic: candidate sets are sorted, and
 //! ties break toward the smaller sample id.
 
 use gas_core::indicator::SampleCollection;
 use gas_core::minhash::MinHashSignature;
-use gas_sparse::bitmat::BitMatrix;
 use rayon::prelude::*;
 
 use crate::build::SketchIndex;
@@ -254,18 +254,59 @@ pub(crate) fn merge_scored_sources(mut entries: Vec<Scored>, keep: usize) -> Vec
     entries
 }
 
-/// Record one segment probe in the planner's probe-heat counters: the
-/// aggregate `gas_plan_segment_probes_total` / `_candidates_total` pair
-/// plus their per-segment `..._seg<id>_total` variants. This is the
-/// observed signal `gas-plan`'s placement planner ranks segments "hot"
-/// by, bumped on every probe of both the local engine and the
-/// distributed prober so serving and planning see the same heat.
-pub(crate) fn record_probe_heat(segment_id: u64, candidates: usize) {
-    gas_obs::counter("gas_plan_segment_probes_total").inc();
-    gas_obs::counter("gas_plan_segment_candidates_total").add(candidates as u64);
-    gas_obs::counter(&gas_obs::segment_counter_name("gas_plan_segment_probes", segment_id)).inc();
-    gas_obs::counter(&gas_obs::segment_counter_name("gas_plan_segment_candidates", segment_id))
-        .add(candidates as u64);
+/// The planner's probe heat of one pass over a reader's segments:
+/// `(probes, candidates)` by segment position, accumulated without
+/// touching the metrics registry and [flushed](Self::flush) once per
+/// pass. This is the observed signal `gas-plan`'s placement planner
+/// ranks segments "hot" by, recorded on every probe of both the local
+/// engine and the distributed prober so serving and planning see the
+/// same heat.
+#[derive(Debug)]
+pub(crate) struct ProbeHeat(Vec<(u64, u64)>);
+
+impl ProbeHeat {
+    /// No probes yet of any segment of `reader`.
+    pub(crate) fn new(reader: &IndexReader) -> Self {
+        ProbeHeat(vec![(0, 0); reader.segments().len()])
+    }
+
+    /// Count `probes` probes of the segment at `position` that surfaced
+    /// `candidates` candidates between them.
+    pub(crate) fn record(&mut self, position: usize, probes: u64, candidates: u64) {
+        self.0[position].0 += probes;
+        self.0[position].1 += candidates;
+    }
+
+    fn absorb(&mut self, other: ProbeHeat) {
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
+            mine.0 += theirs.0;
+            mine.1 += theirs.1;
+        }
+    }
+
+    /// Add the pass to the registry: the per-segment
+    /// `gas_plan_segment_{probes,candidates}_seg<id>_total` pair of every
+    /// probed segment of `reader`, then the aggregate
+    /// `gas_plan_segment_{probes,candidates}_total` pair — the totals of
+    /// bumping all four on every probe, at one registry visit per
+    /// (pass, counter).
+    pub(crate) fn flush(self, reader: &IndexReader) {
+        let (mut all_probes, mut all_candidates) = (0u64, 0u64);
+        for (seg, (probes, candidates)) in reader.segments().iter().zip(self.0) {
+            if probes == 0 {
+                continue;
+            }
+            all_probes += probes;
+            all_candidates += candidates;
+            let name = |base| gas_obs::segment_counter_name(base, seg.id());
+            gas_obs::counter(&name("gas_plan_segment_probes")).add(probes);
+            gas_obs::counter(&name("gas_plan_segment_candidates")).add(candidates);
+        }
+        if all_probes > 0 {
+            gas_obs::counter("gas_plan_segment_probes_total").add(all_probes);
+            gas_obs::counter("gas_plan_segment_candidates_total").add(all_candidates);
+        }
+    }
 }
 
 /// The candidate *local rows* of `seg` for a query signature, restricted
@@ -296,20 +337,23 @@ pub(crate) fn live_candidates_by_segment<F: Fn(usize) -> bool>(
     signatures: &[MinHashSignature],
     band_filter: F,
 ) -> Vec<Vec<Vec<u32>>> {
-    reader
+    let mut heat = ProbeHeat::new(reader);
+    let by_segment = reader
         .segments()
         .iter()
-        .map(|seg| {
-            signatures
+        .enumerate()
+        .map(|(position, seg)| {
+            let per_query: Vec<Vec<u32>> = signatures
                 .iter()
-                .map(|sig| {
-                    let candidates = live_segment_candidates(reader, seg, sig, &band_filter);
-                    record_probe_heat(seg.id(), candidates.len());
-                    candidates
-                })
-                .collect()
+                .map(|sig| live_segment_candidates(reader, seg, sig, &band_filter))
+                .collect();
+            let candidates: usize = per_query.iter().map(Vec::len).sum();
+            heat.record(position, signatures.len() as u64, candidates as u64);
+            per_query
         })
-        .collect()
+        .collect();
+    heat.flush(reader);
+    by_segment
 }
 
 /// Score a query signature over every live segment of a reader snapshot
@@ -318,19 +362,21 @@ pub(crate) fn live_candidates_by_segment<F: Fn(usize) -> bool>(
 /// same parallel map + reduce as the monolithic path), then the
 /// per-segment top lists are merged deterministically. The per-segment
 /// truncation is lossless: an entry of the global top-`keep` necessarily
-/// survives the top-`keep` of whichever segment holds it.
-pub(crate) fn scored_over_reader(
+/// survives the top-`keep` of whichever segment holds it. Each probe is
+/// recorded in `heat`; the caller flushes it.
+fn scored_over_reader(
     reader: &IndexReader,
     sig: &MinHashSignature,
     keep: usize,
+    heat: &mut ProbeHeat,
 ) -> Vec<Scored> {
     let mut entries: Vec<Scored> = Vec::new();
-    for seg in reader.segments() {
+    for (position, seg) in reader.segments().iter().enumerate() {
         let candidates = {
             let mut probe_span = gas_obs::span("serve", "probe");
             let candidates = live_segment_candidates(reader, seg, sig, |_| true);
             probe_span.annotate("candidates", candidates.len() as f64);
-            record_probe_heat(seg.id(), candidates.len());
+            heat.record(position, 1, candidates.len() as u64);
             candidates
         };
         let top = {
@@ -347,11 +393,15 @@ pub(crate) fn scored_over_reader(
     merge_scored_sources(entries, keep)
 }
 
-/// Exact Jaccard similarities between `query` and each of `ids`, through
-/// the bit-packed popcount-AND kernel: the query and candidate sets are
-/// remapped onto their value union (the same zero-row-elimination idea as
-/// the paper's filter step), packed 64 rows per word, and intersected
-/// with [`BitMatrix::and_popcount`].
+/// Exact Jaccard similarities between `query` and each of `ids`, with
+/// the query as the row universe: a value outside the query is a zero
+/// row of the query column and cannot contribute to any intersection —
+/// the paper's zero-row filter applied to the pair product — so only
+/// the query's own rows are ever matched. Over that universe the
+/// popcount of query AND candidate *is* the number of candidate values
+/// found in the query, which one linear merge-join per candidate counts
+/// ([`sorted_intersection_size`]): O(|query| + |candidate|), nothing
+/// sorted, nothing packed.
 pub fn exact_scores_popcount(
     collection: &SampleCollection,
     query: &[u64],
@@ -366,37 +416,7 @@ pub fn exact_scores_popcount(
             )));
         }
     }
-    let mut universe: Vec<u64> = query.to_vec();
-    for &id in ids {
-        universe.extend_from_slice(collection.sample(id as usize));
-    }
-    universe.sort_unstable();
-    universe.dedup();
-    let remap = |values: &[u64]| -> Vec<usize> {
-        values
-            .iter()
-            .map(|v| universe.binary_search(v).expect("value drawn from the union"))
-            .collect()
-    };
-    let mut columns = Vec::with_capacity(ids.len() + 1);
-    columns.push(remap(query));
-    for &id in ids {
-        columns.push(remap(collection.sample(id as usize)));
-    }
-    let bm = BitMatrix::from_columns(universe.len().max(1), &columns)?;
-    Ok(ids
-        .iter()
-        .enumerate()
-        .map(|(j, &id)| {
-            let inter = bm.and_popcount(0, j + 1);
-            let union = query.len() as u64 + collection.sample(id as usize).len() as u64 - inter;
-            if union == 0 {
-                1.0 // Both empty: J = 1 by the pipeline's convention.
-            } else {
-                inter as f64 / union as f64
-            }
-        })
-        .collect())
+    Ok(ids.iter().map(|&id| sorted_jaccard(query, collection.sample(id as usize))).collect())
 }
 
 /// Turn scored LSH entries into final neighbors: optionally re-rank with
@@ -508,13 +528,58 @@ impl<'a> QueryEngine<'a> {
         values: &[u64],
         pool: usize,
         opts: &QueryOptions,
+        heat: &mut ProbeHeat,
     ) -> IndexResult<(Vec<Neighbor>, usize)> {
         let values = &*normalized_query(values);
         let sig = self.reader.scheme().sign(values);
-        let scored = scored_over_reader(&self.reader, &sig, pool);
+        let scored = scored_over_reader(&self.reader, &sig, pool, heat);
         let total = scored.len();
         let ranked = finalize(scored, self.reader.scheme().len(), values, self.collection, opts)?;
         Ok((ranked, total))
+    }
+
+    /// Run a single query with a fresh [`ProbeHeat`] and flush it.
+    fn single<T>(&self, one: impl FnOnce(&mut ProbeHeat) -> T) -> T {
+        let mut heat = ProbeHeat::new(&self.reader);
+        let answer = one(&mut heat);
+        heat.flush(&self.reader);
+        answer
+    }
+
+    /// Run `one` for each of `n` queries as one parallel pass: answers in
+    /// input order, the error of the lowest-indexed failing query, and
+    /// the probe heat of the queries up to and including that one added
+    /// to the registry once — exactly what a serial loop of single
+    /// queries returns and records. The scoring reduce nested inside a
+    /// worker runs inline, so a batch forks once; a batch of one forks
+    /// nothing.
+    fn batch<T: Send>(
+        &self,
+        n: usize,
+        one: impl Fn(usize, &mut ProbeHeat) -> IndexResult<T> + Sync,
+    ) -> IndexResult<Vec<T>> {
+        let answers: Vec<(IndexResult<T>, ProbeHeat)> = (0..n)
+            .into_par_iter()
+            .map(|i| {
+                let mut heat = ProbeHeat::new(&self.reader);
+                (one(i, &mut heat), heat)
+            })
+            .collect();
+        let mut heat = ProbeHeat::new(&self.reader);
+        let mut out = Vec::with_capacity(n);
+        let mut failure = None;
+        for (answer, probed) in answers {
+            heat.absorb(probed);
+            match answer {
+                Ok(answer) => out.push(answer),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
+        }
+        heat.flush(&self.reader);
+        failure.map_or(Ok(out), Err)
     }
 
     /// Answer one query. `values` is treated as a set: it need not be
@@ -523,8 +588,17 @@ impl<'a> QueryEngine<'a> {
     /// single-page case of the paginated scan: the first `top_k` hits of
     /// the ranking over the oversampled candidate pool.
     pub fn query(&self, values: &[u64], opts: &QueryOptions) -> IndexResult<Vec<Neighbor>> {
+        self.single(|heat| self.query_one(values, opts, heat))
+    }
+
+    fn query_one(
+        &self,
+        values: &[u64],
+        opts: &QueryOptions,
+        heat: &mut ProbeHeat,
+    ) -> IndexResult<Vec<Neighbor>> {
         let _query_span = gas_obs::span("serve", "query");
-        self.ranked_pool(values, opts.keep(), opts).map(|(hits, _)| hits)
+        self.ranked_pool(values, opts.keep(), opts, heat).map(|(hits, _)| hits)
     }
 
     /// Answer one page of a paginated scan over the **full** candidate
@@ -537,6 +611,15 @@ impl<'a> QueryEngine<'a> {
     /// generation fails with a typed [`IndexError::StaleCursor`] rather
     /// than silently mixing two rankings.
     pub fn query_page(&self, values: &[u64], req: &PageRequest) -> IndexResult<QueryPage> {
+        self.single(|heat| self.query_page_one(values, req, heat))
+    }
+
+    fn query_page_one(
+        &self,
+        values: &[u64],
+        req: &PageRequest,
+        heat: &mut ProbeHeat,
+    ) -> IndexResult<QueryPage> {
         let _page_span = gas_obs::span("serve", "query_page");
         if req.page_size == 0 {
             return Err(IndexError::InvalidQuery("page_size must be ≥ 1".into()));
@@ -555,7 +638,7 @@ impl<'a> QueryEngine<'a> {
         };
         let full =
             QueryOptions { top_k: usize::MAX, oversample: 1, rerank_exact: req.rerank_exact };
-        let (ranked, total_candidates) = self.ranked_pool(values, usize::MAX, &full)?;
+        let (ranked, total_candidates) = self.ranked_pool(values, usize::MAX, &full, heat)?;
         let ranked: Vec<Neighbor> =
             ranked.into_iter().filter(|n| n.score >= req.min_score).collect();
         let start = offset.min(ranked.len());
@@ -565,15 +648,16 @@ impl<'a> QueryEngine<'a> {
         Ok(QueryPage { hits: ranked[start..end].to_vec(), next_cursor, total_candidates })
     }
 
-    /// [`Self::query_page`] over a batch of queries: one page per query,
-    /// all at the same `req` offset (the scan cursor advances in lock
-    /// step across the batch).
+    /// [`Self::query_page`] over a batch of queries, in parallel over
+    /// the queries: one page per query in input order, all at the same
+    /// `req` offset (the scan cursor advances in lock step across the
+    /// batch); on failure, the error of the first failing query.
     pub fn query_page_batch(
         &self,
         queries: &[Vec<u64>],
         req: &PageRequest,
     ) -> IndexResult<Vec<QueryPage>> {
-        queries.iter().map(|q| self.query_page(q, req)).collect()
+        self.batch(queries.len(), |i, heat| self.query_page_one(&queries[i], req, heat))
     }
 
     /// Answer one query from a signature signed elsewhere (an ingress
@@ -603,21 +687,22 @@ impl<'a> QueryEngine<'a> {
                 self.reader.scheme().len()
             )));
         }
-        let scored = scored_over_reader(&self.reader, sig, opts.keep());
+        let scored = self.single(|heat| scored_over_reader(&self.reader, sig, opts.keep(), heat));
         finalize(scored, self.reader.scheme().len(), &[], None, opts)
     }
 
-    /// Answer a batch of queries. Each query's candidate scoring runs in
-    /// parallel over candidate chunks; queries are processed in order so
-    /// results line up with the input slice. This is the single-page
-    /// case of [`Self::query_page_batch`]: the first `top_k` hits per
-    /// query, ranked over the oversampled candidate pool.
+    /// Answer a batch of queries in parallel over the queries: answers
+    /// line up with the input slice and equal a serial loop of
+    /// [`Self::query`] bit for bit; on failure, the error of the first
+    /// failing query. This is the single-page case of
+    /// [`Self::query_page_batch`]: the first `top_k` hits per query,
+    /// ranked over the oversampled candidate pool.
     pub fn query_batch(
         &self,
         queries: &[Vec<u64>],
         opts: &QueryOptions,
     ) -> IndexResult<Vec<Vec<Neighbor>>> {
-        queries.iter().map(|q| self.query(q, opts)).collect()
+        self.batch(queries.len(), |i, heat| self.query_one(&queries[i], opts, heat))
     }
 }
 
@@ -628,16 +713,24 @@ pub fn exact_top_k(collection: &SampleCollection, query: &[u64], top_k: usize) -
     let query = &*normalized_query(query);
     let mut scored: Vec<Neighbor> = (0..collection.n())
         .map(|id| {
-            let sample = collection.sample(id);
-            let inter = sorted_intersection_size(query, sample);
-            let union = query.len() as u64 + sample.len() as u64 - inter;
-            let score = if union == 0 { 1.0 } else { inter as f64 / union as f64 };
+            let score = sorted_jaccard(query, collection.sample(id));
             Neighbor { id: id as u32, agreement: 0, score }
         })
         .collect();
     scored.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
     scored.truncate(top_k);
     scored
+}
+
+/// Jaccard similarity of two sorted, deduplicated slices.
+fn sorted_jaccard(a: &[u64], b: &[u64]) -> f64 {
+    let inter = sorted_intersection_size(a, b);
+    let union = a.len() as u64 + b.len() as u64 - inter;
+    if union == 0 {
+        1.0 // Both empty: J = 1 by the pipeline's convention.
+    } else {
+        inter as f64 / union as f64
+    }
 }
 
 /// Intersection cardinality of two sorted, deduplicated slices.
@@ -766,20 +859,50 @@ mod tests {
     }
 
     #[test]
-    fn exact_scores_popcount_matches_merge_join() {
-        let collection = workload();
-        let query: Vec<u64> = collection.sample(0).iter().copied().take(400).collect();
+    fn exact_scores_popcount_matches_a_set_oracle_bit_for_bit() {
+        use gas_core::minhash::splitmix64;
+        use std::collections::BTreeSet;
+        // Seeded random sets over a small universe (so they overlap),
+        // one of them empty.
+        let random_set = |seed: u64, len: u64| -> Vec<u64> {
+            let set: BTreeSet<u64> = (0..len).map(|i| splitmix64(seed << 32 | i) % 500).collect();
+            set.into_iter().collect()
+        };
+        let mut samples: Vec<Vec<u64>> = (0..24u64).map(|s| random_set(s, 20 + s * 9)).collect();
+        samples[5].clear();
+        let collection = SampleCollection::from_sorted_sets(samples.clone()).unwrap();
         let ids: Vec<u32> = (0..collection.n() as u32).collect();
-        let pop = exact_scores_popcount(&collection, &query, &ids).unwrap();
-        for (&id, &score) in ids.iter().zip(&pop) {
-            let sample = collection.sample(id as usize);
-            let inter = sorted_intersection_size(&query, sample);
-            let union = query.len() as u64 + sample.len() as u64 - inter;
-            let want = inter as f64 / union as f64;
-            assert!((score - want).abs() < 1e-12, "id {id}: {score} vs {want}");
+
+        let mut unsorted_duplicated: Vec<u64> = samples[7].iter().rev().copied().collect();
+        unsorted_duplicated.extend_from_slice(&samples[7][..10]);
+        let queries: Vec<Vec<u64>> = vec![
+            random_set(99, 150),
+            samples[3].clone(),
+            Vec::new(),               // J = 1 against the empty sample, else 0
+            (1_000..1_100).collect(), // disjoint from every candidate
+            unsorted_duplicated,
+        ];
+        for query in &queries {
+            let as_set: BTreeSet<u64> = query.iter().copied().collect();
+            let got = exact_scores_popcount(&collection, query, &ids).unwrap();
+            let brute_force = exact_top_k(&collection, query, collection.n());
+            for (&id, &score) in ids.iter().zip(&got) {
+                let sample: BTreeSet<u64> = samples[id as usize].iter().copied().collect();
+                let inter = as_set.intersection(&sample).count();
+                let union = as_set.union(&sample).count();
+                let want = if union == 0 { 1.0 } else { inter as f64 / union as f64 };
+                assert_eq!(score.to_bits(), want.to_bits(), "id {id}: {score} vs {want}");
+                let scan = brute_force.iter().find(|n| n.id == id).unwrap();
+                assert_eq!(score.to_bits(), scan.score.to_bits(), "id {id} vs exact_top_k");
+            }
         }
+        // A subset of ids, in the caller's order, scores the same.
+        let picked = [9u32, 2, 9];
+        let got = exact_scores_popcount(&collection, &queries[0], &picked).unwrap();
+        let all = exact_scores_popcount(&collection, &queries[0], &ids).unwrap();
+        assert_eq!(got, picked.map(|id| all[id as usize]));
         // Out-of-range candidate ids are rejected.
-        assert!(exact_scores_popcount(&collection, &query, &[999]).is_err());
+        assert!(exact_scores_popcount(&collection, &queries[0], &[999]).is_err());
     }
 
     #[test]

@@ -32,8 +32,15 @@ pub fn pack_row_bitmap(nrows: usize, rows: &[usize]) -> Vec<u64> {
     if rows.is_empty() || nwords == 0 {
         return words;
     }
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let chunk_size = rows.len().div_ceil(threads).max(1 << 13);
+    // Size first: a list of at most one minimum chunk packs inline
+    // without asking the OS for the core count.
+    const MIN_CHUNK: usize = 1 << 13;
+    let chunk_size = if rows.len() <= MIN_CHUNK {
+        rows.len()
+    } else {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        rows.len().div_ceil(threads).max(MIN_CHUNK)
+    };
     if chunk_size >= rows.len() {
         for &r in rows {
             if r < nrows {
