@@ -56,10 +56,9 @@ use gas_core::indicator::SampleCollection;
 use gas_core::minhash::SignatureScheme;
 use gas_dstsim::runtime::Runtime;
 use gas_index::{
-    dist_query_batch_stats, dist_query_reader_batch_stats,
-    dist_query_reader_batch_stats_per_segment, exact_top_k, ChaosStorage, DistQueryStats,
-    FaultPlan, IndexConfig, IndexOptions, IndexService, QueryEngine, QueryOptions, SignerKind,
-    SketchIndex, Storage,
+    dist_query_reader_batch_stats, dist_query_reader_batch_stats_per_segment, exact_top_k,
+    ChaosStorage, DistQueryStats, FaultPlan, IndexConfig, IndexOptions, IndexService, QueryEngine,
+    QueryOptions, SignerKind, SketchIndex, Storage,
 };
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -452,8 +451,14 @@ fn run_signer(
             .run(|ctx| {
                 let q = if ctx.rank() == 0 { Some(queries) } else { None };
                 ctx.expect_ok(
-                    "dist_query_batch_stats",
-                    dist_query_batch_stats(ctx.world(), &index, Some(collection), q, &rerank_opts),
+                    "dist_query_reader_batch_stats",
+                    dist_query_reader_batch_stats(
+                        ctx.world(),
+                        &index.as_reader(),
+                        Some(collection),
+                        q,
+                        &rerank_opts,
+                    ),
                 )
             })
             .expect("distributed query run");

@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Process-global injection switch. While `false` (the default) every
@@ -45,9 +45,36 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Flip the global injection switch (tests and chaos drills only).
+/// Flip the global injection switch (chaos drills that own the whole
+/// process; tests sharing a process go through [`chaos_on`]).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
+}
+
+/// Scoped injection for tests that share a process: enabled while the
+/// guard is held, disabled on drop. Holders are serialized behind one
+/// process-wide gate, so parallel chaos tests never turn each other's
+/// faults off mid-run (a test that must observe the switch *off* takes
+/// the guard too and flips it back inside the scope).
+pub struct ChaosOn {
+    _gate: MutexGuard<'static, ()>,
+}
+
+impl Drop for ChaosOn {
+    fn drop(&mut self) {
+        set_enabled(false);
+    }
+}
+
+/// Take the process-wide chaos gate and enable injection until the
+/// returned guard drops.
+pub fn chaos_on() -> ChaosOn {
+    static GATE: Mutex<()> = Mutex::new(());
+    // The gate guards no data, so a holder that panicked (a failed test)
+    // leaves nothing to repair: recover the guard.
+    let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    set_enabled(true);
+    ChaosOn { _gate: guard }
 }
 
 /// SplitMix64 — the one PRNG the whole plan derives from. Local copy so
@@ -486,6 +513,7 @@ mod tests {
 
     #[test]
     fn disabled_injection_is_a_pass_through() {
+        let _gate = chaos_on();
         set_enabled(false);
         let path = unique_path("pass");
         let chaos = ChaosStorage::over_fs(FaultPlan::seeded(1, 1000));
@@ -498,7 +526,7 @@ mod tests {
 
     #[test]
     fn torn_append_leaves_a_prefix_and_reports_failure() {
-        set_enabled(true);
+        let _chaos = chaos_on();
         let path = unique_path("torn");
         let chaos = ChaosStorage::over_fs(FaultPlan::seeded(9, 0).script(1, FaultKind::TornWrite));
         chaos.write(&path, b"base").unwrap();
@@ -507,13 +535,12 @@ mod tests {
         let on_disk = std::fs::read(&path).unwrap();
         assert!(on_disk.len() < 14, "torn write must not land fully");
         assert!(on_disk.starts_with(b"base"));
-        set_enabled(false);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn failed_replace_keeps_the_original_intact() {
-        set_enabled(true);
+        let _chaos = chaos_on();
         let path = unique_path("replace");
         std::fs::write(&path, b"live generation").unwrap();
         for kind in [FaultKind::IoError, FaultKind::TornWrite, FaultKind::FsyncLoss] {
@@ -521,7 +548,6 @@ mod tests {
             chaos.replace(&path, b"replacement").unwrap_err();
             assert_eq!(std::fs::read(&path).unwrap(), b"live generation", "{kind:?}");
         }
-        set_enabled(false);
         std::fs::remove_file(&path).unwrap();
         let _ =
             std::fs::remove_file(path.with_file_name(format!(
@@ -532,14 +558,13 @@ mod tests {
 
     #[test]
     fn fsync_loss_reports_success_but_loses_the_tail() {
-        set_enabled(true);
+        let _chaos = chaos_on();
         let path = unique_path("fsync");
         let chaos = ChaosStorage::over_fs(FaultPlan::seeded(5, 0).script(1, FaultKind::FsyncLoss));
         chaos.write(&path, b"base").unwrap();
         chaos.append_tail(&path, 4, b"0123456789").unwrap();
         let on_disk = std::fs::read(&path).unwrap();
         assert!(on_disk.len() < 14, "the lying sync must have dropped bytes");
-        set_enabled(false);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -164,8 +164,8 @@ impl BandBuckets {
 /// sample ids are the dense `0..n` of the built collection.
 ///
 /// Since the segmented-lifecycle redesign this is a thin convenience
-/// wrapper — [`SketchIndex::build`] is literally an
-/// [`IndexWriter`](crate::lifecycle::IndexWriter) staging the whole
+/// wrapper — [`crate::service::IndexOptions::build_index`] is literally
+/// an [`IndexWriter`](crate::lifecycle::IndexWriter) staging the whole
 /// collection followed by a single `commit()` — kept so one-shot callers
 /// (build → persist → serve a static corpus) keep a direct API, and so
 /// v1/v2 containers still deserialize into a ready-to-serve value.
@@ -191,15 +191,8 @@ impl SketchIndex {
     /// [`IndexWriter`](crate::lifecycle::IndexWriter) sealing the whole
     /// collection in one commit (the staging-free `commit_collection`
     /// path — signatures come straight off the collection's slices, no
-    /// copies of the value sets are made).
-    #[deprecated(since = "0.7.0", note = "construct through `IndexOptions::build_index` instead")]
-    pub fn build(collection: &SampleCollection, config: &IndexConfig) -> IndexResult<Self> {
-        SketchIndex::build_monolithic(collection, config)
-    }
-
-    /// The monolithic build path shared by [`Self::build`] (deprecated
-    /// shim) and [`crate::service::IndexOptions::build_index`] (the
-    /// public entry point).
+    /// copies of the value sets are made). The public entry point is
+    /// [`crate::service::IndexOptions::build_index`].
     pub(crate) fn build_monolithic(
         collection: &SampleCollection,
         config: &IndexConfig,

@@ -1,56 +1,61 @@
-//! Distributed query serving: LSH bucket shards *and* signature shards
-//! across simulated ranks, applied to every segment of a lifecycle
-//! snapshot at once (a monolithic `SketchIndex` is served as the
-//! one-segment special case).
+//! Distributed query serving over simulated ranks: **one executor runs
+//! every batch, and a [`ServingLayout`] tells it where rows live** (a
+//! monolithic `SketchIndex` is the one-segment snapshot `as_reader()`).
 //!
-//! Two orthogonal shardings keep per-rank state at `~1/p` of the index:
+//! The `p` ranks of a communicator are `p` *slots*. Slot `j` holds the
+//! bucket tables of bands `b ≡ j (mod p)` ([`band_shard`]) and, of every
+//! segment independently, the signature rows `local ≡ j (mod p)`
+//! ([`sample_shard`], one [`SignatureShard`] per segment) — so a rank
+//! keeps `~1/p` of the index instead of all `n · len · 8` signature
+//! bytes, the dominant memory term of a sketch index. Rows are addressed
+//! across segments by one key, `(seg_idx << 32) | local_row`
+//! ([`row_key`]). A layout answers three questions and nothing else:
 //!
-//! * **bands** are assigned to ranks round-robin ([`band_shard`]), so
-//!   each rank probes `⌈b / p⌉` or `⌊b / p⌋` bucket tables of every
-//!   segment;
-//! * **signature rows** are assigned to ranks round-robin by local row
-//!   ([`sample_shard`]), per segment, so each rank *stores* `~rows/p`
-//!   of every segment's signature matrix ([`SignatureShard`], grouped
-//!   per snapshot by [`ReaderShards`]) instead of replicating all
-//!   `n · len · 8` bytes — the dominant memory term of a sketch index.
+//! * **do I probe band `b`** — when this rank *serves* the band's slot;
+//! * **how does candidate `(seg_idx, local)` resolve** — a *local slice*
+//!   (its slot is served here, or its segment is replicated), a *fetch
+//!   by key* (another rank serves the slot), or *lost* (every owner of
+//!   the slot crashed);
+//! * **do I ship key `k`** — when this rank serves `k`'s slot, from its
+//!   copy of that slot.
 //!
-//! One batched query round is a **constant number of collectives, no
-//! matter how many segments the snapshot holds** — the
-//! communication-avoidance discipline of the paper applied to the
-//! serving path. Rows are addressed across segments by a single key,
-//! `(seg_idx << 32) | local_row` ([`row_key`]), so all segments share
-//! one request/fetch pair:
+//! Keyed sharding ([`dist_query_reader_batch_stats`]: one owner per
+//! slot, all alive), crash failover
+//! ([`dist_query_reader_batch_replicated`]: `c` owners per slot, the
+//! first alive one serves, survivors regroup) and mixed placement
+//! ([`install_placement`]: every rank also holds the segments a plan
+//! replicates in full) are three values of that one type, and compose.
 //!
-//! 1. **scatter** — rank 0 signs the query batch and broadcasts the
-//!    signatures (every query must visit every band, so the "scatter by
-//!    band hash" degenerates to a broadcast of signatures while the
+//! One batched round is a **constant number of collectives, no matter
+//! how many segments the snapshot holds or which layout serves it** —
+//! the communication-avoidance discipline of the paper applied to the
+//! serving path:
+//!
+//! 1. **scatter** — the communicator's rank 0 signs the query batch and
+//!    broadcasts the signatures (every query must visit every band, so
+//!    the "scatter by band hash" degenerates to a broadcast while the
 //!    *buckets* stay sharded; raw query values travel only when exact
 //!    re-ranking is requested);
-//! 2. **probe** — each rank probes its band shard of *every* segment
-//!    (no communication), which yields the keyed candidate rows its
-//!    scoring pass will touch;
-//! 3. **request** — ranks allgather the keyed rows they need but do not
-//!    own (deduplicated across segments *and* queries), so every owner
-//!    learns which of its rows are wanted this round;
-//! 4. **fetch** — each owner contributes each requested row *once* to
-//!    an allgather, tagged with its key; every rank demultiplexes the
-//!    delivery by key and keeps only the rows it asked for; scoring
-//!    then reads rows from the local shard or the fetched set — never
-//!    from a replicated matrix;
+//! 2. **probe** — each rank probes the bands it serves of *every*
+//!    segment (no communication) and routes each candidate by the
+//!    layout: local, wanted, or lost;
+//! 3. **request** — ranks allgather the keyed rows they want
+//!    (deduplicated across segments *and* queries);
+//! 4. **fetch** — each serving owner contributes each requested row
+//!    *once* to an allgather, tagged with its key; every rank keeps the
+//!    rows it asked for;
 //! 5. **allgather + merge** — the per-rank partial top lists (already
 //!    merged across segments locally) are allgathered, deduplicated by
 //!    sample id and merged; every rank then finalizes (optional exact
 //!    re-rank, truncate to `k`) identically.
 //!
-//! That is five collectives per batch (six with exact re-ranking) —
-//! [`DistQueryStats::collective_calls`] observes the invariant, the
-//! per-phase byte counters ([`DistQueryStats::wire_bytes`]) account for
-//! every wire byte exactly, and the `query_throughput` bench sweeps
-//! segment counts to pin the constant. The pre-keyed exchange, which
-//! ran the request/fetch pair once per segment (O(#segments)
-//! collectives), is retained as
+//! That is five collectives per batch (six with exact re-ranking); only
+//! a layout with a lost slot spends one more, to agree on the dropped
+//! rows. [`DistQueryStats`] observes the invariant and accounts for
+//! every wire byte exactly, under every layout. The pre-keyed exchange
+//! (one request/fetch pair per segment) is retained as
 //! [`dist_query_reader_batch_stats_per_segment`] — the reference the
-//! equivalence proptests and the bench sweep compare against.
+//! proptests and the bench sweep compare against, over the same helpers.
 //!
 //! A candidate surviving to the global top-k necessarily survives the
 //! local top list of whichever rank found it, and every scored row is
@@ -58,21 +63,23 @@
 //! bit-identical to the single-rank engine's — the `query_serving`
 //! integration suite pins that for the dist-matrix grid.
 
+use std::collections::BTreeMap;
+
 use gas_core::indicator::SampleCollection;
 use gas_core::minhash::{signature_agreement, MinHashSignature};
 use gas_dstsim::comm::Communicator;
+use gas_dstsim::SimError;
 use serde::{Deserialize, Serialize};
 
-use crate::build::SketchIndex;
 use crate::error::{IndexError, IndexResult};
 use crate::lifecycle::IndexReader;
 use crate::query::{
-    finalize, live_candidates_by_segment, lsh_top_by, merge_scored_sources, Neighbor, PageCursor,
+    finalize, live_candidates_by_segment, lsh_top_by, merge_scored_sources, page_cut, Neighbor,
     PageRequest, QueryOptions, QueryPage, Scored,
 };
 use crate::segment::Segment;
 
-/// The rank owning `band`'s bucket shard in a world of `nranks`:
+/// The slot holding `band`'s bucket tables among `nranks` slots:
 /// round-robin over the band index. Band *keys* are already uniform
 /// splitmix hashes, so round-robin assignment of whole bands is hash
 /// sharding with a perfectly balanced placement — and, unlike hashing
@@ -83,8 +90,8 @@ pub fn band_shard(band: usize, nranks: usize) -> usize {
     band % nranks
 }
 
-/// The rank owning sample `id`'s signature row: round-robin over the
-/// sample id, so every rank stores `⌈n / p⌉` or `⌊n / p⌋` rows and
+/// The slot holding sample `id`'s signature row: round-robin over the
+/// sample id, so every slot stores `⌈n / p⌉` or `⌊n / p⌋` rows and
 /// consecutive ids (which family-structured datasets cluster) spread
 /// across ranks instead of hot-spotting one.
 pub fn sample_shard(id: usize, nranks: usize) -> usize {
@@ -106,10 +113,10 @@ pub fn split_row_key(key: u64) -> (usize, u32) {
     ((key >> 32) as usize, key as u32)
 }
 
-/// One rank's slice of a *segment's* signature matrix: the rows of the
+/// One slot's slice of a *segment's* signature matrix: the rows of the
 /// local rows it owns under [`sample_shard`], flattened `len` words per
 /// row in ascending local-row order. Sharding is per segment — every
-/// sealed segment's rows spread round-robin over all ranks
+/// sealed segment's rows spread round-robin over all slots
 /// independently, so the balance property holds for each segment (and
 /// therefore for their union) no matter how commits and compactions
 /// sliced the corpus. For a single-segment index local rows *are* the
@@ -129,13 +136,7 @@ pub struct SignatureShard {
 }
 
 impl SignatureShard {
-    /// Extract rank `rank`'s shard of `index`'s signature matrix (the
-    /// single-segment convenience form of [`Self::for_segment`]).
-    pub fn build(index: &SketchIndex, rank: usize, nranks: usize) -> Self {
-        SignatureShard::for_segment(index.segment(), rank, nranks)
-    }
-
-    /// Extract rank `rank`'s shard of one sealed segment's signature
+    /// Extract slot `rank`'s shard of one sealed segment's signature
     /// matrix.
     pub fn for_segment(segment: &Segment, rank: usize, nranks: usize) -> Self {
         let len = segment.scheme().len();
@@ -178,43 +179,38 @@ impl SignatureShard {
     }
 }
 
-/// One rank's signature shards of *every* segment of a reader snapshot,
-/// resolving rows by [`row_key`]: the segment-indexed lookup path of the
-/// keyed cross-segment exchange.
+/// One slot's signature shards of *every* segment of a reader snapshot,
+/// resolving rows by [`row_key`] — the unit a [`ServingLayout`] holds
+/// one copy of per slot this rank owns.
 #[derive(Debug, Clone)]
-pub struct ReaderShards {
+pub(crate) struct ReaderShards {
     shards: Vec<SignatureShard>,
     seg_rows: Vec<usize>,
-    len: usize,
 }
 
 impl ReaderShards {
-    /// Extract rank `rank`'s shard of every segment of `reader`.
-    pub fn build(reader: &IndexReader, rank: usize, nranks: usize) -> Self {
+    /// Extract slot `rank`'s shard of every segment of `reader`.
+    pub(crate) fn build(reader: &IndexReader, rank: usize, nranks: usize) -> Self {
         let shards: Vec<SignatureShard> = reader
             .segments()
             .iter()
             .map(|seg| SignatureShard::for_segment(seg, rank, nranks))
             .collect();
         let seg_rows = reader.segments().iter().map(|seg| seg.n_rows()).collect();
-        ReaderShards { shards, seg_rows, len: reader.scheme().len() }
-    }
-
-    /// The shard of segment `seg_idx` (the reader's segment order).
-    pub fn segment(&self, seg_idx: usize) -> &SignatureShard {
-        &self.shards[seg_idx]
+        ReaderShards { shards, seg_rows }
     }
 
     /// Number of segments sharded.
-    pub fn n_segments(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_segments(&self) -> usize {
         self.shards.len()
     }
 
-    /// Whether this rank owns keyed row `key`, with the key validated
+    /// Whether this slot owns keyed row `key`, with the key validated
     /// against the snapshot's segment layout — requests arrive over the
     /// wire, so an out-of-range key is a typed corruption error, never
     /// a panic.
-    pub fn owns_key(&self, key: u64) -> IndexResult<bool> {
+    pub(crate) fn owns_key(&self, key: u64) -> IndexResult<bool> {
         let (seg_idx, local) = split_row_key(key);
         let rows = *self.seg_rows.get(seg_idx).ok_or_else(|| IndexError::Corrupt {
             context: format!(
@@ -233,21 +229,228 @@ impl ReaderShards {
     }
 
     /// The signature row of owned keyed row `key` (panics when this
-    /// rank does not own it — callers validate with
+    /// slot does not own it — callers validate with
     /// [`Self::owns_key`] first).
-    pub fn row(&self, key: u64) -> &[u64] {
+    pub(crate) fn row(&self, key: u64) -> &[u64] {
         let (seg_idx, local) = split_row_key(key);
         self.shards[seg_idx].row(local)
     }
 
     /// Total signature rows stored across all segment shards.
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         self.shards.iter().map(SignatureShard::n_rows).sum()
     }
+}
 
-    /// Total bytes of signature data stored across all segment shards.
-    pub fn bytes(&self) -> usize {
-        self.shards.iter().map(SignatureShard::bytes).sum()
+/// How one segment of a snapshot is served under a mixed placement
+/// ([`install_placement`]). The planner (`gas-plan`) prices both
+/// strategies per segment against the α–β–γ machine model and observed
+/// probe heat; the serving path here only *executes* the decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SegmentPlacement {
+    /// Every rank holds the segment's full signature matrix (installed
+    /// once by [`install_placement`]); candidate rows resolve locally
+    /// and never enter the per-batch keyed exchange. Pays `~rows/p·(p−1)`
+    /// install rows once, then zero fetch traffic per batch — the right
+    /// call for large, old, compacted segments with sustained probe heat.
+    Replicated,
+    /// The segment's rows stay sharded round-robin ([`sample_shard`]);
+    /// candidates another rank serves are fetched through the keyed
+    /// exchange every batch. Zero install cost — the right call for
+    /// small fresh segments that compaction will soon rewrite anyway.
+    Sharded,
+}
+
+/// How one candidate row resolves on this rank under a layout.
+enum Resolved<'a> {
+    /// Here: its slot is served by this rank, or its segment replicated.
+    Local(&'a [u64]),
+    /// Another rank serves the row's slot: fetch it by [`row_key`].
+    Fetch,
+    /// Every owner of the row's slot crashed: the row is unscorable.
+    Lost,
+}
+
+/// One segment's row resolution under a layout: replica or slots is
+/// decided here, once per segment, outside the scoring closure.
+struct SegmentRows<'a> {
+    layout: &'a ServingLayout,
+    seg_idx: usize,
+    seg: &'a Segment,
+    replica: Option<&'a [u64]>,
+}
+
+impl<'a> SegmentRows<'a> {
+    fn resolve(&self, local: u32) -> Resolved<'a> {
+        let layout = self.layout;
+        if let Some(matrix) = self.replica {
+            let start = local as usize * layout.len;
+            return Resolved::Local(&matrix[start..start + layout.len]);
+        }
+        let slot = sample_shard(local as usize, layout.slots.nranks);
+        match layout.slots.serving[slot] {
+            None => Resolved::Lost,
+            Some(server) if server == layout.slots.me => {
+                Resolved::Local(layout.copies[&slot].shards[self.seg_idx].row(local))
+            }
+            Some(_) => Resolved::Fetch,
+        }
+    }
+}
+
+/// The slot table of a layout: who owns and who serves each slot, over
+/// the `p` ranks of the communicator the layout was built on.
+#[derive(Debug, Clone)]
+struct Slots {
+    me: usize,
+    nranks: usize,
+    replication: usize,
+    /// slot → serving rank; `None` = every owner crashed.
+    serving: Vec<Option<usize>>,
+    /// World ranks of the crashed members, ascending.
+    failed_ranks: Vec<usize>,
+}
+
+/// One rank's serving state: *where row `k` lives and who is alive to
+/// serve it* — the single parameter of the distributed executor (the
+/// module docs list the three questions it answers).
+///
+/// Slot `j` is owned by the `replication` consecutive ranks
+/// `(j + k) % p` of the communicator the layout was built on, each
+/// holding a copy of the slot's shards; the **first owner not injected
+/// as crashed** serves it, and a slot with no such owner is *lost*. The
+/// fault spec is common knowledge in the simulator (a membership service
+/// in a real deployment), so every rank derives the identical table and
+/// the collective schedule stays in lockstep. [`install_placement`] adds
+/// the full matrix of each replicated segment.
+#[derive(Debug, Clone)]
+pub struct ServingLayout {
+    slots: Slots,
+    /// slot → this rank's copy of its shards, for each slot it owns.
+    copies: BTreeMap<usize, ReaderShards>,
+    /// Segment ids of the snapshot the layout was built for, in order.
+    seg_ids: Vec<u64>,
+    /// segment id (which names immutable bytes) → full replica matrix.
+    replicas: BTreeMap<u64, Vec<u64>>,
+    len: usize,
+}
+
+impl ServingLayout {
+    /// The all-sharded layout of `reader` over the ranks of `comm` with
+    /// `replication` owners per slot (clamped to `1..=p`). No
+    /// communication: each rank cuts its own slot copies, so the crashed
+    /// members of `comm` — the layout's [`failed_ranks`](Self::failed_ranks)
+    /// — need not take part.
+    pub fn sharded(comm: &Communicator, reader: &IndexReader, replication: usize) -> Self {
+        let p = comm.size();
+        let world_rank = |r: usize| comm.world_rank_of(r).expect("r < comm.size()");
+        let alive = |r: usize| !comm.faults().is_crashed(world_rank(r));
+        let replication = replication.clamp(1, p);
+        let serving = (0..p).map(|j| (0..replication).map(|k| (j + k) % p).find(|&r| alive(r)));
+        let slots = Slots {
+            me: comm.rank(),
+            nranks: p,
+            replication,
+            serving: serving.collect(),
+            failed_ranks: (0..p).filter(|&r| !alive(r)).map(world_rank).collect(),
+        };
+        ServingLayout::over(slots, reader)
+    }
+
+    /// `slots` over a snapshot: all sharded, copies cut from `reader`.
+    fn over(slots: Slots, reader: &IndexReader) -> Self {
+        let (me, p) = (slots.me, slots.nranks);
+        let homes = (0..slots.replication).map(|k| (me + p - k) % p);
+        ServingLayout {
+            copies: homes.map(|home| (home, ReaderShards::build(reader, home, p))).collect(),
+            slots,
+            seg_ids: reader.segments().iter().map(|seg| seg.id()).collect(),
+            replicas: BTreeMap::new(),
+            len: reader.scheme().len(),
+        }
+    }
+
+    /// World ranks the layout was built without (injected as crashed),
+    /// ascending.
+    pub fn failed_ranks(&self) -> &[usize] {
+        &self.slots.failed_ranks
+    }
+
+    /// Some slot lost every owner: its bands and sharded rows are lost.
+    fn has_lost_slot(&self) -> bool {
+        self.slots.serving.iter().any(Option::is_none)
+    }
+
+    /// Question 1: does this rank probe `band`?
+    fn probes_band(&self, band: usize) -> bool {
+        self.slots.serving[band_shard(band, self.slots.nranks)] == Some(self.slots.me)
+    }
+
+    /// Question 2: how do the candidates of segment `seg_idx` resolve?
+    fn segment_rows<'a>(&'a self, seg_idx: usize, seg: &'a Segment) -> SegmentRows<'a> {
+        let replica = self.replicas.get(&seg.id()).map(Vec::as_slice);
+        SegmentRows { layout: self, seg_idx, seg, replica }
+    }
+
+    /// Question 3: does this rank ship keyed row `key` — if so, the row.
+    /// Keys arrive over the wire, so the key is range-validated first.
+    fn shipped_row(&self, key: u64) -> IndexResult<Option<&[u64]>> {
+        self.copies[&self.slots.me].owns_key(key)?;
+        let slot = sample_shard(split_row_key(key).1 as usize, self.slots.nranks);
+        Ok((self.slots.serving[slot] == Some(self.slots.me)).then(|| self.copies[&slot].row(key)))
+    }
+
+    /// Allgather the rows of `keys` this rank ships, `[key, row...]`-framed.
+    fn allgather_rows(
+        &self,
+        world: &Communicator,
+        keys: impl IntoIterator<Item = u64>,
+    ) -> IndexResult<Vec<Vec<u64>>> {
+        let mut payload = Vec::new();
+        for key in keys {
+            if let Some(row) = self.shipped_row(key)? {
+                payload.push(key);
+                payload.extend_from_slice(row);
+            }
+        }
+        Ok(world.allgatherv(&payload)?)
+    }
+
+    /// Parse the streams of [`Self::allgather_rows`] into `(key, row)`
+    /// pairs, validating the framing and every key's range.
+    fn framed_rows<'a>(
+        &self,
+        streams: &'a [Vec<u64>],
+        what: &str,
+    ) -> IndexResult<Vec<(u64, &'a [u64])>> {
+        let stride = self.len + 1;
+        let mut out = Vec::new();
+        for (rank, stream) in streams.iter().enumerate() {
+            if stream.len() % stride != 0 {
+                return Err(IndexError::Corrupt {
+                    context: format!(
+                        "{what} stream from rank {rank} is {} words, not a multiple of {stride}",
+                        stream.len()
+                    ),
+                });
+            }
+            for frame in stream.chunks_exact(stride) {
+                self.copies[&self.slots.me].owns_key(frame[0])?;
+                out.push((frame[0], &frame[1..]));
+            }
+        }
+        Ok(out)
+    }
+
+    /// A fresh round's stats: what this rank stores vs full replication.
+    fn fresh_stats(&self, reader: &IndexReader) -> DistQueryStats {
+        let shard_rows = self.copies.values().map(ReaderShards::n_rows).sum();
+        DistQueryStats {
+            shard_rows,
+            shard_bytes: shard_rows * self.len * 8,
+            replicated_bytes: reader.n_rows() * self.len * 8,
+            ..Default::default()
+        }
     }
 }
 
@@ -259,11 +462,11 @@ impl ReaderShards {
 pub struct SegmentExchangeStats {
     /// The sealed segment's id.
     pub segment_id: u64,
-    /// Signature rows of this segment stored by this rank's shard.
+    /// Signature rows of this segment stored by this rank's slot copies.
     pub shard_rows: usize,
-    /// Distinct live candidate rows this rank's band probes surfaced.
+    /// Distinct live, scorable candidate rows this rank's probes surfaced.
     pub candidate_rows: usize,
-    /// Of those, rows resolved from the local shard.
+    /// Of those, rows resolved locally (slot copy or replica).
     pub owned_rows: usize,
     /// Of those, rows resolved from the fetched set.
     pub fetched_rows: usize,
@@ -277,17 +480,17 @@ pub struct SegmentExchangeStats {
 /// and an allgatherv's ring delivers every *foreign* block exactly once
 /// (a rank's own contribution never travels to itself). Their sum,
 /// [`Self::wire_bytes`], equals the simulator's per-rank
-/// `CostReport::bytes_received` for the batch — pinned by a unit test,
-/// so the bench's byte columns are trustworthy.
+/// `CostReport::bytes_received` for the batch under every layout —
+/// pinned by a unit test, so the bench's byte columns are trustworthy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DistQueryStats {
-    /// Signature rows this rank stores (its shards, summed over
-    /// segments).
+    /// Signature rows this rank stores in its slot copies, summed over
+    /// segments (replicas: [`PlacementInstallStats::replica_bytes`]).
     pub shard_rows: usize,
-    /// Bytes of signature data this rank stores.
+    /// Bytes of signature data those rows take.
     pub shard_bytes: usize,
-    /// Distinct non-owned rows this rank's probes needed this round,
-    /// summed over segments (each fetched once, keyed).
+    /// Distinct rows this rank's probes needed from other ranks this
+    /// round, summed over segments (each fetched once, keyed).
     pub fetched_rows: usize,
     /// Bytes of those fetched rows (transient working set, freed after
     /// the batch).
@@ -296,14 +499,15 @@ pub struct DistQueryStats {
     /// cost — the pre-sharding baseline the shard is measured against.
     pub replicated_bytes: usize,
     /// Collectives this rank participated in for the batch — constant
-    /// (5, or 6 with exact re-ranking) on the keyed path regardless of
-    /// segment count; `2 · segments` higher on the per-segment
-    /// reference path.
+    /// (5, or 6 with exact re-ranking; one more only when the layout
+    /// has a lost slot) regardless of segment count; `2 · (segments −
+    /// 1)` higher on the per-segment reference path.
     pub collective_calls: usize,
     /// Wire bytes received in the query broadcasts (validity flag,
     /// signatures, raw values when re-ranking).
     pub bcast_bytes: usize,
-    /// Wire bytes received in the keyed row-request allgather.
+    /// Wire bytes received in the keyed row-request allgather (and, in
+    /// a degraded round, the dropped-row allgather).
     pub request_bytes: usize,
     /// Wire bytes received in the keyed row-fetch allgather — the
     /// allgather fans every owner's contribution out to all ranks, and
@@ -330,6 +534,33 @@ impl DistQueryStats {
     pub fn wire_bytes(&self) -> usize {
         self.bcast_bytes + self.request_bytes + self.fetch_bytes + self.merge_bytes
     }
+
+    /// Fold one exchange's kept rows into the round's fetch accounting.
+    fn absorb_fetched(&mut self, fetched: &KeyedRows) {
+        self.fetched_rows += fetched.keys.len();
+        self.fetched_bytes += fetched.rows.len() * 8;
+        self.fetched_fingerprint = self.fetched_fingerprint.wrapping_add(fetched.fingerprint());
+    }
+}
+
+/// What one query round lost to crashed ranks — the exact accounting of
+/// degraded serving. `degraded == false` guarantees the answers are
+/// bit-identical to a fault-free round (every band and every requested
+/// row was served by a surviving owner).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DegradedReport {
+    /// Any band or signature row lost all its owners this round.
+    pub degraded: bool,
+    /// World ranks injected as crashed (did not participate).
+    pub failed_ranks: Vec<usize>,
+    /// Band indices with no surviving owner: their bucket tables were
+    /// probed by nobody, so candidates only they would surface are
+    /// missing from the answers.
+    pub lost_bands: Vec<usize>,
+    /// Distinct candidate signature rows (across all segments and all
+    /// ranks) whose every owner is crashed — surfaced by a probe but
+    /// unscorable, dropped from the ranking.
+    pub lost_rows: usize,
 }
 
 /// Encode per-query partial top lists as a flat `u64` stream:
@@ -396,7 +627,7 @@ fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// The signature rows fetched from remote shards for one batch: sorted,
+/// The signature rows fetched from other ranks for one batch: sorted,
 /// deduplicated [`row_key`]s parallel to `len`-word rows in one flat
 /// buffer — all segments demultiplex from this single set.
 struct KeyedRows {
@@ -411,14 +642,6 @@ impl KeyedRows {
             .binary_search(&key)
             .ok()
             .map(|slot| &self.rows[slot * self.len..(slot + 1) * self.len])
-    }
-
-    fn n_rows(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn data_bytes(&self) -> usize {
-        self.rows.len() * 8
     }
 
     /// Order-insensitive fingerprint of the kept row content: the
@@ -455,34 +678,26 @@ fn broadcast_query_batch(
     stats: &mut DistQueryStats,
 ) -> IndexResult<BroadcastBatch> {
     let me = world.rank();
+    // A broadcast delivers its payload once to every non-root rank.
+    let mut charge = |bytes: usize| {
+        stats.collective_calls += 1;
+        stats.bcast_bytes += if me == 0 { 0 } else { bytes };
+    };
     let root_ok = world.bcast(0, if me == 0 { Some(queries.is_some() as u8) } else { None })?;
-    stats.collective_calls += 1;
-    if me != 0 {
-        stats.bcast_bytes += 1;
-    }
+    charge(1);
     if root_ok == 0 {
         return Err(IndexError::InvalidQuery("rank 0 must provide the query batch".into()));
     }
-    let signed: Option<Vec<Vec<u64>>> = if me == 0 {
-        let queries = queries.expect("flag checked above");
-        Some(queries.iter().map(|q| reader.scheme().sign(q).values().to_vec()).collect())
-    } else {
-        None
-    };
+    let queries = queries.filter(|_| me == 0);
+    let signed: Option<Vec<Vec<u64>>> =
+        queries.map(|qs| qs.iter().map(|q| reader.scheme().sign(q).values().to_vec()).collect());
     let signed_values: Vec<Vec<u64>> = world.bcast(0, signed)?;
-    stats.collective_calls += 1;
-    if me != 0 {
-        stats.bcast_bytes += signed_values.iter().map(|s| s.len() * 8).sum::<usize>();
-    }
+    charge(signed_values.iter().map(|s| s.len() * 8).sum());
     let signatures: Vec<MinHashSignature> =
         signed_values.into_iter().map(MinHashSignature::from_values).collect();
     let raw_queries: Option<Vec<Vec<u64>>> = if opts.rerank_exact {
-        let mine = if me == 0 { Some(queries.expect("flag checked above").to_vec()) } else { None };
-        let raw = world.bcast(0, mine)?;
-        stats.collective_calls += 1;
-        if me != 0 {
-            stats.bcast_bytes += raw.iter().map(|q| q.len() * 8).sum::<usize>();
-        }
+        let raw = world.bcast(0, queries.map(<[_]>::to_vec))?;
+        charge(raw.iter().map(|q| q.len() * 8).sum());
         Some(raw)
     } else {
         None
@@ -490,103 +705,100 @@ fn broadcast_query_batch(
     Ok((signatures, raw_queries))
 }
 
-/// Exchange keyed signature rows so this rank can score every candidate
-/// its band shards surfaced, across **all** segments at once: one
-/// allgather of the deduplicated keyed request lists, then one
-/// allgather of each owner's requested rows (`[key, row...]` framing).
-/// Each owner *contributes* each requested row once, but the allgather
-/// delivers every contribution to all ranks —
+/// Phase 2's routing, per segment: drop the candidates whose row is
+/// lost (keys to `dropped` — dropped, not guessed at), append the keys
+/// another rank serves to `wanted` (ascending and distinct, so `wanted`
+/// stays sorted when segments route in order), report the breakdown.
+fn route_candidates(
+    rows: &SegmentRows<'_>,
+    per_query: &mut [Vec<u32>],
+    wanted: &mut Vec<u64>,
+    dropped: &mut Vec<u64>,
+) -> SegmentExchangeStats {
+    let (mut owned, mut fetched) = (Vec::new(), Vec::new());
+    for candidates in per_query {
+        candidates.retain(|&local| match rows.resolve(local) {
+            Resolved::Local(_) => {
+                owned.push(local);
+                true
+            }
+            Resolved::Fetch => {
+                fetched.push(local);
+                true
+            }
+            Resolved::Lost => {
+                dropped.push(row_key(rows.seg_idx, local));
+                false
+            }
+        });
+    }
+    for distinct in [&mut owned, &mut fetched] {
+        distinct.sort_unstable();
+        distinct.dedup();
+    }
+    wanted.extend(fetched.iter().map(|&local| row_key(rows.seg_idx, local)));
+    let copies = rows.layout.copies.values();
+    SegmentExchangeStats {
+        segment_id: rows.seg.id(),
+        shard_rows: copies.map(|copy| copy.shards[rows.seg_idx].n_rows()).sum(),
+        candidate_rows: owned.len() + fetched.len(),
+        owned_rows: owned.len(),
+        fetched_rows: fetched.len(),
+    }
+}
+
+/// Phases 3–4, the one request/fetch pair, over `wanted` (sorted,
+/// distinct, covering whatever segments the caller batched). Each
+/// serving owner *contributes* each requested row once, but the
+/// allgather delivers every contribution to all ranks —
 /// [`DistQueryStats::fetch_bytes`] records that fan-out exactly.
-fn exchange_keyed_rows(
+fn exchange_rows(
     world: &Communicator,
-    shards: &ReaderShards,
+    layout: &ServingLayout,
     wanted: &[u64],
     stats: &mut DistQueryStats,
 ) -> IndexResult<KeyedRows> {
     let me = world.rank();
-    let len = shards.len;
     let all_requests: Vec<Vec<u64>> = world.allgatherv(wanted)?;
     stats.collective_calls += 1;
     stats.request_bytes += foreign_words(&all_requests, me) * 8;
 
-    // Rows this rank must ship: the union of everyone's requests that it
-    // owns, deduplicated so a row wanted by several ranks (or several
-    // queries, or via several segments' probes) is still shipped exactly
-    // once. Keys are validated here — they arrived over the wire.
-    let mut to_ship: Vec<u64> = Vec::new();
-    for &key in all_requests.iter().flatten() {
-        if shards.owns_key(key)? {
-            to_ship.push(key);
-        }
-    }
-    to_ship.sort_unstable();
-    to_ship.dedup();
-
-    let mut payload = Vec::with_capacity(to_ship.len() * (len + 1));
-    for &key in &to_ship {
-        payload.push(key);
-        payload.extend_from_slice(shards.row(key));
-    }
-    let shipped: Vec<Vec<u64>> = world.allgatherv(&payload)?;
+    // Ship the union of everyone's requests, deduplicated so a row
+    // wanted by several ranks or queries still travels exactly once.
+    let mut requested: Vec<u64> = all_requests.into_iter().flatten().collect();
+    requested.sort_unstable();
+    requested.dedup();
+    let shipped = layout.allgather_rows(world, requested)?;
     stats.collective_calls += 1;
     stats.fetch_bytes += foreign_words(&shipped, me) * 8;
 
-    // Demultiplex by key, keeping only the rows this rank asked for
-    // (the allgather also delivers rows other ranks requested); row
-    // ownership is unique, so keys across streams never collide.
-    let mut fetched: Vec<(u64, usize, usize)> = Vec::with_capacity(wanted.len());
-    for (rank, stream) in shipped.iter().enumerate() {
-        if stream.len() % (len + 1) != 0 {
-            return Err(IndexError::Corrupt {
-                context: format!(
-                    "signature-row stream from rank {rank} is {} words, not a multiple of {}",
-                    stream.len(),
-                    len + 1
-                ),
-            });
-        }
-        for slot in 0..stream.len() / (len + 1) {
-            let base = slot * (len + 1);
-            let key = stream[base];
-            shards.owns_key(key)?; // range validation; ownership is the shipper's
-            if wanted.binary_search(&key).is_ok() {
-                fetched.push((key, rank, base + 1));
-            }
-        }
+    // Keep only the rows this rank asked for (the allgather delivers
+    // everyone's); one rank serves a slot, so keys never collide.
+    let mut fetched = layout.framed_rows(&shipped, "signature-row")?;
+    fetched.retain(|(key, _)| wanted.binary_search(key).is_ok());
+    fetched.sort_unstable_by_key(|&(key, _)| key);
+    let mut out = KeyedRows { keys: Vec::new(), rows: Vec::new(), len: layout.len };
+    for (key, row) in fetched {
+        out.keys.push(key);
+        out.rows.extend_from_slice(row);
     }
-    fetched.sort_unstable_by_key(|&(key, _, _)| key);
-    let mut keys = Vec::with_capacity(fetched.len());
-    let mut rows = Vec::with_capacity(fetched.len() * len);
-    for (key, rank, start) in fetched {
-        keys.push(key);
-        rows.extend_from_slice(&shipped[rank][start..start + len]);
-    }
-    let out = KeyedRows { keys, rows, len };
-    // Every row this rank requested must have arrived (its unique owner
-    // shipped it); a hole means the shard map diverged across ranks.
+    // Lost rows were never requested, so every wanted key has a live
+    // server: a hole means the layout diverged across ranks.
     if let Some(&missing) = wanted.iter().find(|&&key| out.row(key).is_none()) {
         return Err(IndexError::Corrupt {
-            context: format!("owner never shipped requested signature row key {missing:#x}"),
+            context: format!("no serving rank shipped requested signature row key {missing:#x}"),
         });
     }
     Ok(out)
 }
 
-/// One segment's scoring context: its position in the reader's segment
-/// order, the sealed segment, and this rank's shard of it.
-struct SegmentView<'a> {
-    idx: usize,
-    seg: &'a Segment,
-    shard: &'a SignatureShard,
-}
-
 /// Score one segment's candidates for every query and extend the
 /// per-query entry lists with `(agreement, global id)` — rows resolve
-/// from the segment's shard or the keyed fetched set, and the scoring
-/// order (parallel map + reduce per query) is the monolithic engine's,
-/// so answers stay bit-identical.
+/// from the layout or the keyed fetched set, and the scoring order
+/// (parallel map + reduce per query) is the monolithic engine's, so
+/// answers stay bit-identical.
 fn score_segment(
-    view: &SegmentView<'_>,
+    rows: &SegmentRows<'_>,
     fetched: &KeyedRows,
     signatures: &[MinHashSignature],
     per_query_candidates: &[Vec<u32>],
@@ -595,50 +807,33 @@ fn score_segment(
 ) {
     for (q, (sig, candidates)) in signatures.iter().zip(per_query_candidates).enumerate() {
         let score_of = |local: u32| -> u32 {
-            let row = if view.shard.owns(local) {
-                view.shard.row(local)
-            } else {
-                fetched.row(row_key(view.idx, local)).expect("validated by exchange_keyed_rows")
+            let row = match rows.resolve(local) {
+                Resolved::Local(row) => row,
+                Resolved::Fetch => {
+                    fetched.row(row_key(rows.seg_idx, local)).expect("validated by exchange_rows")
+                }
+                Resolved::Lost => unreachable!("route_candidates drops lost rows before scoring"),
             };
             signature_agreement(sig.values(), row) as u32
         };
         per_query_entries[q].extend(
             lsh_top_by(&score_of, candidates, keep)
                 .into_iter()
-                .map(|(a, local)| (a, view.seg.global_id(local as usize))),
+                .map(|(a, local)| (a, rows.seg.global_id(local as usize))),
         );
     }
 }
 
-/// The per-segment resolution breakdown of one round, from the probes'
-/// candidate lists: distinct candidate rows, split into shard-resolved
-/// and fetch-resolved.
-fn segment_exchange_stats(
-    seg: &Segment,
-    shard: &SignatureShard,
-    per_query_candidates: &[Vec<u32>],
-) -> SegmentExchangeStats {
-    let mut distinct: Vec<u32> = per_query_candidates.iter().flatten().copied().collect();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let owned = distinct.iter().filter(|&&local| shard.owns(local)).count();
-    SegmentExchangeStats {
-        segment_id: seg.id(),
-        shard_rows: shard.n_rows(),
-        candidate_rows: distinct.len(),
-        owned_rows: owned,
-        fetched_rows: distinct.len() - owned,
-    }
-}
-
-/// Phase 5 of a distributed batch: allgather the partial top lists and
-/// merge with the same deterministic rule the local engine uses — one
-/// entry per sample id (a candidate can surface on several ranks, one
-/// per colliding band), ties ordered by lowest id — then finalize
-/// identically on every rank.
+/// Phase 5 of a distributed batch: merge this rank's entries across
+/// segments (so the wire carries at most `keep` entries per query per
+/// rank no matter how many segments exist), allgather the partial top
+/// lists and merge with the same deterministic rule the local engine
+/// uses — one entry per sample id (a candidate can surface on several
+/// ranks, one per colliding band), ties ordered by lowest id — then
+/// finalize identically on every rank.
 fn merge_partials_and_finalize(
     world: &Communicator,
-    partials: Vec<Vec<Scored>>,
+    per_query_entries: Vec<Vec<Scored>>,
     raw_queries: &Option<Vec<Vec<u64>>>,
     collection: Option<&SampleCollection>,
     opts: &QueryOptions,
@@ -646,8 +841,10 @@ fn merge_partials_and_finalize(
     stats: &mut DistQueryStats,
 ) -> IndexResult<Vec<Vec<Neighbor>>> {
     let me = world.rank();
-    let nqueries = partials.len();
+    let nqueries = per_query_entries.len();
     let keep = opts.keep();
+    let partials: Vec<Vec<Scored>> =
+        per_query_entries.into_iter().map(|entries| merge_scored_sources(entries, keep)).collect();
     let streams: Vec<Vec<u64>> = world.allgatherv(&encode_partials(&partials))?;
     stats.collective_calls += 1;
     stats.merge_bytes += foreign_words(&streams, me) * 8;
@@ -669,115 +866,89 @@ fn merge_partials_and_finalize(
     Ok(answers)
 }
 
-/// Serve a batch of top-k queries over a lifecycle snapshot, band- and
-/// signature-sharded across the ranks of `world`, returning each rank's
-/// answers plus its sharding stats.
-///
-/// Sharding is **per segment** (every sealed segment's bands and
-/// signature rows distribute round-robin independently, so each rank
-/// holds `~rows/p` of every segment), but the exchange is **one keyed
-/// round for the whole snapshot**: every rank probes its band shard of
-/// all segments first, then a single deduplicated request allgather and
-/// a single owner-ships-rows allgather move every needed row, addressed
-/// as `(seg_idx << 32) | local_row`. The batch therefore costs five
-/// collectives (six with exact re-ranking) **regardless of segment
-/// count** — serving cost is independent of commit history. Tombstoned
-/// rows are filtered at probe time on every rank identically, and the
-/// per-rank partial top lists (merged across segments locally first)
-/// merge with the same deterministic rule as the local engine
-/// ([`merge_scored_sources`]), so answers are bit-identical to the
-/// single-rank multi-segment reader — and hence to a fresh monolithic
-/// build over the snapshot's live corpus.
-///
-/// `queries` must be `Some` on rank 0 (the ingress rank) and is ignored
-/// elsewhere. Every rank returns the complete, identical answer batch —
-/// callers that only need the answer once can read it from any rank.
-/// With `opts.rerank_exact` set, `collection` must be provided on every
-/// rank, indexed by global sample id (the simulator shares it by
-/// reference; a real deployment would shard the exact sets alongside
-/// the buckets).
-pub fn dist_query_reader_batch_stats(
+/// The one distributed executor (phases and budget: module docs). Every
+/// public entry point builds or borrows a layout and calls this; none
+/// has phase logic of its own. `world` is whatever communicator the
+/// round runs on — the full world, or the survivor subgroup of a layout
+/// with failed ranks — and must contain every serving rank of the
+/// layout; `queries` must be `Some` on its rank 0.
+fn execute(
     world: &Communicator,
     reader: &IndexReader,
     collection: Option<&SampleCollection>,
     queries: Option<&[Vec<u64>]>,
     opts: &QueryOptions,
-) -> IndexResult<(Vec<Vec<Neighbor>>, DistQueryStats)> {
-    let p = world.size();
+    layout: &ServingLayout,
+) -> IndexResult<(Vec<Vec<Neighbor>>, DegradedReport, DistQueryStats)> {
     let me = world.rank();
-    let len = reader.scheme().len();
-    let mut stats =
-        DistQueryStats { replicated_bytes: reader.n_rows() * len * 8, ..Default::default() };
+    let segments = reader.segments();
+    // A layout of another snapshot: typed, before any collective runs.
+    if !layout.seg_ids.iter().copied().eq(segments.iter().map(|seg| seg.id()))
+        || layout.len != reader.scheme().len()
+    {
+        return Err(IndexError::InvalidQuery(
+            "placement was installed for a different snapshot".into(),
+        ));
+    }
+    let mut stats = layout.fresh_stats(reader);
 
     let (signatures, raw_queries) = {
         let _bcast_span = gas_obs::span("dist", "bcast");
         broadcast_query_batch(world, reader, queries, opts, &mut stats)?
     };
-    let keep = opts.keep();
-    let nqueries = signatures.len();
 
-    let shards = ReaderShards::build(reader, me, p);
-    stats.shard_rows = shards.n_rows();
-    stats.shard_bytes = shards.bytes();
+    // Phase 2, no communication: probe the bands this rank serves of
+    // every segment (skipping tombstoned rows) before any exchange, so
+    // the row requests of all segments batch into one keyed round.
+    let mut probe_span = gas_obs::span("dist", "probe");
+    let mut per_segment_candidates =
+        live_candidates_by_segment(reader, &signatures, |band| layout.probes_band(band));
+    let (mut wanted, mut dropped) = (Vec::new(), Vec::new());
+    for (seg_idx, per_query) in per_segment_candidates.iter_mut().enumerate() {
+        let rows = layout.segment_rows(seg_idx, &segments[seg_idx]);
+        stats.per_segment.push(route_candidates(&rows, per_query, &mut wanted, &mut dropped));
+    }
+    probe_span.annotate("wanted_rows", wanted.len() as f64);
+    probe_span.annotate("dropped_rows", dropped.len() as f64);
+    drop(probe_span);
 
-    // Phase 2, no communication: probe this rank's band shard of every
-    // segment (skipping tombstoned rows) before any exchange, so the
-    // row requests of all segments batch into one keyed round.
-    let (per_segment_candidates, wanted) = {
-        let mut probe_span = gas_obs::span("dist", "probe");
-        let per_segment_candidates =
-            live_candidates_by_segment(reader, &signatures, |band| band_shard(band, p) == me);
-        let mut wanted: Vec<u64> = Vec::new();
-        for (seg_idx, per_query) in per_segment_candidates.iter().enumerate() {
-            let shard = shards.segment(seg_idx);
-            for candidates in per_query {
-                wanted.extend(
-                    candidates
-                        .iter()
-                        .filter(|&&local| !shard.owns(local))
-                        .map(|&l| row_key(seg_idx, l)),
-                );
-            }
-        }
-        wanted.sort_unstable();
-        wanted.dedup();
-        probe_span.annotate("wanted_rows", wanted.len() as f64);
-        (per_segment_candidates, wanted)
+    // Exact global accounting of lost rows (one several ranks surfaced
+    // is lost once). Only with a lost slot: every rank derives the same
+    // table, and with full coverage nothing can have been dropped.
+    let lost_rows = if layout.has_lost_slot() {
+        let all_dropped: Vec<Vec<u64>> = world.allgatherv(&dropped)?;
+        stats.collective_calls += 1;
+        stats.request_bytes += foreign_words(&all_dropped, me) * 8;
+        let mut lost_keys: Vec<u64> = all_dropped.into_iter().flatten().collect();
+        lost_keys.sort_unstable();
+        lost_keys.dedup();
+        lost_keys.len()
+    } else {
+        0
     };
 
-    // Phases 3–4: the one request/fetch pair for the whole snapshot.
     let fetched = {
         let _exchange_span = gas_obs::span("dist", "exchange");
-        exchange_keyed_rows(world, &shards, &wanted, &mut stats)?
+        exchange_rows(world, layout, &wanted, &mut stats)?
     };
-    stats.fetched_rows = fetched.n_rows();
-    stats.fetched_bytes = fetched.data_bytes();
-    stats.fetched_fingerprint = fetched.fingerprint();
+    stats.absorb_fetched(&fetched);
 
-    // Score every segment locally — rows come from the segment shard or
-    // the keyed fetched set, never from a replicated matrix.
-    let mut per_query_entries: Vec<Vec<Scored>> = vec![Vec::new(); nqueries];
+    let keep = opts.keep();
+    let mut entries: Vec<Vec<Scored>> = vec![Vec::new(); signatures.len()];
     {
         let _score_span = gas_obs::span("dist", "score");
-        for (seg_idx, seg) in reader.segments().iter().enumerate() {
-            let shard = shards.segment(seg_idx);
-            let per_query = &per_segment_candidates[seg_idx];
-            stats.per_segment.push(segment_exchange_stats(seg, shard, per_query));
-            let view = SegmentView { idx: seg_idx, seg, shard };
-            score_segment(&view, &fetched, &signatures, per_query, keep, &mut per_query_entries);
+        for (seg_idx, per_query) in per_segment_candidates.iter().enumerate() {
+            let rows = layout.segment_rows(seg_idx, &segments[seg_idx]);
+            score_segment(&rows, &fetched, &signatures, per_query, keep, &mut entries);
         }
     }
 
-    // Local cross-segment merge, so the wire carries at most `keep`
-    // entries per query per rank no matter how many segments exist.
-    let partials: Vec<Vec<Scored>> =
-        per_query_entries.into_iter().map(|entries| merge_scored_sources(entries, keep)).collect();
-
     let answers = {
         let _merge_span = gas_obs::span("dist", "merge");
+        let len = layout.len;
         merge_partials_and_finalize(
             world,
-            partials,
+            entries,
             &raw_queries,
             collection,
             opts,
@@ -785,10 +956,15 @@ pub fn dist_query_reader_batch_stats(
             &mut stats,
         )?
     };
-    // Fold the wire accounting into the global registry: byte counters
-    // accumulate over every rank (their sum is the cluster-wide traffic,
-    // the quantity the cost model prices); the per-batch counters move
-    // once per batch, on the ingress rank only.
+
+    let slots = &layout.slots;
+    let lost_bands: Vec<usize> = (0..reader.params().bands())
+        .filter(|&b| slots.serving[band_shard(b, slots.nranks)].is_none())
+        .collect();
+    let degraded = !lost_bands.is_empty() || lost_rows > 0;
+    // Fold the accounting into the registry, once, for every layout:
+    // byte counters on every rank (their sum is the cluster-wide traffic
+    // the cost model prices), per-batch counters on the ingress rank only.
     gas_obs::counter("gas_dist_bcast_bytes_total").add(stats.bcast_bytes as u64);
     gas_obs::counter("gas_dist_request_bytes_total").add(stats.request_bytes as u64);
     gas_obs::counter("gas_dist_fetch_bytes_total").add(stats.fetch_bytes as u64);
@@ -796,19 +972,57 @@ pub fn dist_query_reader_batch_stats(
     if me == 0 {
         gas_obs::counter("gas_dist_query_batches_total").inc();
         gas_obs::counter("gas_dist_collectives_total").add(stats.collective_calls as u64);
+        if !layout.replicas.is_empty() {
+            gas_obs::counter("gas_plan_planned_batches_total").inc();
+        }
+        if degraded {
+            gas_obs::counter("gas_dist_degraded_batches_total").inc();
+            gas_obs::counter("gas_dist_lost_bands_total").add(lost_bands.len() as u64);
+            gas_obs::counter("gas_dist_lost_rows_total").add(lost_rows as u64);
+        }
+        if !slots.failed_ranks.is_empty() {
+            gas_obs::counter("gas_dist_failover_batches_total").inc();
+        }
     }
-    Ok((answers, stats))
+    let failed_ranks = slots.failed_ranks.clone();
+    Ok((answers, DegradedReport { degraded, failed_ranks, lost_bands, lost_rows }, stats))
+}
+
+/// Serve a batch of top-k queries over a lifecycle snapshot, band- and
+/// signature-sharded across the ranks of `world`, returning each rank's
+/// answers plus its sharding stats — the executor under the plain keyed
+/// layout ([`ServingLayout::sharded`], one owner per slot): five
+/// collectives (six re-ranked) **regardless of segment count**, answers
+/// bit-identical to the single-rank multi-segment reader's.
+///
+/// `queries` must be `Some` on rank 0 (the ingress rank) and is ignored
+/// elsewhere. Every rank returns the complete, identical answer batch —
+/// callers that only need the answer once can read it from any rank.
+/// With `opts.rerank_exact` set, `collection` must be provided on every
+/// rank, indexed by global sample id (the simulator shares it by
+/// reference; a real deployment would shard the exact sets alongside
+/// the buckets). A crashed member of `world` fails the round's
+/// collectives with a typed [`IndexError::Sim`] on every rank.
+pub fn dist_query_reader_batch_stats(
+    world: &Communicator,
+    reader: &IndexReader,
+    collection: Option<&SampleCollection>,
+    queries: Option<&[Vec<u64>]>,
+    opts: &QueryOptions,
+) -> IndexResult<(Vec<Vec<Neighbor>>, DistQueryStats)> {
+    let layout = ServingLayout::sharded(world, reader, 1);
+    execute(world, reader, collection, queries, opts, &layout)
+        .map(|(answers, _, stats)| (answers, stats))
 }
 
 /// The pre-keyed exchange, retained as the O(#segments) reference: the
-/// same probe, scoring, and merge as [`dist_query_reader_batch_stats`],
-/// but the request/fetch allgather pair runs **once per segment**, so a
-/// snapshot of `s` segments costs `4 + 2·s` collectives (5 + 2·s with
-/// exact re-ranking... exactly `2·(s − 1)` more than the keyed path).
-/// Answers are bit-identical to the keyed path — the equivalence
-/// proptest pins that, along with identical fetched row content per
-/// rank — and the `query_throughput` segment sweep reports both paths'
-/// collective counts side by side.
+/// executor's layout and phase helpers, but the request/fetch allgather
+/// pair runs **once per segment**, so a snapshot of `s` segments costs
+/// `3 + 2·s` collectives (`4 + 2·s` with exact re-ranking) — exactly
+/// `2·(s − 1)` more than the keyed path. Answers are bit-identical to the
+/// keyed path — the equivalence proptest pins that, along with identical
+/// fetched row content per rank — and the `query_throughput` segment
+/// sweep reports both paths' collective counts side by side.
 pub fn dist_query_reader_batch_stats_per_segment(
     world: &Communicator,
     reader: &IndexReader,
@@ -816,50 +1030,30 @@ pub fn dist_query_reader_batch_stats_per_segment(
     queries: Option<&[Vec<u64>]>,
     opts: &QueryOptions,
 ) -> IndexResult<(Vec<Vec<Neighbor>>, DistQueryStats)> {
-    let p = world.size();
-    let me = world.rank();
-    let len = reader.scheme().len();
-    let mut stats =
-        DistQueryStats { replicated_bytes: reader.n_rows() * len * 8, ..Default::default() };
-
+    let layout = ServingLayout::sharded(world, reader, 1);
+    let mut stats = layout.fresh_stats(reader);
     let (signatures, raw_queries) =
         broadcast_query_batch(world, reader, queries, opts, &mut stats)?;
     let keep = opts.keep();
-    let nqueries = signatures.len();
 
-    let shards = ReaderShards::build(reader, me, p);
-    stats.shard_rows = shards.n_rows();
-    stats.shard_bytes = shards.bytes();
-
-    let per_segment_candidates =
-        live_candidates_by_segment(reader, &signatures, |band| band_shard(band, p) == me);
-    let mut per_query_entries: Vec<Vec<Scored>> = vec![Vec::new(); nqueries];
-    for (seg_idx, seg) in reader.segments().iter().enumerate() {
-        let shard = shards.segment(seg_idx);
-        let per_query = &per_segment_candidates[seg_idx];
-        let mut wanted: Vec<u64> = per_query
-            .iter()
-            .flatten()
-            .filter(|&&local| !shard.owns(local))
-            .map(|&local| row_key(seg_idx, local))
-            .collect();
-        wanted.sort_unstable();
-        wanted.dedup();
-        let fetched = exchange_keyed_rows(world, &shards, &wanted, &mut stats)?;
-        stats.fetched_rows += fetched.n_rows();
-        stats.fetched_bytes += fetched.data_bytes();
-        stats.fetched_fingerprint = stats.fetched_fingerprint.wrapping_add(fetched.fingerprint());
-        stats.per_segment.push(segment_exchange_stats(seg, shard, per_query));
-        let view = SegmentView { idx: seg_idx, seg, shard };
-        score_segment(&view, &fetched, &signatures, per_query, keep, &mut per_query_entries);
+    let mut per_segment_candidates =
+        live_candidates_by_segment(reader, &signatures, |band| layout.probes_band(band));
+    let mut entries: Vec<Vec<Scored>> = vec![Vec::new(); signatures.len()];
+    for (seg_idx, per_query) in per_segment_candidates.iter_mut().enumerate() {
+        let rows = layout.segment_rows(seg_idx, &reader.segments()[seg_idx]);
+        // A lost row needs a crashed member of `world`: the exchange
+        // below then fails typed on every rank.
+        let (mut wanted, mut lost) = (Vec::new(), Vec::new());
+        stats.per_segment.push(route_candidates(&rows, per_query, &mut wanted, &mut lost));
+        let fetched = exchange_rows(world, &layout, &wanted, &mut stats)?;
+        stats.absorb_fetched(&fetched);
+        score_segment(&rows, &fetched, &signatures, per_query, keep, &mut entries);
     }
 
-    let partials: Vec<Vec<Scored>> =
-        per_query_entries.into_iter().map(|entries| merge_scored_sources(entries, keep)).collect();
-
+    let len = layout.len;
     let answers = merge_partials_and_finalize(
         world,
-        partials,
+        entries,
         &raw_queries,
         collection,
         opts,
@@ -887,10 +1081,10 @@ pub fn dist_query_reader_batch(
 ///
 /// The full candidate ranking is computed distributedly (the same five
 /// collectives as [`dist_query_reader_batch`], with an unbounded `top_k`
-/// so no pool truncates the scan); the page cut — min-score filter,
-/// cursor offset, next-cursor — is then applied locally and identically
-/// on every rank. Since the full distributed ranking is bit-identical
-/// to the single-rank engine's, every page is bit-identical to the page
+/// so no pool truncates the scan); the page cut is the single-rank
+/// engine's own function, applied identically on every rank. Since the
+/// full distributed ranking is bit-identical to the single-rank
+/// engine's, every page is bit-identical to the page
 /// [`crate::query::QueryEngine::query_page`] serves from the same
 /// snapshot, and cursors are interchangeable between the two paths.
 pub fn dist_query_reader_page(
@@ -900,247 +1094,26 @@ pub fn dist_query_reader_page(
     queries: Option<&[Vec<u64>]>,
     req: &PageRequest,
 ) -> IndexResult<Vec<QueryPage>> {
-    if req.page_size == 0 {
-        return Err(IndexError::InvalidQuery("page_size must be ≥ 1".into()));
-    }
-    let offset = match req.cursor {
-        Some(cursor) => {
-            if cursor.generation() != reader.generation() {
-                return Err(IndexError::StaleCursor {
-                    cursor_generation: cursor.generation(),
-                    snapshot_generation: reader.generation(),
-                });
-            }
-            cursor.offset() as usize
-        }
-        None => 0,
-    };
-    let full = QueryOptions { top_k: usize::MAX, oversample: 1, rerank_exact: req.rerank_exact };
-    let answers = dist_query_reader_batch(world, reader, collection, queries, &full)?;
-    Ok(answers
-        .into_iter()
-        .map(|ranking| {
-            let total_candidates = ranking.len();
-            let ranking: Vec<Neighbor> =
-                ranking.into_iter().filter(|n| n.score >= req.min_score).collect();
-            let start = offset.min(ranking.len());
-            let end = offset.saturating_add(req.page_size).min(ranking.len());
-            let next_cursor =
-                (end < ranking.len()).then(|| PageCursor::new(reader.generation(), end as u64));
-            QueryPage { hits: ranking[start..end].to_vec(), next_cursor, total_candidates }
-        })
-        .collect())
+    let (full, cut) = page_cut(req, reader.generation())?;
+    let rankings = dist_query_reader_batch(world, reader, collection, queries, &full)?;
+    Ok(rankings.into_iter().map(cut).collect())
 }
 
-/// What one replicated, fault-tolerant query round lost — the exact
-/// accounting of degraded serving. `degraded == false` guarantees the
-/// answers are bit-identical to a fault-free round (every band and
-/// every requested row was served by a surviving replica).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DegradedReport {
-    /// Any band or signature row lost all its replicas this round.
-    pub degraded: bool,
-    /// World ranks injected as crashed (did not participate).
-    pub failed_ranks: Vec<usize>,
-    /// Band indices with no surviving replica: their bucket tables were
-    /// probed by nobody, so candidates only they would surface are
-    /// missing from the answers.
-    pub lost_bands: Vec<usize>,
-    /// Distinct candidate signature rows (across all segments and all
-    /// ranks) whose every replica is crashed — surfaced by a probe but
-    /// unscorable, dropped from the ranking.
-    pub lost_rows: usize,
-}
-
-/// This rank's replica copies under `replication`-way slot replication,
-/// plus the serving table the whole world agrees on.
-///
-/// Replication raises both shardings at once: slot `j` owns bands
-/// `b ≡ j (mod p)` *and* signature rows `local ≡ j (mod p)`, and slot
-/// `j`'s replicas live on ranks `(j + k) % p` for `k < replication` —
-/// so one slot→rank table covers band probing and row shipping. The
-/// **first alive replica** of a slot serves it; a slot with every
-/// replica crashed is *lost*, and the fault spec (common knowledge in
-/// the simulator, a membership service in a real deployment) makes
-/// every survivor compute the identical table.
-struct ReplicaShards {
-    me: usize,
-    nranks: usize,
-    /// slot → serving world rank; `None` = every replica crashed.
-    serving: Vec<Option<usize>>,
-    /// home slot → this rank's copy of that slot's shards.
-    replicas: std::collections::BTreeMap<usize, ReaderShards>,
-}
-
-impl ReplicaShards {
-    fn build(
-        reader: &IndexReader,
-        me: usize,
-        nranks: usize,
-        replication: usize,
-        serving: &[Option<usize>],
-    ) -> Self {
-        let mut replicas = std::collections::BTreeMap::new();
-        for k in 0..replication {
-            let home = (me + nranks - (k % nranks)) % nranks;
-            replicas.entry(home).or_insert_with(|| ReaderShards::build(reader, home, nranks));
-        }
-        ReplicaShards { me, nranks, serving: serving.to_vec(), replicas }
-    }
-
-    fn len(&self) -> usize {
-        self.replicas.values().next().expect("k=0 home always present").len
-    }
-
-    /// Does this rank serve `key`'s slot this round (it is the first
-    /// alive replica)?
-    fn serves_key(&self, key: u64) -> bool {
-        let (_, local) = split_row_key(key);
-        self.serving[sample_shard(local as usize, self.nranks)] == Some(self.me)
-    }
-
-    /// The signature row of a key this rank serves.
-    fn row(&self, key: u64) -> &[u64] {
-        let (_, local) = split_row_key(key);
-        let slot = sample_shard(local as usize, self.nranks);
-        self.replicas[&slot].row(key)
-    }
-
-    /// Range-validate a key that arrived over the wire.
-    fn validate_key(&self, key: u64) -> IndexResult<()> {
-        self.replicas.values().next().expect("k=0 home always present").owns_key(key).map(|_| ())
-    }
-
-    fn n_rows(&self) -> usize {
-        self.replicas.values().map(ReaderShards::n_rows).sum()
-    }
-
-    fn bytes(&self) -> usize {
-        self.replicas.values().map(ReaderShards::bytes).sum()
-    }
-}
-
-/// [`exchange_keyed_rows`] under replication: the ship rule is "I am
-/// the first alive replica of the key's slot" instead of plain
-/// ownership, so every requested row still arrives exactly once no
-/// matter which replicas crashed.
-fn exchange_replicated_rows(
-    world: &Communicator,
-    replicas: &ReplicaShards,
-    wanted: &[u64],
-    stats: &mut DistQueryStats,
-) -> IndexResult<KeyedRows> {
-    let me = world.rank();
-    let len = replicas.len();
-    let all_requests: Vec<Vec<u64>> = world.allgatherv(wanted)?;
-    stats.collective_calls += 1;
-    stats.request_bytes += foreign_words(&all_requests, me) * 8;
-
-    let mut to_ship: Vec<u64> = Vec::new();
-    for &key in all_requests.iter().flatten() {
-        replicas.validate_key(key)?;
-        if replicas.serves_key(key) {
-            to_ship.push(key);
-        }
-    }
-    to_ship.sort_unstable();
-    to_ship.dedup();
-
-    let mut payload = Vec::with_capacity(to_ship.len() * (len + 1));
-    for &key in &to_ship {
-        payload.push(key);
-        payload.extend_from_slice(replicas.row(key));
-    }
-    let shipped: Vec<Vec<u64>> = world.allgatherv(&payload)?;
-    stats.collective_calls += 1;
-    stats.fetch_bytes += foreign_words(&shipped, me) * 8;
-
-    let mut fetched: Vec<(u64, usize, usize)> = Vec::with_capacity(wanted.len());
-    for (rank, stream) in shipped.iter().enumerate() {
-        if stream.len() % (len + 1) != 0 {
-            return Err(IndexError::Corrupt {
-                context: format!(
-                    "signature-row stream from subgroup rank {rank} is {} words, not a \
-                     multiple of {}",
-                    stream.len(),
-                    len + 1
-                ),
-            });
-        }
-        for slot in 0..stream.len() / (len + 1) {
-            let base = slot * (len + 1);
-            let key = stream[base];
-            replicas.validate_key(key)?;
-            if wanted.binary_search(&key).is_ok() {
-                fetched.push((key, rank, base + 1));
-            }
-        }
-    }
-    fetched.sort_unstable_by_key(|&(key, _, _)| key);
-    let mut keys = Vec::with_capacity(fetched.len());
-    let mut rows = Vec::with_capacity(fetched.len() * len);
-    for (key, rank, start) in fetched {
-        keys.push(key);
-        rows.extend_from_slice(&shipped[rank][start..start + len]);
-    }
-    let out = KeyedRows { keys, rows, len };
-    // Lost-slot keys were dropped before requesting, so every wanted
-    // key has a live server: a hole still means divergence, not a
-    // crash.
-    if let Some(&missing) = wanted.iter().find(|&&key| out.row(key).is_none()) {
-        return Err(IndexError::Corrupt {
-            context: format!("no surviving replica shipped requested row key {missing:#x}"),
-        });
-    }
-    Ok(out)
-}
-
-/// [`score_segment`] under replication: local resolution is "my served
-/// slots" instead of plain ownership.
-#[allow(clippy::too_many_arguments)]
-fn score_segment_replicated(
-    seg_idx: usize,
-    seg: &Segment,
-    replicas: &ReplicaShards,
-    fetched: &KeyedRows,
-    signatures: &[MinHashSignature],
-    per_query_candidates: &[Vec<u32>],
-    keep: usize,
-    per_query_entries: &mut [Vec<Scored>],
-) {
-    for (q, (sig, candidates)) in signatures.iter().zip(per_query_candidates).enumerate() {
-        let score_of = |local: u32| -> u32 {
-            let key = row_key(seg_idx, local);
-            let row = if replicas.serves_key(key) {
-                replicas.row(key)
-            } else {
-                fetched.row(key).expect("validated by exchange_replicated_rows")
-            };
-            signature_agreement(sig.values(), row) as u32
-        };
-        per_query_entries[q].extend(
-            lsh_top_by(&score_of, candidates, keep)
-                .into_iter()
-                .map(|(a, local)| (a, seg.global_id(local as usize))),
-        );
-    }
-}
-
-/// [`dist_query_reader_batch_stats`] with `replication`-way band/row
+/// [`dist_query_reader_batch_stats`] with `replication`-way slot
 /// replication and crash failover: every slot's bands and rows are
 /// stored on `replication` consecutive ranks, survivors regroup in a
 /// deterministic subgroup (crashed ranks cannot participate in a
-/// collective constructor), and each slot is served by its **first
-/// alive replica** — the identical code path fault-free and faulted.
+/// collective), and each slot is served by its **first alive owner** —
+/// the identical executor and schedule fault-free and faulted.
 ///
-/// * Full coverage (every slot has a surviving replica): answers are
+/// * Full coverage (every slot has a surviving owner): answers are
 ///   **bit-identical** to the fault-free round and
 ///   [`DegradedReport::degraded`] is `false`.
-/// * Lost coverage: the round still completes with a typed, exactly
-///   accounted [`DegradedReport`] — `lost_bands` names every unprobed
-///   band, `lost_rows` counts every dropped candidate row, and the
-///   `gas_dist_degraded_*` counters move. Never a panic in the serving
-///   path.
+/// * Lost coverage: the round still completes, one collective dearer,
+///   with a typed, exactly accounted [`DegradedReport`] — `lost_bands`
+///   names every unprobed band, `lost_rows` counts every dropped
+///   candidate row, and the `gas_dist_degraded_*` counters move. Never
+///   a panic in the serving path.
 /// * A crashed rank returns the typed error
 ///   [`gas_dstsim::SimError::RankCrashed`] instead of answers.
 ///
@@ -1156,183 +1129,12 @@ pub fn dist_query_reader_batch_replicated(
     opts: &QueryOptions,
     replication: usize,
 ) -> IndexResult<(Vec<Vec<Neighbor>>, DegradedReport, DistQueryStats)> {
-    let p = world.size();
-    let me = world.rank();
     if world.is_crashed() {
-        return Err(gas_dstsim::SimError::RankCrashed { rank: me }.into());
+        return Err(SimError::RankCrashed { rank: world.rank() }.into());
     }
-    let alive = world.alive_world_ranks();
-    let sub = world.subgroup(&alive)?;
-    let replication = replication.clamp(1, p);
-    let serving: Vec<Option<usize>> = (0..p)
-        .map(|j| (0..replication).map(|k| (j + k) % p).find(|r| alive.binary_search(r).is_ok()))
-        .collect();
-    let failed_ranks: Vec<usize> = (0..p).filter(|r| alive.binary_search(r).is_err()).collect();
-
-    let len = reader.scheme().len();
-    let mut stats =
-        DistQueryStats { replicated_bytes: reader.n_rows() * len * 8, ..Default::default() };
-
-    let (signatures, raw_queries) = {
-        let _bcast_span = gas_obs::span("dist", "bcast");
-        broadcast_query_batch(&sub, reader, queries, opts, &mut stats)?
-    };
-    let keep = opts.keep();
-    let nqueries = signatures.len();
-
-    let replicas = ReplicaShards::build(reader, me, p, replication, &serving);
-    stats.shard_rows = replicas.n_rows();
-    stats.shard_bytes = replicas.bytes();
-
-    // Probe the bands whose slot this rank serves; then split the
-    // candidates into scorable rows and lost ones (row slot has no
-    // surviving replica) — the latter are dropped, not guessed at.
-    let (per_segment_candidates, wanted, dropped) = {
-        let mut probe_span = gas_obs::span("dist", "probe");
-        let mut per_segment_candidates = live_candidates_by_segment(reader, &signatures, |band| {
-            serving[band_shard(band, p)] == Some(me)
-        });
-        let mut dropped: Vec<u64> = Vec::new();
-        let mut wanted: Vec<u64> = Vec::new();
-        for (seg_idx, per_query) in per_segment_candidates.iter_mut().enumerate() {
-            for candidates in per_query.iter_mut() {
-                candidates.retain(|&local| {
-                    let key = row_key(seg_idx, local);
-                    match serving[sample_shard(local as usize, p)] {
-                        None => {
-                            dropped.push(key);
-                            false
-                        }
-                        Some(server) => {
-                            if server != me {
-                                wanted.push(key);
-                            }
-                            true
-                        }
-                    }
-                });
-            }
-        }
-        wanted.sort_unstable();
-        wanted.dedup();
-        dropped.sort_unstable();
-        dropped.dedup();
-        probe_span.annotate("wanted_rows", wanted.len() as f64);
-        probe_span.annotate("dropped_rows", dropped.len() as f64);
-        (per_segment_candidates, wanted, dropped)
-    };
-
-    // Exact global accounting of lost rows: one allgather so every
-    // survivor reports the identical union (a row several ranks'
-    // probes surfaced is lost once, not once per rank).
-    let all_dropped: Vec<Vec<u64>> = sub.allgatherv(&dropped)?;
-    stats.collective_calls += 1;
-    let mut lost_keys: Vec<u64> = all_dropped.into_iter().flatten().collect();
-    lost_keys.sort_unstable();
-    lost_keys.dedup();
-
-    let fetched = {
-        let _exchange_span = gas_obs::span("dist", "exchange");
-        exchange_replicated_rows(&sub, &replicas, &wanted, &mut stats)?
-    };
-    stats.fetched_rows = fetched.n_rows();
-    stats.fetched_bytes = fetched.data_bytes();
-    stats.fetched_fingerprint = fetched.fingerprint();
-
-    let mut per_query_entries: Vec<Vec<Scored>> = vec![Vec::new(); nqueries];
-    {
-        let _score_span = gas_obs::span("dist", "score");
-        for (seg_idx, seg) in reader.segments().iter().enumerate() {
-            score_segment_replicated(
-                seg_idx,
-                seg,
-                &replicas,
-                &fetched,
-                &signatures,
-                &per_segment_candidates[seg_idx],
-                keep,
-                &mut per_query_entries,
-            );
-        }
-    }
-    let partials: Vec<Vec<Scored>> =
-        per_query_entries.into_iter().map(|entries| merge_scored_sources(entries, keep)).collect();
-
-    let answers = {
-        let _merge_span = gas_obs::span("dist", "merge");
-        merge_partials_and_finalize(
-            &sub,
-            partials,
-            &raw_queries,
-            collection,
-            opts,
-            len,
-            &mut stats,
-        )?
-    };
-
-    let lost_bands: Vec<usize> =
-        (0..reader.params().bands()).filter(|&b| serving[band_shard(b, p)].is_none()).collect();
-    let lost_rows = lost_keys.len();
-    let degraded = !lost_bands.is_empty() || lost_rows > 0;
-    if sub.rank() == 0 {
-        if degraded {
-            gas_obs::counter("gas_dist_degraded_batches_total").inc();
-            gas_obs::counter("gas_dist_lost_bands_total").add(lost_bands.len() as u64);
-            gas_obs::counter("gas_dist_lost_rows_total").add(lost_rows as u64);
-        }
-        if !failed_ranks.is_empty() {
-            gas_obs::counter("gas_dist_failover_batches_total").inc();
-        }
-    }
-    Ok((answers, DegradedReport { degraded, failed_ranks, lost_bands, lost_rows }, stats))
-}
-
-/// Serve a batch of top-k queries over the band and signature shards of
-/// `world` for a monolithic index (the single-segment convenience form
-/// of [`dist_query_reader_batch_stats`]).
-pub fn dist_query_batch_stats(
-    world: &Communicator,
-    index: &SketchIndex,
-    collection: Option<&SampleCollection>,
-    queries: Option<&[Vec<u64>]>,
-    opts: &QueryOptions,
-) -> IndexResult<(Vec<Vec<Neighbor>>, DistQueryStats)> {
-    dist_query_reader_batch_stats(world, &index.as_reader(), collection, queries, opts)
-}
-
-/// Serve a batch of top-k queries over the shards of `world` (the
-/// stats-free form of [`dist_query_batch_stats`]).
-pub fn dist_query_batch(
-    world: &Communicator,
-    index: &SketchIndex,
-    collection: Option<&SampleCollection>,
-    queries: Option<&[Vec<u64>]>,
-    opts: &QueryOptions,
-) -> IndexResult<Vec<Vec<Neighbor>>> {
-    dist_query_batch_stats(world, index, collection, queries, opts).map(|(answers, _)| answers)
-}
-
-// ---- planned mixed placement: replicate hot segments, shard the rest ----
-
-/// How one segment of a snapshot is served under a mixed placement
-/// ([`dist_query_reader_batch_planned`]). The planner (`gas-plan`)
-/// prices both strategies per segment against the α–β–γ machine model
-/// and observed probe heat; the serving path here only *executes* the
-/// decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SegmentPlacement {
-    /// Every rank holds the segment's full signature matrix (installed
-    /// once by [`install_placement`]); candidate rows resolve locally
-    /// and never enter the per-batch keyed exchange. Pays `~rows/p·(p−1)`
-    /// install rows once, then zero fetch traffic per batch — the right
-    /// call for large, old, compacted segments with sustained probe heat.
-    Replicated,
-    /// The segment's rows stay sharded round-robin ([`sample_shard`]);
-    /// non-owned candidates are fetched through the keyed exchange every
-    /// batch. Zero install cost — the right call for small fresh
-    /// segments that compaction will soon rewrite anyway.
-    Sharded,
+    let layout = ServingLayout::sharded(world, reader, replication);
+    let survivors = world.subgroup(&world.alive_world_ranks())?;
+    execute(&survivors, reader, collection, queries, opts, &layout)
 }
 
 /// Accounting of one [`install_placement`] round, per rank.
@@ -1347,7 +1149,7 @@ pub struct PlacementInstallStats {
     /// Rows newly assembled into full local replicas this round.
     pub installed_rows: usize,
     /// Resident bytes of all replica matrices after the install (in
-    /// addition to the keyed shard this rank keeps for every segment).
+    /// addition to the slot copies this rank keeps for every segment).
     pub replica_bytes: usize,
     /// Wire bytes this rank received in the install allgather — equal
     /// to the simulator's `bytes_received` for the round.
@@ -1358,63 +1160,18 @@ pub struct PlacementInstallStats {
     pub collective_calls: usize,
 }
 
-/// One rank's serving state under a mixed placement: the keyed shards
-/// of every segment (probing and sharded serving need them) plus full
-/// local replicas of the segments the plan replicates.
+/// Collectively install a placement over the ranks of `world`: ship
+/// every newly-replicated segment's rows in **one** allgather so each
+/// rank can assemble full local replicas, and carry unchanged replicas
+/// over from `prior` for free (segments are immutable once sealed, so
+/// matching ids mean matching bytes — re-planning an overlapping
+/// placement only pays for the delta).
 ///
-/// Built collectively by [`install_placement`]; executed per batch by
-/// [`dist_query_reader_batch_planned`]. The replica matrices are
-/// assembled from the very shard rows the keyed exchange would have
-/// shipped, so a replicated segment's rows are byte-identical to the
-/// sharded resolution of the same rows — the planned path's answers
-/// stay bit-identical to the keyed path's (and the single-rank
-/// engine's) under **every** placement.
-pub struct PlannedShards {
-    shards: ReaderShards,
-    placements: Vec<SegmentPlacement>,
-    /// Segment ids in the reader's segment order — the identity the
-    /// next install matches replicas against, and the guard that a
-    /// batch runs against the snapshot it was installed for.
-    seg_ids: Vec<u64>,
-    /// seg_idx → full `n_rows × len` signature matrix.
-    replicas: std::collections::BTreeMap<usize, Vec<u64>>,
-    len: usize,
-}
-
-impl PlannedShards {
-    /// The placement this state serves, in the reader's segment order.
-    pub fn placements(&self) -> &[SegmentPlacement] {
-        &self.placements
-    }
-
-    /// Rows resident on this rank: the keyed shards plus the replicas.
-    pub fn resident_rows(&self) -> usize {
-        self.shards.n_rows() + self.replicas.values().map(|m| m.len() / self.len).sum::<usize>()
-    }
-
-    /// Bytes resident on this rank (shards + replicas).
-    pub fn resident_bytes(&self) -> usize {
-        self.shards.bytes() + self.replica_bytes()
-    }
-
-    /// Bytes of the replica matrices alone.
-    pub fn replica_bytes(&self) -> usize {
-        self.replicas.values().map(|m| m.len() * 8).sum()
-    }
-
-    /// A replicated segment's signature row, resolved locally.
-    fn replica_row(&self, seg_idx: usize, local: u32) -> &[u64] {
-        let matrix = &self.replicas[&seg_idx];
-        &matrix[local as usize * self.len..(local as usize + 1) * self.len]
-    }
-}
-
-/// Collectively install a placement: ship every newly-replicated
-/// segment's shard rows in **one** allgather so each rank can assemble
-/// full local replicas, and carry unchanged replicas over from `prior`
-/// for free (segments are immutable once sealed, so matching ids mean
-/// matching bytes — re-planning an overlapping placement only pays for
-/// the delta).
+/// The new layout keeps `prior`'s slot table (else the plain
+/// [`ServingLayout::sharded`] one of `world`), so installing on a
+/// replicated layout, over its survivor subgroup, serves mixed placement
+/// *under failover*. Rows ship by the executor's rule — a slot's serving
+/// owner ships it — so a lost slot leaves a hole in every replica.
 ///
 /// Every rank must call this with the identical `placements` (one entry
 /// per reader segment, in segment order); the single allgather runs even
@@ -1426,11 +1183,9 @@ pub fn install_placement(
     world: &Communicator,
     reader: &IndexReader,
     placements: &[SegmentPlacement],
-    prior: Option<&PlannedShards>,
-) -> IndexResult<(PlannedShards, PlacementInstallStats)> {
-    let p = world.size();
+    prior: Option<&ServingLayout>,
+) -> IndexResult<(ServingLayout, PlacementInstallStats)> {
     let me = world.rank();
-    let len = reader.scheme().len();
     let segments = reader.segments();
     if placements.len() != segments.len() {
         return Err(IndexError::InvalidQuery(format!(
@@ -1439,136 +1194,75 @@ pub fn install_placement(
             segments.len()
         )));
     }
-    let seg_ids: Vec<u64> = segments.iter().map(|seg| seg.id()).collect();
-    let shards = ReaderShards::build(reader, me, p);
+    let mut layout = match prior {
+        Some(prev) => ServingLayout::over(prev.slots.clone(), reader),
+        None => ServingLayout::sharded(world, reader, 1),
+    };
     let mut stats = PlacementInstallStats::default();
 
     // Reuse first: any replicated segment whose id had a replica in the
     // prior state keeps it without touching the wire.
-    let mut replicas = std::collections::BTreeMap::new();
     let mut installing: Vec<usize> = Vec::new();
-    for (seg_idx, placement) in placements.iter().enumerate() {
-        if *placement != SegmentPlacement::Replicated {
+    for (seg_idx, seg) in segments.iter().enumerate() {
+        if placements[seg_idx] != SegmentPlacement::Replicated {
             continue;
         }
         stats.replicated_segments += 1;
-        let prior_replica = prior.and_then(|prev| {
-            prev.seg_ids
-                .iter()
-                .position(|&id| id == seg_ids[seg_idx])
-                .and_then(|prev_idx| prev.replicas.get(&prev_idx))
-        });
-        match prior_replica {
+        match prior.and_then(|prev| prev.replicas.get(&seg.id())) {
             Some(matrix) => {
-                replicas.insert(seg_idx, matrix.clone());
+                layout.replicas.insert(seg.id(), matrix.clone());
                 stats.reused_segments += 1;
             }
             None => installing.push(seg_idx),
         }
     }
 
-    // One allgather ships this rank's shard rows of every segment being
-    // installed; each row travels once per non-owning rank, exactly what
-    // the keyed exchange would charge to fetch it.
-    let mut payload: Vec<u64> = Vec::new();
-    for &seg_idx in &installing {
-        let shard = shards.segment(seg_idx);
-        for local in 0..segments[seg_idx].n_rows() as u32 {
-            if shard.owns(local) {
-                payload.push(row_key(seg_idx, local));
-                payload.extend_from_slice(shard.row(local));
-            }
-        }
-    }
-    let shipped: Vec<Vec<u64>> = world.allgatherv(&payload)?;
+    // One allgather ships every installing segment's rows; each travels
+    // once per other rank, what the keyed exchange charges to fetch it.
+    let install_keys = installing.iter().flat_map(|&seg_idx| {
+        (0..segments[seg_idx].n_rows() as u32).map(move |local| row_key(seg_idx, local))
+    });
+    let shipped = layout.allgather_rows(world, install_keys)?;
     stats.collective_calls += 1;
     stats.install_bytes += foreign_words(&shipped, me) * 8;
 
-    // Assemble each installing segment's full matrix from the streams
-    // (own rows included — every rank shipped its shard), validating
-    // framing, key range, and completeness.
-    let mut matrices: std::collections::BTreeMap<usize, (Vec<u64>, Vec<bool>)> = installing
-        .iter()
-        .map(|&seg_idx| {
-            let rows = segments[seg_idx].n_rows();
-            (seg_idx, (vec![0u64; rows * len], vec![false; rows]))
-        })
-        .collect();
-    for (rank, stream) in shipped.iter().enumerate() {
-        if stream.len() % (len + 1) != 0 {
-            return Err(IndexError::Corrupt {
-                context: format!(
-                    "placement-install stream from rank {rank} is {} words, not a multiple of {}",
-                    stream.len(),
-                    len + 1
-                ),
-            });
-        }
-        for slot in 0..stream.len() / (len + 1) {
-            let base = slot * (len + 1);
-            let key = stream[base];
-            shards.owns_key(key)?; // range validation; ownership is the shipper's
-            let (seg_idx, local) = split_row_key(key);
-            if let Some((matrix, filled)) = matrices.get_mut(&seg_idx) {
-                matrix[local as usize * len..(local as usize + 1) * len]
-                    .copy_from_slice(&stream[base + 1..base + 1 + len]);
-                filled[local as usize] = true;
-            }
-        }
-    }
-    for (seg_idx, (matrix, filled)) in matrices {
-        if let Some(local) = filled.iter().position(|&f| !f) {
+    // Assemble each installing segment from the streams (own rows
+    // included): sorted by key, a complete one is the run
+    // `row_key(seg_idx, 0..n_rows)`.
+    let mut rows = layout.framed_rows(&shipped, "placement-install")?;
+    rows.sort_unstable_by_key(|&(key, _)| key);
+    rows.dedup_by_key(|&mut (key, _)| key);
+    for seg_idx in installing {
+        let n_rows = segments[seg_idx].n_rows();
+        let run = &rows[rows.partition_point(|&(key, _)| key < row_key(seg_idx, 0))..];
+        let hole = (0..n_rows)
+            .find(|&local| run.get(local).map(|row| row.0) != Some(row_key(seg_idx, local as u32)));
+        if let Some(local) = hole {
             return Err(IndexError::Corrupt {
                 context: format!(
                     "no rank shipped row {local} of segment index {seg_idx} during install"
                 ),
             });
         }
-        stats.installed_rows += filled.len();
-        replicas.insert(seg_idx, matrix);
+        stats.installed_rows += n_rows;
+        let matrix = run[..n_rows].iter().flat_map(|&(_, row)| row.iter().copied()).collect();
+        layout.replicas.insert(segments[seg_idx].id(), matrix);
     }
-    stats.replica_bytes = replicas.values().map(|m| m.len() * 8).sum();
+    stats.replica_bytes = layout.replicas.values().map(|m| m.len() * 8).sum();
 
     gas_obs::counter("gas_plan_install_bytes_total").add(stats.install_bytes as u64);
     if me == 0 {
         gas_obs::counter("gas_plan_installs_total").inc();
         gas_obs::counter("gas_plan_installed_rows_total").add(stats.installed_rows as u64);
     }
-    let planned = PlannedShards { shards, placements: placements.to_vec(), seg_ids, replicas, len };
-    Ok((planned, stats))
+    Ok((layout, stats))
 }
 
-/// Score one replicated segment's candidates from the local replica —
-/// the same `lsh_top_by` scan as [`score_segment`], with every row
-/// resolving locally. Replica rows are byte-identical to the shard rows
-/// they were assembled from, so the entries (and therefore the merged
-/// answers) match the sharded resolution bit for bit.
-fn score_segment_replica(
-    seg_idx: usize,
-    seg: &Segment,
-    planned: &PlannedShards,
-    signatures: &[MinHashSignature],
-    per_query_candidates: &[Vec<u32>],
-    keep: usize,
-    per_query_entries: &mut [Vec<Scored>],
-) {
-    for (q, (sig, candidates)) in signatures.iter().zip(per_query_candidates).enumerate() {
-        let score_of = |local: u32| -> u32 {
-            signature_agreement(sig.values(), planned.replica_row(seg_idx, local)) as u32
-        };
-        per_query_entries[q].extend(
-            lsh_top_by(&score_of, candidates, keep)
-                .into_iter()
-                .map(|(a, local)| (a, seg.global_id(local as usize))),
-        );
-    }
-}
-
-/// Serve a batch of top-k queries under a mixed per-segment placement:
-/// replicated segments resolve every candidate locally, sharded ones go
-/// through the keyed exchange — in the **same** single request/fetch
-/// pair, so the batch still costs five collectives (six with exact
-/// re-ranking) no matter how the plan splits the snapshot.
+/// Serve a batch of top-k queries under an installed layout: replicated
+/// segments resolve every candidate locally, sharded ones go through
+/// the keyed exchange — in the **same** single request/fetch pair, so
+/// the batch still costs five collectives (six with exact re-ranking)
+/// no matter how the plan splits the snapshot.
 ///
 /// Band probing stays band-sharded for every segment regardless of its
 /// placement (probe work stays balanced at `~b/p` tables per rank, and
@@ -1578,144 +1272,30 @@ fn score_segment_replica(
 /// the `wanted` list, so its per-batch fetch traffic is exactly zero —
 /// the term the planner trades against the one-time install cost.
 /// Answers are bit-identical to the keyed path and the single-rank
-/// engine under every placement; the `query_serving` proptest pins that
-/// across random placements.
+/// engine under every placement; the `query_serving` proptests pin that
+/// across random placements, with and without a crashed rank.
 ///
+/// `world` is the communicator the layout was installed over, and
 /// `planned` must have been installed (every rank with the identical
-/// plan) against this same snapshot — a generation mismatch is a typed
-/// error on every rank before any collective runs.
+/// plan) against this same snapshot — a mismatch is a typed error on
+/// every rank before any collective runs. So is a lost slot: with no
+/// [`DegradedReport`] to return, this entry point refuses to degrade
+/// (a crashed rank's [`SimError::RankCrashed`]).
 pub fn dist_query_reader_batch_planned(
     world: &Communicator,
     reader: &IndexReader,
     collection: Option<&SampleCollection>,
     queries: Option<&[Vec<u64>]>,
     opts: &QueryOptions,
-    planned: &PlannedShards,
+    planned: &ServingLayout,
 ) -> IndexResult<(Vec<Vec<Neighbor>>, DistQueryStats)> {
-    let p = world.size();
-    let me = world.rank();
-    let len = reader.scheme().len();
-    let seg_ids: Vec<u64> = reader.segments().iter().map(|seg| seg.id()).collect();
-    if planned.seg_ids != seg_ids || planned.len != len {
-        return Err(IndexError::InvalidQuery(
-            "placement was installed for a different snapshot".into(),
-        ));
+    if planned.has_lost_slot() {
+        // A slot is lost only when every one of its owners crashed.
+        let rank = planned.slots.failed_ranks[0];
+        return Err(SimError::RankCrashed { rank }.into());
     }
-    let mut stats =
-        DistQueryStats { replicated_bytes: reader.n_rows() * len * 8, ..Default::default() };
-
-    let (signatures, raw_queries) = {
-        let _bcast_span = gas_obs::span("dist", "bcast");
-        broadcast_query_batch(world, reader, queries, opts, &mut stats)?
-    };
-    let keep = opts.keep();
-    let nqueries = signatures.len();
-    stats.shard_rows = planned.shards.n_rows();
-    stats.shard_bytes = planned.shards.bytes();
-
-    // Probe exactly as the keyed path does — placement never changes
-    // which candidates surface — but only sharded segments' non-owned
-    // candidates enter the request list.
-    let (per_segment_candidates, wanted) = {
-        let mut probe_span = gas_obs::span("dist", "probe");
-        let per_segment_candidates =
-            live_candidates_by_segment(reader, &signatures, |band| band_shard(band, p) == me);
-        let mut wanted: Vec<u64> = Vec::new();
-        for (seg_idx, per_query) in per_segment_candidates.iter().enumerate() {
-            if planned.placements[seg_idx] == SegmentPlacement::Replicated {
-                continue;
-            }
-            let shard = planned.shards.segment(seg_idx);
-            for candidates in per_query {
-                wanted.extend(
-                    candidates
-                        .iter()
-                        .filter(|&&local| !shard.owns(local))
-                        .map(|&l| row_key(seg_idx, l)),
-                );
-            }
-        }
-        wanted.sort_unstable();
-        wanted.dedup();
-        probe_span.annotate("wanted_rows", wanted.len() as f64);
-        (per_segment_candidates, wanted)
-    };
-
-    let fetched = {
-        let _exchange_span = gas_obs::span("dist", "exchange");
-        exchange_keyed_rows(world, &planned.shards, &wanted, &mut stats)?
-    };
-    stats.fetched_rows = fetched.n_rows();
-    stats.fetched_bytes = fetched.data_bytes();
-    stats.fetched_fingerprint = fetched.fingerprint();
-
-    let mut per_query_entries: Vec<Vec<Scored>> = vec![Vec::new(); nqueries];
-    {
-        let _score_span = gas_obs::span("dist", "score");
-        for (seg_idx, seg) in reader.segments().iter().enumerate() {
-            let shard = planned.shards.segment(seg_idx);
-            let per_query = &per_segment_candidates[seg_idx];
-            if planned.placements[seg_idx] == SegmentPlacement::Replicated {
-                // Every candidate resolves from the local replica.
-                let mut distinct: Vec<u32> = per_query.iter().flatten().copied().collect();
-                distinct.sort_unstable();
-                distinct.dedup();
-                stats.per_segment.push(SegmentExchangeStats {
-                    segment_id: seg.id(),
-                    shard_rows: shard.n_rows(),
-                    candidate_rows: distinct.len(),
-                    owned_rows: distinct.len(),
-                    fetched_rows: 0,
-                });
-                score_segment_replica(
-                    seg_idx,
-                    seg,
-                    planned,
-                    &signatures,
-                    per_query,
-                    keep,
-                    &mut per_query_entries,
-                );
-            } else {
-                stats.per_segment.push(segment_exchange_stats(seg, shard, per_query));
-                let view = SegmentView { idx: seg_idx, seg, shard };
-                score_segment(
-                    &view,
-                    &fetched,
-                    &signatures,
-                    per_query,
-                    keep,
-                    &mut per_query_entries,
-                );
-            }
-        }
-    }
-
-    let partials: Vec<Vec<Scored>> =
-        per_query_entries.into_iter().map(|entries| merge_scored_sources(entries, keep)).collect();
-
-    let answers = {
-        let _merge_span = gas_obs::span("dist", "merge");
-        merge_partials_and_finalize(
-            world,
-            partials,
-            &raw_queries,
-            collection,
-            opts,
-            len,
-            &mut stats,
-        )?
-    };
-    gas_obs::counter("gas_dist_bcast_bytes_total").add(stats.bcast_bytes as u64);
-    gas_obs::counter("gas_dist_request_bytes_total").add(stats.request_bytes as u64);
-    gas_obs::counter("gas_dist_fetch_bytes_total").add(stats.fetch_bytes as u64);
-    gas_obs::counter("gas_dist_merge_bytes_total").add(stats.merge_bytes as u64);
-    if me == 0 {
-        gas_obs::counter("gas_plan_planned_batches_total").inc();
-        gas_obs::counter("gas_dist_query_batches_total").inc();
-        gas_obs::counter("gas_dist_collectives_total").add(stats.collective_calls as u64);
-    }
-    Ok((answers, stats))
+    execute(world, reader, collection, queries, opts, planned)
+        .map(|(answers, _, stats)| (answers, stats))
 }
 
 #[cfg(test)]
@@ -1820,8 +1400,9 @@ mod tests {
             .build_index(&collection)
             .unwrap();
         for p in [1usize, 3, 4, 7] {
-            let shards: Vec<SignatureShard> =
-                (0..p).map(|r| SignatureShard::build(&index, r, p)).collect();
+            let shards: Vec<SignatureShard> = (0..p)
+                .map(|r| SignatureShard::for_segment(&index.as_reader().segments()[0], r, p))
+                .collect();
             // Every row is owned by exactly one shard and round-trips.
             let total: usize = shards.iter().map(SignatureShard::n_rows).sum();
             assert_eq!(total, index.n(), "p={p}");
@@ -1884,7 +1465,7 @@ mod tests {
         let index = IndexOptions::from_config(IndexConfig::default().with_signature_len(16))
             .build_index(&collection)
             .unwrap();
-        let shard = SignatureShard::build(&index, 0, 2);
+        let shard = SignatureShard::for_segment(&index.as_reader().segments()[0], 0, 2);
         let _ = shard.row(1); // owned by rank 1
     }
 
@@ -1910,10 +1491,10 @@ mod tests {
                         .run(|ctx| {
                             let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
                             ctx.expect_ok(
-                                "dist_query_batch_stats",
-                                dist_query_batch_stats(
+                                "dist_query_reader_batch_stats",
+                                dist_query_reader_batch_stats(
                                     ctx.world(),
-                                    &index,
+                                    &index.as_reader(),
                                     Some(&collection),
                                     q,
                                     &opts,
@@ -1967,54 +1548,93 @@ mod tests {
     fn per_phase_wire_bytes_sum_to_the_cost_report_exactly() {
         // The satellite bugfix pin: the phase byte counters must account
         // for every wire byte the simulator charged this rank — no
-        // per-segment double counting, no missing broadcast bytes. The
+        // per-segment double counting, no missing broadcast bytes, no
+        // uncharged dropped-row allgather — under every layout. The
         // collective count must match the tracker's too.
+        use gas_dstsim::RankFaults;
         let collection = workload();
         let config = IndexConfig::default().with_signature_len(64).with_threshold(0.4);
         let writer = segmented_writer(&collection, &config, 4, &[2, 9]);
         let reader = writer.reader();
         let queries: Vec<Vec<u64>> = (0..5).map(|i| collection.sample(i * 4).to_vec()).collect();
+        // (replication, crashed rank, collectives beyond the keyed
+        // budget): the keyed entry point, then the replicated one
+        // fault-free, failing over with full coverage, and degraded.
+        let layouts =
+            [(None, None, 0), (Some(2), None, 0), (Some(2), Some(2), 0), (Some(1), Some(2), 1)];
         for rerank in [false, true] {
             let opts = QueryOptions { top_k: 4, rerank_exact: rerank, ..Default::default() };
             for p in [1usize, 2, 4] {
-                let out = Runtime::new(p)
-                    .run(|ctx| {
-                        let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
-                        ctx.expect_ok(
-                            "dist_query_reader_batch_stats",
-                            dist_query_reader_batch_stats(
-                                ctx.world(),
-                                &reader,
-                                Some(&collection),
-                                q,
-                                &opts,
-                            ),
-                        )
-                    })
-                    .unwrap();
-                for (rank, ((_, stats), report)) in out.results.iter().zip(&out.reports).enumerate()
-                {
-                    assert_eq!(
-                        stats.wire_bytes() as u64,
-                        report.bytes_received,
-                        "p={p}, rank={rank}, rerank={rerank}: phase bytes diverge from the wire"
-                    );
-                    assert_eq!(
-                        stats.collective_calls as u64, report.collectives,
-                        "p={p}, rank={rank}, rerank={rerank}: collective count diverges"
-                    );
-                    assert_eq!(
-                        stats.wire_bytes(),
-                        stats.bcast_bytes
-                            + stats.request_bytes
-                            + stats.fetch_bytes
-                            + stats.merge_bytes
-                    );
-                    // Four segments, one breakdown entry each, candidates
-                    // partitioned into owned + fetched.
-                    assert_eq!(stats.per_segment.len(), 4);
-                    for seg in &stats.per_segment {
-                        assert_eq!(seg.owned_rows + seg.fetched_rows, seg.candidate_rows);
+                for (replication, crashed, extra) in layouts {
+                    if crashed.is_some_and(|r| r >= p) {
+                        continue;
+                    }
+                    let faults =
+                        crashed.map_or(RankFaults::none(), |r| RankFaults::none().crash(r));
+                    let out = Runtime::new(p)
+                        .with_faults(faults)
+                        .run(|ctx| {
+                            let world = ctx.world();
+                            let ingress = world.alive_world_ranks().first() == Some(&ctx.rank());
+                            let q = if ingress { Some(&queries[..]) } else { None };
+                            match replication {
+                                None => dist_query_reader_batch_stats(
+                                    world,
+                                    &reader,
+                                    Some(&collection),
+                                    q,
+                                    &opts,
+                                ),
+                                Some(c) => dist_query_reader_batch_replicated(
+                                    world,
+                                    &reader,
+                                    Some(&collection),
+                                    q,
+                                    &opts,
+                                    c,
+                                )
+                                .map(|(answers, _, stats)| (answers, stats)),
+                            }
+                        })
+                        .unwrap();
+                    for (rank, (result, report)) in out.results.iter().zip(&out.reports).enumerate()
+                    {
+                        if crashed == Some(rank) {
+                            assert!(result.is_err(), "the crashed rank must error typed");
+                            continue;
+                        }
+                        let (_, stats) = result.as_ref().expect("survivors answer");
+                        let case = format!(
+                            "p={p}, rank={rank}, rerank={rerank}, c={replication:?}, \
+                             crashed={crashed:?}"
+                        );
+                        assert_eq!(
+                            stats.wire_bytes() as u64,
+                            report.bytes_received,
+                            "{case}: phase bytes diverge from the wire"
+                        );
+                        assert_eq!(
+                            stats.collective_calls as u64, report.collectives,
+                            "{case}: collective count diverges"
+                        );
+                        assert_eq!(
+                            stats.collective_calls,
+                            if rerank { 6 } else { 5 } + extra,
+                            "{case}: only a lost slot may cost a collective more"
+                        );
+                        assert_eq!(
+                            stats.wire_bytes(),
+                            stats.bcast_bytes
+                                + stats.request_bytes
+                                + stats.fetch_bytes
+                                + stats.merge_bytes
+                        );
+                        // Four segments, one breakdown entry each, candidates
+                        // partitioned into owned + fetched.
+                        assert_eq!(stats.per_segment.len(), 4);
+                        for seg in &stats.per_segment {
+                            assert_eq!(seg.owned_rows + seg.fetched_rows, seg.candidate_rows);
+                        }
                     }
                 }
             }
@@ -2099,7 +1719,15 @@ mod tests {
             .build_index(&SampleCollection::from_sorted_sets(vec![vec![1, 2, 3]]).unwrap())
             .unwrap();
         let out = Runtime::new(3)
-            .run(|ctx| dist_query_batch(ctx.world(), &index, None, None, &QueryOptions::default()))
+            .run(|ctx| {
+                dist_query_reader_batch(
+                    ctx.world(),
+                    &index.as_reader(),
+                    None,
+                    None,
+                    &QueryOptions::default(),
+                )
+            })
             .unwrap();
         for result in out.results {
             assert!(matches!(result, Err(IndexError::InvalidQuery(_))), "expected typed error");
@@ -2132,6 +1760,18 @@ mod tests {
                 .unwrap()
                 .results;
             for replication in [1usize, 2] {
+                // Replicated batches move the `gas_dist_*` registry like
+                // every other layout (`≥`: the registry is process-global
+                // and parallel tests add to it too).
+                let counters = [
+                    "gas_dist_bcast_bytes_total",
+                    "gas_dist_request_bytes_total",
+                    "gas_dist_fetch_bytes_total",
+                    "gas_dist_merge_bytes_total",
+                    "gas_dist_query_batches_total",
+                    "gas_dist_collectives_total",
+                ];
+                let before = counters.map(|name| gas_obs::counter(name).get());
                 let out = Runtime::new(p)
                     .run(|ctx| {
                         let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
@@ -2154,6 +1794,24 @@ mod tests {
                     assert!(report.failed_ranks.is_empty());
                     assert!(report.lost_bands.is_empty());
                     assert_eq!(report.lost_rows, 0);
+                }
+                let sum = |f: fn(&DistQueryStats) -> usize| -> u64 {
+                    out.results.iter().map(|(_, _, stats)| f(stats) as u64).sum()
+                };
+                let moved = [
+                    sum(|s| s.bcast_bytes),
+                    sum(|s| s.request_bytes),
+                    sum(|s| s.fetch_bytes),
+                    sum(|s| s.merge_bytes),
+                    1,
+                    out.results[0].2.collective_calls as u64,
+                ];
+                for ((name, before), moved) in counters.iter().zip(before).zip(moved) {
+                    let delta = gas_obs::counter(name).get() - before;
+                    assert!(
+                        delta >= moved,
+                        "p={p}, c={replication}: {name} moved {delta} < {moved}"
+                    );
                 }
             }
         }
@@ -2555,6 +2213,130 @@ mod tests {
             .unwrap();
         for result in bad.results {
             assert!(matches!(result, Err(IndexError::InvalidQuery(_))));
+        }
+    }
+
+    #[test]
+    fn failover_composes_with_mixed_placement() {
+        // ROADMAP 4(d): failover and mixed placement are both just
+        // layouts, so a placement installed on a 2-way replicated layout
+        // over the survivor subgroup serves exact answers with a rank
+        // down — and without replicas the install fails typed instead.
+        use gas_dstsim::{RankFaults, SimError};
+        let collection = workload();
+        let config = IndexConfig::default().with_signature_len(64).with_threshold(0.4);
+        let segments = 5usize;
+        let writer = segmented_writer(&collection, &config, segments, &[1, 7, 13]);
+        let reader = writer.reader();
+        let queries: Vec<Vec<u64>> = (0..6).map(|i| collection.sample(i * 3).to_vec()).collect();
+        // Four rows per segment: the crashed rank's slot must hold some.
+        for (p, crashed) in [(4usize, 2usize), (6, 0), (8, 3)] {
+            for rerank in [false, true] {
+                let opts = QueryOptions { top_k: 5, rerank_exact: rerank, ..Default::default() };
+                let reference = QueryEngine::snapshot_with_collection(reader.clone(), &collection)
+                    .query_batch(&queries, &opts)
+                    .unwrap();
+                let placements = mixed_placement(segments, p);
+                // One round over the survivors of a `replication`-way
+                // layout: install, then a batch through the executor.
+                let round = |replication: usize, placements: &[SegmentPlacement]| {
+                    Runtime::new(p)
+                        .with_faults(RankFaults::none().crash(crashed))
+                        .run(|ctx| {
+                            let world = ctx.world();
+                            if world.is_crashed() {
+                                return None;
+                            }
+                            let base = ServingLayout::sharded(world, &reader, replication);
+                            let sub = world.subgroup(&world.alive_world_ranks()).unwrap();
+                            let q = if sub.rank() == 0 { Some(&queries[..]) } else { None };
+                            Some(install_placement(&sub, &reader, placements, Some(&base)).map(
+                                |(layout, install)| {
+                                    let exact = dist_query_reader_batch_planned(
+                                        &sub,
+                                        &reader,
+                                        Some(&collection),
+                                        q,
+                                        &opts,
+                                        &layout,
+                                    );
+                                    let full = match &exact {
+                                        Ok(_) => Some(ctx.expect_ok(
+                                            "executor",
+                                            execute(
+                                                &sub,
+                                                &reader,
+                                                Some(&collection),
+                                                q,
+                                                &opts,
+                                                &layout,
+                                            ),
+                                        )),
+                                        Err(_) => None,
+                                    };
+                                    (install, exact, full)
+                                },
+                            ))
+                        })
+                        .unwrap()
+                };
+
+                let out = round(2, &placements);
+                for (rank, (result, report)) in out.results.iter().zip(&out.reports).enumerate() {
+                    let Some(result) = result else {
+                        assert_eq!(rank, crashed);
+                        continue;
+                    };
+                    let case = format!("p={p}, crashed={crashed}, rank={rank}, rerank={rerank}");
+                    let (install, exact, full) = result.as_ref().expect("c=2 covers one crash");
+                    let (answers, stats) = exact.as_ref().expect("full coverage serves exactly");
+                    let (again, degraded, again_stats) = full.as_ref().unwrap();
+                    assert_eq!(answers, &reference, "{case}: composed answers diverge");
+                    assert_eq!((again, again_stats), (answers, stats), "{case}");
+                    assert!(!degraded.degraded, "{case}");
+                    assert_eq!(degraded.failed_ranks, vec![crashed], "{case}");
+                    assert!(degraded.lost_bands.is_empty() && degraded.lost_rows == 0, "{case}");
+                    assert_eq!(install.collective_calls, 1, "{case}");
+                    assert_eq!(stats.collective_calls, if rerank { 6 } else { 5 }, "{case}");
+                    for (seg, placement) in stats.per_segment.iter().zip(&placements) {
+                        assert_eq!(seg.owned_rows + seg.fetched_rows, seg.candidate_rows);
+                        if *placement == SegmentPlacement::Replicated {
+                            assert_eq!(seg.fetched_rows, 0, "{case}: replica fetched rows");
+                        }
+                    }
+                    // Install plus both batches account for every wire byte.
+                    assert_eq!(
+                        (install.install_bytes + 2 * stats.wire_bytes()) as u64,
+                        report.bytes_received,
+                        "{case}: composed rounds diverge from the wire"
+                    );
+                    assert_eq!(
+                        (install.collective_calls + 2 * stats.collective_calls) as u64,
+                        report.collectives,
+                        "{case}"
+                    );
+                }
+
+                // Without replicas the crashed rank's slot is lost: a
+                // replica that needs its rows cannot be assembled...
+                for result in round(1, &placements).results.iter().flatten() {
+                    assert!(
+                        matches!(result, Err(IndexError::Corrupt { context })
+                            if context.contains("no rank shipped row")),
+                        "a lost slot must fail the install typed"
+                    );
+                }
+                // ...and an all-sharded plan installs (nothing ships) but
+                // the exact-answers entry point refuses the lost slot.
+                let sharded = vec![SegmentPlacement::Sharded; segments];
+                for result in round(1, &sharded).results.iter().flatten() {
+                    let (_, exact, _) = result.as_ref().expect("nothing to assemble");
+                    assert!(matches!(
+                        exact,
+                        Err(IndexError::Sim(SimError::RankCrashed { rank })) if *rank == crashed
+                    ));
+                }
+            }
         }
     }
 }

@@ -114,12 +114,10 @@ pub mod service;
 pub use build::{BandBuckets, IndexConfig, SketchIndex};
 pub use container::{Container, ContainerWriter};
 pub use dist::{
-    dist_query_batch, dist_query_batch_stats, dist_query_reader_batch,
-    dist_query_reader_batch_planned, dist_query_reader_batch_replicated,
+    dist_query_reader_batch, dist_query_reader_batch_planned, dist_query_reader_batch_replicated,
     dist_query_reader_batch_stats, dist_query_reader_batch_stats_per_segment,
     dist_query_reader_page, install_placement, DegradedReport, DistQueryStats,
-    PlacementInstallStats, PlannedShards, ReaderShards, SegmentExchangeStats, SegmentPlacement,
-    SignatureShard,
+    PlacementInstallStats, SegmentExchangeStats, SegmentPlacement, ServingLayout, SignatureShard,
 };
 pub use error::{IndexError, IndexResult};
 pub use gas_chaos::{ChaosStorage, FaultKind, FaultPlan, RealFs, RetryPolicy, Storage};
@@ -138,28 +136,3 @@ pub use service::{
     CompactionStats, DegradedBatch, DegradedCauses, IndexOptions, IndexService, LatencyHistogram,
     LocalIndexService, RequestClassStats, ServiceStats,
 };
-
-/// Serialize tests that flip the process-global `gas_chaos` switch, so
-/// parallel non-chaos tests never observe injection and parallel chaos
-/// tests never turn each other's faults off mid-run.
-#[cfg(test)]
-pub(crate) mod chaos_testing {
-    use std::sync::{Mutex, MutexGuard};
-
-    static GATE: Mutex<()> = Mutex::new(());
-
-    /// RAII guard: injection enabled while held, disabled on drop.
-    pub(crate) struct ChaosOn(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-    impl Drop for ChaosOn {
-        fn drop(&mut self) {
-            gas_chaos::set_enabled(false);
-        }
-    }
-
-    pub(crate) fn chaos_on() -> ChaosOn {
-        let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        gas_chaos::set_enabled(true);
-        ChaosOn(guard)
-    }
-}

@@ -1,7 +1,7 @@
 //! The segmented index lifecycle: [`IndexWriter`] → [`IndexReader`] →
 //! [`Compactor`].
 //!
-//! The monolithic `SketchIndex::build` assumes a static corpus; a served
+//! The monolithic `IndexOptions::build_index` assumes a static corpus; a served
 //! system ingests new genome samples continuously. This module turns the
 //! sketch index into a long-lived, mutable *service* built from
 //! immutable parts, the LSM shape of production similarity-serving
@@ -314,12 +314,6 @@ pub struct IndexWriter {
 }
 
 impl IndexWriter {
-    /// A fresh, empty, in-memory writer (no backing file).
-    #[deprecated(since = "0.7.0", note = "construct through `IndexOptions::open_writer` instead")]
-    pub fn create(config: &IndexConfig) -> IndexResult<Self> {
-        IndexWriter::new_in_memory(config)
-    }
-
     /// A fresh, empty, in-memory writer (no backing file): signature
     /// scheme and banding parameters are fixed here, for the life of the
     /// index — every segment ever sealed must be signed identically or
@@ -350,15 +344,6 @@ impl IndexWriter {
             clean: false,
             storage: Arc::new(RealFs),
         })
-    }
-
-    /// A fresh writer backed by a new container-v3 file at `path`.
-    #[deprecated(
-        since = "0.7.0",
-        note = "construct through `IndexOptions::create_writer_at` instead"
-    )]
-    pub fn create_at(path: impl AsRef<Path>, config: &IndexConfig) -> IndexResult<Self> {
-        IndexWriter::new_at(path, config)
     }
 
     /// A fresh writer backed by a new container-v3 file at `path`
@@ -1884,7 +1869,7 @@ mod tests {
         // The satellite pin: vacuum is write-temp-then-rename, so any
         // injected fault during the rewrite must leave the original file
         // byte-identical and servable, and a clean retry must succeed.
-        let _chaos = crate::chaos_testing::chaos_on();
+        let _chaos = gas_chaos::chaos_on();
         use gas_chaos::{ChaosStorage, FaultKind, FaultPlan};
         let path = unique_path("chaosvac");
         let mut w = IndexOptions::from_config(config()).create_writer_at(&path).unwrap();
@@ -1939,7 +1924,7 @@ mod tests {
         // Tentpole requirement: a torn append mid-commit errors, the
         // reopened file serves the newest intact prior generation, and
         // the next successful commit heals the tail.
-        let _chaos = crate::chaos_testing::chaos_on();
+        let _chaos = gas_chaos::chaos_on();
         use gas_chaos::{ChaosStorage, FaultKind, FaultPlan};
         let path = unique_path("chaostorn");
         let mut w = IndexOptions::from_config(config()).create_writer_at(&path).unwrap();
@@ -1980,7 +1965,7 @@ mod tests {
         // ahead of the disk; reopen falls back to the newest intact
         // generation, and a vacuum (full rewrite) re-syncs disk with
         // memory.
-        let _chaos = crate::chaos_testing::chaos_on();
+        let _chaos = gas_chaos::chaos_on();
         use gas_chaos::{ChaosStorage, FaultKind, FaultPlan};
         let path = unique_path("chaosfsync");
         let mut w = IndexOptions::from_config(config()).create_writer_at(&path).unwrap();

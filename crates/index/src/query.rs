@@ -455,12 +455,50 @@ pub(crate) fn finalize(
     Ok(neighbors)
 }
 
+/// The one page cut of the paginated scan, shared by the single-rank
+/// engine and the distributed path so their cursors are interchangeable
+/// by construction. Validates `req` against the snapshot `generation`
+/// (zero page size and stale cursors are typed errors, raised before any
+/// ranking work) and returns the options to rank a query *in full* with
+/// — unbounded, so no pool truncates the scan and a ranking's length is
+/// its candidate count — plus the cut to apply to each full ranking:
+/// `min_score` filter, cursor offset, next cursor.
+pub(crate) fn page_cut(
+    req: &PageRequest,
+    generation: u64,
+) -> IndexResult<(QueryOptions, impl Fn(Vec<Neighbor>) -> QueryPage)> {
+    if req.page_size == 0 {
+        return Err(IndexError::InvalidQuery("page_size must be ≥ 1".into()));
+    }
+    let offset = match req.cursor {
+        Some(cursor) if cursor.generation() != generation => {
+            return Err(IndexError::StaleCursor {
+                cursor_generation: cursor.generation(),
+                snapshot_generation: generation,
+            });
+        }
+        Some(cursor) => cursor.offset() as usize,
+        None => 0,
+    };
+    let (page_size, min_score) = (req.page_size, req.min_score);
+    let cut = move |ranked: Vec<Neighbor>| {
+        let total_candidates = ranked.len();
+        let ranked: Vec<Neighbor> = ranked.into_iter().filter(|n| n.score >= min_score).collect();
+        let start = offset.min(ranked.len());
+        let end = offset.saturating_add(page_size).min(ranked.len());
+        let next_cursor = (end < ranked.len()).then(|| PageCursor::new(generation, end as u64));
+        QueryPage { hits: ranked[start..end].to_vec(), next_cursor, total_candidates }
+    };
+    let full = QueryOptions { top_k: usize::MAX, oversample: 1, rerank_exact: req.rerank_exact };
+    Ok((full, cut))
+}
+
 /// The batched top-k query engine over an [`IndexReader`] snapshot.
 ///
 /// The engine serves whatever snapshot it was built from — one sealed
 /// segment (the monolithic [`SketchIndex`] constructors) or a whole
 /// segmented lifecycle snapshot with tombstones (the
-/// [`for_reader`](Self::for_reader) constructors). Every query probes
+/// [`snapshot`](Self::snapshot) constructors). Every query probes
 /// *all* live segments, skips tombstoned rows, and merges the
 /// per-segment top lists deterministically (see
 /// [`merge_scored_sources`]): answers are bit-identical to a fresh
@@ -481,21 +519,6 @@ impl<'a> QueryEngine<'a> {
     /// An engine that can re-rank exactly against the original sets.
     pub fn with_collection(index: &SketchIndex, collection: &'a SampleCollection) -> Self {
         QueryEngine { reader: index.as_reader(), collection: Some(collection) }
-    }
-
-    /// An engine over a lifecycle snapshot (signatures only).
-    #[deprecated(since = "0.7.0", note = "renamed to `QueryEngine::snapshot`")]
-    pub fn for_reader(reader: IndexReader) -> QueryEngine<'static> {
-        QueryEngine::snapshot(reader)
-    }
-
-    /// An engine over a lifecycle snapshot that can re-rank exactly.
-    #[deprecated(since = "0.7.0", note = "renamed to `QueryEngine::snapshot_with_collection`")]
-    pub fn for_reader_with_collection(
-        reader: IndexReader,
-        collection: &'a SampleCollection,
-    ) -> Self {
-        QueryEngine::snapshot_with_collection(reader, collection)
     }
 
     /// An engine over a lifecycle snapshot (signatures only) — the shape
@@ -520,22 +543,18 @@ impl<'a> QueryEngine<'a> {
 
     /// The one ranking path every public query shape goes through: keep
     /// the best `pool` LSH candidates, finalize under `opts` (optional
-    /// exact re-rank, truncate to `opts.top_k`). Also reports how many
-    /// candidates the pool was drawn from, which pagination surfaces as
-    /// `total_candidates`.
+    /// exact re-rank, truncate to `opts.top_k`).
     fn ranked_pool(
         &self,
         values: &[u64],
         pool: usize,
         opts: &QueryOptions,
         heat: &mut ProbeHeat,
-    ) -> IndexResult<(Vec<Neighbor>, usize)> {
+    ) -> IndexResult<Vec<Neighbor>> {
         let values = &*normalized_query(values);
         let sig = self.reader.scheme().sign(values);
         let scored = scored_over_reader(&self.reader, &sig, pool, heat);
-        let total = scored.len();
-        let ranked = finalize(scored, self.reader.scheme().len(), values, self.collection, opts)?;
-        Ok((ranked, total))
+        finalize(scored, self.reader.scheme().len(), values, self.collection, opts)
     }
 
     /// Run a single query with a fresh [`ProbeHeat`] and flush it.
@@ -598,7 +617,7 @@ impl<'a> QueryEngine<'a> {
         heat: &mut ProbeHeat,
     ) -> IndexResult<Vec<Neighbor>> {
         let _query_span = gas_obs::span("serve", "query");
-        self.ranked_pool(values, opts.keep(), opts, heat).map(|(hits, _)| hits)
+        self.ranked_pool(values, opts.keep(), opts, heat)
     }
 
     /// Answer one page of a paginated scan over the **full** candidate
@@ -621,31 +640,8 @@ impl<'a> QueryEngine<'a> {
         heat: &mut ProbeHeat,
     ) -> IndexResult<QueryPage> {
         let _page_span = gas_obs::span("serve", "query_page");
-        if req.page_size == 0 {
-            return Err(IndexError::InvalidQuery("page_size must be ≥ 1".into()));
-        }
-        let offset = match req.cursor {
-            Some(cursor) => {
-                if cursor.generation() != self.reader.generation() {
-                    return Err(IndexError::StaleCursor {
-                        cursor_generation: cursor.generation(),
-                        snapshot_generation: self.reader.generation(),
-                    });
-                }
-                cursor.offset() as usize
-            }
-            None => 0,
-        };
-        let full =
-            QueryOptions { top_k: usize::MAX, oversample: 1, rerank_exact: req.rerank_exact };
-        let (ranked, total_candidates) = self.ranked_pool(values, usize::MAX, &full, heat)?;
-        let ranked: Vec<Neighbor> =
-            ranked.into_iter().filter(|n| n.score >= req.min_score).collect();
-        let start = offset.min(ranked.len());
-        let end = offset.saturating_add(req.page_size).min(ranked.len());
-        let next_cursor =
-            (end < ranked.len()).then(|| PageCursor::new(self.reader.generation(), end as u64));
-        Ok(QueryPage { hits: ranked[start..end].to_vec(), next_cursor, total_candidates })
+        let (full, cut) = page_cut(req, self.reader.generation())?;
+        Ok(cut(self.ranked_pool(values, usize::MAX, &full, heat)?))
     }
 
     /// [`Self::query_page`] over a batch of queries, in parallel over

@@ -23,10 +23,8 @@
 //!   shed counts and latency histograms for commits and queries, plus
 //!   compaction and vacuum counters.
 //!
-//! Construction goes through [`IndexOptions`], the one builder that
-//! also replaces the scattered constructors (`SketchIndex::build`,
-//! `IndexWriter::create{,_at}`, `QueryEngine::for_reader{,...}`) — the
-//! old entry points remain as `#[deprecated]` shims.
+//! Construction goes through [`IndexOptions`], the one builder of the
+//! index stack.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -50,11 +48,6 @@ use crate::segment::SharedSegment;
 
 /// The one construction surface of the index stack: signature scheme,
 /// LSH parameters, compaction policy and serving knobs in one builder.
-///
-/// Every constructor the crate used to scatter — `SketchIndex::build`,
-/// `IndexWriter::create{,_at}`, `QueryEngine::for_reader{,...}` — is
-/// expressible through an `IndexOptions` value; the old entry points
-/// survive as `#[deprecated]` shims over the same internals.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexOptions {
     config: IndexConfig,
@@ -1302,44 +1295,6 @@ mod tests {
         );
     }
 
-    /// The pre-0.7 constructors still compile and behave identically to
-    /// the `IndexOptions` paths they now shim over.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_still_work() {
-        let cfg = config();
-        let sets = vec![family(0, 300), family(50, 300), family(9_000, 100)];
-        let collection =
-            gas_core::indicator::SampleCollection::from_sorted_sets(sets.clone()).unwrap();
-
-        let old = crate::build::SketchIndex::build(&collection, &cfg).unwrap();
-        let new = IndexOptions::from_config(cfg).build_index(&collection).unwrap();
-        assert_eq!(old, new);
-
-        let mut old_writer = IndexWriter::create(&cfg).unwrap();
-        let mut new_writer = IndexOptions::from_config(cfg).open_writer().unwrap();
-        for (i, s) in sets.iter().enumerate() {
-            old_writer.add(format!("s{i}"), s.clone()).unwrap();
-            new_writer.add(format!("s{i}"), s.clone()).unwrap();
-        }
-        old_writer.commit().unwrap();
-        new_writer.commit().unwrap();
-
-        let opts = QueryOptions { top_k: 3, ..Default::default() };
-        assert_eq!(
-            QueryEngine::for_reader(old_writer.reader()).query(&sets[0], &opts).unwrap(),
-            QueryEngine::snapshot(new_writer.reader()).query(&sets[0], &opts).unwrap()
-        );
-        assert_eq!(
-            QueryEngine::for_reader_with_collection(old_writer.reader(), &collection)
-                .query(&sets[0], &opts)
-                .unwrap(),
-            QueryEngine::snapshot_with_collection(new_writer.reader(), &collection)
-                .query(&sets[0], &opts)
-                .unwrap()
-        );
-    }
-
     #[test]
     fn auto_compactor_thread_compacts_without_blocking_serving() {
         let service = IndexOptions::from_config(config())
@@ -1396,7 +1351,7 @@ mod tests {
 
     #[test]
     fn commit_wait_retry_heals_a_one_shot_storage_fault() {
-        let _chaos = crate::chaos_testing::chaos_on();
+        let _chaos = gas_chaos::chaos_on();
         use gas_chaos::{ChaosStorage, FaultKind, FaultPlan};
         let path = service_path("retryheal");
         let service = IndexOptions::from_config(config())
@@ -1422,7 +1377,7 @@ mod tests {
 
     #[test]
     fn commit_wait_retry_exhausts_typed_under_persistent_faults() {
-        let _chaos = crate::chaos_testing::chaos_on();
+        let _chaos = gas_chaos::chaos_on();
         use gas_chaos::{ChaosStorage, FaultKind, FaultPlan};
         let path = service_path("retryout");
         let service = IndexOptions::from_config(config())

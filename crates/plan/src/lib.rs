@@ -7,8 +7,10 @@
 //!   two serving strategies — sharded (fetch candidate rows per batch
 //!   through the keyed exchange) versus replicated (install once, serve
 //!   locally) — against α–β–γ machine parameters and observed probe
-//!   heat, and emits a [`PlacementPlan`] the mixed-placement reader
-//!   (`gas_index::dist::dist_query_reader_batch_planned`) executes.
+//!   heat, and emits a [`PlacementPlan`] that
+//!   `gas_index::dist::install_placement` installs as the
+//!   `ServingLayout` the distributed executor serves
+//!   (`gas_index::dist::dist_query_reader_batch_planned`).
 //! - [`autotune`]: an [`Autotuner`] chooses the SUMMA grid `(r, q, c)`,
 //!   the LSH `(b, r)` split, the OPH signature length, and the
 //!   compaction tier factor from the same machine parameters plus the

@@ -149,9 +149,10 @@ pub struct PlacementPlan {
 
 impl PlacementPlan {
     /// The placement vector in input order — what
-    /// [`install_placement`](gas_index::dist::install_placement) and
+    /// [`install_placement`](gas_index::dist::install_placement) turns
+    /// into the [`ServingLayout`](gas_index::dist::ServingLayout) that
     /// [`dist_query_reader_batch_planned`](gas_index::dist::dist_query_reader_batch_planned)
-    /// consume.
+    /// serves.
     pub fn placements(&self) -> Vec<SegmentPlacement> {
         self.assignments.iter().map(|a| a.placement).collect()
     }

@@ -85,8 +85,14 @@ fn main() {
         .run(|ctx| {
             let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
             ctx.expect_ok(
-                "dist_query_batch_stats",
-                dist_query_batch_stats(ctx.world(), &loaded, Some(&collection), q, &opts),
+                "dist_query_reader_batch_stats",
+                dist_query_reader_batch_stats(
+                    ctx.world(),
+                    &loaded.as_reader(),
+                    Some(&collection),
+                    q,
+                    &opts,
+                ),
             )
         })
         .expect("distributed run succeeds");

@@ -80,16 +80,16 @@ pub mod prelude {
     pub use gas_genomics::kmer::KmerExtractor;
     pub use gas_genomics::sample::KmerSample;
     pub use gas_index::{
-        dist_query_batch, dist_query_batch_stats, dist_query_reader_batch,
-        dist_query_reader_batch_planned, dist_query_reader_batch_replicated,
-        dist_query_reader_batch_stats, dist_query_reader_batch_stats_per_segment,
-        dist_query_reader_page, exact_top_k, install_placement, ChaosStorage, CommitSummary,
-        CommitTicket, CompactionPolicy, CompactionStats, CompactionSummary, Compactor,
-        DegradedBatch, DegradedCauses, DegradedReport, DistQueryStats, FaultKind, FaultPlan,
-        IndexConfig, IndexOptions, IndexReader, IndexService, IndexWriter, LatencyHistogram,
-        LocalIndexService, LshParams, Neighbor, PageCursor, PageRequest, PlacementInstallStats,
-        PlannedShards, QueryEngine, QueryOptions, QueryPage, RequestClassStats, RetryPolicy,
-        SegmentPlacement, SegmentStats, ServiceStats, SignerKind, SketchIndex, VacuumReport,
+        dist_query_reader_batch, dist_query_reader_batch_planned,
+        dist_query_reader_batch_replicated, dist_query_reader_batch_stats,
+        dist_query_reader_batch_stats_per_segment, dist_query_reader_page, exact_top_k,
+        install_placement, ChaosStorage, CommitSummary, CommitTicket, CompactionPolicy,
+        CompactionStats, CompactionSummary, Compactor, DegradedBatch, DegradedCauses,
+        DegradedReport, DistQueryStats, FaultKind, FaultPlan, IndexConfig, IndexOptions,
+        IndexReader, IndexService, IndexWriter, LatencyHistogram, LocalIndexService, LshParams,
+        Neighbor, PageCursor, PageRequest, PlacementInstallStats, QueryEngine, QueryOptions,
+        QueryPage, RequestClassStats, RetryPolicy, SegmentPlacement, SegmentStats, ServiceStats,
+        ServingLayout, SignerKind, SketchIndex, VacuumReport,
     };
     pub use gas_obs::{
         collective_cost_report, folded_stacks, render_collective_costs, to_prometheus,

@@ -147,7 +147,13 @@ fn dist_trace_carries_predicted_next_to_measured_cost() {
             let q = if ctx.rank() == 0 { Some(&probes[..]) } else { None };
             ctx.expect_ok(
                 "dist batch",
-                dist_query_batch_stats(ctx.world(), &index, Some(&collection), q, &opts),
+                dist_query_reader_batch_stats(
+                    ctx.world(),
+                    &index.as_reader(),
+                    Some(&collection),
+                    q,
+                    &opts,
+                ),
             )
         })
         .expect("distributed run");

@@ -8,7 +8,9 @@
 //! (replicated and sharded segments in one exchange) must answer
 //! bit-identically to both.
 
+use genomeatscale::dstsim::RankFaults;
 use genomeatscale::index::dist::{band_shard, sample_shard, SignatureShard};
+use genomeatscale::index::IndexError;
 use genomeatscale::prelude::*;
 use proptest::prelude::*;
 
@@ -56,8 +58,14 @@ fn sharded_answers_equal_single_rank_answers_across_grid() {
                 .run(|ctx| {
                     let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
                     ctx.expect_ok(
-                        "dist_query_batch",
-                        dist_query_batch(ctx.world(), &index, Some(&collection), q, &opts),
+                        "dist_query_reader_batch",
+                        dist_query_reader_batch(
+                            ctx.world(),
+                            &index.as_reader(),
+                            Some(&collection),
+                            q,
+                            &opts,
+                        ),
                     )
                 })
                 .unwrap();
@@ -119,8 +127,14 @@ fn signature_sharding_splits_storage_across_the_grid_for_both_signers() {
                 .run(|ctx| {
                     let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
                     ctx.expect_ok(
-                        "dist_query_batch_stats",
-                        dist_query_batch_stats(ctx.world(), &index, Some(&collection), q, &opts),
+                        "dist_query_reader_batch_stats",
+                        dist_query_reader_batch_stats(
+                            ctx.world(),
+                            &index.as_reader(),
+                            Some(&collection),
+                            q,
+                            &opts,
+                        ),
                     )
                 })
                 .unwrap();
@@ -158,9 +172,10 @@ fn signature_shards_cover_every_sample_exactly_once_on_ci_grids() {
     let index = IndexOptions::from_config(IndexConfig::default().with_signature_len(64))
         .build_index(&collection)
         .unwrap();
+    let segment = index.as_reader().segments()[0].clone();
     for ranks in env_usize_list("GAS_DIST_RANKS", &[4, 6, 8, 12]) {
         let shards: Vec<SignatureShard> =
-            (0..ranks).map(|r| SignatureShard::build(&index, r, ranks)).collect();
+            (0..ranks).map(|r| SignatureShard::for_segment(&segment, r, ranks)).collect();
         for id in 0..index.n() {
             let owner = sample_shard(id, ranks);
             assert_eq!(shards.iter().filter(|s| s.owns(id as u32)).count(), 1);
@@ -514,6 +529,144 @@ proptest! {
             }
         }
     }
+
+    /// Failover × mixed placement: a random placement installed on a
+    /// 2-way replicated layout, install and batch both over the survivor
+    /// subgroup of one crashed rank, answers bit-identically to the
+    /// single-rank engine on every survivor — replicated segments still
+    /// fetch nothing, the round still costs 1 + 5 (6) collectives — and
+    /// without replicas the install fails typed on every survivor.
+    #[test]
+    fn failover_composes_with_planned_mixed_placement(
+        splits in prop::collection::btree_set(1usize..30, 0..5),
+        doomed in prop::collection::btree_set(0u32..30, 0..6),
+        placement_bits in prop::collection::vec(any::<bool>(), 1..12),
+        crashed_seed in 0usize..64,
+        rerank in any::<bool>(),
+    ) {
+        let collection = family_workload();
+        let n = collection.n();
+        let config = IndexConfig::default().with_signature_len(64).with_threshold(0.4);
+        let deletes: Vec<u32> = doomed.into_iter().collect();
+        let mut writer = IndexOptions::from_config(config).open_writer().unwrap();
+        let mut start = 0usize;
+        for end in splits.into_iter().chain(std::iter::once(n)) {
+            for i in start..end {
+                writer.add(collection.names()[i].clone(), collection.sample(i).to_vec()).unwrap();
+            }
+            writer.commit().unwrap();
+            for &id in &deletes {
+                if id < writer.id_bound() && !writer.reader().is_deleted(id) {
+                    writer.delete(id).unwrap();
+                }
+            }
+            writer.commit().unwrap();
+            start = end;
+        }
+        let reader = writer.reader();
+        let placements: Vec<SegmentPlacement> = (0..reader.segments().len())
+            .map(|i| {
+                if placement_bits[i % placement_bits.len()] {
+                    SegmentPlacement::Replicated
+                } else {
+                    SegmentPlacement::Sharded
+                }
+            })
+            .collect();
+
+        let mut queries: Vec<Vec<u64>> =
+            (0..n).step_by(9).map(|i| collection.sample(i).to_vec()).collect();
+        queries.push(Vec::new());
+        let opts = QueryOptions { top_k: 5, rerank_exact: rerank, ..Default::default() };
+        let reference = QueryEngine::snapshot_with_collection(reader.clone(), &collection)
+            .query_batch(&queries, &opts)
+            .unwrap();
+
+        for ranks in env_usize_list("GAS_DIST_RANKS", &[4, 6, 8]) {
+            if ranks < 2 {
+                continue; // failover needs a survivor
+            }
+            let crashed = crashed_seed % ranks;
+            // Install over the survivors of a `replication`-way layout,
+            // then (when the install succeeds) one batch.
+            let round = |replication: usize| {
+                Runtime::new(ranks)
+                    .with_faults(RankFaults::none().crash(crashed))
+                    .run(|ctx| {
+                        let world = ctx.world();
+                        if world.is_crashed() {
+                            return None;
+                        }
+                        let base = ServingLayout::sharded(world, &reader, replication);
+                        let sub = ctx.expect_ok(
+                            "survivor subgroup",
+                            world.subgroup(&world.alive_world_ranks()),
+                        );
+                        let installed = install_placement(&sub, &reader, &placements, Some(&base));
+                        Some(installed.map(|(layout, install)| {
+                            let q = if sub.rank() == 0 { Some(&queries[..]) } else { None };
+                            let (answers, stats) = ctx.expect_ok(
+                                "planned batch under failover",
+                                dist_query_reader_batch_planned(
+                                    &sub,
+                                    &reader,
+                                    Some(&collection),
+                                    q,
+                                    &opts,
+                                    &layout,
+                                ),
+                            );
+                            (answers, stats, install, layout.failed_ranks().to_vec())
+                        }))
+                    })
+                    .unwrap()
+            };
+
+            let out = round(2);
+            for (rank, result) in out.results.iter().enumerate() {
+                let Some(result) = result else {
+                    prop_assert_eq!(rank, crashed);
+                    continue;
+                };
+                // A typed error or a hang would have failed `expect_ok`;
+                // an `Ok` from the exact-answers entry point is a round
+                // that was not degraded.
+                let (answers, stats, install, failed) =
+                    result.as_ref().expect("two owners per slot cover one crash");
+                prop_assert_eq!(
+                    answers, &reference,
+                    "failover diverges (p={}, crashed={}, rank={}, placements={:?})",
+                    ranks, crashed, rank, &placements
+                );
+                prop_assert_eq!(failed, &vec![crashed]);
+                prop_assert_eq!(install.collective_calls, 1);
+                prop_assert_eq!(stats.collective_calls, if rerank { 6 } else { 5 });
+                for (seg, placement) in stats.per_segment.iter().zip(&placements) {
+                    prop_assert_eq!(seg.owned_rows + seg.fetched_rows, seg.candidate_rows);
+                    if *placement == SegmentPlacement::Replicated {
+                        prop_assert_eq!(seg.fetched_rows, 0, "replica fetched rows under failover");
+                    }
+                }
+            }
+
+            // Unreplicated, the crashed rank's slot is lost: any replica
+            // needing one of its rows cannot be assembled — a typed error
+            // on every survivor, never a panic or a hang.
+            let loses_rows = reader.segments().iter().zip(&placements).any(|(seg, placement)| {
+                *placement == SegmentPlacement::Replicated && seg.n_rows() > crashed
+            });
+            if loses_rows {
+                for result in round(1).results.iter().flatten() {
+                    prop_assert!(
+                        matches!(result, Err(IndexError::Corrupt { context })
+                            if context.contains("no rank shipped row")),
+                        "a lost slot must fail the install typed (p={}, crashed={})",
+                        ranks, crashed
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -536,8 +689,14 @@ fn persisted_index_serves_identically_to_the_built_one() {
         .run(|ctx| {
             let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
             ctx.expect_ok(
-                "dist_query_batch over loaded index",
-                dist_query_batch(ctx.world(), &loaded, Some(&collection), q, &opts),
+                "dist_query_reader_batch over loaded index",
+                dist_query_reader_batch(
+                    ctx.world(),
+                    &loaded.as_reader(),
+                    Some(&collection),
+                    q,
+                    &opts,
+                ),
             )
         })
         .unwrap();
