@@ -12,8 +12,13 @@ all: lint build test
 build:
 	cargo build --workspace --release --locked
 
+# The second command type-checks the perf ledger (bench/ledger: its own
+# package, built --locked against its own lock file) against this tree,
+# so renaming something it imports, or adding a dependency edge its lock
+# file lacks, fails here and not in the benchmark run.
 test:
 	cargo test --workspace --locked -q
+	cargo check --offline --locked --manifest-path bench/ledger/Cargo.toml
 
 lint:
 	cargo fmt --check
@@ -83,10 +88,11 @@ chaos-matrix:
 
 # The segmented index lifecycle suites: writer/reader/compactor unit
 # tests, the `incremental add + compact ≡ full rebuild` and crash-safe
-# commit proptests, and the segmented sharded-serving grid equality.
+# commit proptests, the container round-trip/corruption/refusal suite,
+# and the segmented sharded-serving grid equality.
 index-lifecycle:
 	cargo test -p gas-index --locked -q
-	cargo test --locked -q --test index_lifecycle --test query_serving
+	cargo test --locked -q --test index_lifecycle --test index_persistence --test query_serving
 
 # The CI plan-smoke step: the placement & autotuning sweep on the tiny
 # skewed fixture (planned mixed placement must move at most as many wire

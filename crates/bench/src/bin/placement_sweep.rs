@@ -163,7 +163,7 @@ fn run_placement(
             let mut identical = true;
             for _ in 0..window {
                 let q = if ctx.rank() == 0 { Some(queries) } else { None };
-                let (answers, stats) = ctx.expect_ok(
+                let (answers, _, stats) = ctx.expect_ok(
                     "planned batch",
                     dist_query_reader_batch_planned(
                         ctx.world(),
@@ -388,7 +388,7 @@ fn main() {
             let cfg = IndexConfig::default().with_signature_len(len).with_threshold(threshold);
             let index =
                 IndexOptions::from_config(cfg).build_index(&collection).expect("grid-search index");
-            let engine = QueryEngine::with_collection(&index, &collection);
+            let engine = QueryEngine::snapshot_with_collection(index, &collection);
             let answers = engine.query_batch(&queries, &lsh_opts).expect("grid-search batch");
             let rec = scored_recall(&collection, &queries, &answers, lsh_opts.top_k);
             let qps = measure_qps(&engine, &queries, &lsh_opts);
@@ -412,7 +412,7 @@ fn main() {
         .with_threshold(lsh_choice.params.threshold());
     let auto_index =
         IndexOptions::from_config(auto_cfg).build_index(&collection).expect("auto index");
-    let auto_engine = QueryEngine::with_collection(&auto_index, &collection);
+    let auto_engine = QueryEngine::snapshot_with_collection(auto_index, &collection);
     let auto_answers = auto_engine.query_batch(&queries, &lsh_opts).expect("auto batch");
     let auto_recall = scored_recall(&collection, &queries, &auto_answers, lsh_opts.top_k);
     let auto_qps = measure_qps(&auto_engine, &queries, &lsh_opts);

@@ -57,8 +57,8 @@ use gas_core::minhash::SignatureScheme;
 use gas_dstsim::runtime::Runtime;
 use gas_index::{
     dist_query_reader_batch_stats, dist_query_reader_batch_stats_per_segment, exact_top_k,
-    ChaosStorage, DistQueryStats, FaultPlan, IndexConfig, IndexOptions, IndexService, QueryEngine,
-    QueryOptions, SignerKind, SketchIndex, Storage,
+    ChaosStorage, DistQueryStats, FaultPlan, IndexConfig, IndexOptions, IndexReader, IndexService,
+    QueryEngine, QueryOptions, SignerKind, Storage,
 };
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -365,7 +365,8 @@ fn run_signer(
         .with_threshold(0.4)
         .with_signer(signer);
     let t = Instant::now();
-    let index = IndexOptions::from_config(config).build_index(collection).expect("build succeeds");
+    let options = IndexOptions::from_config(config);
+    let index = options.build_index(collection).expect("build succeeds");
     let build_s = t.elapsed().as_secs_f64();
     println!(
         "[{signer}] built index in {}: {} bands × {} rows (threshold {:.3})",
@@ -419,16 +420,20 @@ fn run_signer(
         pipelined_commit_s / serial_commit_s.max(1e-12)
     );
 
-    // Persist: container round-trip must reproduce the index exactly,
-    // including the signer record.
-    let bytes = index.to_container_bytes();
-    let container_len = bytes.len();
-    let reread = SketchIndex::from_container_bytes(bytes).expect("container parses");
-    assert_eq!(reread, index, "container round-trip must be lossless");
+    // Persist: a round-trip through a container file must reproduce the
+    // index exactly, including the signer record.
+    let path = std::env::temp_dir()
+        .join(format!("gas_query_throughput_{signer}_{}.gidx", std::process::id()));
+    let mut writer = options.create_writer_at(&path).expect("container creates");
+    writer.commit_collection(collection).expect("container writes");
+    let reread = IndexReader::open(&path).expect("container parses");
+    let container_len = std::fs::metadata(&path).expect("container exists").len() as usize;
+    std::fs::remove_file(&path).ok();
+    assert_eq!(reread.segments(), index.segments(), "container round-trip must be lossless");
     assert_eq!(reread.scheme().kind(), signer, "container must record the signer");
 
     // Engine, estimate-only.
-    let engine = QueryEngine::with_collection(&index, collection);
+    let engine = QueryEngine::snapshot_with_collection(index.clone(), collection);
     let est_opts = QueryOptions { top_k: TOP_K, ..Default::default() };
     let est_answers = engine.query_batch(queries, &est_opts).expect("estimate query batch");
     let est_recall = recall(&est_answers, exact);
@@ -454,7 +459,7 @@ fn run_signer(
                     "dist_query_reader_batch_stats",
                     dist_query_reader_batch_stats(
                         ctx.world(),
-                        &index.as_reader(),
+                        &index,
                         Some(collection),
                         q,
                         &rerank_opts,
@@ -636,7 +641,7 @@ fn measure_obs_overhead(
         .with_threshold(0.4)
         .with_signer(SignerKind::Oph);
     let index = IndexOptions::from_config(config).build_index(collection).expect("overhead build");
-    let engine = QueryEngine::with_collection(&index, collection);
+    let engine = QueryEngine::snapshot_with_collection(index, collection);
     let opts = QueryOptions { top_k: TOP_K, rerank_exact: true, ..Default::default() };
     let qps = || {
         let s = time_averaged(|| {
@@ -676,7 +681,7 @@ fn measure_chaos_overhead(
         .with_threshold(0.4)
         .with_signer(SignerKind::Oph);
     let index = IndexOptions::from_config(config).build_index(collection).expect("chaos build");
-    let engine = QueryEngine::with_collection(&index, collection);
+    let engine = QueryEngine::snapshot_with_collection(index, collection);
     let opts = QueryOptions { top_k: TOP_K, rerank_exact: true, ..Default::default() };
     let qps = || {
         let s = time_averaged(|| {

@@ -275,8 +275,9 @@ pub trait Storage: Send + Sync + std::fmt::Debug {
     /// the new content is fully visible — never a mix.
     fn replace(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
 
-    /// Plain whole-file write (legacy v1/v2 containers only; no
-    /// atomicity guarantee).
+    /// Plain whole-file write, no atomicity guarantee. The container
+    /// never commits through it; chaos storage uses it for the torn temp
+    /// files a faulted `replace` leaves behind.
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
 }
 

@@ -1,22 +1,22 @@
-//! Building the LSH-banded sketch index over genome signatures.
+//! The build-side vocabulary of the LSH-banded sketch index: the
+//! [`IndexConfig`] an index is built under, and the per-band
+//! [`BandBuckets`] table every sealed segment holds.
 //!
-//! The index holds one k-mins MinHash signature per data sample plus, for
-//! every band, a bucket table mapping the band's key (a hash of its `r`
-//! signature rows) to the sorted list of sample ids whose signatures
-//! produce that key. Buckets are stored flattened and key-sorted — binary
-//! search at query time, plain little-endian pods at persistence time —
-//! rather than as a hash map, so building, persisting and sharding all
-//! traverse the same deterministic layout.
+//! A segment holds one MinHash signature per sample plus, for every
+//! band, a bucket table mapping the band's key (a hash of its `r`
+//! signature rows, [`band_key`]) to the sorted list of rows whose
+//! signatures produce that key. Buckets are stored flattened and
+//! key-sorted — binary search at query time, plain little-endian pods at
+//! persistence time — rather than as a hash map, so building, persisting
+//! and sharding all traverse the same deterministic layout.
 
 use std::collections::BTreeMap;
 
-use gas_core::indicator::SampleCollection;
-use gas_core::minhash::{splitmix64, MinHashSignature, SignatureScheme, SignerKind};
+use gas_core::minhash::{splitmix64, MinHashSignature, SignerKind};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{IndexError, IndexResult};
 use crate::params::LshParams;
-use crate::segment::{Segment, SharedSegment};
 
 /// Configuration of an index build: signature size, signer, hash seed
 /// and the target Jaccard threshold the banding is tuned for.
@@ -160,164 +160,6 @@ impl BandBuckets {
     }
 }
 
-/// The monolithic sketch index: one sealed [`Segment`] whose global
-/// sample ids are the dense `0..n` of the built collection.
-///
-/// Since the segmented-lifecycle redesign this is a thin convenience
-/// wrapper — [`crate::service::IndexOptions::build_index`] is literally
-/// an [`IndexWriter`](crate::lifecycle::IndexWriter) staging the whole
-/// collection followed by a single `commit()` — kept so one-shot callers
-/// (build → persist → serve a static corpus) keep a direct API, and so
-/// v1/v2 containers still deserialize into a ready-to-serve value.
-/// Long-lived corpora that grow, shrink and compact should hold an
-/// `IndexWriter` and take [`IndexReader`](crate::lifecycle::IndexReader)
-/// snapshots instead.
-#[derive(Debug, Clone)]
-pub struct SketchIndex {
-    segment: SharedSegment,
-}
-
-impl PartialEq for SketchIndex {
-    /// Content equality: the segment id is lifecycle bookkeeping the
-    /// v1/v2 container does not record, so it is ignored here (a rebuilt
-    /// and a reloaded index compare equal).
-    fn eq(&self, other: &Self) -> bool {
-        self.segment.same_content(&other.segment)
-    }
-}
-
-impl SketchIndex {
-    /// Build the index over every sample of `collection`: an
-    /// [`IndexWriter`](crate::lifecycle::IndexWriter) sealing the whole
-    /// collection in one commit (the staging-free `commit_collection`
-    /// path — signatures come straight off the collection's slices, no
-    /// copies of the value sets are made). The public entry point is
-    /// [`crate::service::IndexOptions::build_index`].
-    pub(crate) fn build_monolithic(
-        collection: &SampleCollection,
-        config: &IndexConfig,
-    ) -> IndexResult<Self> {
-        let mut writer = crate::lifecycle::IndexWriter::new_in_memory(config)?;
-        writer.commit_collection(collection)?;
-        Ok(writer.reader().to_monolithic().expect("one fresh commit is dense and tombstone-free"))
-    }
-
-    /// Wrap an already-sealed segment (the lifecycle layer's path into
-    /// the monolithic convenience type).
-    pub(crate) fn from_segment(segment: SharedSegment) -> Self {
-        SketchIndex { segment }
-    }
-
-    /// The underlying sealed segment.
-    pub(crate) fn segment(&self) -> &SharedSegment {
-        &self.segment
-    }
-
-    /// A single-segment reader snapshot over this index (no tombstones,
-    /// generation 0) — the bridge from the monolithic convenience API to
-    /// every multi-segment code path (query engine, distributed
-    /// serving).
-    pub fn as_reader(&self) -> crate::lifecycle::IndexReader {
-        crate::lifecycle::IndexReader::from_single(self.segment.clone())
-    }
-
-    /// Reassemble an index from its parts (the persistence reader path).
-    pub fn from_parts(
-        scheme: SignatureScheme,
-        params: LshParams,
-        signatures: Vec<MinHashSignature>,
-        set_sizes: Vec<u64>,
-        names: Vec<String>,
-        bands: Vec<BandBuckets>,
-    ) -> IndexResult<Self> {
-        let global_ids = (0..signatures.len() as u32).collect();
-        let segment = Segment::from_parts(
-            0, scheme, params, global_ids, signatures, set_sizes, names, bands,
-        )?;
-        Ok(SketchIndex { segment: SharedSegment::new(segment) })
-    }
-
-    /// Number of indexed samples.
-    pub fn n(&self) -> usize {
-        self.segment.n_rows()
-    }
-
-    /// The signature scheme (signer kind + length + seed) shared by
-    /// index and queries.
-    pub fn scheme(&self) -> &SignatureScheme {
-        self.segment.scheme()
-    }
-
-    /// Check that a query-side scheme matches this index's scheme.
-    ///
-    /// Signatures are only comparable position by position when they come
-    /// from the *same* signer, length and seed; a query signed under any
-    /// other scheme would silently score garbage, so mismatches surface
-    /// as a typed [`IndexError::SignerMismatch`].
-    pub fn check_query_scheme(&self, query_scheme: &SignatureScheme) -> IndexResult<()> {
-        if query_scheme != self.segment.scheme() {
-            return Err(IndexError::SignerMismatch {
-                index_scheme: self.segment.scheme().describe(),
-                query_scheme: query_scheme.describe(),
-            });
-        }
-        Ok(())
-    }
-
-    /// The banding parameters.
-    pub fn params(&self) -> &LshParams {
-        self.segment.params()
-    }
-
-    /// Signature of sample `id` (sample ids are the segment's dense
-    /// local rows here).
-    pub fn signature(&self, id: usize) -> &MinHashSignature {
-        self.segment.signature(id)
-    }
-
-    /// All signatures, id-ordered.
-    pub fn signatures(&self) -> &[MinHashSignature] {
-        self.segment.signatures()
-    }
-
-    /// Original set cardinalities, id-ordered.
-    pub fn set_sizes(&self) -> &[u64] {
-        self.segment.set_sizes()
-    }
-
-    /// Sample names, id-ordered.
-    pub fn names(&self) -> &[String] {
-        self.segment.names()
-    }
-
-    /// The bucket table of `band`.
-    pub fn band(&self, band: usize) -> &BandBuckets {
-        self.segment.band(band)
-    }
-
-    /// The bucket key of `sig` in `band`.
-    pub fn band_key(&self, band: usize, sig: &MinHashSignature) -> u64 {
-        band_key(self.segment.params(), band, sig)
-    }
-
-    /// Candidate ids for a query signature, probing only the bands
-    /// `band_filter` admits (the distributed path passes its shard's
-    /// bands; the local path passes `|_| true`). Returned sorted and
-    /// deduplicated so candidate sets are deterministic.
-    pub fn candidates_where<F: Fn(usize) -> bool>(
-        &self,
-        sig: &MinHashSignature,
-        band_filter: F,
-    ) -> Vec<u32> {
-        self.segment.candidates_where(sig, band_filter)
-    }
-
-    /// Candidate ids for a query signature over all bands.
-    pub fn candidates(&self, sig: &MinHashSignature) -> Vec<u32> {
-        self.candidates_where(sig, |_| true)
-    }
-}
-
 /// The bucket key of band `band`: the band index folded with the band's
 /// `r` signature rows through the splitmix finalizer. Including the band
 /// index means identical row values in different bands do not alias to
@@ -337,6 +179,8 @@ pub fn band_key(params: &LshParams, band: usize, sig: &MinHashSignature) -> u64 
 mod tests {
     use super::*;
     use crate::service::IndexOptions;
+    use gas_core::indicator::SampleCollection;
+    use gas_core::minhash::SignatureScheme;
 
     fn family_collection() -> SampleCollection {
         // Two families of three near-duplicates plus one loner.
@@ -362,13 +206,16 @@ mod tests {
         let collection = family_collection();
         let config = IndexConfig::default().with_signature_len(64).with_threshold(0.5);
         let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
-        assert_eq!(index.n(), 7);
-        assert_eq!(index.params().signature_len(), 64);
-        assert_eq!(index.set_sizes(), &collection.cardinalities()[..]);
-        assert_eq!(index.names(), collection.names());
+        // One commit: one segment, dense global ids, generation 1.
+        assert_eq!((index.segments().len(), index.n_live(), index.generation()), (1, 7, 1));
+        let segment = &index.segments()[0];
+        assert_eq!(segment.global_ids(), (0..7).collect::<Vec<u32>>());
+        assert_eq!(segment.params().signature_len(), 64);
+        assert_eq!(segment.set_sizes(), &collection.cardinalities()[..]);
+        assert_eq!(segment.names(), collection.names());
         // Every sample appears exactly once per band.
-        for band in 0..index.params().bands() {
-            let b = index.band(band);
+        for band in 0..segment.params().bands() {
+            let b = segment.band(band);
             assert_eq!(b.ids().len(), 7);
             let mut seen: Vec<u32> = b.ids().to_vec();
             seen.sort_unstable();
@@ -378,7 +225,7 @@ mod tests {
         }
         // A sample is always a candidate for its own signature.
         for id in 0..7usize {
-            let cands = index.candidates(index.signature(id));
+            let cands = segment.candidates_where(segment.signature(id), |_| true);
             assert!(cands.contains(&(id as u32)), "sample {id} not its own candidate");
         }
     }
@@ -388,8 +235,9 @@ mod tests {
         let collection = family_collection();
         let config = IndexConfig::default().with_signature_len(128).with_threshold(0.5);
         let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
+        let segment = &index.segments()[0];
         // Family members (J ≈ 0.95) must be candidates of each other.
-        let cands = index.candidates(index.signature(0));
+        let cands = segment.candidates_where(segment.signature(0), |_| true);
         assert!(cands.contains(&1) && cands.contains(&2), "family not retrieved: {cands:?}");
         // The loner shares no bucket with family A (J = 0).
         assert!(!cands.contains(&6), "disjoint loner retrieved: {cands:?}");
@@ -404,7 +252,8 @@ mod tests {
             .with_signer(SignerKind::Oph);
         let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
         assert_eq!(index.scheme().kind(), SignerKind::Oph);
-        let cands = index.candidates(index.signature(0));
+        let segment = &index.segments()[0];
+        let cands = segment.candidates_where(segment.signature(0), |_| true);
         assert!(cands.contains(&1) && cands.contains(&2), "family not retrieved: {cands:?}");
         assert!(!cands.contains(&6), "disjoint loner retrieved: {cands:?}");
     }
@@ -459,42 +308,5 @@ mod tests {
         assert!(BandBuckets::from_raw_parts(vec![10, 10], vec![0, 1, 2], vec![1, 2]).is_err());
         assert!(BandBuckets::from_raw_parts(vec![20, 10], vec![0, 1, 2], vec![1, 2]).is_err());
         assert!(BandBuckets::from_raw_parts(vec![10], vec![1, 1], vec![1]).is_err());
-    }
-
-    #[test]
-    fn from_parts_validates_shapes() {
-        let collection = family_collection();
-        let config = IndexConfig::default().with_signature_len(32);
-        let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
-        let rebuilt = SketchIndex::from_parts(
-            *index.scheme(),
-            *index.params(),
-            index.signatures().to_vec(),
-            index.set_sizes().to_vec(),
-            index.names().to_vec(),
-            (0..index.params().bands()).map(|b| index.band(b).clone()).collect(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt, index);
-        // Wrong band count.
-        assert!(SketchIndex::from_parts(
-            *index.scheme(),
-            *index.params(),
-            index.signatures().to_vec(),
-            index.set_sizes().to_vec(),
-            index.names().to_vec(),
-            vec![],
-        )
-        .is_err());
-        // Mismatched metadata length.
-        assert!(SketchIndex::from_parts(
-            *index.scheme(),
-            *index.params(),
-            index.signatures().to_vec(),
-            vec![],
-            index.names().to_vec(),
-            (0..index.params().bands()).map(|b| index.band(b).clone()).collect(),
-        )
-        .is_err());
     }
 }

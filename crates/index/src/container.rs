@@ -1,52 +1,50 @@
-//! The `gas-index` container: a self-describing, versioned, checksummed
-//! binary file format.
+//! The `gas-index` container: a self-describing, versioned, checksummed,
+//! append-only binary file.
 //!
-//! The vendored serde is a no-op stub, so persistence is hand-rolled: a
-//! fixed header, a section table and little-endian pod payloads. The
-//! layout of version 1 is:
+//! The vendored serde is a no-op stub, so persistence is hand-rolled
+//! little-endian pods. There is one format, the segmented block stream
+//! (version [`VERSION_SEGMENTED`]):
 //!
 //! ```text
-//! [0..8)    magic       b"GASIDX01"
-//! [8..12)   version     u32 LE (currently 1)
-//! [12..16)  sections    u32 LE — number of section-table entries
-//! [16..24)  total_len   u64 LE — byte length of the whole file
-//! [24..)    table       sections × 32 bytes:
-//!               tag [u8; 8] | offset u64 | len u64 | fnv1a64(payload)
-//! [..+8)    table_crc   u64 LE — fnv1a64 of everything above
-//! [...]     payloads    section byte ranges, non-overlapping
+//! [0..8)    magic        b"GASIDX01"
+//! [8..12)   version      u32 LE (3)
+//! [12..20)  header_crc   u64 LE — fnv1a64 of bytes [0..12)
+//! [20..)    blocks, each:
+//!     [0..4)    kind          b"SEG\0" | b"MAN\0"
+//!     [4..8)    reserved      u32 LE (0)
+//!     [8..16)   payload_len   u64 LE
+//!     [16..24)  payload_crc   u64 LE — fnv1a64 of the payload
+//!     [24..32)  header_crc    u64 LE — fnv1a64 of bytes [0..24)
+//!     [32..)    payload
 //! ```
 //!
-//! Readers validate magic, version, declared length against the real
-//! length (catching truncation), the header/table checksum and every
-//! section checksum before any payload byte is interpreted, and then
-//! decode sections through a bounds-checked [`PodReader`] — corrupt input
-//! produces a typed [`IndexError`], never a panic or a wild slice. The
-//! whole file is read once into memory and sections are borrowed slices
-//! of that buffer (a zero-copy-style reader: no per-element allocation
-//! until typed vectors are materialized).
-
-use std::path::Path;
+//! Commits append `SEG* MAN` — immutable segment blocks, then the
+//! generation-numbered manifest strictly last. The scanner walks blocks
+//! until the first torn or unknown one and keeps the newest manifest
+//! seen; a crash, truncation or flip inside the newest commit therefore
+//! falls back to the previous generation, and a file with no surviving
+//! manifest is rejected with a typed error.
+//!
+//! The whole file is read once; every checksum is validated before a
+//! payload byte is interpreted, and payloads decode through a
+//! bounds-checked [`PodReader`] that never sizes an allocation from a
+//! count the payload has not backed with bytes — corrupt or forged input
+//! produces a typed [`IndexError`], never a panic, a wild slice or an
+//! allocation abort. Versions 1 and 2 (a single-index section table) are
+//! no longer read: every opener refuses them with
+//! [`IndexError::UnsupportedVersion`] and leaves the file untouched.
 
 use gas_core::minhash::{MinHashSignature, SignatureScheme, SignerKind};
 
-use crate::build::{BandBuckets, SketchIndex};
+use crate::build::BandBuckets;
 use crate::error::{IndexError, IndexResult};
 use crate::params::LshParams;
+use crate::segment::{Segment, SharedSegment};
 
 /// Container magic: "GASIDX" plus the two-digit format generation (the
 /// file *family*; incompatible layout revisions bump the version field,
 /// not the magic).
 pub const MAGIC: [u8; 8] = *b"GASIDX01";
-
-/// Current *single-index* container format version (the section-table
-/// layout this module's `Container`/`ContainerWriter` read and write).
-/// Version 2 added the `SGNR` section recording which signer produced
-/// the signatures; version-1 files (no `SGNR`) predate one-permutation
-/// hashing and decode as k-mins. Version 3 is the *segmented* layout
-/// ([`VERSION_SEGMENTED`]): a block stream, not a section table, read
-/// through the lifecycle openers (`IndexReader::open` /
-/// `IndexWriter::open`) rather than through [`Container::parse`].
-pub const VERSION: u32 = 2;
 
 /// The segmented (multi-segment, append-only) container format version:
 /// a 20-byte checksummed header followed by a stream of checksummed
@@ -56,24 +54,6 @@ pub const VERSION: u32 = 2;
 /// out; anything after it (a torn commit) is ignored, so a crash or
 /// truncation mid-commit falls back to the previous generation.
 pub const VERSION_SEGMENTED: u32 = 3;
-
-const HEADER_LEN: usize = 24;
-const TABLE_ENTRY_LEN: usize = 32;
-
-/// Section holding index-wide metadata (scheme, banding, names, sizes).
-pub const SECTION_META: [u8; 8] = *b"META\0\0\0\0";
-/// Section holding the flattened signature matrix.
-pub const SECTION_SIGS: [u8; 8] = *b"SIGS\0\0\0\0";
-/// Section holding every band's flattened bucket table.
-pub const SECTION_BUCK: [u8; 8] = *b"BUCK\0\0\0\0";
-/// Section describing the signer (since version 2): section layout
-/// version, signer-kind code, signature length and seed — the last two
-/// repeated from `META` so the signer record is self-contained and
-/// cross-checked on read.
-pub const SECTION_SGNR: [u8; 8] = *b"SGNR\0\0\0\0";
-
-/// Layout version of the `SGNR` section payload.
-const SGNR_LAYOUT: u32 = 1;
 
 /// FNV-1a 64-bit checksum (the container's integrity hash: simple,
 /// dependency-free and byte-order independent).
@@ -86,166 +66,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Incrementally builds a container from tagged sections.
-#[derive(Debug, Default)]
-pub struct ContainerWriter {
-    sections: Vec<([u8; 8], Vec<u8>)>,
-}
-
-impl ContainerWriter {
-    /// An empty container.
-    pub fn new() -> Self {
-        ContainerWriter::default()
-    }
-
-    /// Append a section (order is preserved in the file).
-    pub fn add_section(&mut self, tag: [u8; 8], payload: Vec<u8>) {
-        self.sections.push((tag, payload));
-    }
-
-    /// Serialize header, table and payloads into one byte buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let table_len = self.sections.len() * TABLE_ENTRY_LEN;
-        let payload_base = HEADER_LEN + table_len + 8;
-        let total_len = payload_base + self.sections.iter().map(|(_, p)| p.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(total_len);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(total_len as u64).to_le_bytes());
-        let mut offset = payload_base;
-        for (tag, payload) in &self.sections {
-            out.extend_from_slice(tag);
-            out.extend_from_slice(&(offset as u64).to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-            offset += payload.len();
-        }
-        let table_crc = fnv1a64(&out);
-        out.extend_from_slice(&table_crc.to_le_bytes());
-        for (_, payload) in &self.sections {
-            out.extend_from_slice(payload);
-        }
-        debug_assert_eq!(out.len(), total_len);
-        out
-    }
-
-    /// Write the container to `path`.
-    pub fn write_to(&self, path: impl AsRef<Path>) -> IndexResult<()> {
-        self.write_to_with(&gas_chaos::RealFs, path)
-    }
-
-    /// [`Self::write_to`] through an explicit [`gas_chaos::Storage`]
-    /// (fault-injection drills).
-    pub fn write_to_with(
-        &self,
-        storage: &dyn gas_chaos::Storage,
-        path: impl AsRef<Path>,
-    ) -> IndexResult<()> {
-        storage.write(path.as_ref(), &self.to_bytes())?;
-        Ok(())
-    }
-}
-
-/// A parsed container: the raw bytes plus the validated section table.
-/// Section accessors return borrowed slices of the single file buffer.
-#[derive(Debug)]
-pub struct Container {
-    bytes: Vec<u8>,
-    version: u32,
-    sections: Vec<([u8; 8], std::ops::Range<usize>)>,
-}
-
-impl Container {
-    /// Read and validate a container file.
-    pub fn open(path: impl AsRef<Path>) -> IndexResult<Self> {
-        Container::open_with(&gas_chaos::RealFs, path)
-    }
-
-    /// [`Self::open`] through an explicit [`gas_chaos::Storage`]
-    /// (fault-injection drills).
-    pub fn open_with(
-        storage: &dyn gas_chaos::Storage,
-        path: impl AsRef<Path>,
-    ) -> IndexResult<Self> {
-        Container::parse(storage.read(path.as_ref())?)
-    }
-
-    /// Validate a container from an in-memory byte buffer.
-    pub fn parse(bytes: Vec<u8>) -> IndexResult<Self> {
-        if bytes.len() < HEADER_LEN + 8 {
-            return Err(IndexError::Truncated { context: "header".into() });
-        }
-        if bytes[0..8] != MAGIC {
-            return Err(IndexError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if !(1..=VERSION).contains(&version) {
-            return Err(IndexError::UnsupportedVersion(version));
-        }
-        let section_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let total_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        if total_len != bytes.len() as u64 {
-            return Err(IndexError::Truncated {
-                context: format!("file is {} bytes but declares {total_len}", bytes.len()),
-            });
-        }
-        let table_end = HEADER_LEN + section_count * TABLE_ENTRY_LEN;
-        if bytes.len() < table_end + 8 {
-            return Err(IndexError::Truncated { context: "section table".into() });
-        }
-        let stored_crc = u64::from_le_bytes(bytes[table_end..table_end + 8].try_into().unwrap());
-        if fnv1a64(&bytes[..table_end]) != stored_crc {
-            return Err(IndexError::ChecksumMismatch { section: "header".into() });
-        }
-        let mut sections = Vec::with_capacity(section_count);
-        for i in 0..section_count {
-            let e = HEADER_LEN + i * TABLE_ENTRY_LEN;
-            let tag: [u8; 8] = bytes[e..e + 8].try_into().unwrap();
-            let offset = u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap()) as usize;
-            let len = u64::from_le_bytes(bytes[e + 16..e + 24].try_into().unwrap()) as usize;
-            let crc = u64::from_le_bytes(bytes[e + 24..e + 32].try_into().unwrap());
-            let end = offset.checked_add(len).ok_or_else(|| IndexError::Corrupt {
-                context: format!("section {} range overflows", tag_name(&tag)),
-            })?;
-            if offset < table_end + 8 || end > bytes.len() {
-                return Err(IndexError::Truncated {
-                    context: format!("section {} payload", tag_name(&tag)),
-                });
-            }
-            if fnv1a64(&bytes[offset..end]) != crc {
-                return Err(IndexError::ChecksumMismatch { section: tag_name(&tag) });
-            }
-            sections.push((tag, offset..end));
-        }
-        Ok(Container { bytes, version, sections })
-    }
-
-    /// The declared format version of this container.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// The payload of the section tagged `tag`.
-    pub fn section(&self, tag: [u8; 8]) -> IndexResult<&[u8]> {
-        self.sections
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, range)| &self.bytes[range.clone()])
-            .ok_or_else(|| IndexError::MissingSection(tag_name(&tag)))
-    }
-
-    /// Tags present, in file order.
-    pub fn tags(&self) -> Vec<String> {
-        self.sections.iter().map(|(t, _)| tag_name(t)).collect()
-    }
-}
-
-fn tag_name(tag: &[u8; 8]) -> String {
-    String::from_utf8_lossy(tag).trim_end_matches('\0').to_string()
-}
-
-/// Bounds-checked little-endian pod decoding over a borrowed section.
+/// Bounds-checked little-endian pod decoding over a borrowed block
+/// payload.
 #[derive(Debug)]
 pub struct PodReader<'a> {
     buf: &'a [u8],
@@ -257,6 +79,17 @@ impl<'a> PodReader<'a> {
     /// Decode `buf`, labelling errors with `section`.
     pub fn new(buf: &'a [u8], section: &'static str) -> Self {
         PodReader { buf, pos: 0, section }
+    }
+
+    /// Check that `count` records of at least `min_len` bytes each can
+    /// still follow. Decoders ask this *before* sizing an allocation from
+    /// a wire count: checksums are not secrets, so a forged count must be
+    /// a typed error, not an allocation the payload never backed.
+    fn backs(&self, count: usize, min_len: usize, what: &str) -> IndexResult<()> {
+        match count.checked_mul(min_len) {
+            Some(need) if need <= self.buf.len() - self.pos => Ok(()),
+            _ => Err(IndexError::Truncated { context: format!("{}: {what}", self.section) }),
+        }
     }
 
     fn take(&mut self, n: usize, what: &str) -> IndexResult<&'a [u8]> {
@@ -312,7 +145,7 @@ impl<'a> PodReader<'a> {
         })
     }
 
-    /// Assert the section was consumed exactly.
+    /// Assert the payload was consumed exactly.
     pub fn finish(self) -> IndexResult<()> {
         if self.pos != self.buf.len() {
             return Err(IndexError::Corrupt {
@@ -335,185 +168,6 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-impl SketchIndex {
-    /// Serialize this index into container bytes.
-    pub fn to_container_bytes(&self) -> Vec<u8> {
-        let mut meta = Vec::new();
-        push_u32(&mut meta, self.scheme().len() as u32);
-        push_u64(&mut meta, self.scheme().seed());
-        push_u32(&mut meta, self.params().bands() as u32);
-        push_u32(&mut meta, self.params().rows() as u32);
-        push_u32(&mut meta, self.n() as u32);
-        for &s in self.set_sizes() {
-            push_u64(&mut meta, s);
-        }
-        for name in self.names() {
-            push_u32(&mut meta, name.len() as u32);
-            meta.extend_from_slice(name.as_bytes());
-        }
-
-        let mut sigs = Vec::with_capacity(self.n() * self.scheme().len() * 8);
-        for sig in self.signatures() {
-            for &v in sig.values() {
-                push_u64(&mut sigs, v);
-            }
-        }
-
-        let mut buck = Vec::new();
-        for band in 0..self.params().bands() {
-            let b = self.band(band);
-            push_u32(&mut buck, b.len() as u32);
-            push_u32(&mut buck, b.ids().len() as u32);
-            for &k in b.keys() {
-                push_u64(&mut buck, k);
-            }
-            for &o in b.offsets() {
-                push_u32(&mut buck, o);
-            }
-            for &id in b.ids() {
-                push_u32(&mut buck, id);
-            }
-        }
-
-        let mut sgnr = Vec::new();
-        push_u32(&mut sgnr, SGNR_LAYOUT);
-        push_u32(&mut sgnr, self.scheme().kind().code());
-        push_u32(&mut sgnr, self.scheme().len() as u32);
-        push_u64(&mut sgnr, self.scheme().seed());
-
-        let mut writer = ContainerWriter::new();
-        writer.add_section(SECTION_META, meta);
-        writer.add_section(SECTION_SGNR, sgnr);
-        writer.add_section(SECTION_SIGS, sigs);
-        writer.add_section(SECTION_BUCK, buck);
-        writer.to_bytes()
-    }
-
-    /// Write this index as a container file at `path`.
-    pub fn write_to(&self, path: impl AsRef<Path>) -> IndexResult<()> {
-        self.write_to_with(&gas_chaos::RealFs, path)
-    }
-
-    /// [`Self::write_to`] through an explicit [`gas_chaos::Storage`]
-    /// (fault-injection drills).
-    pub fn write_to_with(
-        &self,
-        storage: &dyn gas_chaos::Storage,
-        path: impl AsRef<Path>,
-    ) -> IndexResult<()> {
-        storage.write(path.as_ref(), &self.to_container_bytes())?;
-        Ok(())
-    }
-
-    /// Decode an index from validated container bytes.
-    pub fn from_container_bytes(bytes: Vec<u8>) -> IndexResult<Self> {
-        let container = Container::parse(bytes)?;
-
-        let mut meta = PodReader::new(container.section(SECTION_META)?, "META");
-        let sig_len = meta.u32("signature length")? as usize;
-        let seed = meta.u64("seed")?;
-        let bands = meta.u32("band count")? as usize;
-        let rows = meta.u32("rows per band")? as usize;
-        let n = meta.u32("sample count")? as usize;
-        let set_sizes = meta.u64s(n, "set sizes")?;
-        let mut names = Vec::with_capacity(n);
-        for i in 0..n {
-            names.push(meta.string(&format!("name {i}"))?);
-        }
-        meta.finish()?;
-
-        // Since version 2 the signer is recorded in its own section; a
-        // version-1 file predates OPH and can only hold k-mins signatures.
-        let kind = if container.version() >= 2 {
-            let mut sgnr = PodReader::new(container.section(SECTION_SGNR)?, "SGNR");
-            let layout = sgnr.u32("signer layout version")?;
-            if layout != SGNR_LAYOUT {
-                return Err(IndexError::Corrupt {
-                    context: format!("SGNR: unknown layout version {layout}"),
-                });
-            }
-            let code = sgnr.u32("signer kind code")?;
-            let kind = SignerKind::from_code(code).ok_or_else(|| IndexError::Corrupt {
-                context: format!("SGNR: unknown signer kind code {code}"),
-            })?;
-            let sgnr_len = sgnr.u32("signer signature length")? as usize;
-            let sgnr_seed = sgnr.u64("signer seed")?;
-            sgnr.finish()?;
-            if sgnr_len != sig_len || sgnr_seed != seed {
-                return Err(IndexError::Corrupt {
-                    context: format!(
-                        "SGNR disagrees with META: {sgnr_len}/{sgnr_seed:#x} vs {sig_len}/{seed:#x}"
-                    ),
-                });
-            }
-            kind
-        } else {
-            SignerKind::KMins
-        };
-
-        let scheme = SignatureScheme::new(sig_len)
-            .map_err(|_| IndexError::Corrupt { context: "META: zero signature length".into() })?
-            .with_seed(seed)
-            .with_kind(kind);
-        let params = LshParams::new(bands, rows)
-            .map_err(|_| IndexError::Corrupt { context: "META: zero bands or rows".into() })?;
-
-        let mut sigs = PodReader::new(container.section(SECTION_SIGS)?, "SIGS");
-        let mut signatures = Vec::with_capacity(n);
-        for i in 0..n {
-            signatures.push(MinHashSignature::from_values(
-                sigs.u64s(sig_len, &format!("signature {i}"))?,
-            ));
-        }
-        sigs.finish()?;
-
-        let mut buck = PodReader::new(container.section(SECTION_BUCK)?, "BUCK");
-        let mut band_tables = Vec::with_capacity(bands);
-        for band in 0..bands {
-            let key_count = buck.u32(&format!("band {band} key count"))? as usize;
-            let id_count = buck.u32(&format!("band {band} id count"))? as usize;
-            let keys = buck.u64s(key_count, &format!("band {band} keys"))?;
-            let offsets = buck.u32s(key_count + 1, &format!("band {band} offsets"))?;
-            let ids = buck.u32s(id_count, &format!("band {band} ids"))?;
-            band_tables.push(BandBuckets::from_raw_parts(keys, offsets, ids)?);
-        }
-        buck.finish()?;
-
-        SketchIndex::from_parts(scheme, params, signatures, set_sizes, names, band_tables)
-    }
-
-    /// Read an index container from `path`.
-    pub fn read_from(path: impl AsRef<Path>) -> IndexResult<Self> {
-        SketchIndex::from_container_bytes(gas_chaos::Storage::read(
-            &gas_chaos::RealFs,
-            path.as_ref(),
-        )?)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Version 3: the segmented, append-only container.
-//
-// ```text
-// [0..8)    magic        b"GASIDX01"
-// [8..12)   version      u32 LE (3)
-// [12..20)  header_crc   u64 LE — fnv1a64 of bytes [0..12)
-// [20..)    blocks, each:
-//     [0..4)    kind          b"SEG\0" | b"MAN\0"
-//     [4..8)    reserved      u32 LE (0)
-//     [8..16)   payload_len   u64 LE
-//     [16..24)  payload_crc   u64 LE — fnv1a64 of the payload
-//     [24..32)  header_crc    u64 LE — fnv1a64 of bytes [0..24)
-//     [32..)    payload
-// ```
-//
-// Commits append `SEG* MAN` — the manifest strictly last. The scanner
-// walks blocks until the first torn or unknown one and keeps the newest
-// manifest seen; a crash, truncation or flip inside the newest commit
-// therefore falls back to the previous generation, and a file with no
-// surviving manifest is rejected with a typed error.
-// ---------------------------------------------------------------------
-
 /// Byte length of the v3 file header.
 pub(crate) const V3_HEADER_LEN: usize = 20;
 /// Byte length of one v3 block header.
@@ -526,21 +180,6 @@ pub(crate) const BLOCK_MANIFEST: [u8; 4] = *b"MAN\0";
 const SEGMENT_LAYOUT: u32 = 1;
 /// Layout version of manifest payloads.
 const MANIFEST_LAYOUT: u32 = 1;
-
-use crate::segment::{Segment, SharedSegment};
-
-/// Sniff the container family and version of a byte buffer without
-/// committing to a layout: shared by every opener so v1/v2 section
-/// tables and v3 block streams dispatch to the right reader.
-pub(crate) fn container_version(bytes: &[u8]) -> IndexResult<u32> {
-    if bytes.len() < 12 {
-        return Err(IndexError::Truncated { context: "container header".into() });
-    }
-    if bytes[0..8] != MAGIC {
-        return Err(IndexError::BadMagic);
-    }
-    Ok(u32::from_le_bytes(bytes[8..12].try_into().unwrap()))
-}
 
 /// The 20-byte v3 file header.
 pub(crate) fn v3_header_bytes() -> Vec<u8> {
@@ -588,6 +227,14 @@ fn read_scheme(r: &mut PodReader<'_>) -> IndexResult<(SignatureScheme, LshParams
         .with_kind(kind);
     let params = LshParams::new(bands, rows)
         .map_err(|_| IndexError::Corrupt { context: "zero bands or rows".into() })?;
+    if bands.checked_mul(rows) != Some(len) {
+        return Err(IndexError::Corrupt {
+            context: format!(
+                "{}: {bands} bands of {rows} rows do not tile a {len}-long signature",
+                r.section
+            ),
+        });
+    }
     Ok((scheme, params))
 }
 
@@ -645,6 +292,7 @@ pub(crate) fn decode_segment(payload: &[u8]) -> IndexResult<Segment> {
     let n = r.u32("row count")? as usize;
     let global_ids = r.u32s(n, "global ids")?;
     let set_sizes = r.u64s(n, "set sizes")?;
+    // `n` is backed from here on: its ids and set sizes were just taken.
     let mut names = Vec::with_capacity(n);
     for i in 0..n {
         names.push(r.string(&format!("name {i}"))?);
@@ -654,6 +302,8 @@ pub(crate) fn decode_segment(payload: &[u8]) -> IndexResult<Segment> {
         signatures
             .push(MinHashSignature::from_values(r.u64s(scheme.len(), &format!("signature {i}"))?));
     }
+    // The smallest band table is two counts and one offset.
+    r.backs(params.bands(), 12, "band tables")?;
     let mut bands = Vec::with_capacity(params.bands());
     for band in 0..params.bands() {
         let key_count = r.u32(&format!("band {band} key count"))? as usize;
@@ -723,6 +373,7 @@ pub(crate) fn decode_manifest(payload: &[u8]) -> IndexResult<ManifestRecord> {
     let (scheme, params) = read_scheme(&mut r)?;
     let next_id = r.u32("next global id")?;
     let segment_count = r.u32("segment count")? as usize;
+    r.backs(segment_count, 20, "segment refs")?;
     let mut segments = Vec::with_capacity(segment_count);
     for i in 0..segment_count {
         let id = r.u64(&format!("segment ref {i} id"))?;
@@ -771,19 +422,26 @@ pub(crate) struct V3Scan {
 /// garbage *inside* a checksum-valid block is a hard typed error — it
 /// cannot come from a crash, only from a writer bug or a forged file.
 pub(crate) fn scan_v3(bytes: &[u8]) -> IndexResult<V3Scan> {
-    if bytes.len() < V3_HEADER_LEN {
-        return Err(IndexError::Truncated { context: "segmented container header".into() });
+    let truncated = || IndexError::Truncated { context: "container header".into() };
+    if bytes.len() < 12 {
+        return Err(truncated());
     }
     if bytes[0..8] != MAGIC {
         return Err(IndexError::BadMagic);
     }
-    let stored = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    if fnv1a64(&bytes[..12]) != stored {
-        return Err(IndexError::ChecksumMismatch { section: "v3 header".into() });
-    }
+    // The version is judged before the header checksum: bytes 12..20 of
+    // a version-1/2 file are a section count and a length, not a
+    // checksum, and "too old" must not read as a checksum mismatch.
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     if version != VERSION_SEGMENTED {
         return Err(IndexError::UnsupportedVersion(version));
+    }
+    if bytes.len() < V3_HEADER_LEN {
+        return Err(truncated());
+    }
+    let stored = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+    if fnv1a64(&bytes[..12]) != stored {
+        return Err(IndexError::ChecksumMismatch { section: "v3 header".into() });
     }
     let mut scan = V3Scan {
         segments: Default::default(),
@@ -871,7 +529,7 @@ mod tests {
     use crate::service::IndexOptions;
     use gas_core::indicator::SampleCollection;
 
-    fn small_index() -> SketchIndex {
+    fn small_segment(signer: SignerKind) -> SharedSegment {
         let collection = SampleCollection::from_sorted_sets(vec![
             (0..300u64).collect(),
             (100..400u64).collect(),
@@ -881,189 +539,75 @@ mod tests {
         .unwrap()
         .with_names(vec!["a".into(), "b".into(), "naïve-✓".into(), "empty".into()])
         .unwrap();
-        IndexOptions::from_config(IndexConfig::default().with_signature_len(32))
-            .build_index(&collection)
-            .unwrap()
+        let config = IndexConfig::default().with_signature_len(32).with_signer(signer);
+        let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
+        index.segments()[0].clone()
     }
 
     #[test]
-    fn container_bytes_round_trip() {
-        let index = small_index();
-        let bytes = index.to_container_bytes();
-        let back = SketchIndex::from_container_bytes(bytes).unwrap();
-        assert_eq!(back, index);
-        assert_eq!(back.names()[2], "naïve-✓");
+    fn segment_payload_round_trips_for_both_signers() {
+        for signer in [SignerKind::KMins, SignerKind::Oph] {
+            let segment = small_segment(signer);
+            let back = decode_segment(&segment_payload(&segment)).unwrap();
+            assert_eq!(back, *segment);
+            assert_eq!(back.scheme().kind(), signer, "the payload records the signer");
+            assert_eq!(back.names()[2], "naïve-✓");
+        }
     }
 
     #[test]
-    fn file_round_trip() {
-        let index = small_index();
-        let path = std::env::temp_dir()
-            .join(format!("gas_index_container_test_{}.gidx", std::process::id()));
-        index.write_to(&path).unwrap();
-        let back = SketchIndex::read_from(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back, index);
-    }
-
-    fn small_oph_index() -> SketchIndex {
-        let collection = SampleCollection::from_sorted_sets(vec![
-            (0..300u64).collect(),
-            (100..400u64).collect(),
-        ])
-        .unwrap();
-        let config = IndexConfig::default()
-            .with_signature_len(32)
-            .with_signer(gas_core::minhash::SignerKind::Oph);
-        IndexOptions::from_config(config).build_index(&collection).unwrap()
-    }
-
-    /// Rewrite the version field of container `bytes` and fix up the
-    /// header/table checksum so the file parses as that version.
-    fn with_version(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
-        bytes[8..12].copy_from_slice(&version.to_le_bytes());
-        let sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let table_end = HEADER_LEN + sections * TABLE_ENTRY_LEN;
-        let crc = fnv1a64(&bytes[..table_end]);
-        bytes[table_end..table_end + 8].copy_from_slice(&crc.to_le_bytes());
-        bytes
-    }
-
-    #[test]
-    fn signer_kind_survives_the_round_trip() {
-        use gas_core::minhash::SignerKind;
-        let index = small_oph_index();
-        let bytes = index.to_container_bytes();
-        let container = Container::parse(bytes.clone()).unwrap();
-        assert_eq!(container.version(), VERSION);
-        assert!(container.tags().contains(&"SGNR".to_string()));
-        let back = SketchIndex::from_container_bytes(bytes).unwrap();
-        assert_eq!(back, index);
-        assert_eq!(back.scheme().kind(), SignerKind::Oph);
-    }
-
-    #[test]
-    fn version_one_files_decode_as_kmins() {
-        use gas_core::minhash::SignerKind;
-        // A legacy (version-1) reader/writer pair predates the SGNR
-        // section: a v1 file decodes with the k-mins signer even if an
-        // SGNR section happens to be present, because v1 semantics are
-        // "signatures are k-mins" by definition.
-        let index = small_oph_index();
-        let legacy = with_version(index.to_container_bytes(), 1);
-        let container = Container::parse(legacy.clone()).unwrap();
-        assert_eq!(container.version(), 1);
-        let back = SketchIndex::from_container_bytes(legacy).unwrap();
-        assert_eq!(back.scheme().kind(), SignerKind::KMins);
-        // Raw signature values and buckets are untouched by the fallback.
-        assert_eq!(back.signatures(), index.signatures());
-        // Future versions stay rejected.
-        let future = with_version(index.to_container_bytes(), VERSION + 1);
-        assert!(matches!(
-            Container::parse(future),
-            Err(IndexError::UnsupportedVersion(v)) if v == VERSION + 1
-        ));
-    }
-
-    #[test]
-    fn sgnr_section_inconsistencies_are_rejected() {
-        let index = small_oph_index();
-        let bytes = index.to_container_bytes();
-        let container = Container::parse(bytes).unwrap();
-        let rebuild = |sgnr: Vec<u8>| -> IndexResult<SketchIndex> {
-            let mut writer = ContainerWriter::new();
-            writer.add_section(SECTION_META, container.section(SECTION_META).unwrap().to_vec());
-            writer.add_section(SECTION_SGNR, sgnr);
-            writer.add_section(SECTION_SIGS, container.section(SECTION_SIGS).unwrap().to_vec());
-            writer.add_section(SECTION_BUCK, container.section(SECTION_BUCK).unwrap().to_vec());
-            SketchIndex::from_container_bytes(writer.to_bytes())
+    fn structural_garbage_inside_a_payload_is_typed() {
+        let good = segment_payload(&small_segment(SignerKind::Oph));
+        // Payload offsets: layout u32 | id u64 | kind u32 | len u32 |
+        // seed u64 | bands u32 | rows u32 | ...
+        let patched = |at: usize, v: u32| {
+            let mut bad = good.clone();
+            bad[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            decode_segment(&bad)
         };
-        let good = container.section(SECTION_SGNR).unwrap().to_vec();
-        assert!(rebuild(good.clone()).is_ok());
-
-        // Unknown signer-kind code.
-        let mut bad = good.clone();
-        bad[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(rebuild(bad), Err(IndexError::Corrupt { .. })));
-
-        // Unknown SGNR layout version.
-        let mut bad = good.clone();
-        bad[0..4].copy_from_slice(&9u32.to_le_bytes());
-        assert!(matches!(rebuild(bad), Err(IndexError::Corrupt { .. })));
-
-        // Signature length disagreeing with META.
-        let mut bad = good.clone();
-        bad[8..12].copy_from_slice(&7u32.to_le_bytes());
-        assert!(matches!(rebuild(bad), Err(IndexError::Corrupt { .. })));
-
-        // Trailing bytes after the fixed fields.
-        let mut bad = good.clone();
-        bad.push(0);
-        assert!(matches!(rebuild(bad), Err(IndexError::Corrupt { .. })));
-
-        // Missing SGNR section entirely (in a version-2 file).
-        let mut writer = ContainerWriter::new();
-        writer.add_section(SECTION_META, container.section(SECTION_META).unwrap().to_vec());
-        writer.add_section(SECTION_SIGS, container.section(SECTION_SIGS).unwrap().to_vec());
-        writer.add_section(SECTION_BUCK, container.section(SECTION_BUCK).unwrap().to_vec());
-        assert!(matches!(
-            SketchIndex::from_container_bytes(writer.to_bytes()),
-            Err(IndexError::MissingSection(tag)) if tag == "SGNR"
-        ));
+        assert!(matches!(patched(0, 9), Err(IndexError::Corrupt { .. })), "layout version");
+        assert!(matches!(patched(12, 99), Err(IndexError::Corrupt { .. })), "signer kind code");
+        assert!(matches!(patched(16, 0), Err(IndexError::Corrupt { .. })), "zero length");
+        assert!(matches!(patched(28, 0), Err(IndexError::Corrupt { .. })), "zero bands");
+        // A banding that does not tile the signature — including one
+        // whose product overflows — never reaches the table decoder.
+        assert!(matches!(patched(16, 33), Err(IndexError::Corrupt { .. })), "bands·rows ≠ len");
+        let mut overflow = good.clone();
+        overflow[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
+        overflow[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(decode_segment(&overflow), Err(IndexError::Corrupt { .. })));
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(matches!(decode_segment(&trailing), Err(IndexError::Corrupt { .. })));
     }
 
     #[test]
-    fn parse_rejects_bad_magic_version_and_truncation() {
-        let bytes = small_index().to_container_bytes();
+    fn scan_judges_magic_then_version_then_header_checksum() {
+        let header = v3_header_bytes();
+        assert!(scan_v3(&header).unwrap().manifest.is_none());
+        assert!(matches!(scan_v3(&header[..11]), Err(IndexError::Truncated { .. })));
+        assert!(matches!(scan_v3(&header[..19]), Err(IndexError::Truncated { .. })));
 
-        let mut bad_magic = bytes.clone();
+        let mut bad_magic = header.clone();
         bad_magic[0] ^= 0xFF;
-        assert!(matches!(Container::parse(bad_magic), Err(IndexError::BadMagic)));
+        assert!(matches!(scan_v3(&bad_magic), Err(IndexError::BadMagic)));
 
-        let mut bad_version = bytes.clone();
-        bad_version[8] = 99;
-        // Version bytes are covered by the table checksum, but the version
-        // check runs first so old readers fail with the right error.
-        assert!(matches!(Container::parse(bad_version), Err(IndexError::UnsupportedVersion(99))));
+        // The version is not covered by a recomputed checksum here: it is
+        // refused first, so old and future files fail with the right error.
+        for version in [1u32, 2, 99] {
+            let mut other = header.clone();
+            other[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(
+                matches!(scan_v3(&other), Err(IndexError::UnsupportedVersion(v)) if v == version)
+            );
+        }
 
-        let truncated = bytes[..bytes.len() - 7].to_vec();
-        assert!(matches!(Container::parse(truncated), Err(IndexError::Truncated { .. })));
-
+        let mut bad_crc = header.clone();
+        bad_crc[12] ^= 0x01;
         assert!(matches!(
-            Container::parse(bytes[..10].to_vec()),
-            Err(IndexError::Truncated { .. })
+            scan_v3(&bad_crc),
+            Err(IndexError::ChecksumMismatch { section }) if section == "v3 header"
         ));
-    }
-
-    #[test]
-    fn parse_rejects_flipped_payload_and_table_bytes() {
-        let bytes = small_index().to_container_bytes();
-
-        // Flip one payload byte (the last byte of the file).
-        let mut bad_payload = bytes.clone();
-        *bad_payload.last_mut().unwrap() ^= 0x01;
-        assert!(matches!(Container::parse(bad_payload), Err(IndexError::ChecksumMismatch { .. })));
-
-        // Flip a section-table byte (tag of the first section).
-        let mut bad_table = bytes.clone();
-        bad_table[HEADER_LEN] ^= 0x01;
-        assert!(matches!(
-            Container::parse(bad_table),
-            Err(IndexError::ChecksumMismatch { section }) if section == "header"
-        ));
-    }
-
-    #[test]
-    fn missing_sections_are_reported() {
-        let mut writer = ContainerWriter::new();
-        writer.add_section(SECTION_META, vec![1, 2, 3]);
-        let container = Container::parse(writer.to_bytes()).unwrap();
-        assert_eq!(container.section(SECTION_META).unwrap(), &[1, 2, 3]);
-        assert!(matches!(
-            container.section(SECTION_SIGS),
-            Err(IndexError::MissingSection(tag)) if tag == "SIGS"
-        ));
-        assert_eq!(container.tags(), vec!["META".to_string()]);
     }
 
     #[test]
@@ -1079,6 +623,12 @@ mod tests {
 
         let mut r = PodReader::new(&buf, "TEST");
         assert!(matches!(r.u64s(2, "too many"), Err(IndexError::Truncated { .. })));
+
+        // Counts are checked against the bytes left, overflow included.
+        let r = PodReader::new(&buf, "TEST");
+        assert!(r.backs(2, 4, "fits").is_ok());
+        assert!(matches!(r.backs(3, 4, "too many"), Err(IndexError::Truncated { .. })));
+        assert!(matches!(r.backs(usize::MAX, 2, "overflow"), Err(IndexError::Truncated { .. })));
     }
 
     #[test]

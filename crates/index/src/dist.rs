@@ -1,6 +1,5 @@
 //! Distributed query serving over simulated ranks: **one executor runs
-//! every batch, and a [`ServingLayout`] tells it where rows live** (a
-//! monolithic `SketchIndex` is the one-segment snapshot `as_reader()`).
+//! every batch, and a [`ServingLayout`] tells it where rows live**.
 //!
 //! The `p` ranks of a communicator are `p` *slots*. Slot `j` holds the
 //! bucket tables of bands `b ≡ j (mod p)` ([`band_shard`]) and, of every
@@ -795,7 +794,7 @@ fn exchange_rows(
 /// Score one segment's candidates for every query and extend the
 /// per-query entry lists with `(agreement, global id)` — rows resolve
 /// from the layout or the keyed fetched set, and the scoring order
-/// (parallel map + reduce per query) is the monolithic engine's, so
+/// (parallel map + reduce per query) is the single-rank engine's, so
 /// answers stay bit-identical.
 fn score_segment(
     rows: &SegmentRows<'_>,
@@ -1278,9 +1277,9 @@ pub fn install_placement(
 /// `world` is the communicator the layout was installed over, and
 /// `planned` must have been installed (every rank with the identical
 /// plan) against this same snapshot — a mismatch is a typed error on
-/// every rank before any collective runs. So is a lost slot: with no
-/// [`DegradedReport`] to return, this entry point refuses to degrade
-/// (a crashed rank's [`SimError::RankCrashed`]).
+/// every rank before any collective runs. A layout with a lost slot
+/// degrades exactly as [`dist_query_reader_batch_replicated`] does: one
+/// collective dearer, with the loss accounted in the [`DegradedReport`].
 pub fn dist_query_reader_batch_planned(
     world: &Communicator,
     reader: &IndexReader,
@@ -1288,14 +1287,8 @@ pub fn dist_query_reader_batch_planned(
     queries: Option<&[Vec<u64>]>,
     opts: &QueryOptions,
     planned: &ServingLayout,
-) -> IndexResult<(Vec<Vec<Neighbor>>, DistQueryStats)> {
-    if planned.has_lost_slot() {
-        // A slot is lost only when every one of its owners crashed.
-        let rank = planned.slots.failed_ranks[0];
-        return Err(SimError::RankCrashed { rank }.into());
-    }
+) -> IndexResult<(Vec<Vec<Neighbor>>, DegradedReport, DistQueryStats)> {
     execute(world, reader, collection, queries, opts, planned)
-        .map(|(answers, _, stats)| (answers, stats))
 }
 
 #[cfg(test)]
@@ -1400,16 +1393,18 @@ mod tests {
             .build_index(&collection)
             .unwrap();
         for p in [1usize, 3, 4, 7] {
-            let shards: Vec<SignatureShard> = (0..p)
-                .map(|r| SignatureShard::for_segment(&index.as_reader().segments()[0], r, p))
-                .collect();
+            let shards: Vec<SignatureShard> =
+                (0..p).map(|r| SignatureShard::for_segment(&index.segments()[0], r, p)).collect();
             // Every row is owned by exactly one shard and round-trips.
             let total: usize = shards.iter().map(SignatureShard::n_rows).sum();
-            assert_eq!(total, index.n(), "p={p}");
-            for id in 0..index.n() as u32 {
+            assert_eq!(total, index.n_rows(), "p={p}");
+            for id in 0..index.n_rows() as u32 {
                 let owner = sample_shard(id as usize, p);
                 assert!(shards[owner].owns(id));
-                assert_eq!(shards[owner].row(id), index.signature(id as usize).values());
+                assert_eq!(
+                    shards[owner].row(id),
+                    index.segments()[0].signature(id as usize).values()
+                );
                 for (r, shard) in shards.iter().enumerate() {
                     assert_eq!(shard.owns(id), r == owner);
                 }
@@ -1465,7 +1460,7 @@ mod tests {
         let index = IndexOptions::from_config(IndexConfig::default().with_signature_len(16))
             .build_index(&collection)
             .unwrap();
-        let shard = SignatureShard::for_segment(&index.as_reader().segments()[0], 0, 2);
+        let shard = SignatureShard::for_segment(&index.segments()[0], 0, 2);
         let _ = shard.row(1); // owned by rank 1
     }
 
@@ -1483,7 +1478,7 @@ mod tests {
 
             for rerank in [false, true] {
                 let opts = QueryOptions { top_k: 5, rerank_exact: rerank, ..Default::default() };
-                let engine = QueryEngine::with_collection(&index, &collection);
+                let engine = QueryEngine::snapshot_with_collection(index.clone(), &collection);
                 let reference = engine.query_batch(&queries, &opts).unwrap();
 
                 for p in [1usize, 3, 5] {
@@ -1494,7 +1489,7 @@ mod tests {
                                 "dist_query_reader_batch_stats",
                                 dist_query_reader_batch_stats(
                                     ctx.world(),
-                                    &index.as_reader(),
+                                    &index,
                                     Some(&collection),
                                     q,
                                     &opts,
@@ -1511,10 +1506,10 @@ mod tests {
                         // The shard holds ~n/p rows, never the full matrix
                         // (beyond p = 1), and fetched rows stay within the
                         // non-owned population.
-                        assert_eq!(stats.replicated_bytes, index.n() * 128 * 8);
-                        assert!(stats.shard_rows <= index.n().div_ceil(p));
+                        assert_eq!(stats.replicated_bytes, index.n_rows() * 128 * 8);
+                        assert!(stats.shard_rows <= index.n_rows().div_ceil(p));
                         assert_eq!(stats.shard_bytes, stats.shard_rows * 128 * 8);
-                        assert!(stats.fetched_rows <= index.n() - stats.shard_rows);
+                        assert!(stats.fetched_rows <= index.n_rows() - stats.shard_rows);
                         assert_eq!(stats.fetched_bytes, stats.fetched_rows * 128 * 8);
                         // The collectives budget: constant per batch, and
                         // the allgather fan-out is recorded, not hidden.
@@ -1720,13 +1715,7 @@ mod tests {
             .unwrap();
         let out = Runtime::new(3)
             .run(|ctx| {
-                dist_query_reader_batch(
-                    ctx.world(),
-                    &index.as_reader(),
-                    None,
-                    None,
-                    &QueryOptions::default(),
-                )
+                dist_query_reader_batch(ctx.world(), &index, None, None, &QueryOptions::default())
             })
             .unwrap();
         for result in out.results {
@@ -2008,7 +1997,7 @@ mod tests {
                                     install_placement(ctx.world(), &reader, &placements, None),
                                 );
                                 let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
-                                let (answers, stats) = ctx.expect_ok(
+                                let (answers, degraded, stats) = ctx.expect_ok(
                                     "planned",
                                     dist_query_reader_batch_planned(
                                         ctx.world(),
@@ -2019,6 +2008,7 @@ mod tests {
                                         &planned,
                                     ),
                                 );
+                                assert_eq!(degraded, DegradedReport::default(), "fault-free");
                                 (answers, stats, install)
                             })
                             .unwrap();
@@ -2082,7 +2072,7 @@ mod tests {
                         let mut collectives = install.collective_calls;
                         for _ in 0..batches {
                             let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
-                            let (_, stats) = ctx.expect_ok(
+                            let (_, _, stats) = ctx.expect_ok(
                                 "planned",
                                 dist_query_reader_batch_planned(
                                     ctx.world(),
@@ -2221,8 +2211,9 @@ mod tests {
         // ROADMAP 4(d): failover and mixed placement are both just
         // layouts, so a placement installed on a 2-way replicated layout
         // over the survivor subgroup serves exact answers with a rank
-        // down — and without replicas the install fails typed instead.
-        use gas_dstsim::{RankFaults, SimError};
+        // down — and without replicas the same entry point degrades,
+        // exactly as the replicated one does.
+        use gas_dstsim::RankFaults;
         let collection = workload();
         let config = IndexConfig::default().with_signature_len(64).with_threshold(0.4);
         let segments = 5usize;
@@ -2238,7 +2229,8 @@ mod tests {
                     .unwrap();
                 let placements = mixed_placement(segments, p);
                 // One round over the survivors of a `replication`-way
-                // layout: install, then a batch through the executor.
+                // layout: install, then a batch through the layout-taking
+                // entry point.
                 let round = |replication: usize, placements: &[SegmentPlacement]| {
                     Runtime::new(p)
                         .with_faults(RankFaults::none().crash(crashed))
@@ -2252,29 +2244,18 @@ mod tests {
                             let q = if sub.rank() == 0 { Some(&queries[..]) } else { None };
                             Some(install_placement(&sub, &reader, placements, Some(&base)).map(
                                 |(layout, install)| {
-                                    let exact = dist_query_reader_batch_planned(
-                                        &sub,
-                                        &reader,
-                                        Some(&collection),
-                                        q,
-                                        &opts,
-                                        &layout,
+                                    let batch = ctx.expect_ok(
+                                        "planned",
+                                        dist_query_reader_batch_planned(
+                                            &sub,
+                                            &reader,
+                                            Some(&collection),
+                                            q,
+                                            &opts,
+                                            &layout,
+                                        ),
                                     );
-                                    let full = match &exact {
-                                        Ok(_) => Some(ctx.expect_ok(
-                                            "executor",
-                                            execute(
-                                                &sub,
-                                                &reader,
-                                                Some(&collection),
-                                                q,
-                                                &opts,
-                                                &layout,
-                                            ),
-                                        )),
-                                        Err(_) => None,
-                                    };
-                                    (install, exact, full)
+                                    (install, batch)
                                 },
                             ))
                         })
@@ -2288,11 +2269,9 @@ mod tests {
                         continue;
                     };
                     let case = format!("p={p}, crashed={crashed}, rank={rank}, rerank={rerank}");
-                    let (install, exact, full) = result.as_ref().expect("c=2 covers one crash");
-                    let (answers, stats) = exact.as_ref().expect("full coverage serves exactly");
-                    let (again, degraded, again_stats) = full.as_ref().unwrap();
+                    let (install, batch) = result.as_ref().expect("c=2 covers one crash");
+                    let (answers, degraded, stats) = batch;
                     assert_eq!(answers, &reference, "{case}: composed answers diverge");
-                    assert_eq!((again, again_stats), (answers, stats), "{case}");
                     assert!(!degraded.degraded, "{case}");
                     assert_eq!(degraded.failed_ranks, vec![crashed], "{case}");
                     assert!(degraded.lost_bands.is_empty() && degraded.lost_rows == 0, "{case}");
@@ -2304,14 +2283,14 @@ mod tests {
                             assert_eq!(seg.fetched_rows, 0, "{case}: replica fetched rows");
                         }
                     }
-                    // Install plus both batches account for every wire byte.
+                    // Install plus the batch account for every wire byte.
                     assert_eq!(
-                        (install.install_bytes + 2 * stats.wire_bytes()) as u64,
+                        (install.install_bytes + stats.wire_bytes()) as u64,
                         report.bytes_received,
                         "{case}: composed rounds diverge from the wire"
                     );
                     assert_eq!(
-                        (install.collective_calls + 2 * stats.collective_calls) as u64,
+                        (install.collective_calls + stats.collective_calls) as u64,
                         report.collectives,
                         "{case}"
                     );
@@ -2326,15 +2305,41 @@ mod tests {
                         "a lost slot must fail the install typed"
                     );
                 }
-                // ...and an all-sharded plan installs (nothing ships) but
-                // the exact-answers entry point refuses the lost slot.
+                // ...while an all-sharded plan installs (nothing ships)
+                // and serves degraded: the very round the replicated
+                // entry point runs at c = 1 under the same crash.
+                let replicated = Runtime::new(p)
+                    .with_faults(RankFaults::none().crash(crashed))
+                    .run(|ctx| {
+                        let world = ctx.world();
+                        let ingress = world.alive_world_ranks().first() == Some(&ctx.rank());
+                        let q = if ingress { Some(&queries[..]) } else { None };
+                        dist_query_reader_batch_replicated(
+                            world,
+                            &reader,
+                            Some(&collection),
+                            q,
+                            &opts,
+                            1,
+                        )
+                    })
+                    .unwrap();
                 let sharded = vec![SegmentPlacement::Sharded; segments];
-                for result in round(1, &sharded).results.iter().flatten() {
-                    let (_, exact, _) = result.as_ref().expect("nothing to assemble");
-                    assert!(matches!(
-                        exact,
-                        Err(IndexError::Sim(SimError::RankCrashed { rank })) if *rank == crashed
-                    ));
+                let planned = round(1, &sharded);
+                for (rank, result) in planned.results.iter().enumerate() {
+                    let Some(result) = result else { continue };
+                    let case = format!("p={p}, crashed={crashed}, rank={rank}, rerank={rerank}");
+                    let (_, (answers, degraded, stats)) =
+                        result.as_ref().expect("nothing to assemble");
+                    let (want, want_degraded, want_stats) =
+                        replicated.results[rank].as_ref().expect("survivors answer degraded");
+                    assert_eq!(answers, want, "{case}");
+                    assert_eq!(degraded, want_degraded, "{case}");
+                    assert!(degraded.degraded && !degraded.lost_bands.is_empty(), "{case}");
+                    assert_eq!(degraded.failed_ranks, vec![crashed], "{case}");
+                    assert_eq!(stats.wire_bytes(), want_stats.wire_bytes(), "{case}");
+                    assert_eq!(stats.collective_calls, want_stats.collective_calls, "{case}");
+                    assert_eq!(stats.collective_calls, if rerank { 7 } else { 6 }, "{case}");
                 }
             }
         }

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::container::VERSION_SEGMENTED;
+
 /// Result alias for index operations.
 pub type IndexResult<T> = Result<T, IndexError>;
 
@@ -18,20 +20,20 @@ pub enum IndexError {
     Io(std::io::Error),
     /// The file does not start with the container magic.
     BadMagic,
-    /// The container declares a format version this reader cannot parse.
+    /// The container declares a format version this build does not read:
+    /// a newer one, or version 1/2 — the single-index section table that
+    /// predates the segmented format, whose files must be rebuilt.
     UnsupportedVersion(u32),
-    /// The file is shorter than its header or section table declares.
+    /// The file is shorter than its header or a block declares.
     Truncated {
         /// What was being read when the bytes ran out.
         context: String,
     },
-    /// A section's stored checksum does not match its payload.
+    /// A stored checksum does not match the bytes it covers.
     ChecksumMismatch {
-        /// Tag of the failing section (or "header").
+        /// What failed its checksum (e.g. "v3 header").
         section: String,
     },
-    /// A required section is absent from the container.
-    MissingSection(String),
     /// The bytes parse but violate a structural invariant.
     Corrupt {
         /// Which invariant failed.
@@ -111,6 +113,11 @@ impl fmt::Display for IndexError {
             IndexError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             IndexError::Io(e) => write!(f, "container I/O error: {e}"),
             IndexError::BadMagic => write!(f, "not a gas-index container (bad magic)"),
+            IndexError::UnsupportedVersion(v) if *v < VERSION_SEGMENTED => write!(
+                f,
+                "container version {v} predates the segmented format (version \
+                 {VERSION_SEGMENTED}) and is no longer read; rebuild the index from its samples"
+            ),
             IndexError::UnsupportedVersion(v) => {
                 write!(f, "unsupported container version {v}")
             }
@@ -120,7 +127,6 @@ impl fmt::Display for IndexError {
             IndexError::ChecksumMismatch { section } => {
                 write!(f, "checksum mismatch in section {section}")
             }
-            IndexError::MissingSection(tag) => write!(f, "missing container section {tag}"),
             IndexError::Corrupt { context } => write!(f, "corrupt container: {context}"),
             IndexError::NoLiveGeneration(context) => {
                 write!(f, "no readable manifest generation: {context}")
@@ -205,11 +211,14 @@ mod tests {
         assert!(IndexError::InvalidConfig("zero bands".into()).to_string().contains("zero bands"));
         assert!(IndexError::BadMagic.to_string().contains("magic"));
         assert!(IndexError::UnsupportedVersion(9).to_string().contains('9'));
+        for old in [1, 2] {
+            let told = IndexError::UnsupportedVersion(old).to_string();
+            assert!(told.contains("predates the segmented format") && told.contains("rebuild"));
+        }
         assert!(IndexError::Truncated { context: "SIGS".into() }.to_string().contains("SIGS"));
         assert!(IndexError::ChecksumMismatch { section: "BUCK".into() }
             .to_string()
             .contains("BUCK"));
-        assert!(IndexError::MissingSection("META".into()).to_string().contains("META"));
         let e = IndexError::SignerMismatch {
             index_scheme: "oph(len=128)".into(),
             query_scheme: "kmins(len=128)".into(),

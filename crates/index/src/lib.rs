@@ -14,14 +14,13 @@
 //!   seals a segment; deletes become tombstones), read through atomic
 //!   [`lifecycle::IndexReader`] snapshots, and rolled up by a
 //!   size-tiered [`lifecycle::Compactor`] that drops tombstoned rows;
-//! * [`build`] — the [`build::SketchIndex`]: the one-shot monolithic
-//!   convenience wrapper (writer + single commit) for static corpora;
+//! * [`build`] — the [`build::IndexConfig`] an index is built under and
+//!   the per-band [`build::BandBuckets`] tables segments hold;
 //! * [`container`] — a self-describing, versioned, checksummed binary
 //!   container with a bounds-checked reader — persistence without
-//!   serde. Versions 1/2 are single-index section tables; version 3 is
-//!   the segmented append-only block stream whose generation-numbered
-//!   manifest is written last, so a crash mid-commit falls back to the
-//!   previous generation;
+//!   serde: one format, an append-only block stream whose
+//!   generation-numbered manifest is written last, so a crash
+//!   mid-commit falls back to the previous generation;
 //! * [`query`] / [`dist`] — the batched top-k engine: probe buckets in
 //!   every live segment, score candidates in parallel (rayon map +
 //!   reduce), merge across segments deterministically (tombstones
@@ -38,7 +37,9 @@
 //! rotation densification (`O(|set| + len)`); the container records the
 //! signer so persisted indexes stay self-describing.
 //!
-//! Construction goes through one builder, [`service::IndexOptions`]:
+//! Construction goes through one builder, [`service::IndexOptions`], and
+//! there is one index value, the [`lifecycle::IndexReader`] snapshot — a
+//! one-shot build is simply a writer's first commit:
 //!
 //! ```
 //! use gas_core::indicator::SampleCollection;
@@ -50,7 +51,7 @@
 //!     (10_000..10_500u64).collect(),
 //! ]).unwrap();
 //! let index = IndexOptions::new().build_index(&collection).unwrap();
-//! let engine = QueryEngine::with_collection(&index, &collection);
+//! let engine = QueryEngine::snapshot_with_collection(index, &collection);
 //! let opts = QueryOptions { top_k: 2, rerank_exact: true, ..Default::default() };
 //! let hits = engine.query(collection.sample(0), &opts).unwrap();
 //! assert_eq!(hits[0].id, 0);          // a sample is its own best match
@@ -111,8 +112,7 @@ pub mod query;
 pub mod segment;
 pub mod service;
 
-pub use build::{BandBuckets, IndexConfig, SketchIndex};
-pub use container::{Container, ContainerWriter};
+pub use build::{BandBuckets, IndexConfig};
 pub use dist::{
     dist_query_reader_batch, dist_query_reader_batch_planned, dist_query_reader_batch_replicated,
     dist_query_reader_batch_stats, dist_query_reader_batch_stats_per_segment,

@@ -1,11 +1,11 @@
 //! The segmented index lifecycle: [`IndexWriter`] → [`IndexReader`] →
 //! [`Compactor`].
 //!
-//! The monolithic `IndexOptions::build_index` assumes a static corpus; a served
-//! system ingests new genome samples continuously. This module turns the
-//! sketch index into a long-lived, mutable *service* built from
+//! A one-shot `IndexOptions::build_index` assumes a static corpus; a
+//! served system ingests new genome samples continuously. This module
+//! makes the sketch index a long-lived, mutable *service* built from
 //! immutable parts, the LSM shape of production similarity-serving
-//! systems:
+//! systems (the one-shot build is simply its first commit):
 //!
 //! * an [`IndexWriter`] **stages** samples and deletes; `commit()` signs
 //!   the staged batch under the index's one fixed
@@ -17,7 +17,7 @@
 //!   segments plus a tombstone set — cheap to clone (shared `Arc`s),
 //!   never sees half a commit, and serves queries through
 //!   [`QueryEngine`](crate::query::QueryEngine) with answers
-//!   bit-identical to a fresh monolithic build over the same live
+//!   bit-identical to a fresh one-commit build over the same live
 //!   corpus;
 //! * a [`Compactor`] **merges** small segments into one under a
 //!   size-tiered policy, rewriting bucket tables over the merged local
@@ -25,12 +25,10 @@
 //!   leave the tombstone set — ids are never reused, so a dropped row
 //!   can never resurface).
 //!
-//! Persistence is the container's version-3 multi-segment file
-//! (`crate::container`): append-only segment and manifest blocks, every
-//! block checksummed, the manifest written *last* so a crash mid-commit
-//! truncates to a torn tail and the file falls back to the previous
-//! manifest generation. v1/v2 files open as a single-segment index and
-//! are rewritten as v3 on their first commit.
+//! Persistence is the container file (`crate::container`): append-only
+//! segment and manifest blocks, every block checksummed, the manifest
+//! written *last* so a crash mid-commit truncates to a torn tail and the
+//! file falls back to the previous manifest generation.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -41,9 +39,7 @@ use gas_core::indicator::SampleCollection;
 use gas_core::minhash::{MinHashSignature, SignatureScheme};
 
 use crate::build::IndexConfig;
-use crate::container::{
-    self, container_version, fnv1a64, ManifestRecord, ManifestSegmentRef, VERSION_SEGMENTED,
-};
+use crate::container::{self, fnv1a64, ManifestRecord, ManifestSegmentRef};
 use crate::error::{IndexError, IndexResult};
 use crate::params::LshParams;
 use crate::segment::{Segment, SegmentRow, SegmentStats, SharedSegment};
@@ -101,9 +97,6 @@ pub struct RecoveryReport {
     /// Bytes after the last valid manifest (a torn commit tail); they
     /// are discarded by the next commit.
     pub torn_bytes: usize,
-    /// The file was a v1/v2 single-index container, opened as one
-    /// segment (rewritten as v3 on the next commit).
-    pub upgraded_legacy: bool,
 }
 
 /// Committed lifecycle state shared by writer and reader loading paths.
@@ -117,7 +110,6 @@ struct LifecycleState {
     next_segment_id: u64,
     generation: u64,
     valid_len: u64,
-    needs_rewrite: bool,
     /// A checksum-valid block of an unknown kind follows the opened
     /// generation — written by a newer build. Readers may proceed;
     /// writers must refuse (their truncate-then-append would destroy
@@ -125,120 +117,80 @@ struct LifecycleState {
     foreign_kind: Option<[u8; 4]>,
 }
 
-fn load_state(bytes: Vec<u8>) -> IndexResult<(LifecycleState, RecoveryReport)> {
-    let version = container_version(&bytes)?;
-    match version {
-        1 | 2 => {
-            // A legacy single-index container: open it as one sealed
-            // segment with dense global ids, generation 1, no tombstones.
-            let index = crate::build::SketchIndex::from_container_bytes(bytes)?;
-            let segment = index.segment().clone();
-            let state = LifecycleState {
-                scheme: *segment.scheme(),
-                params: *segment.params(),
-                next_id: segment.n_rows() as u32,
-                next_segment_id: segment.id() + 1,
-                // No v3 blocks exist yet; the upgrade rewrite computes
-                // checksums when it serializes, so none are needed here.
-                segment_crcs: Vec::new(),
-                segments: vec![segment],
-                tombstones: Vec::new(),
-                generation: 1,
-                valid_len: 0,
-                needs_rewrite: true,
-                foreign_kind: None,
-            };
-            let report = RecoveryReport {
-                generation: state.generation,
-                torn_bytes: 0,
-                upgraded_legacy: true,
-            };
-            Ok((state, report))
+fn load_state(bytes: &[u8]) -> IndexResult<(LifecycleState, RecoveryReport)> {
+    let scan = container::scan_v3(bytes)?;
+    let manifest = scan.manifest.ok_or_else(|| {
+        IndexError::NoLiveGeneration("no valid manifest block survives in the file".into())
+    })?;
+    let mut segments = Vec::with_capacity(manifest.segments.len());
+    let mut segment_crcs = Vec::with_capacity(manifest.segments.len());
+    for sref in &manifest.segments {
+        let (segment, crc) = scan.segments.get(&sref.id).ok_or_else(|| IndexError::Corrupt {
+            context: format!(
+                "manifest generation {} references missing segment {}",
+                manifest.generation, sref.id
+            ),
+        })?;
+        if *crc != sref.crc || segment.n_rows() != sref.rows as usize {
+            return Err(IndexError::Corrupt {
+                context: format!(
+                    "manifest generation {} disagrees with segment {} on disk",
+                    manifest.generation, sref.id
+                ),
+            });
         }
-        VERSION_SEGMENTED => {
-            let scan = container::scan_v3(&bytes)?;
-            let manifest = scan.manifest.ok_or_else(|| {
-                IndexError::NoLiveGeneration("no valid manifest block survives in the file".into())
-            })?;
-            let mut segments = Vec::with_capacity(manifest.segments.len());
-            let mut segment_crcs = Vec::with_capacity(manifest.segments.len());
-            for sref in &manifest.segments {
-                let (segment, crc) =
-                    scan.segments.get(&sref.id).ok_or_else(|| IndexError::Corrupt {
-                        context: format!(
-                            "manifest generation {} references missing segment {}",
-                            manifest.generation, sref.id
-                        ),
-                    })?;
-                if *crc != sref.crc || segment.n_rows() != sref.rows as usize {
-                    return Err(IndexError::Corrupt {
-                        context: format!(
-                            "manifest generation {} disagrees with segment {} on disk",
-                            manifest.generation, sref.id
-                        ),
-                    });
-                }
-                if segment.scheme() != &manifest.scheme || segment.params() != &manifest.params {
-                    return Err(IndexError::Corrupt {
-                        context: format!(
-                            "segment {} was sealed under a different scheme than the manifest",
-                            sref.id
-                        ),
-                    });
-                }
-                segment_crcs.push((sref.id, *crc));
-                segments.push(segment.clone());
-            }
-            // Cross-invariants a checksum-valid but buggy/forged manifest
-            // could still violate: global ids must be disjoint across
-            // segments and below the id high-water mark (or `add` would
-            // silently reuse a live id), and every tombstone must point
-            // at a stored row (or live-row accounting would underflow).
-            let mut all_ids: Vec<u32> =
-                segments.iter().flat_map(|s| s.global_ids().iter().copied()).collect();
-            all_ids.sort_unstable();
-            if all_ids.windows(2).any(|w| w[0] == w[1]) {
-                return Err(IndexError::Corrupt {
-                    context: "a global id is stored by two segments".into(),
-                });
-            }
-            if all_ids.last().is_some_and(|&max| max >= manifest.next_id) {
-                return Err(IndexError::Corrupt {
-                    context: format!(
-                        "manifest id high-water mark {} does not cover stored ids",
-                        manifest.next_id
-                    ),
-                });
-            }
-            if let Some(&orphan) =
-                manifest.tombstones.iter().find(|&&t| all_ids.binary_search(&t).is_err())
-            {
-                return Err(IndexError::Corrupt {
-                    context: format!("tombstone {orphan} points at no stored row"),
-                });
-            }
-            let state = LifecycleState {
-                scheme: manifest.scheme,
-                params: manifest.params,
-                segments,
-                segment_crcs,
-                tombstones: manifest.tombstones,
-                next_id: manifest.next_id,
-                next_segment_id: scan.max_segment_id + 1,
-                generation: manifest.generation,
-                valid_len: scan.valid_len as u64,
-                needs_rewrite: false,
-                foreign_kind: scan.foreign_kind,
-            };
-            let report = RecoveryReport {
-                generation: state.generation,
-                torn_bytes: scan.torn_bytes,
-                upgraded_legacy: false,
-            };
-            Ok((state, report))
+        if segment.scheme() != &manifest.scheme || segment.params() != &manifest.params {
+            return Err(IndexError::Corrupt {
+                context: format!(
+                    "segment {} was sealed under a different scheme than the manifest",
+                    sref.id
+                ),
+            });
         }
-        other => Err(IndexError::UnsupportedVersion(other)),
+        segment_crcs.push((sref.id, *crc));
+        segments.push(segment.clone());
     }
+    // Cross-invariants a checksum-valid but buggy/forged manifest could
+    // still violate: global ids must be disjoint across segments and below
+    // the id high-water mark (or `add` would silently reuse a live id), and
+    // every tombstone must point at a stored row (or live-row accounting
+    // would underflow).
+    let mut all_ids: Vec<u32> =
+        segments.iter().flat_map(|s| s.global_ids().iter().copied()).collect();
+    all_ids.sort_unstable();
+    if all_ids.windows(2).any(|w| w[0] == w[1]) {
+        return Err(IndexError::Corrupt {
+            context: "a global id is stored by two segments".into(),
+        });
+    }
+    if all_ids.last().is_some_and(|&max| max >= manifest.next_id) {
+        return Err(IndexError::Corrupt {
+            context: format!(
+                "manifest id high-water mark {} does not cover stored ids",
+                manifest.next_id
+            ),
+        });
+    }
+    if let Some(&orphan) = manifest.tombstones.iter().find(|&&t| all_ids.binary_search(&t).is_err())
+    {
+        return Err(IndexError::Corrupt {
+            context: format!("tombstone {orphan} points at no stored row"),
+        });
+    }
+    let state = LifecycleState {
+        scheme: manifest.scheme,
+        params: manifest.params,
+        segments,
+        segment_crcs,
+        tombstones: manifest.tombstones,
+        next_id: manifest.next_id,
+        next_segment_id: scan.max_segment_id + 1,
+        generation: manifest.generation,
+        valid_len: scan.valid_len as u64,
+        foreign_kind: scan.foreign_kind,
+    };
+    let report = RecoveryReport { generation: state.generation, torn_bytes: scan.torn_bytes };
+    Ok((state, report))
 }
 
 /// One staged (not yet committed) sample. `pub(crate)` so the commit
@@ -295,9 +247,6 @@ pub struct IndexWriter {
     /// Length of the validated v3 prefix on disk; a torn tail beyond it
     /// is truncated before the next append.
     valid_len: u64,
-    /// The file on disk is a legacy v1/v2 container; the next commit
-    /// rewrites it wholesale as v3.
-    needs_rewrite: bool,
     /// Committed state not yet flushed to disk (a previous persist
     /// failed). Any later `commit()` — even an otherwise-empty one —
     /// retries the flush.
@@ -339,7 +288,6 @@ impl IndexWriter {
             generation: 0,
             path: None,
             valid_len: 0,
-            needs_rewrite: false,
             dirty: false,
             clean: false,
             storage: Arc::new(RealFs),
@@ -358,10 +306,11 @@ impl IndexWriter {
         Ok(writer)
     }
 
-    /// Open an existing index file read-write. v3 files resume at their
-    /// newest intact manifest generation (a torn commit tail is
-    /// discarded); v1/v2 single-index containers open as one segment and
-    /// are rewritten as v3 by the next commit.
+    /// Open an existing index file read-write, resuming at its newest
+    /// intact manifest generation (a torn commit tail is discarded by
+    /// the next commit). A file this build cannot write safely — an older
+    /// format version, or blocks from a newer build — is refused with a
+    /// typed error and left untouched.
     pub fn open(path: impl AsRef<Path>) -> IndexResult<Self> {
         IndexWriter::open_with_report(path).map(|(w, _)| w)
     }
@@ -379,7 +328,7 @@ impl IndexWriter {
         storage: Arc<dyn Storage>,
     ) -> IndexResult<(Self, RecoveryReport)> {
         let path = path.as_ref().to_path_buf();
-        let (state, report) = load_state(storage.read(&path)?)?;
+        let (state, report) = load_state(&storage.read(&path)?)?;
         if let Some(kind) = state.foreign_kind {
             // A newer build wrote blocks after the generation this build
             // understands. Opening read-write would truncate them on the
@@ -392,14 +341,8 @@ impl IndexWriter {
         let writer = IndexWriter {
             scheme: state.scheme,
             params: state.params,
-            // A legacy (needs_rewrite) open has nothing in v3 form on
-            // disk yet; a v3 open knows every manifest-referenced
-            // segment sits in the valid prefix.
-            persisted: if state.needs_rewrite {
-                BTreeSet::new()
-            } else {
-                state.segment_crcs.iter().map(|&(id, _)| id).collect()
-            },
+            // Every manifest-referenced segment sits in the valid prefix.
+            persisted: state.segment_crcs.iter().map(|&(id, _)| id).collect(),
             segment_crcs: state.segment_crcs.into_iter().collect(),
             segments: state.segments,
             tombstones: state.tombstones.into_iter().collect(),
@@ -411,7 +354,6 @@ impl IndexWriter {
             generation: state.generation,
             path: Some(path),
             valid_len: state.valid_len,
-            needs_rewrite: state.needs_rewrite,
             dirty: false,
             // Conservative: the opened file may or may not carry dead
             // blocks; the first vacuum after an open rewrites once and
@@ -643,7 +585,7 @@ impl IndexWriter {
     }
 
     /// Seal every sample of `collection` as one segment in a single
-    /// step — the monolithic-build fast path: signatures are computed
+    /// step — the one-shot-build fast path: signatures are computed
     /// straight off the collection's sample slices, with no staged
     /// copies of the value sets. Semantically identical to
     /// [`Self::add_collection`] followed by [`Self::commit`] (staged
@@ -977,14 +919,12 @@ impl IndexWriter {
     /// current state, atomically: the bytes land in a temp file in the
     /// same directory, are fsynced, and are renamed over the original —
     /// a crash at any point leaves either the old file or the new one,
-    /// never a torn mix. Used by `create_at`, `vacuum` and the legacy
-    /// v1/v2 upgrade.
+    /// never a torn mix. Used by `create_writer_at` and `vacuum`.
     fn rewrite_file(&mut self) -> IndexResult<()> {
         let Some(path) = self.path.clone() else { return Ok(()) };
         let bytes = self.full_file_bytes();
         self.storage.replace(&path, &bytes)?;
         self.valid_len = bytes.len() as u64;
-        self.needs_rewrite = false;
         self.persisted = self.segments.iter().map(|s| s.id()).collect();
         self.dirty = false;
         self.clean = true;
@@ -1004,10 +944,6 @@ impl IndexWriter {
             self.dirty = false; // in-memory writers have nothing to flush
             return Ok(());
         };
-        if self.needs_rewrite {
-            // Legacy v1/v2 file: replace it with a fresh v3 container.
-            return self.rewrite_file();
-        }
         let mut tail = Vec::new();
         let mut newly_persisted = Vec::new();
         for seg in self.segments.clone() {
@@ -1114,14 +1050,14 @@ pub struct IndexReader {
 
 impl IndexReader {
     /// Open an index file read-only at its newest intact manifest
-    /// generation (v1/v2 files open as a single segment).
+    /// generation.
     pub fn open(path: impl AsRef<Path>) -> IndexResult<Self> {
         IndexReader::open_with_report(path).map(|(r, _)| r)
     }
 
     /// [`Self::open`], also reporting what recovery did.
     pub fn open_with_report(path: impl AsRef<Path>) -> IndexResult<(Self, RecoveryReport)> {
-        let (state, report) = load_state(std::fs::read(path)?)?;
+        let (state, report) = load_state(&std::fs::read(path)?)?;
         let reader = IndexReader {
             scheme: state.scheme,
             params: state.params,
@@ -1131,19 +1067,6 @@ impl IndexReader {
             tombstones: Arc::new(state.tombstones),
         };
         Ok((reader, report))
-    }
-
-    /// A snapshot over one sealed segment (the monolithic
-    /// `SketchIndex`'s bridge into the segmented code paths).
-    pub(crate) fn from_single(segment: SharedSegment) -> Self {
-        IndexReader {
-            scheme: *segment.scheme(),
-            params: *segment.params(),
-            generation: 0,
-            next_id: segment.global_ids().last().map_or(0, |&id| id + 1),
-            segments: Arc::new(vec![segment]),
-            tombstones: Arc::new(Vec::new()),
-        }
     }
 
     /// The signature scheme shared by all segments.
@@ -1240,8 +1163,12 @@ impl IndexReader {
         self.locate(id).map(|(s, local)| self.segments[s].names()[local].as_str())
     }
 
-    /// Check that a query-side scheme matches this index's scheme
-    /// (see `SketchIndex::check_query_scheme`).
+    /// Check that a query-side scheme matches this index's scheme.
+    ///
+    /// Signatures are only comparable position by position when they come
+    /// from the *same* signer, length and seed; a query signed under any
+    /// other scheme would silently score garbage, so mismatches surface
+    /// as a typed [`IndexError::SignerMismatch`].
     pub fn check_query_scheme(&self, query_scheme: &SignatureScheme) -> IndexResult<()> {
         if query_scheme != &self.scheme {
             return Err(IndexError::SignerMismatch {
@@ -1250,20 +1177,6 @@ impl IndexReader {
             });
         }
         Ok(())
-    }
-
-    /// View this snapshot as a monolithic [`SketchIndex`] — possible
-    /// exactly when it is one segment, tombstone-free, with dense global
-    /// ids `0..n` (e.g. a fresh single commit, or any fully compacted
-    /// delete-free lifecycle). Useful for exporting to the v2
-    /// single-index container format.
-    pub fn to_monolithic(&self) -> Option<crate::build::SketchIndex> {
-        if self.segments.len() != 1 || !self.tombstones.is_empty() {
-            return None;
-        }
-        let segment = &self.segments[0];
-        let dense = segment.global_ids().iter().enumerate().all(|(i, &id)| id as usize == i);
-        dense.then(|| crate::build::SketchIndex::from_segment(segment.clone()))
     }
 
     /// Per-segment stats under this snapshot's tombstones.
@@ -1418,7 +1331,6 @@ mod tests {
     use super::*;
     use crate::query::{QueryEngine, QueryOptions};
     use crate::service::IndexOptions;
-    use gas_core::minhash::SignerKind;
 
     fn config() -> IndexConfig {
         IndexConfig::default().with_signature_len(64).with_threshold(0.5)
@@ -1465,7 +1377,7 @@ mod tests {
 
     #[test]
     fn incremental_adds_answer_like_a_fresh_build() {
-        // Three commits vs one monolithic build over the same corpus:
+        // Three commits vs one one-commit build over the same corpus:
         // identical global ids, identical answers.
         let sets: Vec<Vec<u64>> = (0..9u64).map(|i| family((i / 3) * 100_000, 7_000 + i)).collect();
         let collection = gas_core::indicator::SampleCollection::from_sets(sets.clone()).unwrap();
@@ -1482,14 +1394,14 @@ mod tests {
         assert_eq!(reader.segments().len(), 3);
         assert_eq!(reader.n_live(), 9);
         let opts = QueryOptions { top_k: 4, ..Default::default() };
-        let fresh_engine = QueryEngine::new(&fresh);
+        let fresh_engine = QueryEngine::snapshot(fresh.clone());
         let incr_engine = QueryEngine::snapshot(reader.clone());
         for q in &sets {
             assert_eq!(incr_engine.query(q, &opts).unwrap(), fresh_engine.query(q, &opts).unwrap());
         }
         // Signatures are reachable by global id and match the fresh ones.
         for id in 0..9u32 {
-            assert_eq!(reader.signature_of(id).unwrap(), fresh.signature(id as usize));
+            assert_eq!(reader.signature_of(id).unwrap(), fresh.signature_of(id).unwrap());
             assert_eq!(reader.name_of(id).unwrap(), format!("sample_{id}"));
         }
         assert!(reader.signature_of(99).is_none());
@@ -1663,7 +1575,7 @@ mod tests {
         let (empty, report) = IndexReader::open_with_report(&path).unwrap();
         assert_eq!(empty.generation(), 0);
         assert_eq!(empty.n_live(), 0);
-        assert_eq!(report, RecoveryReport { generation: 0, torn_bytes: 0, upgraded_legacy: false });
+        assert_eq!(report, RecoveryReport { generation: 0, torn_bytes: 0 });
 
         for i in 0..5u64 {
             w.add(format!("s{i}"), family(0, 700 * (i + 1))).unwrap();
@@ -1779,38 +1691,6 @@ mod tests {
         assert_eq!(reopened.n_live(), 3);
         assert_eq!(reopened.segments().len(), 3);
         assert_eq!(reopened.generation(), w.generation());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_containers_open_as_a_single_segment_and_upgrade_on_commit() {
-        let sets: Vec<Vec<u64>> = (0..4u64).map(|i| family(0, 400 * (i + 1))).collect();
-        let collection = gas_core::indicator::SampleCollection::from_sets(sets.clone()).unwrap();
-        let cfg = config().with_signer(SignerKind::Oph);
-        let index = IndexOptions::from_config(cfg).build_index(&collection).unwrap();
-        let path = unique_path("legacy");
-        index.write_to(&path).unwrap();
-
-        let (reader, report) = IndexReader::open_with_report(&path).unwrap();
-        assert!(report.upgraded_legacy);
-        assert_eq!(reader.segments().len(), 1);
-        assert_eq!(reader.n_live(), 4);
-        assert_eq!(reader.scheme().kind(), SignerKind::Oph);
-        let opts = QueryOptions { top_k: 3, ..Default::default() };
-        assert_eq!(
-            QueryEngine::snapshot(reader).query(&sets[0], &opts).unwrap(),
-            QueryEngine::new(&index).query(&sets[0], &opts).unwrap(),
-        );
-
-        // A writer upgrade: open, add, commit — the file becomes v3.
-        let mut w = IndexWriter::open(&path).unwrap();
-        w.add("extra", family(0, 77_777)).unwrap();
-        w.commit().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(container::container_version(&bytes).unwrap(), VERSION_SEGMENTED);
-        let upgraded = IndexReader::open(&path).unwrap();
-        assert_eq!(upgraded.n_live(), 5);
-        assert_eq!(upgraded.segments().len(), 2);
         std::fs::remove_file(&path).ok();
     }
 

@@ -15,7 +15,6 @@ use gas_core::indicator::SampleCollection;
 use gas_core::minhash::MinHashSignature;
 use rayon::prelude::*;
 
-use crate::build::SketchIndex;
 use crate::error::{IndexError, IndexResult};
 use crate::lifecycle::IndexReader;
 use crate::segment::Segment;
@@ -358,9 +357,9 @@ pub(crate) fn live_candidates_by_segment<F: Fn(usize) -> bool>(
 
 /// Score a query signature over every live segment of a reader snapshot
 /// and keep the global best `keep`, as `(agreement, global id)` entries:
-/// per segment, candidates are probed and scored over local rows (the
-/// same parallel map + reduce as the monolithic path), then the
-/// per-segment top lists are merged deterministically. The per-segment
+/// per segment, candidates are probed and scored over local rows (a
+/// parallel map + reduce), then the per-segment top lists are merged
+/// deterministically. The per-segment
 /// truncation is lossless: an entry of the global top-`keep` necessarily
 /// survives the top-`keep` of whichever segment holds it. Each probe is
 /// recorded in `heat`; the caller flushes it.
@@ -495,14 +494,12 @@ pub(crate) fn page_cut(
 
 /// The batched top-k query engine over an [`IndexReader`] snapshot.
 ///
-/// The engine serves whatever snapshot it was built from — one sealed
-/// segment (the monolithic [`SketchIndex`] constructors) or a whole
-/// segmented lifecycle snapshot with tombstones (the
-/// [`snapshot`](Self::snapshot) constructors). Every query probes
-/// *all* live segments, skips tombstoned rows, and merges the
-/// per-segment top lists deterministically (see
+/// The engine serves whatever snapshot it was built from — the one
+/// segment of a one-shot build or a whole lifecycle snapshot with
+/// tombstones. Every query probes *all* live segments, skips tombstoned
+/// rows, and merges the per-segment top lists deterministically (see
 /// [`merge_scored_sources`]): answers are bit-identical to a fresh
-/// monolithic build over the snapshot's live corpus, modulo the global
+/// one-commit build over the snapshot's live corpus, modulo the global
 /// ids the snapshot preserves.
 #[derive(Debug, Clone)]
 pub struct QueryEngine<'a> {
@@ -511,25 +508,15 @@ pub struct QueryEngine<'a> {
 }
 
 impl<'a> QueryEngine<'a> {
-    /// An engine that scores with signatures only (no exact re-ranking).
-    pub fn new(index: &SketchIndex) -> QueryEngine<'static> {
-        QueryEngine { reader: index.as_reader(), collection: None }
-    }
-
-    /// An engine that can re-rank exactly against the original sets.
-    pub fn with_collection(index: &SketchIndex, collection: &'a SampleCollection) -> Self {
-        QueryEngine { reader: index.as_reader(), collection: Some(collection) }
-    }
-
-    /// An engine over a lifecycle snapshot (signatures only) — the shape
-    /// the serving frontend hands out: the snapshot stays pinned to its
-    /// generation for the engine's lifetime.
+    /// An engine over a snapshot that scores with signatures only (no
+    /// exact re-ranking) — the shape the serving frontend hands out: the
+    /// snapshot stays pinned to its generation for the engine's lifetime.
     pub fn snapshot(reader: IndexReader) -> QueryEngine<'static> {
         QueryEngine { reader, collection: None }
     }
 
-    /// An engine over a lifecycle snapshot that can re-rank exactly.
-    /// `collection` must be indexed by *global* sample id (the corpus
+    /// An engine over a snapshot that can re-rank exactly against the
+    /// original sets. `collection` must be indexed by *global* sample id (the corpus
     /// the writer assigned ids over; tombstoned entries are never
     /// touched).
     pub fn snapshot_with_collection(reader: IndexReader, collection: &'a SampleCollection) -> Self {
@@ -766,7 +753,7 @@ mod tests {
         SampleCollection::from_sets(samples).unwrap()
     }
 
-    fn engine_fixture() -> (SampleCollection, SketchIndex) {
+    fn engine_fixture() -> (SampleCollection, IndexReader) {
         let collection = workload();
         let config = IndexConfig::default().with_signature_len(192).with_threshold(0.4);
         let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
@@ -776,7 +763,7 @@ mod tests {
     #[test]
     fn self_query_returns_itself_first() {
         let (collection, index) = engine_fixture();
-        let engine = QueryEngine::with_collection(&index, &collection);
+        let engine = QueryEngine::snapshot_with_collection(index, &collection);
         for id in 0..collection.n() {
             let opts = QueryOptions { top_k: 4, ..QueryOptions::default() };
             let got = engine.query(collection.sample(id), &opts).unwrap();
@@ -799,13 +786,13 @@ mod tests {
         let query: Vec<u64> = collection.sample(5).iter().copied().step_by(2).collect();
         let exact = exact_top_k(&collection, &query, 4);
 
-        let estimate_engine = QueryEngine::new(&index);
+        let estimate_engine = QueryEngine::snapshot(index.clone());
         let est = estimate_engine
             .query(&query, &QueryOptions { top_k: 4, ..Default::default() })
             .unwrap();
         assert_eq!(est[0].id, exact[0].id, "estimate misses the top-1");
 
-        let rerank_engine = QueryEngine::with_collection(&index, &collection);
+        let rerank_engine = QueryEngine::snapshot_with_collection(index, &collection);
         let opts = QueryOptions { top_k: 4, rerank_exact: true, ..Default::default() };
         let rr = rerank_engine.query(&query, &opts).unwrap();
         for (got, want) in rr.iter().zip(&exact) {
@@ -818,7 +805,7 @@ mod tests {
     fn presigned_queries_match_inline_signing_and_reject_mismatches() {
         use gas_core::minhash::SignerKind;
         let (collection, index) = engine_fixture();
-        let engine = QueryEngine::new(&index);
+        let engine = QueryEngine::snapshot(index.clone());
         let opts = QueryOptions { top_k: 4, ..Default::default() };
         let values = collection.sample(5);
         let sig = index.scheme().sign(values);
@@ -849,7 +836,7 @@ mod tests {
     #[test]
     fn rerank_without_collection_is_an_error() {
         let (_, index) = engine_fixture();
-        let engine = QueryEngine::new(&index);
+        let engine = QueryEngine::snapshot(index);
         let opts = QueryOptions { rerank_exact: true, ..Default::default() };
         assert!(matches!(engine.query(&[1, 2, 3], &opts), Err(IndexError::InvalidQuery(_))));
     }
@@ -904,7 +891,7 @@ mod tests {
     #[test]
     fn batch_queries_line_up_with_inputs() {
         let (collection, index) = engine_fixture();
-        let engine = QueryEngine::with_collection(&index, &collection);
+        let engine = QueryEngine::snapshot_with_collection(index, &collection);
         let queries: Vec<Vec<u64>> = (0..6).map(|i| collection.sample(i * 2).to_vec()).collect();
         let opts = QueryOptions { top_k: 3, rerank_exact: true, ..Default::default() };
         let batch = engine.query_batch(&queries, &opts).unwrap();
@@ -918,7 +905,7 @@ mod tests {
     #[test]
     fn pages_tile_the_full_ranking_for_any_page_size() {
         let (collection, index) = engine_fixture();
-        let engine = QueryEngine::with_collection(&index, &collection);
+        let engine = QueryEngine::snapshot_with_collection(index, &collection);
         let query = collection.sample(5);
         for rerank in [false, true] {
             // One-shot reference: a single page larger than the corpus.
@@ -951,7 +938,7 @@ mod tests {
     #[test]
     fn page_min_score_filters_before_paging() {
         let (collection, index) = engine_fixture();
-        let engine = QueryEngine::new(&index);
+        let engine = QueryEngine::snapshot(index);
         let query = collection.sample(0);
         let all = engine.query_page(query, &PageRequest::new(64)).unwrap();
         let floor = all.hits[all.hits.len() / 2].score;
@@ -965,14 +952,14 @@ mod tests {
     #[test]
     fn stale_and_malformed_cursors_are_typed_errors() {
         let (collection, index) = engine_fixture();
-        let engine = QueryEngine::new(&index);
+        let engine = QueryEngine::snapshot(index);
         let query = collection.sample(0);
-        // The monolithic snapshot is generation 0; a cursor minted at a
-        // later generation must be refused.
+        // A one-commit snapshot is generation 1; a cursor minted at any
+        // other generation must be refused.
         let stale = PageRequest::new(4).with_cursor(PageCursor::new(7, 0));
         assert!(matches!(
             engine.query_page(query, &stale),
-            Err(IndexError::StaleCursor { cursor_generation: 7, snapshot_generation: 0 })
+            Err(IndexError::StaleCursor { cursor_generation: 7, snapshot_generation: 1 })
         ));
         assert!(matches!(PageCursor::parse("gibberish"), Err(IndexError::InvalidCursor(_))));
         assert!(matches!(PageCursor::parse("12"), Err(IndexError::InvalidCursor(_))));
@@ -986,7 +973,7 @@ mod tests {
     #[test]
     fn empty_queries_and_empty_results_behave() {
         let (collection, index) = engine_fixture();
-        let engine = QueryEngine::with_collection(&index, &collection);
+        let engine = QueryEngine::snapshot_with_collection(index, &collection);
         // An empty query collides with no indexed sample (none is empty).
         let got = engine.query(&[], &QueryOptions::default()).unwrap();
         assert!(got.is_empty());
@@ -1005,7 +992,7 @@ mod tests {
         // popcount re-rank, which would otherwise reject non-increasing
         // columns or inflate the union term.
         let (collection, index) = engine_fixture();
-        let engine = QueryEngine::with_collection(&index, &collection);
+        let engine = QueryEngine::snapshot_with_collection(index, &collection);
         let clean: Vec<u64> = collection.sample(7).to_vec();
         let mut messy: Vec<u64> = clean.iter().rev().copied().collect();
         messy.extend_from_slice(&clean[..clean.len() / 3]); // duplicates

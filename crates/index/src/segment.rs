@@ -1,10 +1,9 @@
 //! Immutable index segments — the unit of the LSM-style index lifecycle.
 //!
-//! A [`Segment`] is one sealed batch of samples: signatures, metadata and
-//! per-band bucket tables, exactly the shape the monolithic
-//! `SketchIndex` used to hold, plus a mapping from *local* rows (the
-//! dense `0..n` of this segment) to *global* sample ids (assigned once
-//! by the `IndexWriter` and never reused). Bucket tables store local
+//! A [`Segment`] is one sealed batch of samples: signatures, metadata,
+//! per-band bucket tables and a mapping from *local* rows (the dense
+//! `0..n` of this segment) to *global* sample ids (assigned once by the
+//! `IndexWriter` and never reused). Bucket tables store local
 //! rows, so a segment is self-contained: it can be built, persisted,
 //! checksummed and sharded without knowing about any other segment.
 //! Once sealed a segment never changes — deletes are tombstones held by
@@ -38,7 +37,7 @@ pub struct SegmentRow {
 }
 
 /// An immutable, sealed segment of the index.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     id: u64,
     scheme: SignatureScheme,
@@ -221,8 +220,9 @@ impl Segment {
     }
 
     /// Candidate *local rows* for a query signature, probing only the
-    /// bands `band_filter` admits. Sorted and deduplicated, like the
-    /// monolithic index's candidate sets.
+    /// bands `band_filter` admits (the distributed path passes its
+    /// shard's bands; the local path passes `|_| true`). Sorted and
+    /// deduplicated so candidate sets are deterministic.
     pub fn candidates_where<F: Fn(usize) -> bool>(
         &self,
         sig: &MinHashSignature,
@@ -252,25 +252,6 @@ impl Segment {
                 name: self.names[local].clone(),
             })
             .collect()
-    }
-
-    /// Structural equality ignoring the segment id (used by the
-    /// `SketchIndex` convenience wrapper, whose v1/v2 container format
-    /// predates segment ids).
-    pub(crate) fn same_content(&self, other: &Segment) -> bool {
-        self.scheme == other.scheme
-            && self.params == other.params
-            && self.global_ids == other.global_ids
-            && self.signatures == other.signatures
-            && self.set_sizes == other.set_sizes
-            && self.names == other.names
-            && self.bands == other.bands
-    }
-}
-
-impl PartialEq for Segment {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id && self.same_content(other)
     }
 }
 
@@ -366,9 +347,11 @@ mod tests {
             &refs,
         )
         .unwrap();
-        let rebuilt = Segment::from_rows(2, scheme, params, seg.live_rows(|_| false)).unwrap();
-        assert!(rebuilt.same_content(&seg));
-        assert_ne!(rebuilt, seg, "ids differ");
+        // Same rows, same id: an equal segment. The id is part of equality.
+        let rebuilt = Segment::from_rows(1, scheme, params, seg.live_rows(|_| false)).unwrap();
+        assert_eq!(rebuilt, seg);
+        let renumbered = Segment::from_rows(2, scheme, params, seg.live_rows(|_| false)).unwrap();
+        assert_ne!(renumbered, seg, "ids differ");
         // Dropping one row renumbers locals and keeps global ids.
         let pruned = Segment::from_rows(3, scheme, params, seg.live_rows(|id| id == 0)).unwrap();
         assert_eq!(pruned.global_ids(), &[1]);

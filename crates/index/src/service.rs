@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use gas_chaos::{RetryPolicy, Storage};
 use gas_core::indicator::SampleCollection;
 
-use crate::build::{IndexConfig, SketchIndex};
+use crate::build::IndexConfig;
 use crate::error::{IndexError, IndexResult};
 use crate::lifecycle::{
     CommitSummary, CompactionPolicy, Compactor, IndexReader, IndexWriter, VacuumReport,
@@ -227,9 +227,16 @@ impl IndexOptions {
         IndexWriter::new_at(path, &self.config)
     }
 
-    /// Build a monolithic [`SketchIndex`] over a whole collection.
-    pub fn build_index(&self, collection: &SampleCollection) -> IndexResult<SketchIndex> {
-        SketchIndex::build_monolithic(collection, &self.config)
+    /// Build an index over a whole collection in one shot: the snapshot
+    /// of an in-memory writer's single
+    /// [`commit_collection`](IndexWriter::commit_collection) — one
+    /// segment, global ids the dense `0..n`, generation 1. To persist it,
+    /// run the same commit on [`Self::create_writer_at`] and reopen with
+    /// [`IndexReader::open`].
+    pub fn build_index(&self, collection: &SampleCollection) -> IndexResult<IndexReader> {
+        let mut writer = self.open_writer()?;
+        writer.commit_collection(collection)?;
+        Ok(writer.reader())
     }
 
     /// A [`Compactor`] under these options' compaction policy.

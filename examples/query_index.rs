@@ -29,7 +29,8 @@ fn main() {
         .with_signature_len(128)
         .with_threshold(0.5)
         .with_signer(SignerKind::Oph);
-    let index = IndexOptions::from_config(config).build_index(&collection).expect("build succeeds");
+    let options = IndexOptions::from_config(config);
+    let index = options.build_index(&collection).expect("build succeeds");
     println!(
         "index: {} bands x {} rows, S-curve threshold {:.3}",
         index.params().bands(),
@@ -37,14 +38,17 @@ fn main() {
         index.params().threshold()
     );
 
-    // 2. PERSIST — write the container, read it back, nothing lost.
+    // 2. PERSIST — the same one commit, into a container file; read it
+    // back, nothing lost. (A growing corpus keeps the writer and commits
+    // again: see the `incremental_index` example.)
     let path =
         std::env::temp_dir().join(format!("query_index_example_{}.gidx", std::process::id()));
-    index.write_to(&path).expect("container writes");
-    let loaded = SketchIndex::read_from(&path).expect("container reads");
+    let mut writer = options.create_writer_at(&path).expect("container creates");
+    writer.commit_collection(&collection).expect("container writes");
+    let loaded = IndexReader::open(&path).expect("container reads");
     let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     std::fs::remove_file(&path).ok();
-    assert_eq!(loaded, index, "round-trip must be lossless");
+    assert_eq!(loaded.segments(), index.segments(), "round-trip must be lossless");
     println!("persisted and re-loaded the index ({size} bytes)");
 
     // 3. QUERY — a perturbed copy of sample 5 (family 1): drop every
@@ -60,14 +64,14 @@ fn main() {
     query.extend(77_000_000..77_000_040);
     query.sort_unstable();
 
-    let engine = QueryEngine::with_collection(&loaded, &collection);
+    let engine = QueryEngine::snapshot_with_collection(loaded.clone(), &collection);
     let opts = QueryOptions { top_k: 4, rerank_exact: true, ..Default::default() };
     let hits = engine.query(&query, &opts).expect("query succeeds");
     println!("\ntop-{} neighbors (exact popcount re-rank):", opts.top_k);
     for n in &hits {
         println!(
             "  {:>10}  J = {:.4}  (signature agreement {}/{})",
-            loaded.names()[n.id as usize],
+            loaded.name_of(n.id).expect("hits are live samples"),
             n.score,
             n.agreement,
             loaded.scheme().len()
@@ -86,13 +90,7 @@ fn main() {
             let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
             ctx.expect_ok(
                 "dist_query_reader_batch_stats",
-                dist_query_reader_batch_stats(
-                    ctx.world(),
-                    &loaded.as_reader(),
-                    Some(&collection),
-                    q,
-                    &opts,
-                ),
+                dist_query_reader_batch_stats(ctx.world(), &loaded, Some(&collection), q, &opts),
             )
         })
         .expect("distributed run succeeds");

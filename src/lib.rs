@@ -89,7 +89,7 @@ pub mod prelude {
         IndexReader, IndexService, IndexWriter, LatencyHistogram, LocalIndexService, LshParams,
         Neighbor, PageCursor, PageRequest, PlacementInstallStats, QueryEngine, QueryOptions,
         QueryPage, RequestClassStats, RetryPolicy, SegmentPlacement, SegmentStats, ServiceStats,
-        ServingLayout, SignerKind, SketchIndex, VacuumReport,
+        ServingLayout, SignerKind, VacuumReport,
     };
     pub use gas_obs::{
         collective_cost_report, folded_stacks, render_collective_costs, to_prometheus,

@@ -123,7 +123,8 @@ proptest! {
                 let opts = QueryOptions { top_k: 5, rerank_exact: rerank, ..Default::default() };
                 let incr_engine =
                     QueryEngine::snapshot_with_collection(reader.clone(), &full_collection);
-                let fresh_engine = QueryEngine::with_collection(&fresh, &final_collection);
+                let fresh_engine =
+                    QueryEngine::snapshot_with_collection(fresh.clone(), &final_collection);
                 for q in &queries {
                     let got = incr_engine.query(q, &opts).unwrap();
                     let want = remap_dense_to_global(&live, &fresh_engine.query(q, &opts).unwrap());
@@ -597,7 +598,7 @@ fn service_stress_commits_compactions_and_paged_queries_stay_serializable() {
         let fresh = IndexOptions::from_config(config)
             .build_index(&SampleCollection::from_sorted_sets(final_sets).unwrap())
             .unwrap();
-        let fresh_engine = QueryEngine::new(&fresh);
+        let fresh_engine = QueryEngine::snapshot(fresh);
         let engine = QueryEngine::snapshot(reader.clone());
         for probe in &probes {
             let got = engine.query(probe, &opts).unwrap();

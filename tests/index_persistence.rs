@@ -1,17 +1,67 @@
-//! Persistence tests of the `gas-index` container: property-based
-//! round-trips (build → write → read → identical index and identical
-//! top-k answers) and rejection of corrupted or truncated files.
+//! Persistence tests of the `gas-index` container, against one-commit
+//! files: property-based round-trips (build → file → open → equal
+//! segments and identical top-k answers) and typed rejection of
+//! corrupted, truncated, forged and too-old files.
 
-use genomeatscale::index::container::{Container, ContainerWriter, MAGIC, SECTION_META};
+use std::path::{Path, PathBuf};
+
+use genomeatscale::index::container::{fnv1a64, MAGIC};
 use genomeatscale::index::IndexError;
 use genomeatscale::prelude::*;
 use proptest::prelude::*;
 
-fn unique_path(tag: &str) -> std::path::PathBuf {
+fn unique_path(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("gas_idx_{tag}_{}_{n}.gidx", std::process::id()))
+}
+
+/// One-shot persistence: `collection` committed once into a fresh
+/// container file at `path`.
+fn persist(options: &IndexOptions, collection: &SampleCollection, path: &Path) -> IndexWriter {
+    let mut writer = options.create_writer_at(path).unwrap();
+    writer.commit_collection(collection).unwrap();
+    writer
+}
+
+/// The bytes of a file holding *only* that one commit. `create_writer_at`
+/// leaves a generation-0 manifest a damaged tail would fall back to;
+/// vacuum rewrites the file as header + segment + manifest, so any damage
+/// has no older generation to hide behind.
+fn one_generation_bytes(signature_len: usize, sets: Vec<Vec<u64>>, path: &Path) -> Vec<u8> {
+    let collection = SampleCollection::from_sorted_sets(sets).unwrap();
+    let options =
+        IndexOptions::from_config(IndexConfig::default().with_signature_len(signature_len));
+    persist(&options, &collection, path).vacuum().unwrap();
+    std::fs::read(path).unwrap()
+}
+
+/// Overwrite `path` with `bytes` and open it read-only.
+fn open_bytes(path: &Path, bytes: &[u8]) -> Result<IndexReader, IndexError> {
+    std::fs::write(path, bytes).unwrap();
+    IndexReader::open(path)
+}
+
+/// A hand-framed file header: magic, version, checksum of both.
+fn header(version: u32) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    out.extend(version.to_le_bytes());
+    let crc = fnv1a64(&out);
+    out.extend(crc.to_le_bytes());
+    out
+}
+
+/// A hand-framed, checksum-valid block around `payload`.
+fn block(kind: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+    let mut out = kind.to_vec();
+    out.extend(0u32.to_le_bytes());
+    out.extend((payload.len() as u64).to_le_bytes());
+    out.extend(fnv1a64(payload).to_le_bytes());
+    let crc = fnv1a64(&out);
+    out.extend(crc.to_le_bytes());
+    out.extend(payload);
+    out
 }
 
 /// Strategy: a small collection of samples over a bounded universe,
@@ -31,20 +81,29 @@ proptest! {
     fn container_round_trip_preserves_index_and_answers(
         samples in collections(),
         signature_len in 8usize..65,
+        oph in any::<bool>(),
     ) {
         let collection = SampleCollection::from_sorted_sets(samples).unwrap();
         let config = IndexConfig::default()
             .with_signature_len(signature_len)
-            .with_threshold(0.5);
-        let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
+            .with_threshold(0.5)
+            .with_signer(if oph { SignerKind::Oph } else { SignerKind::KMins });
+        let options = IndexOptions::from_config(config);
+        let index = options.build_index(&collection).unwrap();
 
         let path = unique_path("roundtrip");
-        index.write_to(&path).unwrap();
-        let loaded = SketchIndex::read_from(&path).unwrap();
+        persist(&options, &collection, &path);
+        let loaded = IndexReader::open(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
-        // The loaded index is structurally identical ...
-        prop_assert_eq!(&loaded, &index);
+        // The loaded index is structurally identical (segment id
+        // included) ...
+        prop_assert_eq!(loaded.segments(), index.segments());
+        prop_assert_eq!(loaded.scheme(), index.scheme());
+        prop_assert_eq!(
+            (loaded.generation(), loaded.id_bound(), loaded.tombstones()),
+            (index.generation(), index.id_bound(), index.tombstones())
+        );
 
         // ... and answers every query identically (every sample plus a
         // few perturbations, with and without exact re-ranking).
@@ -54,10 +113,10 @@ proptest! {
         queries.push(collection.sample(0).iter().copied().step_by(2).collect());
         for rerank in [false, true] {
             let opts = QueryOptions { top_k: 5, rerank_exact: rerank, ..Default::default() };
-            let before = QueryEngine::with_collection(&index, &collection)
+            let before = QueryEngine::snapshot_with_collection(index.clone(), &collection)
                 .query_batch(&queries, &opts)
                 .unwrap();
-            let after = QueryEngine::with_collection(&loaded, &collection)
+            let after = QueryEngine::snapshot_with_collection(loaded.clone(), &collection)
                 .query_batch(&queries, &opts)
                 .unwrap();
             prop_assert_eq!(before, after, "rerank={}", rerank);
@@ -69,101 +128,130 @@ proptest! {
         byte in 0usize..10_000,
     ) {
         // A canonical small index; flip one byte somewhere in the file
-        // (position taken modulo the length) and the reader must either
-        // reject it or — never — misparse silently into a *different*
-        // valid index. Flips that keep the file identical (impossible for
-        // XOR) or land in ignored padding do not exist in this format:
-        // every byte is covered by a checksum.
-        let collection = SampleCollection::from_sorted_sets(vec![
-            (0..40u64).collect(),
-            (20..60u64).collect(),
-        ])
-        .unwrap();
-        let index =
-            IndexOptions::from_config(IndexConfig::default().with_signature_len(16)).build_index(&collection)
-                .unwrap();
-        let mut bytes = index.to_container_bytes();
+        // (position taken modulo the length) and the reader must reject
+        // it — never misparse silently into a *different* valid index.
+        // Flips that land in ignored padding do not exist in this format:
+        // every byte is covered by a checksum, and with one generation in
+        // the file there is nothing older to fall back to.
+        let path = unique_path("flip");
+        let mut bytes =
+            one_generation_bytes(16, vec![(0..40u64).collect(), (20..60u64).collect()], &path);
         let pos = byte % bytes.len();
         bytes[pos] ^= 0x5A;
-        prop_assert!(
-            SketchIndex::from_container_bytes(bytes).is_err(),
-            "flip at byte {} went undetected",
-            pos
-        );
+        let opened = open_bytes(&path, &bytes);
+        std::fs::remove_file(&path).ok();
+        prop_assert!(opened.is_err(), "flip at byte {} went undetected", pos);
     }
 }
 
 #[test]
 fn corrupted_header_is_rejected() {
-    let collection =
-        SampleCollection::from_sorted_sets(vec![(0..50u64).collect(), (25..75u64).collect()])
-            .unwrap();
-    let index = IndexOptions::from_config(IndexConfig::default().with_signature_len(32))
-        .build_index(&collection)
-        .unwrap();
-    let bytes = index.to_container_bytes();
+    let path = unique_path("header");
+    let bytes = one_generation_bytes(32, vec![(0..50u64).collect(), (25..75u64).collect()], &path);
+    assert_eq!(bytes[..20], header(3)[..], "the hand-framed header is the real one");
 
     // Wrong magic.
     let mut bad = bytes.clone();
     bad[..8].copy_from_slice(b"NOTGASIX");
-    assert!(matches!(SketchIndex::from_container_bytes(bad), Err(IndexError::BadMagic)));
+    assert!(matches!(open_bytes(&path, &bad), Err(IndexError::BadMagic)));
 
-    // Unsupported version.
+    // Unsupported version, with a header checksum that matches it.
     let mut bad = bytes.clone();
-    bad[8..12].copy_from_slice(&7u32.to_le_bytes());
-    assert!(matches!(
-        SketchIndex::from_container_bytes(bad),
-        Err(IndexError::UnsupportedVersion(7))
-    ));
+    bad[..20].copy_from_slice(&header(7));
+    assert!(matches!(open_bytes(&path, &bad), Err(IndexError::UnsupportedVersion(7))));
 
-    // Corrupted section-table checksum region.
+    // Corrupted header checksum.
     let mut bad = bytes.clone();
-    bad[26] ^= 0xFF; // inside the section table
-    assert!(matches!(
-        SketchIndex::from_container_bytes(bad),
-        Err(IndexError::ChecksumMismatch { .. }) | Err(IndexError::Truncated { .. })
-    ));
+    bad[15] ^= 0xFF;
+    assert!(matches!(open_bytes(&path, &bad), Err(IndexError::ChecksumMismatch { .. })));
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn truncated_files_are_rejected_at_every_length() {
-    let collection =
-        SampleCollection::from_sorted_sets(vec![(0..30u64).collect(), (10..40u64).collect()])
-            .unwrap();
-    let index = IndexOptions::from_config(IndexConfig::default().with_signature_len(8))
-        .build_index(&collection)
-        .unwrap();
-    let bytes = index.to_container_bytes();
-    // Every proper prefix must fail loudly (drop a tail of 1 byte up to
-    // several sections' worth) — a truncated copy is the classic failure
-    // of interrupted uploads.
-    for keep in [0usize, 7, 8, 23, 24, bytes.len() / 2, bytes.len() - 1] {
-        let truncated = bytes[..keep].to_vec();
-        assert!(
-            SketchIndex::from_container_bytes(truncated).is_err(),
-            "prefix of {keep} bytes accepted"
-        );
+    let path = unique_path("truncated");
+    let bytes = one_generation_bytes(8, vec![(0..30u64).collect(), (10..40u64).collect()], &path);
+    assert!(open_bytes(&path, &bytes).is_ok());
+    // Every proper prefix must fail loudly — a truncated copy is the
+    // classic failure of interrupted uploads.
+    for keep in 0..bytes.len() {
+        assert!(open_bytes(&path, &bytes[..keep]).is_err(), "prefix of {keep} bytes accepted");
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
-fn missing_sections_are_rejected() {
-    // A syntactically valid container that lacks the signature section.
-    let mut writer = ContainerWriter::new();
-    writer.add_section(SECTION_META, vec![0u8; 4]);
-    let bytes = writer.to_bytes();
-    let container = Container::parse(bytes.clone()).unwrap();
-    assert_eq!(container.tags(), vec!["META".to_string()]);
-    match SketchIndex::from_container_bytes(bytes) {
-        // META is truncated (4 bytes cannot hold the fixed fields), or a
-        // later section is missing — either way a typed error, no panic.
-        Err(
-            IndexError::Truncated { .. }
-            | IndexError::MissingSection(_)
-            | IndexError::Corrupt { .. },
-        ) => {}
-        other => panic!("unexpected result: {other:?}"),
+fn version_one_and_two_files_are_refused_and_left_untouched() {
+    // The 24-byte header of the retired single-index section-table
+    // format: magic, version, section count, total length. Bytes 12..20
+    // are not a checksum there, so the version must be judged first.
+    let path = unique_path("too_old");
+    for version in [1u32, 2] {
+        let mut old = MAGIC.to_vec();
+        old.extend(version.to_le_bytes());
+        old.extend(0u32.to_le_bytes());
+        old.extend(32u64.to_le_bytes());
+        assert_eq!(old.len(), 24);
+
+        let refused = open_bytes(&path, &old).unwrap_err();
+        assert!(matches!(refused, IndexError::UnsupportedVersion(v) if v == version));
+        assert!(refused.to_string().contains("predates the segmented format"), "{refused}");
+        assert!(matches!(
+            IndexWriter::open(&path),
+            Err(IndexError::UnsupportedVersion(v)) if v == version
+        ));
+        assert!(matches!(
+            IndexOptions::new().serve_open(&path),
+            Err(IndexError::UnsupportedVersion(v)) if v == version
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), old, "a refused open must not touch the file");
     }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn forged_counts_are_typed_errors_not_allocation_aborts() {
+    // FNV-1a is not a secret: a checksum-valid block with a forged count
+    // is trivial to build, and must come back as an error — not as an
+    // attempt to allocate u32::MAX records the payload never backed.
+    let path = unique_path("forged");
+    let scheme = |len: u32, bands: u32, rows: u32| {
+        let mut out = 0u32.to_le_bytes().to_vec(); // signer kind: k-mins
+        out.extend(len.to_le_bytes());
+        out.extend(7u64.to_le_bytes()); // seed
+        out.extend(bands.to_le_bytes());
+        out.extend(rows.to_le_bytes());
+        out
+    };
+
+    // A manifest announcing u32::MAX segment refs and holding none.
+    let mut manifest = 1u32.to_le_bytes().to_vec(); // layout
+    manifest.extend(1u64.to_le_bytes()); // generation
+    manifest.extend(scheme(8, 4, 2));
+    manifest.extend(0u32.to_le_bytes()); // next global id
+    manifest.extend(u32::MAX.to_le_bytes()); // segment count
+    let mut file = header(3);
+    file.extend(block(b"MAN\0", &manifest));
+    assert!(matches!(open_bytes(&path, &file), Err(IndexError::Truncated { .. })));
+
+    // An empty segment announcing u32::MAX band tables and holding none.
+    let mut segment = 1u32.to_le_bytes().to_vec(); // layout
+    segment.extend(1u64.to_le_bytes()); // segment id
+    segment.extend(scheme(u32::MAX, u32::MAX, 1));
+    segment.extend(0u32.to_le_bytes()); // row count
+    let mut file = header(3);
+    file.extend(block(b"SEG\0", &segment));
+    assert!(matches!(open_bytes(&path, &file), Err(IndexError::Truncated { .. })));
+
+    // A banding that does not tile the signature is structural garbage.
+    let mut segment = 1u32.to_le_bytes().to_vec();
+    segment.extend(1u64.to_le_bytes());
+    segment.extend(scheme(8, u32::MAX, 1));
+    segment.extend(0u32.to_le_bytes());
+    let mut file = header(3);
+    file.extend(block(b"SEG\0", &segment));
+    assert!(matches!(open_bytes(&path, &file), Err(IndexError::Corrupt { .. })));
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -171,14 +259,13 @@ fn file_level_round_trip_with_magic_constant() {
     let collection =
         SampleCollection::from_sorted_sets(vec![(0..100u64).collect(), (50..150u64).collect()])
             .unwrap();
-    let index = IndexOptions::from_config(IndexConfig::default().with_signature_len(64))
-        .build_index(&collection)
-        .unwrap();
+    let options = IndexOptions::from_config(IndexConfig::default().with_signature_len(64));
+    let index = options.build_index(&collection).unwrap();
     let path = unique_path("file");
-    index.write_to(&path).unwrap();
+    persist(&options, &collection, &path);
     let raw = std::fs::read(&path).unwrap();
     assert_eq!(&raw[..8], &MAGIC, "files start with the container magic");
-    let loaded = SketchIndex::read_from(&path).unwrap();
+    let loaded = IndexReader::open(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(loaded, index);
+    assert_eq!(loaded.segments(), index.segments());
 }

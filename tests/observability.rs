@@ -48,7 +48,7 @@ fn paged_query_spans_nest_and_sum_within_the_request() {
     let _gate = tracing_session();
     let collection = family_collection();
     let index = IndexOptions::from_config(config()).build_index(&collection).expect("build");
-    let engine = QueryEngine::with_collection(&index, &collection);
+    let engine = QueryEngine::snapshot_with_collection(index, &collection);
     let probes: Vec<Vec<u64>> = (0..3).map(|i| collection.sample(i * 7).to_vec()).collect();
     let pages = engine
         .query_page_batch(&probes, &PageRequest::new(5).with_rerank(true))
@@ -147,13 +147,7 @@ fn dist_trace_carries_predicted_next_to_measured_cost() {
             let q = if ctx.rank() == 0 { Some(&probes[..]) } else { None };
             ctx.expect_ok(
                 "dist batch",
-                dist_query_reader_batch_stats(
-                    ctx.world(),
-                    &index.as_reader(),
-                    Some(&collection),
-                    q,
-                    &opts,
-                ),
+                dist_query_reader_batch_stats(ctx.world(), &index, Some(&collection), q, &opts),
             )
         })
         .expect("distributed run");

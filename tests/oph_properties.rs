@@ -110,14 +110,20 @@ proptest! {
         let config = IndexConfig::default()
             .with_signature_len(signature_len)
             .with_signer(index_kind);
-        let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
+        let options = IndexOptions::from_config(config);
+        let index = options.build_index(&collection).unwrap();
 
-        // Round-trip through the container: the signer record survives.
-        let loaded = SketchIndex::from_container_bytes(index.to_container_bytes()).unwrap();
-        prop_assert_eq!(&loaded, &index);
+        // Round-trip through a container file (cases run one at a time,
+        // so one path per process is enough): the signer record survives.
+        let path =
+            std::env::temp_dir().join(format!("gas_oph_signer_{}.gidx", std::process::id()));
+        options.create_writer_at(&path).unwrap().commit_collection(&collection).unwrap();
+        let loaded = IndexReader::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        prop_assert_eq!(loaded.segments(), index.segments());
         prop_assert_eq!(loaded.scheme().kind(), index_kind);
 
-        let engine = QueryEngine::new(&loaded);
+        let engine = QueryEngine::snapshot(loaded.clone());
         let opts = QueryOptions { top_k: 3, ..Default::default() };
         let values = collection.sample(0);
 
@@ -158,7 +164,7 @@ fn signer_choice_changes_signatures_but_not_serving_quality() {
         let config =
             IndexConfig::default().with_signature_len(128).with_threshold(0.4).with_signer(kind);
         let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
-        let engine = QueryEngine::with_collection(&index, &collection);
+        let engine = QueryEngine::snapshot_with_collection(index.clone(), &collection);
         let opts = QueryOptions { top_k: 4, rerank_exact: true, ..Default::default() };
         for id in 0..collection.n() {
             let got = engine.query(collection.sample(id), &opts).unwrap();
@@ -171,7 +177,7 @@ fn signer_choice_changes_signatures_but_not_serving_quality() {
                 );
             }
         }
-        per_signer_answers.push(index.signature(0).values().to_vec());
+        per_signer_answers.push(index.signature_of(0).unwrap().values().to_vec());
     }
     assert_ne!(
         per_signer_answers[0], per_signer_answers[1],

@@ -50,7 +50,7 @@ fn sharded_answers_equal_single_rank_answers_across_grid() {
 
     for rerank in [false, true] {
         let opts = QueryOptions { top_k: 6, rerank_exact: rerank, ..Default::default() };
-        let engine = QueryEngine::with_collection(&index, &collection);
+        let engine = QueryEngine::snapshot_with_collection(index.clone(), &collection);
         let reference = engine.query_batch(&queries, &opts).unwrap();
 
         for ranks in env_usize_list("GAS_DIST_RANKS", &[1, 2, 4, 6, 8]) {
@@ -59,13 +59,7 @@ fn sharded_answers_equal_single_rank_answers_across_grid() {
                     let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
                     ctx.expect_ok(
                         "dist_query_reader_batch",
-                        dist_query_reader_batch(
-                            ctx.world(),
-                            &index.as_reader(),
-                            Some(&collection),
-                            q,
-                            &opts,
-                        ),
+                        dist_query_reader_batch(ctx.world(), &index, Some(&collection), q, &opts),
                     )
                 })
                 .unwrap();
@@ -120,8 +114,9 @@ fn signature_sharding_splits_storage_across_the_grid_for_both_signers() {
             IndexConfig::default().with_signature_len(128).with_threshold(0.4).with_signer(signer);
         let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
         let opts = QueryOptions { top_k: 6, rerank_exact: true, ..Default::default() };
-        let reference =
-            QueryEngine::with_collection(&index, &collection).query_batch(&queries, &opts).unwrap();
+        let reference = QueryEngine::snapshot_with_collection(index.clone(), &collection)
+            .query_batch(&queries, &opts)
+            .unwrap();
         for ranks in env_usize_list("GAS_DIST_RANKS", &[4, 6, 8]) {
             let out = Runtime::new(ranks)
                 .run(|ctx| {
@@ -130,7 +125,7 @@ fn signature_sharding_splits_storage_across_the_grid_for_both_signers() {
                         "dist_query_reader_batch_stats",
                         dist_query_reader_batch_stats(
                             ctx.world(),
-                            &index.as_reader(),
+                            &index,
                             Some(&collection),
                             q,
                             &opts,
@@ -146,12 +141,12 @@ fn signature_sharding_splits_storage_across_the_grid_for_both_signers() {
                 );
                 // ~n/p rows per rank, never the whole matrix.
                 assert!(
-                    stats.shard_rows <= index.n().div_ceil(ranks),
+                    stats.shard_rows <= index.n_rows().div_ceil(ranks),
                     "rank {rank}/{ranks}: {} rows exceed the ⌈n/p⌉ shard",
                     stats.shard_rows
                 );
                 assert_eq!(stats.shard_bytes, stats.shard_rows * 128 * 8);
-                assert_eq!(stats.replicated_bytes, index.n() * 128 * 8);
+                assert_eq!(stats.replicated_bytes, index.n_rows() * 128 * 8);
                 if ranks > 1 {
                     assert!(
                         stats.shard_bytes * 2 < stats.replicated_bytes,
@@ -161,7 +156,7 @@ fn signature_sharding_splits_storage_across_the_grid_for_both_signers() {
                 total_rows += stats.shard_rows;
             }
             // The shards partition the matrix: rows sum to n exactly.
-            assert_eq!(total_rows, index.n(), "p={ranks} ({signer})");
+            assert_eq!(total_rows, index.n_rows(), "p={ranks} ({signer})");
         }
     }
 }
@@ -172,14 +167,14 @@ fn signature_shards_cover_every_sample_exactly_once_on_ci_grids() {
     let index = IndexOptions::from_config(IndexConfig::default().with_signature_len(64))
         .build_index(&collection)
         .unwrap();
-    let segment = index.as_reader().segments()[0].clone();
+    let segment = index.segments()[0].clone();
     for ranks in env_usize_list("GAS_DIST_RANKS", &[4, 6, 8, 12]) {
         let shards: Vec<SignatureShard> =
             (0..ranks).map(|r| SignatureShard::for_segment(&segment, r, ranks)).collect();
-        for id in 0..index.n() {
+        for id in 0..index.n_rows() {
             let owner = sample_shard(id, ranks);
             assert_eq!(shards.iter().filter(|s| s.owns(id as u32)).count(), 1);
-            assert_eq!(shards[owner].row(id as u32), index.signature(id).values());
+            assert_eq!(shards[owner].row(id as u32), segment.signature(id).values());
         }
     }
 }
@@ -265,9 +260,10 @@ fn segmented_reader_serves_bit_identically_across_the_grid() {
                             .query_batch(&queries, &opts)
                             .unwrap();
                     // (2): single-rank reader ≡ remapped fresh rebuild.
-                    let fresh_answers = QueryEngine::with_collection(&fresh, &final_collection)
-                        .query_batch(&queries, &opts)
-                        .unwrap();
+                    let fresh_answers =
+                        QueryEngine::snapshot_with_collection(fresh.clone(), &final_collection)
+                            .query_batch(&queries, &opts)
+                            .unwrap();
                     for (got, dense) in reference.iter().zip(&fresh_answers) {
                         let want: Vec<Neighbor> = dense
                             .iter()
@@ -474,7 +470,7 @@ proptest! {
                         install_placement(ctx.world(), &reader, &placements, None),
                     );
                     let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
-                    let (answers, stats) = ctx.expect_ok(
+                    let (answers, degraded, stats) = ctx.expect_ok(
                         "planned batch",
                         dist_query_reader_batch_planned(
                             ctx.world(),
@@ -485,6 +481,7 @@ proptest! {
                             &planned,
                         ),
                     );
+                    assert_eq!(degraded, DegradedReport::default(), "fault-free round");
                     (answers, stats, install)
                 })
                 .unwrap();
@@ -605,7 +602,7 @@ proptest! {
                         let installed = install_placement(&sub, &reader, &placements, Some(&base));
                         Some(installed.map(|(layout, install)| {
                             let q = if sub.rank() == 0 { Some(&queries[..]) } else { None };
-                            let (answers, stats) = ctx.expect_ok(
+                            let (answers, degraded, stats) = ctx.expect_ok(
                                 "planned batch under failover",
                                 dist_query_reader_batch_planned(
                                     &sub,
@@ -616,7 +613,7 @@ proptest! {
                                     &layout,
                                 ),
                             );
-                            (answers, stats, install, layout.failed_ranks().to_vec())
+                            (answers, degraded, stats, install)
                         }))
                     })
                     .unwrap()
@@ -628,17 +625,16 @@ proptest! {
                     prop_assert_eq!(rank, crashed);
                     continue;
                 };
-                // A typed error or a hang would have failed `expect_ok`;
-                // an `Ok` from the exact-answers entry point is a round
-                // that was not degraded.
-                let (answers, stats, install, failed) =
+                // A typed error or a hang would have failed `expect_ok`.
+                let (answers, degraded, stats, install) =
                     result.as_ref().expect("two owners per slot cover one crash");
                 prop_assert_eq!(
                     answers, &reference,
                     "failover diverges (p={}, crashed={}, rank={}, placements={:?})",
                     ranks, crashed, rank, &placements
                 );
-                prop_assert_eq!(failed, &vec![crashed]);
+                prop_assert!(!degraded.degraded, "full coverage is not degraded");
+                prop_assert_eq!(&degraded.failed_ranks, &vec![crashed]);
                 prop_assert_eq!(install.collective_calls, 1);
                 prop_assert_eq!(stats.collective_calls, if rerank { 6 } else { 5 });
                 for (seg, placement) in stats.per_segment.iter().zip(&placements) {
@@ -675,28 +671,26 @@ fn persisted_index_serves_identically_to_the_built_one() {
     // serve, sharded. Answers from the loaded index must match answers
     // from the freshly built one.
     let collection = family_workload();
-    let index = IndexOptions::from_config(IndexConfig::default().with_signature_len(64))
-        .build_index(&collection)
-        .unwrap();
-    let loaded = SketchIndex::from_container_bytes(index.to_container_bytes()).unwrap();
+    let options = IndexOptions::from_config(IndexConfig::default().with_signature_len(64));
+    let index = options.build_index(&collection).unwrap();
+    let path =
+        std::env::temp_dir().join(format!("gas_serving_persisted_{}.gidx", std::process::id()));
+    options.create_writer_at(&path).unwrap().commit_collection(&collection).unwrap();
+    let loaded = IndexReader::open(&path).unwrap();
+    std::fs::remove_file(&path).ok();
     let queries: Vec<Vec<u64>> = (0..4).map(|i| collection.sample(i * 7).to_vec()).collect();
     let opts = QueryOptions { top_k: 5, rerank_exact: true, ..Default::default() };
 
-    let built_answers =
-        QueryEngine::with_collection(&index, &collection).query_batch(&queries, &opts).unwrap();
+    let built_answers = QueryEngine::snapshot_with_collection(index, &collection)
+        .query_batch(&queries, &opts)
+        .unwrap();
     let ranks = *env_usize_list("GAS_DIST_RANKS", &[4]).first().unwrap_or(&4);
     let out = Runtime::new(ranks)
         .run(|ctx| {
             let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
             ctx.expect_ok(
                 "dist_query_reader_batch over loaded index",
-                dist_query_reader_batch(
-                    ctx.world(),
-                    &loaded.as_reader(),
-                    Some(&collection),
-                    q,
-                    &opts,
-                ),
+                dist_query_reader_batch(ctx.world(), &loaded, Some(&collection), q, &opts),
             )
         })
         .unwrap();
