@@ -15,9 +15,13 @@ build:
 # The second command type-checks the perf ledger (bench/ledger: its own
 # package, built --locked against its own lock file) against this tree,
 # so renaming something it imports, or adding a dependency edge its lock
-# file lacks, fails here and not in the benchmark run.
+# file lacks, fails here and not in the benchmark run. gas-sparse is
+# tested a second time optimised: its kernels reach hardware popcount
+# through `target_feature` + `inline(always)`, which a debug build does
+# not exercise.
 test:
 	cargo test --workspace --locked -q
+	cargo test -p gas-sparse --release --locked -q
 	cargo check --offline --locked --manifest-path bench/ledger/Cargo.toml
 
 lint:

@@ -17,6 +17,8 @@
 //! 3. **projected total** — `time/batch × #batches`, the quantity the
 //!    paper's figures plot.
 
+#![forbid(unsafe_code)]
+
 pub mod report;
 pub mod scaling;
 pub mod workloads;

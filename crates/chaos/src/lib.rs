@@ -27,6 +27,8 @@
 //! [`gas_obs`] registry, so chaos drills leave the same audit trail a
 //! production incident would.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::Path;

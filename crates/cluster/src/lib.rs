@@ -18,6 +18,8 @@
 //! * [`graph`] — the vertex-neighborhood framing of Table III;
 //! * [`documents`] — the word-set framing of Table III.
 
+#![forbid(unsafe_code)]
+
 pub mod documents;
 pub mod error;
 pub mod graph;

@@ -6,13 +6,33 @@
 //! the rows that appear in at least one sample and renumbers the
 //! surviving rows contiguously via a prefix sum. This module provides the
 //! shared-memory filter; the distributed variant (built on the simulated
-//! runtime's collectives) lives in `gas_sparse::dist::filter`.
+//! runtime's collectives) lives in `gas_sparse::dist::filter`, as does
+//! [`RowFilter`] itself: its rank directory makes the renumbering in
+//! [`apply_filter`] one popcount per entry wherever a bitmap over the
+//! batch is no larger than the survivor list (a hypersparse batch over
+//! the k-mer universe keeps the `O(survivors)` binary search).
 
+use gas_sparse::bitmat::WORD_BITS;
 pub use gas_sparse::dist::filter::RowFilter;
 
 /// Build the zero-row filter of a batch from its per-sample column lists
 /// (batch-local row indices).
+///
+/// The paper's construction: OR every entry into a one-bit-per-row filter
+/// vector — taken when the `⌈batch_rows/64⌉`-word vector is no longer
+/// than the entry list it replaces. `batch_rows` is the k-mer universe,
+/// so for a hypersparse batch the vector would dwarf the data; there the
+/// entries are sorted and deduplicated instead, `O(entries)` in memory.
 pub fn batch_row_filter(batch_rows: usize, columns: &[Vec<usize>]) -> RowFilter {
+    let entries: usize = columns.iter().map(Vec::len).sum();
+    let nwords = batch_rows.div_ceil(WORD_BITS);
+    if nwords <= entries {
+        let mut words = vec![0u64; nwords];
+        for &r in columns.iter().flatten().filter(|&&r| r < batch_rows) {
+            words[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
+        }
+        return RowFilter::from_bitmap(batch_rows, &words);
+    }
     let mut rows: Vec<usize> = columns.iter().flatten().copied().collect();
     rows.sort_unstable();
     rows.dedup();
@@ -69,6 +89,31 @@ mod tests {
         let narrow = RowFilter::from_local(10, vec![5]);
         let filtered = apply_filter(&columns, &narrow);
         assert_eq!(filtered[0], vec![0]);
+    }
+
+    #[test]
+    fn universe_sized_batch_stays_proportional_to_its_entries() {
+        // 2⁴⁰ rows would be a 16 GiB filter vector: three entries must
+        // take the sort path, and renumbering must not index by row.
+        let columns = vec![vec![3, 1 << 39], vec![7]];
+        let f = batch_row_filter(1 << 40, &columns);
+        assert_eq!(f.nonzero_rows(), &[3, 7, 1 << 39]);
+        assert_eq!(apply_filter(&columns, &f), vec![vec![0, 2], vec![1]]);
+    }
+
+    #[test]
+    fn bitmap_built_and_sort_built_filters_are_the_same_filter() {
+        // 130 rows are 3 words: 4 entries take the bitmap path, and the
+        // same rows handed to `from_local` unsorted take the sort path.
+        let columns = vec![vec![2, 129], vec![2, 64], vec![]];
+        let bitmap_built = batch_row_filter(130, &columns);
+        let sort_built = RowFilter::from_local(130, vec![129, 64, 2, 2]);
+        assert_eq!(bitmap_built, sort_built);
+        assert_eq!(bitmap_built.fingerprint(), sort_built.fingerprint());
+        assert_eq!(bitmap_built.nonzero_rows(), &[2, 64, 129]);
+        // Out-of-range entries are clipped on both paths.
+        assert_eq!(batch_row_filter(64, &[vec![1, 64, 700]]).nonzero_rows(), &[1]);
+        assert_eq!(batch_row_filter(6400, &[vec![1, 6400]]).nonzero_rows(), &[1]);
     }
 
     #[test]

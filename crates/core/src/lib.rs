@@ -37,6 +37,8 @@
 //! assert!((result.similarity().get(0, 1) - 3.0 / 7.0).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod algorithm;
 pub mod baselines;
 pub mod batch;

@@ -66,15 +66,17 @@ pub fn prepare_batch(
     use_filter: bool,
     use_bitmask: bool,
 ) -> CoreResult<(PreparedBatch, RowFilter)> {
-    let filter = if use_filter {
-        batch_row_filter(batch_rows, columns)
+    let renumbered;
+    let (filter, filtered) = if use_filter {
+        let filter = batch_row_filter(batch_rows, columns);
+        renumbered = apply_filter(columns, &filter);
+        (filter, renumbered.as_slice())
     } else {
-        RowFilter::from_local(batch_rows, (0..batch_rows).collect())
+        (RowFilter::from_local(batch_rows, (0..batch_rows).collect()), columns)
     };
-    let filtered = if use_filter { apply_filter(columns, &filter) } else { columns.to_vec() };
     let rows = filter.num_nonzero_rows();
     if use_bitmask {
-        let bm = BitMatrix::from_columns(rows, &filtered)?;
+        let bm = BitMatrix::from_columns(rows, filtered)?;
         Ok((PreparedBatch::Masked(bm), filter))
     } else {
         let mut coo = CooMatrix::<u64>::with_capacity(
@@ -135,6 +137,20 @@ mod tests {
         assert_eq!(unmasked.kernel_rows(), 1000);
         // Cardinalities are invariant under filtering/masking choices.
         assert_eq!(masked.col_cardinalities(), unmasked.col_cardinalities());
+    }
+
+    #[test]
+    fn filter_off_equals_filter_on_when_no_row_is_empty() {
+        // Rows 0..70 all occur, so the filter keeps every row and both
+        // settings must prepare the same batch under the same filter.
+        let columns: Vec<Vec<usize>> = vec![(0..70).step_by(2).collect(), (1..70).collect()];
+        for use_bitmask in [true, false] {
+            let (on, on_filter) = prepare_batch(70, &columns, true, use_bitmask).unwrap();
+            let (off, off_filter) = prepare_batch(70, &columns, false, use_bitmask).unwrap();
+            assert_eq!(on, off, "bitmask = {use_bitmask}");
+            assert_eq!(on_filter, off_filter);
+            assert_eq!(off_filter.nonzero_rows(), (0..70).collect::<Vec<_>>());
+        }
     }
 
     #[test]

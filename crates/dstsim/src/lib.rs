@@ -43,6 +43,8 @@
 //! assert!(out.results.iter().all(|v| v[0] == 0 + 1 + 2 + 3));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod collectives;
 pub mod comm;
 pub mod cost;

@@ -31,6 +31,8 @@
 //! assert!(j > 0.0 && j < 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod error;
 pub mod fasta;

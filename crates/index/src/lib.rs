@@ -101,6 +101,8 @@
 //! assert!(pages[0].next_cursor.is_some());  // the twin is on page 2
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod container;
 pub mod dist;

@@ -18,6 +18,8 @@
 //! instrumentation off this crate; it depends on nothing, so it sits at
 //! the bottom of the workspace DAG.
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod hist;
 pub mod metrics;

@@ -28,6 +28,8 @@
 //! `gas_plan_replicated_segments`, `gas_plan_sharded_segments`,
 //! `gas_plan_tunes_total` and the `gas_plan_tuned_*` gauges.
 
+#![forbid(unsafe_code)]
+
 pub mod autotune;
 pub mod error;
 pub mod machine;

@@ -134,21 +134,7 @@ impl<T: Copy> CscMatrix<T> {
 
     /// Convert to CSR.
     pub fn to_csr(&self) -> CsrMatrix<T> {
-        let mut triples: Vec<(usize, usize, T)> = self.iter().collect();
-        triples.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let mut indptr = vec![0usize; self.nrows + 1];
-        let mut indices = Vec::with_capacity(triples.len());
-        let mut data = Vec::with_capacity(triples.len());
-        for (r, c, v) in triples {
-            indptr[r + 1] += 1;
-            indices.push(c);
-            data.push(v);
-        }
-        for i in 0..self.nrows {
-            indptr[i + 1] += indptr[i];
-        }
-        CsrMatrix::from_raw_parts(self.nrows, self.ncols, indptr, indices, data)
-            .expect("CSC conversion produces consistent CSR")
+        CsrMatrix::from_transposed_parts(self.nrows, &self.indptr, &self.indices, &self.data)
     }
 
     /// Restrict to the columns listed in `keep` (in order), producing a

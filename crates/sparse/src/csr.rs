@@ -133,20 +133,47 @@ impl<T: Copy> CsrMatrix<T> {
 
     /// Transpose into a new CSR matrix.
     pub fn transpose(&self) -> CsrMatrix<T> {
-        let mut triples: Vec<(usize, usize, T)> = self.iter().map(|(r, c, v)| (c, r, v)).collect();
-        triples.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let mut indptr = vec![0usize; self.ncols + 1];
-        let mut indices = Vec::with_capacity(triples.len());
-        let mut data = Vec::with_capacity(triples.len());
-        for (r, c, v) in triples {
-            indptr[r + 1] += 1;
-            indices.push(c);
-            data.push(v);
+        CsrMatrix::from_transposed_parts(self.ncols, &self.indptr, &self.indices, &self.data)
+    }
+
+    /// The CSR matrix whose rows are the *minor* axis of a compressed
+    /// layout (`indptr` over the major axis, `indices` < `minor_len`):
+    /// a CSR's transpose, or the CSR view of a CSC matrix. A counting
+    /// transpose — count per minor index, prefix-sum, scatter while
+    /// walking the major axis in order — so it is `O(nnz + minor_len)`
+    /// and every output row lists its column indices ascending.
+    pub(crate) fn from_transposed_parts(
+        minor_len: usize,
+        indptr: &[usize],
+        indices: &[usize],
+        data: &[T],
+    ) -> CsrMatrix<T> {
+        let mut out_ptr = vec![0usize; minor_len + 1];
+        for &r in indices {
+            out_ptr[r + 1] += 1;
         }
-        for i in 0..self.ncols {
-            indptr[i + 1] += indptr[i];
+        for r in 0..minor_len {
+            out_ptr[r + 1] += out_ptr[r];
         }
-        CsrMatrix { nrows: self.ncols, ncols: self.nrows, indptr, indices, data }
+        // Next free slot of every output row; every slot is overwritten.
+        let mut next = out_ptr[..minor_len].to_vec();
+        let mut out_indices = vec![0usize; indices.len()];
+        let mut out_data = data.to_vec();
+        for (major, span) in indptr.windows(2).enumerate() {
+            for t in span[0]..span[1] {
+                let slot = &mut next[indices[t]];
+                out_indices[*slot] = major;
+                out_data[*slot] = data[t];
+                *slot += 1;
+            }
+        }
+        CsrMatrix {
+            nrows: minor_len,
+            ncols: indptr.len() - 1,
+            indptr: out_ptr,
+            indices: out_indices,
+            data: out_data,
+        }
     }
 
     /// Restrict the matrix to the rows in `keep` (in order), producing a
@@ -201,6 +228,7 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+    use crate::testutil::Rng;
 
     fn sample() -> CsrMatrix<u64> {
         // [ 1 0 2 ]
@@ -246,6 +274,39 @@ mod tests {
         assert_eq!(t.row(1).collect::<Vec<_>>(), vec![(2, 4)]);
         let tt = t.transpose();
         assert_eq!(tt.to_dense(), m.to_dense());
+    }
+
+    #[test]
+    fn counting_transposes_round_trip_with_ascending_minor_indices() {
+        let mut rng = Rng(3);
+        // Shapes include no entries at all, empty rows and columns, and
+        // far more rows than entries.
+        for (nrows, ncols, entries) in
+            [(0usize, 0usize, 0usize), (5, 3, 0), (1, 1, 1), (6, 9, 20), (9, 6, 20), (5000, 4, 12)]
+        {
+            let mut coo = CooMatrix::<u64>::new(nrows, ncols);
+            let mut taken = std::collections::BTreeSet::new();
+            for _ in 0..entries {
+                let (r, c) = (rng.below(nrows), rng.below(ncols));
+                if taken.insert((r, c)) {
+                    coo.push(r, c, 1 + rng.next() % 9).unwrap();
+                }
+            }
+            let csr = coo.to_csr();
+            let ascending = |m: &CsrMatrix<u64>| {
+                (0..m.nrows()).all(|i| {
+                    m.indices()[m.indptr()[i]..m.indptr()[i + 1]].windows(2).all(|w| w[0] < w[1])
+                })
+            };
+            let t = csr.transpose();
+            assert_eq!((t.nrows(), t.ncols(), t.nnz()), (ncols, nrows, csr.nnz()));
+            assert!(ascending(&t), "{nrows}x{ncols}");
+            assert_eq!(t.to_dense(), csr.to_dense().transpose(), "{nrows}x{ncols}");
+            assert_eq!(t.transpose(), csr, "{nrows}x{ncols}");
+            let via_csc = coo.to_csc().to_csr();
+            assert!(ascending(&via_csc), "{nrows}x{ncols}");
+            assert_eq!(via_csc, csr, "{nrows}x{ncols}");
+        }
     }
 
     #[test]

@@ -13,29 +13,83 @@
 //! earlier index-based construction is kept as
 //! [`dist_row_filter_indexed`] (it allgathers `O(observed rows × 8)`
 //! bytes) so benchmarks can measure the saving.
+//!
+//! Renumbering (Eq. 6's prefix sum) is [`RowFilter::compacted_index`]: a
+//! popcount-prefix lookup where the survivors are dense enough to afford
+//! a bitmap over the batch, a binary search where they are not — see
+//! [`RowFilter`] for the guard and why it is about memory.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use crate::bitmat::{bitmap_rows, pack_row_bitmap};
+use crate::bitmat::{bitmap_rows, pack_row_bitmap, WORD_BITS};
 use crate::error::SparseResult;
 use gas_dstsim::comm::Communicator;
 
 /// The compacted zero-row filter of one batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Renumbering a row is Eq. 6's prefix sum. Where the survivors are dense
+/// enough the filter carries a *rank directory* — the surviving-row
+/// bitmap plus, per 64-row word, the count of survivors before it — so
+/// [`RowFilter::compacted_index`] is one bit test and one popcount. The
+/// directory costs `⌈batch_rows/64⌉` words and is built only when that
+/// is no more than the number of survivors: `batch_rows` is the k-mer
+/// universe (2⁴² at k = 21) while a hypersparse batch holds a handful of
+/// rows, and a filter must stay `O(survivors)` in memory. Below that
+/// density `compacted_index` binary-searches the sorted survivors.
+#[derive(Debug, Clone)]
 pub struct RowFilter {
     batch_rows: usize,
     nonzero: Vec<usize>,
+    /// A function of the two fields above (so equality ignores it).
+    rank: Option<RankDirectory>,
 }
 
+/// Bit `r` of `words` is set iff row `r` survives; `before[w]` is the
+/// number of survivors in words `0..w`.
+#[derive(Debug, Clone)]
+struct RankDirectory {
+    words: Vec<u64>,
+    before: Vec<usize>,
+}
+
+impl PartialEq for RowFilter {
+    fn eq(&self, other: &Self) -> bool {
+        self.batch_rows == other.batch_rows && self.nonzero == other.nonzero
+    }
+}
+
+impl Eq for RowFilter {}
+
 impl RowFilter {
-    /// Build a filter from locally known nonzero rows (sorted, deduped and
-    /// clipped to the batch here).
+    /// `nonzero` is strictly ascending and `< batch_rows`.
+    fn new(batch_rows: usize, nonzero: Vec<usize>) -> Self {
+        let nwords = batch_rows.div_ceil(WORD_BITS);
+        let rank = (nwords <= nonzero.len()).then(|| {
+            let mut words = vec![0u64; nwords];
+            for &r in &nonzero {
+                words[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
+            }
+            let mut before = Vec::with_capacity(nwords);
+            let mut seen = 0usize;
+            for w in &words {
+                before.push(seen);
+                seen += w.count_ones() as usize;
+            }
+            RankDirectory { words, before }
+        });
+        RowFilter { batch_rows, nonzero, rank }
+    }
+
+    /// Build a filter from locally known nonzero rows (clipped to the
+    /// batch here, and sorted and deduped unless they already ascend).
     pub fn from_local(batch_rows: usize, mut rows: Vec<usize>) -> Self {
         rows.retain(|&r| r < batch_rows);
-        rows.sort_unstable();
-        rows.dedup();
-        RowFilter { batch_rows, nonzero: rows }
+        if !rows.windows(2).all(|w| w[0] < w[1]) {
+            rows.sort_unstable();
+            rows.dedup();
+        }
+        RowFilter::new(batch_rows, rows)
     }
 
     /// Build a filter from a packed nonzero-row bitmap (as produced by
@@ -43,7 +97,7 @@ impl RowFilter {
     pub fn from_bitmap(batch_rows: usize, words: &[u64]) -> Self {
         let mut rows = bitmap_rows(words);
         rows.retain(|&r| r < batch_rows);
-        RowFilter { batch_rows, nonzero: rows }
+        RowFilter::new(batch_rows, rows)
     }
 
     /// Number of rows of the unfiltered batch.
@@ -72,7 +126,13 @@ impl RowFilter {
     /// Compacted index of `row` after filtering, or `None` if the filter
     /// removed it.
     pub fn compacted_index(&self, row: usize) -> Option<usize> {
-        self.nonzero.binary_search(&row).ok()
+        let Some(rank) = &self.rank else {
+            return self.nonzero.binary_search(&row).ok();
+        };
+        let word = *rank.words.get(row / WORD_BITS)?;
+        let bit = 1u64 << (row % WORD_BITS);
+        (word & bit != 0)
+            .then(|| rank.before[row / WORD_BITS] + (word & (bit - 1)).count_ones() as usize)
     }
 
     /// A stable fingerprint of this filter (batch extent plus surviving
@@ -130,6 +190,7 @@ pub fn dist_row_filter_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::Rng;
     use gas_dstsim::runtime::Runtime;
 
     #[test]
@@ -151,6 +212,50 @@ mod tests {
         // Bits beyond the batch extent are dropped.
         let narrow = RowFilter::from_bitmap(64, &bitmap);
         assert_eq!(narrow.nonzero_rows(), &[0, 5, 63]);
+    }
+
+    #[test]
+    fn compacted_index_equals_binary_search_on_both_sides_of_the_density_guard() {
+        let mut rng = Rng(5);
+        // Draws per batch: around one survivor per 64-row word (two more
+        // are added below), well under it, well over it, and none.
+        for (batch_rows, survivors) in [
+            (0usize, 0usize),
+            (1, 1),
+            (640, 0),
+            (640, 7),
+            (640, 8),
+            (640, 9),
+            (6400, 20),
+            (1000, 400),
+        ] {
+            let mut rows: Vec<usize> = (0..survivors).map(|_| rng.below(batch_rows)).collect();
+            rows.extend([0, batch_rows.saturating_sub(1)].iter().filter(|_| survivors > 0));
+            rows.push(batch_rows + 7); // clipped
+            let local = RowFilter::from_local(batch_rows, rows.clone());
+            let bitmap = RowFilter::from_bitmap(batch_rows, &pack_row_bitmap(batch_rows, &rows));
+            assert_eq!(local, bitmap);
+            assert_eq!(local.fingerprint(), bitmap.fingerprint());
+            for f in [&local, &bitmap] {
+                assert_eq!(
+                    f.rank.is_some(),
+                    batch_rows.div_ceil(WORD_BITS) <= f.num_nonzero_rows(),
+                    "{batch_rows} rows, {survivors} drawn"
+                );
+                for r in 0..batch_rows + 64 {
+                    assert_eq!(
+                        f.compacted_index(r),
+                        f.nonzero_rows().binary_search(&r).ok(),
+                        "row {r} of {batch_rows}, {survivors} drawn"
+                    );
+                }
+            }
+        }
+        // A universe-sized batch stays O(survivors).
+        let sparse = RowFilter::from_local(1 << 40, vec![1 << 39, 3, 7]);
+        assert!(sparse.rank.is_none());
+        assert_eq!(sparse.compacted_index(1 << 39), Some(2));
+        assert_eq!(sparse.compacted_index(usize::MAX), None);
     }
 
     #[test]

@@ -37,6 +37,10 @@
 //! assert_eq!(b.get(1, 1), 2); // |X1| = 2
 //! ```
 
+// The POPCNT dispatch in `spgemm` is the one exception.
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod bitmat;
 pub mod coo;
 pub mod csc;
@@ -46,6 +50,8 @@ pub mod dist;
 pub mod error;
 pub mod semiring;
 pub mod spgemm;
+#[cfg(test)]
+pub(crate) mod testutil;
 
 pub use bitmat::BitMatrix;
 pub use coo::CooMatrix;

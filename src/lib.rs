@@ -54,6 +54,8 @@
 //! assert_eq!(s.get(2, 2), 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use gas_chaos as chaos;
 pub use gas_cluster as cluster;
 pub use gas_core as core;
