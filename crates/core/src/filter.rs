@@ -46,7 +46,12 @@ pub fn batch_row_filter(batch_rows: usize, columns: &[Vec<usize>]) -> RowFilter 
 pub fn apply_filter(columns: &[Vec<usize>], filter: &RowFilter) -> Vec<Vec<usize>> {
     columns
         .iter()
-        .map(|col| col.iter().filter_map(|&r| filter.compacted_index(r)).collect())
+        .map(|col| {
+            // Sized for the usual case, a filter built from these columns.
+            let mut kept = Vec::with_capacity(col.len());
+            kept.extend(col.iter().filter_map(|&r| filter.compacted_index(r)));
+            kept
+        })
         .collect()
 }
 
@@ -114,6 +119,52 @@ mod tests {
         // Out-of-range entries are clipped on both paths.
         assert_eq!(batch_row_filter(64, &[vec![1, 64, 700]]).nonzero_rows(), &[1]);
         assert_eq!(batch_row_filter(6400, &[vec![1, 6400]]).nonzero_rows(), &[1]);
+    }
+
+    #[test]
+    fn renumbering_is_the_rank_among_the_survivors_however_the_filter_was_built() {
+        use crate::minhash::splitmix64;
+        // Per batch: entries drawn per column. 6400 rows are 100 words,
+        // so 3 × 20 entries sort, 3 × 60 build the bitmap and keep it as
+        // the directory, and 3 × 34 build the bitmap but — with under 100
+        // distinct rows — fall back to the list.
+        for (batch_rows, per_column) in [(6400usize, 20usize), (6400, 60), (6400, 34), (64, 9)] {
+            let columns: Vec<Vec<usize>> = (0..3u64)
+                .map(|j| {
+                    let mut col: Vec<usize> = (0..per_column as u64)
+                        .map(|i| splitmix64(j << 32 | i) as usize % batch_rows)
+                        .collect();
+                    col.sort_unstable();
+                    col.dedup();
+                    col
+                })
+                .collect();
+            let filter = batch_row_filter(batch_rows, &columns);
+            let mut survivors: Vec<usize> = columns.iter().flatten().copied().collect();
+            survivors.sort_unstable();
+            survivors.dedup();
+            let listed = RowFilter::from_local(batch_rows, survivors.clone());
+            assert_eq!(filter, listed);
+            assert_eq!(filter.fingerprint(), listed.fingerprint());
+            assert_eq!(filter.num_nonzero_rows(), survivors.len());
+            let expected: Vec<Vec<usize>> = columns
+                .iter()
+                .map(|col| col.iter().map(|r| survivors.binary_search(r).unwrap()).collect())
+                .collect();
+            assert_eq!(apply_filter(&columns, &filter), expected);
+            assert_eq!(apply_filter(&columns, &listed), expected);
+            assert_eq!(filter.nonzero_rows(), survivors);
+            // A narrower filter drops what it does not keep.
+            let narrow =
+                RowFilter::from_local(batch_rows, survivors[..survivors.len() / 2].to_vec());
+            for (col, kept) in columns.iter().zip(apply_filter(&columns, &narrow)) {
+                let under: Vec<usize> = col
+                    .iter()
+                    .filter_map(|r| narrow.nonzero_rows().binary_search(r).ok())
+                    .collect();
+                assert_eq!(kept, under);
+            }
+        }
     }
 
     #[test]

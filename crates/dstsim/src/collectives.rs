@@ -133,7 +133,8 @@ impl Communicator {
             } else {
                 let dst_rel = relative & !mask;
                 let dst = (dst_rel + root) % p;
-                self.send(dst, tag, acc.clone())?;
+                // This rank's one send, and its last use of `acc`.
+                self.send(dst, tag, acc)?;
                 self.record_superstep();
                 return Ok(None);
             }

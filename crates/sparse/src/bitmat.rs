@@ -8,6 +8,8 @@
 //! over `AND`-ed words (Eq. 7). A [`BitMatrix`] is a CSC matrix of `u64`
 //! words: `word_rows = ⌈rows / b⌉` rows, one column per data sample.
 
+use std::ops::Range;
+
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -25,39 +27,22 @@ pub const WORD_BITS: usize = 64;
 /// Large inputs are packed in parallel: the index list is split into
 /// chunks, each chunk builds a partial bitmap, and the partials are
 /// OR-merged — the shared-memory analogue of the paper's accumulate-write
-/// filter construction over a `(max, ×)` monoid.
+/// filter construction over a `(max, ×)` monoid. A partial costs a pass
+/// over the whole bitmap to zero and another to merge, so the list is
+/// forked only when every chunk sets at least as many rows as the bitmap
+/// has words.
 pub fn pack_row_bitmap(nrows: usize, rows: &[usize]) -> Vec<u64> {
     let nwords = nrows.div_ceil(WORD_BITS);
     let mut words = vec![0u64; nwords];
-    if rows.is_empty() || nwords == 0 {
+    let Some(chunk_len) = fork_chunk_len(nwords, rows.len()) else {
+        scatter_rows(&mut words, nrows, rows);
         return words;
-    }
-    // Size first: a list of at most one minimum chunk packs inline
-    // without asking the OS for the core count.
-    const MIN_CHUNK: usize = 1 << 13;
-    let chunk_size = if rows.len() <= MIN_CHUNK {
-        rows.len()
-    } else {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        rows.len().div_ceil(threads).max(MIN_CHUNK)
     };
-    if chunk_size >= rows.len() {
-        for &r in rows {
-            if r < nrows {
-                words[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
-            }
-        }
-        return words;
-    }
     let partials: Vec<Vec<u64>> = rows
-        .par_chunks(chunk_size)
+        .par_chunks(chunk_len)
         .map(|chunk| {
             let mut partial = vec![0u64; nwords];
-            for &r in chunk {
-                if r < nrows {
-                    partial[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
-                }
-            }
+            scatter_rows(&mut partial, nrows, chunk);
             partial
         })
         .collect();
@@ -68,6 +53,32 @@ pub fn pack_row_bitmap(nrows: usize, rows: &[usize]) -> Vec<u64> {
     }
     words
 }
+
+/// Set bit `r` of `words` for every `r < nrows` of `rows`.
+fn scatter_rows(words: &mut [u64], nrows: usize, rows: &[usize]) {
+    for &r in rows {
+        if r < nrows {
+            words[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
+        }
+    }
+}
+
+/// The chunk length [`pack_row_bitmap`] forks `len` row indices into, or
+/// `None` to pack them inline. A chunk is worth a thread from
+/// [`MIN_FORK_CHUNK`] indices up, and worth its `nwords`-word partial
+/// bitmap only if it sets at least that many rows. Sizes are looked at
+/// first: a list too short for two such chunks is answered without asking
+/// the OS for the core count.
+fn fork_chunk_len(nwords: usize, len: usize) -> Option<usize> {
+    let max_chunks = len / MIN_FORK_CHUNK.max(nwords);
+    if max_chunks < 2 {
+        return None;
+    }
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (threads >= 2).then(|| len.div_ceil(threads.min(max_chunks)))
+}
+
+const MIN_FORK_CHUNK: usize = 1 << 13;
 
 /// The set bits of a packed bitmap as ascending row indices.
 pub fn bitmap_rows(words: &[u64]) -> Vec<usize> {
@@ -86,6 +97,27 @@ pub fn bitmap_rows(words: &[u64]) -> Vec<usize> {
 /// Number of set bits in a packed bitmap.
 pub fn bitmap_count_ones(words: &[u64]) -> u64 {
     words.iter().map(|w| w.count_ones() as u64).sum()
+}
+
+/// The error of the first entry of column `j` that is out of bounds or
+/// not above its predecessor, in entry order (the column failed
+/// [`BitMatrix::from_columns`]'s validating pass).
+fn first_column_error(j: usize, rows: &[usize], nrows: usize, ncols: usize) -> SparseError {
+    let mut last_row: Option<usize> = None;
+    for &r in rows {
+        if r >= nrows {
+            return SparseError::IndexOutOfBounds { row: r, col: j, nrows, ncols };
+        }
+        if let Some(prev) = last_row.filter(|&prev| r <= prev) {
+            return SparseError::ShapeMismatch {
+                context: format!(
+                    "column {j} row indices must be strictly increasing ({prev} then {r})"
+                ),
+            };
+        }
+        last_row = Some(r);
+    }
+    unreachable!("column {j} passed validation")
 }
 
 /// A boolean matrix with rows packed into 64-bit words, stored per column.
@@ -107,41 +139,32 @@ impl BitMatrix {
     pub fn from_columns(nrows: usize, columns: &[Vec<usize>]) -> SparseResult<Self> {
         let word_rows = nrows.div_ceil(WORD_BITS);
         let ncols = columns.len();
+        // A column stores at most one word per entry and per word row.
+        let entries: usize = columns.iter().map(Vec::len).sum();
+        let capacity = entries.min(ncols.saturating_mul(word_rows));
         let mut indptr = Vec::with_capacity(ncols + 1);
         indptr.push(0usize);
-        let mut indices = Vec::new();
-        let mut data = Vec::new();
+        let mut indices = Vec::with_capacity(capacity);
+        let mut data = Vec::with_capacity(capacity);
         for (j, rows) in columns.iter().enumerate() {
-            let mut current_word: Option<(usize, u64)> = None;
-            let mut last_row: Option<usize> = None;
-            for &r in rows {
-                if r >= nrows {
-                    return Err(SparseError::IndexOutOfBounds { row: r, col: j, nrows, ncols });
-                }
-                if let Some(prev) = last_row {
-                    if r <= prev {
-                        return Err(SparseError::ShapeMismatch {
-                            context: format!(
-                                "column {j} row indices must be strictly increasing ({prev} then {r})"
-                            ),
-                        });
-                    }
-                }
-                last_row = Some(r);
-                let w = r / WORD_BITS;
-                let bit = 1u64 << (r % WORD_BITS);
-                match current_word {
-                    Some((cw, mask)) if cw == w => current_word = Some((cw, mask | bit)),
-                    Some((cw, mask)) => {
-                        indices.push(cw);
-                        data.push(mask);
-                        current_word = Some((w, bit));
-                    }
-                    None => current_word = Some((w, bit)),
-                }
+            // Validate without branching on the entries: a strictly
+            // ascending column is in bounds iff its last row is.
+            let ascending = rows.windows(2).fold(true, |ok, w| ok & (w[0] < w[1]));
+            if !ascending || rows.last().is_some_and(|&r| r >= nrows) {
+                return Err(first_column_error(j, rows, nrows, ncols));
             }
-            if let Some((cw, mask)) = current_word {
-                indices.push(cw);
+            let mut rest = rows.iter();
+            if let Some(&first) = rest.next() {
+                let (mut word, mut mask) = (first / WORD_BITS, 1u64 << (first % WORD_BITS));
+                for &r in rest {
+                    if r / WORD_BITS != word {
+                        indices.push(word);
+                        data.push(mask);
+                        (word, mask) = (r / WORD_BITS, 0);
+                    }
+                    mask |= 1u64 << (r % WORD_BITS);
+                }
+                indices.push(word);
                 data.push(mask);
             }
             indptr.push(indices.len());
@@ -292,10 +315,21 @@ impl BitMatrix {
         Ok(BitMatrix { words: self.words.select_cols(keep)?, orig_rows: self.orig_rows })
     }
 
+    /// Where column `j`'s words of the word rows in `range` sit in the
+    /// stored arrays of [`Self::as_csc`]. Word rows ascend within a
+    /// column, so this is two binary searches, not a scan of the column.
+    pub(crate) fn col_span(&self, j: usize, range: &Range<usize>) -> Range<usize> {
+        let (lo, hi) = (self.words.indptr()[j], self.words.indptr()[j + 1]);
+        let word_rows = &self.words.indices()[lo..hi];
+        let start = word_rows.partition_point(|&w| w < range.start);
+        let end = start + word_rows[start..].partition_point(|&w| w < range.end);
+        lo + start..lo + end
+    }
+
     /// Restrict to a contiguous range of word rows, re-basing word indices
     /// to start at zero. Used to split a packed batch into the row chunks
     /// of the 2.5D distribution.
-    pub fn select_word_rows(&self, range: std::ops::Range<usize>) -> SparseResult<BitMatrix> {
+    pub fn select_word_rows(&self, range: Range<usize>) -> SparseResult<BitMatrix> {
         if range.end > self.word_rows() {
             return Err(SparseError::IndexOutOfBounds {
                 row: range.end,
@@ -310,12 +344,9 @@ impl BitMatrix {
         let mut indices = Vec::new();
         let mut data = Vec::new();
         for j in 0..self.ncols() {
-            for (w, mask) in self.words.col(j) {
-                if w >= range.start && w < range.end {
-                    indices.push(w - range.start);
-                    data.push(mask);
-                }
-            }
+            let span = self.col_span(j, &range);
+            indices.extend(self.words.indices()[span.clone()].iter().map(|w| w - range.start));
+            data.extend_from_slice(&self.words.data()[span]);
             indptr.push(indices.len());
         }
         let words = CscMatrix::from_raw_parts(new_word_rows, self.ncols(), indptr, indices, data)?;
@@ -328,6 +359,7 @@ impl BitMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::Rng;
 
     #[test]
     fn bitmap_round_trips_and_clips() {
@@ -344,20 +376,32 @@ mod tests {
     }
 
     #[test]
-    fn large_bitmap_pack_matches_serial_reference() {
-        // Big enough to take the parallel path (chunk floor is 8192).
-        let nrows = 300_000;
-        let rows: Vec<usize> = (0..40_000).map(|i| (i * 131) % nrows).collect();
-        let bm = pack_row_bitmap(nrows, &rows);
-        let mut reference = vec![0u64; nrows.div_ceil(WORD_BITS)];
-        for &r in &rows {
-            reference[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
+    fn bitmap_pack_matches_serial_reference_on_both_sides_of_the_fork_condition() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // 40 000 indices: two chunks of 20 000 each out-set a 4 688-word
+        // bitmap (forked wherever there are two cores) but not a
+        // 46 875-word one, and 16 000 are too few for two chunks at all.
+        for (nrows, listed, forks) in [
+            (300_000usize, 40_000usize, true),
+            (3_000_000, 40_000, false),
+            (300_000, 16_000, false),
+        ] {
+            let rows: Vec<usize> = (0..listed).map(|i| (i * 131) % (nrows + 50)).collect();
+            let nwords = nrows.div_ceil(WORD_BITS);
+            let chunk_len = fork_chunk_len(nwords, rows.len());
+            assert_eq!(chunk_len.is_some(), forks && threads >= 2, "{nrows} rows, {listed} listed");
+            assert!(chunk_len.is_none_or(|len| len >= nwords && len < listed));
+            let mut reference = vec![0u64; nwords];
+            for &r in rows.iter().filter(|&&r| r < nrows) {
+                reference[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
+            }
+            let bm = pack_row_bitmap(nrows, &rows);
+            assert_eq!(bm, reference, "{nrows} rows, {listed} listed");
+            let mut sorted: Vec<usize> = rows.iter().copied().filter(|&r| r < nrows).collect();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(bitmap_rows(&bm), sorted);
         }
-        assert_eq!(bm, reference);
-        let mut sorted = rows.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(bitmap_rows(&bm), sorted);
     }
 
     #[test]
@@ -383,6 +427,24 @@ mod tests {
         assert!(BitMatrix::from_columns(10, &[vec![10]]).is_err());
         assert!(BitMatrix::from_columns(10, &[vec![3, 3]]).is_err());
         assert!(BitMatrix::from_columns(10, &[vec![5, 2]]).is_err());
+        // The error is the first offending entry's, in entry order.
+        let err = |columns: &[Vec<usize>]| BitMatrix::from_columns(10, columns).unwrap_err();
+        assert_eq!(
+            err(&[vec![1], vec![2, 11, 12, 4]]),
+            SparseError::IndexOutOfBounds { row: 11, col: 1, nrows: 10, ncols: 2 }
+        );
+        assert_eq!(
+            err(&[vec![], vec![], vec![0, 5, 5, 10]]),
+            SparseError::ShapeMismatch {
+                context: "column 2 row indices must be strictly increasing (5 then 5)".into()
+            }
+        );
+        assert_eq!(
+            err(&[vec![7, 9, 8, 3, 12]]),
+            SparseError::ShapeMismatch {
+                context: "column 0 row indices must be strictly increasing (9 then 8)".into()
+            }
+        );
     }
 
     #[test]
@@ -471,6 +533,31 @@ mod tests {
         let bottom = bm.select_word_rows(2..4).unwrap();
         assert_eq!(bottom.col_popcounts(), vec![0, 1, 1]);
         assert!(bm.select_word_rows(3..9).is_err());
+    }
+
+    #[test]
+    fn word_row_selection_equals_a_scan_of_every_stored_word() {
+        let mut rng = Rng(24);
+        for (nrows, ncols, percent) in
+            [(0usize, 2usize, 50usize), (70, 3, 50), (700, 4, 2), (700, 4, 60)]
+        {
+            let bm = BitMatrix::from_columns(nrows, &rng.columns(nrows, ncols, percent)).unwrap();
+            for start in 0..=bm.word_rows() {
+                for end in start..=bm.word_rows() {
+                    let chunk = bm.select_word_rows(start..end).unwrap();
+                    assert_eq!(chunk.word_rows(), end - start);
+                    for j in 0..ncols {
+                        let scanned: Vec<(usize, u64)> = bm
+                            .as_csc()
+                            .col(j)
+                            .filter(|(w, _)| (start..end).contains(w))
+                            .map(|(w, mask)| (w - start, mask))
+                            .collect();
+                        assert_eq!(chunk.as_csc().col(j).collect::<Vec<_>>(), scanned);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

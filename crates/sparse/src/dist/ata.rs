@@ -22,11 +22,20 @@
 //! over the fiber communicators at the end — the standard
 //! communication-avoiding 2.5D schedule, generalized to rectangles.
 //!
-//! Received blocks arrive in wire (raw CSC) form and must be decoded into
-//! CSC/CSR views before the block kernel runs. [`DistAta`] caches the
-//! decoded blocks per SUMMA step, keyed on the active zero-row filter:
-//! when consecutive batches carry the same filter key and a step's wire
-//! bytes are unchanged, the decode is skipped.
+//! A block travels in the layout its receiver's kernel reads, narrow: the
+//! left operand column-major (the CSC arrays of `A[chunk, R_i]`), the right
+//! operand word-row-major (the CSR arrays of `A[chunk, C_j]`), both with
+//! `u32` offsets and indices beside the `u64` words — 12 bytes per stored
+//! word. The owner cuts either form straight from its packed batch (two
+//! binary searches per column; the right operand is transposed once, here,
+//! not once per receiver) and takes the chunk's cardinality popcounts from
+//! the same slices. A receiver widens the arrays and validates them through
+//! `from_raw_parts` before the kernel sees them. [`DistAta`] keeps the
+//! decoded blocks per SUMMA step, keyed on the active zero-row filter: when
+//! consecutive batches carry the same filter key and a step's block arrives
+//! equal, element for element, to the decoded one held, the decode is
+//! skipped. A chunk too large for `u32` is a mis-planned batch and is
+//! rejected typed, not shipped wide.
 
 use std::ops::Range;
 
@@ -41,44 +50,183 @@ use crate::error::{SparseError, SparseResult};
 use crate::semiring::PopcountAnd;
 use crate::spgemm::atb_block_dense;
 
-/// Wire form of a bit-packed block: the raw CSC arrays of the word
-/// matrix. `nbytes` reports what the block would occupy on a real
-/// network, so the cost trackers see SUMMA's true traffic.
+/// Wire form of one SUMMA operand chunk: compressed arrays over a major
+/// axis (`indptr`) listing minor-axis `indices` beside the packed `data`
+/// words. Which axis is which is the sender's and receiver's shared
+/// knowledge of the schedule: the left operand is cut column-major
+/// ([`WireBlock::cut_csc`] / [`WireBlock::into_csc`]), the right one
+/// word-row-major ([`WireBlock::cut_csr`] / [`WireBlock::into_csr`]).
+/// `nbytes` reports what the block would occupy on a real network, so the
+/// cost trackers see SUMMA's true traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct WireBlock {
-    word_rows: u64,
-    ncols: u64,
-    indptr: Vec<u64>,
-    indices: Vec<u64>,
+    word_rows: u32,
+    ncols: u32,
+    indptr: Vec<u32>,
+    indices: Vec<u32>,
     data: Vec<u64>,
 }
 
 impl Msg for WireBlock {
     fn nbytes(&self) -> usize {
-        16 + 8 * (self.indptr.len() + self.indices.len() + self.data.len())
+        16 + 4 * (self.indptr.len() + self.indices.len()) + 8 * self.data.len()
+    }
+}
+
+/// A count a [`WireBlock`] stores in 32 bits — at most `limit`, which is
+/// `u32::MAX` everywhere but in the test of this check — or the typed
+/// refusal.
+fn narrow(count: usize, what: &str, limit: usize) -> SparseResult<u32> {
+    if count > limit {
+        return Err(SparseError::InvalidDistribution(format!(
+            "a SUMMA chunk with {count} {what} exceeds the {limit} a wire block can index: \
+             plan more batches or a larger grid"
+        )));
+    }
+    Ok(count as u32)
+}
+
+fn widen(wire: &[u32]) -> Vec<usize> {
+    wire.iter().map(|&v| v as usize).collect()
+}
+
+fn same_indices(wire: &[u32], held: &[usize]) -> bool {
+    wire.len() == held.len() && wire.iter().zip(held).all(|(&a, &b)| a as usize == b)
+}
+
+/// Where the words of `batch[chunk, :]` are stored, column by column,
+/// with the counts a [`WireBlock`] of them carries.
+struct ChunkSpans {
+    spans: Vec<Range<usize>>,
+    nnz: usize,
+    word_rows: u32,
+    ncols: u32,
+}
+
+impl ChunkSpans {
+    fn of(batch: &BitMatrix, chunk: &Range<usize>) -> SparseResult<ChunkSpans> {
+        if chunk.start > chunk.end || chunk.end > batch.word_rows() {
+            return Err(SparseError::IndexOutOfBounds {
+                row: chunk.end,
+                col: 0,
+                nrows: batch.word_rows(),
+                ncols: batch.ncols(),
+            });
+        }
+        let spans: Vec<_> = (0..batch.ncols()).map(|j| batch.col_span(j, chunk)).collect();
+        let nnz = spans.iter().map(Range::len).sum();
+        let limit = u32::MAX as usize;
+        narrow(nnz, "stored words", limit)?;
+        Ok(ChunkSpans {
+            spans,
+            nnz,
+            word_rows: narrow(chunk.len(), "word rows", limit)?,
+            ncols: narrow(batch.ncols(), "columns", limit)?,
+        })
     }
 }
 
 impl WireBlock {
-    fn from_bitmat(b: &BitMatrix) -> WireBlock {
-        let csc = b.as_csc();
-        WireBlock {
-            word_rows: csc.nrows() as u64,
-            ncols: csc.ncols() as u64,
-            indptr: csc.indptr().iter().map(|&v| v as u64).collect(),
-            indices: csc.indices().iter().map(|&v| v as u64).collect(),
-            data: csc.data().to_vec(),
+    /// `batch[chunk, :]` column-major: the left operand of a SUMMA step.
+    fn cut_csc(batch: &BitMatrix, chunk: Range<usize>) -> SparseResult<WireBlock> {
+        let ChunkSpans { spans, nnz, word_rows, ncols } = ChunkSpans::of(batch, &chunk)?;
+        let csc = batch.as_csc();
+        let mut indptr = Vec::with_capacity(spans.len() + 1);
+        indptr.push(0u32);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut data = Vec::with_capacity(nnz);
+        for span in spans {
+            indices.extend(csc.indices()[span.clone()].iter().map(|&w| (w - chunk.start) as u32));
+            data.extend_from_slice(&csc.data()[span]);
+            indptr.push(indices.len() as u32);
         }
+        Ok(WireBlock { word_rows, ncols, indptr, indices, data })
     }
 
-    fn to_csc(&self) -> SparseResult<CscMatrix<u64>> {
+    /// `batch[chunk, :]` word-row-major — the right operand of a SUMMA
+    /// step, transposed here so that no receiver has to — adding the
+    /// chunk's set bits of column `j` to `card[j]`.
+    fn cut_csr(
+        batch: &BitMatrix,
+        chunk: Range<usize>,
+        card: &mut [u64],
+    ) -> SparseResult<WireBlock> {
+        debug_assert_eq!(card.len(), batch.ncols(), "one counter per column");
+        let ChunkSpans { spans, nnz, word_rows, ncols } = ChunkSpans::of(batch, &chunk)?;
+        let csc = batch.as_csc();
+        // Counting transpose: words per row, prefix sum, scatter while
+        // walking the columns in order (so every row lists them ascending).
+        let mut indptr = vec![0u32; chunk.len() + 1];
+        for span in &spans {
+            for &w in &csc.indices()[span.clone()] {
+                indptr[w - chunk.start + 1] += 1;
+            }
+        }
+        for r in 0..chunk.len() {
+            indptr[r + 1] += indptr[r];
+        }
+        let mut next = indptr[..chunk.len()].to_vec();
+        let mut indices = vec![0u32; nnz];
+        let mut data = vec![0u64; nnz];
+        for ((j, span), count) in spans.into_iter().enumerate().zip(card) {
+            for (&w, &word) in csc.indices()[span.clone()].iter().zip(&csc.data()[span]) {
+                let slot = &mut next[w - chunk.start];
+                indices[*slot as usize] = j as u32;
+                data[*slot as usize] = word;
+                *slot += 1;
+                *count += u64::from(word.count_ones());
+            }
+        }
+        Ok(WireBlock { word_rows, ncols, indptr, indices, data })
+    }
+
+    /// Decode a column-major block, validating it as a CSC matrix.
+    fn into_csc(self) -> SparseResult<CscMatrix<u64>> {
         CscMatrix::from_raw_parts(
             self.word_rows as usize,
             self.ncols as usize,
-            self.indptr.iter().map(|&v| v as usize).collect(),
-            self.indices.iter().map(|&v| v as usize).collect(),
-            self.data.clone(),
+            widen(&self.indptr),
+            widen(&self.indices),
+            self.data,
         )
+    }
+
+    /// Decode a word-row-major block, validating it as a CSR matrix.
+    fn into_csr(self) -> SparseResult<CsrMatrix<u64>> {
+        CsrMatrix::from_raw_parts(
+            self.word_rows as usize,
+            self.ncols as usize,
+            widen(&self.indptr),
+            widen(&self.indices),
+            self.data,
+        )
+    }
+
+    /// Whether this block is, element for element, the one the
+    /// `nrows × ncols` matrix with these arrays was decoded from.
+    fn same_parts(
+        &self,
+        dims: (usize, usize),
+        indptr: &[usize],
+        indices: &[usize],
+        data: &[u64],
+    ) -> bool {
+        (self.word_rows as usize, self.ncols as usize) == dims
+            && same_indices(&self.indptr, indptr)
+            && same_indices(&self.indices, indices)
+            && self.data == data
+    }
+
+    /// Whether [`Self::into_csc`] would give `held` again.
+    fn is_csc(&self, held: &CscMatrix<u64>) -> bool {
+        let dims = (held.nrows(), held.ncols());
+        self.same_parts(dims, held.indptr(), held.indices(), held.data())
+    }
+
+    /// Whether [`Self::into_csr`] would give `held` again.
+    fn is_csr(&self, held: &CsrMatrix<u64>) -> bool {
+        let dims = (held.nrows(), held.ncols());
+        self.same_parts(dims, held.indptr(), held.indices(), held.data())
     }
 }
 
@@ -105,14 +253,14 @@ fn lcm(a: usize, b: usize) -> usize {
 ///
 /// Keyed on the zero-row filter of the batch being accumulated: entries
 /// survive from one batch to the next only while the filter key matches,
-/// and a step's decode is reused only when the received wire bytes are
-/// identical to the cached ones (a cheap memcmp against re-running the
-/// CSC validation and the CSC→CSR conversion).
+/// and a step's decode is reused only when the received block equals the
+/// decoded one held, element for element (a compare against re-running
+/// the widening and the `from_raw_parts` validation).
 #[derive(Default)]
 struct BlockCache {
     key: Option<u64>,
-    left: Vec<Option<(WireBlock, CscMatrix<u64>)>>,
-    right: Vec<Option<(WireBlock, CsrMatrix<u64>)>>,
+    left: Vec<Option<CscMatrix<u64>>>,
+    right: Vec<Option<CsrMatrix<u64>>>,
     hits: u64,
     misses: u64,
 }
@@ -136,22 +284,20 @@ impl BlockCache {
         left_wire: WireBlock,
         right_wire: WireBlock,
     ) -> SparseResult<(&CscMatrix<u64>, &CsrMatrix<u64>)> {
-        if matches!(&self.left[t], Some((w, _)) if *w == left_wire) {
+        if self.left[t].as_ref().is_some_and(|held| left_wire.is_csc(held)) {
             self.hits += 1;
         } else {
-            let csc = left_wire.to_csc()?;
-            self.left[t] = Some((left_wire, csc));
+            self.left[t] = Some(left_wire.into_csc()?);
             self.misses += 1;
         }
-        if matches!(&self.right[t], Some((w, _)) if *w == right_wire) {
+        if self.right[t].as_ref().is_some_and(|held| right_wire.is_csr(held)) {
             self.hits += 1;
         } else {
-            let csr = right_wire.to_csc()?.to_csr();
-            self.right[t] = Some((right_wire, csr));
+            self.right[t] = Some(right_wire.into_csr()?);
             self.misses += 1;
         }
-        let left = &self.left[t].as_ref().expect("left slot populated above").1;
-        let right = &self.right[t].as_ref().expect("right slot populated above").1;
+        let left = self.left[t].as_ref().expect("left slot populated above");
+        let right = self.right[t].as_ref().expect("right slot populated above");
         Ok((left, right))
     }
 }
@@ -350,6 +496,11 @@ impl DistAta {
                 ),
             });
         }
+        if card.len() != self.n {
+            return Err(SparseError::ShapeMismatch {
+                context: format!("{} cardinality counters for {} samples", card.len(), self.n),
+            });
+        }
         let word_rows = right.word_rows();
         self.cache.begin_batch(filter_key, self.steps);
         for t in 0..self.steps {
@@ -357,26 +508,18 @@ impl DistAta {
             // Right operand A[chunk, C_j]: owned by grid row (t mod r),
             // which is local rank (t mod r) of this column communicator.
             let right_owner = t % self.r;
-            let right_seed = if i == right_owner {
-                let blk = right.select_word_rows(chunk.clone())?;
-                // This rank is the unique holder of (chunk, C_j): its
-                // popcounts are this chunk's cardinality contribution.
-                for (offset, count) in blk.col_popcounts().into_iter().enumerate() {
-                    card[cols.start + offset] += count;
-                }
-                Some(WireBlock::from_bitmat(&blk))
-            } else {
-                None
-            };
+            // That rank is the unique holder of (chunk, C_j): the
+            // popcounts of its cut are this chunk's cardinality
+            // contribution.
+            let right_seed = (i == right_owner)
+                .then(|| WireBlock::cut_csr(right, chunk.clone(), &mut card[cols.clone()]))
+                .transpose()?;
             let right_wire = self.col_comm.bcast(right_owner, right_seed)?;
             // Left operand A[chunk, R_i]: owned by grid column (t mod q),
             // local rank (t mod q) of this row communicator.
             let left_owner = t % self.q;
-            let left_seed = if j == left_owner {
-                Some(WireBlock::from_bitmat(&left.select_word_rows(chunk)?))
-            } else {
-                None
-            };
+            let left_seed =
+                (j == left_owner).then(|| WireBlock::cut_csc(left, chunk)).transpose()?;
             let left_wire = self.row_comm.bcast(left_owner, left_seed)?;
             let (left_csc, right_csr) = self.cache.blocks(t, left_wire, right_wire)?;
             let ops = atb_block_dense::<PopcountAnd>(left_csc, right_csr, acc)?;
@@ -445,6 +588,7 @@ mod tests {
     use super::*;
     use crate::semiring::PlusTimes;
     use crate::spgemm::ata_dense;
+    use crate::testutil::Rng;
     use gas_dstsim::runtime::Runtime;
 
     /// Column lists of a small boolean indicator matrix: 200 attribute
@@ -631,13 +775,112 @@ mod tests {
     }
 
     #[test]
-    fn wire_blocks_round_trip() {
-        let bm = BitMatrix::from_columns(130, &[vec![0, 64, 129], vec![1], vec![]]).unwrap();
-        let wire = WireBlock::from_bitmat(&bm);
-        assert!(wire.nbytes() > 0);
-        let csc = wire.to_csc().unwrap();
-        assert_eq!(&csc, bm.as_csc());
-        let _csr: CsrMatrix<u64> = csc.to_csr();
+    fn cut_blocks_decode_to_the_selected_chunk_in_both_layouts() {
+        let mut rng = Rng(24);
+        // Boolean rows: none, under one word, exactly one word, and
+        // batches narrower and wider than the `T · c` split below.
+        for nrows in [0usize, 1, 64, 65, 200, 1000] {
+            for ncols in [0usize, 1, 5] {
+                let percent = [0, 3, 40][rng.below(3)];
+                let mut columns = rng.columns(nrows, ncols, percent);
+                if let Some(first) = columns.first_mut() {
+                    first.clear();
+                }
+                let batch = BitMatrix::from_columns(nrows, &columns).unwrap();
+                for parts in [1usize, 2, 3, 6, 8] {
+                    for idx in 0..parts {
+                        let chunk = block_range(batch.word_rows(), parts, idx);
+                        let ctx = format!("{nrows}x{ncols} at {percent}%, chunk {idx} of {parts}");
+                        let selected = batch.select_word_rows(chunk.clone()).unwrap();
+
+                        let left = WireBlock::cut_csc(&batch, chunk.clone()).unwrap();
+                        assert_eq!(left.indptr.len(), ncols + 1, "{ctx}");
+                        let nnz = selected.nnz_words();
+                        assert_eq!(left.nbytes(), 16 + 4 * (ncols + 1 + nnz) + 8 * nnz, "{ctx}");
+                        assert!(left.is_csc(selected.as_csc()), "{ctx}");
+                        assert_eq!(&left.into_csc().unwrap(), selected.as_csc(), "{ctx}");
+
+                        let mut card = vec![7u64; ncols];
+                        let right = WireBlock::cut_csr(&batch, chunk.clone(), &mut card).unwrap();
+                        let counted: Vec<u64> = card.iter().map(|c| c - 7).collect();
+                        assert_eq!(counted, selected.col_popcounts(), "{ctx}");
+                        assert_eq!(right.indptr.len(), chunk.len() + 1, "{ctx}");
+                        assert_eq!(
+                            right.nbytes(),
+                            16 + 4 * (chunk.len() + 1 + nnz) + 8 * nnz,
+                            "{ctx}"
+                        );
+                        assert!(right.is_csr(&selected.to_csr()), "{ctx}");
+                        assert_eq!(right.into_csr().unwrap(), selected.to_csr(), "{ctx}");
+                    }
+                }
+            }
+        }
+        let batch = BitMatrix::from_columns(130, &[vec![0, 64, 129]]).unwrap();
+        assert!(matches!(
+            WireBlock::cut_csc(&batch, 2..4),
+            Err(SparseError::IndexOutOfBounds { row: 4, nrows: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn a_block_that_differs_in_one_element_is_not_the_held_one() {
+        let batch = BitMatrix::from_columns(130, &[vec![0, 64, 129], vec![1], vec![]]).unwrap();
+        let wire = WireBlock::cut_csc(&batch, 0..3).unwrap();
+        let held = wire.clone().into_csc().unwrap();
+        assert!(wire.is_csc(&held));
+        let mut word = wire.clone();
+        word.data[1] ^= 1;
+        let mut index = wire.clone();
+        index.indices[1] = 2;
+        let mut shape = wire.clone();
+        shape.word_rows = 4;
+        for other in [word, index, shape] {
+            assert!(!other.is_csc(&held), "{other:?}");
+        }
+    }
+
+    #[test]
+    fn corrupted_blocks_fail_typed_at_decode() {
+        let batch = BitMatrix::from_columns(130, &[vec![0, 64, 129], vec![1], vec![]]).unwrap();
+        let left = WireBlock::cut_csc(&batch, 0..3).unwrap();
+        let right = WireBlock::cut_csr(&batch, 0..3, &mut [0; 3]).unwrap();
+        let decode = |left_form: bool, wire: WireBlock| {
+            if left_form {
+                wire.into_csc().err()
+            } else {
+                wire.into_csr().err()
+            }
+        };
+        for (left_form, wire) in [(true, left), (false, right)] {
+            assert!(decode(left_form, wire.clone()).is_none());
+            // An index at the minor dimension (3 word rows / 3 columns).
+            let mut bad = wire.clone();
+            bad.indices[0] = 3;
+            assert!(
+                matches!(decode(left_form, bad), Some(SparseError::IndexOutOfBounds { .. })),
+                "left form: {left_form}"
+            );
+            let mut bad = wire.clone();
+            bad.indptr.swap(1, 2);
+            assert!(matches!(decode(left_form, bad), Some(SparseError::ShapeMismatch { .. })));
+            let mut bad = wire.clone();
+            bad.data.pop();
+            assert!(matches!(decode(left_form, bad), Some(SparseError::ShapeMismatch { .. })));
+        }
+    }
+
+    #[test]
+    fn counts_past_the_wire_limit_are_refused_typed() {
+        assert_eq!(narrow(0, "columns", 10).unwrap(), 0);
+        assert_eq!(narrow(10, "columns", 10).unwrap(), 10);
+        assert_eq!(narrow(u32::MAX as usize, "word rows", u32::MAX as usize).unwrap(), u32::MAX);
+        match narrow(11, "stored words", 10) {
+            Err(SparseError::InvalidDistribution(msg)) => {
+                assert!(msg.contains("11 stored words") && msg.contains("the 10"), "{msg}")
+            }
+            other => panic!("expected InvalidDistribution, got {other:?}"),
+        }
     }
 
     #[test]

@@ -8,54 +8,86 @@
 //! accumulate-writes over a `(max, ×)` monoid and then "collected on all
 //! processors". [`dist_row_filter`] reproduces that formulation: every
 //! rank packs its observed rows into a dense bitmap (one *bit* per batch
-//! row), the bitmaps are OR-allreduced, and each rank derives the
-//! kept-row remap locally — `O(batch_rows / 8)` bytes per message. The
-//! earlier index-based construction is kept as
-//! [`dist_row_filter_indexed`] (it allgathers `O(observed rows × 8)`
-//! bytes) so benchmarks can measure the saving.
+//! row), the bitmaps are OR-allreduced — `O(batch_rows / 8)` bytes per
+//! message — and the reduced bitmap *is* the filter each rank keeps: it
+//! moves into the [`RowFilter`] as its rank directory, with only the
+//! per-word survivor counts built beside it. The earlier index-based
+//! construction is kept as [`dist_row_filter_indexed`] (it allgathers
+//! `O(observed rows × 8)` bytes) so benchmarks can measure the saving.
 //!
 //! Renumbering (Eq. 6's prefix sum) is [`RowFilter::compacted_index`]: a
-//! popcount-prefix lookup where the survivors are dense enough to afford
-//! a bitmap over the batch, a binary search where they are not — see
-//! [`RowFilter`] for the guard and why it is about memory.
+//! popcount-prefix lookup in that directory where the survivors are dense
+//! enough to afford a bitmap over the batch, a binary search of the
+//! sorted survivors where they are not — see [`RowFilter`] for the guard
+//! and why it is about memory. The survivors are listed as indices only
+//! for a caller that asks ([`RowFilter::nonzero_rows`]).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
-use crate::bitmat::{bitmap_rows, pack_row_bitmap, WORD_BITS};
+use crate::bitmat::{bitmap_count_ones, bitmap_rows, pack_row_bitmap, WORD_BITS};
 use crate::error::SparseResult;
 use gas_dstsim::comm::Communicator;
 
 /// The compacted zero-row filter of one batch.
 ///
 /// Renumbering a row is Eq. 6's prefix sum. Where the survivors are dense
-/// enough the filter carries a *rank directory* — the surviving-row
-/// bitmap plus, per 64-row word, the count of survivors before it — so
-/// [`RowFilter::compacted_index`] is one bit test and one popcount. The
-/// directory costs `⌈batch_rows/64⌉` words and is built only when that
-/// is no more than the number of survivors: `batch_rows` is the k-mer
-/// universe (2⁴² at k = 21) while a hypersparse batch holds a handful of
-/// rows, and a filter must stay `O(survivors)` in memory. Below that
-/// density `compacted_index` binary-searches the sorted survivors.
+/// enough the filter is a *rank directory* — the surviving-row bitmap
+/// plus, per 64-row word, the count of survivors before it — so
+/// [`RowFilter::compacted_index`] is one bit test and one popcount, and
+/// the sorted survivor list exists only once [`RowFilter::nonzero_rows`]
+/// has been asked for. The directory costs `⌈batch_rows/64⌉` words and is
+/// kept only when that is no more than the number of survivors:
+/// `batch_rows` is the k-mer universe (2⁴² at k = 21) while a hypersparse
+/// batch holds a handful of rows, and a filter must stay `O(survivors)`
+/// in memory. Below that density the filter is the sorted survivor list
+/// and `compacted_index` binary-searches it. The guard is a function of
+/// `(batch_rows, survivors)` alone, so one logical filter has one
+/// representation however it was built — which is what lets equality and
+/// [`RowFilter::fingerprint`] read whichever one is there.
 #[derive(Debug, Clone)]
 pub struct RowFilter {
     batch_rows: usize,
-    nonzero: Vec<usize>,
-    /// A function of the two fields above (so equality ignores it).
+    survivors: usize,
+    /// Present iff `⌈batch_rows/64⌉ ≤ survivors`.
     rank: Option<RankDirectory>,
+    /// The sorted survivors: set from the start without a directory, on
+    /// first request with one.
+    nonzero: OnceLock<Vec<usize>>,
 }
 
-/// Bit `r` of `words` is set iff row `r` survives; `before[w]` is the
-/// number of survivors in words `0..w`.
+/// Bit `r` of `words` is set iff row `r` survives (exactly
+/// `⌈batch_rows/64⌉` words, no bit at or past `batch_rows`); `before[w]`
+/// is the number of survivors in words `0..w`.
 #[derive(Debug, Clone)]
 struct RankDirectory {
     words: Vec<u64>,
     before: Vec<usize>,
 }
 
+impl RankDirectory {
+    /// `words` is exactly the batch's bitmap, tail bits clear.
+    fn over(words: Vec<u64>) -> Self {
+        let mut before = Vec::with_capacity(words.len());
+        let mut seen = 0usize;
+        for w in &words {
+            before.push(seen);
+            seen += w.count_ones() as usize;
+        }
+        RankDirectory { words, before }
+    }
+}
+
 impl PartialEq for RowFilter {
     fn eq(&self, other: &Self) -> bool {
-        self.batch_rows == other.batch_rows && self.nonzero == other.nonzero
+        if (self.batch_rows, self.survivors) != (other.batch_rows, other.survivors) {
+            return false;
+        }
+        match (&self.rank, &other.rank) {
+            (Some(a), Some(b)) => a.words == b.words,
+            _ => self.nonzero_rows() == other.nonzero_rows(),
+        }
     }
 }
 
@@ -63,22 +95,28 @@ impl Eq for RowFilter {}
 
 impl RowFilter {
     /// `nonzero` is strictly ascending and `< batch_rows`.
-    fn new(batch_rows: usize, nonzero: Vec<usize>) -> Self {
+    fn from_sorted(batch_rows: usize, nonzero: Vec<usize>) -> Self {
+        let rank = (batch_rows.div_ceil(WORD_BITS) <= nonzero.len())
+            .then(|| RankDirectory::over(pack_row_bitmap(batch_rows, &nonzero)));
+        let survivors = nonzero.len();
+        RowFilter { batch_rows, survivors, rank, nonzero: OnceLock::from(nonzero) }
+    }
+
+    /// The filter whose survivors are the set bits of `words` below
+    /// `batch_rows`; a bitmap that passes the density guard is kept as
+    /// the directory, not copied into one.
+    fn from_words(batch_rows: usize, mut words: Vec<u64>) -> Self {
         let nwords = batch_rows.div_ceil(WORD_BITS);
-        let rank = (nwords <= nonzero.len()).then(|| {
-            let mut words = vec![0u64; nwords];
-            for &r in &nonzero {
-                words[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
-            }
-            let mut before = Vec::with_capacity(nwords);
-            let mut seen = 0usize;
-            for w in &words {
-                before.push(seen);
-                seen += w.count_ones() as usize;
-            }
-            RankDirectory { words, before }
-        });
-        RowFilter { batch_rows, nonzero, rank }
+        words.resize(nwords, 0);
+        if let (Some(last), tail @ 1..) = (words.last_mut(), batch_rows % WORD_BITS) {
+            *last &= (1u64 << tail) - 1;
+        }
+        let survivors = bitmap_count_ones(&words) as usize;
+        if nwords > survivors {
+            return RowFilter::from_sorted(batch_rows, bitmap_rows(&words));
+        }
+        let rank = Some(RankDirectory::over(words));
+        RowFilter { batch_rows, survivors, rank, nonzero: OnceLock::new() }
     }
 
     /// Build a filter from locally known nonzero rows (clipped to the
@@ -89,15 +127,15 @@ impl RowFilter {
             rows.sort_unstable();
             rows.dedup();
         }
-        RowFilter::new(batch_rows, rows)
+        RowFilter::from_sorted(batch_rows, rows)
     }
 
     /// Build a filter from a packed nonzero-row bitmap (as produced by
-    /// [`pack_row_bitmap`]); bits beyond `batch_rows` are ignored.
+    /// [`pack_row_bitmap`]), of any length; bits beyond `batch_rows` are
+    /// ignored.
     pub fn from_bitmap(batch_rows: usize, words: &[u64]) -> Self {
-        let mut rows = bitmap_rows(words);
-        rows.retain(|&r| r < batch_rows);
-        RowFilter::new(batch_rows, rows)
+        let nwords = batch_rows.div_ceil(WORD_BITS);
+        RowFilter::from_words(batch_rows, words[..nwords.min(words.len())].to_vec())
     }
 
     /// Number of rows of the unfiltered batch.
@@ -105,14 +143,17 @@ impl RowFilter {
         self.batch_rows
     }
 
-    /// The surviving (nonzero) rows, sorted ascending.
+    /// The surviving (nonzero) rows, sorted ascending. A filter that
+    /// keeps a rank directory lists them on the first call.
     pub fn nonzero_rows(&self) -> &[usize] {
-        &self.nonzero
+        self.nonzero.get_or_init(|| {
+            bitmap_rows(&self.rank.as_ref().expect("a filter without a list has a directory").words)
+        })
     }
 
     /// Number of surviving rows.
     pub fn num_nonzero_rows(&self) -> usize {
-        self.nonzero.len()
+        self.survivors
     }
 
     /// Fraction of batch rows removed by the filter.
@@ -120,14 +161,14 @@ impl RowFilter {
         if self.batch_rows == 0 {
             return 0.0;
         }
-        1.0 - self.nonzero.len() as f64 / self.batch_rows as f64
+        1.0 - self.survivors as f64 / self.batch_rows as f64
     }
 
     /// Compacted index of `row` after filtering, or `None` if the filter
     /// removed it.
     pub fn compacted_index(&self, row: usize) -> Option<usize> {
         let Some(rank) = &self.rank else {
-            return self.nonzero.binary_search(&row).ok();
+            return self.nonzero_rows().binary_search(&row).ok();
         };
         let word = *rank.words.get(row / WORD_BITS)?;
         let bit = 1u64 << (row % WORD_BITS);
@@ -135,13 +176,18 @@ impl RowFilter {
             .then(|| rank.before[row / WORD_BITS] + (word & (bit - 1)).count_ones() as usize)
     }
 
-    /// A stable fingerprint of this filter (batch extent plus surviving
-    /// rows). Used as the cache key for decoded SUMMA blocks: two batches
-    /// processed under different filters can never share decoded blocks.
+    /// A stable fingerprint of this filter: the batch extent plus the
+    /// surviving rows, read in the one representation the density guard
+    /// gives them (directory words above it, the sorted list below). Used
+    /// as the cache key for decoded SUMMA blocks: two batches processed
+    /// under different filters can never share decoded blocks.
     pub fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.batch_rows.hash(&mut h);
-        self.nonzero.hash(&mut h);
+        match &self.rank {
+            Some(rank) => rank.words.hash(&mut h),
+            None => self.nonzero_rows().hash(&mut h),
+        }
         h.finish()
     }
 }
@@ -149,9 +195,10 @@ impl RowFilter {
 /// Build the batch filter collectively with the paper's bitmap
 /// formulation: every rank packs the rows present in its local columns
 /// into a dense bitmap, the bitmaps are combined with a bitwise-OR
-/// allreduce, and every rank derives the identical kept-row remap
-/// locally. Communication is `⌈batch_rows / 64⌉` words per message
-/// regardless of how many row indices were observed.
+/// allreduce, and every rank keeps the identical reduced bitmap as its
+/// filter's rank directory (by value: it is not copied or expanded).
+/// Communication is `⌈batch_rows / 64⌉` words per message regardless of
+/// how many row indices were observed.
 pub fn dist_row_filter(
     comm: &Communicator,
     batch_rows: usize,
@@ -161,7 +208,7 @@ pub fn dist_row_filter(
     let combined = comm.allreduce(&mine, |a, b| *a | *b)?;
     // Charge the prefix-sum renumbering of the survivors.
     comm.add_flops(combined.len() as u64);
-    Ok(RowFilter::from_bitmap(batch_rows, &combined))
+    Ok(RowFilter::from_words(batch_rows, combined))
 }
 
 /// The index-based construction this module used before the bitmap
@@ -259,13 +306,81 @@ mod tests {
     }
 
     #[test]
+    fn from_bitmap_of_any_length_equals_from_local_on_the_clipped_rows() {
+        let mut rng = Rng(24);
+        let mut directories = [0usize; 2];
+        // (batch rows, rows drawn): under and over one survivor per word.
+        for (batch_rows, drawn) in
+            [(0usize, 0usize), (1, 1), (64, 1), (700, 3), (700, 40), (6400, 99)]
+        {
+            let nwords = batch_rows.div_ceil(WORD_BITS);
+            // Rows over a span a few words longer than the batch, so some
+            // set bits lie past `batch_rows` in its last word and beyond.
+            let span = batch_rows + 3 * WORD_BITS;
+            let mut rows: Vec<usize> = (0..drawn).map(|_| rng.below(span)).collect();
+            rows.extend([batch_rows, batch_rows + 1, span - 1]);
+            let full = pack_row_bitmap(span, &rows);
+            let clipped: Vec<usize> = rows.iter().copied().filter(|&r| r < batch_rows).collect();
+            let local = RowFilter::from_local(batch_rows, clipped.clone());
+            // Longer than the batch, exactly its length, and cut short
+            // (the rows in the missing words are then absent).
+            for len in [full.len(), nwords, nwords / 2] {
+                let kept: Vec<usize> =
+                    clipped.iter().copied().filter(|&r| r < len * WORD_BITS).collect();
+                let expected = if len >= nwords {
+                    local.clone()
+                } else {
+                    RowFilter::from_local(batch_rows, kept)
+                };
+                let ctx = format!("{batch_rows} rows, {drawn} drawn, {len} of {nwords} words");
+                for f in [
+                    RowFilter::from_bitmap(batch_rows, &full[..len]),
+                    RowFilter::from_words(batch_rows, full[..len].to_vec()),
+                ] {
+                    assert_eq!(f, expected, "{ctx}");
+                    assert_eq!(f.rank.is_some(), expected.rank.is_some(), "{ctx}");
+                    assert_eq!(f.rank.is_some(), nwords <= f.num_nonzero_rows(), "{ctx}");
+                    directories[usize::from(f.rank.is_some())] += 1;
+                    assert_eq!(f.fingerprint(), expected.fingerprint(), "{ctx}");
+                    assert_eq!(f.num_nonzero_rows(), expected.nonzero_rows().len(), "{ctx}");
+                    assert_eq!(f.removed_fraction(), expected.removed_fraction(), "{ctx}");
+                    for r in 0..span + WORD_BITS {
+                        assert_eq!(
+                            f.compacted_index(r),
+                            expected.nonzero_rows().binary_search(&r).ok(),
+                            "row {r}: {ctx}"
+                        );
+                    }
+                    // Listed last: everything above ran without the list.
+                    assert_eq!(f.nonzero_rows(), expected.nonzero_rows(), "{ctx}");
+                }
+            }
+        }
+        assert!(directories.iter().all(|&n| n >= 6), "both sides of the guard: {directories:?}");
+    }
+
+    #[test]
     fn fingerprints_distinguish_filters() {
-        let a = RowFilter::from_local(100, vec![1, 2, 3]);
-        let b = RowFilter::from_local(100, vec![1, 2, 4]);
-        let c = RowFilter::from_local(101, vec![1, 2, 3]);
-        assert_eq!(a.fingerprint(), RowFilter::from_local(100, vec![3, 2, 1, 2]).fingerprint());
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
+        // Three survivors of 1000 rows sit under the density guard (the
+        // list is hashed), sixty of 128 over it (the directory is).
+        for (batch_rows, rows) in
+            [(1000usize, vec![1usize, 2, 3]), (128, (0..120).step_by(2).collect())]
+        {
+            let a = RowFilter::from_local(batch_rows, rows.clone());
+            let mut shuffled = rows.clone();
+            shuffled.reverse();
+            shuffled.push(rows[0]);
+            assert_eq!(a.fingerprint(), RowFilter::from_local(batch_rows, shuffled).fingerprint());
+            let mut one_row_off = rows.clone();
+            *one_row_off.last_mut().unwrap() += 1;
+            let b = RowFilter::from_local(batch_rows, one_row_off);
+            let c = RowFilter::from_local(batch_rows + 1, rows.clone());
+            assert_eq!(a.rank.is_some(), batch_rows == 128);
+            assert_ne!(a, b);
+            assert_ne!(a, c);
+            assert_ne!(a.fingerprint(), b.fingerprint());
+            assert_ne!(a.fingerprint(), c.fingerprint());
+        }
     }
 
     #[test]

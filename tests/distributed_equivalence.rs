@@ -6,8 +6,12 @@
 
 use genomeatscale::core::algorithm::{similarity_at_scale, similarity_at_scale_distributed};
 use genomeatscale::core::baselines::allreduce_jaccard_distributed;
+use genomeatscale::core::batch::BatchPlan;
+use genomeatscale::core::mask::{prepare_batch, PreparedBatch};
+use genomeatscale::dstsim::runtime::RankCtx;
 use genomeatscale::genomics::datasets::DatasetSpec;
 use genomeatscale::prelude::*;
+use genomeatscale::sparse::dist::filter::dist_row_filter;
 use genomeatscale::sparse::dist::DistAta;
 
 fn workload(seed: u64, n: usize) -> SampleCollection {
@@ -177,4 +181,105 @@ fn cost_projection_is_positive_and_scales_with_problem_size() {
         .projected_time(&model);
     assert!(t_small > 0.0);
     assert!(t_large > t_small, "larger problems must project to longer times");
+}
+
+/// The ledger's smoke fixture: 400 000 k-mer rows of which about one in
+/// thirty survives the filter.
+fn hypersparse(seed: u64) -> SampleCollection {
+    let samples = DatasetSpec::explicit(400_000, 32, 1e-3, seed).generate().unwrap();
+    SampleCollection::from_sorted_sets(samples).unwrap()
+}
+
+#[test]
+fn hypersparse_batches_equal_shared_memory_with_and_without_the_filter() {
+    let collection = hypersparse(24);
+    for ranks in env_usize_list("GAS_DIST_RANKS", &[1, 4, 6]) {
+        for replication in env_usize_list("GAS_DIST_REPLICATION", &[1, 2]) {
+            for batches in [2usize, 5] {
+                for use_zero_row_filter in [true, false] {
+                    let config = SimilarityConfig {
+                        use_zero_row_filter,
+                        ..SimilarityConfig::with_batches(batches).with_replication(replication)
+                    };
+                    let shared = similarity_at_scale(&collection, &config).unwrap();
+                    let distributed = similarity_at_scale_distributed(
+                        &collection,
+                        &config,
+                        ranks,
+                        &Machine::laptop(),
+                    )
+                    .unwrap();
+                    let ctx = format!(
+                        "ranks={ranks}, c={replication}, batches={batches}, \
+                         filter={use_zero_row_filter}"
+                    );
+                    assert_eq!(distributed.result.intersections(), shared.intersections(), "{ctx}");
+                    assert_eq!(distributed.result.cardinalities(), shared.cardinalities(), "{ctx}");
+                }
+            }
+        }
+    }
+}
+
+/// Bytes all `p` ranks send while each runs `f`.
+fn bytes_sent(p: usize, f: impl Fn(&mut RankCtx) + Send + Sync) -> u64 {
+    Runtime::new(p).run(f).unwrap().aggregate().total_bytes_sent
+}
+
+#[test]
+fn wire_bytes_are_the_filter_bitmaps_plus_the_narrow_blocks() {
+    // p = 4, c = 1 is the 2 × 2 × 1 grid: two SUMMA steps per batch, each
+    // block sent to the one other rank of its row or column communicator.
+    let (p, r, q, steps) = (4usize, 2usize, 2usize, 2usize);
+    let collection = hypersparse(25);
+    let n = collection.n();
+    let config = SimilarityConfig::with_batches(2);
+    let summary =
+        similarity_at_scale_distributed(&collection, &config, p, &Machine::laptop()).unwrap();
+    assert_eq!(summary.grid_dims, [r, q, 1]);
+    // Everything but the batches: grid setup, the final reductions, the
+    // gather of the output blocks.
+    let mut expected = bytes_sent(p, |ctx| {
+        let ata = DistAta::new(ctx.world(), n, 1).unwrap();
+        let (mut acc, mut card) = (ata.new_accumulator(), ata.new_cardinalities());
+        ata.finalize(&mut acc, &mut card).unwrap();
+        ata.gather_full(ctx.world(), &acc).unwrap();
+    });
+    let block =
+        |total: usize, parts: usize, idx: usize| (idx * total / parts)..((idx + 1) * total / parts);
+    let plan = BatchPlan::from_config(&config, &collection, p).unwrap();
+    for (lo, hi) in plan.iter() {
+        let batch_rows = (hi - lo) as usize;
+        // The OR-allreduce moves ⌈batch_rows/64⌉ words whatever is set.
+        expected += bytes_sent(p, |ctx| {
+            dist_row_filter(ctx.world(), batch_rows, &[]).unwrap();
+        });
+        let columns = collection.batch_columns_all(lo, hi);
+        let (prepared, _) = prepare_batch(batch_rows, &columns, true, true).unwrap();
+        let PreparedBatch::Masked(packed) = prepared else { panic!("masking was asked for") };
+        for t in 0..steps {
+            let chunk = block(packed.word_rows(), steps, t);
+            // 16 header bytes, 4 per offset and per index, 8 per word:
+            // the right operand's offsets run over the chunk's word rows,
+            // the left operand's over its samples.
+            let nbytes = |samples: std::ops::Range<usize>, major: usize| {
+                let cols: Vec<usize> = samples.collect();
+                let words = packed
+                    .select_cols(&cols)
+                    .unwrap()
+                    .select_word_rows(chunk.clone())
+                    .unwrap()
+                    .nnz_words();
+                (16 + 4 * (major + 1 + words) + 8 * words) as u64
+            };
+            for j in 0..q {
+                expected += (r as u64 - 1) * nbytes(block(n, q, j), chunk.len());
+            }
+            for i in 0..r {
+                let samples = block(n, r, i);
+                expected += (q as u64 - 1) * nbytes(samples.clone(), samples.len());
+            }
+        }
+    }
+    assert_eq!(summary.aggregate.total_bytes_sent, expected);
 }
