@@ -98,12 +98,11 @@ index-lifecycle:
 	cargo test -p gas-index --locked -q
 	cargo test --locked -q --test index_lifecycle --test index_persistence --test query_serving
 
-# The CI plan-smoke step: the placement & autotuning sweep on the tiny
-# skewed fixture (planned mixed placement must move at most as many wire
-# bytes as all-shard AND all-replicate while answering bit-identically
-# to the single-rank engine; tuned replication within 2× of the best
-# measured divisor; tuned LSH within 0.5× of the best grid-searched
-# throughput), then the plan trend gate against the committed baseline.
+# The CI plan-smoke step: the placement sweep on the tiny skewed fixture
+# (the mixed placement planned from segment_stats() probe heat must move
+# at most as many wire bytes as all-shard AND all-replicate while
+# answering bit-identically to the single-rank engine), then the plan
+# trend gate against the committed baseline.
 plan-smoke:
 	GAS_PLAN_TINY=1 cargo run --release --locked -p gas-bench --bin placement_sweep
 	cargo run --release --locked -p gas-bench --bin bench_trend -- --plan

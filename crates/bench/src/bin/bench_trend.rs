@@ -64,15 +64,14 @@
 //! inert plan armed it must stay within 2× of disabled.
 //!
 //! `bench_trend --plan [current.json] [baseline.json]` gates the
-//! placement & autotuning sweep (defaults:
-//! `results/placement_sweep.json`,
+//! placement sweep (defaults: `results/placement_sweep.json`,
 //! `bench/baselines/placement_sweep.tiny.json`). Rows are matched on
 //! `(kind, name)`; every baseline row must still exist, every current
 //! row must carry `ok = 1` (the sweep computes its own acceptance —
 //! planned wire bytes at or below both pure placements, answers
-//! bit-identical, tuned knobs within their bounded factors of grid
-//! search), and the planned placement's total wire bytes may not exceed
-//! 2× the committed baseline.
+//! bit-identical, at least one segment replicated and one sharded), and
+//! the planned placement's total wire bytes may not exceed 2× the
+//! committed baseline.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -438,7 +437,7 @@ fn plan_rows(path: &PathBuf) -> Result<BTreeMap<(String, String), PlanRow>, Stri
     Ok(out)
 }
 
-/// Gate the placement & autotuning sweep: every baseline row still
+/// Gate the placement sweep: every baseline row still
 /// present, every current row's own acceptance flag green, and the
 /// planned placement's wire total within 2× of the committed baseline.
 fn plan_gate(current: &PathBuf, baseline: &PathBuf) -> ExitCode {
@@ -482,7 +481,7 @@ fn plan_gate(current: &PathBuf, baseline: &PathBuf) -> ExitCode {
     }
     if failures.is_empty() {
         println!(
-            "bench-trend OK: {} placement/autotune row(s) green vs {}",
+            "bench-trend OK: {} placement row(s) green vs {}",
             current_rows.len(),
             baseline.display()
         );
@@ -492,7 +491,7 @@ fn plan_gate(current: &PathBuf, baseline: &PathBuf) -> ExitCode {
         eprintln!("bench-trend FAIL: {f}");
     }
     eprintln!(
-        "bench-trend: {} placement/autotune failure(s) vs {} — if intentional, refresh the \
+        "bench-trend: {} placement failure(s) vs {} — if intentional, refresh the \
          baseline from {}",
         failures.len(),
         baseline.display(),

@@ -79,8 +79,8 @@ fn main() {
     check.write_csv(gas_bench::report::results_dir(), "cost_model_crosscheck").expect("write CSV");
 
     // Fit the machine parameters from the measured per-rank reports and
-    // publish them where the planner and autotuner (`gas-plan`,
-    // `MachineParams::from_report`) read measured α/β/γ instead of the
+    // publish them where the placement planner (`gas-plan`,
+    // `MachineParams::from_report`) reads measured α/β/γ instead of the
     // preset constants. The simulator charges time from the preset
     // machine, so the fit recovering finite non-negative parameters is
     // the gate, not a tolerance on the values themselves.

@@ -1185,9 +1185,9 @@ impl IndexReader {
     }
 }
 
-/// Per-segment row/live counts under one tombstone predicate — shared by
-/// the writer (compactor input) and reader (reporting) so the two views
-/// can never diverge.
+/// Per-segment row/live counts under one tombstone predicate, plus each
+/// segment's probe heat — shared by the writer (compactor input) and
+/// reader (reporting, placement) so the two views can never diverge.
 fn segment_stats_with<F: Fn(u32) -> bool>(
     segments: &[SharedSegment],
     is_deleted: F,
@@ -1196,10 +1196,13 @@ fn segment_stats_with<F: Fn(u32) -> bool>(
         .iter()
         .map(|seg| {
             let dead = seg.global_ids().iter().filter(|&&id| is_deleted(id)).count();
+            let (probes, candidates) = seg.heat();
             SegmentStats {
                 segment_id: seg.id(),
                 rows: seg.n_rows(),
                 live_rows: seg.n_rows() - dead,
+                probes,
+                candidates,
             }
         })
         .collect()
@@ -1235,7 +1238,7 @@ impl Default for CompactionPolicy {
 
 impl CompactionPolicy {
     /// Return a copy with the given geometric tier width (validated by
-    /// [`Compactor::new`]; an autotuner's natural entry point).
+    /// [`Compactor::new`]).
     pub fn with_tier_factor(mut self, tier_factor: usize) -> Self {
         self.tier_factor = tier_factor;
         self
@@ -1485,8 +1488,13 @@ mod tests {
         assert_eq!(policy.tier(15), 1);
         assert_eq!(policy.tier(16), 2);
         let compactor = Compactor::new(policy).unwrap();
-        let stats =
-            |id: u64, live: usize| SegmentStats { segment_id: id, rows: live, live_rows: live };
+        let stats = |id: u64, live: usize| SegmentStats {
+            segment_id: id,
+            rows: live,
+            live_rows: live,
+            probes: 0,
+            candidates: 0,
+        };
         // Two tier-0 segments merge; the lone tier-2 segment is left alone.
         let plan = compactor.plan(&[stats(1, 2), stats(2, 3), stats(3, 40)]);
         assert_eq!(plan, vec![vec![1, 2]]);
@@ -1526,6 +1534,8 @@ mod tests {
             segment_id: id,
             rows,
             live_rows: live,
+            probes: 0,
+            candidates: 0,
         };
         // A lone settled segment with > 25% of its rows tombstoned is
         // rewritten on its own; at exactly 25% it is left alone.

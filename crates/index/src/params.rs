@@ -35,7 +35,7 @@ impl LshParams {
     /// Every `(bands, rows)` split with `b · r = signature_len`, ordered
     /// by increasing `rows` (so from the flattest S-curve to the
     /// sharpest). This is the candidate set [`Self::for_threshold`]
-    /// searches and the one an autotuner grid-searches over.
+    /// searches.
     pub fn divisor_splits(signature_len: usize) -> IndexResult<Vec<Self>> {
         if signature_len == 0 {
             return Err(IndexError::InvalidConfig("signature length must be positive".into()));

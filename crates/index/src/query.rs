@@ -253,13 +253,13 @@ pub(crate) fn merge_scored_sources(mut entries: Vec<Scored>, keep: usize) -> Vec
     entries
 }
 
-/// The planner's probe heat of one pass over a reader's segments:
-/// `(probes, candidates)` by segment position, accumulated without
-/// touching the metrics registry and [flushed](Self::flush) once per
-/// pass. This is the observed signal `gas-plan`'s placement planner
-/// ranks segments "hot" by, recorded on every probe of both the local
-/// engine and the distributed prober so serving and planning see the
-/// same heat.
+/// The probe heat of one pass over a reader's segments: `(probes,
+/// candidates)` by segment position, accumulated locally and
+/// [flushed](Self::flush) into the segments once per pass. This is the
+/// observed signal `gas-plan`'s placement planner ranks segments "hot"
+/// by (read back through [`IndexReader::segment_stats`]), recorded on
+/// every probe of both the local engine and the distributed prober so
+/// serving and planning see the same heat.
 #[derive(Debug)]
 pub(crate) struct ProbeHeat(Vec<(u64, u64)>);
 
@@ -283,12 +283,10 @@ impl ProbeHeat {
         }
     }
 
-    /// Add the pass to the registry: the per-segment
-    /// `gas_plan_segment_{probes,candidates}_seg<id>_total` pair of every
-    /// probed segment of `reader`, then the aggregate
-    /// `gas_plan_segment_{probes,candidates}_total` pair — the totals of
-    /// bumping all four on every probe, at one registry visit per
-    /// (pass, counter).
+    /// Add the pass to the heat of every probed segment of `reader`, then
+    /// to the bounded aggregate `gas_plan_segment_{probes,candidates}_total`
+    /// pair of the metrics registry — one registry visit per (pass,
+    /// counter).
     pub(crate) fn flush(self, reader: &IndexReader) {
         let (mut all_probes, mut all_candidates) = (0u64, 0u64);
         for (seg, (probes, candidates)) in reader.segments().iter().zip(self.0) {
@@ -297,9 +295,7 @@ impl ProbeHeat {
             }
             all_probes += probes;
             all_candidates += candidates;
-            let name = |base| gas_obs::segment_counter_name(base, seg.id());
-            gas_obs::counter(&name("gas_plan_segment_probes")).add(probes);
-            gas_obs::counter(&name("gas_plan_segment_candidates")).add(candidates);
+            seg.record_heat(probes, candidates);
         }
         if all_probes > 0 {
             gas_obs::counter("gas_plan_segment_probes_total").add(all_probes);

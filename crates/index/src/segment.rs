@@ -6,11 +6,13 @@
 //! `IndexWriter` and never reused). Bucket tables store local
 //! rows, so a segment is self-contained: it can be built, persisted,
 //! checksummed and sharded without knowing about any other segment.
-//! Once sealed a segment never changes — deletes are tombstones held by
-//! the manifest, and compaction *replaces* segments instead of editing
-//! them.
+//! Once sealed a segment's content never changes — deletes are
+//! tombstones held by the manifest, and compaction *replaces* segments
+//! instead of editing them. The one mutable part is its probe heat, an
+//! observation of serving rather than content (see [`Segment`]).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gas_core::minhash::{MinHashSignature, SignatureScheme};
@@ -37,6 +39,15 @@ pub struct SegmentRow {
 }
 
 /// An immutable, sealed segment of the index.
+///
+/// Besides its rows a segment carries its probe heat: the probes and
+/// candidate rows the query paths have drawn from it, read back through
+/// [`SegmentStats`]. Heat is interior-mutable and is not content — it is
+/// never persisted, equality ignores it (two segments are equal when
+/// their id and rows are), a clone starts cold, and it lives exactly as
+/// long as the shared allocation every snapshot holding this segment
+/// points at. A compaction output or a reopened file therefore starts
+/// cold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     id: u64,
@@ -47,6 +58,30 @@ pub struct Segment {
     set_sizes: Vec<u64>,
     names: Vec<String>,
     bands: Vec<BandBuckets>,
+    heat: SegmentHeat,
+}
+
+/// Probe heat of one segment: probes and the candidate rows they
+/// surfaced. Relaxed counters — each is a monotone total read as a
+/// whole, never used to order other memory.
+#[derive(Debug, Default)]
+struct SegmentHeat {
+    probes: AtomicU64,
+    candidates: AtomicU64,
+}
+
+/// Heat is an observation, not content: a copy starts cold.
+impl Clone for SegmentHeat {
+    fn clone(&self) -> Self {
+        SegmentHeat::default()
+    }
+}
+
+/// Heat is an observation, not content: it never breaks equality.
+impl PartialEq for SegmentHeat {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl Segment {
@@ -143,7 +178,17 @@ impl Segment {
         if bands.iter().any(|b| b.ids().iter().any(|&local| local as usize >= n)) {
             return Err(IndexError::Corrupt { context: "bucket row out of range".into() });
         }
-        Ok(Segment { id, scheme, params, global_ids, signatures, set_sizes, names, bands })
+        Ok(Segment {
+            id,
+            scheme,
+            params,
+            global_ids,
+            signatures,
+            set_sizes,
+            names,
+            bands,
+            heat: SegmentHeat::default(),
+        })
     }
 
     /// Segment id — unique within one index lifecycle, assigned at seal
@@ -240,6 +285,18 @@ impl Segment {
         out
     }
 
+    /// Add `probes` probes that surfaced `candidates` candidate rows to
+    /// this segment's heat.
+    pub(crate) fn record_heat(&self, probes: u64, candidates: u64) {
+        self.heat.probes.fetch_add(probes, Ordering::Relaxed);
+        self.heat.candidates.fetch_add(candidates, Ordering::Relaxed);
+    }
+
+    /// The `(probes, candidates)` recorded so far.
+    pub(crate) fn heat(&self) -> (u64, u64) {
+        (self.heat.probes.load(Ordering::Relaxed), self.heat.candidates.load(Ordering::Relaxed))
+    }
+
     /// The rows of this segment as carry-over records for compaction,
     /// skipping rows whose global id `dropped` admits (tombstones).
     pub(crate) fn live_rows<F: Fn(u32) -> bool>(&self, dropped: F) -> Vec<SegmentRow> {
@@ -264,6 +321,12 @@ pub struct SegmentStats {
     pub rows: usize,
     /// Rows still live (not tombstoned) under the snapshot.
     pub live_rows: usize,
+    /// Probes of the segment so far (one per query per pass), summed
+    /// over every snapshot and rank sharing it.
+    pub probes: u64,
+    /// Candidate rows those probes surfaced — the segment's fetch
+    /// traffic.
+    pub candidates: u64,
 }
 
 /// Shared by every segment builder: one key-sorted bucket table per
@@ -356,6 +419,21 @@ mod tests {
         let pruned = Segment::from_rows(3, scheme, params, seg.live_rows(|id| id == 0)).unwrap();
         assert_eq!(pruned.global_ids(), &[1]);
         assert_eq!(pruned.signature(0), seg.signature(1));
+    }
+
+    #[test]
+    fn heat_is_not_content() {
+        let (scheme, params) = scheme_and_params();
+        let sets: Vec<Vec<u64>> = vec![(0..150).collect()];
+        let refs: Vec<&[u64]> = sets.iter().map(Vec::as_slice).collect();
+        let seg =
+            Segment::sign_and_build(1, scheme, params, vec![0], vec!["x".into()], &refs).unwrap();
+        let twin = Segment::from_rows(1, scheme, params, seg.live_rows(|_| false)).unwrap();
+        seg.record_heat(3, 7);
+        seg.record_heat(1, 2);
+        assert_eq!((seg.heat(), twin.heat()), ((4, 9), (0, 0)));
+        assert_eq!(seg, twin, "heating one of two equal segments keeps them equal");
+        assert_eq!(seg.clone().heat(), (0, 0), "a copy starts cold");
     }
 
     #[test]

@@ -31,8 +31,7 @@ pub use export::{
 };
 pub use hist::{LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use metrics::{
-    counter, gauge, histogram, reset_metrics, segment_counter_name, snapshot, Counter, Gauge,
-    Histogram, MetricsSnapshot,
+    counter, gauge, histogram, reset_metrics, snapshot, Counter, Gauge, Histogram, MetricsSnapshot,
 };
 pub use trace::{
     clear, set_enabled, set_sink, span, take_events, trace_enabled, Span, TraceEvent, TraceSink,

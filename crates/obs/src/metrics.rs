@@ -89,15 +89,6 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::default)
 }
 
-/// Name of a per-segment counter: `{base}_seg{segment_id}_total`. Keyed
-/// metric families (the planner's probe-heat counters, `gas_plan_*`) use
-/// this so one segment's counter is one registry entry, alongside a plain
-/// `{base}_total` aggregate, and consumers can reconstruct the family
-/// from a snapshot by name.
-pub fn segment_counter_name(base: &str, segment_id: u64) -> String {
-    format!("{base}_seg{segment_id}_total")
-}
-
 /// Get or create the counter named `name`.
 pub fn counter(name: &str) -> Counter {
     let mut map = registry().counters.lock().expect("metrics registry poisoned");
@@ -221,18 +212,6 @@ mod tests {
         let out = f();
         reset_metrics();
         out
-    }
-
-    #[test]
-    fn segment_counter_names_are_stable_and_distinct() {
-        assert_eq!(
-            segment_counter_name("gas_plan_segment_probes", 42),
-            "gas_plan_segment_probes_seg42_total"
-        );
-        assert_ne!(
-            segment_counter_name("gas_plan_segment_probes", 1),
-            segment_counter_name("gas_plan_segment_probes", 2)
-        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Error type for planning and autotuning.
+//! Error type for placement planning.
 
 use std::fmt;
 
-/// Errors surfaced by the planner and autotuner.
+/// Errors surfaced by the planner and its machine-parameter loader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// A configuration or input was internally inconsistent.

@@ -2,16 +2,16 @@
 //! bandwidth, loadable from the fitted report the `cost_model_scaling`
 //! bench writes.
 //!
-//! The planner and autotuner never hardcode machine constants: they take
-//! a [`MachineParams`], which comes from one of three places — a
+//! The planner never hardcodes machine constants: it takes a
+//! [`MachineParams`], which comes from one of three places — a
 //! [`Machine`](gas_dstsim::machine::Machine) preset
 //! ([`MachineParams::from_machine`]), a raw
 //! [`CostModel`](gas_dstsim::cost::CostModel), or the
 //! `results/machine_params.json` report of measured, least-squares-fitted
 //! parameters ([`MachineParams::from_report`]). The report path closes
 //! the loop the ROADMAP called out: the cost model stops being a
-//! figure-generator and becomes the measured input of placement and
-//! tuning decisions.
+//! figure-generator and becomes the measured input of placement
+//! decisions.
 
 use std::path::Path;
 

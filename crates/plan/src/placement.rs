@@ -14,18 +14,24 @@
 //! fresh segments churn before an install pays off and stay sharded —
 //! the paper's replication-versus-communication trade, applied to
 //! serving.
+//!
+//! Heat is typed data, not metric names: every segment counts the probes
+//! and candidate rows served from it, and
+//! [`IndexReader::segment_stats`](gas_index::IndexReader::segment_stats)
+//! reports them beside its size. The caller decides when to plan and
+//! over how many batches the heat was gathered.
 
 use gas_index::dist::SegmentPlacement;
 use gas_index::SegmentStats;
-use gas_obs::{segment_counter_name, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{PlanError, PlanResult};
 use crate::machine::MachineParams;
 
-/// Observed serving signal for one segment: size from
-/// [`IndexReader::segment_stats`](gas_index::IndexReader::segment_stats),
-/// heat from the `gas_plan_segment_*` probe counters.
+/// Observed serving signal for one segment — size and probe heat, both
+/// from one
+/// [`IndexReader::segment_stats`](gas_index::IndexReader::segment_stats)
+/// entry — plus the batches that heat covers.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SegmentObservation {
     /// Segment id (stable across commits and placements).
@@ -38,7 +44,7 @@ pub struct SegmentObservation {
     pub probes: u64,
     /// Candidate rows those probes produced — the segment's fetch traffic.
     pub candidate_rows: u64,
-    /// Query batches the counters cover.
+    /// Query batches the heat covers.
     pub batches_observed: u64,
     /// Expected batches until churn (compaction or deletion) invalidates
     /// a replica of this segment; `None` uses the planner's default
@@ -47,26 +53,16 @@ pub struct SegmentObservation {
 }
 
 impl SegmentObservation {
-    /// Join a segment's size stats with its probe-heat counters from a
-    /// metrics snapshot. Counters that were never bumped read as zero —
-    /// a cold segment, which the planner always shards.
-    pub fn from_stats(
-        stats: &SegmentStats,
-        snapshot: &MetricsSnapshot,
-        batches_observed: u64,
-    ) -> Self {
-        let probes = snapshot
-            .counter(&segment_counter_name("gas_plan_segment_probes", stats.segment_id))
-            .unwrap_or(0);
-        let candidate_rows = snapshot
-            .counter(&segment_counter_name("gas_plan_segment_candidates", stats.segment_id))
-            .unwrap_or(0);
+    /// The observation of one segment's stats, whose heat covers
+    /// `batches_observed` batches. A never-probed segment reads cold,
+    /// and the planner always shards it.
+    pub fn from_stats(stats: &SegmentStats, batches_observed: u64) -> Self {
         SegmentObservation {
             segment_id: stats.segment_id,
             rows: stats.rows,
             live_rows: stats.live_rows,
-            probes,
-            candidate_rows,
+            probes: stats.probes,
+            candidate_rows: stats.candidates,
             batches_observed,
             expected_batches_resident: None,
         }
@@ -363,22 +359,24 @@ mod tests {
     }
 
     #[test]
-    fn observations_join_stats_with_heat_counters() {
-        let stats = SegmentStats { segment_id: 7, rows: 40, live_rows: 33 };
-        let mut snap = MetricsSnapshot::default();
-        snap.set_counter(&segment_counter_name("gas_plan_segment_probes", 7), 12);
-        snap.set_counter(&segment_counter_name("gas_plan_segment_candidates", 7), 340);
-        let o = SegmentObservation::from_stats(&stats, &snap, 6);
+    fn observations_carry_typed_heat_and_cold_segments_shard() {
+        let hot =
+            SegmentStats { segment_id: 7, rows: 40, live_rows: 33, probes: 12, candidates: 340 };
+        let o = SegmentObservation::from_stats(&hot, 6);
         assert_eq!((o.segment_id, o.rows, o.live_rows), (7, 40, 33));
         assert_eq!((o.probes, o.candidate_rows, o.batches_observed), (12, 340, 6));
-        // A segment with no counters reads cold.
+        assert_eq!(o.expected_batches_resident, None);
+        // A never-probed segment reads cold and is sharded, however large.
         let cold = SegmentObservation::from_stats(
-            &SegmentStats { segment_id: 9, rows: 4, live_rows: 4 },
-            &snap,
+            &SegmentStats { segment_id: 9, rows: 5000, live_rows: 5000, probes: 0, candidates: 0 },
             6,
         );
         assert_eq!((cold.probes, cold.candidate_rows), (0, 0));
-        assert_eq!(cold.with_residency(3.0).expected_batches_resident, Some(3.0));
+        let cold = cold.with_residency(1e9);
+        assert_eq!(cold.expected_batches_resident, Some(1e9));
+        let plan = planner().plan(&[o, cold]).unwrap();
+        assert_eq!(plan.placement_for(7), Some(SegmentPlacement::Replicated));
+        assert_eq!(plan.placement_for(9), Some(SegmentPlacement::Sharded));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Minimal reader for the JSON reports the bench binaries emit.
 //!
-//! The planner and autotuner consume reports written by gas-bench's
-//! `Table::write_json` (`{"title": ..., "rows": [{header: value, ...}]}`),
-//! but gas-bench depends on gas-plan (the `placement_sweep` binary), so
-//! this crate carries its own reader for exactly that shape instead of
-//! importing the bench crate. Like the bench-side reader it is
+//! [`MachineParams::from_report`](crate::MachineParams::from_report)
+//! consumes the report gas-bench's `Table::write_json` writes
+//! (`{"title": ..., "rows": [{header: value, ...}]}`), but gas-bench
+//! depends on gas-plan (the `placement_sweep` binary), so this crate
+//! carries its own reader for exactly that shape instead of importing
+//! the bench crate. Like the bench-side reader it is
 //! deliberately *not* a general JSON parser: anything that is not a
 //! report written by `write_json` is a typed [`PlanError::Parse`], so a
 //! stale or hand-edited report fails loudly instead of reading as empty.
@@ -16,10 +17,10 @@ use crate::error::{PlanError, PlanResult};
 
 /// One report row as a header → raw-value map. Scalar values keep their
 /// raw JSON text (`"3.5"`, `"6"`); string values are unescaped.
-pub type ReportRow = BTreeMap<String, String>;
+pub(crate) type ReportRow = BTreeMap<String, String>;
 
 /// Read the rows of a `Table::write_json` report.
-pub fn read_report_rows(path: impl AsRef<Path>) -> PlanResult<Vec<ReportRow>> {
+pub(crate) fn read_report_rows(path: impl AsRef<Path>) -> PlanResult<Vec<ReportRow>> {
     let path = path.as_ref();
     let text = std::fs::read_to_string(path)
         .map_err(|e| PlanError::Io(format!("{}: {e}", path.display())))?;
@@ -27,14 +28,14 @@ pub fn read_report_rows(path: impl AsRef<Path>) -> PlanResult<Vec<ReportRow>> {
 }
 
 /// Fetch a named field from a row, as raw text.
-pub fn field<'a>(row: &'a ReportRow, name: &str) -> PlanResult<&'a str> {
+pub(crate) fn field<'a>(row: &'a ReportRow, name: &str) -> PlanResult<&'a str> {
     row.get(name)
         .map(String::as_str)
         .ok_or_else(|| PlanError::Parse(format!("report row is missing field \"{name}\"")))
 }
 
 /// Fetch a named field from a row, parsed as `f64`.
-pub fn number(row: &ReportRow, name: &str) -> PlanResult<f64> {
+pub(crate) fn number(row: &ReportRow, name: &str) -> PlanResult<f64> {
     let raw = field(row, name)?;
     raw.parse::<f64>()
         .map_err(|_| PlanError::Parse(format!("field \"{name}\" is not numeric: {raw:?}")))

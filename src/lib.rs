@@ -28,11 +28,11 @@
 //! * [`obs`] — structured tracing spans, the unified metrics registry and
 //!   the Prometheus/JSON/folded-stacks exporters instrumenting the
 //!   serve/commit/compact/dist hot paths (see README § Observability).
-//! * [`plan`] — cost-model-driven decisions: the segment placement
-//!   planner (replicate hot, shard fresh) and the knob autotuner (SUMMA
-//!   grid, LSH split, signature length, compaction tier factor), both
-//!   priced against measured or preset α–β–γ machine parameters (see
-//!   README § Placement & autotuning).
+//! * [`plan`] — the cost-model-driven segment placement planner
+//!   (replicate hot, shard fresh), priced against measured or preset
+//!   α–β–γ machine parameters and the probe heat each segment reports
+//!   through `segment_stats()`; a library its caller drives, not a
+//!   serving-time loop (see README § Placement).
 //!
 //! ## Quickstart
 //!
@@ -98,8 +98,7 @@ pub mod prelude {
         trace_to_json, MetricsSnapshot, TraceEvent,
     };
     pub use gas_plan::{
-        Autotuner, MachineParams, PlacementPlan, PlacementPlanner, PlannerConfig,
-        SegmentObservation, TunedConfig, WorkloadProfile,
+        MachineParams, PlacementPlan, PlacementPlanner, PlannerConfig, SegmentObservation,
     };
     pub use gas_sparse::dense::DenseMatrix;
 }

@@ -1,15 +1,10 @@
 //! `query_batch` / `query_page_batch` are one parallel pass over their
 //! queries, and must be indistinguishable from the serial loop they
 //! replaced: the same answers bit for bit, the same error from the same
-//! (lowest-indexed) failing query, and the same probe-heat counter
-//! totals — those that `gas-plan`'s placement planner reads.
-//!
-//! The heat comparison reads deltas of the process-global metrics
-//! registry, so this file holds exactly one test: nothing else in the
-//! process probes a segment while it runs.
+//! (lowest-indexed) failing query, and the same per-segment probe heat —
+//! what `gas-plan`'s placement planner reads from `segment_stats()`.
 
 use genomeatscale::index::IndexError;
-use genomeatscale::obs;
 use genomeatscale::prelude::*;
 use proptest::prelude::*;
 
@@ -22,26 +17,23 @@ fn corpora() -> impl Strategy<Value = Vec<Vec<u64>>> {
     )
 }
 
-/// The probe-heat counters the registry holds now, by name.
-fn heat() -> Vec<(String, u64)> {
-    obs::snapshot()
-        .counters
-        .into_iter()
-        .filter(|(name, _)| name.starts_with("gas_plan_segment_"))
-        .collect()
+/// Per-segment `(segment_id, probes, candidates)` heat of a snapshot.
+fn heat(reader: &IndexReader) -> Vec<(u64, u64, u64)> {
+    reader.segment_stats().iter().map(|s| (s.segment_id, s.probes, s.candidates)).collect()
 }
 
-/// What `run` added to the probe-heat counters, and what it returned.
-fn with_heat_delta<T>(run: impl FnOnce() -> T) -> (T, Vec<(String, u64)>) {
-    let before = heat();
+/// What `run` added to the heat of `reader`'s segments (segments it did
+/// not probe left out), and what it returned.
+fn with_heat_delta<T>(reader: &IndexReader, run: impl FnOnce() -> T) -> (T, Vec<(u64, u64, u64)>) {
+    let before = heat(reader);
     let out = run();
-    let delta = heat()
+    let delta = heat(reader)
         .into_iter()
-        .map(|(name, after)| {
-            let was = before.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v);
-            (name, after - was)
+        .zip(before)
+        .map(|((id, probes, candidates), (_, was_p, was_c))| {
+            (id, probes - was_p, candidates - was_c)
         })
-        .filter(|(_, added)| *added > 0)
+        .filter(|&(_, probes, candidates)| probes > 0 || candidates > 0)
         .collect();
     (out, delta)
 }
@@ -110,11 +102,11 @@ proptest! {
                 // Re-ranking without a collection fails in every query,
                 // with half of one in some; both fail after probing.
                 for engine in [&with_rows, &signatures_only, &half_rows] {
-                    let (want, serial_heat) = with_heat_delta(|| {
+                    let (want, serial_heat) = with_heat_delta(&reader, || {
                         serial(queries.len(), |i| engine.query(&queries[i], &opts))
                     });
                     let (got, batch_heat) =
-                        with_heat_delta(|| engine.query_batch(queries, &opts));
+                        with_heat_delta(&reader, || engine.query_batch(queries, &opts));
                     let got = got.map_err(|e| e.to_string());
                     prop_assert_eq!(&got, &want, "batch={}, rerank={}", batch_size, rerank);
                     prop_assert_eq!(batch_heat, serial_heat, "heat, batch={}", batch_size);
@@ -123,11 +115,11 @@ proptest! {
                 // Pages: walk the lock-step cursor until the scan ends.
                 let mut req = PageRequest::new(page_size).with_rerank(rerank);
                 loop {
-                    let (want, serial_heat) = with_heat_delta(|| {
+                    let (want, serial_heat) = with_heat_delta(&reader, || {
                         serial(queries.len(), |i| with_rows.query_page(&queries[i], &req))
                     });
                     let (got, batch_heat) =
-                        with_heat_delta(|| with_rows.query_page_batch(queries, &req));
+                        with_heat_delta(&reader, || with_rows.query_page_batch(queries, &req));
                     let got = got.map_err(|e| e.to_string());
                     prop_assert_eq!(&got, &want, "pages, batch={}", batch_size);
                     prop_assert_eq!(batch_heat, serial_heat, "page heat, batch={}", batch_size);
@@ -151,11 +143,11 @@ proptest! {
                 PageRequest::new(page_size)
                     .with_cursor(PageCursor::parse(&format!("{:x}.0", reader.generation() + 1)).unwrap()),
             ] {
-                let (want, serial_heat) = with_heat_delta(|| {
+                let (want, serial_heat) = with_heat_delta(&reader, || {
                     serial(queries.len(), |i| with_rows.query_page(&queries[i], &bad))
                 });
                 let (got, batch_heat) =
-                    with_heat_delta(|| with_rows.query_page_batch(queries, &bad));
+                    with_heat_delta(&reader, || with_rows.query_page_batch(queries, &bad));
                 let got = got.map_err(|e| e.to_string());
                 prop_assert_eq!(got.is_err(), !queries.is_empty());
                 prop_assert_eq!(&got, &want, "invalid page, batch={}", batch_size);
