@@ -5,7 +5,7 @@
 # facade's integration suites. Always go through `make test` (or pass
 # --workspace yourself) so local coverage matches CI.
 
-.PHONY: build test lint fmt bench-smoke query-smoke serve-smoke obs-smoke chaos-smoke chaos-matrix dist-matrix index-lifecycle plan-smoke ledger-smoke all
+.PHONY: build test lint fmt chaos-matrix dist-matrix index-lifecycle ledger-smoke all
 
 all: lint build test
 
@@ -31,57 +31,6 @@ lint:
 fmt:
 	cargo fmt
 
-# The CI bench-smoke step: comm_volume on a tiny input, JSON reports
-# under results/.
-bench-smoke:
-	GAS_COMM_VOLUME_TINY=1 cargo run --release --locked -p gas-bench --bin comm_volume
-
-# The CI query-smoke step: the sketch-index serving benchmark on a tiny
-# synthetic workload, once per signer (signing time, qps, recall@10,
-# per-rank signature bytes under sharding, sharded equivalence, the
-# segment-count sweep pinning constant collectives per batch, and
-# incremental 10%-add throughput vs a full rebuild), then the trend gate
-# against the committed baseline (>2× qps/wire-byte regressions and any
-# collectives-budget growth fail).
-query-smoke:
-	GAS_QUERY_TINY=1 cargo run --release --locked -p gas-bench --bin query_throughput
-	cargo run --release --locked -p gas-bench --bin bench_trend
-
-# The CI serve-smoke step: the IndexService serving frontend end to end
-# (pipelined concurrent commits, background compaction under live
-# readers, paged-query cursor tiling, typed overload shedding, and
-# sharded bit-equality at p ∈ {1, 4}), then the serving trend gate
-# against the committed baseline (queue high-water within the admission
-# bound, collectives budget frozen, dist equality, shedding exercised).
-serve-smoke:
-	GAS_SERVE_TINY=1 cargo run --release --locked --example serve_index
-	cargo run --release --locked -p gas-bench --bin bench_trend -- --serve
-
-# The CI obs-smoke step: the serving frontend with tracing forced on
-# (GAS_TRACE=1 plus the example's with_tracing), dumping the Prometheus
-# metrics export, the span trace and the folded-stacks flamegraph input
-# under results/, then the tracing-overhead gate (disabled-tracing qps
-# within 5% of the committed baseline, enabled within 2× of disabled —
-# needs the query-smoke step's results/obs_overhead.json).
-obs-smoke:
-	GAS_SERVE_TINY=1 GAS_TRACE=1 cargo run --release --locked --example serve_index
-	GAS_QUERY_TINY=1 cargo run --release --locked -p gas-bench --bin query_throughput
-	cargo run --release --locked -p gas-bench --bin bench_trend -- --obs
-
-# The CI chaos-smoke step: the seeded fault-injection drill across all
-# three layers (storage crash/recover/heal, service retry + typed
-# exhaustion + degraded queries, distributed failover with exact lost
-# accounting), the crash-recovery torture proptest, then the
-# injection-overhead gate (injection-disabled qps within 5% of the
-# committed baseline — needs the fresh results/chaos_overhead.json from
-# query_throughput).
-chaos-smoke:
-	GAS_CHAOS_SEED=$(CHAOS_SEED) GAS_CHAOS_SCENARIO=all \
-		cargo run --release --locked -p gas-bench --bin chaos_drill
-	cargo test --locked -q --test chaos_recovery
-	GAS_QUERY_TINY=1 cargo run --release --locked -p gas-bench --bin query_throughput
-	cargo run --release --locked -p gas-bench --bin bench_trend -- --chaos
-
 # One cell of the CI chaos-matrix job, e.g.:
 #   make chaos-matrix CHAOS_SEED=2 CHAOS_SCENARIO=service
 CHAOS_SEED ?= 1
@@ -98,19 +47,11 @@ index-lifecycle:
 	cargo test -p gas-index --locked -q
 	cargo test --locked -q --test index_lifecycle --test index_persistence --test query_serving
 
-# The CI plan-smoke step: the placement sweep on the tiny skewed fixture
-# (the mixed placement planned from segment_stats() probe heat must move
-# at most as many wire bytes as all-shard AND all-replicate while
-# answering bit-identically to the single-rank engine), then the plan
-# trend gate against the committed baseline.
-plan-smoke:
-	GAS_PLAN_TINY=1 cargo run --release --locked -p gas-bench --bin placement_sweep
-	cargo run --release --locked -p gas-bench --bin bench_trend -- --plan
-
-# The CI ledger-smoke step: the perf ledger (bench/ledger, its own
-# package and lock file) on its tiny fixtures — all four workloads
-# untraced and traced, every metric of BENCHMARK.json present, every
-# oracle green (timings are marked non-comparable) — then its own tests.
+# The last step of CI's build-and-test job: the perf ledger
+# (bench/ledger, its own package and lock file) on its tiny fixtures —
+# all four workloads untraced and traced, every metric of BENCHMARK.json
+# present, every oracle green (timings are marked non-comparable) — then
+# its own tests. The ledger is where this repository's timings live.
 ledger-smoke:
 	cargo run --release --offline --locked --quiet --manifest-path bench/ledger/Cargo.toml -- --smoke
 	cargo test --offline --manifest-path bench/ledger/Cargo.toml

@@ -1,7 +1,6 @@
 //! Communication-volume comparison (the "communication-efficient" claim).
 //!
-//! Two experiments, both writing CSV and JSON reports under `results/`
-//! (CI uploads the JSON as a workflow artifact):
+//! Two experiments, both writing CSV and JSON reports under `results/`:
 //!
 //! 1. **Product volume.** The paper's central argument against
 //!    MapReduce-style schemes is their asymptotically larger
@@ -13,10 +12,9 @@
 //! 2. **Filter volume.** The distributed zero-row filter used to
 //!    allgather raw 8-byte row indices; the paper's bitmap formulation
 //!    OR-allreduces one *bit* per batch row. Both formulations run on the
-//!    same per-rank row sets; the bitmap must move ≥ 8× fewer bytes.
-//!
-//! Set `GAS_COMM_VOLUME_TINY=1` to run a seconds-scale configuration (the
-//! CI bench-smoke step).
+//!    same per-rank row sets; the bitmap must move ≥ 8× fewer bytes
+//!    (`tests/filter_properties.rs` holds the same bound on a smaller
+//!    input).
 
 use gas_bench::report::Table;
 use gas_bench::workloads::synthetic_collection;
@@ -27,10 +25,6 @@ use gas_core::indicator::SampleCollection;
 use gas_dstsim::machine::Machine;
 use gas_dstsim::runtime::Runtime;
 use gas_sparse::dist::filter::{dist_row_filter, dist_row_filter_indexed};
-
-fn tiny() -> bool {
-    std::env::var("GAS_COMM_VOLUME_TINY").is_ok_and(|v| v == "1")
-}
 
 /// Total bytes moved by one collective filter construction over `ranks`
 /// simulated ranks, where rank `r` observes `per_rank_rows[r]`.
@@ -129,17 +123,14 @@ fn filter_volume(collection: &SampleCollection, rank_counts: &[usize]) {
 }
 
 fn main() {
-    let (collection, rank_counts, batches): (SampleCollection, Vec<usize>, usize) = if tiny() {
-        (synthetic_collection(4_000, 32, 0.02, 77), vec![2, 4, 8], 2)
-    } else {
-        (synthetic_collection(20_000, 200, 0.02, 77), vec![2, 4, 8, 16], 6)
-    };
+    let collection = synthetic_collection(20_000, 200, 0.02, 77);
+    let rank_counts = [2, 4, 8, 16];
+    let batches = 6;
     println!(
-        "Workload: n = {} samples, nnz = {}, {} batches{}\n",
+        "Workload: n = {} samples, nnz = {}, {} batches\n",
         collection.n(),
         collection.nnz(),
-        batches,
-        if tiny() { " (tiny smoke configuration)" } else { "" }
+        batches
     );
 
     product_volume(&collection, &rank_counts, batches);

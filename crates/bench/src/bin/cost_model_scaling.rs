@@ -79,11 +79,12 @@ fn main() {
     check.write_csv(gas_bench::report::results_dir(), "cost_model_crosscheck").expect("write CSV");
 
     // Fit the machine parameters from the measured per-rank reports and
-    // publish them where the placement planner (`gas-plan`,
-    // `MachineParams::from_report`) reads measured α/β/γ instead of the
-    // preset constants. The simulator charges time from the preset
-    // machine, so the fit recovering finite non-negative parameters is
-    // the gate, not a tolerance on the values themselves.
+    // write them to `results/machine_params.{json,csv}` for inspection;
+    // no program reads the file (a placement caller that wants measured
+    // α/β/γ passes the fit to `MachineParams::from_cost_model`). The
+    // simulator charges time from the preset machine, so the fit
+    // recovering finite non-negative parameters is the gate, not a
+    // tolerance on the values themselves.
     let fitted = fit_cost_model(&observations, machine.cost_model().unwrap())
         .expect("fit machine parameters from the scaling runs");
     let mut params = Table::new(

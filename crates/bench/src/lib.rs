@@ -1,13 +1,13 @@
 //! # gas-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation (Section V), plus
-//! Criterion micro-benchmarks for the individual kernels. Every binary
-//! prints the same rows/series the paper reports and writes a CSV under
-//! `results/`.
+//! the `chaos_drill` fault-injection drill. Every binary prints the same
+//! rows/series the paper reports and writes a CSV under `results/`.
+//! Timings the repository tracks over time come from the perf ledger
+//! (`bench/ledger`), not from these binaries.
 //!
 //! Absolute times cannot match a 1024-node Stampede2 run, so each
-//! experiment reports three things per configuration (see
-//! `EXPERIMENTS.md`):
+//! experiment reports three things per configuration:
 //!
 //! 1. **measured** — wall-clock of the real computation at the scale the
 //!    host can execute (simulated ranks are threads),

@@ -124,17 +124,17 @@ impl Table {
     }
 }
 
-/// Read the rows of a JSON report written by [`Table::write_json`] as
-/// `(header, raw value)` maps, one per row — the inverse the bench-trend
-/// gate needs to diff a fresh report against a committed baseline.
+/// Read the rows of a JSON report written by [`Table::write_json`] (or by
+/// `gas_obs`'s `trace_to_json` / `metrics_to_json`, which emit the same
+/// shape) as `(header, raw value)` maps, one per row.
 ///
 /// This is deliberately *not* a general JSON parser: it accepts exactly
 /// the shape `write_json` emits (a top-level object with a string
 /// `"title"` and a `"rows"` array of flat objects whose values are
 /// strings or bare scalars) and returns a typed error on anything else,
-/// so a malformed baseline fails the gate loudly instead of reading as
-/// an empty trajectory. Scalar values come back as their raw JSON text
-/// (`"3.5"`, `"6"`); string values are unescaped.
+/// so a malformed report fails loudly instead of reading as empty.
+/// Scalar values come back as their raw JSON text (`"3.5"`, `"6"`);
+/// string values are unescaped.
 pub fn read_json_rows(path: impl AsRef<Path>) -> std::io::Result<Vec<Vec<(String, String)>>> {
     let text = fs::read_to_string(path.as_ref())?;
     parse_report(&text).map_err(|msg| {

@@ -1020,8 +1020,7 @@ pub fn dist_query_reader_batch_stats(
 /// `3 + 2·s` collectives (`4 + 2·s` with exact re-ranking) — exactly
 /// `2·(s − 1)` more than the keyed path. Answers are bit-identical to the
 /// keyed path — the equivalence proptest pins that, along with identical
-/// fetched row content per rank — and the `query_throughput` segment
-/// sweep reports both paths' collective counts side by side.
+/// fetched row content per rank and both paths' collective counts.
 pub fn dist_query_reader_batch_stats_per_segment(
     world: &Communicator,
     reader: &IndexReader,

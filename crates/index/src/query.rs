@@ -687,7 +687,7 @@ impl<'a> QueryEngine<'a> {
 
 /// Exact top-k by brute force over every sample (merge-join on the sorted
 /// sets) — the ground truth the engine's recall is measured against, and
-/// the "linear scan" baseline of the `query_throughput` experiment.
+/// the "linear scan" baseline an index has to beat.
 pub fn exact_top_k(collection: &SampleCollection, query: &[u64], top_k: usize) -> Vec<Neighbor> {
     let query = &*normalized_query(query);
     let mut scored: Vec<Neighbor> = (0..collection.n())

@@ -1,8 +1,8 @@
 //! Power-of-two latency histogram shared across the workspace.
 //!
 //! Moved here from `gas_index::service` (which re-exports it for
-//! compatibility) so the commit pipeline, the compactor, the criterion
-//! stand-in and the metrics registry all bin latencies identically.
+//! compatibility) so the commit pipeline, the compactor and the metrics
+//! registry all bin latencies identically.
 
 use std::time::Duration;
 

@@ -13,10 +13,9 @@
 //!   round-trip-parseable), folded-stacks dumps for flamegraphs, and the
 //!   predicted-vs-measured collectives report.
 //!
-//! The serving stack (`gas-index`), the simulator (`gas-dstsim`), the
-//! bench harness and the criterion stand-in all hang their
-//! instrumentation off this crate; it depends on nothing, so it sits at
-//! the bottom of the workspace DAG.
+//! The serving stack (`gas-index`) and the simulator (`gas-dstsim`) hang
+//! their instrumentation off this crate; it depends on nothing, so it
+//! sits at the bottom of the workspace DAG.
 
 #![forbid(unsafe_code)]
 

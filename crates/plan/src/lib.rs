@@ -10,13 +10,13 @@
 //! as the `ServingLayout` the distributed executor serves
 //! (`gas_index::dist::dist_query_reader_batch_planned`).
 //!
-//! The planner is a library its caller drives: the `placement_sweep`
-//! bench observes, plans, installs and serves. Nothing re-plans while
-//! serving.
+//! The planner is a library its caller drives: observe, plan, install,
+//! serve (`tests/query_serving.rs` runs that loop on a skewed fixture).
+//! Nothing re-plans while serving.
 //!
-//! Machine parameters come from [`MachineParams`]: a preset, or the
-//! measured least-squares fit the `cost_model_scaling` bench writes to
-//! `results/machine_params.json` ([`MachineParams::from_report`]).
+//! Machine parameters come from [`MachineParams`]: a machine preset, or
+//! any [`CostModel`](gas_dstsim::cost::CostModel) — for instance the
+//! least-squares fit `gas_core::costmodel::fit_cost_model` returns.
 //!
 //! Decisions are observable under the `gas_plan_*` metrics namespace
 //! (via `gas-obs`): the serving stack bumps the bounded aggregates
@@ -29,7 +29,6 @@
 pub mod error;
 pub mod machine;
 pub mod placement;
-pub(crate) mod report;
 
 pub use error::{PlanError, PlanResult};
 pub use machine::MachineParams;

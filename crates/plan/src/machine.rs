@@ -1,26 +1,20 @@
 //! Machine parameters for planning: α–β–γ plus memory and streaming
-//! bandwidth, loadable from the fitted report the `cost_model_scaling`
-//! bench writes.
+//! bandwidth.
 //!
 //! The planner never hardcodes machine constants: it takes a
-//! [`MachineParams`], which comes from one of three places — a
+//! [`MachineParams`], which comes from a
 //! [`Machine`](gas_dstsim::machine::Machine) preset
-//! ([`MachineParams::from_machine`]), a raw
-//! [`CostModel`](gas_dstsim::cost::CostModel), or the
-//! `results/machine_params.json` report of measured, least-squares-fitted
-//! parameters ([`MachineParams::from_report`]). The report path closes
-//! the loop the ROADMAP called out: the cost model stops being a
-//! figure-generator and becomes the measured input of placement
-//! decisions.
-
-use std::path::Path;
+//! ([`MachineParams::from_machine`], [`MachineParams::paper_machine`]) or
+//! from a raw [`CostModel`](gas_dstsim::cost::CostModel)
+//! ([`MachineParams::from_cost_model`]) — for instance the least-squares
+//! fit of measured per-rank cost reports that
+//! `gas_core::costmodel::fit_cost_model` returns.
 
 use gas_dstsim::cost::CostModel;
 use gas_dstsim::machine::Machine;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{PlanError, PlanResult};
-use crate::report::{number, read_report_rows};
 
 /// The machine parameters every planning decision is priced against.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,8 +29,9 @@ pub struct MachineParams {
     pub mem_per_rank: usize,
     /// Memory streaming bandwidth per rank, bytes/second.
     pub stream_bw: f64,
-    /// Where the parameters came from (a preset name or a report path) —
-    /// carried into reports so a plan states its evidence.
+    /// Where the parameters came from (a preset name or the provenance
+    /// given to [`MachineParams::from_cost_model`]) — carried into
+    /// reports so a plan states its evidence.
     pub source: String,
 }
 
@@ -61,39 +56,9 @@ impl MachineParams {
         }
     }
 
-    /// The paper's Stampede2 KNL machine — the default when no fitted
-    /// report is available.
+    /// The paper's Stampede2 KNL machine.
     pub fn paper_machine() -> Self {
         Self::from_machine(&Machine::stampede2_knl()).expect("paper preset is valid")
-    }
-
-    /// Load measured parameters from the JSON report written by the
-    /// `cost_model_scaling` bench (`results/machine_params.json`): a
-    /// single row with `alpha`/`beta`/`gamma`/`mem_per_rank`/`stream_bw`
-    /// fields holding the least-squares fit over simulated runs.
-    pub fn from_report(path: impl AsRef<Path>) -> PlanResult<Self> {
-        let path = path.as_ref();
-        let rows = read_report_rows(path)?;
-        let row = rows.first().ok_or_else(|| {
-            PlanError::Parse(format!("{}: machine-parameter report has no rows", path.display()))
-        })?;
-        let params = MachineParams {
-            alpha: number(row, "alpha")?,
-            beta: number(row, "beta")?,
-            gamma: number(row, "gamma")?,
-            mem_per_rank: number(row, "mem_per_rank")? as usize,
-            stream_bw: number(row, "stream_bw")?,
-            source: path.display().to_string(),
-        };
-        params.validate()?;
-        Ok(params)
-    }
-
-    /// Load from a report if it exists and parses, otherwise fall back to
-    /// the paper machine — the pattern the bench binaries use so a fresh
-    /// checkout (no `results/` yet) still plans.
-    pub fn from_report_or_paper(path: impl AsRef<Path>) -> Self {
-        Self::from_report(path).unwrap_or_else(|_| Self::paper_machine())
     }
 
     /// Reject non-finite or negative parameters.
@@ -143,42 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn from_report_reads_the_fitted_row() {
-        let dir = std::env::temp_dir().join("gas_plan_machine_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("machine_params.json");
-        std::fs::write(
-            &path,
-            "{\n  \"title\": \"fitted machine parameters\",\n  \"rows\": [\n    {\"alpha\": 0.000002, \"beta\": 0.00000000008, \"gamma\": 0.000000001, \"mem_per_rank\": 3221225472, \"stream_bw\": 14000000000, \"observations\": 12}\n  ]\n}\n",
-        )
-        .unwrap();
-        let p = MachineParams::from_report(&path).unwrap();
-        assert!((p.alpha - 2.0e-6).abs() < 1e-18);
-        assert!((p.beta - 8.0e-11).abs() < 1e-18);
-        assert_eq!(p.mem_per_rank, 3 * (1usize << 30));
-        assert!(p.source.ends_with("machine_params.json"));
-        // The fallback loader prefers the report when it is readable…
-        let fb = MachineParams::from_report_or_paper(&path);
-        assert_eq!(fb.alpha, p.alpha);
-        // …and degrades to the paper machine when it is not.
-        let fb = MachineParams::from_report_or_paper(dir.join("missing.json"));
-        assert_eq!(fb.source, "stampede2-knl");
-    }
-
-    #[test]
-    fn invalid_reports_and_params_are_rejected() {
-        let dir = std::env::temp_dir().join("gas_plan_machine_bad_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let empty = dir.join("empty_rows.json");
-        std::fs::write(&empty, "{\n  \"title\": \"t\",\n  \"rows\": []\n}\n").unwrap();
-        assert!(matches!(MachineParams::from_report(&empty), Err(PlanError::Parse(_))));
-        let negative = dir.join("negative.json");
-        std::fs::write(
-            &negative,
-            "{\n  \"title\": \"t\",\n  \"rows\": [\n    {\"alpha\": -1, \"beta\": 1, \"gamma\": 1, \"mem_per_rank\": 1, \"stream_bw\": 1}\n  ]\n}\n",
-        )
-        .unwrap();
-        assert!(matches!(MachineParams::from_report(&negative), Err(PlanError::InvalidConfig(_))));
+    fn invalid_params_are_rejected() {
+        let mut negative = MachineParams::paper_machine();
+        negative.alpha = -1.0;
+        assert!(matches!(negative.validate(), Err(PlanError::InvalidConfig(_))));
         let mut p = MachineParams::paper_machine();
         p.mem_per_rank = 0;
         assert!(p.validate().is_err());

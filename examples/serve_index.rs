@@ -2,25 +2,18 @@
 //! pipelined concurrent commits, background compaction under live
 //! readers, paged queries with stable cursors, admission-control
 //! shedding, and sharded distributed serving equality at p ∈ {1, 4} —
-//! then write the `ServiceStats` report that CI uploads and gates via
-//! `bench_trend --serve`, plus the observability artifacts — the
-//! unified metrics registry as Prometheus text
-//! (`results/serve_metrics.prom`), the full span trace as JSON rows
-//! (`results/serve_trace.json`), a folded-stacks dump for flamegraphs,
-//! and the predicted-vs-measured collectives report of the distributed
-//! section.
+//! then write the observability artifacts: the unified metrics registry
+//! as Prometheus text (`results/serve_metrics.prom`), the full span
+//! trace as JSON rows (`results/serve_trace.json`), a folded-stacks dump
+//! for flamegraphs, and the predicted-vs-measured collectives report of
+//! the distributed section.
 //!
-//! Run with: `cargo run --release --example serve_index`
-//! (CI sets `GAS_SERVE_TINY=1` for a seconds-scale workload.)
+//! Run with: `cargo run --release --example serve_index` (a few seconds).
 
 use std::time::{Duration, Instant};
 
-use gas_bench::report::{results_dir, Table};
+use gas_bench::report::results_dir;
 use genomeatscale::prelude::*;
-
-fn tiny() -> bool {
-    std::env::var("GAS_SERVE_TINY").is_ok_and(|v| v == "1")
-}
 
 /// A family-structured "genome": a shared core plus a private stretch.
 fn sample(family: u64, member: u64) -> Vec<u64> {
@@ -31,8 +24,7 @@ fn sample(family: u64, member: u64) -> Vec<u64> {
 }
 
 fn main() {
-    let (families, waves, members) = if tiny() { (4u64, 6u64, 4u64) } else { (8u64, 12u64, 12u64) };
-    let workload = if tiny() { "tiny" } else { "default" };
+    let (families, waves, members) = (4u64, 6u64, 4u64);
     let path =
         std::env::temp_dir().join(format!("serve_index_example_{}.gidx", std::process::id()));
     std::fs::remove_file(&path).ok();
@@ -136,35 +128,30 @@ fn main() {
 
     // 4. SHARDED SERVING — the sealed, compacted index answers
     // bit-identically through the distributed path at p ∈ {1, 4}, both
-    // batch and paged forms, and the collectives budget is a constant of
-    // the design (independent of the commit history).
+    // batch and paged forms.
     let opts = QueryOptions { top_k: 8, ..Default::default() };
     let reference = engine.query_batch(&probes, &opts).expect("single-rank reference");
     let page_req = PageRequest::new(5);
     let page_reference =
         engine.query_page_batch(&probes, &page_req).expect("single-rank page reference");
     let mut dist_identical = true;
-    let mut collectives_p4 = 0usize;
     for ranks in [1usize, 4] {
         let out = Runtime::new(ranks)
             .run(|ctx| {
                 let q = if ctx.rank() == 0 { Some(&probes[..]) } else { None };
-                let (batch, stats) = ctx.expect_ok(
+                let batch = ctx.expect_ok(
                     "dist batch",
-                    dist_query_reader_batch_stats(ctx.world(), &reader, None, q, &opts),
+                    dist_query_reader_batch(ctx.world(), &reader, None, q, &opts),
                 );
                 let pages = ctx.expect_ok(
                     "dist pages",
                     dist_query_reader_page(ctx.world(), &reader, None, q, &page_req),
                 );
-                (batch, pages, stats.collective_calls)
+                (batch, pages)
             })
             .expect("distributed run");
-        for (batch, pages, calls) in &out.results {
+        for (batch, pages) in &out.results {
             dist_identical &= batch == &reference && pages == &page_reference;
-            if ranks == 4 {
-                collectives_p4 = collectives_p4.max(*calls);
-            }
         }
         println!("p = {ranks}: sharded answers bit-identical = {dist_identical}");
     }
@@ -181,64 +168,17 @@ fn main() {
     shedder.add_batch(vec![("doomed".into(), sample(0, 0))]).expect("stage");
     let shed_err = shedder.commit().expect("enqueue").wait().expect_err("deadline must shed");
     println!("admission control: zero-deadline commit shed with `{shed_err}`");
-    let sheds = shedder.stats().commit.shed;
-    assert!(sheds >= 1, "the shed must be counted");
+    assert!(shedder.stats().commit.shed >= 1, "the shed must be counted");
     assert_eq!(shedder.snapshot().n_live(), 0, "a shed batch is never half-committed");
 
-    // 6. REPORT — one flat row of ServiceStats figures; CI uploads the
-    // JSON and `bench_trend --serve` gates it against the committed
-    // baseline (queue high-water within the admission bound, collectives
-    // budget not exceeded, dist equality, shedding exercised).
-    let stats = service.stats();
-    let mut table = Table::new(
-        "IndexService serving smoke (pipelined commits, background compaction, paged queries)",
-        &[
-            "workload",
-            "commits",
-            "generation",
-            "segments",
-            "live_samples",
-            "compaction_passes",
-            "tombstones_purged",
-            "vacuums_run",
-            "max_commit_queue_depth",
-            "commit_p50_us",
-            "query_p50_us",
-            "pages_served",
-            "sheds",
-            "dist_identical",
-            "collectives_p4",
-        ],
-    );
-    table.push_row(vec![
-        workload.to_string(),
-        stats.commit.completed.to_string(),
-        stats.generation.to_string(),
-        stats.segments.to_string(),
-        stats.live_samples.to_string(),
-        stats.compact.passes.to_string(),
-        stats.compact.tombstones_purged.to_string(),
-        stats.compact.vacuums_run.to_string(),
-        stats.commit.max_queue_depth.to_string(),
-        stats.commit.latency.quantile_micros(0.5).to_string(),
-        stats.query.latency.quantile_micros(0.5).to_string(),
-        pages_served.to_string(),
-        sheds.to_string(),
-        u64::from(dist_identical).to_string(),
-        collectives_p4.to_string(),
-    ]);
-    table.print();
-    let dir = results_dir();
-    table.write_csv(&dir, "serve_stats").expect("write CSV report");
-    let json = table.write_json(&dir, "serve_stats").expect("write JSON report");
-    println!("wrote {}", json.display());
-
-    // 7. OBSERVABILITY — the whole workload above ran with tracing on:
+    // 6. OBSERVABILITY — the whole workload above ran with tracing on:
     // export the unified telemetry (the metrics registry merged with
     // this service's stats) as Prometheus text, the span trace as JSON
     // rows and a folded-stacks flamegraph dump, and print the
     // predicted-vs-measured collectives report of the sharded section.
     let telemetry = service.telemetry();
+    let dir = results_dir();
+    std::fs::create_dir_all(&dir).expect("create the results directory");
     let prom_path = dir.join("serve_metrics.prom");
     std::fs::write(&prom_path, to_prometheus(&telemetry)).expect("write Prometheus export");
     let events = genomeatscale::obs::take_events();

@@ -268,7 +268,9 @@ proptest! {
 /// distributed path over a freshly grown, *never compacted* reader must
 /// answer exactly like the single-rank engine on that reader — the
 /// lifecycle counterpart of the query-serving grid, which compaction
-/// must not be needed to pass.
+/// must not be needed to pass. Every count costs the same six
+/// collectives; the default list reaches 16 segments, where the
+/// per-segment reference would pay `4 + 2·16`.
 #[test]
 fn uncompacted_readers_serve_sharded_across_the_segment_grid() {
     let config = IndexConfig::default()
@@ -290,7 +292,7 @@ fn uncompacted_readers_serve_sharded_across_the_segment_grid() {
     queries.push(Vec::new());
     let opts = QueryOptions { top_k: 4, rerank_exact: true, ..Default::default() };
 
-    for segments in env_usize_list("GAS_DIST_SEGMENTS", &[1, 7]) {
+    for segments in env_usize_list("GAS_DIST_SEGMENTS", &[1, 7, 16]) {
         // `segments` near-equal commits, tombstoning doomed ids as soon
         // as they are committed; never compacted.
         let mut writer = IndexOptions::from_config(config).open_writer().unwrap();

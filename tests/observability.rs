@@ -2,8 +2,8 @@
 //! a well-formed trace — phase spans for one paged query batch nest
 //! inside the request span and their durations sum within it — and the
 //! exporters must round-trip: Prometheus text re-parses to the exact
-//! snapshot, the JSON exports parse with the same strict
-//! `gas_bench::report::read_json_rows` reader the trend gate uses, and
+//! snapshot, the JSON exports parse with the strict
+//! `gas_bench::report::read_json_rows` reader of the bench reports, and
 //! the distributed path's trace carries the simulator's predicted cost
 //! next to measured wall-clock for every collective phase.
 

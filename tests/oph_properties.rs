@@ -1,13 +1,15 @@
 //! Property tests of the one-permutation-hashing signer: its Jaccard
 //! estimator must agree with exact Jaccard within the same tolerance as
 //! the classical k-mins signer, densification must handle degenerate
-//! (empty / singleton) sets, and a persisted index must reject queries
-//! signed under a different signer with a typed error.
+//! (empty / singleton) sets, a persisted index must reject queries
+//! signed under a different signer with a typed error, and both signers
+//! must serve a re-ranked recall@10 of at least 0.9.
 
 use genomeatscale::core::minhash::{SignatureScheme, SignerKind, EMPTY_SET_SENTINEL};
 use genomeatscale::index::IndexError;
 use genomeatscale::prelude::*;
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng, StdRng};
 
 /// Exact Jaccard of two sorted, deduplicated slices.
 fn exact_jaccard(a: &[u64], b: &[u64]) -> f64 {
@@ -183,4 +185,57 @@ fn signer_choice_changes_signatures_but_not_serving_quality() {
         per_signer_answers[0], per_signer_answers[1],
         "k-mins and OPH must be distinct hash families"
     );
+}
+
+#[test]
+fn reranked_recall_at_10_holds_for_both_signers() {
+    // Six families of twelve: a random 240-value core per family plus 40
+    // private values per member, so each sample has eleven genuine
+    // neighbours and recall@10 is well defined.
+    const TOP_K: usize = 10;
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut samples = Vec::new();
+    for _ in 0..6 {
+        let core: Vec<u64> = (0..240).map(|_| rng.random::<u64>()).collect();
+        for _ in 0..12 {
+            let mut s = core.clone();
+            s.extend((0..40).map(|_| rng.random::<u64>()));
+            samples.push(s);
+        }
+    }
+    let collection = SampleCollection::from_sets(samples).unwrap();
+    // Twelve queries: a random sample with ~10% of its values dropped and
+    // twelve noise values added, from their own RNG stream.
+    let mut rng = StdRng::seed_from_u64(1337);
+    let queries: Vec<Vec<u64>> = (0..12)
+        .map(|_| {
+            let id = rng.random_range(0..collection.n());
+            let mut q: Vec<u64> =
+                collection.sample(id).iter().copied().filter(|_| rng.random_bool(0.9)).collect();
+            q.extend((0..12).map(|_| rng.random::<u64>()));
+            q.sort_unstable();
+            q.dedup();
+            q
+        })
+        .collect();
+    let exact: Vec<Vec<Neighbor>> =
+        queries.iter().map(|q| exact_top_k(&collection, q, TOP_K)).collect();
+
+    for kind in [SignerKind::KMins, SignerKind::Oph] {
+        let config =
+            IndexConfig::default().with_signature_len(128).with_threshold(0.4).with_signer(kind);
+        let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
+        let opts = QueryOptions { top_k: TOP_K, rerank_exact: true, ..Default::default() };
+        let answers = QueryEngine::snapshot_with_collection(index, &collection)
+            .query_batch(&queries, &opts)
+            .unwrap();
+        let total: usize = exact.iter().map(Vec::len).sum();
+        let hits: usize = answers
+            .iter()
+            .zip(&exact)
+            .map(|(got, want)| want.iter().filter(|n| got.iter().any(|m| m.id == n.id)).count())
+            .sum();
+        let recall = hits as f64 / total as f64;
+        assert!(recall >= 0.9, "{kind}: re-ranked recall@{TOP_K} {recall:.4} < 0.9");
+    }
 }

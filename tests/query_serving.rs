@@ -6,7 +6,8 @@
 //! exchange must ship exactly the rows the retained per-segment
 //! reference ships, and the cost-model-planned mixed placement
 //! (replicated and sharded segments in one exchange) must answer
-//! bit-identically to both.
+//! bit-identically to both — and, planned from probe heat on a skewed
+//! fixture, move fewer wire bytes than either pure placement.
 
 use genomeatscale::dstsim::RankFaults;
 use genomeatscale::index::dist::{band_shard, sample_shard, SignatureShard};
@@ -697,4 +698,101 @@ fn persisted_index_serves_identically_to_the_built_one() {
     for answers in &out.results {
         assert_eq!(answers, &built_answers);
     }
+}
+
+#[test]
+fn planned_placement_moves_fewer_wire_bytes_than_either_pure_placement() {
+    // The skewed fixture: two hot families of 20 that every query
+    // targets, then eight fresh families of 4 that no query touches, one
+    // committed segment per family. Family `f`, member `m`: a 400-element
+    // core plus a 50-element private stretch (siblings at Jaccard 0.8).
+    let family_sizes: Vec<usize> = [20; 2].into_iter().chain([4; 8]).collect();
+    let mut samples = Vec::new();
+    for (f, &members) in family_sizes.iter().enumerate() {
+        let base = f as u64 * 100_000;
+        for m in 0..members as u64 {
+            let private = base + 50_000 + m * 60;
+            samples.push((base..base + 400).chain(private..private + 50).collect::<Vec<u64>>());
+        }
+    }
+    let collection = SampleCollection::from_sets(samples).unwrap();
+    let config = IndexConfig::default().with_signature_len(64).with_threshold(0.4);
+    let mut writer = IndexOptions::from_config(config).open_writer().unwrap();
+    let mut next = 0usize;
+    for &members in &family_sizes {
+        for _ in 0..members {
+            writer.add(format!("s{next}"), collection.sample(next).to_vec()).unwrap();
+            next += 1;
+        }
+        writer.commit().unwrap();
+    }
+    let reader = writer.reader();
+    let queries: Vec<Vec<u64>> = (0..6).map(|i| collection.sample((i * 7) % 40).to_vec()).collect();
+    let opts = QueryOptions { top_k: 5, rerank_exact: false, ..Default::default() };
+    let reference = QueryEngine::snapshot_with_collection(reader.clone(), &collection)
+        .query_batch(&queries, &opts)
+        .unwrap();
+
+    // Plan from the heat the reference batch left: settled segments keep
+    // the planner's default horizon, fresh ones churn within the window.
+    let observations: Vec<SegmentObservation> = reader
+        .segment_stats()
+        .iter()
+        .map(|s| {
+            let obs = SegmentObservation::from_stats(s, 1);
+            if s.rows >= 20 {
+                obs
+            } else {
+                obs.with_residency(2.0)
+            }
+        })
+        .collect();
+    let p = 4;
+    let plan = PlacementPlanner::new(MachineParams::paper_machine(), PlannerConfig::new(p, 64))
+        .unwrap()
+        .plan(&observations)
+        .unwrap();
+    assert_eq!((plan.replicated(), plan.sharded()), (2, 8));
+
+    // Install, then serve a window of six batches: wire bytes summed over
+    // ranks, every rank's answers checked against the single-rank engine.
+    let total_wire_bytes = |placements: &[SegmentPlacement]| -> u64 {
+        let out = Runtime::new(p)
+            .run(|ctx| {
+                let (layout, install) = ctx.expect_ok(
+                    "install",
+                    install_placement(ctx.world(), &reader, placements, None),
+                );
+                let mut wire = install.install_bytes;
+                let mut identical = true;
+                for _ in 0..6 {
+                    let q = if ctx.rank() == 0 { Some(&queries[..]) } else { None };
+                    let (answers, _, stats) = ctx.expect_ok(
+                        "planned batch",
+                        dist_query_reader_batch_planned(
+                            ctx.world(),
+                            &reader,
+                            Some(&collection),
+                            q,
+                            &opts,
+                            &layout,
+                        ),
+                    );
+                    wire += stats.wire_bytes();
+                    identical &= answers == reference;
+                }
+                (wire as u64, identical)
+            })
+            .unwrap();
+        for (rank, (_, identical)) in out.results.iter().enumerate() {
+            assert!(identical, "rank {rank} diverges under {placements:?}");
+        }
+        out.results.iter().map(|(wire, _)| wire).sum()
+    };
+    let segments = family_sizes.len();
+    let planned = total_wire_bytes(&plan.placements());
+    let replicated = total_wire_bytes(&vec![SegmentPlacement::Replicated; segments]);
+    let sharded = total_wire_bytes(&vec![SegmentPlacement::Sharded; segments]);
+    // Planned ≤ all-replicate ≤ all-shard, exactly.
+    assert_eq!((planned, replicated, sharded), (170_850, 220_770, 499_986));
 }
