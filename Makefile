@@ -41,11 +41,13 @@ chaos-matrix:
 
 # The segmented index lifecycle suites: writer/reader/compactor unit
 # tests, the `incremental add + compact ≡ full rebuild` and crash-safe
-# commit proptests, the container round-trip/corruption/refusal suite,
-# and the segmented sharded-serving grid equality.
+# commit proptests, the container round-trip/corruption/refusal and
+# byte-identity suite, the crash-recovery torture over random fault
+# schedules, and the segmented sharded-serving grid equality.
 index-lifecycle:
 	cargo test -p gas-index --locked -q
-	cargo test --locked -q --test index_lifecycle --test index_persistence --test query_serving
+	cargo test --locked -q --test index_lifecycle --test index_persistence \
+		--test chaos_recovery --test query_serving
 
 # The last step of CI's build-and-test job: the perf ledger
 # (bench/ledger, its own package and lock file) on its tiny fixtures —

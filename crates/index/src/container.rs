@@ -23,7 +23,19 @@
 //! until the first torn or unknown one and keeps the newest manifest
 //! seen; a crash, truncation or flip inside the newest commit therefore
 //! falls back to the previous generation, and a file with no surviving
-//! manifest is rejected with a typed error.
+//! manifest is rejected with a typed error. `create_writer_at` writes a
+//! generation-0 manifest (the empty index) before any commit, so the
+//! file is openable from its first flush: a file holding one commit
+//! holds two generations, and damage to that commit's blocks falls back
+//! to the empty one — a vacuum rewrites the file as that commit alone.
+//!
+//! Every block is framed in place ([`frame_block`]): the header is
+//! reserved, the payload encoded straight behind it, and the checksums
+//! filled in last. A sealed segment never changes, so its `SEG` payload
+//! checksum is computed once, when the segment is first written (or
+//! taken from the scan that verified it on open), and every later
+//! rewrite — a vacuum, a writer's first rewrite after an open — reuses
+//! it; test builds re-hash to check the cached value against the bytes.
 //!
 //! The whole file is read once; every checksum is validated before a
 //! payload byte is interpreted, and payloads decode through a
@@ -168,6 +180,26 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append `values` little-endian. The bytes are sized once and filled
+/// through fixed-width chunks, a loop the compiler vectorises; pushing
+/// value by value re-checks the capacity every 4 bytes.
+fn push_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// [`push_u32s`] for `u64`s.
+fn push_u64s(out: &mut Vec<u8>, values: &[u64]) {
+    let start = out.len();
+    out.resize(start + 8 * values.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
 /// Byte length of the v3 file header.
 pub(crate) const V3_HEADER_LEN: usize = 20;
 /// Byte length of one v3 block header.
@@ -191,17 +223,49 @@ pub(crate) fn v3_header_bytes() -> Vec<u8> {
     out
 }
 
-/// One framed, checksummed v3 block.
-pub(crate) fn block_bytes(kind: [u8; 4], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(V3_BLOCK_HEADER_LEN + payload.len());
-    out.extend_from_slice(&kind);
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    let header_crc = fnv1a64(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Frame one checksummed v3 block in place at the end of `out`: reserve
+/// the block header, let `encode` append the payload directly behind it,
+/// then fill in the payload length, the payload checksum and the header
+/// checksum. The payload checksum is `cached_crc` when the caller has it
+/// (a sealed segment's payload never changes); otherwise the payload is
+/// hashed here, once. Returns the payload checksum written.
+pub(crate) fn frame_block(
+    out: &mut Vec<u8>,
+    kind: [u8; 4],
+    cached_crc: Option<u64>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> u64 {
+    let start = out.len();
+    out.extend_from_slice(&[0; V3_BLOCK_HEADER_LEN]);
+    encode(out);
+    let payload = &out[start + V3_BLOCK_HEADER_LEN..];
+    let payload_len = payload.len() as u64;
+    let payload_crc = match cached_crc {
+        Some(crc) => {
+            debug_assert_eq!(crc, fnv1a64(payload), "a cached payload checksum went stale");
+            crc
+        }
+        None => fnv1a64(payload),
+    };
+    let header = &mut out[start..start + V3_BLOCK_HEADER_LEN];
+    header[0..4].copy_from_slice(&kind);
+    header[8..16].copy_from_slice(&payload_len.to_le_bytes());
+    header[16..24].copy_from_slice(&payload_crc.to_le_bytes());
+    let header_crc = fnv1a64(&header[..24]);
+    header[24..32].copy_from_slice(&header_crc.to_le_bytes());
+    payload_crc
+}
+
+/// Append `seg` to `out` as one framed `SEG` block and return its
+/// payload checksum — `cached_crc` when given (the checksum from the
+/// segment's first write, or from the scan that verified it on open).
+pub(crate) fn push_segment_block(out: &mut Vec<u8>, seg: &Segment, cached_crc: Option<u64>) -> u64 {
+    frame_block(out, BLOCK_SEGMENT, cached_crc, |out| encode_segment(out, seg))
+}
+
+/// Append `m` to `out` as one framed `MAN` block.
+pub(crate) fn push_manifest_block(out: &mut Vec<u8>, m: &ManifestRecord) {
+    frame_block(out, BLOCK_MANIFEST, None, |out| encode_manifest(out, m));
 }
 
 fn push_scheme(out: &mut Vec<u8>, scheme: &SignatureScheme, params: &LshParams) {
@@ -238,44 +302,30 @@ fn read_scheme(r: &mut PodReader<'_>) -> IndexResult<(SignatureScheme, LshParams
     Ok((scheme, params))
 }
 
-/// Serialize a sealed segment as a v3 block payload.
-pub(crate) fn segment_payload(seg: &Segment) -> Vec<u8> {
-    let mut out = Vec::new();
-    push_u32(&mut out, SEGMENT_LAYOUT);
-    push_u64(&mut out, seg.id());
-    push_scheme(&mut out, seg.scheme(), seg.params());
+/// Append a sealed segment's v3 block payload to `out`.
+fn encode_segment(out: &mut Vec<u8>, seg: &Segment) {
+    push_u32(out, SEGMENT_LAYOUT);
+    push_u64(out, seg.id());
+    push_scheme(out, seg.scheme(), seg.params());
     let n = seg.n_rows();
-    push_u32(&mut out, n as u32);
-    for &id in seg.global_ids() {
-        push_u32(&mut out, id);
-    }
-    for &s in seg.set_sizes() {
-        push_u64(&mut out, s);
-    }
+    push_u32(out, n as u32);
+    push_u32s(out, seg.global_ids());
+    push_u64s(out, seg.set_sizes());
     for name in seg.names() {
-        push_u32(&mut out, name.len() as u32);
+        push_u32(out, name.len() as u32);
         out.extend_from_slice(name.as_bytes());
     }
     for sig in seg.signatures() {
-        for &v in sig.values() {
-            push_u64(&mut out, v);
-        }
+        push_u64s(out, sig.values());
     }
     for band in 0..seg.params().bands() {
         let b = seg.band(band);
-        push_u32(&mut out, b.len() as u32);
-        push_u32(&mut out, b.ids().len() as u32);
-        for &k in b.keys() {
-            push_u64(&mut out, k);
-        }
-        for &o in b.offsets() {
-            push_u32(&mut out, o);
-        }
-        for &id in b.ids() {
-            push_u32(&mut out, id);
-        }
+        push_u32(out, b.len() as u32);
+        push_u32(out, b.ids().len() as u32);
+        push_u64s(out, b.keys());
+        push_u32s(out, b.offsets());
+        push_u32s(out, b.ids());
     }
-    out
 }
 
 /// Decode a segment block payload (already checksum-validated).
@@ -340,24 +390,22 @@ pub(crate) struct ManifestRecord {
     pub tombstones: Vec<u32>,
 }
 
-/// Serialize a manifest as a v3 block payload.
-pub(crate) fn manifest_payload(m: &ManifestRecord) -> Vec<u8> {
-    let mut out = Vec::new();
-    push_u32(&mut out, MANIFEST_LAYOUT);
-    push_u64(&mut out, m.generation);
-    push_scheme(&mut out, &m.scheme, &m.params);
-    push_u32(&mut out, m.next_id);
-    push_u32(&mut out, m.segments.len() as u32);
+/// Append a manifest's v3 block payload to `out`.
+fn encode_manifest(out: &mut Vec<u8>, m: &ManifestRecord) {
+    push_u32(out, MANIFEST_LAYOUT);
+    push_u64(out, m.generation);
+    push_scheme(out, &m.scheme, &m.params);
+    push_u32(out, m.next_id);
+    push_u32(out, m.segments.len() as u32);
     for sref in &m.segments {
-        push_u64(&mut out, sref.id);
-        push_u32(&mut out, sref.rows);
-        push_u64(&mut out, sref.crc);
+        push_u64(out, sref.id);
+        push_u32(out, sref.rows);
+        push_u64(out, sref.crc);
     }
-    push_u32(&mut out, m.tombstones.len() as u32);
+    push_u32(out, m.tombstones.len() as u32);
     for &id in &m.tombstones {
-        push_u32(&mut out, id);
+        push_u32(out, id);
     }
-    out
 }
 
 /// Decode a manifest block payload (already checksum-validated).
@@ -544,6 +592,13 @@ mod tests {
         index.segments()[0].clone()
     }
 
+    /// The payload of `seg`'s framed block.
+    fn segment_payload(seg: &Segment) -> Vec<u8> {
+        let mut block = Vec::new();
+        push_segment_block(&mut block, seg, None);
+        block.split_off(V3_BLOCK_HEADER_LEN)
+    }
+
     #[test]
     fn segment_payload_round_trips_for_both_signers() {
         for signer in [SignerKind::KMins, SignerKind::Oph] {
@@ -553,6 +608,45 @@ mod tests {
             assert_eq!(back.scheme().kind(), signer, "the payload records the signer");
             assert_eq!(back.names()[2], "naïve-✓");
         }
+    }
+
+    #[test]
+    fn framed_blocks_scan_back_and_a_cached_checksum_frames_identical_bytes() {
+        let segment = small_segment(SignerKind::KMins);
+        let mut file = v3_header_bytes();
+        let crc = push_segment_block(&mut file, &segment, None);
+        let manifest = ManifestRecord {
+            generation: 1,
+            scheme: *segment.scheme(),
+            params: *segment.params(),
+            next_id: segment.n_rows() as u32,
+            segments: vec![ManifestSegmentRef {
+                id: segment.id(),
+                rows: segment.n_rows() as u32,
+                crc,
+            }],
+            tombstones: vec![2],
+        };
+        push_manifest_block(&mut file, &manifest);
+        let scan = scan_v3(&file).unwrap();
+        assert_eq!(scan.manifest, Some(manifest));
+        assert_eq!(scan.valid_len, file.len());
+        assert_eq!(scan.segments[&segment.id()].1, crc);
+
+        // Reusing the checksum re-frames the very same bytes, appended
+        // behind whatever the buffer already holds.
+        let mut again = b"prefix".to_vec();
+        assert_eq!(push_segment_block(&mut again, &segment, Some(crc)), crc);
+        let block_len = again.len() - 6;
+        assert_eq!(again[6..], file[V3_HEADER_LEN..V3_HEADER_LEN + block_len]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale")]
+    fn a_stale_cached_checksum_is_caught_in_test_builds() {
+        let segment = small_segment(SignerKind::Oph);
+        push_segment_block(&mut Vec::new(), &segment, Some(0xDEAD));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! written *last* so a crash mid-commit truncates to a torn tail and the
 //! file falls back to the previous manifest generation.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -39,7 +39,7 @@ use gas_core::indicator::SampleCollection;
 use gas_core::minhash::{MinHashSignature, SignatureScheme};
 
 use crate::build::IndexConfig;
-use crate::container::{self, fnv1a64, ManifestRecord, ManifestSegmentRef};
+use crate::container::{self, ManifestRecord, ManifestSegmentRef};
 use crate::error::{IndexError, IndexResult};
 use crate::params::LshParams;
 use crate::segment::{Segment, SegmentRow, SegmentStats, SharedSegment};
@@ -221,16 +221,13 @@ pub struct IndexWriter {
     scheme: SignatureScheme,
     params: LshParams,
     segments: Vec<SharedSegment>,
-    /// Payload checksum per live segment id (what the manifest records;
-    /// cached so unchanged segments are not re-encoded every commit).
-    segment_crcs: std::collections::BTreeMap<u64, u64>,
-    /// Ids of live segments whose `SEG` blocks are known to sit in the
-    /// valid on-disk prefix. `persist` appends every live segment *not*
-    /// in this set — not just the newest one — so a failed persist (disk
-    /// full, transient I/O error) leaves memory ahead of disk but the
-    /// next successful persist writes the missing blocks before the
-    /// manifest that references them.
-    persisted: BTreeSet<u64>,
+    /// The `SEG` block of each live segment that has been framed (or
+    /// verified by the open scan), by segment id. `persist` appends every
+    /// live segment whose block is *not* on disk — not just the newest
+    /// one — so a failed persist (disk full, transient I/O error) leaves
+    /// memory ahead of disk but the next successful persist writes the
+    /// missing blocks before the manifest that references them.
+    blocks: BTreeMap<u64, SegmentBlock>,
     tombstones: BTreeSet<u32>,
     staged: Vec<StagedSample>,
     staged_deletes: BTreeSet<u32>,
@@ -262,6 +259,17 @@ pub struct IndexWriter {
     storage: Arc<dyn Storage>,
 }
 
+/// What a writer knows of one live segment's `SEG` block.
+#[derive(Debug, Clone, Copy)]
+struct SegmentBlock {
+    /// The payload checksum: computed when the segment is first framed
+    /// (or taken from the open scan that verified it) and reused by every
+    /// later frame, since a sealed segment's payload never changes.
+    crc: u64,
+    /// The block sits in the valid on-disk prefix.
+    on_disk: bool,
+}
+
 impl IndexWriter {
     /// A fresh, empty, in-memory writer (no backing file): signature
     /// scheme and banding parameters are fixed here, for the life of the
@@ -277,8 +285,7 @@ impl IndexWriter {
             scheme,
             params,
             segments: Vec::new(),
-            segment_crcs: Default::default(),
-            persisted: BTreeSet::new(),
+            blocks: BTreeMap::new(),
             tombstones: BTreeSet::new(),
             staged: Vec::new(),
             staged_deletes: BTreeSet::new(),
@@ -341,9 +348,13 @@ impl IndexWriter {
         let writer = IndexWriter {
             scheme: state.scheme,
             params: state.params,
-            // Every manifest-referenced segment sits in the valid prefix.
-            persisted: state.segment_crcs.iter().map(|&(id, _)| id).collect(),
-            segment_crcs: state.segment_crcs.into_iter().collect(),
+            // Every manifest-referenced segment sits in the valid prefix,
+            // its payload checksum verified by the open scan.
+            blocks: state
+                .segment_crcs
+                .into_iter()
+                .map(|(id, crc)| (id, SegmentBlock { crc, on_disk: true }))
+                .collect(),
             segments: state.segments,
             tombstones: state.tombstones.into_iter().collect(),
             staged: Vec::new(),
@@ -689,7 +700,10 @@ impl IndexWriter {
     }
 
     /// Merge each group of segment ids into one new segment, dropping
-    /// tombstoned rows. Groups must be disjoint; ids must be live.
+    /// tombstoned rows. Groups must be disjoint; ids must be live. This is
+    /// the serving frontend's begin → build → apply merge run inline, so
+    /// the committed state changes only in the atomic swap: a merge that
+    /// fails leaves every segment, tombstone and block in place.
     pub(crate) fn compact_groups(
         &mut self,
         groups: Vec<Vec<u64>>,
@@ -699,77 +713,18 @@ impl IndexWriter {
                 "commit staged samples/deletes before compacting".into(),
             ));
         }
-        let groups: Vec<Vec<u64>> = groups.into_iter().filter(|g| !g.is_empty()).collect();
-        let segments_before = self.segments.len();
-        if groups.is_empty() {
+        let Some(task) = self.begin_compaction(groups)? else {
             return Ok(CompactionSummary {
                 generation: self.generation,
-                segments_before,
-                segments_after: segments_before,
+                segments_before: self.segments.len(),
+                segments_after: self.segments.len(),
                 ..Default::default()
             });
-        }
-        let mut claimed = BTreeSet::new();
-        for id in groups.iter().flatten() {
-            if !claimed.insert(*id) {
-                return Err(IndexError::InvalidConfig(format!(
-                    "segment {id} appears in two compaction groups"
-                )));
-            }
-            if !self.segments.iter().any(|s| s.id() == *id) {
-                return Err(IndexError::InvalidConfig(format!(
-                    "compaction group references unknown segment {id}"
-                )));
-            }
-        }
-        let mut summary = CompactionSummary {
-            groups_merged: groups.len(),
-            segments_before,
-            ..Default::default()
         };
-        for group in groups {
-            let mut members = Vec::with_capacity(group.len());
-            self.segments.retain(|seg| {
-                if group.contains(&seg.id()) {
-                    members.push(seg.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            for seg in &members {
-                self.segment_crcs.remove(&seg.id());
-                self.persisted.remove(&seg.id());
-            }
-            let mut rows: Vec<SegmentRow> = Vec::new();
-            for seg in &members {
-                rows.extend(seg.live_rows(|id| self.tombstones.contains(&id)));
-                // Dropped rows no longer exist anywhere (ids are never
-                // reused), so their tombstones have done their job.
-                for id in seg.global_ids() {
-                    if self.tombstones.remove(id) {
-                        summary.tombstones_purged += 1;
-                    }
-                }
-            }
-            rows.sort_by_key(|r| r.global_id);
-            if rows.is_empty() {
-                continue; // every row was tombstoned — nothing to write
-            }
-            let merged = Segment::from_rows(self.next_segment_id, self.scheme, self.params, rows)?;
-            self.next_segment_id += 1;
-            summary.rows_written += merged.n_rows();
-            self.segments.push(SharedSegment::new(merged));
-        }
-        // Keep segments ordered by their first global id so snapshots
-        // enumerate rows in corpus order regardless of merge history.
-        self.segments.sort_by_key(|s| s.global_ids().first().copied().map_or(u32::MAX, |id| id));
-        self.generation += 1;
-        self.dirty = true;
-        self.persist()?;
-        summary.generation = self.generation;
-        summary.segments_after = self.segments.len();
-        Ok(summary)
+        let applied = self.apply_compaction(task.build()?)?;
+        // Members go stale only when another merge retires them between
+        // begin and apply, and the exclusive borrow rules that out.
+        Ok(applied.expect("no other merge can run while this one holds the writer"))
     }
 
     /// Start a compaction that will merge off-thread: validates the
@@ -844,9 +799,10 @@ impl IndexWriter {
         for group in built.merged {
             self.segments.retain(|seg| !group.member_ids.contains(&seg.id()));
             for id in &group.member_ids {
-                self.segment_crcs.remove(id);
-                self.persisted.remove(id);
+                self.blocks.remove(id);
             }
+            // Dropped rows no longer exist anywhere (ids are never
+            // reused), so their tombstones have done their job.
             for id in &group.purged {
                 if self.tombstones.remove(id) {
                     summary.tombstones_purged += 1;
@@ -856,6 +812,8 @@ impl IndexWriter {
                 self.segments.push(SharedSegment::new(merged));
             }
         }
+        // Keep segments ordered by their first global id so snapshots
+        // enumerate rows in corpus order regardless of merge history.
         self.segments.sort_by_key(|s| s.global_ids().first().copied().map_or(u32::MAX, |id| id));
         self.generation += 1;
         self.dirty = true;
@@ -879,53 +837,68 @@ impl IndexWriter {
         Ok(VacuumReport { bytes_reclaimed: before.saturating_sub(self.valid_len), rewritten: true })
     }
 
-    fn manifest_record(&mut self) -> ManifestRecord {
+    /// Frame the committed state into `out`: the `SEG` block of every
+    /// live segment (when `whole_file`) or of each one not yet on disk,
+    /// then the manifest that references them all. A segment framed
+    /// before — or verified by the open scan — reuses its cached payload
+    /// checksum; any other is hashed once here and cached.
+    fn frame_state(&mut self, out: &mut Vec<u8>, whole_file: bool) {
         let mut refs = Vec::with_capacity(self.segments.len());
         for seg in &self.segments {
-            let crc = *self
-                .segment_crcs
-                .entry(seg.id())
-                .or_insert_with(|| fnv1a64(&container::segment_payload(seg)));
+            let cached = self.blocks.get(&seg.id()).copied();
+            let crc = match cached {
+                Some(block) if block.on_disk && !whole_file => block.crc,
+                _ => {
+                    let crc = container::push_segment_block(out, seg, cached.map(|b| b.crc));
+                    self.blocks.entry(seg.id()).or_insert(SegmentBlock { crc, on_disk: false });
+                    crc
+                }
+            };
             refs.push(ManifestSegmentRef { id: seg.id(), rows: seg.n_rows() as u32, crc });
         }
-        ManifestRecord {
-            generation: self.generation,
-            scheme: self.scheme,
-            params: self.params,
-            next_id: self.committed_next_id(),
-            segments: refs,
-            tombstones: self.tombstones.iter().copied().collect(),
-        }
+        container::push_manifest_block(
+            out,
+            &ManifestRecord {
+                generation: self.generation,
+                scheme: self.scheme,
+                params: self.params,
+                next_id: self.committed_next_id(),
+                segments: refs,
+                tombstones: self.tombstones.iter().copied().collect(),
+            },
+        );
     }
 
-    /// The whole state as one fresh v3 file (header, live segments in
-    /// order, manifest last).
-    fn full_file_bytes(&mut self) -> Vec<u8> {
-        let mut out = container::v3_header_bytes();
-        for seg in self.segments.clone() {
-            let payload = container::segment_payload(&seg);
-            self.segment_crcs.insert(seg.id(), fnv1a64(&payload));
-            out.extend(container::block_bytes(container::BLOCK_SEGMENT, &payload));
+    /// Every live segment's block has just landed in the valid prefix.
+    fn mark_all_on_disk(&mut self) {
+        for block in self.blocks.values_mut() {
+            block.on_disk = true;
         }
-        let manifest = self.manifest_record();
-        out.extend(container::block_bytes(
-            container::BLOCK_MANIFEST,
-            &container::manifest_payload(&manifest),
-        ));
-        out
     }
 
     /// Replace the backing file wholesale with a fresh v3 image of the
-    /// current state, atomically: the bytes land in a temp file in the
-    /// same directory, are fsynced, and are renamed over the original —
-    /// a crash at any point leaves either the old file or the new one,
-    /// never a torn mix. Used by `create_writer_at` and `vacuum`.
+    /// current state (header, live segments in order, manifest last),
+    /// atomically: the bytes land in a temp file in the same directory,
+    /// are fsynced, and are renamed over the original — a crash at any
+    /// point leaves either the old file or the new one, never a torn mix.
+    /// Used by `create_writer_at` and `vacuum`.
     fn rewrite_file(&mut self) -> IndexResult<()> {
         let Some(path) = self.path.clone() else { return Ok(()) };
-        let bytes = self.full_file_bytes();
-        self.storage.replace(&path, &bytes)?;
+        // Unless a failed persist left memory ahead of disk, the valid
+        // prefix holds every live block plus whatever the rewrite
+        // reclaims, so the image fits without regrowing.
+        let mut bytes = Vec::with_capacity(self.valid_len as usize);
+        {
+            let _encode_span = gas_obs::span("container", "encode");
+            bytes.extend_from_slice(&container::v3_header_bytes());
+            self.frame_state(&mut bytes, true);
+        }
+        {
+            let _write_span = gas_obs::span("container", "write");
+            self.storage.replace(&path, &bytes)?;
+        }
         self.valid_len = bytes.len() as u64;
-        self.persisted = self.segments.iter().map(|s| s.id()).collect();
+        self.mark_all_on_disk();
         self.dirty = false;
         self.clean = true;
         Ok(())
@@ -945,24 +918,16 @@ impl IndexWriter {
             return Ok(());
         };
         let mut tail = Vec::new();
-        let mut newly_persisted = Vec::new();
-        for seg in self.segments.clone() {
-            if self.persisted.contains(&seg.id()) {
-                continue;
-            }
-            let payload = container::segment_payload(&seg);
-            self.segment_crcs.insert(seg.id(), fnv1a64(&payload));
-            tail.extend(container::block_bytes(container::BLOCK_SEGMENT, &payload));
-            newly_persisted.push(seg.id());
+        {
+            let _encode_span = gas_obs::span("container", "encode");
+            self.frame_state(&mut tail, false);
         }
-        let manifest = self.manifest_record();
-        tail.extend(container::block_bytes(
-            container::BLOCK_MANIFEST,
-            &container::manifest_payload(&manifest),
-        ));
-        self.storage.append_tail(&path, self.valid_len, &tail)?;
+        {
+            let _write_span = gas_obs::span("container", "write");
+            self.storage.append_tail(&path, self.valid_len, &tail)?;
+        }
         self.valid_len += tail.len() as u64;
-        self.persisted.extend(newly_persisted);
+        self.mark_all_on_disk();
         self.dirty = false;
         // The append superseded the previous manifest block, which is
         // now dead weight a vacuum could reclaim.
@@ -1716,7 +1681,9 @@ mod tests {
         w.commit().unwrap();
         let generation = w.generation();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend(container::block_bytes(*b"FUT\0", b"from the future"));
+        container::frame_block(&mut bytes, *b"FUT\0", None, |out| {
+            out.extend_from_slice(b"from the future")
+        });
         std::fs::write(&path, &bytes).unwrap();
 
         let (reader, report) = IndexReader::open_with_report(&path).unwrap();
@@ -1739,7 +1706,7 @@ mod tests {
         // An unsupported future version.
         let mut future = container::v3_header_bytes();
         future[8..12].copy_from_slice(&9u32.to_le_bytes());
-        let crc = fnv1a64(&future[..12]);
+        let crc = container::fnv1a64(&future[..12]);
         future[12..20].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &future).unwrap();
         assert!(matches!(IndexReader::open(&path), Err(IndexError::UnsupportedVersion(9))));

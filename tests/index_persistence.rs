@@ -254,6 +254,109 @@ fn forged_counts_are_typed_errors_not_allocation_aborts() {
     std::fs::remove_file(&path).ok();
 }
 
+fn file_crc(path: &Path) -> u64 {
+    fnv1a64(&std::fs::read(path).unwrap())
+}
+
+/// A fixed file-backed script: three commits, deletes, `compact_all`,
+/// one more commit, `vacuum`. Returns the file's checksum after every
+/// step (creation included) and the file bytes just before and just
+/// after the final vacuum.
+fn scripted_file(signer: SignerKind, path: &Path) -> (Vec<u64>, Vec<u8>, Vec<u8>) {
+    let config =
+        IndexConfig::default().with_signature_len(32).with_threshold(0.5).with_signer(signer);
+    let mut writer = IndexOptions::from_config(config).create_writer_at(path).unwrap();
+    let sample = |i: u64| -> Vec<u64> {
+        let base = (i % 3) * 10_000 + i * 7;
+        (base..base + 200).collect()
+    };
+    let mut crcs = vec![file_crc(path)];
+    for commit in 0..3u64 {
+        for i in commit * 4..commit * 4 + 4 {
+            writer.add(format!("s{i}-naïve"), sample(i)).unwrap();
+        }
+        writer.commit().unwrap();
+        crcs.push(file_crc(path));
+    }
+    for id in [1, 5, 6, 10] {
+        writer.delete(id).unwrap();
+    }
+    writer.commit().unwrap();
+    crcs.push(file_crc(path));
+    writer.compact_all().unwrap();
+    crcs.push(file_crc(path));
+    for i in 12..15u64 {
+        writer.add(format!("s{i}"), sample(i)).unwrap();
+    }
+    writer.commit().unwrap();
+    crcs.push(file_crc(path));
+    let before_vacuum = std::fs::read(path).unwrap();
+    assert!(writer.vacuum().unwrap().rewritten);
+    crcs.push(file_crc(path));
+    (crcs, before_vacuum, std::fs::read(path).unwrap())
+}
+
+#[test]
+fn the_write_path_is_byte_identical_to_the_pinned_format() {
+    // Every block a writer frames — fresh commits, compaction outputs,
+    // manifests, a vacuum's full rewrite — is pinned to the bytes this
+    // format has always written, step by step, for both signers.
+    let pinned: [(SignerKind, [u64; 8]); 2] = [
+        (
+            SignerKind::KMins,
+            [
+                0xAC2C_E97F_B43D_EADC,
+                0xCF6D_54EE_D003_ED85,
+                0x4891_269E_AF3D_9FB2,
+                0x00CB_D5AF_3459_B4EB,
+                0xDE01_837A_7066_BB0C,
+                0x42D0_1C50_5EA5_6E0A,
+                0x5DB8_A9D9_BF87_D2A1,
+                0xD209_E77B_A9A8_BD3C,
+            ],
+        ),
+        (
+            SignerKind::Oph,
+            [
+                0x3319_E09B_98DB_FBC2,
+                0x5EF8_8322_0B83_95D9,
+                0x5193_5715_B831_AB11,
+                0xCEF7_D8A2_2F79_3737,
+                0xA74C_6D5C_175A_96A1,
+                0x7F10_DC54_0279_91B4,
+                0xAA08_8325_F529_1E0E,
+                0x2315_715F_0548_BFEE,
+            ],
+        ),
+    ];
+    let path = unique_path("byte_identity");
+    for (signer, want) in pinned {
+        let (crcs, _, _) = scripted_file(signer, &path);
+        assert_eq!(crcs, want, "{signer:?}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn reopened_writers_rewrite_the_bytes_they_read() {
+    // A reopened writer holds segments decoded from disk, with the
+    // checksums the open scan verified. Rewriting them must reproduce
+    // the original writer's vacuum byte for byte — encode(decode(p)) ==
+    // p for every payload — whether the reopened file still carries dead
+    // blocks or is already minimal.
+    let path = unique_path("reopen_rewrite");
+    for signer in [SignerKind::KMins, SignerKind::Oph] {
+        let (_, before_vacuum, vacuumed) = scripted_file(signer, &path);
+        for image in [&before_vacuum, &vacuumed] {
+            std::fs::write(&path, image).unwrap();
+            let mut reopened = IndexWriter::open(&path).unwrap();
+            assert!(reopened.vacuum().unwrap().rewritten, "a reopened writer rewrites once");
+            assert_eq!(std::fs::read(&path).unwrap(), vacuumed, "{signer:?}");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn file_level_round_trip_with_magic_constant() {
     let collection =

@@ -87,6 +87,62 @@ fn paged_query_spans_nest_and_sum_within_the_request() {
 }
 
 #[test]
+fn write_paths_split_encoding_from_storage_io() {
+    let _gate = tracing_session();
+    let collection = family_collection();
+    let path = std::env::temp_dir().join(format!("obs_write_path_{}.gidx", std::process::id()));
+    let service = IndexOptions::from_config(config())
+        .with_auto_compact(false)
+        .serve_at(&path)
+        .expect("serve a file-backed index");
+    // Four equal commits fill one size tier, so the default policy merges
+    // them; the delete gives the merge a tombstone to purge.
+    for batch in 0..4 {
+        let rows = (batch * 6..batch * 6 + 6)
+            .map(|i| (format!("s{i}"), collection.sample(i).to_vec()))
+            .collect();
+        service.add_batch(rows).expect("stage");
+        service.commit_wait().expect("seal");
+    }
+    service.delete(3).expect("delete");
+    service.commit_wait().expect("seal the delete");
+    service.maintain();
+    let compact = service.stats().compact;
+    obs::set_enabled(false);
+    let events = obs::take_events();
+    drop(service);
+    std::fs::remove_file(&path).ok();
+    assert_eq!((compact.passes, compact.vacuums_run), (1, 1), "one merge, one vacuum");
+
+    // Each write site — the commit's seal, the merge's swap, the vacuum's
+    // rewrite — splits into encoding its blocks and the storage call that
+    // writes and fsyncs them, and the two sum within their parent.
+    for parent in ["seal", "swap", "vacuum"] {
+        let parents: Vec<_> = events.iter().filter(|e| e.name == parent).collect();
+        assert!(!parents.is_empty(), "a {parent} span must be recorded");
+        for p in parents {
+            let children: Vec<_> = events
+                .iter()
+                .filter(|e| {
+                    e.thread == p.thread
+                        && e.depth == p.depth + 1
+                        && e.stack.starts_with(&format!("{};", p.stack))
+                        && e.start_ns >= p.start_ns
+                        && e.start_ns + e.dur_ns <= p.start_ns + p.dur_ns
+                })
+                .collect();
+            for child in ["encode", "write"] {
+                assert!(
+                    children.iter().any(|e| e.phase == "container" && e.name == child),
+                    "{parent} must contain a container {child} span"
+                );
+            }
+            assert!(children.iter().map(|e| e.dur_ns).sum::<u64>() <= p.dur_ns);
+        }
+    }
+}
+
+#[test]
 fn exports_round_trip_through_prometheus_and_the_report_reader() {
     let _gate = tracing_session();
     obs::reset_metrics();
