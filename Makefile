@@ -60,9 +60,10 @@ ledger-smoke:
 
 # One cell of the CI dist-matrix job, e.g.:
 #   make dist-matrix RANKS=8 REPLICATION=2 SEGMENTS=7
+# 16 segments is the perf ledger's `serve_read` reader.
 RANKS ?= 4,6,8,12
 REPLICATION ?= 1,2
-SEGMENTS ?= 1,7
+SEGMENTS ?= 1,7,16
 dist-matrix:
 	GAS_DIST_RANKS=$(RANKS) GAS_DIST_REPLICATION=$(REPLICATION) GAS_DIST_SEGMENTS=$(SEGMENTS) \
 		cargo test --locked -q --test distributed_equivalence --test filter_properties \

@@ -6,9 +6,16 @@
 //! band, a bucket table mapping the band's key (a hash of its `r`
 //! signature rows, [`band_key`]) to the sorted list of rows whose
 //! signatures produce that key. Buckets are stored flattened and
-//! key-sorted — binary search at query time, plain little-endian pods at
-//! persistence time — rather than as a hash map, so building, persisting
-//! and sharding all traverse the same deterministic layout.
+//! key-sorted — plain little-endian pods at persistence time — rather
+//! than as a hash map, so building, persisting and sharding all traverse
+//! the same deterministic layout. Keys are splitmix outputs, uniform over
+//! `u64`, so a lookup ([`BandBuckets::get`]) guesses the key's position
+//! as `key · len / 2⁶⁴`, gallops from the guess to a bracket and
+//! binary-searches inside it: a few comparisons within a few cache lines
+//! of the guess on real tables, and never more than `2·⌈log₂ len⌉ + O(1)`
+//! on any strictly increasing key set, a forged file's included. A query
+//! hashes its `b` band keys once ([`band_keys`]) and probes every segment
+//! with them.
 
 use std::collections::BTreeMap;
 
@@ -106,6 +113,13 @@ impl BandBuckets {
                 context: "bucket keys are not strictly increasing".into(),
             });
         }
+        let ascending =
+            |w: &[u32]| ids[w[0] as usize..w[1] as usize].windows(2).all(|pair| pair[0] < pair[1]);
+        if !offsets.windows(2).all(ascending) {
+            return Err(IndexError::Corrupt {
+                context: "bucket ids are not strictly increasing".into(),
+            });
+        }
         Ok(BandBuckets { keys, offsets, ids })
     }
 
@@ -149,7 +163,7 @@ impl BandBuckets {
 
     /// The sample ids bucketed under `key` (empty when absent).
     pub fn get(&self, key: u64) -> &[u32] {
-        match self.keys.binary_search(&key) {
+        match self.search(key) {
             Ok(i) => {
                 let lo = self.offsets[i] as usize;
                 let hi = self.offsets[i + 1] as usize;
@@ -158,6 +172,53 @@ impl BandBuckets {
             Err(_) => &[],
         }
     }
+
+    /// `self.keys.binary_search(&key)`, found from an interpolated guess:
+    /// the keys are splitmix outputs, so `key · len / 2⁶⁴` lands near the
+    /// key's rank. Gallop from the guess (steps 1, 2, 4, …) until a
+    /// probe brackets the answer, then binary-search the bracket — at
+    /// most `2·⌈log₂ len⌉ + O(1)` comparisons whatever the key set.
+    fn search(&self, key: u64) -> Result<usize, usize> {
+        let keys = &self.keys[..];
+        let n = keys.len();
+        if n == 0 {
+            return Err(0);
+        }
+        let guess = ((u128::from(key) * n as u128) >> 64) as usize;
+        // The answer (match or insertion point) lies in `lo..hi`, with
+        // every key before `lo` below `key` and `keys[hi - 1] ≥ key`
+        // unless `hi == n`.
+        let (mut lo, mut hi) = (0, n);
+        let mut step = 1;
+        if keys[guess] < key {
+            lo = guess + 1;
+            while guess + step < n {
+                if keys[guess + step] >= key {
+                    hi = guess + step + 1;
+                    break;
+                }
+                lo = guess + step + 1;
+                step *= 2;
+            }
+        } else {
+            hi = guess + 1;
+            while step <= guess {
+                if keys[guess - step] < key {
+                    lo = guess - step + 1;
+                    break;
+                }
+                hi = guess - step + 1;
+                step *= 2;
+            }
+        }
+        keys[lo..hi].binary_search(&key).map(|i| lo + i).map_err(|i| lo + i)
+    }
+}
+
+/// The bucket keys of every band of `sig`, band-ordered: the `b` hashes
+/// one query probes every segment of an index with.
+pub fn band_keys(params: &LshParams, sig: &MinHashSignature) -> Vec<u64> {
+    (0..params.bands()).map(|band| band_key(params, band, sig)).collect()
 }
 
 /// The bucket key of band `band`: the band index folded with the band's
@@ -225,7 +286,8 @@ mod tests {
         }
         // A sample is always a candidate for its own signature.
         for id in 0..7usize {
-            let cands = segment.candidates_where(segment.signature(id), |_| true);
+            let cands = segment
+                .candidates_where(&band_keys(segment.params(), segment.signature(id)), |_| true);
             assert!(cands.contains(&(id as u32)), "sample {id} not its own candidate");
         }
     }
@@ -237,7 +299,8 @@ mod tests {
         let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
         let segment = &index.segments()[0];
         // Family members (J ≈ 0.95) must be candidates of each other.
-        let cands = segment.candidates_where(segment.signature(0), |_| true);
+        let cands =
+            segment.candidates_where(&band_keys(segment.params(), segment.signature(0)), |_| true);
         assert!(cands.contains(&1) && cands.contains(&2), "family not retrieved: {cands:?}");
         // The loner shares no bucket with family A (J = 0).
         assert!(!cands.contains(&6), "disjoint loner retrieved: {cands:?}");
@@ -253,7 +316,8 @@ mod tests {
         let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
         assert_eq!(index.scheme().kind(), SignerKind::Oph);
         let segment = &index.segments()[0];
-        let cands = segment.candidates_where(segment.signature(0), |_| true);
+        let cands =
+            segment.candidates_where(&band_keys(segment.params(), segment.signature(0)), |_| true);
         assert!(cands.contains(&1) && cands.contains(&2), "family not retrieved: {cands:?}");
         assert!(!cands.contains(&6), "disjoint loner retrieved: {cands:?}");
     }
@@ -308,5 +372,60 @@ mod tests {
         assert!(BandBuckets::from_raw_parts(vec![10, 10], vec![0, 1, 2], vec![1, 2]).is_err());
         assert!(BandBuckets::from_raw_parts(vec![20, 10], vec![0, 1, 2], vec![1, 2]).is_err());
         assert!(BandBuckets::from_raw_parts(vec![10], vec![1, 1], vec![1]).is_err());
+        // Ids inside a bucket must strictly ascend; across buckets they
+        // need not.
+        assert!(BandBuckets::from_raw_parts(vec![10], vec![0, 2], vec![7, 5]).is_err());
+        assert!(BandBuckets::from_raw_parts(vec![10], vec![0, 2], vec![5, 5]).is_err());
+        assert!(BandBuckets::from_raw_parts(vec![10, 20], vec![0, 1, 2], vec![7, 5]).is_ok());
+    }
+
+    #[test]
+    fn gallop_lookup_equals_binary_search() {
+        /// `n` distinct keys, drawn by `draw(i)` for `i = 0, 1, …`.
+        fn distinct(n: usize, draw: impl Fn(u64) -> u64) -> Vec<u64> {
+            let mut keys = std::collections::BTreeSet::new();
+            let mut i = 0;
+            while keys.len() < n {
+                keys.insert(draw(i));
+                i += 1;
+            }
+            keys.into_iter().collect()
+        }
+        let key_set = |shape: &str, n: usize| match shape {
+            "uniform" => distinct(n, splitmix64),
+            "clustered" => distinct(n, |i| (7 << 40) + splitmix64(i) % (1 << 20)),
+            // Rank far from `key · n / 2⁶⁴` for nearly every key.
+            "geometric" => (0..n).map(|i| i as u64 + (1u64 << (63 * i / n))).collect(),
+            _ => distinct(n, |i| match i % 2 {
+                0 => splitmix64(i) % (1 << 20),
+                _ => u64::MAX - splitmix64(i) % (1 << 20),
+            }),
+        };
+        for shape in ["uniform", "clustered", "geometric", "two-cluster"] {
+            for n in [0usize, 1, 2, 3, 64, 1_000] {
+                let keys = key_set(shape, n);
+                assert_eq!(keys.len(), n, "{shape}");
+                let offsets = (0..=n as u32).collect();
+                let b = BandBuckets::from_raw_parts(keys.clone(), offsets, (0..n as u32).collect())
+                    .unwrap();
+                // Every key, then absent keys: below the first, above the
+                // last and between neighbours.
+                let mut probes = keys.clone();
+                probes.extend([0, 1, u64::MAX, u64::MAX - 1]);
+                probes.extend(keys.first().map(|k| k.wrapping_sub(1)));
+                probes.extend(keys.last().map(|k| k.wrapping_add(1)));
+                probes.extend(keys.windows(2).map(|w| w[0] + (w[1] - w[0]) / 2));
+                probes.extend(keys.iter().map(|k| k.wrapping_add(1)));
+                for key in probes {
+                    let want = keys.binary_search(&key);
+                    assert_eq!(b.search(key), want, "{shape}, n = {n}, key {key:#x}");
+                    let bucket: &[u32] = match want {
+                        Ok(i) => &[i as u32],
+                        Err(_) => &[],
+                    };
+                    assert_eq!(b.get(key), bucket, "{shape}, n = {n}, key {key:#x}");
+                }
+            }
+        }
     }
 }

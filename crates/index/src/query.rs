@@ -15,6 +15,7 @@ use gas_core::indicator::SampleCollection;
 use gas_core::minhash::MinHashSignature;
 use rayon::prelude::*;
 
+use crate::build::band_keys;
 use crate::error::{IndexError, IndexResult};
 use crate::lifecycle::IndexReader;
 use crate::segment::Segment;
@@ -304,43 +305,47 @@ impl ProbeHeat {
     }
 }
 
-/// The candidate *local rows* of `seg` for a query signature, restricted
-/// to bands `band_filter` admits and to rows whose global id is live
-/// under `reader`'s tombstones. Shared by the local engine and the
-/// distributed prober so both surface exactly the same candidates.
+/// The candidate *local rows* of `seg` for a query with band keys
+/// `keys`, restricted to bands `band_filter` admits and to rows whose
+/// global id is live under `reader`'s tombstones; `words` is the probe's
+/// bitmap scratch (see [`Segment::candidates_where`]). Shared by the
+/// local engine and the distributed prober so both surface exactly the
+/// same candidates.
 pub(crate) fn live_segment_candidates<F: Fn(usize) -> bool>(
     reader: &IndexReader,
     seg: &Segment,
-    sig: &MinHashSignature,
+    keys: &[u64],
     band_filter: F,
+    words: &mut Vec<u64>,
 ) -> Vec<u32> {
-    seg.candidates_where(sig, band_filter)
-        .into_iter()
-        .filter(|&local| !reader.is_deleted(seg.global_id(local as usize)))
-        .collect()
+    let live = |local: u32| !reader.is_deleted(seg.global_id(local as usize));
+    seg.probe(keys, band_filter, live, words)
 }
 
 /// The live candidate local rows of **every** segment for **every**
 /// query signature, indexed `[segment][query]` in the reader's segment
 /// order: the all-segments-first probe of the keyed cross-segment
 /// exchange, so the distributed path can batch every segment's row
-/// requests into one collective round. Built from
-/// [`live_segment_candidates`], so the candidate sets (and their order)
-/// are exactly the single-rank engine's.
+/// requests into one collective round. Each query's band keys are hashed
+/// once for all segments. Built from [`live_segment_candidates`], so the
+/// candidate sets (and their order) are exactly the single-rank engine's.
 pub(crate) fn live_candidates_by_segment<F: Fn(usize) -> bool>(
     reader: &IndexReader,
     signatures: &[MinHashSignature],
     band_filter: F,
 ) -> Vec<Vec<Vec<u32>>> {
     let mut heat = ProbeHeat::new(reader);
+    let keys: Vec<Vec<u64>> =
+        signatures.iter().map(|sig| band_keys(reader.params(), sig)).collect();
+    let mut words = Vec::new();
     let by_segment = reader
         .segments()
         .iter()
         .enumerate()
         .map(|(position, seg)| {
-            let per_query: Vec<Vec<u32>> = signatures
+            let per_query: Vec<Vec<u32>> = keys
                 .iter()
-                .map(|sig| live_segment_candidates(reader, seg, sig, &band_filter))
+                .map(|keys| live_segment_candidates(reader, seg, keys, &band_filter, &mut words))
                 .collect();
             let candidates: usize = per_query.iter().map(Vec::len).sum();
             heat.record(position, signatures.len() as u64, candidates as u64);
@@ -353,9 +358,9 @@ pub(crate) fn live_candidates_by_segment<F: Fn(usize) -> bool>(
 
 /// Score a query signature over every live segment of a reader snapshot
 /// and keep the global best `keep`, as `(agreement, global id)` entries:
-/// per segment, candidates are probed and scored over local rows (a
-/// parallel map + reduce), then the per-segment top lists are merged
-/// deterministically. The per-segment
+/// the band keys are hashed once, then per segment candidates are probed
+/// and scored over local rows (a parallel map + reduce), then the
+/// per-segment top lists are merged deterministically. The per-segment
 /// truncation is lossless: an entry of the global top-`keep` necessarily
 /// survives the top-`keep` of whichever segment holds it. Each probe is
 /// recorded in `heat`; the caller flushes it.
@@ -365,11 +370,13 @@ fn scored_over_reader(
     keep: usize,
     heat: &mut ProbeHeat,
 ) -> Vec<Scored> {
+    let keys = band_keys(reader.params(), sig);
+    let mut words = Vec::new();
     let mut entries: Vec<Scored> = Vec::new();
     for (position, seg) in reader.segments().iter().enumerate() {
         let candidates = {
             let mut probe_span = gas_obs::span("serve", "probe");
-            let candidates = live_segment_candidates(reader, seg, sig, |_| true);
+            let candidates = live_segment_candidates(reader, seg, &keys, |_| true, &mut words);
             probe_span.annotate("candidates", candidates.len() as f64);
             heat.record(position, 1, candidates.len() as u64);
             candidates

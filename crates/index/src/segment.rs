@@ -175,8 +175,29 @@ impl Segment {
                 context: format!("{} band tables for {} bands", bands.len(), params.bands()),
             });
         }
-        if bands.iter().any(|b| b.ids().iter().any(|&local| local as usize >= n)) {
-            return Err(IndexError::Corrupt { context: "bucket row out of range".into() });
+        // Every band buckets each local row exactly once: `n` ids, all in
+        // range, none twice. One pass per band over one reused bitmap.
+        let mut seen = vec![0u64; n.div_ceil(64)];
+        for (band, b) in bands.iter().enumerate() {
+            if b.ids().len() != n {
+                return Err(IndexError::Corrupt {
+                    context: format!("band {band} buckets {} ids for {n} rows", b.ids().len()),
+                });
+            }
+            seen.fill(0);
+            for &local in b.ids() {
+                let local = local as usize;
+                if local >= n {
+                    return Err(IndexError::Corrupt { context: "bucket row out of range".into() });
+                }
+                let (word, bit) = (local / 64, 1u64 << (local % 64));
+                if seen[word] & bit != 0 {
+                    return Err(IndexError::Corrupt {
+                        context: format!("band {band} buckets row {local} twice"),
+                    });
+                }
+                seen[word] |= bit;
+            }
         }
         Ok(Segment {
             id,
@@ -264,24 +285,70 @@ impl Segment {
         &self.bands[band]
     }
 
-    /// Candidate *local rows* for a query signature, probing only the
-    /// bands `band_filter` admits (the distributed path passes its
-    /// shard's bands; the local path passes `|_| true`). Sorted and
-    /// deduplicated so candidate sets are deterministic.
-    pub fn candidates_where<F: Fn(usize) -> bool>(
+    /// Candidate *local rows* for a query whose band keys are `keys` —
+    /// [`band_keys`](crate::build::band_keys) of its signature under this
+    /// segment's params, hashed once per query and shared by every
+    /// segment — probing only the bands `band_filter` admits (the
+    /// distributed path passes its shard's bands; the local path passes
+    /// `|_| true`). Ascending and duplicate-free, so candidate sets are
+    /// deterministic. The probed buckets are deduplicated through a
+    /// bitmap over the local rows when it is no larger than the ids
+    /// probed (`⌈n_rows/64⌉ ≤ ids`), so scanning it costs no more than
+    /// the probe did, and by sort and dedup otherwise.
+    pub fn candidates_where<F: Fn(usize) -> bool>(&self, keys: &[u64], band_filter: F) -> Vec<u32> {
+        self.probe(keys, band_filter, |_| true, &mut Vec::new())
+    }
+
+    /// [`Self::candidates_where`] keeping only the rows `keep` admits
+    /// (the reader's tombstone check, fused into the bitmap scan).
+    /// `words` is the bitmap scratch: all zero between calls, grown to
+    /// the largest segment probed, so one serves a query's every segment.
+    pub(crate) fn probe<F, K>(
         &self,
-        sig: &MinHashSignature,
+        keys: &[u64],
         band_filter: F,
-    ) -> Vec<u32> {
-        let mut out = Vec::new();
-        for band in 0..self.params.bands() {
-            if !band_filter(band) {
-                continue;
-            }
-            out.extend_from_slice(self.bands[band].get(band_key(&self.params, band, sig)));
+        keep: K,
+        words: &mut Vec<u64>,
+    ) -> Vec<u32>
+    where
+        F: Fn(usize) -> bool,
+        K: Fn(u32) -> bool,
+    {
+        debug_assert_eq!(keys.len(), self.params.bands());
+        let buckets: Vec<&[u32]> = self
+            .bands
+            .iter()
+            .zip(keys)
+            .enumerate()
+            .filter(|&(band, _)| band_filter(band))
+            .map(|(_, (buckets, &key))| buckets.get(key))
+            .collect();
+        let probed: usize = buckets.iter().map(|ids| ids.len()).sum();
+        let n_words = self.n_rows().div_ceil(64);
+        if n_words > probed {
+            let mut out = buckets.concat();
+            out.sort_unstable();
+            out.dedup();
+            out.retain(|&local| keep(local));
+            return out;
         }
-        out.sort_unstable();
-        out.dedup();
+        if words.len() < n_words {
+            words.resize(n_words, 0);
+        }
+        for &local in buckets.iter().flat_map(|ids| ids.iter()) {
+            words[local as usize / 64] |= 1 << (local % 64);
+        }
+        let mut out = Vec::with_capacity(probed.min(self.n_rows()));
+        for (w, word) in words[..n_words].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let local = (w * 64) as u32 + bits.trailing_zeros();
+                bits &= bits - 1;
+                if keep(local) {
+                    out.push(local);
+                }
+            }
+        }
         out
     }
 
@@ -351,7 +418,162 @@ pub type SharedSegment = Arc<Segment>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gas_core::minhash::SignerKind;
+    use crate::build::band_keys;
+    use gas_core::minhash::{splitmix64, SignerKind};
+
+    /// A seeded signature of `len` positions drawn from `0..alphabet`: a
+    /// small alphabet makes band keys collide into large buckets.
+    fn random_signature(seed: u64, len: usize, alphabet: u64) -> MinHashSignature {
+        MinHashSignature::from_values(
+            (0..len as u64).map(|j| splitmix64(splitmix64(seed) ^ j) % alphabet).collect(),
+        )
+    }
+
+    /// A segment of `rows` random signatures (16 positions, 8 bands of 2).
+    fn random_segment(id: u64, rows: usize, alphabet: u64) -> Segment {
+        let scheme = SignatureScheme::new(16).unwrap();
+        let params = LshParams::new(8, 2).unwrap();
+        let rows = (0..rows as u32)
+            .map(|local| SegmentRow {
+                global_id: local,
+                signature: random_signature(id << 32 | local as u64, 16, alphabet),
+                set_size: 0,
+                name: String::new(),
+            })
+            .collect();
+        Segment::from_rows(id, scheme, params, rows).unwrap()
+    }
+
+    /// The concatenate-sort-dedup probe, over `binary_search`ed buckets.
+    fn reference_probe(
+        seg: &Segment,
+        keys: &[u64],
+        band_filter: &dyn Fn(usize) -> bool,
+    ) -> Vec<u32> {
+        let mut out = Vec::new();
+        for band in (0..seg.params().bands()).filter(|&band| band_filter(band)) {
+            let b = seg.band(band);
+            if let Ok(i) = b.keys().binary_search(&keys[band]) {
+                out.extend_from_slice(
+                    &b.ids()[b.offsets()[i] as usize..b.offsets()[i + 1] as usize],
+                );
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn probe_equals_concatenate_sort_dedup_on_both_sides_of_the_density_guard() {
+        // (rows, alphabet): a sparse 20 000-row segment (buckets of ~1
+        // row, so a probe stays below ⌈rows/64⌉ = 313 ids and sorts), a
+        // dense one (buckets of ~2 000 rows: bitmap), a dense 64-row one
+        // and a mid-size one near the guard.
+        let shapes = [(64, 2), (20_000, 1_000), (1_000, 8), (20_000, 3), (64, 3)];
+        let filters: [(&str, &dyn Fn(usize) -> bool); 5] = [
+            ("all", &|_| true),
+            ("none", &|_| false),
+            ("even", &|band| band % 2 == 0),
+            ("band 0", &|band| band == 0),
+            ("band 5", &|band| band == 5),
+        ];
+        // One scratch for every probe: it grows to the largest segment and
+        // must be all zero again after each.
+        let mut words = Vec::new();
+        let (mut bitmap_probes, mut sorted_probes) = (0, 0);
+        for (s, &(rows, alphabet)) in shapes.iter().enumerate() {
+            let seg = &random_segment(s as u64, rows, alphabet);
+            let own = (0..4).map(|i| seg.signature(i * seg.n_rows() / 4).clone());
+            let strangers = (0..4).map(|q| random_signature(1 << 40 | q, 16, alphabet));
+            for sig in own.chain(strangers) {
+                let keys = band_keys(seg.params(), &sig);
+                for (name, filter) in filters {
+                    let want = reference_probe(seg, &keys, filter);
+                    assert_eq!(seg.candidates_where(&keys, filter), want, "segment {s}, {name}");
+                    // Tombstones on the first and last candidate of every
+                    // bitmap word, plus a seeded fifth of the rest.
+                    let mut dead: Vec<u32> = want
+                        .chunk_by(|a, b| a / 64 == b / 64)
+                        .flat_map(|word| [word[0], word[word.len() - 1]])
+                        .chain(want.iter().copied().filter(|&l| splitmix64(l as u64) % 5 == 0))
+                        .collect();
+                    dead.sort_unstable();
+                    let live = |local: u32| dead.binary_search(&local).is_err();
+                    let got = seg.probe(&keys, filter, live, &mut words);
+                    let want_live: Vec<u32> = want.iter().copied().filter(|&l| live(l)).collect();
+                    assert_eq!(got, want_live, "segment {s}, {name}, tombstoned");
+                    assert!(words.iter().all(|&w| w == 0), "scratch left dirty");
+
+                    let probed: usize = (0..seg.params().bands())
+                        .filter(|&band| filter(band))
+                        .map(|band| seg.band(band).get(keys[band]).len())
+                        .sum();
+                    if probed > 0 && seg.n_rows().div_ceil(64) <= probed {
+                        bitmap_probes += 1;
+                    } else if probed > 0 {
+                        sorted_probes += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(words.len(), 20_000usize.div_ceil(64), "sized to the largest bitmap probe");
+        assert!(bitmap_probes >= 10 && sorted_probes >= 10, "{bitmap_probes} / {sorted_probes}");
+    }
+
+    #[test]
+    fn from_parts_rejects_a_band_that_omits_or_repeats_a_row() {
+        let seg = random_segment(9, 8, 2);
+        let b = seg.band(0);
+        let buckets: Vec<Vec<u32>> = b
+            .offsets()
+            .windows(2)
+            .map(|w| b.ids()[w[0] as usize..w[1] as usize].to_vec())
+            .collect();
+        assert!(buckets.len() >= 2, "band 0 needs two buckets: {buckets:?}");
+        let with_band0 = |buckets: Vec<Vec<u32>>| {
+            let offsets = std::iter::once(0)
+                .chain(buckets.iter().scan(0, |end, members| {
+                    *end += members.len() as u32;
+                    Some(*end)
+                }))
+                .collect();
+            let band0 = BandBuckets::from_raw_parts(b.keys().to_vec(), offsets, buckets.concat())?;
+            let mut bands: Vec<BandBuckets> =
+                (0..seg.params().bands()).map(|band| seg.band(band).clone()).collect();
+            bands[0] = band0;
+            Segment::from_parts(
+                seg.id(),
+                *seg.scheme(),
+                *seg.params(),
+                seg.global_ids().to_vec(),
+                seg.signatures().to_vec(),
+                seg.set_sizes().to_vec(),
+                seg.names().to_vec(),
+                bands,
+            )
+        };
+        assert_eq!(with_band0(buckets.clone()).unwrap(), seg, "the unmutated band reassembles");
+        let x = buckets[0][0];
+        // Row `x` also in a second bucket: one id too many.
+        let mut twice = buckets.clone();
+        twice[1].push(x);
+        twice[1].sort_unstable();
+        // Row `x` in a second bucket in place of that bucket's first row:
+        // the id count still matches, the bitmap pass catches it.
+        let mut displaced = buckets.clone();
+        displaced[1][0] = x;
+        displaced[1].sort_unstable();
+        // Row `x` in no bucket.
+        let mut dropped = buckets.clone();
+        dropped[0].remove(0);
+        for (case, mutated) in [("twice", twice), ("displaced", displaced), ("dropped", dropped)] {
+            assert!(
+                matches!(with_band0(mutated), Err(IndexError::Corrupt { .. })),
+                "{case} accepted"
+            );
+        }
+    }
 
     fn scheme_and_params() -> (SignatureScheme, LshParams) {
         let scheme = SignatureScheme::new(32).unwrap().with_kind(SignerKind::Oph);
@@ -387,7 +609,8 @@ mod tests {
         }
         // Every row is a candidate of its own signature (local numbering).
         for local in 0..3usize {
-            let cands = seg.candidates_where(seg.signature(local), |_| true);
+            let cands =
+                seg.candidates_where(&band_keys(seg.params(), seg.signature(local)), |_| true);
             assert!(cands.contains(&(local as u32)));
         }
         // Signatures are exactly the scheme's signatures of the sets.

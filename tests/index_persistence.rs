@@ -254,6 +254,126 @@ fn forged_counts_are_typed_errors_not_allocation_aborts() {
     std::fs::remove_file(&path).ok();
 }
 
+/// One band table as its buckets, `(key, ids)` in key order.
+type Buckets = Vec<(u64, Vec<u32>)>;
+
+/// The band tables of a v3 `SEG` payload and the payload bytes in front
+/// of them.
+fn split_band_tables(payload: &[u8]) -> (Vec<u8>, Vec<Buckets>) {
+    fn take<'a>(rest: &mut &'a [u8], len: usize) -> &'a [u8] {
+        let (head, tail) = rest.split_at(len);
+        *rest = tail;
+        head
+    }
+    let u32_at = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().unwrap()) as usize;
+    let mut rest = payload;
+    take(&mut rest, 16); // layout, segment id, signer kind
+    let len = u32_at(take(&mut rest, 4));
+    take(&mut rest, 8); // seed
+    let bands = u32_at(take(&mut rest, 4));
+    take(&mut rest, 4); // rows per band
+    let n = u32_at(take(&mut rest, 4));
+    take(&mut rest, 4 * n + 8 * n); // global ids, set sizes
+    for _ in 0..n {
+        let name_len = u32_at(take(&mut rest, 4));
+        take(&mut rest, name_len);
+    }
+    take(&mut rest, 8 * len * n); // signatures
+    let head = payload[..payload.len() - rest.len()].to_vec();
+    let mut tables = Vec::with_capacity(bands);
+    for _ in 0..bands {
+        let key_count = u32_at(take(&mut rest, 4));
+        let id_count = u32_at(take(&mut rest, 4));
+        let keys = take(&mut rest, 8 * key_count)
+            .chunks(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()));
+        let offsets: Vec<usize> =
+            take(&mut rest, 4 * (key_count + 1)).chunks(4).map(u32_at).collect();
+        let ids: Vec<u32> =
+            take(&mut rest, 4 * id_count).chunks(4).map(|c| u32_at(c) as u32).collect();
+        tables.push(
+            keys.zip(offsets.windows(2)).map(|(key, w)| (key, ids[w[0]..w[1]].to_vec())).collect(),
+        );
+    }
+    assert!(rest.is_empty(), "band tables end the payload");
+    (head, tables)
+}
+
+/// A `SEG` payload re-encoded from its head and (possibly mutated) band
+/// tables.
+fn join_band_tables(head: &[u8], tables: &[Buckets]) -> Vec<u8> {
+    let mut out = head.to_vec();
+    for buckets in tables {
+        let ids: Vec<u32> = buckets.iter().flat_map(|(_, ids)| ids.iter().copied()).collect();
+        out.extend((buckets.len() as u32).to_le_bytes());
+        out.extend((ids.len() as u32).to_le_bytes());
+        out.extend(buckets.iter().flat_map(|(key, _)| key.to_le_bytes()));
+        let mut end = 0u32;
+        out.extend(end.to_le_bytes());
+        for (_, members) in buckets {
+            end += members.len() as u32;
+            out.extend(end.to_le_bytes());
+        }
+        out.extend(ids.iter().flat_map(|id| id.to_le_bytes()));
+    }
+    out
+}
+
+#[test]
+fn checksum_valid_files_with_malformed_buckets_are_corrupt() {
+    // FNV-1a is not a secret: a file whose every checksum is valid but
+    // whose bucket tables are structurally wrong must open as a typed
+    // `Corrupt` — never a panic, never an index that answers wrongly.
+    // Samples 0 and 1 are identical, so every band holds a two-row bucket.
+    let path = unique_path("malformed_buckets");
+    let set = |lo: u64| (lo..lo + 60).collect::<Vec<u64>>();
+    let bytes =
+        one_generation_bytes(32, vec![set(0), set(0), set(500), set(900), set(1_300)], &path);
+    // header | SEG block | MAN block: re-frame both, with the checksum in
+    // the manifest's one segment ref (just before its tombstone count)
+    // matching the rewritten payload.
+    let seg_len = u64::from_le_bytes(bytes[28..36].try_into().unwrap()) as usize;
+    let seg_end = 20 + 32 + seg_len;
+    let (head, tables) = split_band_tables(&bytes[52..seg_end]);
+    let mut manifest = bytes[seg_end + 32..].to_vec();
+    let mut file_with = |tables: &[Buckets]| {
+        let payload = join_band_tables(&head, tables);
+        let crc_at = manifest.len() - 4 - 8;
+        manifest[crc_at..crc_at + 8].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
+        let mut file = header(3);
+        file.extend(block(b"SEG\0", &payload));
+        file.extend(block(b"MAN\0", &manifest));
+        file
+    };
+    assert_eq!(file_with(&tables), bytes, "the re-framing helpers reproduce the file");
+
+    let band = &tables[0];
+    let pair = band.iter().position(|(_, ids)| ids.len() >= 2).unwrap();
+    let other = (pair + 1) % band.len();
+    let row = band[pair].1[0];
+    let mutate = |edit: &dyn Fn(&mut Buckets)| {
+        let mut tables = tables.clone();
+        edit(&mut tables[0]);
+        tables
+    };
+    let cases = [
+        ("ids swapped inside a bucket", mutate(&|band| band[pair].1.swap(0, 1))),
+        (
+            "a row moved into a second bucket of the band",
+            mutate(&|band| {
+                band[other].1.push(row);
+                band[other].1.sort_unstable();
+            }),
+        ),
+        ("a row dropped from the band", mutate(&|band| band[pair].1.retain(|&id| id != row))),
+    ];
+    for (case, tables) in cases {
+        let opened = open_bytes(&path, &file_with(&tables));
+        assert!(matches!(opened, Err(IndexError::Corrupt { .. })), "{case}: {opened:?}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 fn file_crc(path: &Path) -> u64 {
     fnv1a64(&std::fs::read(path).unwrap())
 }
