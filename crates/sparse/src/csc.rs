@@ -23,7 +23,9 @@ pub struct CscMatrix<T> {
 }
 
 impl<T: Copy> CscMatrix<T> {
-    /// Construct from raw CSC arrays, validating their consistency.
+    /// Construct from raw CSC arrays, validating their consistency: every
+    /// column lists its row indices in bounds and strictly ascending, the
+    /// order the `AᵀA` kernels walk them in.
     pub fn from_raw_parts(
         nrows: usize,
         ncols: usize,
@@ -46,13 +48,28 @@ impl<T: Copy> CscMatrix<T> {
                 context: "indptr does not terminate at nnz".to_string(),
             });
         }
-        if indptr.windows(2).any(|w| w[0] > w[1]) {
+        if indptr[0] != 0 || indptr.windows(2).any(|w| w[0] > w[1]) {
             return Err(SparseError::ShapeMismatch {
-                context: "indptr must be non-decreasing".to_string(),
+                context: "indptr must start at 0 and be non-decreasing".to_string(),
             });
         }
-        if let Some(&bad) = indices.iter().find(|&&r| r >= nrows) {
-            return Err(SparseError::IndexOutOfBounds { row: bad, col: 0, nrows, ncols });
+        // One pass over the entries; the first offending one is reported.
+        for (j, span) in indptr.windows(2).enumerate() {
+            let mut next_min = 0;
+            for &r in &indices[span[0]..span[1]] {
+                if r >= nrows {
+                    return Err(SparseError::IndexOutOfBounds { row: r, col: j, nrows, ncols });
+                }
+                if r < next_min {
+                    return Err(SparseError::ShapeMismatch {
+                        context: format!(
+                            "column {j} row indices must be strictly increasing ({} then {r})",
+                            next_min - 1
+                        ),
+                    });
+                }
+                next_min = r + 1;
+            }
         }
         Ok(CscMatrix { nrows, ncols, indptr, indices, data })
     }
@@ -238,6 +255,33 @@ mod tests {
         );
         assert!(
             CscMatrix::<u8>::from_raw_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![1, 1]).is_ok()
+        );
+        // Entries before the first column belong to none.
+        assert!(CscMatrix::<u8>::from_raw_parts(2, 1, vec![1, 2], vec![0, 1], vec![1, 1]).is_err());
+        // Row indices must strictly ascend within a column.
+        let parts = |indices: Vec<usize>| {
+            let nnz = indices.len();
+            CscMatrix::<u8>::from_raw_parts(4, 2, vec![0, 1, nnz], indices, vec![1; nnz])
+        };
+        assert!(parts(vec![3, 0, 1, 2]).is_ok());
+        // Column 1 may start below where column 0 ended.
+        assert!(parts(vec![3, 0]).is_ok());
+        assert_eq!(
+            parts(vec![3, 1, 1]).unwrap_err(),
+            SparseError::ShapeMismatch {
+                context: "column 1 row indices must be strictly increasing (1 then 1)".into()
+            }
+        );
+        assert_eq!(
+            parts(vec![0, 2, 1]).unwrap_err(),
+            SparseError::ShapeMismatch {
+                context: "column 1 row indices must be strictly increasing (2 then 1)".into()
+            }
+        );
+        // The first offending entry decides the error.
+        assert_eq!(
+            parts(vec![0, 4, 1]).unwrap_err(),
+            SparseError::IndexOutOfBounds { row: 4, col: 1, nrows: 4, ncols: 2 }
         );
     }
 

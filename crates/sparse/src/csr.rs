@@ -22,7 +22,9 @@ pub struct CsrMatrix<T> {
 }
 
 impl<T: Copy> CsrMatrix<T> {
-    /// Construct from raw CSR arrays, validating their consistency.
+    /// Construct from raw CSR arrays, validating their consistency: every
+    /// row lists its column indices in bounds and strictly ascending, the
+    /// order the `AᵀA` kernels walk them in.
     pub fn from_raw_parts(
         nrows: usize,
         ncols: usize,
@@ -45,13 +47,28 @@ impl<T: Copy> CsrMatrix<T> {
                 context: "indptr does not terminate at nnz".to_string(),
             });
         }
-        if indptr.windows(2).any(|w| w[0] > w[1]) {
+        if indptr[0] != 0 || indptr.windows(2).any(|w| w[0] > w[1]) {
             return Err(SparseError::ShapeMismatch {
-                context: "indptr must be non-decreasing".to_string(),
+                context: "indptr must start at 0 and be non-decreasing".to_string(),
             });
         }
-        if let Some(&bad) = indices.iter().find(|&&c| c >= ncols) {
-            return Err(SparseError::IndexOutOfBounds { row: 0, col: bad, nrows, ncols });
+        // One pass over the entries; the first offending one is reported.
+        for (i, span) in indptr.windows(2).enumerate() {
+            let mut next_min = 0;
+            for &c in &indices[span[0]..span[1]] {
+                if c >= ncols {
+                    return Err(SparseError::IndexOutOfBounds { row: i, col: c, nrows, ncols });
+                }
+                if c < next_min {
+                    return Err(SparseError::ShapeMismatch {
+                        context: format!(
+                            "row {i} column indices must be strictly increasing ({} then {c})",
+                            next_min - 1
+                        ),
+                    });
+                }
+                next_min = c + 1;
+            }
         }
         Ok(CsrMatrix { nrows, ncols, indptr, indices, data })
     }
@@ -251,6 +268,29 @@ mod tests {
         );
         assert!(
             CsrMatrix::<u8>::from_raw_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![1, 1]).is_ok()
+        );
+        assert!(CsrMatrix::<u8>::from_raw_parts(1, 2, vec![1, 2], vec![0, 1], vec![1, 1]).is_err());
+        // Column indices must strictly ascend within a row.
+        let parts = |indices: Vec<usize>| {
+            let nnz = indices.len();
+            CsrMatrix::<u8>::from_raw_parts(2, 4, vec![0, 1, nnz], indices, vec![1; nnz])
+        };
+        assert!(parts(vec![3, 0, 1, 2]).is_ok());
+        assert_eq!(
+            parts(vec![3, 2, 2]).unwrap_err(),
+            SparseError::ShapeMismatch {
+                context: "row 1 column indices must be strictly increasing (2 then 2)".into()
+            }
+        );
+        assert_eq!(
+            parts(vec![0, 3, 1]).unwrap_err(),
+            SparseError::ShapeMismatch {
+                context: "row 1 column indices must be strictly increasing (3 then 1)".into()
+            }
+        );
+        assert_eq!(
+            parts(vec![0, 1, 9]).unwrap_err(),
+            SparseError::IndexOutOfBounds { row: 1, col: 9, nrows: 2, ncols: 4 }
         );
     }
 

@@ -37,7 +37,8 @@
 //! assert_eq!(b.get(1, 1), 2); // |X1| = 2
 //! ```
 
-// The POPCNT dispatch in `spgemm` is the one exception.
+// The popcount dispatch in `spgemm` (POPCNT and AVX-512 VPOPCNTDQ) is the
+// one exception.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 

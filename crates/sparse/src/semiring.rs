@@ -82,6 +82,16 @@ pub trait Semiring {
     fn mul(a: Self::Left, b: Self::Right) -> Self::Out;
     /// The "addition" (accumulation) of the semiring.
     fn add(acc: Self::Out, x: Self::Out) -> Self::Out;
+
+    /// The operand values an absent entry stands for, if `mul` of them is
+    /// `zero()`: `Some((l, r))` promises `mul(l, b)` and `mul(a, r)` are
+    /// `zero()` for every `a` and `b`, and that adding `zero()` leaves an
+    /// accumulator unchanged. A kernel may then store an operand densely,
+    /// with these values in its gaps. `None`, the default, keeps every
+    /// kernel on the stored entries.
+    fn absent_operands() -> Option<(Self::Left, Self::Right)> {
+        None
+    }
 }
 
 /// The ordinary `(+, ×)` semiring over a single numeric type.
@@ -141,6 +151,9 @@ impl Semiring for PopcountAnd {
     fn add(acc: u64, x: u64) -> u64 {
         acc + x
     }
+    fn absent_operands() -> Option<(u64, u64)> {
+        Some((0, 0))
+    }
 }
 
 /// Fold an iterator of elements with a monoid.
@@ -192,5 +205,12 @@ mod tests {
         assert_eq!(PopcountAnd::mul(0, u64::MAX), 0);
         assert_eq!(PopcountAnd::add(5, 7), 12);
         assert_eq!(PopcountAnd::zero(), 0);
+        // An absent word is 0, which annihilates every mask.
+        let (left, right) = PopcountAnd::absent_operands().unwrap();
+        for mask in [0, 0b1011, u64::MAX] {
+            assert_eq!(PopcountAnd::mul(left, mask), 0);
+            assert_eq!(PopcountAnd::mul(mask, right), 0);
+        }
+        assert_eq!(PlusTimes::<f64>::absent_operands(), None);
     }
 }

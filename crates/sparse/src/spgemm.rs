@@ -21,25 +21,76 @@
 //! products, the same full matrix out. [`atb_block_dense`] multiplies two
 //! different blocks and has no such structure.
 //!
+//! # Two row bodies
+//!
+//! [`ata_dense_parallel`] and [`atb_block_dense`] fill output row `i`
+//! (from column `first_col` on) with `Σ_k a_ki ⊗ b_kj`, through one of two
+//! bodies picked once per call:
+//!
+//! * `accumulate_row` (Gustavson) walks, for every stored `a_ki`, the
+//!   stored entries of row `k` of `B`. It touches only stored pairs, but
+//!   pays for each with a column-index load, a word load and an indirect
+//!   load-add-store into the output row.
+//! * `accumulate_tiled` cuts `B` into tiles of consecutive word rows
+//!   holding at most 32 KiB (`TILE_BYTES`; a single wider row is its own
+//!   tile), densifies each tile once, row-major, with the semiring's
+//!   absent value ([`Semiring::absent_operands`]) in the gaps, and adds
+//!   `a_ki ⊗ tile[k][j]` to the contiguous run `out[i][first_col..]` for
+//!   every stored `a_ki` of the tile: no index indirection, so the loop
+//!   vectorises. Each output row keeps a cursor into column `i` of `A`
+//!   from one tile to the next, which — like `accumulate_row`'s
+//!   `partition_point` skip — needs indices strictly ascending within a
+//!   column or row, an invariant `from_raw_parts` checks.
+//!
+//! The tiled body multiplies each stored word of `A` by the whole row
+//! width, absent partners included, so it is picked by a cost ratio of
+//! two counts known before the call: its product count (stored words of
+//! `A` × row width) must be at most `TILE_COST_RATIO` = 8 times the
+//! Gustavson count `Σ_k nnz_A(k)·nnz_B(k)` — for the triangle, both in
+//! their upper-triangle forms `Σ_i nnz_A(col i)·(n − i)` and
+//! `Σ_k nnz(k)·(nnz(k)+1)/2`. On evenly filled word rows the ratio is the
+//! inverse of the fill, so the bound sits near 1/8 full: the lanes of one
+//! 512-bit `vpopcntq`, which multiplies eight word pairs with no index
+//! traffic. Measured on one thread of an AVX-512 VPOPCNTDQ Xeon over
+//! random blocks 30 to 352 columns wide, the bodies break even at a ratio
+//! between ≈ 5.5 and ≈ 9 depending on the width, so just under the bound
+//! the tiled body can run up to ≈ 2× slower on narrow or wide blocks. The
+//! perf ledger's workloads sit well inside it: ≈ 1.0 on `allpairs_dense`
+//! (kernel ≈ 6× faster) and ≈ 4.4 on `allpairs_dist`'s 128 × 128 blocks
+//! (≈ 1.8×). Whichever body runs, [`atb_block_dense`] returns the
+//! Gustavson count: it is the γ-flop charge of the distributed product.
+//!
+//! The tile bound is a heap bound: each worker holds one tile at a time,
+//! so a call adds at most 32 KiB per thread. Densifying the whole right
+//! operand instead grows the distributed workload's peak heap by ≈ 13 %,
+//! and fixed 64-row tiles grow the shared-memory workload's by ≈ 4 %.
+//!
 //! # Hardware popcount by runtime dispatch
 //!
 //! The paper's case for bit-masking is that the product becomes a
 //! hardware `popcount` of AND-ed words, but the x86-64 baseline this
 //! workspace compiles for has no `POPCNT`, and `u64::count_ones` lowers
-//! to a dozen shift-and-mask instructions there. [`ata_dense_parallel`]
-//! and [`atb_block_dense`] therefore share one `#[inline(always)]` row
-//! body, `accumulate_row`, reached through `dispatch::accumulate_row`:
-//! on a CPU that reports POPCNT (asked once per output row, outside the
-//! word-pair loop) the body runs inside a
-//! `#[target_feature(enable = "popcnt")]` wrapper, anywhere else it runs
-//! as compiled. The `#[inline(always)]` is
-//! load-bearing: instruction selection follows the features of the
-//! function the code ends up *in*, so the body and the `S::mul` it calls
-//! must be inlined into the wrapper for `(a & b).count_ones()` to become
-//! one instruction there — and that is also why no [`Semiring`] needs to
-//! know about any of this. The wrapper and its call are the one place
-//! this crate steps outside safe Rust. Only an optimised build shows the
-//! difference, hence `cargo test -p gas-sparse --release` in `make test`.
+//! to a dozen shift-and-mask instructions there. Both bodies are
+//! `#[inline(always)]` and reached through `mod dispatch`, which runs
+//! them inside `#[target_feature]` wrappers on a CPU that reports the
+//! features (asked outside the word-pair loops), in two tiers:
+//!
+//! * the Gustavson body under `popcnt`, where `(a & b).count_ones()`
+//!   becomes one instruction;
+//! * the tiled body under `avx512f,avx512vpopcntdq,popcnt`, where its
+//!   contiguous loop autovectorises to `vpopcntq` — no intrinsics.
+//!
+//! The tiled body is picked only where the second tier runs; everywhere
+//! else the Gustavson body runs, and it stays the hypersparse body and
+//! the tests' reference. An AVX2-only tier waits until a host without
+//! VPOPCNTDQ can measure it. The `#[inline(always)]` is load-bearing:
+//! instruction selection follows the features of the function the code
+//! ends up *in*, so each body and the `S::mul` it calls must be inlined
+//! into its wrapper — and that is also why no [`Semiring`] needs to know
+//! about any of this. `mod dispatch`, the wrappers and their calls, is
+//! the one `#[allow(unsafe_code)]` of this crate. Only an optimised build
+//! shows the difference, hence `cargo test -p gas-sparse --release` in
+//! `make test`.
 
 use rayon::prelude::*;
 
@@ -94,8 +145,9 @@ where
 /// symmetrised half of `AᵀB`).
 ///
 /// Output row `i` costs about `n − i` entries, so the rows are handed out
-/// as the `⌈n/2⌉` pairs `(p, n−1−p)` of constant size: each thread owns a
-/// contiguous run of pairs, free of write conflicts.
+/// as the `⌈n/2⌉` pairs `(p, n−1−p)` of constant size, and each thread
+/// owns one contiguous run of pairs, free of write conflicts: the tiled
+/// body densifies every tile once per run, not once per pair.
 pub fn ata_dense_parallel<S>(
     a_csc: &CscMatrix<S::Left>,
     a_csr: &CsrMatrix<S::Right>,
@@ -123,36 +175,70 @@ where
         });
     }
     let n = a_csc.ncols();
+    let dense: u64 = (0..n).map(|i| (a_csc.col_nnz(i) * (n - i)) as u64).sum();
+    let gustavson: u64 = (0..a_csr.nrows())
+        .map(|k| {
+            let r = a_csr.row_nnz(k) as u64;
+            r * (r + 1) / 2
+        })
+        .sum();
+    let flat = ata_upper::<S>(a_csc, a_csr, tiles_pay::<S>(dense, gustavson));
+    DenseMatrix::from_vec(n, n, flat)
+}
+
+/// The row-major `AᵀA` of [`ata_dense_parallel`]'s checked views, through
+/// the tiled body when `tiles` holds the absent value, else through the
+/// Gustavson one.
+fn ata_upper<S>(
+    a_csc: &CscMatrix<S::Left>,
+    a_csr: &CsrMatrix<S::Right>,
+    tiles: Option<S::Right>,
+) -> Vec<S::Out>
+where
+    S: Semiring,
+    S::Left: Copy + Sync + Send,
+    S::Right: Copy + Sync + Send,
+    S::Out: Copy + Sync + Send,
+{
+    let n = a_csc.ncols();
     let mut flat = vec![S::zero(); n * n];
-    if n > 0 {
-        // Rows 0..⌈n/2⌉ ascending, each beside its partner from the
-        // bottom (the middle row of an odd `n` has none).
-        let (top, bottom) = flat.split_at_mut(n.div_ceil(2) * n);
-        let mut pairs: Vec<_> = top
-            .chunks_mut(n)
-            .zip(bottom.chunks_mut(n).rev().map(Some).chain(std::iter::repeat_with(|| None)))
-            .collect();
-        pairs.par_chunks_mut(1).enumerate().for_each(|(p, pair)| {
-            let (upper, lower) = &mut pair[0];
-            dispatch::accumulate_row::<S>(a_csc, a_csr, p, p, upper);
+    if n == 0 {
+        return flat;
+    }
+    // Rows 0..⌈n/2⌉ ascending, each beside its partner from the bottom
+    // (the middle row of an odd `n` has none).
+    let (top, bottom) = flat.split_at_mut(n.div_ceil(2) * n);
+    let mut pairs: Vec<_> = top
+        .chunks_mut(n)
+        .zip(bottom.chunks_mut(n).rev().map(Some).chain(std::iter::repeat_with(|| None)))
+        .collect();
+    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    let run = pairs.len().div_ceil(threads);
+    pairs.par_chunks_mut(run).enumerate().for_each(|(c, run_pairs)| {
+        let mut rows = Vec::with_capacity(2 * run_pairs.len());
+        for (p, (upper, lower)) in (c * run..).zip(run_pairs.iter_mut()) {
+            rows.push(OutRow { col: p, first_col: p, out: upper });
             if let Some(lower) = lower {
-                dispatch::accumulate_row::<S>(a_csc, a_csr, n - 1 - p, n - 1 - p, lower);
-            }
-        });
-        for i in 0..n {
-            for j in i + 1..n {
-                flat[j * n + i] = flat[i * n + j];
+                let i = n - 1 - p;
+                rows.push(OutRow { col: i, first_col: i, out: lower });
             }
         }
+        accumulate_rows::<S>(a_csc, a_csr, &mut rows, tiles);
+    });
+    for i in 0..n {
+        for j in i + 1..n {
+            flat[j * n + i] = flat[i * n + j];
+        }
     }
-    DenseMatrix::from_vec(n, n, flat)
+    flat
 }
 
 /// Accumulate `out += AᵀB` over semiring `S`, where `A` (CSC, `m × na`)
 /// and `B` (CSR, `m × nb`) share the same row dimension and `out` is the
 /// dense `na × nb` block. This is the local kernel executed at every step
 /// of the distributed SUMMA/2.5D product. Returns the number of products
-/// multiplied, `Σ_k nnz_A(row k) · nnz_B(row k)`.
+/// a Gustavson kernel multiplies, `Σ_k nnz_A(row k) · nnz_B(row k)`,
+/// whichever body ran.
 pub fn atb_block_dense<S>(
     a_csc: &CscMatrix<S::Left>,
     b_csr: &CsrMatrix<S::Right>,
@@ -184,15 +270,84 @@ where
             ),
         });
     }
-    Ok((0..a_csc.ncols())
-        .map(|i| dispatch::accumulate_row::<S>(a_csc, b_csr, i, 0, out.row_mut(i)))
-        .sum())
+    let products: u64 = a_csc.indices().iter().map(|&k| b_csr.row_nnz(k) as u64).sum();
+    let dense = (a_csc.nnz() * b_csr.ncols()) as u64;
+    atb_rows::<S>(a_csc, b_csr, out.as_mut_slice(), tiles_pay::<S>(dense, products));
+    Ok(products)
 }
 
-/// The row body of [`ata_dense_parallel`] and [`atb_block_dense`]:
-/// `out_row[j] ⊕= a_ki ⊗ b_kj` for every stored `a_ki` of column `i` of
-/// `A` and every stored `b_kj` of row `k` of `B` with `j ≥ first_col`;
-/// returns the number of products.
+/// [`atb_block_dense`]'s product into the row-major `out`, through the
+/// tiled body when `tiles` holds the absent value, else through the
+/// Gustavson one.
+fn atb_rows<S: Semiring>(
+    a_csc: &CscMatrix<S::Left>,
+    b_csr: &CsrMatrix<S::Right>,
+    out: &mut [S::Out],
+    tiles: Option<S::Right>,
+) {
+    if b_csr.ncols() == 0 {
+        return;
+    }
+    let mut rows: Vec<_> = out
+        .chunks_mut(b_csr.ncols())
+        .enumerate()
+        .map(|(i, out)| OutRow { col: i, first_col: 0, out })
+        .collect();
+    accumulate_rows::<S>(a_csc, b_csr, &mut rows, tiles);
+}
+
+/// Bytes of the right operand one tile of `accumulate_tiled` densifies.
+const TILE_BYTES: usize = 32 * 1024;
+
+/// How many more products than the Gustavson body the tiled body may
+/// multiply and still be picked: the lanes of one 512-bit `vpopcntq`.
+const TILE_COST_RATIO: u64 = 8;
+
+/// The value absent entries of the right operand are densified to, if
+/// the tiled body is to run: `S` has one, this CPU runs the body with
+/// vector popcount, and its `dense` product count is at most
+/// [`TILE_COST_RATIO`] times the `gustavson` one.
+fn tiles_pay<S: Semiring>(dense: u64, gustavson: u64) -> Option<S::Right> {
+    let (_, absent) = S::absent_operands()?;
+    (dispatch::vector_popcount() && dense <= gustavson.saturating_mul(TILE_COST_RATIO))
+        .then_some(absent)
+}
+
+/// Word rows of a tile over rows `width` entries wide: as many as fit in
+/// [`TILE_BYTES`], and at least one.
+fn tile_height<T>(width: usize) -> usize {
+    (TILE_BYTES / (width * std::mem::size_of::<T>()).max(1)).max(1)
+}
+
+/// One output row of a kernel call: `out[j] ⊕= Σ_k a_k,col ⊗ b_kj` for
+/// every `j ≥ first_col`.
+struct OutRow<'o, T> {
+    col: usize,
+    first_col: usize,
+    out: &'o mut [T],
+}
+
+/// Every row of `rows` through the tiled body when `tiles` holds the
+/// absent value, else through the Gustavson one.
+fn accumulate_rows<S: Semiring>(
+    a_csc: &CscMatrix<S::Left>,
+    b_csr: &CsrMatrix<S::Right>,
+    rows: &mut [OutRow<'_, S::Out>],
+    tiles: Option<S::Right>,
+) {
+    match tiles {
+        Some(absent) => dispatch::accumulate_tiled::<S>(a_csc, b_csr, absent, rows),
+        None => {
+            for row in rows {
+                dispatch::accumulate_row::<S>(a_csc, b_csr, row.col, row.first_col, row.out);
+            }
+        }
+    }
+}
+
+/// The Gustavson row body: `out_row[j] ⊕= a_ki ⊗ b_kj` for every stored
+/// `a_ki` of column `i` of `A` and every stored `b_kj` of row `k` of `B`
+/// with `j ≥ first_col`.
 ///
 /// `#[inline(always)]` so that it (and the `S::mul` inside) is compiled
 /// with the target features of whichever caller it lands in — see the
@@ -205,10 +360,9 @@ fn accumulate_row<S: Semiring>(
     i: usize,
     first_col: usize,
     out_row: &mut [S::Out],
-) -> u64 {
+) {
     let (a_ptr, a_rows, a_vals) = (a_csc.indptr(), a_csc.indices(), a_csc.data());
     let (b_ptr, b_cols, b_vals) = (b_csr.indptr(), b_csr.indices(), b_csr.data());
-    let mut ops = 0u64;
     for t in a_ptr[i]..a_ptr[i + 1] {
         let (k, va) = (a_rows[t], a_vals[t]);
         let cols = &b_cols[b_ptr[k]..b_ptr[k + 1]];
@@ -219,16 +373,79 @@ fn accumulate_row<S: Semiring>(
         for (&j, &vb) in cols[skip..].iter().zip(&vals[skip..]) {
             out_row[j] = S::add(out_row[j], S::mul(va, vb));
         }
-        ops += (cols.len() - skip) as u64;
     }
-    ops
 }
 
-/// Where [`accumulate_row`] picks up hardware `popcount`: the one place
-/// this crate steps outside safe Rust.
+/// The tiled row body: the sums of [`accumulate_row`] for every row of
+/// `rows`, one tile of `B`'s word rows at a time (see the module header).
+/// `absent` is what a gap in `B` is densified to, and must annihilate
+/// ([`Semiring::absent_operands`]).
+///
+/// `#[inline(always)]` and closure-free in its loops for the same reason
+/// as [`accumulate_row`].
+#[inline(always)]
+fn accumulate_tiled<S: Semiring>(
+    a_csc: &CscMatrix<S::Left>,
+    b_csr: &CsrMatrix<S::Right>,
+    absent: S::Right,
+    rows: &mut [OutRow<'_, S::Out>],
+) {
+    let (a_ptr, a_rows, a_vals) = (a_csc.indptr(), a_csc.indices(), a_csc.data());
+    let (b_ptr, b_cols, b_vals) = (b_csr.indptr(), b_csr.indices(), b_csr.data());
+    let (m, width) = (b_csr.nrows(), b_csr.ncols());
+    if width == 0 {
+        return;
+    }
+    let height = tile_height::<S::Right>(width);
+    // Where each row's column of `A` continues: word rows ascend, so
+    // every tile picks up where the last one stopped.
+    let mut next = Vec::with_capacity(rows.len());
+    for row in rows.iter() {
+        next.push(a_ptr[row.col]);
+    }
+    let mut tile = Vec::with_capacity(height.min(m) * width);
+    for k0 in (0..m).step_by(height) {
+        let k1 = (k0 + height).min(m);
+        tile.clear();
+        tile.resize((k1 - k0) * width, absent);
+        for (k, dense) in (k0..k1).zip(tile.chunks_exact_mut(width)) {
+            for t in b_ptr[k]..b_ptr[k + 1] {
+                dense[b_cols[t]] = b_vals[t];
+            }
+        }
+        for (row, t) in rows.iter_mut().zip(next.iter_mut()) {
+            let end = a_ptr[row.col + 1];
+            while *t < end && a_rows[*t] < k1 {
+                let va = a_vals[*t];
+                let dense = &tile[(a_rows[*t] - k0) * width..][row.first_col..width];
+                for (o, &vb) in row.out[row.first_col..].iter_mut().zip(dense) {
+                    *o = S::add(*o, S::mul(va, vb));
+                }
+                *t += 1;
+            }
+        }
+    }
+}
+
+/// Where the row bodies pick up hardware popcount: the one place this
+/// crate steps outside safe Rust.
 #[allow(unsafe_code)]
 mod dispatch {
-    use super::{CscMatrix, CsrMatrix, Semiring};
+    use super::{CscMatrix, CsrMatrix, OutRow, Semiring};
+
+    /// Whether this CPU runs [`accumulate_tiled`] with vector popcount.
+    pub(super) fn vector_popcount() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::is_x86_feature_detected!("avx512f")
+                && std::is_x86_feature_detected!("avx512vpopcntdq")
+                && std::is_x86_feature_detected!("popcnt")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
 
     /// [`super::accumulate_row`], compiled for POPCNT when this CPU has it.
     #[inline]
@@ -238,7 +455,7 @@ mod dispatch {
         i: usize,
         first_col: usize,
         out_row: &mut [S::Out],
-    ) -> u64 {
+    ) {
         #[cfg(target_arch = "x86_64")]
         {
             if std::is_x86_feature_detected!("popcnt") {
@@ -261,8 +478,44 @@ mod dispatch {
         i: usize,
         first_col: usize,
         out_row: &mut [S::Out],
-    ) -> u64 {
+    ) {
         super::accumulate_row::<S>(a_csc, b_csr, i, first_col, out_row)
+    }
+
+    /// [`super::accumulate_tiled`], compiled for AVX-512 VPOPCNTDQ when
+    /// this CPU has it.
+    #[inline]
+    pub(super) fn accumulate_tiled<S: Semiring>(
+        a_csc: &CscMatrix<S::Left>,
+        b_csr: &CsrMatrix<S::Right>,
+        absent: S::Right,
+        rows: &mut [OutRow<'_, S::Out>],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if vector_popcount() {
+                // SAFETY: `vector_popcount` just reported AVX-512F,
+                // AVX-512 VPOPCNTDQ and POPCNT on the running CPU, the
+                // wrapper's only requirement.
+                return unsafe { accumulate_tiled_avx512::<S>(a_csc, b_csr, absent, rows) };
+            }
+        }
+        super::accumulate_tiled::<S>(a_csc, b_csr, absent, rows)
+    }
+
+    /// # Safety
+    ///
+    /// The running CPU must support AVX-512F, AVX-512 VPOPCNTDQ and
+    /// POPCNT.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
+    unsafe fn accumulate_tiled_avx512<S: Semiring>(
+        a_csc: &CscMatrix<S::Left>,
+        b_csr: &CsrMatrix<S::Right>,
+        absent: S::Right,
+        rows: &mut [OutRow<'_, S::Out>],
+    ) {
+        super::accumulate_tiled::<S>(a_csc, b_csr, absent, rows)
     }
 }
 
@@ -323,8 +576,13 @@ where
     CsrMatrix::from_raw_parts(a.nrows(), n_out, indptr, indices, data)
 }
 
-/// Number of scalar multiply-accumulate operations `AᵀA` performs, i.e.
-/// `Σ_k nnz(row k)²`. Used by the cost model to charge γ-flops.
+/// Number of products in the full square `AᵀA`, `Σ_k nnz(row k)²`.
+///
+/// A size measure, not a charge: nothing in this workspace bills γ-flops
+/// with it (the distributed product charges what [`atb_block_dense`]
+/// returns), and [`ata_dense_parallel`] multiplies only the upper
+/// triangle, `Σ_k nnz(row k)·(nnz(row k)+1)/2` Gustavson products — or,
+/// on its tiled body, `Σ_i nnz(col i)·(n − i)` dense ones.
 pub fn ata_flops<T: Copy>(a: &CsrMatrix<T>) -> u64 {
     (0..a.nrows()).map(|k| (a.row_nnz(k) as u64).pow(2)).sum()
 }
@@ -381,69 +639,171 @@ mod tests {
         assert!(matches!(err, Err(SparseError::ShapeMismatch { .. })));
     }
 
-    /// The unpacked 0/1 matrix of per-column row lists.
-    fn unpacked(nrows: usize, columns: &[Vec<usize>]) -> CooMatrix<u64> {
-        let mut coo = CooMatrix::new(nrows, columns.len());
-        for (j, col) in columns.iter().enumerate() {
-            for &r in col {
-                coo.push(r, j, 1).unwrap();
-            }
+    #[test]
+    fn a_csr_view_listing_a_row_descending_is_refused() {
+        // One attribute shared by all four samples, listed 3, 2, 1, 0.
+        // Accepted, this view sent the triangle kernel's `partition_point`
+        // skip past every entry of output rows 2 and 3, leaving (2, 2),
+        // (2, 3) and (3, 3) at zero.
+        let mut coo = CooMatrix::<u64>::new(2, 4);
+        for j in 0..4 {
+            coo.push(0, j, 1).unwrap();
         }
-        coo
+        coo.push(1, 1, 1).unwrap();
+        let csr = coo.to_csr();
+        let mut indices = csr.indices().to_vec();
+        indices[..4].reverse();
+        let view =
+            CsrMatrix::from_raw_parts(2, 4, csr.indptr().to_vec(), indices, csr.data().to_vec());
+        assert_eq!(
+            view.unwrap_err(),
+            SparseError::ShapeMismatch {
+                context: "row 0 column indices must be strictly increasing (3 then 2)".into()
+            }
+        );
     }
+
+    /// The unpacked 0/1 matrix of per-column row lists.
+    fn unpacked(nrows: usize, columns: &[Vec<usize>]) -> CscMatrix<u64> {
+        let mut indptr = vec![0];
+        indptr.extend(columns.iter().scan(0, |end, col| {
+            *end += col.len();
+            Some(*end)
+        }));
+        let nnz = indptr[columns.len()];
+        CscMatrix::from_raw_parts(nrows, columns.len(), indptr, columns.concat(), vec![1; nnz])
+            .unwrap()
+    }
+
+    /// Boolean row lists of `ncols` columns over `word_rows` words: each
+    /// (word row, column) slot holds a word with probability
+    /// `permille / 1000`, a random nonzero mask of about 4 bits.
+    fn word_columns(
+        rng: &mut Rng,
+        word_rows: usize,
+        ncols: usize,
+        permille: usize,
+    ) -> Vec<Vec<usize>> {
+        (0..ncols)
+            .map(|_| {
+                let mut rows = Vec::new();
+                for k in 0..word_rows {
+                    if rng.below(1000) < permille {
+                        let mask = rng.next() & rng.next() & rng.next() & rng.next();
+                        let mask = if mask == 0 { 1 << (k % 64) } else { mask };
+                        rows.extend((0..64).filter(|b| (mask >> b) & 1 == 1).map(|b| k * 64 + b));
+                    }
+                }
+                rows
+            })
+            .collect()
+    }
+
+    /// Word rows of 1, around one tile of `width`-wide rows, and three
+    /// tiles and then some.
+    fn word_row_counts(width: usize) -> [usize; 5] {
+        let h = tile_height::<u64>(width);
+        [1, h - 1, h, h + 1, 3 * h + 5]
+    }
+
+    /// Word-row fills in per mille: empty, sparse, either side of the
+    /// 1-in-[`TILE_COST_RATIO`] guard, and dense.
+    const FILLS: [usize; 6] = [0, 20, 120, 130, 600, 1000];
+
+    /// The tiled body computes the right answer on any CPU; the dispatch
+    /// picks it only where it runs with vector popcount.
+    const TILED: Option<u64> = Some(0);
 
     #[test]
     fn popcount_triangle_kernel_equals_the_plus_times_oracle_and_is_symmetric() {
         let mut rng = Rng(0x5eed);
-        for n in [0usize, 1, 2, 7, 10, 33] {
-            for (nrows, percent) in [(0usize, 0usize), (1, 50), (64, 30), (200, 0), (200, 10)] {
-                let mut columns = rng.columns(nrows, n, percent);
-                if nrows >= 128 {
-                    // One fully dense word row, and an empty column.
-                    for col in &mut columns {
-                        col.extend(64..128);
-                        col.sort_unstable();
-                        col.dedup();
+        let (mut tiled_side, mut gustavson_side) = (0, 0);
+        let n0 = BitMatrix::from_columns(0, &[]).unwrap();
+        let empty = ata_dense_parallel::<PopcountAnd>(n0.as_csc(), &n0.to_csr()).unwrap();
+        assert_eq!((empty.nrows(), empty.ncols()), (0, 0));
+        for n in [1usize, 3, 8, 9, 33, 130] {
+            for word_rows in word_row_counts(n) {
+                for permille in FILLS {
+                    let ctx = format!("n = {n}, {word_rows} word rows at {permille} ‰");
+                    let nrows = 64 * word_rows;
+                    let mut columns = word_columns(&mut rng, word_rows, n, permille);
+                    if n > 2 {
+                        columns[n / 2].clear();
                     }
-                    if let Some(last) = columns.last_mut() {
-                        last.clear();
+                    let bm = BitMatrix::from_columns(nrows, &columns).unwrap();
+                    let (csc, csr) = (bm.as_csc(), bm.to_csr());
+                    let want = ata_dense::<PlusTimes<u64>>(&unpacked(nrows, &columns).to_csr());
+                    let got = ata_dense_parallel::<PopcountAnd>(csc, &csr).unwrap();
+                    assert_eq!(got, want, "{ctx}");
+                    assert_eq!(got, got.transpose(), "{ctx}");
+                    for tiles in [None, TILED] {
+                        let body = ata_upper::<PopcountAnd>(csc, &csr, tiles);
+                        assert_eq!(body, want.as_slice(), "{ctx}, tiles: {tiles:?}");
+                    }
+                    let dense: usize = (0..n).map(|i| csc.col_nnz(i) * (n - i)).sum();
+                    let pairs: usize =
+                        (0..word_rows).map(|k| csr.row_nnz(k) * (csr.row_nnz(k) + 1) / 2).sum();
+                    if dense <= 8 * pairs {
+                        tiled_side += 1;
+                    } else {
+                        gustavson_side += 1;
                     }
                 }
-                let bm = BitMatrix::from_columns(nrows, &columns).unwrap();
-                let got = ata_dense_parallel::<PopcountAnd>(bm.as_csc(), &bm.to_csr()).unwrap();
-                let want = ata_dense::<PlusTimes<u64>>(&unpacked(nrows, &columns).to_csr());
-                assert_eq!(got, want, "n = {n}, {nrows} rows at {percent} %");
-                assert_eq!(got, got.transpose(), "n = {n}, {nrows} rows at {percent} %");
             }
         }
+        assert!(tiled_side > 0 && gustavson_side > 0, "{tiled_side} / {gustavson_side}");
     }
 
     #[test]
     fn popcnt_and_portable_row_bodies_agree() {
         #[cfg(target_arch = "x86_64")]
-        let hardware = std::is_x86_feature_detected!("popcnt");
+        let popcnt = std::is_x86_feature_detected!("popcnt");
         #[cfg(not(target_arch = "x86_64"))]
-        let hardware = false;
-        if !hardware {
-            eprintln!("no POPCNT on this CPU: comparing the portable body with itself");
+        let popcnt = false;
+        if !popcnt {
+            eprintln!("no POPCNT on this CPU: comparing the portable Gustavson body with itself");
         }
+        if !dispatch::vector_popcount() {
+            eprintln!(
+                "no AVX-512 VPOPCNTDQ on this CPU: comparing the portable tiled body with itself"
+            );
+        }
+        fn out_rows(
+            out: &mut [u64],
+            n: usize,
+            start: fn(usize, usize) -> usize,
+        ) -> Vec<OutRow<'_, u64>> {
+            let rows = out.chunks_mut(n).enumerate();
+            rows.map(|(i, out)| OutRow { col: i, first_col: start(i, n), out }).collect()
+        }
+        // Whole rows, the triangle, and a fixed start mid-row.
+        let starts: [fn(usize, usize) -> usize; 3] = [|_, _| 0, |i, _| i, |_, n| n / 2];
         let mut rng = Rng(7);
-        for n in [1usize, 2, 9, 16] {
-            let bm = BitMatrix::from_columns(300, &rng.columns(300, n, 20)).unwrap();
-            let (csc, csr) = (bm.as_csc(), bm.to_csr());
-            for i in 0..n {
-                for first_col in [0, i] {
-                    let (mut portable, mut dispatched) = (vec![3u64; n], vec![3u64; n]);
-                    let ops = accumulate_row::<PopcountAnd>(csc, &csr, i, first_col, &mut portable);
-                    let dispatched_ops = dispatch::accumulate_row::<PopcountAnd>(
-                        csc,
-                        &csr,
-                        i,
-                        first_col,
-                        &mut dispatched,
-                    );
-                    assert_eq!(portable, dispatched, "n = {n}, row {i} from {first_col}");
-                    assert_eq!(ops, dispatched_ops, "n = {n}, row {i} from {first_col}");
+        for n in [1usize, 2, 9, 16, 130] {
+            // Every tile-boundary case of this width, at two fills.
+            for word_rows in word_row_counts(n) {
+                for permille in [130, 1000] {
+                    let ctx = format!("n = {n}, {word_rows} word rows at {permille} ‰");
+                    let columns = word_columns(&mut rng, word_rows, n, permille);
+                    let bm = BitMatrix::from_columns(64 * word_rows, &columns).unwrap();
+                    let (csc, csr) = (bm.as_csc(), bm.to_csr());
+                    for start in starts {
+                        let mut outs = [(); 4].map(|_| vec![3u64; n * n]);
+                        let [portable, dispatched, tiled, tiled_dispatched] = &mut outs;
+                        for (i, out) in portable.chunks_mut(n).enumerate() {
+                            accumulate_row::<PopcountAnd>(csc, &csr, i, start(i, n), out);
+                        }
+                        for (i, out) in dispatched.chunks_mut(n).enumerate() {
+                            dispatch::accumulate_row::<PopcountAnd>(csc, &csr, i, start(i, n), out);
+                        }
+                        let mut rows = out_rows(tiled, n, start);
+                        accumulate_tiled::<PopcountAnd>(csc, &csr, 0, &mut rows);
+                        let mut rows = out_rows(tiled_dispatched, n, start);
+                        dispatch::accumulate_tiled::<PopcountAnd>(csc, &csr, 0, &mut rows);
+                        assert_eq!(portable, dispatched, "{ctx}");
+                        assert_eq!(portable, tiled, "{ctx}");
+                        assert_eq!(tiled, tiled_dispatched, "{ctx}");
+                    }
                 }
             }
         }
@@ -452,25 +812,72 @@ mod tests {
     #[test]
     fn atb_block_adds_to_a_prefilled_block_and_counts_every_product() {
         let mut rng = Rng(11);
-        for (na, nb) in [(1usize, 1usize), (3, 8), (8, 3), (5, 0)] {
-            let a = unpacked(40, &rng.columns(40, na, 25));
-            let b = unpacked(40, &rng.columns(40, nb, 40));
-            let prefill: Vec<u64> = (0..na * nb).map(|x| 100 + x as u64).collect();
-            let mut out = DenseMatrix::from_vec(na, nb, prefill.clone()).unwrap();
-            let ops =
-                atb_block_dense::<PlusTimes<u64>>(&a.to_csc(), &b.to_csr(), &mut out).unwrap();
-            let (a_rows, b_rows) = (a.to_csr(), b.to_csr());
-            let products: u64 =
-                (0..40).map(|k| (a_rows.row_nnz(k) * b_rows.row_nnz(k)) as u64).sum();
-            assert_eq!(ops, products, "{na} x {nb}");
-            let (a_dense, b_dense) = (a_rows.to_dense(), b_rows.to_dense());
-            for i in 0..na {
-                for j in 0..nb {
-                    let dot: u64 = (0..40).map(|k| a_dense.get(k, i) * b_dense.get(k, j)).sum();
-                    assert_eq!(out.get(i, j), prefill[i * nb + j] + dot, "{na} x {nb}");
+        let shapes = [(1usize, 1usize), (3, 8), (8, 3), (5, 0), (0, 4), (9, 33), (33, 130)];
+        let (mut tiled_side, mut gustavson_side) = (0, 0);
+        for (na, nb) in shapes {
+            // A block without rows or columns skips the long inputs.
+            let counts = if na * nb == 0 { vec![1, 70] } else { word_row_counts(nb).to_vec() };
+            for word_rows in counts {
+                for (f, permille) in FILLS.into_iter().enumerate() {
+                    // `B`'s fill sets the guard's ratio; `A`'s varies apart.
+                    let a_permille = FILLS[(f + word_rows) % FILLS.len()].max(20);
+                    let ctx = format!("{na} x {nb}, {word_rows} word rows at {permille} ‰");
+                    let nrows = 64 * word_rows;
+                    let mut columns = word_columns(&mut rng, word_rows, na, a_permille);
+                    columns.extend(word_columns(&mut rng, word_rows, nb, permille));
+                    if nb > 2 {
+                        columns[na + nb / 2].clear();
+                    }
+                    let a = BitMatrix::from_columns(nrows, &columns[..na]).unwrap();
+                    let b = BitMatrix::from_columns(nrows, &columns[na..]).unwrap();
+                    let (a_csc, b_csr) = (a.as_csc(), b.to_csr());
+                    // The oracle: the off-diagonal block of `[A B]ᵀ[A B]`.
+                    let joint = ata_dense::<PlusTimes<u64>>(&unpacked(nrows, &columns).to_csr());
+                    let prefill: Vec<u64> = (0..na * nb).map(|x| 100 + x as u64).collect();
+                    let want: Vec<u64> =
+                        (0..na * nb).map(|x| prefill[x] + joint.get(x / nb, na + x % nb)).collect();
+                    let mut out = DenseMatrix::from_vec(na, nb, prefill.clone()).unwrap();
+                    let ops = atb_block_dense::<PopcountAnd>(a_csc, &b_csr, &mut out).unwrap();
+                    let a_csr = a.to_csr();
+                    let products: usize =
+                        (0..word_rows).map(|k| a_csr.row_nnz(k) * b_csr.row_nnz(k)).sum();
+                    assert_eq!(ops, products as u64, "{ctx}");
+                    assert_eq!(out.as_slice(), want, "{ctx}");
+                    for tiles in [None, TILED] {
+                        let mut body = prefill.clone();
+                        atb_rows::<PopcountAnd>(a_csc, &b_csr, &mut body, tiles);
+                        assert_eq!(body, want, "{ctx}, tiles: {tiles:?}");
+                    }
+                    if a.nnz_words() * nb <= 8 * products {
+                        tiled_side += 1;
+                    } else {
+                        gustavson_side += 1;
+                    }
                 }
             }
         }
+        assert!(tiled_side > 0 && gustavson_side > 0, "{tiled_side} / {gustavson_side}");
+        // `PlusTimes` has no absent value: the Gustavson body, always.
+        let columns = rng.columns(40, 11, 30);
+        let joint = ata_dense::<PlusTimes<u64>>(&unpacked(40, &columns).to_csr());
+        let (a, b) = (unpacked(40, &columns[..3]), unpacked(40, &columns[3..]).to_csr());
+        let mut out = DenseMatrix::<u64>::zeros(3, 8);
+        let ops = atb_block_dense::<PlusTimes<u64>>(&a, &b, &mut out).unwrap();
+        let a_rows = a.to_csr();
+        let products: usize = (0..40).map(|k| a_rows.row_nnz(k) * b.row_nnz(k)).sum();
+        assert_eq!(ops, products as u64);
+        assert!((0..24).all(|x| out.get(x / 8, x % 8) == joint.get(x / 8, 3 + x % 8)));
+    }
+
+    #[test]
+    fn tiles_hold_at_most_32_kib_unless_one_row_is_wider() {
+        for width in [1usize, 3, 130, 352, 4096, 4097, 100_000] {
+            let h = tile_height::<u64>(width);
+            assert!(h >= 1);
+            assert!(h == 1 || h * width * 8 <= TILE_BYTES, "width {width}");
+            assert!((h + 1) * width * 8 > TILE_BYTES, "width {width}");
+        }
+        assert_eq!(tile_height::<u64>(352), 11);
     }
 
     #[test]

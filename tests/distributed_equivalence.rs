@@ -221,6 +221,39 @@ fn hypersparse_batches_equal_shared_memory_with_and_without_the_filter() {
     }
 }
 
+#[test]
+fn flop_charge_and_wire_bytes_are_pinned_across_the_grid() {
+    // (p, c, total_flops, max_flops, total_bytes_sent). Most of the flops
+    // are the γ charge `DistAta` books per SUMMA step — the Gustavson
+    // product count `Σ_k nnz_A(k)·nnz_B(k)` of each block — and the rest
+    // the reductions' element counts: none may move with the kernel body
+    // that multiplies a block.
+    const PINNED: [(usize, usize, u64, u64, u64); 8] = [
+        (1, 1, 32_294, 32_294, 0),
+        (4, 1, 32_954, 8_430, 39_960),
+        (4, 2, 33_978, 8_996, 41_416),
+        (6, 1, 33_394, 5_777, 62_916),
+        (6, 2, 34_418, 6_125, 63_440),
+        (8, 1, 33_834, 4_558, 81_872),
+        (8, 2, 34_858, 4_829, 68_056),
+        (9, 1, 34_054, 4_189, 83_736),
+    ];
+    let collection = workload(1, 32);
+    for (p, c, total_flops, max_flops, bytes) in PINNED {
+        let config = SimilarityConfig::with_batches(2).with_replication(c);
+        assert!(config.use_zero_row_filter);
+        let summary =
+            similarity_at_scale_distributed(&collection, &config, p, &Machine::laptop()).unwrap();
+        assert_eq!(summary.grid_dims[2], c, "p={p}: c={c} is a divisor");
+        let got = summary.aggregate;
+        assert_eq!(
+            (got.total_flops, got.max_flops, got.total_bytes_sent),
+            (total_flops, max_flops, bytes),
+            "p={p}, c={c}"
+        );
+    }
+}
+
 /// Bytes all `p` ranks send while each runs `f`.
 fn bytes_sent(p: usize, f: impl Fn(&mut RankCtx) + Send + Sync) -> u64 {
     Runtime::new(p).run(f).unwrap().aggregate().total_bytes_sent
