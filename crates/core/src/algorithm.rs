@@ -95,12 +95,15 @@ pub fn similarity_at_scale_with_stats(
     for (l, (lo, hi)) in plan.iter().enumerate() {
         let batch_start = Instant::now();
         let columns = collection.batch_columns_all(lo, hi);
+        let nnz = columns.iter().map(|col| col.len() as u64).sum();
         let (prepared, filter) = prepare_batch(
             (hi - lo) as usize,
             &columns,
             config.use_zero_row_filter,
             config.use_bitmask,
         )?;
+        // Packed: the lists are dead weight under the kernel.
+        drop(columns);
         for (i, c) in prepared.col_cardinalities().into_iter().enumerate() {
             cardinalities[i] += c;
         }
@@ -114,7 +117,7 @@ pub fn similarity_at_scale_with_stats(
         batches.push(BatchStats {
             batch: l,
             rows: (lo, hi),
-            nnz: collection.batch_nnz(lo, hi),
+            nnz,
             nonzero_rows: filter.num_nonzero_rows(),
             stored_entries: prepared.stored_entries(),
             seconds: batch_start.elapsed().as_secs_f64(),
@@ -217,7 +220,9 @@ pub fn similarity_at_scale_distributed(
             // block into a packed bitmap; the OR-allreduce makes the
             // union filter available everywhere (the paper's
             // accumulate-write formulation). With the filter disabled the
-            // batch is packed as-is.
+            // batch is packed as-is. Renumbering and packing stay two
+            // steps here (not `BitMatrix::from_filtered_columns`): the perf
+            // ledger's phase-by-phase replay of this driver times them apart.
             let (nrows, left_f, right_f, key) = if use_filter {
                 let local_rows: Vec<usize> = right_columns.iter().flatten().copied().collect();
                 ctx.add_mem_traffic((local_rows.len() * std::mem::size_of::<u64>()) as u64);

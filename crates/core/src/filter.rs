@@ -7,10 +7,16 @@
 //! surviving rows contiguously via a prefix sum. This module provides the
 //! shared-memory filter; the distributed variant (built on the simulated
 //! runtime's collectives) lives in `gas_sparse::dist::filter`, as does
-//! [`RowFilter`] itself: its rank directory makes the renumbering in
-//! [`apply_filter`] one popcount per entry wherever a bitmap over the
-//! batch is no larger than the survivor list (a hypersparse batch over
-//! the k-mer universe keeps the `O(survivors)` binary search).
+//! [`RowFilter`] itself: its rank directory makes renumbering one
+//! popcount per entry wherever a bitmap over the batch is no larger than
+//! the survivor list (a hypersparse batch over the k-mer universe keeps
+//! the `O(survivors)` binary search).
+//!
+//! On the paper's default path renumbering happens inside packing:
+//! [`crate::mask::prepare_batch`] hands the filter to
+//! `BitMatrix::from_filtered_columns`, which never builds the renumbered
+//! lists. [`apply_filter`] builds them, and remains for the unmasked
+//! ablation and the distributed driver.
 
 use gas_sparse::bitmat::WORD_BITS;
 pub use gas_sparse::dist::filter::RowFilter;
@@ -58,6 +64,7 @@ pub fn apply_filter(columns: &[Vec<usize>], filter: &RowFilter) -> Vec<Vec<usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gas_sparse::bitmat::BitMatrix;
 
     #[test]
     fn filter_collects_union_of_rows() {
@@ -121,17 +128,35 @@ mod tests {
         assert_eq!(batch_row_filter(6400, &[vec![1, 6400]]).nonzero_rows(), &[1]);
     }
 
+    /// `from_filtered_columns` is `from_columns` over `apply_filter`'s
+    /// lists; returns whether `filter` keeps a rank directory.
+    fn fused_equals_two_step(columns: &[Vec<usize>], filter: &RowFilter) -> bool {
+        let two_step =
+            BitMatrix::from_columns(filter.num_nonzero_rows(), &apply_filter(columns, filter))
+                .unwrap();
+        let ctx = format!("{} of {} rows", filter.num_nonzero_rows(), filter.batch_rows());
+        assert_eq!(BitMatrix::from_filtered_columns(columns, filter).unwrap(), two_step, "{ctx}");
+        filter.batch_rows().div_ceil(WORD_BITS) <= filter.num_nonzero_rows()
+    }
+
     #[test]
     fn renumbering_is_the_rank_among_the_survivors_however_the_filter_was_built() {
+        use crate::mask::{prepare_batch, PreparedBatch};
         use crate::minhash::splitmix64;
+        // Which side of the density guard each filter fell on.
+        let mut directories = [0usize; 2];
         // Per batch: entries drawn per column. 6400 rows are 100 words,
         // so 3 × 20 entries sort, 3 × 60 build the bitmap and keep it as
         // the directory, and 3 × 34 build the bitmap but — with under 100
-        // distinct rows — fall back to the list.
-        for (batch_rows, per_column) in [(6400usize, 20usize), (6400, 60), (6400, 34), (64, 9)] {
-            let columns: Vec<Vec<usize>> = (0..3u64)
+        // distinct rows — fall back to the list. 1000 and 70 rows end in a
+        // partial word; 70 rows drawn 300 times per column keep them all.
+        for (batch_rows, per_column) in
+            [(6400usize, 20usize), (6400, 60), (6400, 34), (64, 9), (1000, 40), (70, 300)]
+        {
+            // The fourth column is empty.
+            let columns: Vec<Vec<usize>> = (0..4u64)
                 .map(|j| {
-                    let mut col: Vec<usize> = (0..per_column as u64)
+                    let mut col: Vec<usize> = (0..per_column as u64 * u64::from(j < 3))
                         .map(|i| splitmix64(j << 32 | i) as usize % batch_rows)
                         .collect();
                     col.sort_unstable();
@@ -154,17 +179,43 @@ mod tests {
             assert_eq!(apply_filter(&columns, &filter), expected);
             assert_eq!(apply_filter(&columns, &listed), expected);
             assert_eq!(filter.nonzero_rows(), survivors);
-            // A narrower filter drops what it does not keep.
-            let narrow =
-                RowFilter::from_local(batch_rows, survivors[..survivors.len() / 2].to_vec());
-            for (col, kept) in columns.iter().zip(apply_filter(&columns, &narrow)) {
-                let under: Vec<usize> = col
-                    .iter()
-                    .filter_map(|r| narrow.nonzero_rows().binary_search(r).ok())
-                    .collect();
-                assert_eq!(kept, under);
+            // A narrower filter drops what it does not keep: half the
+            // survivors (under the density guard) or all but two (on the
+            // directory side whenever the full filter is).
+            let half = RowFilter::from_local(batch_rows, survivors[..survivors.len() / 2].to_vec());
+            let all_but_two = RowFilter::from_local(batch_rows, survivors[2..].to_vec());
+            for narrow in [&half, &all_but_two] {
+                for (col, kept) in columns.iter().zip(apply_filter(&columns, narrow)) {
+                    let under: Vec<usize> = col
+                        .iter()
+                        .filter_map(|r| narrow.nonzero_rows().binary_search(r).ok())
+                        .collect();
+                    assert_eq!(kept, under);
+                }
             }
+            // The fused packer equals the two-step path under every one of
+            // them, and under the identity filter.
+            let identity = RowFilter::from_local(batch_rows, (0..batch_rows).collect());
+            for f in [&filter, &listed, &half, &all_but_two, &identity] {
+                directories[usize::from(fused_equals_two_step(&columns, f))] += 1;
+            }
+            // So does `prepare_batch`, bit for bit.
+            let (prepared, prepared_filter) =
+                prepare_batch(batch_rows, &columns, true, true).unwrap();
+            let two_step =
+                BitMatrix::from_columns(survivors.len(), &apply_filter(&columns, &filter)).unwrap();
+            assert_eq!(prepared, PreparedBatch::Masked(two_step));
+            assert_eq!(prepared_filter, filter);
         }
+        assert!(directories.iter().all(|&n| n >= 4), "both sides of the guard: {directories:?}");
+        // A source word whose survivors straddle two output words: rows
+        // 0..60 survive, then ten rows of the second word renumber to
+        // 60..70, across the output word boundary at 64.
+        let columns: Vec<Vec<usize>> = vec![(0..60).step_by(3).collect(), (64..74).collect()];
+        let straddling = batch_row_filter(200, &[(0..60).collect(), (64..74).collect()]);
+        assert!(fused_equals_two_step(&columns, &straddling));
+        let packed = BitMatrix::from_filtered_columns(&columns, &straddling).unwrap();
+        assert_eq!(packed.as_csc().col(1).map(|(w, _)| w).collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]

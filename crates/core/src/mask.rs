@@ -5,9 +5,14 @@
 //! `⌈rows/b⌉` word rows and one column per sample, and the matrix product
 //! runs over the popcount-AND semiring. We use `b = 64` (the paper
 //! discusses `b = 32` or `64`).
+//!
+//! On the masked path [`prepare_batch`] renumbers while it packs:
+//! [`BitMatrix::from_filtered_columns`] takes each row's compacted index
+//! from the filter and ORs it straight into its word, so the filtered
+//! column lists are never built. The unmasked ablation renumbers through
+//! [`apply_filter`] first.
 
 use gas_sparse::bitmat::BitMatrix;
-use gas_sparse::coo::CooMatrix;
 use gas_sparse::csc::CscMatrix;
 use gas_sparse::csr::CsrMatrix;
 
@@ -60,39 +65,52 @@ impl PreparedBatch {
 /// Filter and pack one batch given its per-sample column lists
 /// (batch-local row indices). Returns the prepared batch together with the
 /// filter that was applied (for diagnostics).
+///
+/// Every column must list rows below `batch_rows` in strictly increasing
+/// order, whatever the settings: a column that does not is refused with
+/// the same [`gas_sparse::SparseError`] under all four.
 pub fn prepare_batch(
     batch_rows: usize,
     columns: &[Vec<usize>],
     use_filter: bool,
     use_bitmask: bool,
 ) -> CoreResult<(PreparedBatch, RowFilter)> {
-    let renumbered;
-    let (filter, filtered) = if use_filter {
-        let filter = batch_row_filter(batch_rows, columns);
-        renumbered = apply_filter(columns, &filter);
-        (filter, renumbered.as_slice())
+    let filter = if use_filter {
+        batch_row_filter(batch_rows, columns)
     } else {
-        (RowFilter::from_local(batch_rows, (0..batch_rows).collect()), columns)
+        RowFilter::from_local(batch_rows, (0..batch_rows).collect())
     };
-    let rows = filter.num_nonzero_rows();
     if use_bitmask {
-        let bm = BitMatrix::from_columns(rows, filtered)?;
-        Ok((PreparedBatch::Masked(bm), filter))
-    } else {
-        let mut coo = CooMatrix::<u64>::with_capacity(
-            rows.max(1),
-            filtered.len(),
-            filtered.iter().map(|c| c.len()).sum(),
-        );
-        for (j, col) in filtered.iter().enumerate() {
-            for &r in col {
-                coo.push(r, j, 1)?;
-            }
-        }
-        let csc = coo.to_csc();
-        let csr = coo.to_csr();
-        Ok((PreparedBatch::Unmasked { csc, csr }, filter))
+        let bm = BitMatrix::from_filtered_columns(columns, &filter)?;
+        return Ok((PreparedBatch::Masked(bm), filter));
     }
+    // The packer's column check, on the source columns before the filter
+    // may drop an out-of-range row. Only a column that fails it pays for
+    // the packer, whose error is the one returned.
+    let valid = |col: &Vec<usize>| {
+        col.windows(2).all(|w| w[0] < w[1]) && col.last().is_none_or(|&r| r < batch_rows)
+    };
+    if !columns.iter().all(valid) {
+        BitMatrix::from_columns(batch_rows, columns)?;
+    }
+    let renumbered;
+    let (nrows, rows) = if use_filter {
+        renumbered = apply_filter(columns, &filter);
+        (filter.num_nonzero_rows(), renumbered.as_slice())
+    } else {
+        (batch_rows, columns)
+    };
+    let mut indptr = Vec::with_capacity(rows.len() + 1);
+    indptr.push(0);
+    let mut indices = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+    for col in rows {
+        indices.extend_from_slice(col);
+        indptr.push(indices.len());
+    }
+    let data = vec![1u64; indices.len()];
+    let csc = CscMatrix::from_raw_parts(nrows, rows.len(), indptr, indices, data)?;
+    let csr = csc.to_csr();
+    Ok((PreparedBatch::Unmasked { csc, csr }, filter))
 }
 
 #[cfg(test)]
@@ -159,6 +177,32 @@ mod tests {
         let (unfiltered, _) = prepare_batch(100_000, &columns(), false, false).unwrap();
         assert!(masked.kernel_rows() < unfiltered.kernel_rows());
         assert!(masked.stored_entries() <= unfiltered.stored_entries());
+    }
+
+    #[test]
+    fn every_setting_refuses_a_bad_column_with_the_same_error() {
+        use crate::error::CoreError;
+        use gas_sparse::SparseError;
+        // A row past the batch (the filter would have clipped it), and a
+        // column that does not ascend (the filter would have sorted it).
+        let out_of_range = SparseError::IndexOutOfBounds { row: 12, col: 1, nrows: 10, ncols: 2 };
+        let descending = SparseError::ShapeMismatch {
+            context: "column 1 row indices must be strictly increasing (8 then 4)".into(),
+        };
+        for (columns, expected) in
+            [(vec![vec![1], vec![3, 12]], out_of_range), (vec![vec![1], vec![8, 4]], descending)]
+        {
+            for (use_filter, use_bitmask) in
+                [(true, true), (true, false), (false, true), (false, false)]
+            {
+                match prepare_batch(10, &columns, use_filter, use_bitmask) {
+                    Err(CoreError::Sparse(e)) => {
+                        assert_eq!(e, expected, "{use_filter}, {use_bitmask}")
+                    }
+                    other => panic!("{use_filter}, {use_bitmask}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

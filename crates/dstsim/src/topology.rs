@@ -36,7 +36,7 @@ impl ProcessorGrid {
             return Err(SimError::InvalidGrid("grid must have at least one rank".to_string()));
         }
         let mut rows = (p as f64).sqrt().floor() as usize;
-        while rows > 1 && p % rows != 0 {
+        while rows > 1 && !p.is_multiple_of(rows) {
             rows -= 1;
         }
         let cols = p / rows.max(1);
@@ -68,7 +68,7 @@ impl ProcessorGrid {
         }
         let mut c = c.clamp(1, p);
         loop {
-            if p % c == 0 {
+            if p.is_multiple_of(c) {
                 let layer = p / c;
                 let s = (layer as f64).sqrt().round() as usize;
                 if s * s == layer {
@@ -95,7 +95,7 @@ impl ProcessorGrid {
         }
         let mut r = (n as f64).sqrt().floor() as usize;
         // Guard against floating-point rounding at perfect squares.
-        while r > 1 && (r * r > n || n % r != 0) {
+        while r > 1 && (r * r > n || !n.is_multiple_of(r)) {
             r -= 1;
         }
         let r = r.max(1);
@@ -113,7 +113,7 @@ impl ProcessorGrid {
             return Err(SimError::InvalidGrid("grid must have at least one rank".to_string()));
         }
         let mut c = c.clamp(1, p);
-        while c > 1 && p % c != 0 {
+        while c > 1 && !p.is_multiple_of(c) {
             c -= 1;
         }
         let (r, q) = Self::balanced_rect(p / c)?;

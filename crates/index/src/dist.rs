@@ -1950,7 +1950,7 @@ mod tests {
     fn mixed_placement(segments: usize, seed: usize) -> Vec<SegmentPlacement> {
         (0..segments)
             .map(|i| {
-                if (i + seed) % 2 == 0 {
+                if (i + seed).is_multiple_of(2) {
                     SegmentPlacement::Replicated
                 } else {
                     SegmentPlacement::Sharded

@@ -41,7 +41,7 @@ impl LshParams {
             return Err(IndexError::InvalidConfig("signature length must be positive".into()));
         }
         Ok((1..=signature_len)
-            .filter(|rows| signature_len % rows == 0)
+            .filter(|rows| signature_len.is_multiple_of(*rows))
             .map(|rows| LshParams { bands: signature_len / rows, rows })
             .collect())
     }

@@ -496,7 +496,11 @@ mod tests {
                     let mut dead: Vec<u32> = want
                         .chunk_by(|a, b| a / 64 == b / 64)
                         .flat_map(|word| [word[0], word[word.len() - 1]])
-                        .chain(want.iter().copied().filter(|&l| splitmix64(l as u64) % 5 == 0))
+                        .chain(
+                            want.iter()
+                                .copied()
+                                .filter(|&l| splitmix64(l as u64).is_multiple_of(5)),
+                        )
                         .collect();
                     dead.sort_unstable();
                     let live = |local: u32| dead.binary_search(&local).is_err();

@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
+use crate::dist::filter::RowFilter;
 use crate::error::{SparseError, SparseResult};
 
 /// Number of rows packed into one machine word.
@@ -101,7 +102,7 @@ pub fn bitmap_count_ones(words: &[u64]) -> u64 {
 
 /// The error of the first entry of column `j` that is out of bounds or
 /// not above its predecessor, in entry order (the column failed
-/// [`BitMatrix::from_columns`]'s validating pass).
+/// [`BitMatrix::pack`]'s validating pass).
 fn first_column_error(j: usize, rows: &[usize], nrows: usize, ncols: usize) -> SparseError {
     let mut last_row: Option<usize> = None;
     for &r in rows {
@@ -137,6 +138,37 @@ impl BitMatrix {
     /// `columns[j]` lists the rows set in column `j`, in strictly
     /// increasing order.
     pub fn from_columns(nrows: usize, columns: &[Vec<usize>]) -> SparseResult<Self> {
+        BitMatrix::pack(nrows, nrows, columns, Some)
+    }
+
+    /// Filter, renumber and pack a batch in one pass (Eqs. 5–7): row `r`
+    /// of `columns` becomes row `filter.compacted_index(r)` of a matrix
+    /// with `filter.num_nonzero_rows()` rows, and rows the filter removed
+    /// are dropped — the same matrix as [`BitMatrix::from_columns`] over
+    /// the renumbered lists, without building them.
+    ///
+    /// `columns` is checked as `from_columns` checks it, against the
+    /// filter's source extent `filter.batch_rows()`. A filter that keeps
+    /// every row packs the columns as given.
+    pub fn from_filtered_columns(columns: &[Vec<usize>], filter: &RowFilter) -> SparseResult<Self> {
+        let (source_rows, nrows) = (filter.batch_rows(), filter.num_nonzero_rows());
+        if nrows == source_rows {
+            return BitMatrix::pack(source_rows, nrows, columns, Some);
+        }
+        BitMatrix::pack(source_rows, nrows, columns, |r| filter.compacted_index(r))
+    }
+
+    /// The packer behind both constructors: every column must ascend
+    /// strictly below `source_rows`; `renumber` maps a source row to its
+    /// row of the `nrows`-row output, or `None` to drop it, and must be
+    /// monotone so the packed words ascend without a second check.
+    #[inline(always)]
+    fn pack(
+        source_rows: usize,
+        nrows: usize,
+        columns: &[Vec<usize>],
+        mut renumber: impl FnMut(usize) -> Option<usize>,
+    ) -> SparseResult<Self> {
         let word_rows = nrows.div_ceil(WORD_BITS);
         let ncols = columns.len();
         // A column stores at most one word per entry and per word row.
@@ -144,41 +176,36 @@ impl BitMatrix {
         let capacity = entries.min(ncols.saturating_mul(word_rows));
         let mut indptr = Vec::with_capacity(ncols + 1);
         indptr.push(0usize);
-        let mut indices = Vec::with_capacity(capacity);
-        let mut data = Vec::with_capacity(capacity);
+        let mut indices = vec![0usize; capacity];
+        let mut data = vec![0u64; capacity];
+        // Words stored so far; the last of them is the open one.
+        let mut stored = 0usize;
         for (j, rows) in columns.iter().enumerate() {
             // Validate without branching on the entries: a strictly
             // ascending column is in bounds iff its last row is.
             let ascending = rows.windows(2).fold(true, |ok, w| ok & (w[0] < w[1]));
-            if !ascending || rows.last().is_some_and(|&r| r >= nrows) {
-                return Err(first_column_error(j, rows, nrows, ncols));
+            if !ascending || rows.last().is_some_and(|&r| r >= source_rows) {
+                return Err(first_column_error(j, rows, source_rows, ncols));
             }
-            let mut rest = rows.iter();
-            if let Some(&first) = rest.next() {
-                let (mut word, mut mask) = (first / WORD_BITS, 1u64 << (first % WORD_BITS));
-                for &r in rest {
-                    if r / WORD_BITS != word {
-                        indices.push(word);
-                        data.push(mask);
-                        (word, mask) = (r / WORD_BITS, 0);
-                    }
-                    mask |= 1u64 << (r % WORD_BITS);
-                }
-                indices.push(word);
-                data.push(mask);
+            // Pack without branching on word boundaries either (a k-mer
+            // batch crosses one every few entries, at random): every entry
+            // rewrites the open word, and a new word index opens the next.
+            let (mut word, mut mask) = (usize::MAX, 0u64);
+            for r in rows.iter().filter_map(|&r| renumber(r)) {
+                let opens = usize::from(r / WORD_BITS != word);
+                stored += opens;
+                mask &= (opens as u64).wrapping_sub(1);
+                mask |= 1u64 << (r % WORD_BITS);
+                word = r / WORD_BITS;
+                indices[stored - 1] = word;
+                data[stored - 1] = mask;
             }
-            indptr.push(indices.len());
+            indptr.push(stored);
         }
+        indices.truncate(stored);
+        data.truncate(stored);
         let words = CscMatrix::from_raw_parts(word_rows, ncols, indptr, indices, data)?;
         Ok(BitMatrix { words, orig_rows: nrows })
-    }
-
-    /// Pack an existing boolean CSC matrix (any nonzero value counts as
-    /// "present").
-    pub fn from_csc_bool<T: Copy>(csc: &CscMatrix<T>) -> SparseResult<Self> {
-        let columns: Vec<Vec<usize>> =
-            (0..csc.ncols()).map(|j| csc.col(j).map(|(r, _)| r).collect()).collect();
-        BitMatrix::from_columns(csc.nrows(), &columns)
     }
 
     /// Number of boolean rows before packing.
@@ -448,15 +475,43 @@ mod tests {
     }
 
     #[test]
-    fn from_csc_bool_matches_from_columns() {
-        let csc =
-            crate::coo::CooMatrix::from_triples(130, 2, vec![(0, 0, 1u8), (65, 0, 1), (129, 1, 1)])
-                .unwrap()
-                .to_csc();
-        let bm = BitMatrix::from_csc_bool(&csc).unwrap();
-        let direct = BitMatrix::from_columns(130, &[vec![0, 65], vec![129]]).unwrap();
-        assert_eq!(bm, direct);
-        assert_eq!(bm.word_rows(), 3);
+    fn packed_words_equal_a_dense_bitmap_per_column() {
+        let mut rng = Rng(30);
+        // Sparse to full columns, one word row to many, and a ragged tail.
+        for (nrows, ncols, percent) in
+            [(1usize, 2usize, 50usize), (64, 3, 100), (700, 5, 2), (700, 5, 40)]
+        {
+            let columns = rng.columns(nrows, ncols, percent);
+            let bm = BitMatrix::from_columns(nrows, &columns).unwrap();
+            for (j, rows) in columns.iter().enumerate() {
+                let dense = pack_row_bitmap(nrows, rows);
+                let stored: Vec<(usize, u64)> =
+                    dense.into_iter().enumerate().filter(|&(_, w)| w != 0).collect();
+                assert_eq!(bm.as_csc().col(j).collect::<Vec<_>>(), stored, "{nrows} rows, {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn filtered_columns_are_checked_against_the_source_extent() {
+        // Rows 0..10 of which 2 and 7 survive: row 7 is in range for the
+        // source but not for the two-row output, and row 12 is in neither.
+        let filter = RowFilter::from_local(10, vec![2, 7]);
+        let bm = BitMatrix::from_filtered_columns(&[vec![2, 7], vec![3, 7]], &filter).unwrap();
+        assert_eq!(bm, BitMatrix::from_columns(2, &[vec![0, 1], vec![1]]).unwrap());
+        let err = |columns: &[Vec<usize>]| {
+            BitMatrix::from_filtered_columns(columns, &filter).unwrap_err()
+        };
+        assert_eq!(
+            err(&[vec![2], vec![2, 12]]),
+            SparseError::IndexOutOfBounds { row: 12, col: 1, nrows: 10, ncols: 2 }
+        );
+        assert_eq!(
+            err(&[vec![7, 2]]),
+            SparseError::ShapeMismatch {
+                context: "column 0 row indices must be strictly increasing (7 then 2)".into()
+            }
+        );
     }
 
     #[test]

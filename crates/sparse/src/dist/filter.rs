@@ -21,6 +21,8 @@
 //! sorted survivors where they are not — see [`RowFilter`] for the guard
 //! and why it is about memory. The survivors are listed as indices only
 //! for a caller that asks ([`RowFilter::nonzero_rows`]).
+//! [`BitMatrix::from_filtered_columns`](crate::bitmat::BitMatrix::from_filtered_columns)
+//! calls it while it packs.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};

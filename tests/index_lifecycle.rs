@@ -42,7 +42,7 @@ fn corpora() -> impl Strategy<Value = Vec<Vec<u64>>> {
 /// ids, never all of them (a fresh build needs a non-empty corpus).
 fn pick_deletes(n: usize, seed: u64) -> Vec<u32> {
     let mut deletes: Vec<u32> = (0..n as u32)
-        .filter(|&id| genomeatscale::core::minhash::splitmix64(id as u64 ^ seed) % 4 == 0)
+        .filter(|&id| genomeatscale::core::minhash::splitmix64(id as u64 ^ seed).is_multiple_of(4))
         .collect();
     if deletes.len() == n {
         deletes.pop();
@@ -527,7 +527,7 @@ fn service_stress_commits_compactions_and_paged_queries_stay_serializable() {
                         tiled, one_shot.hits,
                         "pages must tile their pinned snapshot's ranking under concurrency"
                     );
-                    if iter % 5 == 0 {
+                    if iter.is_multiple_of(5) {
                         sampled.lock().unwrap().push(reader);
                     }
                     iter += 1;

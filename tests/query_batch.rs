@@ -70,7 +70,7 @@ proptest! {
         }
         writer.commit().unwrap();
         for id in 0..samples.len() as u32 - 1 {
-            if genomeatscale::core::minhash::splitmix64(u64::from(id) ^ delete_seed) % 4 == 0 {
+            if genomeatscale::core::minhash::splitmix64(u64::from(id) ^ delete_seed).is_multiple_of(4) {
                 writer.delete(id).unwrap();
             }
         }
