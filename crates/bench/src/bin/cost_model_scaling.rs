@@ -81,7 +81,7 @@ fn main() {
     // Fit the machine parameters from the measured per-rank reports and
     // write them to `results/machine_params.{json,csv}` for inspection;
     // no program reads the file (a placement caller that wants measured
-    // α/β/γ passes the fit to `MachineParams::from_cost_model`). The
+    // α/β/γ passes the fitted `CostModel` to `plan_placement`). The
     // simulator charges time from the preset machine, so the fit
     // recovering finite non-negative parameters is the gate, not a
     // tolerance on the values themselves.

@@ -50,16 +50,20 @@ impl CostModel {
         }
     }
 
-    /// Validate that parameters are non-negative and ordered sensibly.
+    /// Validate that α, β, γ are finite and non-negative, and that the
+    /// memory per rank and the streaming bandwidth are positive (an
+    /// infinite bandwidth, as in [`Self::zero`], is allowed).
     pub fn validate(&self) -> Result<(), crate::error::SimError> {
-        if !(self.alpha >= 0.0 && self.beta >= 0.0 && self.gamma >= 0.0) {
-            return Err(crate::error::SimError::InvalidConfig(
-                "alpha, beta, gamma must be non-negative".to_string(),
-            ));
+        for (name, v) in [("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(crate::error::SimError::InvalidConfig(format!(
+                    "{name} must be finite and non-negative (got {v})"
+                )));
+            }
         }
-        if self.stream_bw <= 0.0 {
+        if self.mem_per_rank == 0 || self.stream_bw.is_nan() || self.stream_bw <= 0.0 {
             return Err(crate::error::SimError::InvalidConfig(
-                "stream_bw must be positive".to_string(),
+                "mem_per_rank and stream_bw must be positive".to_string(),
             ));
         }
         Ok(())
@@ -357,12 +361,23 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_parameters() {
-        let mut m = CostModel::default();
-        assert!(m.validate().is_ok());
-        m.alpha = -1.0;
-        assert!(m.validate().is_err());
-        let m = CostModel { stream_bw: 0.0, ..CostModel::default() };
-        assert!(m.validate().is_err());
+        assert!(CostModel::default().validate().is_ok());
+        // Infinite streaming bandwidth and unbounded memory are valid.
+        assert!(CostModel::zero().validate().is_ok());
+        let d = CostModel::default();
+        let bad = [
+            CostModel { alpha: -1.0, ..d },
+            CostModel { stream_bw: 0.0, ..d },
+            CostModel { stream_bw: f64::NAN, ..d },
+            CostModel { alpha: f64::INFINITY, ..d },
+            CostModel { beta: f64::INFINITY, ..d },
+            CostModel { gamma: f64::INFINITY, ..d },
+            CostModel { beta: f64::NAN, ..d },
+            CostModel { mem_per_rank: 0, ..d },
+        ];
+        for m in bad {
+            assert!(m.validate().is_err(), "{m:?}");
+        }
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //! first alive one serves, survivors regroup) and mixed placement
 //! ([`install_placement`]: every rank also holds the segments a plan
 //! replicates in full) are three values of that one type, and compose.
+//! [`plan_placement`] picks a mixed placement from the probe heat each
+//! segment reports, priced against the α–β–γ [`CostModel`].
 //!
 //! One batched round is a **constant number of collectives, no matter
 //! how many segments the snapshot holds or which layout serves it** —
@@ -67,6 +69,7 @@ use std::collections::BTreeMap;
 use gas_core::indicator::SampleCollection;
 use gas_core::minhash::{signature_agreement, MinHashSignature};
 use gas_dstsim::comm::Communicator;
+use gas_dstsim::cost::CostModel;
 use gas_dstsim::SimError;
 use serde::{Deserialize, Serialize};
 
@@ -76,7 +79,7 @@ use crate::query::{
     finalize, live_candidates_by_segment, lsh_top_by, merge_scored_sources, page_cut, Neighbor,
     PageRequest, QueryOptions, QueryPage, Scored,
 };
-use crate::segment::Segment;
+use crate::segment::{Segment, SegmentStats};
 
 /// The slot holding `band`'s bucket tables among `nranks` slots:
 /// round-robin over the band index. Band *keys* are already uniform
@@ -242,9 +245,9 @@ impl ReaderShards {
 }
 
 /// How one segment of a snapshot is served under a mixed placement
-/// ([`install_placement`]). The planner (`gas-plan`) prices both
-/// strategies per segment against the α–β–γ machine model and observed
-/// probe heat; the serving path here only *executes* the decision.
+/// ([`install_placement`]). [`plan_placement`] prices both strategies
+/// per segment against the α–β–γ machine model and observed probe heat;
+/// the serving path only *executes* the decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SegmentPlacement {
     /// Every rank holds the segment's full signature matrix (installed
@@ -1135,6 +1138,144 @@ pub fn dist_query_reader_batch_replicated(
     execute(&survivors, reader, collection, queries, opts, &layout)
 }
 
+/// Batches a replica stays valid before churn, for segments without an
+/// explicit [residency](SegmentObservation::with_residency).
+const DEFAULT_RESIDENCY_BATCHES: f64 = 64.0;
+
+/// Fraction of per-rank memory ([`CostModel::mem_per_rank`]) the
+/// replicas of one placement may occupy.
+const REPLICA_MEM_FRACTION: f64 = 0.5;
+
+/// Observed serving signal for one segment — size and probe heat, both
+/// from one [`IndexReader::segment_stats`] entry — plus the batches that
+/// heat covers: what [`plan_placement`] prices.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SegmentObservation {
+    /// Segment id (stable across commits and placements).
+    pub segment_id: u64,
+    /// Stored rows — what a replica install ships.
+    pub rows: usize,
+    /// Probe calls that hit this segment (one per query per batch).
+    pub probes: u64,
+    /// Candidate rows those probes produced — the segment's fetch traffic.
+    pub candidate_rows: u64,
+    /// Query batches the heat covers.
+    pub batches_observed: u64,
+    /// Expected batches until churn (compaction or deletion) invalidates
+    /// a replica of this segment; `None` uses the default horizon of 64
+    /// batches. Fresh segments get small values, settled ones large.
+    pub expected_batches_resident: Option<f64>,
+}
+
+impl SegmentObservation {
+    /// The observation of one segment's stats, whose heat covers
+    /// `batches_observed` batches. A never-probed segment reads cold,
+    /// and [`plan_placement`] always shards it.
+    pub fn from_stats(stats: &SegmentStats, batches_observed: u64) -> Self {
+        SegmentObservation {
+            segment_id: stats.segment_id,
+            rows: stats.rows,
+            probes: stats.probes,
+            candidate_rows: stats.candidates,
+            batches_observed,
+            expected_batches_resident: None,
+        }
+    }
+
+    /// Set the churn horizon for this segment.
+    pub fn with_residency(mut self, batches: f64) -> Self {
+        self.expected_batches_resident = Some(batches);
+        self
+    }
+}
+
+/// Modeled per-batch per-rank seconds to serve a segment `(sharded,
+/// replicated)`. Sharded, the foreign fraction of its observed candidate
+/// rows crosses the wire every batch; replicated, every rank installs
+/// the foreign fraction of all stored rows once, amortized over the
+/// batches the replica stays valid.
+fn placement_costs(
+    model: &CostModel,
+    ranks: usize,
+    row_words: usize,
+    obs: &SegmentObservation,
+) -> (f64, f64) {
+    let p = ranks as f64;
+    let row_bytes = (row_words * 8) as f64;
+    let rows_per_batch = obs.candidate_rows as f64 / obs.batches_observed.max(1) as f64;
+    let horizon = obs.expected_batches_resident.unwrap_or(DEFAULT_RESIDENCY_BATCHES).max(1.0);
+    let shard = model.beta * rows_per_batch * row_bytes * (p - 1.0) / p;
+    let replicate = model.beta * obs.rows as f64 * row_bytes * (p - 1.0) / p / horizon;
+    (shard, replicate)
+}
+
+/// Price each observed segment's two serving strategies against the
+/// α–β–γ machine `model` — a [`Machine`](gas_dstsim::machine::Machine)
+/// preset's `cost_model()`, or a fit of measured cost reports — and
+/// return one [`SegmentPlacement`] per observation, in input order: the
+/// vector [`install_placement`] takes.
+///
+/// `ranks` is the communicator size the placement serves on and
+/// `row_words` the words per shipped row (signature words plus the key
+/// word — what both the keyed fetch and a replica install move per row).
+/// Replication must win on price *and* carry observed heat (a
+/// never-probed segment stays sharded no matter its size), and the
+/// winners are admitted hottest-benefit-first (ties by segment id) until
+/// half of [`CostModel::mem_per_rank`] is spent.
+pub fn plan_placement(
+    model: &CostModel,
+    ranks: usize,
+    row_words: usize,
+    observations: &[SegmentObservation],
+) -> IndexResult<Vec<SegmentPlacement>> {
+    model.validate()?;
+    if ranks == 0 || row_words == 0 {
+        return Err(IndexError::InvalidConfig(
+            "placement needs at least one rank and a positive row width".to_string(),
+        ));
+    }
+    let costs: Vec<(f64, f64)> =
+        observations.iter().map(|obs| placement_costs(model, ranks, row_words, obs)).collect();
+    let mut placements: Vec<SegmentPlacement> = observations
+        .iter()
+        .zip(&costs)
+        .map(|(obs, &(shard, replicate))| {
+            if obs.probes > 0 && replicate < shard {
+                SegmentPlacement::Replicated
+            } else {
+                SegmentPlacement::Sharded
+            }
+        })
+        .collect();
+
+    // Enforce the memory budget: keep the replicas with the largest
+    // modeled benefit, demote the rest back to sharded.
+    let budget_bytes = model.mem_per_rank as f64 * REPLICA_MEM_FRACTION;
+    let benefit = |i: usize| costs[i].0 - costs[i].1;
+    let mut candidates: Vec<usize> =
+        (0..placements.len()).filter(|&i| placements[i] == SegmentPlacement::Replicated).collect();
+    candidates.sort_by(|&a, &b| {
+        benefit(b)
+            .total_cmp(&benefit(a))
+            .then(observations[a].segment_id.cmp(&observations[b].segment_id))
+    });
+    let mut spent = 0.0;
+    for i in candidates {
+        let bytes = observations[i].rows as f64 * (row_words * 8) as f64;
+        if spent + bytes <= budget_bytes {
+            spent += bytes;
+        } else {
+            placements[i] = SegmentPlacement::Sharded;
+        }
+    }
+
+    let replicated = placements.iter().filter(|&&pl| pl == SegmentPlacement::Replicated).count();
+    gas_obs::counter("gas_plan_plans_total").inc();
+    gas_obs::gauge("gas_plan_replicated_segments").set(replicated as i64);
+    gas_obs::gauge("gas_plan_sharded_segments").set((placements.len() - replicated) as i64);
+    Ok(placements)
+}
+
 /// Accounting of one [`install_placement`] round, per rank.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlacementInstallStats {
@@ -1268,7 +1409,7 @@ pub fn install_placement(
 /// [`dist_query_reader_batch_stats`] by construction); only *row
 /// resolution* changes. A replicated segment's candidates never enter
 /// the `wanted` list, so its per-batch fetch traffic is exactly zero —
-/// the term the planner trades against the one-time install cost.
+/// the term [`plan_placement`] trades against the one-time install cost.
 /// Answers are bit-identical to the keyed path and the single-rank
 /// engine under every placement; the `query_serving` proptests pin that
 /// across random placements, with and without a crashed rank.
@@ -2342,5 +2483,119 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn paper_model() -> CostModel {
+        gas_dstsim::machine::Machine::stampede2_knl().cost_model().unwrap()
+    }
+
+    fn observation(
+        id: u64,
+        rows: usize,
+        candidates_per_batch: u64,
+        residency: f64,
+    ) -> SegmentObservation {
+        SegmentObservation {
+            segment_id: id,
+            rows,
+            probes: if candidates_per_batch > 0 { 10 } else { 0 },
+            candidate_rows: candidates_per_batch * 10,
+            batches_observed: 10,
+            expected_batches_resident: Some(residency),
+        }
+    }
+
+    #[test]
+    fn hot_settled_segments_replicate_fresh_and_cold_ones_shard() {
+        let model = paper_model();
+        let observations = vec![
+            // Hot and long-lived: 60 candidate rows per batch, 100 stored
+            // rows, resident 64 batches → install amortizes to ~1.6
+            // rows/batch, far below the 60 it saves.
+            observation(1, 100, 60, 64.0),
+            // Fresh: same traffic but churns in 2 batches → install costs
+            // 50 rows/batch against 6 saved.
+            observation(2, 100, 6, 2.0),
+            // Cold: never probed, stays sharded no matter the size.
+            SegmentObservation { probes: 0, candidate_rows: 0, ..observation(3, 5000, 0, 64.0) },
+        ];
+        let placements = plan_placement(&model, 4, 65, &observations).unwrap();
+        // Output preserves input order.
+        assert_eq!(
+            placements,
+            vec![
+                SegmentPlacement::Replicated,
+                SegmentPlacement::Sharded,
+                SegmentPlacement::Sharded
+            ]
+        );
+        // The mixed placement is priced at most as high as either pure one.
+        let costs: Vec<(f64, f64)> =
+            observations.iter().map(|obs| placement_costs(&model, 4, 65, obs)).collect();
+        let pure_shard: f64 = costs.iter().map(|c| c.0).sum();
+        let pure_replicate: f64 = costs.iter().map(|c| c.1).sum();
+        let mixed: f64 = costs
+            .iter()
+            .zip(&placements)
+            .map(|(&(shard, replicate), pl)| match pl {
+                SegmentPlacement::Replicated => replicate,
+                SegmentPlacement::Sharded => shard,
+            })
+            .sum();
+        assert!(mixed <= pure_shard + 1e-15);
+        assert!(mixed <= pure_replicate + 1e-15);
+    }
+
+    #[test]
+    fn single_rank_plans_everything_sharded() {
+        // With p = 1 nothing crosses the wire either way; replication
+        // cannot strictly win, so the cheaper no-op (sharded) stands.
+        let placements = plan_placement(&paper_model(), 1, 65, &[observation(1, 100, 60, 64.0)]);
+        assert_eq!(placements.unwrap(), vec![SegmentPlacement::Sharded]);
+    }
+
+    #[test]
+    fn memory_budget_admits_best_benefit_first() {
+        // Half of per-rank memory fits exactly one 100-row replica of
+        // 65-word rows.
+        let model = CostModel { mem_per_rank: 2 * 100 * 65 * 8, ..paper_model() };
+        let observations = [
+            observation(1, 100, 30, 64.0), // replica-worthy, smaller benefit
+            observation(2, 100, 90, 64.0), // replica-worthy, larger benefit
+        ];
+        let placements = plan_placement(&model, 4, 65, &observations).unwrap();
+        assert_eq!(placements, vec![SegmentPlacement::Sharded, SegmentPlacement::Replicated]);
+    }
+
+    #[test]
+    fn observations_carry_typed_heat_and_cold_segments_shard() {
+        let hot =
+            SegmentStats { segment_id: 7, rows: 40, live_rows: 33, probes: 12, candidates: 340 };
+        let o = SegmentObservation::from_stats(&hot, 6);
+        assert_eq!((o.segment_id, o.rows), (7, 40));
+        assert_eq!((o.probes, o.candidate_rows, o.batches_observed), (12, 340, 6));
+        assert_eq!(o.expected_batches_resident, None);
+        // A never-probed segment reads cold and is sharded, however large.
+        let cold = SegmentObservation::from_stats(
+            &SegmentStats { segment_id: 9, rows: 5000, live_rows: 5000, probes: 0, candidates: 0 },
+            6,
+        );
+        assert_eq!((cold.probes, cold.candidate_rows), (0, 0));
+        let cold = cold.with_residency(1e9);
+        assert_eq!(cold.expected_batches_resident, Some(1e9));
+        let placements = plan_placement(&paper_model(), 4, 65, &[o, cold]).unwrap();
+        assert_eq!(placements, vec![SegmentPlacement::Replicated, SegmentPlacement::Sharded]);
+    }
+
+    #[test]
+    fn degenerate_placement_inputs_are_rejected() {
+        let obs = [observation(1, 100, 60, 64.0)];
+        for (ranks, row_words) in [(0, 65), (4, 0)] {
+            let result = plan_placement(&paper_model(), ranks, row_words, &obs);
+            assert!(matches!(result, Err(IndexError::InvalidConfig(_))), "{ranks}, {row_words}");
+        }
+        let bad_machine = CostModel { beta: f64::NAN, ..paper_model() };
+        let result = plan_placement(&bad_machine, 4, 65, &obs);
+        assert!(matches!(result, Err(IndexError::Sim(SimError::InvalidConfig(_)))));
     }
 }

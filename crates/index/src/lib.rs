@@ -118,8 +118,9 @@ pub use build::{BandBuckets, IndexConfig};
 pub use dist::{
     dist_query_reader_batch, dist_query_reader_batch_planned, dist_query_reader_batch_replicated,
     dist_query_reader_batch_stats, dist_query_reader_batch_stats_per_segment,
-    dist_query_reader_page, install_placement, DegradedReport, DistQueryStats,
-    PlacementInstallStats, SegmentExchangeStats, SegmentPlacement, ServingLayout, SignatureShard,
+    dist_query_reader_page, install_placement, plan_placement, DegradedReport, DistQueryStats,
+    PlacementInstallStats, SegmentExchangeStats, SegmentObservation, SegmentPlacement,
+    ServingLayout, SignatureShard,
 };
 pub use error::{IndexError, IndexResult};
 pub use gas_chaos::{ChaosStorage, FaultKind, FaultPlan, RealFs, RetryPolicy, Storage};

@@ -257,7 +257,7 @@ pub(crate) fn merge_scored_sources(mut entries: Vec<Scored>, keep: usize) -> Vec
 /// The probe heat of one pass over a reader's segments: `(probes,
 /// candidates)` by segment position, accumulated locally and
 /// [flushed](Self::flush) into the segments once per pass. This is the
-/// observed signal `gas-plan`'s placement planner ranks segments "hot"
+/// observed signal [`crate::dist::plan_placement`] ranks segments "hot"
 /// by (read back through [`IndexReader::segment_stats`]), recorded on
 /// every probe of both the local engine and the distributed prober so
 /// serving and planning see the same heat.

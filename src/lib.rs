@@ -24,15 +24,14 @@
 //!   query-serving counterpart of the all-pairs pipeline — now a full
 //!   segmented lifecycle (`IndexWriter` → `IndexReader` → `Compactor`)
 //!   with incremental adds, tombstoned deletes, snapshot reads and
-//!   crash-safe multi-segment persistence.
+//!   crash-safe multi-segment persistence — and its cost-model-driven
+//!   segment placement (`index::dist::plan_placement`: replicate hot,
+//!   shard fresh, priced against a [`dstsim::cost::CostModel`] and the
+//!   probe heat each segment reports through `segment_stats()`; see
+//!   README § Placement).
 //! * [`obs`] — structured tracing spans, the unified metrics registry and
 //!   the Prometheus/JSON/folded-stacks exporters instrumenting the
 //!   serve/commit/compact/dist hot paths (see README § Observability).
-//! * [`plan`] — the cost-model-driven segment placement planner
-//!   (replicate hot, shard fresh), priced against measured or preset
-//!   α–β–γ machine parameters and the probe heat each segment reports
-//!   through `segment_stats()`; a library its caller drives, not a
-//!   serving-time loop (see README § Placement).
 //!
 //! ## Quickstart
 //!
@@ -63,7 +62,6 @@ pub use gas_dstsim as dstsim;
 pub use gas_genomics as genomics;
 pub use gas_index as index;
 pub use gas_obs as obs;
-pub use gas_plan as plan;
 pub use gas_sparse as sparse;
 
 /// Commonly used types and entry points for the whole stack.
@@ -85,20 +83,17 @@ pub mod prelude {
         dist_query_reader_batch, dist_query_reader_batch_planned,
         dist_query_reader_batch_replicated, dist_query_reader_batch_stats,
         dist_query_reader_batch_stats_per_segment, dist_query_reader_page, exact_top_k,
-        install_placement, ChaosStorage, CommitSummary, CommitTicket, CompactionPolicy,
-        CompactionStats, CompactionSummary, Compactor, DegradedBatch, DegradedCauses,
-        DegradedReport, DistQueryStats, FaultKind, FaultPlan, IndexConfig, IndexOptions,
-        IndexReader, IndexService, IndexWriter, LatencyHistogram, LocalIndexService, LshParams,
-        Neighbor, PageCursor, PageRequest, PlacementInstallStats, QueryEngine, QueryOptions,
-        QueryPage, RequestClassStats, RetryPolicy, SegmentPlacement, SegmentStats, ServiceStats,
-        ServingLayout, SignerKind, VacuumReport,
+        install_placement, plan_placement, ChaosStorage, CommitSummary, CommitTicket,
+        CompactionPolicy, CompactionStats, CompactionSummary, Compactor, DegradedBatch,
+        DegradedCauses, DegradedReport, DistQueryStats, FaultKind, FaultPlan, IndexConfig,
+        IndexOptions, IndexReader, IndexService, IndexWriter, LatencyHistogram, LocalIndexService,
+        LshParams, Neighbor, PageCursor, PageRequest, PlacementInstallStats, QueryEngine,
+        QueryOptions, QueryPage, RequestClassStats, RetryPolicy, SegmentObservation,
+        SegmentPlacement, SegmentStats, ServiceStats, ServingLayout, SignerKind, VacuumReport,
     };
     pub use gas_obs::{
         collective_cost_report, folded_stacks, render_collective_costs, to_prometheus,
         trace_to_json, MetricsSnapshot, TraceEvent,
-    };
-    pub use gas_plan::{
-        MachineParams, PlacementPlan, PlacementPlanner, PlannerConfig, SegmentObservation,
     };
     pub use gas_sparse::dense::DenseMatrix;
 }

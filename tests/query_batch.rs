@@ -2,7 +2,7 @@
 //! queries, and must be indistinguishable from the serial loop they
 //! replaced: the same answers bit for bit, the same error from the same
 //! (lowest-indexed) failing query, and the same per-segment probe heat —
-//! what `gas-plan`'s placement planner reads from `segment_stats()`.
+//! what `plan_placement` reads from `segment_stats()`.
 
 use genomeatscale::index::IndexError;
 use genomeatscale::prelude::*;

@@ -4,10 +4,11 @@
 //! per CI job, `GAS_DIST_SEGMENTS` one uncompacted segment count; local
 //! runs cover the full default matrix), the keyed cross-segment
 //! exchange must ship exactly the rows the retained per-segment
-//! reference ships, and the cost-model-planned mixed placement
-//! (replicated and sharded segments in one exchange) must answer
-//! bit-identically to both — and, planned from probe heat on a skewed
-//! fixture, move fewer wire bytes than either pure placement.
+//! reference ships, and a mixed placement (replicated and sharded
+//! segments in one exchange) must answer bit-identically to both — and,
+//! when `plan_placement` prices it against the paper machine's
+//! `CostModel` from probe heat on a skewed fixture, move fewer wire
+//! bytes than either pure placement.
 
 use genomeatscale::dstsim::RankFaults;
 use genomeatscale::index::dist::{band_shard, sample_shard, SignatureShard};
@@ -734,7 +735,7 @@ fn planned_placement_moves_fewer_wire_bytes_than_either_pure_placement() {
         .unwrap();
 
     // Plan from the heat the reference batch left: settled segments keep
-    // the planner's default horizon, fresh ones churn within the window.
+    // the default horizon, fresh ones churn within the window.
     let observations: Vec<SegmentObservation> = reader
         .segment_stats()
         .iter()
@@ -748,11 +749,11 @@ fn planned_placement_moves_fewer_wire_bytes_than_either_pure_placement() {
         })
         .collect();
     let p = 4;
-    let plan = PlacementPlanner::new(MachineParams::paper_machine(), PlannerConfig::new(p, 64))
-        .unwrap()
-        .plan(&observations)
-        .unwrap();
-    assert_eq!((plan.replicated(), plan.sharded()), (2, 8));
+    let model = Machine::stampede2_knl().cost_model().unwrap();
+    // A shipped row is the 64 signature words plus its key word.
+    let plan = plan_placement(&model, p, 64 + 1, &observations).unwrap();
+    let replicated = plan.iter().filter(|&&pl| pl == SegmentPlacement::Replicated).count();
+    assert_eq!((replicated, plan.len() - replicated), (2, 8));
 
     // Install, then serve a window of six batches: wire bytes summed over
     // ranks, every rank's answers checked against the single-rank engine.
@@ -790,7 +791,7 @@ fn planned_placement_moves_fewer_wire_bytes_than_either_pure_placement() {
         out.results.iter().map(|(wire, _)| wire).sum()
     };
     let segments = family_sizes.len();
-    let planned = total_wire_bytes(&plan.placements());
+    let planned = total_wire_bytes(&plan);
     let replicated = total_wire_bytes(&vec![SegmentPlacement::Replicated; segments]);
     let sharded = total_wire_bytes(&vec![SegmentPlacement::Sharded; segments]);
     // Planned ≤ all-replicate ≤ all-shard, exactly.
