@@ -43,11 +43,13 @@ chaos-matrix:
 # tests, the `incremental add + compact ≡ full rebuild` and crash-safe
 # commit proptests, the container round-trip/corruption/refusal and
 # byte-identity suite, the crash-recovery torture over random fault
-# schedules, and the segmented sharded-serving grid equality.
+# schedules, the segmented sharded-serving grid equality, and the
+# observability suite that pins the service's compaction and vacuum
+# counters and file gauges.
 index-lifecycle:
 	cargo test -p gas-index --locked -q
 	cargo test --locked -q --test index_lifecycle --test index_persistence \
-		--test chaos_recovery --test query_serving
+		--test chaos_recovery --test query_serving --test observability
 
 # The last step of CI's build-and-test job: the perf ledger
 # (bench/ledger, its own package and lock file) on its tiny fixtures —

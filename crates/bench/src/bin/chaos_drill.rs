@@ -10,8 +10,10 @@
 //! * **service** — a one-shot storage fault is absorbed by
 //!   `commit_wait_retry` (bounded attempts, deterministic backoff), a
 //!   persistent fault exhausts into a typed `RetryExhausted`, the next
-//!   clean retry heals, and a stale cursor degrades into a
-//!   fresh-snapshot restart with the explicit `degraded` flag instead
+//!   clean retry heals, a maintenance pass whose vacuum faults is
+//!   counted and leaves the file serving unchanged answers until a
+//!   healed pass finishes the rewrite, and a stale cursor degrades into
+//!   a fresh-snapshot restart with the explicit `degraded` flag instead
 //!   of an error;
 //! * **dist** — a crashed rank with surviving band replicas serves
 //!   bit-identically to the fault-free run; without replicas the batch
@@ -34,7 +36,7 @@ use gas_dstsim::{RankFaults, Runtime, SimError};
 use gas_index::{
     dist_query_reader_batch, dist_query_reader_batch_replicated, ChaosStorage, FaultKind,
     FaultPlan, IndexConfig, IndexError, IndexOptions, IndexReader, IndexService, IndexWriter,
-    Neighbor, PageRequest, QueryEngine, QueryOptions, RealFs,
+    LocalIndexService, Neighbor, PageRequest, QueryEngine, QueryOptions, RealFs,
 };
 
 fn seed() -> u64 {
@@ -182,8 +184,8 @@ fn storage_drill(seed: u64) -> Outcome {
 }
 
 /// Service drill: retry absorbs a one-shot fault, exhausts typed under
-/// a persistent one, heals clean, and a stale cursor degrades into a
-/// flagged restart.
+/// a persistent one, heals clean, maintenance survives a faulted vacuum,
+/// and a stale cursor degrades into a flagged restart.
 fn service_drill(seed: u64) -> Outcome {
     let mut violations = Vec::new();
     let path = unique_path("service");
@@ -231,6 +233,8 @@ fn service_drill(seed: u64) -> Outcome {
         violations.push(format!("healing retry failed under RealFs: {e}"));
     }
     gas_chaos::set_enabled(false);
+
+    maintenance_leg(&service, seed, &path, &mut violations);
 
     // Stale cursor: retention 1 evicts the paged snapshot after two
     // commits; the degraded path restarts instead of erroring.
@@ -289,6 +293,75 @@ fn service_drill(seed: u64) -> Outcome {
         ],
         violations,
     }
+}
+
+/// The service drill's maintenance leg: commits fill a size tier, the
+/// merge's vacuum hits a seeded storage fault, and a healed pass finishes
+/// the rewrite. The failed rewrite must be counted and leave a file that
+/// reopens to unchanged answers; after healing the file must sit within
+/// 1.5× its live image plus what the last pass appended.
+fn maintenance_leg(
+    service: &LocalIndexService,
+    seed: u64,
+    path: &std::path::Path,
+    violations: &mut Vec<String>,
+) {
+    for from in [10u64, 12] {
+        service
+            .add_batch((from..from + 2).map(|t| (format!("s{t}"), sample(t))).collect())
+            .expect("tier-filling batch");
+        service.commit_wait().expect("tier-filling commit");
+    }
+    let want = answers(&service.snapshot());
+    let file_len = || std::fs::metadata(path).map_or(0, |m| m.len());
+
+    // Op 0 is the merge's append, op 1 the vacuum's replace; every kind
+    // fails a replace before its rename.
+    let kinds =
+        [FaultKind::IoError, FaultKind::ShortWrite, FaultKind::TornWrite, FaultKind::FsyncLoss];
+    gas_chaos::set_enabled(true);
+    service.set_storage(Arc::new(ChaosStorage::over_fs(
+        FaultPlan::seeded(seed, 0).script(1, kinds[seed as usize % kinds.len()]),
+    )));
+    service.maintain();
+    gas_chaos::set_enabled(false);
+    let compact = service.stats().compact;
+    if (compact.passes, compact.vacuums_run, compact.vacuums_failed) != (1, 0, 1) {
+        violations.push(format!(
+            "faulted pass: {} merges, {} vacuums run, {} failed (want 1, 0, 1)",
+            compact.passes, compact.vacuums_run, compact.vacuums_failed
+        ));
+    }
+    match IndexReader::open(path) {
+        Ok(reader) if answers(&reader) == want => {}
+        Ok(_) => violations.push("answers changed after a failed vacuum".into()),
+        Err(e) => violations.push(format!("file failed to reopen after a failed vacuum: {e}")),
+    }
+
+    service.set_storage(Arc::new(RealFs));
+    let before = file_len();
+    service.maintain();
+    let stats = service.stats();
+    let after = file_len();
+    let appended = after.saturating_sub(before);
+    if stats.compact.vacuums_run != 1 {
+        violations.push(format!("the healed pass ran {} vacuums", stats.compact.vacuums_run));
+    }
+    if 2 * after > 3 * stats.file_live_bytes + 2 * appended {
+        violations.push(format!(
+            "healed file of {after} bytes exceeds 1.5x its {}-byte live image plus {appended} appended",
+            stats.file_live_bytes
+        ));
+    }
+    match IndexReader::open(path) {
+        Ok(reader) if answers(&reader) == want => {}
+        Ok(_) => violations.push("answers changed after the healed vacuum".into()),
+        Err(e) => violations.push(format!("file failed to reopen after the healed vacuum: {e}")),
+    }
+    // A short or torn replace leaves its temp-file image in a decoy.
+    let mut decoy = path.as_os_str().to_owned();
+    decoy.push(".chaos-torn");
+    std::fs::remove_file(decoy).ok();
 }
 
 /// Distributed drill: a crashed rank fails over to surviving band

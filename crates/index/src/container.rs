@@ -440,13 +440,25 @@ pub(crate) fn decode_manifest(payload: &[u8]) -> IndexResult<ManifestRecord> {
     Ok(ManifestRecord { generation, scheme, params, next_id, segments, tombstones })
 }
 
+/// One intact `SEG` block a scan recovered.
+#[derive(Debug)]
+pub(crate) struct ScannedSegment {
+    pub segment: SharedSegment,
+    /// The block's payload checksum.
+    pub crc: u64,
+    /// The block's framed length: block header plus payload.
+    pub len: u64,
+}
+
 /// Everything a scan of a v3 file recovers.
 #[derive(Debug)]
 pub(crate) struct V3Scan {
-    /// Every intact segment block, by segment id, with its payload crc.
-    pub segments: std::collections::BTreeMap<u64, (SharedSegment, u64)>,
+    /// Every intact segment block, by segment id.
+    pub segments: std::collections::BTreeMap<u64, ScannedSegment>,
     /// The newest intact manifest (its referenced segments all resolve).
     pub manifest: Option<ManifestRecord>,
+    /// Framed length of that manifest's block (0 when there is none).
+    pub manifest_len: u64,
     /// Byte length of the prefix ending at the newest intact manifest —
     /// the resume point for appends; everything after it is a torn tail.
     pub valid_len: usize,
@@ -494,6 +506,7 @@ pub(crate) fn scan_v3(bytes: &[u8]) -> IndexResult<V3Scan> {
     let mut scan = V3Scan {
         segments: Default::default(),
         manifest: None,
+        manifest_len: 0,
         valid_len: V3_HEADER_LEN,
         torn_bytes: 0,
         max_segment_id: 0,
@@ -521,15 +534,17 @@ pub(crate) fn scan_v3(bytes: &[u8]) -> IndexResult<V3Scan> {
         if fnv1a64(payload) != payload_crc {
             break; // flipped payload
         }
+        let framed_len = (end - pos) as u64;
         match kind {
             BLOCK_SEGMENT => {
                 let segment = decode_segment(payload)?;
                 scan.max_segment_id = scan.max_segment_id.max(segment.id());
-                if scan
-                    .segments
-                    .insert(segment.id(), (SharedSegment::new(segment), payload_crc))
-                    .is_some()
-                {
+                let scanned = ScannedSegment {
+                    segment: SharedSegment::new(segment),
+                    crc: payload_crc,
+                    len: framed_len,
+                };
+                if scan.segments.insert(scanned.segment.id(), scanned).is_some() {
                     return Err(IndexError::Corrupt {
                         context: "duplicate segment id in container".into(),
                     });
@@ -539,8 +554,8 @@ pub(crate) fn scan_v3(bytes: &[u8]) -> IndexResult<V3Scan> {
                 let manifest = decode_manifest(payload)?;
                 for sref in &manifest.segments {
                     match scan.segments.get(&sref.id) {
-                        Some((seg, crc))
-                            if *crc == sref.crc && seg.n_rows() == sref.rows as usize => {}
+                        Some(s)
+                            if s.crc == sref.crc && s.segment.n_rows() == sref.rows as usize => {}
                         _ => {
                             return Err(IndexError::Corrupt {
                                 context: format!(
@@ -553,6 +568,7 @@ pub(crate) fn scan_v3(bytes: &[u8]) -> IndexResult<V3Scan> {
                     }
                 }
                 scan.manifest = Some(manifest);
+                scan.manifest_len = framed_len;
                 scan.valid_len = end;
             }
             _ => {
@@ -631,7 +647,10 @@ mod tests {
         let scan = scan_v3(&file).unwrap();
         assert_eq!(scan.manifest, Some(manifest));
         assert_eq!(scan.valid_len, file.len());
-        assert_eq!(scan.segments[&segment.id()].1, crc);
+        assert_eq!(scan.segments[&segment.id()].crc, crc);
+        // The recorded framed lengths tile the file behind the header.
+        let manifest_start = file.len() as u64 - scan.manifest_len;
+        assert_eq!(V3_HEADER_LEN as u64 + scan.segments[&segment.id()].len, manifest_start);
 
         // Reusing the checksum re-frames the very same bytes, appended
         // behind whatever the buffer already holds.

@@ -104,12 +104,14 @@ struct LifecycleState {
     scheme: SignatureScheme,
     params: LshParams,
     segments: Vec<SharedSegment>,
-    segment_crcs: Vec<(u64, u64)>,
+    /// The `SEG` block of each manifest-referenced segment, by id.
+    segment_blocks: Vec<(u64, SegmentBlock)>,
     tombstones: Vec<u32>,
     next_id: u32,
     next_segment_id: u64,
     generation: u64,
     valid_len: u64,
+    manifest_len: u64,
     /// A checksum-valid block of an unknown kind follows the opened
     /// generation — written by a newer build. Readers may proceed;
     /// writers must refuse (their truncate-then-append would destroy
@@ -123,15 +125,16 @@ fn load_state(bytes: &[u8]) -> IndexResult<(LifecycleState, RecoveryReport)> {
         IndexError::NoLiveGeneration("no valid manifest block survives in the file".into())
     })?;
     let mut segments = Vec::with_capacity(manifest.segments.len());
-    let mut segment_crcs = Vec::with_capacity(manifest.segments.len());
+    let mut segment_blocks = Vec::with_capacity(manifest.segments.len());
     for sref in &manifest.segments {
-        let (segment, crc) = scan.segments.get(&sref.id).ok_or_else(|| IndexError::Corrupt {
+        let scanned = scan.segments.get(&sref.id).ok_or_else(|| IndexError::Corrupt {
             context: format!(
                 "manifest generation {} references missing segment {}",
                 manifest.generation, sref.id
             ),
         })?;
-        if *crc != sref.crc || segment.n_rows() != sref.rows as usize {
+        let segment = &scanned.segment;
+        if scanned.crc != sref.crc || segment.n_rows() != sref.rows as usize {
             return Err(IndexError::Corrupt {
                 context: format!(
                     "manifest generation {} disagrees with segment {} on disk",
@@ -147,7 +150,10 @@ fn load_state(bytes: &[u8]) -> IndexResult<(LifecycleState, RecoveryReport)> {
                 ),
             });
         }
-        segment_crcs.push((sref.id, *crc));
+        // Every manifest-referenced segment sits in the valid prefix, its
+        // payload checksum verified by the scan.
+        segment_blocks
+            .push((sref.id, SegmentBlock { crc: scanned.crc, len: scanned.len, on_disk: true }));
         segments.push(segment.clone());
     }
     // Cross-invariants a checksum-valid but buggy/forged manifest could
@@ -181,12 +187,13 @@ fn load_state(bytes: &[u8]) -> IndexResult<(LifecycleState, RecoveryReport)> {
         scheme: manifest.scheme,
         params: manifest.params,
         segments,
-        segment_crcs,
+        segment_blocks,
         tombstones: manifest.tombstones,
         next_id: manifest.next_id,
         next_segment_id: scan.max_segment_id + 1,
         generation: manifest.generation,
         valid_len: scan.valid_len as u64,
+        manifest_len: scan.manifest_len,
         foreign_kind: scan.foreign_kind,
     };
     let report = RecoveryReport { generation: state.generation, torn_bytes: scan.torn_bytes };
@@ -244,6 +251,11 @@ pub struct IndexWriter {
     /// Length of the validated v3 prefix on disk; a torn tail beyond it
     /// is truncated before the next append.
     valid_len: u64,
+    /// Framed length of the newest manifest block, recorded whenever one
+    /// is framed (persist, rewrite) or found by the open scan. With the
+    /// cached `SEG` lengths in `blocks` it gives the minimal image of the
+    /// live state without framing it: [`Self::file_live_bytes`].
+    manifest_len: u64,
     /// Committed state not yet flushed to disk (a previous persist
     /// failed). Any later `commit()` — even an otherwise-empty one —
     /// retries the flush.
@@ -266,6 +278,9 @@ struct SegmentBlock {
     /// (or taken from the open scan that verified it) and reused by every
     /// later frame, since a sealed segment's payload never changes.
     crc: u64,
+    /// The framed length (block header plus payload), learnt with `crc`
+    /// and fixed for the same reason.
+    len: u64,
     /// The block sits in the valid on-disk prefix.
     on_disk: bool,
 }
@@ -295,6 +310,7 @@ impl IndexWriter {
             generation: 0,
             path: None,
             valid_len: 0,
+            manifest_len: 0,
             dirty: false,
             clean: false,
             storage: Arc::new(RealFs),
@@ -348,13 +364,7 @@ impl IndexWriter {
         let writer = IndexWriter {
             scheme: state.scheme,
             params: state.params,
-            // Every manifest-referenced segment sits in the valid prefix,
-            // its payload checksum verified by the open scan.
-            blocks: state
-                .segment_crcs
-                .into_iter()
-                .map(|(id, crc)| (id, SegmentBlock { crc, on_disk: true }))
-                .collect(),
+            blocks: state.segment_blocks.into_iter().collect(),
             segments: state.segments,
             tombstones: state.tombstones.into_iter().collect(),
             staged: Vec::new(),
@@ -365,6 +375,7 @@ impl IndexWriter {
             generation: state.generation,
             path: Some(path),
             valid_len: state.valid_len,
+            manifest_len: state.manifest_len,
             dirty: false,
             // Conservative: the opened file may or may not carry dead
             // blocks; the first vacuum after an open rewrites once and
@@ -412,6 +423,31 @@ impl IndexWriter {
     /// empty one — retries the flush.
     pub fn needs_persist(&self) -> bool {
         self.dirty
+    }
+
+    /// Length of the minimal image of the committed state — exactly what
+    /// a [`Self::vacuum`] rewrite writes: the file header, the `SEG`
+    /// block of every live segment and the current manifest block. Kept
+    /// from cached block lengths, never by framing; 0 without a backing
+    /// file.
+    pub fn file_live_bytes(&self) -> u64 {
+        if self.path.is_none() {
+            return 0;
+        }
+        let segments: u64 = self.blocks.values().map(|block| block.len).sum();
+        container::V3_HEADER_LEN as u64 + segments + self.manifest_len
+    }
+
+    /// Bytes of the backing file's valid prefix beyond its minimal image:
+    /// the dead blocks (compacted-away segments, superseded manifests) a
+    /// vacuum would reclaim. 0 without a backing file, and while memory
+    /// is ahead of disk after a failed persist ([`Self::needs_persist`]):
+    /// that file does not hold the live state, so none of it counts.
+    pub fn file_reclaimable_bytes(&self) -> u64 {
+        if self.dirty {
+            return 0;
+        }
+        self.valid_len.saturating_sub(self.file_live_bytes())
     }
 
     /// Committed live samples (tombstoned rows excluded).
@@ -828,6 +864,11 @@ impl IndexWriter {
     /// manifests). State and generation are unchanged. A true no-op —
     /// no rewrite, no mtime churn — when there is no backing file or
     /// the file is already a minimal image of the live state.
+    ///
+    /// An explicit call always rewrites any other file, however little
+    /// it reclaims. The serving frontend's maintenance pass instead
+    /// vacuums by rule, once [`Self::file_reclaimable_bytes`] reaches half
+    /// of [`Self::file_live_bytes`].
     pub fn vacuum(&mut self) -> IndexResult<VacuumReport> {
         if self.path.is_none() || self.clean {
             return Ok(VacuumReport::default());
@@ -841,7 +882,8 @@ impl IndexWriter {
     /// live segment (when `whole_file`) or of each one not yet on disk,
     /// then the manifest that references them all. A segment framed
     /// before — or verified by the open scan — reuses its cached payload
-    /// checksum; any other is hashed once here and cached.
+    /// checksum; any other is hashed once here and cached with its framed
+    /// length. The manifest block's length is recorded too.
     fn frame_state(&mut self, out: &mut Vec<u8>, whole_file: bool) {
         let mut refs = Vec::with_capacity(self.segments.len());
         for seg in &self.segments {
@@ -849,13 +891,20 @@ impl IndexWriter {
             let crc = match cached {
                 Some(block) if block.on_disk && !whole_file => block.crc,
                 _ => {
+                    let start = out.len();
                     let crc = container::push_segment_block(out, seg, cached.map(|b| b.crc));
-                    self.blocks.entry(seg.id()).or_insert(SegmentBlock { crc, on_disk: false });
+                    let len = (out.len() - start) as u64;
+                    self.blocks.entry(seg.id()).or_insert(SegmentBlock {
+                        crc,
+                        len,
+                        on_disk: false,
+                    });
                     crc
                 }
             };
             refs.push(ManifestSegmentRef { id: seg.id(), rows: seg.n_rows() as u32, crc });
         }
+        let start = out.len();
         container::push_manifest_block(
             out,
             &ManifestRecord {
@@ -867,6 +916,7 @@ impl IndexWriter {
                 tombstones: self.tombstones.iter().copied().collect(),
             },
         );
+        self.manifest_len = (out.len() - start) as u64;
     }
 
     /// Every live segment's block has just landed in the valid prefix.
@@ -884,15 +934,20 @@ impl IndexWriter {
     /// Used by `create_writer_at` and `vacuum`.
     fn rewrite_file(&mut self) -> IndexResult<()> {
         let Some(path) = self.path.clone() else { return Ok(()) };
-        // Unless a failed persist left memory ahead of disk, the valid
-        // prefix holds every live block plus whatever the rewrite
-        // reclaims, so the image fits without regrowing.
-        let mut bytes = Vec::with_capacity(self.valid_len as usize);
+        // The tracked live image is the exact length of the bytes framed
+        // below (only a brand-new file, with no manifest framed yet,
+        // regrows once).
+        let mut bytes = Vec::with_capacity(self.file_live_bytes() as usize);
         {
             let _encode_span = gas_obs::span("container", "encode");
             bytes.extend_from_slice(&container::v3_header_bytes());
             self.frame_state(&mut bytes, true);
         }
+        debug_assert_eq!(
+            bytes.len() as u64,
+            self.file_live_bytes(),
+            "the tracked live-image length went stale"
+        );
         {
             let _write_span = gas_obs::span("container", "write");
             self.storage.replace(&path, &bytes)?;
@@ -1649,6 +1704,7 @@ mod tests {
         w.add("b", family(0, 200)).unwrap();
         assert!(matches!(w.commit(), Err(IndexError::Io(_))));
         assert_eq!(w.reader().n_live(), 2, "memory is ahead of disk after the failure");
+        assert_eq!(w.file_reclaimable_bytes(), 0, "a file behind memory has nothing to reclaim");
 
         // Restore the last good bytes; an otherwise-empty commit retries
         // the flush and heals the divergence.
@@ -1666,6 +1722,36 @@ mod tests {
         assert_eq!(reopened.n_live(), 3);
         assert_eq!(reopened.segments().len(), 3);
         assert_eq!(reopened.generation(), w.generation());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_tracked_live_image_is_what_a_rewrite_writes() {
+        let path = unique_path("liveimage");
+        let file_len = || std::fs::metadata(&path).unwrap().len();
+        let mut w = IndexOptions::from_config(config()).create_writer_at(&path).unwrap();
+        assert_eq!((w.file_live_bytes(), w.file_reclaimable_bytes()), (file_len(), 0));
+        for i in 0..4u64 {
+            w.add(format!("s{i}"), family(0, 900 * (i + 1))).unwrap();
+            w.commit().unwrap();
+            assert!(w.file_reclaimable_bytes() > 0, "each append supersedes a manifest");
+            assert_eq!(w.file_live_bytes() + w.file_reclaimable_bytes(), file_len());
+        }
+        w.delete(2).unwrap();
+        w.commit().unwrap();
+        w.compact_all().unwrap();
+        let (live, dead) = (w.file_live_bytes(), w.file_reclaimable_bytes());
+        assert_eq!(live + dead, file_len());
+
+        let report = w.vacuum().unwrap();
+        assert_eq!(report, VacuumReport { bytes_reclaimed: dead, rewritten: true });
+        assert_eq!((file_len(), w.file_live_bytes(), w.file_reclaimable_bytes()), (live, live, 0));
+
+        // Without a file nothing is live on disk and nothing reclaimable.
+        let mut mem = IndexOptions::from_config(config()).open_writer().unwrap();
+        mem.add("a", family(0, 100)).unwrap();
+        mem.commit().unwrap();
+        assert_eq!((mem.file_live_bytes(), mem.file_reclaimable_bytes()), (0, 0));
         std::fs::remove_file(&path).ok();
     }
 

@@ -13,15 +13,20 @@
 //! * a **background compactor** — a maintenance thread plans merges
 //!   under the size-tiered policy, builds the merged segments *off* the
 //!   writer lock, and swaps the manifest atomically under live readers
-//!   (readers stay pinned to their snapshot generation; the file vacuum
-//!   is deferred until the last reader of a pre-swap generation drops);
+//!   (readers stay pinned to their snapshot generation). The file vacuum
+//!   runs by garbage share, not after every merge: a pass rewrites the
+//!   file once its reclaimable bytes reach half its live image, so the
+//!   file stays within 1.5× its minimal image plus one pass's appends,
+//!   and the rewrite still waits until the last reader of a pre-swap
+//!   generation drops;
 //! * **admission control** — a bounded in-flight commit queue, a
 //!   bounded concurrent-query count and optional per-batch commit
 //!   deadlines, all shedding with typed [`IndexError::Overloaded`]
 //!   instead of queueing without bound;
 //! * a [`ServiceStats`] metrics feed per request class — queue depth,
 //!   shed counts and latency histograms for commits and queries, plus
-//!   compaction and vacuum counters.
+//!   compaction and vacuum counters and the file's live and reclaimable
+//!   bytes.
 //!
 //! Construction goes through [`IndexOptions`], the one builder of the
 //! index stack.
@@ -366,11 +371,14 @@ pub struct CompactionStats {
     /// Maintenance passes skipped because commit pressure was at or
     /// above the configured pause depth (degraded mode: serving wins).
     pub paused_passes: u64,
-    /// Vacuum attempts deferred because a reader was still pinned to a
+    /// Due vacuums deferred because a reader was still pinned to a
     /// pre-swap generation.
     pub vacuums_deferred: u64,
     /// Vacuums that rewrote the backing file.
     pub vacuums_run: u64,
+    /// Due vacuums whose rewrite failed with an error (the file is left
+    /// as it was; the next pass retries while the vacuum stays due).
+    pub vacuums_failed: u64,
     /// Bytes those vacuums reclaimed.
     pub vacuum_bytes_reclaimed: u64,
 }
@@ -391,6 +399,13 @@ pub struct ServiceStats {
     pub segments: usize,
     /// Live samples.
     pub live_samples: usize,
+    /// Bytes of the minimal image of the live state
+    /// ([`IndexWriter::file_live_bytes`]; 0 in memory).
+    pub file_live_bytes: u64,
+    /// Bytes a vacuum would reclaim now
+    /// ([`IndexWriter::file_reclaimable_bytes`]). A pass vacuums once
+    /// this reaches half of `file_live_bytes`.
+    pub file_reclaimable_bytes: u64,
 }
 
 impl ServiceStats {
@@ -419,6 +434,7 @@ impl ServiceStats {
         snap.set_counter("gas_compact_paused_passes_total", self.compact.paused_passes);
         snap.set_counter("gas_compact_vacuums_deferred_total", self.compact.vacuums_deferred);
         snap.set_counter("gas_compact_vacuums_run_total", self.compact.vacuums_run);
+        snap.set_counter("gas_compact_vacuums_failed_total", self.compact.vacuums_failed);
         snap.set_counter(
             "gas_compact_vacuum_bytes_reclaimed_total",
             self.compact.vacuum_bytes_reclaimed,
@@ -426,6 +442,8 @@ impl ServiceStats {
         snap.set_gauge("gas_index_generation", self.generation as i64);
         snap.set_gauge("gas_index_segments", self.segments as i64);
         snap.set_gauge("gas_index_live_samples", self.live_samples as i64);
+        snap.set_gauge("gas_index_file_live_bytes", self.file_live_bytes as i64);
+        snap.set_gauge("gas_index_file_reclaimable_bytes", self.file_reclaimable_bytes as i64);
     }
 }
 
@@ -529,11 +547,12 @@ struct ServiceShared {
     /// the vacuum step may additionally evict pre-swap generations.
     pinned: Mutex<BTreeMap<u64, IndexReader>>,
     /// Every snapshot handed out: (generation, weak segment-set
-    /// handle). A live weak handle of a pre-swap generation defers the
-    /// post-compaction vacuum.
+    /// handle). A live weak handle of a pre-swap generation defers a
+    /// due vacuum.
     issued: Mutex<Vec<(u64, Weak<Vec<SharedSegment>>)>>,
-    /// Post-swap generation whose file vacuum is still owed.
-    pending_vacuum: Mutex<Option<u64>>,
+    /// Generation of the newest compaction swap the file has not been
+    /// vacuumed since: readers of older generations defer the vacuum.
+    swap_since_vacuum: Mutex<Option<u64>>,
 }
 
 impl ServiceShared {
@@ -612,7 +631,7 @@ impl LocalIndexService {
             compact_stats: Mutex::new(CompactionStats::default()),
             pinned: Mutex::new(BTreeMap::new()),
             issued: Mutex::new(Vec::new()),
-            pending_vacuum: Mutex::new(None),
+            swap_since_vacuum: Mutex::new(None),
         });
         let compactor_stop = Arc::new(AtomicBool::new(false));
         let compactor_thread = if options.auto_compact {
@@ -635,8 +654,8 @@ impl LocalIndexService {
         &self.shared.options
     }
 
-    /// Run one maintenance pass (plan → off-lock merge → swap →
-    /// deferred vacuum) synchronously on the calling thread — what the
+    /// Run one maintenance pass (plan → off-lock merge → swap → vacuum
+    /// when due) synchronously on the calling thread — what the
     /// background thread does every interval. Useful with
     /// `auto_compact(false)` and in tests that need determinism.
     pub fn maintain(&self) {
@@ -865,9 +884,15 @@ impl IndexService for LocalIndexService {
     }
 
     fn stats(&self) -> ServiceStats {
-        let (generation, segments, live_samples) = {
+        let (generation, segments, live_samples, file_live_bytes, file_reclaimable_bytes) = {
             let writer = self.shared.writer.lock().expect("writer lock poisoned");
-            (writer.generation(), writer.segment_stats().len(), writer.live_samples())
+            (
+                writer.generation(),
+                writer.segment_stats().len(),
+                writer.live_samples(),
+                writer.file_live_bytes(),
+                writer.file_reclaimable_bytes(),
+            )
         };
         ServiceStats {
             commit: self.shared.commit_metrics.snapshot(),
@@ -876,6 +901,8 @@ impl IndexService for LocalIndexService {
             generation,
             segments,
             live_samples,
+            file_live_bytes,
+            file_reclaimable_bytes,
         }
     }
 }
@@ -899,7 +926,8 @@ fn compactor_loop(shared: &ServiceShared, stop: &AtomicBool) {
 
 /// One maintenance pass: plan and begin a compaction under the writer
 /// lock, build the merged segments *off* the lock (serving continues),
-/// swap atomically, then run — or defer — the file vacuum.
+/// swap atomically, then evaluate the vacuum rule — every pass, merge or
+/// not — and run, defer or skip the file vacuum.
 fn maintenance_pass(shared: &ServiceShared) {
     // Degraded mode: under commit pressure the maintenance thread backs
     // off entirely — no compaction, no vacuum — so the serving path
@@ -945,7 +973,7 @@ fn maintenance_pass(shared: &ServiceShared) {
                                 s.tombstones_purged += summary.tombstones_purged as u64;
                                 s.rows_written += summary.rows_written as u64;
                             });
-                            *shared.pending_vacuum.lock().expect("vacuum lock poisoned") =
+                            *shared.swap_since_vacuum.lock().expect("vacuum lock poisoned") =
                                 Some(summary.generation);
                         }
                     }
@@ -956,40 +984,68 @@ fn maintenance_pass(shared: &ServiceShared) {
     run_or_defer_vacuum(shared);
 }
 
-/// Run the owed post-compaction vacuum if every reader of a pre-swap
-/// generation has dropped; otherwise count a deferral and try again
-/// next pass. The service's own pinned-snapshot cache releases its
-/// pre-swap generations here (their cursors turn stale, typed); only
-/// *external* readers defer the vacuum.
+/// The vacuum rule: a pass rewrites the file once its reclaimable bytes
+/// reach `1 / VACUUM_LIVE_PER_DEAD` of the live image. At 2, a rewrite
+/// of L live bytes reclaims at least L/2 — at most two bytes written per
+/// byte reclaimed — and the file stays within 1.5× its minimal image
+/// plus one pass's appends, which bounds what an open must scan. A
+/// smaller share rewrites more per byte reclaimed; a larger one lets
+/// the file and its open scan grow. Log-structured stores clean by the
+/// same garbage-share trade (Rosenblum & Ousterhout, SOSP 1991).
+const VACUUM_LIVE_PER_DEAD: u64 = 2;
+
+/// Whether a file of `live` minimal-image bytes and `reclaimable` dead
+/// ones is due for a vacuum.
+fn vacuum_due(live: u64, reclaimable: u64) -> bool {
+    reclaimable > 0 && reclaimable.saturating_mul(VACUUM_LIVE_PER_DEAD) >= live
+}
+
+/// Vacuum by rule. After a swap the service's own pinned-snapshot cache
+/// releases its pre-swap generations (their cursors turn stale, typed).
+/// A pass whose file is not due counts nothing. A due vacuum waits while
+/// an *external* reader of a pre-swap generation is alive (counted as a
+/// deferral); otherwise it rewrites the file. A failed rewrite leaves
+/// the file as it was and is counted; the next pass retries while the
+/// file stays due.
 fn run_or_defer_vacuum(shared: &ServiceShared) {
-    let Some(swap_generation) = *shared.pending_vacuum.lock().expect("vacuum lock poisoned") else {
-        return;
-    };
-    {
+    let swap_generation = *shared.swap_since_vacuum.lock().expect("vacuum lock poisoned");
+    if let Some(swap_generation) = swap_generation {
         let mut pinned = shared.pinned.lock().expect("pinned lock poisoned");
         pinned.retain(|&generation, _| generation >= swap_generation);
     }
-    let pre_swap_reader_alive = {
-        let mut issued = shared.issued.lock().expect("issued lock poisoned");
-        issued.retain(|(_, weak)| weak.strong_count() > 0);
-        issued.iter().any(|&(generation, _)| generation < swap_generation)
+    let due = {
+        let writer = shared.writer.lock().expect("writer lock poisoned");
+        vacuum_due(writer.file_live_bytes(), writer.file_reclaimable_bytes())
     };
-    if pre_swap_reader_alive {
-        bump(shared, |s| s.vacuums_deferred += 1);
+    if !due {
         return;
+    }
+    if let Some(swap_generation) = swap_generation {
+        let pre_swap_reader_alive = {
+            let mut issued = shared.issued.lock().expect("issued lock poisoned");
+            issued.retain(|(_, weak)| weak.strong_count() > 0);
+            issued.iter().any(|&(generation, _)| generation < swap_generation)
+        };
+        if pre_swap_reader_alive {
+            bump(shared, |s| s.vacuums_deferred += 1);
+            return;
+        }
     }
     let report: IndexResult<VacuumReport> = {
         let _vacuum_span = gas_obs::span("compact", "vacuum");
         shared.writer.lock().expect("writer lock poisoned").vacuum()
     };
-    *shared.pending_vacuum.lock().expect("vacuum lock poisoned") = None;
-    if let Ok(report) = report {
-        if report.rewritten {
-            bump(shared, |s| {
-                s.vacuums_run += 1;
-                s.vacuum_bytes_reclaimed += report.bytes_reclaimed;
-            });
+    match report {
+        Ok(report) => {
+            *shared.swap_since_vacuum.lock().expect("vacuum lock poisoned") = None;
+            if report.rewritten {
+                bump(shared, |s| {
+                    s.vacuums_run += 1;
+                    s.vacuum_bytes_reclaimed += report.bytes_reclaimed;
+                });
+            }
         }
+        Err(_) => bump(shared, |s| s.vacuums_failed += 1),
     }
 }
 
@@ -1414,6 +1470,72 @@ mod tests {
         drop(service);
         assert_eq!(IndexReader::open(&path).unwrap().n_live(), 4);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_vacuum_is_counted_and_the_next_due_pass_retries_it() {
+        let _chaos = gas_chaos::chaos_on();
+        use gas_chaos::{ChaosStorage, FaultKind, FaultPlan};
+        let path = service_path("vacfail");
+        let service =
+            IndexOptions::from_config(config()).with_auto_compact(false).serve_at(&path).unwrap();
+        for b in 0..4u64 {
+            service.add_batch(batch("v", 8, b)).unwrap();
+            service.commit_wait().unwrap();
+        }
+        service.delete(3).unwrap();
+        service.commit_wait().unwrap();
+        let probe = family(0, 400);
+        let want = answers(service.snapshot(), &probe);
+
+        // Op 0 is the merge's append, op 1 the vacuum's replace.
+        let chaos =
+            Arc::new(ChaosStorage::over_fs(FaultPlan::seeded(4, 0).script(1, FaultKind::IoError)));
+        service.set_storage(chaos.clone());
+        service.maintain();
+        assert_eq!(chaos.ops_seen(), 2, "the pass appended the merge, then tried the rewrite");
+        let stats = service.stats();
+        assert_eq!(stats.compact.passes, 1);
+        assert_eq!((stats.compact.vacuums_run, stats.compact.vacuums_failed), (0, 1));
+        assert!(vacuum_due(stats.file_live_bytes, stats.file_reclaimable_bytes));
+        // The failed rewrite left the file intact at the merged generation.
+        let reopened = IndexReader::open(&path).unwrap();
+        assert_eq!(reopened.generation(), stats.generation);
+        assert_eq!(answers(reopened, &probe), want);
+
+        // Healed storage: the next pass has no merge to run but the file
+        // is still due, so it completes the rewrite.
+        service.set_storage(Arc::new(gas_chaos::RealFs));
+        service.maintain();
+        let stats = service.stats();
+        assert_eq!(stats.compact.passes, 1);
+        assert_eq!((stats.compact.vacuums_run, stats.compact.vacuums_failed), (1, 1));
+        assert_eq!(stats.file_reclaimable_bytes, 0);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), stats.file_live_bytes);
+        assert_eq!(answers(IndexReader::open(&path).unwrap(), &probe), want);
+
+        // A pass that is not due counts nothing and leaves the file be.
+        service.add_batch(batch("w", 2, 9)).unwrap();
+        service.commit_wait().unwrap();
+        let before = service.stats();
+        assert!(before.file_reclaimable_bytes > 0);
+        assert!(!vacuum_due(before.file_live_bytes, before.file_reclaimable_bytes));
+        let len = std::fs::metadata(&path).unwrap().len();
+        service.maintain();
+        let after = service.stats();
+        assert_eq!(after.compact, before.compact);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        drop(service);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_vacuum_rule_needs_dead_bytes_worth_half_the_live_image() {
+        assert!(!vacuum_due(0, 0), "an in-memory index is never due");
+        assert!(!vacuum_due(1_000, 0));
+        assert!(!vacuum_due(1_000, 499));
+        assert!(vacuum_due(1_000, 500));
+        assert!(vacuum_due(1_000, u64::MAX), "no overflow at the extremes");
     }
 
     #[test]

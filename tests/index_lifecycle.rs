@@ -463,6 +463,97 @@ proptest! {
     }
 }
 
+/// The service vacuums by garbage share. In the perf ledger's mixed
+/// serving shape — per round paged queries, adds, deletes of the oldest
+/// rows and a commit, then one explicit `maintain()` per cycle — every
+/// pass either rewrites the file or leaves its dead bytes under half the
+/// live image, fewer passes rewrite than merge, answers never change,
+/// and the file reopens to the same answers and the same live image.
+#[test]
+fn vacuum_by_garbage_share_bounds_the_file_with_fewer_rewrites() {
+    let config = IndexConfig::default()
+        .with_signature_len(64)
+        .with_threshold(0.5)
+        .with_signer(SignerKind::Oph);
+    let path = unique_path("garbage_share");
+    let file_len = || std::fs::metadata(&path).unwrap().len();
+    let service =
+        IndexOptions::from_config(config).with_auto_compact(false).serve_at(&path).unwrap();
+    let core = |family: u64| -> Vec<u64> { (family * 10_000..family * 10_000 + 150).collect() };
+    let rows = |ids: std::ops::Range<u64>| -> Vec<(String, Vec<u64>)> {
+        ids.map(|id| {
+            let mut set = core(id % 4);
+            let private = (id % 4) * 10_000 + 5_000 + id * 41;
+            set.extend(private..private + 40);
+            (format!("r{id}"), set)
+        })
+        .collect()
+    };
+    let mut live = std::collections::VecDeque::new();
+    let mut next = 0u64;
+    for _ in 0..4 {
+        live.extend(service.add_batch(rows(next..next + 16)).unwrap());
+        next += 16;
+        service.commit_wait().unwrap();
+    }
+    let page = PageRequest::new(5);
+    for cycle in 0..24 {
+        for round in 0..2u64 {
+            let queries: Vec<Vec<u64>> = (0..4).map(|k| core((cycle + round + k) % 4)).collect();
+            let served: Vec<QueryPage> = queries
+                .iter()
+                .flat_map(|q| service.query_paged(std::slice::from_ref(q), &page).unwrap())
+                .collect();
+            let fresh = QueryEngine::snapshot(service.snapshot())
+                .query_page_batch(&queries, &page)
+                .unwrap();
+            assert_eq!(served, fresh, "cycle {cycle}: the service diverged from a fresh engine");
+            assert!(served.iter().all(|p| !p.hits.is_empty()));
+            live.extend(service.add_batch(rows(next..next + 4)).unwrap());
+            next += 4;
+            for id in live.drain(..4) {
+                service.delete(id).unwrap();
+            }
+            service.commit_wait().unwrap();
+        }
+        let vacuums_before = service.stats().compact.vacuums_run;
+        service.maintain();
+        let stats = service.stats();
+        let (live_bytes, dead_bytes) = (stats.file_live_bytes, stats.file_reclaimable_bytes);
+        assert!(
+            stats.compact.vacuums_run > vacuums_before || 2 * dead_bytes < live_bytes,
+            "cycle {cycle}: {dead_bytes} reclaimable bytes over a {live_bytes}-byte image"
+        );
+        assert_eq!(file_len(), live_bytes + dead_bytes, "cycle {cycle}: the accounting drifted");
+    }
+    let stats = service.stats();
+    let compact = stats.compact;
+    assert!(
+        compact.vacuums_run >= 1 && compact.vacuums_run < compact.passes,
+        "{} vacuums over {} merges",
+        compact.vacuums_run,
+        compact.passes
+    );
+
+    let probes: Vec<Vec<u64>> = (0..4).map(core).collect();
+    let opts = QueryOptions { top_k: 6, ..Default::default() };
+    let answers = |reader: IndexReader| QueryEngine::snapshot(reader).query_batch(&probes, &opts);
+    let want = answers(service.snapshot()).unwrap();
+    drop(service);
+    assert_eq!(answers(IndexReader::open(&path).unwrap()).unwrap(), want);
+    let mut writer = IndexWriter::open(&path).unwrap();
+    assert_eq!(answers(writer.reader()).unwrap(), want);
+    assert_eq!(
+        (writer.file_live_bytes(), writer.file_reclaimable_bytes()),
+        (stats.file_live_bytes, stats.file_reclaimable_bytes),
+        "a reopened writer tracks the same live image"
+    );
+    assert!(writer.vacuum().unwrap().rewritten);
+    assert_eq!(file_len(), stats.file_live_bytes, "a rewrite writes exactly the live image");
+    assert_eq!(answers(IndexReader::open(&path).unwrap()).unwrap(), want);
+    std::fs::remove_file(&path).ok();
+}
+
 /// Concurrency stress over the serving frontend: one thread drives
 /// pipelined commits and deletes through a [`LocalIndexService`] while
 /// the background compactor merges segments underneath and query

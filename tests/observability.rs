@@ -106,13 +106,24 @@ fn write_paths_split_encoding_from_storage_io() {
     }
     service.delete(3).expect("delete");
     service.commit_wait().expect("seal the delete");
+    let before = service.telemetry();
     service.maintain();
     let compact = service.stats().compact;
+    let after = service.telemetry();
     obs::set_enabled(false);
     let events = obs::take_events();
+    let file_len = std::fs::metadata(&path).expect("the index file exists").len() as i64;
     drop(service);
     std::fs::remove_file(&path).ok();
     assert_eq!((compact.passes, compact.vacuums_run), (1, 1), "one merge, one vacuum");
+
+    // The file gauges answer why a pass did or did not vacuum: superseded
+    // manifests were reclaimable before the merge, and the vacuum left
+    // exactly the live image behind.
+    let gauge = |snap: &obs::MetricsSnapshot, name: &str| snap.gauge(name).expect("gauge exported");
+    assert!(gauge(&before, "gas_index_file_reclaimable_bytes") > 0);
+    assert_eq!(gauge(&after, "gas_index_file_live_bytes"), file_len);
+    assert_eq!(gauge(&after, "gas_index_file_reclaimable_bytes"), 0);
 
     // Each write site — the commit's seal, the merge's swap, the vacuum's
     // rewrite — splits into encoding its blocks and the storage call that
