@@ -1,8 +1,8 @@
 //! MinHash accuracy study (the paper's motivating claim).
 //!
-//! Section I argues that MinHash "often lead[s] to inaccurate
+//! Section I argues that MinHash "often lead\[s\] to inaccurate
 //! approximations of d_J for highly similar pairs of sequence sets, and
-//! tend[s] to be ineffective ... for highly dissimilar sets unless very
+//! tend\[s\] to be ineffective ... for highly dissimilar sets unless very
 //! large sketch sizes are used". This experiment quantifies that: genome
 //! pairs are generated at controlled divergences, their exact Jaccard is
 //! computed with SimilarityAtScale's machinery, and the MinHash estimate

@@ -259,8 +259,8 @@ impl RetryPolicy {
 }
 
 /// The four I/O shapes the index container uses, abstracted so a chaos
-/// implementation can slide underneath the [`IndexWriter`] without the
-/// caller changing.
+/// implementation can slide underneath `gas_index`'s `IndexWriter`
+/// without the caller changing.
 pub trait Storage: Send + Sync + std::fmt::Debug {
     /// Read the whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
@@ -353,11 +353,6 @@ impl ChaosStorage {
     /// Chaos over the real filesystem — the common drill setup.
     pub fn over_fs(plan: FaultPlan) -> Self {
         ChaosStorage::new(Arc::new(RealFs), plan)
-    }
-
-    /// Swap the plan (keeps the op counter of the new plan).
-    pub fn set_plan(&self, plan: FaultPlan) {
-        *self.plan.lock().expect("chaos plan lock poisoned") = plan;
     }
 
     /// Ops decided so far by the current plan.

@@ -1,11 +1,11 @@
 //! MPI-style collective operations on a [`Communicator`].
 //!
 //! Collectives are built from point-to-point messages using the standard
-//! algorithms of production MPI libraries — binomial trees for
-//! broadcast/reduce, a ring for allgather, direct exchange for
-//! all-to-all-v, and Hillis–Steele doubling for scans — so the message
-//! counts, byte volumes and round (superstep) counts charged to the cost
-//! model match what a real distributed run would incur.
+//! algorithms of production MPI libraries — a dissemination barrier,
+//! binomial trees for broadcast/reduce, direct sends for gather and a
+//! ring for allgather — so the message counts, byte volumes and round
+//! (superstep) counts charged to the cost model match what a real
+//! distributed run would incur.
 //!
 //! All ranks of a communicator must call each collective in the same
 //! order; internal messages are tagged with a per-communicator sequence
@@ -163,14 +163,6 @@ impl Communicator {
         self.allreduce(data, |a, b| *a + *b)
     }
 
-    /// Allreduce with element-wise maximum.
-    pub fn allreduce_max<T>(&self, data: &[T]) -> SimResult<Vec<T>>
-    where
-        T: Msg + Clone + Copy + PartialOrd,
-    {
-        self.allreduce(data, |a, b| if *a >= *b { *a } else { *b })
-    }
-
     /// Gather variable-length contributions onto `root`. Returns
     /// `Some(per-rank vectors)` on the root, `None` elsewhere.
     pub fn gatherv<T: Msg + Clone>(
@@ -239,153 +231,6 @@ impl Communicator {
     pub fn allgather<T: Msg + Clone>(&self, data: &[T]) -> SimResult<Vec<T>> {
         Ok(self.allgatherv(data)?.into_iter().flatten().collect())
     }
-
-    /// Scatter one vector per destination rank from `root`. `data` must be
-    /// `Some` on the root with exactly `p` entries.
-    pub fn scatterv<T: Msg + Clone>(
-        &self,
-        root: usize,
-        data: Option<Vec<Vec<T>>>,
-    ) -> SimResult<Vec<T>> {
-        self.record_collective();
-        let _coll_span = self.collective_span("scatterv");
-        let p = self.size();
-        if root >= p {
-            return Err(SimError::InvalidRank { rank: root, size: p });
-        }
-        let tag = self.next_coll_tag();
-        let me = self.rank();
-        if me == root {
-            let mut data = data.ok_or_else(|| {
-                SimError::CollectiveMismatch("scatterv root provided no data".to_string())
-            })?;
-            if data.len() != p {
-                return Err(SimError::CollectiveMismatch(format!(
-                    "scatterv root provided {} buffers for {} ranks",
-                    data.len(),
-                    p
-                )));
-            }
-            for (dst, buf) in data.iter_mut().enumerate() {
-                if dst != root {
-                    self.send(dst, tag, std::mem::take(buf))?;
-                }
-            }
-            self.record_superstep();
-            Ok(std::mem::take(&mut data[root]))
-        } else {
-            let v = self.recv(root, tag)?;
-            self.record_superstep();
-            Ok(v)
-        }
-    }
-
-    /// Personalized all-to-all with variable message sizes: `sendbufs[i]`
-    /// goes to rank `i`; the result's entry `i` is the buffer received from
-    /// rank `i`.
-    pub fn alltoallv<T: Msg + Clone>(&self, sendbufs: Vec<Vec<T>>) -> SimResult<Vec<Vec<T>>> {
-        self.record_collective();
-        let _coll_span = self.collective_span("alltoallv");
-        let p = self.size();
-        if sendbufs.len() != p {
-            return Err(SimError::CollectiveMismatch(format!(
-                "alltoallv requires {} send buffers, got {}",
-                p,
-                sendbufs.len()
-            )));
-        }
-        let tag = self.next_coll_tag();
-        let me = self.rank();
-        let mut out: Vec<Vec<T>> = vec![Vec::new(); p];
-        let mut sendbufs = sendbufs;
-        out[me] = std::mem::take(&mut sendbufs[me]);
-        // Post all sends, then receive; channels are unbounded so this
-        // cannot deadlock, and it mirrors the single-superstep h-relation.
-        for offset in 1..p {
-            let dst = (me + offset) % p;
-            self.send(dst, tag, std::mem::take(&mut sendbufs[dst]))?;
-        }
-        for offset in 1..p {
-            let src = (me + p - offset) % p;
-            out[src] = self.recv(src, tag)?;
-        }
-        self.record_superstep();
-        Ok(out)
-    }
-
-    /// Inclusive prefix sum (scan) of a scalar value across ranks
-    /// (Hillis–Steele doubling, `⌈log₂ p⌉` rounds).
-    pub fn scan_sum<T>(&self, value: T) -> SimResult<T>
-    where
-        T: Msg + Clone + Copy + std::ops::Add<Output = T>,
-    {
-        self.record_collective();
-        let _coll_span = self.collective_span("scan_sum");
-        let p = self.size();
-        let me = self.rank();
-        let tag = self.next_coll_tag();
-        let mut incl = value;
-        let mut d = 1usize;
-        let mut round = 0u64;
-        while d < p {
-            if me + d < p {
-                self.send(me + d, tag + round, incl)?;
-            }
-            if me >= d {
-                let other: T = self.recv(me - d, tag + round)?;
-                incl = other + incl;
-                self.add_flops(1);
-            }
-            self.record_superstep();
-            d <<= 1;
-            round += 1;
-        }
-        Ok(incl)
-    }
-
-    /// Exclusive prefix sum: the sum of the values of all lower ranks
-    /// (zero of `T` must be provided by `T: Default`; rank 0 receives it).
-    pub fn exscan_sum<T>(&self, value: T) -> SimResult<T>
-    where
-        T: Msg + Clone + Copy + Default + std::ops::Add<Output = T> + std::ops::Sub<Output = T>,
-    {
-        let incl = self.scan_sum(value)?;
-        Ok(incl - value)
-    }
-
-    /// Reduce-scatter with addition: element-wise sum of `data` across all
-    /// ranks, then each rank keeps the block of the result assigned to it
-    /// by `block_of` (a partition of indices into `p` contiguous blocks of
-    /// the given lengths). Implemented as reduce + scatterv.
-    pub fn reduce_scatter_sum<T>(&self, data: &[T], block_lens: &[usize]) -> SimResult<Vec<T>>
-    where
-        T: Msg + Clone + Copy + std::ops::Add<Output = T>,
-    {
-        let p = self.size();
-        if block_lens.len() != p {
-            return Err(SimError::CollectiveMismatch(format!(
-                "reduce_scatter_sum needs {} block lengths, got {}",
-                p,
-                block_lens.len()
-            )));
-        }
-        if block_lens.iter().sum::<usize>() != data.len() {
-            return Err(SimError::CollectiveMismatch(
-                "block lengths must sum to the buffer length".to_string(),
-            ));
-        }
-        let reduced = self.reduce(0, data, |a, b| *a + *b)?;
-        let chunks = reduced.map(|full| {
-            let mut out = Vec::with_capacity(p);
-            let mut offset = 0;
-            for &len in block_lens {
-                out.push(full[offset..offset + len].to_vec());
-                offset += len;
-            }
-            out
-        });
-        self.scatterv(0, chunks)
-    }
 }
 
 #[cfg(test)]
@@ -444,19 +289,16 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_sum_and_max() {
+    fn allreduce_sum_adds_elementwise() {
         let p = 5;
         let out = Runtime::new(p)
             .run(|ctx| {
                 let mine = vec![ctx.rank() as u64, 100 - ctx.rank() as u64];
-                let sum = ctx.world().allreduce_sum(&mine).unwrap();
-                let max = ctx.world().allreduce_max(&mine).unwrap();
-                (sum, max)
+                ctx.world().allreduce_sum(&mine).unwrap()
             })
             .unwrap();
-        for (sum, max) in out.results {
+        for sum in out.results {
             assert_eq!(sum, vec![10, 490]);
-            assert_eq!(max, vec![4, 100]);
         }
     }
 
@@ -487,74 +329,6 @@ mod tests {
         assert!(out.results[0].is_none());
         assert!(out.results[2].is_none());
         assert_eq!(out.results[1].as_ref().unwrap(), &vec![vec![0u16], vec![1], vec![2]]);
-    }
-
-    #[test]
-    fn scatterv_distributes_blocks() {
-        let p = 4;
-        let out = Runtime::new(p)
-            .run(|ctx| {
-                let data = if ctx.rank() == 0 {
-                    Some((0..4).map(|i| vec![i as u64 * 10, i as u64 * 10 + 1]).collect())
-                } else {
-                    None
-                };
-                ctx.world().scatterv(0, data).unwrap()
-            })
-            .unwrap();
-        for (r, v) in out.results.iter().enumerate() {
-            assert_eq!(v, &vec![r as u64 * 10, r as u64 * 10 + 1]);
-        }
-    }
-
-    #[test]
-    fn alltoallv_transposes_buffers() {
-        let p = 4;
-        let out = Runtime::new(p)
-            .run(|ctx| {
-                let me = ctx.rank();
-                // Send [me, dst] to each dst.
-                let bufs: Vec<Vec<u64>> = (0..p).map(|dst| vec![me as u64, dst as u64]).collect();
-                ctx.world().alltoallv(bufs).unwrap()
-            })
-            .unwrap();
-        for (me, received) in out.results.iter().enumerate() {
-            for (src, buf) in received.iter().enumerate() {
-                assert_eq!(buf, &vec![src as u64, me as u64]);
-            }
-        }
-    }
-
-    #[test]
-    fn scan_and_exscan_compute_prefix_sums() {
-        let p = 7;
-        let out = Runtime::new(p)
-            .run(|ctx| {
-                let v = (ctx.rank() + 1) as u64;
-                let incl = ctx.world().scan_sum(v).unwrap();
-                let excl = ctx.world().exscan_sum(v).unwrap();
-                (incl, excl)
-            })
-            .unwrap();
-        for (rank, (incl, excl)) in out.results.iter().enumerate() {
-            let expected_incl: u64 = (1..=rank as u64 + 1).sum();
-            assert_eq!(*incl, expected_incl);
-            assert_eq!(*excl, expected_incl - (rank as u64 + 1));
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_sum_partitions_result() {
-        let p = 3;
-        let out = Runtime::new(p)
-            .run(|ctx| {
-                let data = vec![1u64; 6];
-                ctx.world().reduce_scatter_sum(&data, &[1, 2, 3]).unwrap()
-            })
-            .unwrap();
-        assert_eq!(out.results[0], vec![3]);
-        assert_eq!(out.results[1], vec![3, 3]);
-        assert_eq!(out.results[2], vec![3, 3, 3]);
     }
 
     #[test]

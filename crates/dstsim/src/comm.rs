@@ -3,7 +3,7 @@
 //! Ranks run as threads but are only allowed to exchange data through a
 //! [`Communicator`], mirroring the discipline of a distributed-memory
 //! (MPI) program. Every message is charged to the sending and receiving
-//! rank's [`CostTracker`](crate::cost::CostTracker) so that the BSP cost
+//! rank's [`CostTracker`] so that the BSP cost
 //! model sees the same traffic a real MPI run would produce.
 //!
 //! Messages carry owned Rust values (no serialization is performed — the

@@ -69,23 +69,6 @@ impl CostModel {
         Ok(())
     }
 
-    /// BSP time of a single superstep moving `bytes` and performing
-    /// `flops` arithmetic operations per rank (the h-relation view).
-    pub fn superstep_time(&self, bytes: u64, flops: u64) -> f64 {
-        self.alpha + bytes as f64 * self.beta + flops as f64 * self.gamma
-    }
-
-    /// Per-rank BSP time prediction for one finished report:
-    /// `supersteps·α + bytes_received·β + flops·γ`. This is the per-rank
-    /// view whose maximum [`Self::project`] takes; exposing it lets the
-    /// machine-parameter fit compare predicted against measured seconds
-    /// rank by rank instead of only at the run level.
-    pub fn predicted_seconds(&self, report: &CostReport) -> f64 {
-        report.supersteps as f64 * self.alpha
-            + report.bytes_received as f64 * self.beta
-            + report.flops as f64 * self.gamma
-    }
-
     /// Project the total BSP time of a run from per-rank counters.
     ///
     /// The projection is `supersteps·α + bytes·β + flops·γ +
@@ -309,14 +292,6 @@ mod tests {
         assert_eq!(r.supersteps, 2);
         assert_eq!(r.collectives, 1);
         assert!((r.measured_seconds - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn model_projects_superstep_time() {
-        let m =
-            CostModel { alpha: 1.0, beta: 0.5, gamma: 0.25, mem_per_rank: 1 << 20, stream_bw: 1e9 };
-        let t = m.superstep_time(10, 4);
-        assert!((t - (1.0 + 5.0 + 1.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //! Every fault observation bumps a `gas_chaos_*` counter in the
 //! `gas_obs` registry. A default (empty) spec costs one boolean test
 //! per site.
+//!
+//! [`SimError::RankCrashed`]: crate::error::SimError::RankCrashed
+//! [`SimError::Timeout`]: crate::error::SimError::Timeout
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -54,8 +57,9 @@ impl RankFaults {
     }
 
     /// Apply a timeout (microseconds) to every blocking receive; a
-    /// receive that waits longer fails with [`SimError::Timeout`]
-    /// (crate::error::SimError::Timeout) instead of blocking forever.
+    /// receive that waits longer fails with
+    /// [`SimError::Timeout`](crate::error::SimError::Timeout) instead of
+    /// blocking forever.
     pub fn with_recv_timeout(mut self, micros: u64) -> Self {
         self.recv_timeout_micros = Some(micros);
         self
@@ -71,11 +75,6 @@ impl RankFaults {
     /// Is `rank` (world numbering) injected as crashed?
     pub fn is_crashed(&self, rank: usize) -> bool {
         self.crashed.contains(&rank)
-    }
-
-    /// The crashed ranks, ascending (world numbering).
-    pub fn crashed_ranks(&self) -> impl Iterator<Item = usize> + '_ {
-        self.crashed.iter().copied()
     }
 
     /// Injected per-send delay for `rank`, or 0.
@@ -108,7 +107,6 @@ mod tests {
         assert_eq!(f.slow_micros(1), 500);
         assert_eq!(f.slow_micros(0), 0);
         assert_eq!(f.recv_timeout_micros(), Some(2000));
-        assert_eq!(f.crashed_ranks().collect::<Vec<_>>(), vec![2]);
         assert_eq!(f.alive_ranks(4), vec![0, 1, 3]);
         assert!(!RankFaults::none().active());
     }

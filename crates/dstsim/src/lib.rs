@@ -8,15 +8,15 @@
 //! * a **runtime** that executes `p` ranks as OS threads, each with its own
 //!   address space discipline (ranks only exchange data through explicit
 //!   messages),
-//! * an MPI-like **communicator** with typed point-to-point messages and a
-//!   full set of **collectives** (barrier, broadcast, reduce, allreduce,
-//!   gather, allgather, scatter, all-to-all-v, scan, exclusive scan,
-//!   reduce-scatter) implemented with realistic algorithms (binomial trees,
-//!   recursive doubling, rings) so message and byte counts match what a
-//!   real MPI library would produce,
-//! * **processor grids** (1D / 2D / `√(p/c) × √(p/c) × c`) with row,
-//!   column and fiber sub-communicators — the layout used by the paper's
-//!   2.5D sparse matrix multiplication,
+//! * an MPI-like **communicator** with typed point-to-point messages and
+//!   the **collectives** the paper's algorithm and the sharded index use
+//!   (barrier, broadcast, reduce, allreduce, gather, allgather),
+//!   implemented with realistic algorithms (dissemination, binomial trees,
+//!   rings) so message and byte counts match what a real MPI library
+//!   would produce,
+//! * the **processor grid** `r × q × c` with row, column and fiber
+//!   sub-communicators — the paper's 2.5D sparse matrix multiplication
+//!   layout, with rectangular layers so every rank count is used,
 //! * a **BSP α–β–γ cost model**: every send, receive, collective and local
 //!   arithmetic operation is charged to a per-rank [`cost::CostTracker`],
 //!   and a [`cost::CostModel`] turns those counters into projected times

@@ -125,12 +125,6 @@ impl<R> RunOutput<R> {
     pub fn projected_time(&self, model: &CostModel) -> f64 {
         model.project(&self.reports)
     }
-
-    /// Maximum measured wall-clock time across ranks (the simulator's own
-    /// notion of elapsed time for the parallel section).
-    pub fn measured_time(&self) -> f64 {
-        self.reports.iter().map(|r| r.measured_seconds).fold(0.0, f64::max)
-    }
 }
 
 /// A simulated distributed machine runner.

@@ -29,7 +29,7 @@
 //! holds two generations, and damage to that commit's blocks falls back
 //! to the empty one — a vacuum rewrites the file as that commit alone.
 //!
-//! Every block is framed in place ([`frame_block`]): the header is
+//! Every block is framed in place (`frame_block`): the header is
 //! reserved, the payload encoded straight behind it, and the checksums
 //! filled in last. A sealed segment never changes, so its `SEG` payload
 //! checksum is computed once, when the segment is first written (or

@@ -9,7 +9,7 @@
 //!
 //! * an [`IndexWriter`] **stages** samples and deletes; `commit()` signs
 //!   the staged batch under the index's one fixed
-//!   [`SignatureScheme`](gas_core::minhash::SignatureScheme) (cost
+//!   [`SignatureScheme`] (cost
 //!   proportional to the *delta*, not the corpus), seals it into an
 //!   immutable checksummed [`Segment`], records deletes as tombstones,
 //!   and bumps the manifest generation;

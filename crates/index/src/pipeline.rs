@@ -7,7 +7,7 @@
 //! start signing. The pipeline splits the two halves along the thread
 //! boundary the `crossbeam` channel stand-in provides:
 //!
-//! * the **service** stages a batch and [`CommitPipeline::submit`]s it:
+//! * the **service** stages a batch and `CommitPipeline::submit`s it:
 //!   the batch is assigned a strictly increasing sequence number *under
 //!   the writer lock*, so sequence order equals global-id order;
 //! * a pool of **signer** threads pull jobs off a shared channel and

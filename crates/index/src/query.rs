@@ -1,7 +1,8 @@
 //! The batched top-k query engine.
 //!
 //! A query is a set of attribute values (k-mer codes). Serving it means:
-//! sign the query with the index's [`SignatureScheme`], probe every LSH
+//! sign the query with the index's
+//! [`SignatureScheme`](gas_core::minhash::SignatureScheme), probe every LSH
 //! band bucket for candidates, score the candidates by signature
 //! agreement (rayon map + reduce over candidate chunks, merging
 //! per-chunk top lists), and optionally re-rank the survivors with
@@ -501,7 +502,7 @@ pub(crate) fn page_cut(
 /// segment of a one-shot build or a whole lifecycle snapshot with
 /// tombstones. Every query probes *all* live segments, skips tombstoned
 /// rows, and merges the per-segment top lists deterministically (see
-/// [`merge_scored_sources`]): answers are bit-identical to a fresh
+/// `merge_scored_sources`): answers are bit-identical to a fresh
 /// one-commit build over the snapshot's live corpus, modulo the global
 /// ids the snapshot preserves.
 #[derive(Debug, Clone)]

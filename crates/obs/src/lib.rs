@@ -32,6 +32,4 @@ pub use hist::{LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use metrics::{
     counter, gauge, histogram, reset_metrics, snapshot, Counter, Gauge, Histogram, MetricsSnapshot,
 };
-pub use trace::{
-    clear, set_enabled, set_sink, span, take_events, trace_enabled, Span, TraceEvent, TraceSink,
-};
+pub use trace::{clear, set_enabled, span, take_events, trace_enabled, Span, TraceEvent};

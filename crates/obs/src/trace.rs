@@ -8,14 +8,14 @@
 //! `IndexOptions::with_tracing` path).
 //!
 //! Each thread buffers its own closed spans and flushes them to the
-//! global sink whenever its *root* span closes (so signer, sealer,
+//! global recorder whenever its *root* span closes (so signer, sealer,
 //! compactor and simulated-rank threads publish complete trees), plus
 //! once more when the thread exits. [`take_events`] drains everything
 //! flushed so far.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// One closed span: where it ran, where it sat in the tree, and how
@@ -43,28 +43,10 @@ pub struct TraceEvent {
     pub attrs: Vec<(&'static str, f64)>,
 }
 
-/// Receiver of flushed span batches. The default sink buffers in
-/// memory and is drained by [`take_events`]; install a custom one with
-/// [`set_sink`] to stream spans elsewhere.
-pub trait TraceSink: Send + Sync + 'static {
-    /// Accept a batch of closed spans flushed from one thread.
-    fn record(&self, events: Vec<TraceEvent>);
-}
-
-/// The built-in sink backing [`take_events`].
-struct MemorySink;
-
-impl TraceSink for MemorySink {
-    fn record(&self, mut events: Vec<TraceEvent>) {
-        recorder().events.lock().expect("trace sink poisoned").append(&mut events);
-    }
-}
-
 struct Recorder {
     enabled: AtomicBool,
     epoch: Instant,
     events: Mutex<Vec<TraceEvent>>,
-    sink: Mutex<Arc<dyn TraceSink>>,
 }
 
 fn recorder() -> &'static Recorder {
@@ -73,14 +55,7 @@ fn recorder() -> &'static Recorder {
         enabled: AtomicBool::new(std::env::var("GAS_TRACE").is_ok_and(|v| v == "1")),
         epoch: Instant::now(),
         events: Mutex::new(Vec::new()),
-        sink: Mutex::new(Arc::new(MemorySink)),
     })
-}
-
-/// Replace the sink flushed span batches are delivered to. Events
-/// already delivered to the previous sink stay there.
-pub fn set_sink(sink: Arc<dyn TraceSink>) {
-    *recorder().sink.lock().expect("trace sink poisoned") = sink;
 }
 
 /// Is the recorder currently enabled? One relaxed atomic load — this is
@@ -96,26 +71,25 @@ pub fn set_enabled(enabled: bool) {
     recorder().enabled.store(enabled, Ordering::Relaxed);
 }
 
-/// Drain every event flushed to the global sink so far, flushing the
+/// Drain every event flushed to the global recorder so far, flushing the
 /// calling thread's buffer first. Events appear in close order within
 /// each flush (children before parents).
 pub fn take_events() -> Vec<TraceEvent> {
     LOCAL.with(|tt| flush(&mut tt.borrow_mut().buf));
-    std::mem::take(&mut *recorder().events.lock().expect("trace sink poisoned"))
+    std::mem::take(&mut *recorder().events.lock().expect("trace recorder poisoned"))
 }
 
 /// Drop everything flushed so far (and the calling thread's buffer).
 pub fn clear() {
     LOCAL.with(|tt| tt.borrow_mut().buf.clear());
-    recorder().events.lock().expect("trace sink poisoned").clear();
+    recorder().events.lock().expect("trace recorder poisoned").clear();
 }
 
 fn flush(buf: &mut Vec<TraceEvent>) {
     if buf.is_empty() {
         return;
     }
-    let sink = Arc::clone(&*recorder().sink.lock().expect("trace sink poisoned"));
-    sink.record(std::mem::take(buf));
+    recorder().events.lock().expect("trace recorder poisoned").append(buf);
 }
 
 struct ThreadTrace {
@@ -300,25 +274,6 @@ mod tests {
             events[0].dur_ns + events[1].dur_ns <= root.dur_ns,
             "sibling durations fit inside the parent"
         );
-    }
-
-    #[test]
-    fn custom_sinks_receive_flushed_batches() {
-        struct Counting(Mutex<Vec<TraceEvent>>);
-        impl TraceSink for Counting {
-            fn record(&self, mut events: Vec<TraceEvent>) {
-                self.0.lock().expect("counting sink").append(&mut events);
-            }
-        }
-        serialized(|| {
-            let sink = Arc::new(Counting(Mutex::new(Vec::new())));
-            set_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
-            drop(span("serve", "routed"));
-            set_sink(Arc::new(MemorySink));
-            let got = sink.0.lock().expect("counting sink");
-            assert_eq!(got.len(), 1);
-            assert_eq!(got[0].name, "routed");
-        });
     }
 
     #[test]

@@ -261,82 +261,6 @@ impl BitMatrix {
         self.words.col(col).any(|(r, mask)| r == w && mask & bit != 0)
     }
 
-    /// Popcount of the AND of two columns — the scalar popcount-AND
-    /// kernel of Eq. (7) applied to a single column pair, i.e. the
-    /// intersection cardinality `b_ab = Σ_w popcount(â_wa & â_wb)`.
-    ///
-    /// Both sparse columns are merge-joined on their word indices, so the
-    /// cost is `O(nnz_words(a) + nnz_words(b))`. Runs where both columns
-    /// store the same four consecutive word indices — the common case for
-    /// k-mer batches, whose filtered rows pack densely — skip the per-word
-    /// comparison ladder and AND+popcount four words per iteration. The
-    /// `gas-index` query engine uses this to re-rank LSH candidates
-    /// exactly without forming the full `AᵀA` product.
-    #[inline]
-    pub fn and_popcount(&self, a: usize, b: usize) -> u64 {
-        let indptr = self.words.indptr();
-        let indices = self.words.indices();
-        let data = self.words.data();
-        let (ia, da) = (&indices[indptr[a]..indptr[a + 1]], &data[indptr[a]..indptr[a + 1]]);
-        let (ib, db) = (&indices[indptr[b]..indptr[b + 1]], &data[indptr[b]..indptr[b + 1]]);
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut count = 0u64;
-        while i < ia.len() && j < ib.len() {
-            if i + 4 <= ia.len() && j + 4 <= ib.len() && ia[i..i + 4] == ib[j..j + 4] {
-                count += (da[i] & db[j]).count_ones() as u64
-                    + (da[i + 1] & db[j + 1]).count_ones() as u64
-                    + (da[i + 2] & db[j + 2]).count_ones() as u64
-                    + (da[i + 3] & db[j + 3]).count_ones() as u64;
-                i += 4;
-                j += 4;
-                continue;
-            }
-            match ia[i].cmp(&ib[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += (da[i] & db[j]).count_ones() as u64;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        count
-    }
-
-    /// The straightforward one-word-at-a-time merge join — the reference
-    /// the unrolled [`Self::and_popcount`] is pinned against in tests.
-    #[cfg(test)]
-    fn and_popcount_scalar(&self, a: usize, b: usize) -> u64 {
-        let mut ca = self.words.col(a);
-        let mut cb = self.words.col(b);
-        let (mut na, mut nb) = (ca.next(), cb.next());
-        let mut count = 0u64;
-        while let (Some((wa, ma)), Some((wb, mb))) = (na, nb) {
-            match wa.cmp(&wb) {
-                std::cmp::Ordering::Less => na = ca.next(),
-                std::cmp::Ordering::Greater => nb = cb.next(),
-                std::cmp::Ordering::Equal => {
-                    count += (ma & mb).count_ones() as u64;
-                    na = ca.next();
-                    nb = cb.next();
-                }
-            }
-        }
-        count
-    }
-
-    /// Ratio of stored words to stored boolean nonzeros: the paper notes
-    /// masking "increases the storage necessary for each nonzero by no
-    /// more than 2–3×" while cutting row metadata by `b`.
-    pub fn words_per_nonzero(&self) -> f64 {
-        let ones = self.count_ones();
-        if ones == 0 {
-            return 0.0;
-        }
-        self.nnz_words() as f64 / ones as f64
-    }
-
     /// Restrict to the columns listed in `keep` (in order).
     pub fn select_cols(&self, keep: &[usize]) -> SparseResult<BitMatrix> {
         Ok(BitMatrix { words: self.words.select_cols(keep)?, orig_rows: self.orig_rows })
@@ -512,65 +436,6 @@ mod tests {
                 context: "column 0 row indices must be strictly increasing (7 then 2)".into()
             }
         );
-    }
-
-    #[test]
-    fn and_popcount_matches_set_intersection() {
-        // Columns over 200 rows with known overlaps (including rows that
-        // share words and rows in different words).
-        let c0: Vec<usize> = vec![0, 1, 5, 63, 64, 100, 150, 199];
-        let c1: Vec<usize> = vec![1, 5, 64, 99, 150];
-        let c2: Vec<usize> = vec![2, 66, 130];
-        let bm = BitMatrix::from_columns(200, &[c0.clone(), c1.clone(), c2.clone()]).unwrap();
-        let expected =
-            |x: &[usize], y: &[usize]| -> u64 { x.iter().filter(|r| y.contains(r)).count() as u64 };
-        assert_eq!(bm.and_popcount(0, 1), expected(&c0, &c1));
-        assert_eq!(bm.and_popcount(1, 0), expected(&c0, &c1));
-        assert_eq!(bm.and_popcount(0, 2), 0);
-        assert_eq!(bm.and_popcount(0, 0), c0.len() as u64);
-        assert_eq!(bm.and_popcount(1, 2), 0);
-        // Against an empty column.
-        let with_empty = BitMatrix::from_columns(200, &[c0, vec![]]).unwrap();
-        assert_eq!(with_empty.and_popcount(0, 1), 0);
-    }
-
-    #[test]
-    fn unrolled_and_popcount_matches_the_scalar_merge_join() {
-        // Column shapes chosen to hit every path: long aligned runs (the
-        // 4-wide fast path), misaligned overlaps (scalar merge steps),
-        // ragged tails shorter than 4 words, and empty columns.
-        let nrows = 64 * 40;
-        let dense_a: Vec<usize> = (0..nrows).step_by(3).collect(); // every word present
-        let dense_b: Vec<usize> = (0..nrows).step_by(5).collect(); // every word present
-        let offset: Vec<usize> = (64 * 7..64 * 23).step_by(2).collect(); // contiguous word run
-        let sparse: Vec<usize> = (0..40).map(|w| w * 64 + (w * 13) % 64).collect();
-        let ragged: Vec<usize> = vec![0, 1, 70, 200]; // 3 stored words
-        let columns = vec![dense_a, dense_b, offset, sparse, ragged, vec![], (0..nrows).collect()];
-        let bm = BitMatrix::from_columns(nrows, &columns).unwrap();
-        for a in 0..columns.len() {
-            for b in 0..columns.len() {
-                assert_eq!(
-                    bm.and_popcount(a, b),
-                    bm.and_popcount_scalar(a, b),
-                    "columns ({a}, {b}) diverge from the scalar kernel"
-                );
-            }
-        }
-        // Cross-check one pair against the set-intersection definition.
-        let inter = columns[0].iter().filter(|r| columns[1].contains(r)).count() as u64;
-        assert_eq!(bm.and_popcount(0, 1), inter);
-    }
-
-    #[test]
-    fn words_per_nonzero_reflects_clustering() {
-        // Clustered rows share words: 64 rows in one word -> ratio 1/64.
-        let clustered = BitMatrix::from_columns(64, &[(0..64).collect()]).unwrap();
-        assert!((clustered.words_per_nonzero() - 1.0 / 64.0).abs() < 1e-12);
-        // Spread rows: one word per nonzero -> ratio 1.
-        let spread = BitMatrix::from_columns(256, &[vec![0, 64, 128, 192]]).unwrap();
-        assert!((spread.words_per_nonzero() - 1.0).abs() < 1e-12);
-        let empty = BitMatrix::from_columns(64, &[vec![]]).unwrap();
-        assert_eq!(empty.words_per_nonzero(), 0.0);
     }
 
     #[test]

@@ -178,42 +178,6 @@ impl<T: Copy> CscMatrix<T> {
         }
         Ok(CscMatrix { nrows: self.nrows, ncols: keep.len(), indptr, indices, data })
     }
-
-    /// Per-column entry counts (used for density/load-balance diagnostics;
-    /// the BIGSI dataset has highly variable per-column density).
-    pub fn col_counts(&self) -> Vec<usize> {
-        (0..self.ncols).map(|j| self.col_nnz(j)).collect()
-    }
-
-    /// Remap row indices through `map` (e.g. the prefix-sum of the zero-row
-    /// filter, Eq. 6), producing a matrix with `new_nrows` rows.
-    pub fn remap_rows(&self, map: &[usize], new_nrows: usize) -> SparseResult<CscMatrix<T>> {
-        if map.len() != self.nrows {
-            return Err(SparseError::ShapeMismatch {
-                context: format!("row map has {} entries for {} rows", map.len(), self.nrows),
-            });
-        }
-        let mut indices = Vec::with_capacity(self.nnz());
-        for &r in &self.indices {
-            let nr = map[r];
-            if nr >= new_nrows {
-                return Err(SparseError::IndexOutOfBounds {
-                    row: nr,
-                    col: 0,
-                    nrows: new_nrows,
-                    ncols: self.ncols,
-                });
-            }
-            indices.push(nr);
-        }
-        Ok(CscMatrix {
-            nrows: new_nrows,
-            ncols: self.ncols,
-            indptr: self.indptr.clone(),
-            indices,
-            data: self.data.clone(),
-        })
-    }
 }
 
 impl<T: Copy + Default + PartialEq> CscMatrix<T> {
@@ -291,7 +255,7 @@ mod tests {
         assert_eq!(m.nnz(), 4);
         assert_eq!(m.col_nnz(0), 2);
         assert_eq!(m.col(1).collect::<Vec<_>>(), vec![(1, 3), (2, 4)]);
-        assert_eq!(m.col_counts(), vec![2, 2]);
+        assert_eq!((0..m.ncols()).map(|j| m.col_nnz(j)).collect::<Vec<_>>(), vec![2, 2]);
     }
 
     #[test]
@@ -311,17 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn remap_rows_applies_prefix_sum_style_map() {
-        let m = sample();
-        // Collapse rows {0,1,2} -> {0,0,1}: row 1 becomes 0, row 2 becomes 1.
-        let remapped = m.remap_rows(&[0, 0, 1], 2).unwrap();
-        assert_eq!(remapped.nrows(), 2);
-        assert_eq!(remapped.col(1).collect::<Vec<_>>(), vec![(0, 3), (1, 4)]);
-        assert!(m.remap_rows(&[0, 0], 2).is_err());
-        assert!(m.remap_rows(&[0, 0, 9], 2).is_err());
-    }
-
-    #[test]
     fn from_transposed_csr_reuses_layout() {
         let csr = CooMatrix::from_triples(2, 3, vec![(0, 1, 5u32), (1, 2, 6)]).unwrap().to_csr();
         // csr is a 2x3 matrix; reinterpreting it as CSC of its transpose
@@ -337,7 +290,7 @@ mod tests {
     fn empty_matrix() {
         let m = CscMatrix::<u16>::empty(3, 4);
         assert_eq!(m.nnz(), 0);
-        assert_eq!(m.col_counts(), vec![0, 0, 0, 0]);
+        assert!((0..m.ncols()).all(|j| m.col_nnz(j) == 0));
         assert_eq!(m.to_csr().nnz(), 0);
     }
 }

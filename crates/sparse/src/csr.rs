@@ -192,42 +192,6 @@ impl<T: Copy> CsrMatrix<T> {
             data: out_data,
         }
     }
-
-    /// Restrict the matrix to the rows in `keep` (in order), producing a
-    /// matrix with `keep.len()` rows — the "remove zero rows" operation of
-    /// Eq. (6) when `keep` lists the nonzero rows.
-    pub fn select_rows(&self, keep: &[usize]) -> SparseResult<CsrMatrix<T>> {
-        let mut indptr = Vec::with_capacity(keep.len() + 1);
-        indptr.push(0);
-        let mut indices = Vec::new();
-        let mut data = Vec::new();
-        for &r in keep {
-            if r >= self.nrows {
-                return Err(SparseError::IndexOutOfBounds {
-                    row: r,
-                    col: 0,
-                    nrows: self.nrows,
-                    ncols: self.ncols,
-                });
-            }
-            for (c, v) in self.row(r) {
-                indices.push(c);
-                data.push(v);
-            }
-            indptr.push(indices.len());
-        }
-        Ok(CsrMatrix { nrows: keep.len(), ncols: self.ncols, indptr, indices, data })
-    }
-
-    /// Column sums evaluated with `add`, starting from `zero` — used for
-    /// the per-sample cardinalities `ĉ_i = Σ_k a_ki`.
-    pub fn col_fold<U: Copy>(&self, zero: U, add: impl Fn(U, T) -> U) -> Vec<U> {
-        let mut out = vec![zero; self.ncols];
-        for (_, c, v) in self.iter() {
-            out[c] = add(out[c], v);
-        }
-        out
-    }
 }
 
 impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
@@ -347,23 +311,6 @@ mod tests {
             assert!(ascending(&via_csc), "{nrows}x{ncols}");
             assert_eq!(via_csc, csr, "{nrows}x{ncols}");
         }
-    }
-
-    #[test]
-    fn select_rows_filters_zero_rows() {
-        let m = sample();
-        let filtered = m.select_rows(&[0, 2]).unwrap();
-        assert_eq!(filtered.nrows(), 2);
-        assert_eq!(filtered.nnz(), 4);
-        assert_eq!(filtered.row(1).collect::<Vec<_>>(), vec![(0, 3), (1, 4)]);
-        assert!(m.select_rows(&[7]).is_err());
-    }
-
-    #[test]
-    fn col_fold_computes_column_sums() {
-        let m = sample();
-        let sums = m.col_fold(0u64, |acc, v| acc + v);
-        assert_eq!(sums, vec![4, 4, 2]);
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl<T: Copy + Default> DenseMatrix<T> {
         &mut self.data
     }
 
-    /// Consume the matrix and return its row-major storage.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Apply `f` to every element, producing a new matrix of another type.
     pub fn map<U: Copy + Default>(&self, mut f: impl FnMut(T) -> U) -> DenseMatrix<U> {
         DenseMatrix {
@@ -98,27 +93,6 @@ impl<T: Copy + Default> DenseMatrix<T> {
             ncols: self.ncols,
             data: self.data.iter().map(|&v| f(v)).collect(),
         }
-    }
-
-    /// Combine two equally-shaped matrices element-wise.
-    pub fn zip_map<U: Copy + Default, V: Copy + Default>(
-        &self,
-        other: &DenseMatrix<U>,
-        mut f: impl FnMut(T, U) -> V,
-    ) -> SparseResult<DenseMatrix<V>> {
-        if self.nrows != other.nrows || self.ncols != other.ncols {
-            return Err(SparseError::ShapeMismatch {
-                context: format!(
-                    "zip_map of {}x{} with {}x{}",
-                    self.nrows, self.ncols, other.nrows, other.ncols
-                ),
-            });
-        }
-        Ok(DenseMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            data: self.data.iter().zip(other.data.iter()).map(|(&a, &b)| f(a, b)).collect(),
-        })
     }
 
     /// Transpose the matrix.
@@ -211,14 +185,11 @@ mod tests {
     }
 
     #[test]
-    fn map_and_zip_map() {
+    fn map_converts_every_element() {
         let a = DenseMatrix::from_vec(2, 2, vec![1u64, 2, 3, 4]).unwrap();
         let b = a.map(|v| v as f64 * 0.5);
         assert_eq!(b.get(1, 1), 2.0);
-        let c = a.zip_map(&a, |x, y| x + y).unwrap();
-        assert_eq!(c.get(0, 1), 4);
-        let wrong = DenseMatrix::<u64>::zeros(3, 2);
-        assert!(a.zip_map(&wrong, |x, y| x + y).is_err());
+        assert_eq!(b.get(0, 1), 1.0);
     }
 
     #[test]

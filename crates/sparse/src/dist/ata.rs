@@ -383,12 +383,6 @@ impl DistAta {
         self.r * self.q * self.c
     }
 
-    /// Whether this rank takes part in the product (always true for
-    /// rectangular grids; kept for driver compatibility).
-    pub fn is_active(&self) -> bool {
-        true
-    }
-
     /// SUMMA steps per layer (`lcm(r, q)`).
     pub fn steps_per_layer(&self) -> usize {
         self.steps
@@ -421,7 +415,7 @@ impl DistAta {
     /// Word-row chunk contracted at SUMMA step `t` of this rank's layer,
     /// for a packed batch with `word_rows` rows: chunk `k·T + t` of the
     /// `T·c`-way partition.
-    pub fn step_chunk(&self, word_rows: usize, t: usize) -> Range<usize> {
+    fn step_chunk(&self, word_rows: usize, t: usize) -> Range<usize> {
         block_range(word_rows, self.steps * self.c, self.coords[2] * self.steps + t)
     }
 
@@ -433,18 +427,6 @@ impl DistAta {
     /// Zeroed per-sample cardinality accumulator (global length `n`).
     pub fn new_cardinalities(&self) -> Vec<u64> {
         vec![0u64; self.n]
-    }
-
-    /// Contract one batch without a filter cache key (every step decodes).
-    /// See [`DistAta::accumulate_batch_keyed`].
-    pub fn accumulate_batch(
-        &mut self,
-        left: &BitMatrix,
-        right: &BitMatrix,
-        acc: &mut DenseMatrix<u64>,
-        card: &mut [u64],
-    ) -> SparseResult<()> {
-        self.accumulate_batch_keyed(left, right, None, acc, card)
     }
 
     /// Contract one batch: `left` is this rank's packed row-block columns
@@ -632,7 +614,7 @@ mod tests {
                 let mut acc = ata.new_accumulator();
                 let mut card = ata.new_cardinalities();
                 let (left, right) = pack_blocks(&ata, rows, columns);
-                ata.accumulate_batch(&left, &right, &mut acc, &mut card).unwrap();
+                ata.accumulate_batch_keyed(&left, &right, None, &mut acc, &mut card).unwrap();
                 ata.finalize(&mut acc, &mut card).unwrap();
                 let full = ata.gather_full(world, &acc).unwrap();
                 (full, card)
@@ -672,7 +654,6 @@ mod tests {
                     })
                     .count();
                 (
-                    ata.is_active(),
                     ata.active_ranks(),
                     ata.my_col_range().len(),
                     ata.my_row_range().len(),
@@ -681,8 +662,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out.results.len(), 8);
-        for (rank, (active, nactive, ncols, nrows, owned)) in out.results.iter().enumerate() {
-            assert!(*active, "rank {rank} must be active");
+        for (rank, (nactive, ncols, nrows, owned)) in out.results.iter().enumerate() {
             assert_eq!(*nactive, 8);
             assert!(*ncols > 0, "rank {rank} owns no output columns");
             assert!(*nrows > 0, "rank {rank} owns no output rows");
@@ -766,8 +746,8 @@ mod tests {
                 let mut acc = ata.new_accumulator();
                 let mut card = ata.new_cardinalities();
                 let (left, right) = pack_blocks(&ata, 200, &columns);
-                ata.accumulate_batch(&left, &right, &mut acc, &mut card).unwrap();
-                ata.accumulate_batch(&left, &right, &mut acc, &mut card).unwrap();
+                ata.accumulate_batch_keyed(&left, &right, None, &mut acc, &mut card).unwrap();
+                ata.accumulate_batch_keyed(&left, &right, None, &mut acc, &mut card).unwrap();
                 ata.cache_hits()
             })
             .unwrap();

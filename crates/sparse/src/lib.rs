@@ -9,14 +9,14 @@
 //! * local formats — [`coo::CooMatrix`], [`csr::CsrMatrix`],
 //!   [`csc::CscMatrix`], [`dense::DenseMatrix`], and the bit-packed
 //!   [`bitmat::BitMatrix`] used after the paper's masking step;
-//! * algebraic structures — [`semiring::Semiring`] with the
-//!   plus-times, or-and and popcount-AND instances used by the algorithm;
-//! * local kernels — Gustavson SpGEMM and the `AᵀA`-with-dense-output
-//!   kernels in [`spgemm`], including Rayon-parallel variants for on-node
-//!   (intra-rank) parallelism;
-//! * distributed objects — block-distributed matrices, the
-//!   accumulate-write distributed sparse vector used for the zero-row
-//!   filter, and SUMMA / 2.5D distributed `AᵀA` over a
+//! * algebraic structures — [`semiring::Semiring`] with the popcount-AND
+//!   instance used by the algorithm and the plus-times one its reference
+//!   kernels are checked with;
+//! * local kernels — the `AᵀA`-with-dense-output kernels in [`spgemm`],
+//!   including a Rayon-parallel variant for on-node (intra-rank)
+//!   parallelism;
+//! * distributed objects — the zero-row filter (an OR-allreduce of
+//!   packed row bitmaps) and SUMMA / 2.5D distributed `AᵀA` over a
 //!   [`gas_dstsim::ProcessorGrid`] in [`dist`].
 //!
 //! ```

@@ -1,70 +1,15 @@
 //! Algebraic structures for sparse kernels.
 //!
-//! Cyclops lets the user attach a monoid or semiring to each tensor and
-//! contraction; the paper uses this to express the Jaccard intersection
-//! counts as `B["ij"] = popcount(A["ki"] & A["kj"])` — a matrix product
-//! over the **popcount-AND semiring** on bit-packed words — and the filter
-//! vector accumulation over a `(max, ×)` monoid. This module provides the
-//! same abstraction: a [`Semiring`] describes the element-wise multiply
-//! and the additive accumulation of a (possibly mixed-type) matrix
-//! product.
+//! Cyclops lets the user attach a semiring to each contraction; the paper
+//! uses this to express the Jaccard intersection counts as
+//! `B["ij"] = popcount(A["ki"] & A["kj"])` — a matrix product over the
+//! **popcount-AND semiring** on bit-packed words. This module provides
+//! the same abstraction: a [`Semiring`] describes the element-wise
+//! multiply and the additive accumulation of a (possibly mixed-type)
+//! matrix product. [`PopcountAnd`] is the paper's semiring and
+//! [`PlusTimes`] the ordinary one the reference kernels are checked with.
 
 use std::marker::PhantomData;
-
-/// A commutative monoid: an associative binary operation with identity.
-pub trait Monoid {
-    /// Element type the monoid operates on.
-    type Elem: Copy;
-    /// The identity element.
-    fn identity() -> Self::Elem;
-    /// The associative combination.
-    fn combine(a: Self::Elem, b: Self::Elem) -> Self::Elem;
-}
-
-/// Addition monoid over a numeric type.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SumMonoid<T>(PhantomData<T>);
-
-macro_rules! impl_sum_monoid {
-    ($($t:ty),*) => {$(
-        impl Monoid for SumMonoid<$t> {
-            type Elem = $t;
-            fn identity() -> $t { 0 as $t }
-            fn combine(a: $t, b: $t) -> $t { a + b }
-        }
-    )*};
-}
-impl_sum_monoid!(u8, u16, u32, u64, usize, i32, i64, f32, f64);
-
-/// Maximum monoid over a numeric type (the `(max, ×)` structure used for
-/// the filter-vector writes: an entry is 1 if *any* rank wrote 1).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MaxMonoid<T>(PhantomData<T>);
-
-macro_rules! impl_max_monoid {
-    ($($t:ty),*) => {$(
-        impl Monoid for MaxMonoid<$t> {
-            type Elem = $t;
-            fn identity() -> $t { <$t>::MIN }
-            fn combine(a: $t, b: $t) -> $t { if a >= b { a } else { b } }
-        }
-    )*};
-}
-impl_max_monoid!(u8, u16, u32, u64, usize, i32, i64);
-
-/// Logical-or monoid over booleans.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OrMonoid;
-
-impl Monoid for OrMonoid {
-    type Elem = bool;
-    fn identity() -> bool {
-        false
-    }
-    fn combine(a: bool, b: bool) -> bool {
-        a || b
-    }
-}
 
 /// A semiring for a matrix product `C[i][j] ⊕= A[i][k] ⊗ B[k][j]` with
 /// possibly different input and output element types.
@@ -112,25 +57,6 @@ macro_rules! impl_plus_times {
 }
 impl_plus_times!(u8, u16, u32, u64, usize, i32, i64, f32, f64);
 
-/// The boolean `(∨, ∧)` semiring.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OrAnd;
-
-impl Semiring for OrAnd {
-    type Left = bool;
-    type Right = bool;
-    type Out = bool;
-    fn zero() -> bool {
-        false
-    }
-    fn mul(a: bool, b: bool) -> bool {
-        a && b
-    }
-    fn add(acc: bool, x: bool) -> bool {
-        acc || x
-    }
-}
-
 /// The popcount-AND semiring used by SimilarityAtScale on bit-packed rows:
 /// inputs are `b`-bit masks (here `u64` words), the product of two masks is
 /// the number of bit positions set in both, and products are accumulated
@@ -156,45 +82,15 @@ impl Semiring for PopcountAnd {
     }
 }
 
-/// Fold an iterator of elements with a monoid.
-pub fn fold_monoid<M: Monoid>(iter: impl IntoIterator<Item = M::Elem>) -> M::Elem {
-    iter.into_iter().fold(M::identity(), M::combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sum_and_max_monoids() {
-        assert_eq!(SumMonoid::<u64>::identity(), 0);
-        assert_eq!(SumMonoid::<u64>::combine(3, 4), 7);
-        assert_eq!(MaxMonoid::<u8>::combine(3, 4), 4);
-        assert_eq!(MaxMonoid::<i64>::identity(), i64::MIN);
-        assert!(OrMonoid::combine(false, true));
-        assert!(!OrMonoid::identity());
-    }
-
-    #[test]
-    fn fold_monoid_sums() {
-        assert_eq!(fold_monoid::<SumMonoid<u32>>([1, 2, 3, 4]), 10);
-        assert_eq!(fold_monoid::<MaxMonoid<u32>>([1, 7, 3]), 7);
-        assert!(fold_monoid::<OrMonoid>([false, false, true]));
-    }
 
     #[test]
     fn plus_times_is_ordinary_arithmetic() {
         assert_eq!(PlusTimes::<f64>::mul(2.0, 3.0), 6.0);
         assert_eq!(PlusTimes::<f64>::add(1.0, 6.0), 7.0);
         assert_eq!(PlusTimes::<u64>::zero(), 0);
-    }
-
-    #[test]
-    fn or_and_semiring() {
-        assert!(OrAnd::mul(true, true));
-        assert!(!OrAnd::mul(true, false));
-        assert!(OrAnd::add(false, true));
-        assert!(!OrAnd::zero());
     }
 
     #[test]

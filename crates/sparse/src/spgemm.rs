@@ -9,9 +9,7 @@
 //! * [`ata_dense_parallel`] — the same product parallelized over output
 //!   rows with Rayon (the on-node parallelism of a rank);
 //! * [`atb_block_dense`] — the `C += AᵀB` block kernel used by the
-//!   distributed SUMMA/2.5D algorithm;
-//! * [`spgemm_csr`] — a general-purpose Gustavson SpGEMM with sparse
-//!   output, used by the graph-framing applications and as a reference.
+//!   distributed SUMMA/2.5D algorithm.
 //!
 //! # Symmetry
 //!
@@ -519,63 +517,6 @@ mod dispatch {
     }
 }
 
-/// General sparse × sparse multiplication `C = A · B` over semiring `S`
-/// with sparse (CSR) output, using Gustavson's algorithm with a dense
-/// accumulator per row.
-///
-/// Entries whose accumulated value equals `S::zero()` are dropped when
-/// `S::Out: PartialEq`.
-pub fn spgemm_csr<S>(
-    a: &CsrMatrix<S::Left>,
-    b: &CsrMatrix<S::Right>,
-) -> SparseResult<CsrMatrix<S::Out>>
-where
-    S: Semiring,
-    S::Left: Copy,
-    S::Right: Copy,
-    S::Out: Copy + Default + PartialEq,
-{
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::ShapeMismatch {
-            context: format!(
-                "A is {}x{} but B is {}x{}",
-                a.nrows(),
-                a.ncols(),
-                b.nrows(),
-                b.ncols()
-            ),
-        });
-    }
-    let n_out = b.ncols();
-    let mut indptr = Vec::with_capacity(a.nrows() + 1);
-    indptr.push(0usize);
-    let mut indices = Vec::new();
-    let mut data = Vec::new();
-    let mut acc: Vec<S::Out> = vec![S::zero(); n_out];
-    let mut touched: Vec<usize> = Vec::new();
-    for i in 0..a.nrows() {
-        touched.clear();
-        for (k, va) in a.row(i) {
-            for (j, vb) in b.row(k) {
-                if acc[j] == S::zero() && !touched.contains(&j) {
-                    touched.push(j);
-                }
-                acc[j] = S::add(acc[j], S::mul(va, vb));
-            }
-        }
-        touched.sort_unstable();
-        for &j in &touched {
-            if acc[j] != S::zero() {
-                indices.push(j);
-                data.push(acc[j]);
-            }
-            acc[j] = S::zero();
-        }
-        indptr.push(indices.len());
-    }
-    CsrMatrix::from_raw_parts(a.nrows(), n_out, indptr, indices, data)
-}
-
 /// Number of products in the full square `AᵀA`, `Σ_k nnz(row k)²`.
 ///
 /// A size measure, not a charge: nothing in this workspace bills γ-flops
@@ -916,39 +857,6 @@ mod tests {
         let short = CooMatrix::<u64>::new(4, 3).to_csr();
         let mut out = DenseMatrix::<u64>::zeros(3, 3);
         assert!(atb_block_dense::<PlusTimes<u64>>(&csc, &short, &mut out).is_err());
-    }
-
-    #[test]
-    fn spgemm_csr_matches_dense_reference() {
-        // A = [[1,2],[0,3]], B = [[4,0],[5,6]] -> C = [[14,12],[15,18]]
-        let a = CooMatrix::from_triples(2, 2, vec![(0, 0, 1u64), (0, 1, 2), (1, 1, 3)])
-            .unwrap()
-            .to_csr();
-        let b = CooMatrix::from_triples(2, 2, vec![(0, 0, 4u64), (1, 0, 5), (1, 1, 6)])
-            .unwrap()
-            .to_csr();
-        let c = spgemm_csr::<PlusTimes<u64>>(&a, &b).unwrap();
-        let d = c.to_dense();
-        assert_eq!(d.get(0, 0), 14);
-        assert_eq!(d.get(0, 1), 12);
-        assert_eq!(d.get(1, 0), 15);
-        assert_eq!(d.get(1, 1), 18);
-    }
-
-    #[test]
-    fn spgemm_csr_rejects_mismatched_inner_dims() {
-        let a = CooMatrix::<u64>::new(2, 3).to_csr();
-        let b = CooMatrix::<u64>::new(2, 2).to_csr();
-        assert!(spgemm_csr::<PlusTimes<u64>>(&a, &b).is_err());
-    }
-
-    #[test]
-    fn spgemm_drops_explicit_zero_results() {
-        // Over i64, 1*1 + (-1)*1 = 0 should not be stored.
-        let a = CooMatrix::from_triples(1, 2, vec![(0, 0, 1i64), (0, 1, -1)]).unwrap().to_csr();
-        let b = CooMatrix::from_triples(2, 1, vec![(0, 0, 1i64), (1, 0, 1)]).unwrap().to_csr();
-        let c = spgemm_csr::<PlusTimes<i64>>(&a, &b).unwrap();
-        assert_eq!(c.nnz(), 0);
     }
 
     #[test]
