@@ -14,22 +14,22 @@
 //!   layer/cardinality reductions — and the cost trackers record the
 //!   communication the paper's evaluation is about.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use gas_dstsim::cost::{AggregateCost, CostModel, CostReport};
 use gas_dstsim::machine::Machine;
 use gas_dstsim::runtime::Runtime;
-use gas_sparse::bitmat::BitMatrix;
+use gas_sparse::bitmat::{BitMatrix, WORD_BITS};
 use gas_sparse::dense::DenseMatrix;
 use gas_sparse::dist::ata::DistAta;
-use gas_sparse::dist::filter::dist_row_filter;
+use gas_sparse::dist::filter::{dist_row_filter_from_bitmap, RowFilter};
 use gas_sparse::semiring::{PlusTimes, PopcountAnd};
 use gas_sparse::spgemm::ata_dense_parallel;
 
 use crate::batch::BatchPlan;
 use crate::config::SimilarityConfig;
 use crate::error::{CoreError, CoreResult};
-use crate::filter::apply_filter;
 use crate::indicator::SampleCollection;
 use crate::jaccard::SimilarityResult;
 use crate::mask::{prepare_batch, PreparedBatch};
@@ -169,9 +169,11 @@ impl DistributedRunSummary {
 /// The driver selects a rectangular `r × q × c` grid for the rank count
 /// (every rank active), and each rank reads the sample columns of its
 /// output row block `R_i` and column block `C_j` (the two SUMMA
-/// operands). Every rank contributes a packed bitmap of the batch rows it
-/// observes to the distributed zero-row filter (an OR-allreduce), packs
-/// its filtered operand blocks, and runs the SUMMA sweep — passing the
+/// operands) as slices of the collection. Every rank contributes a packed
+/// bitmap of the batch rows it observes to the distributed zero-row
+/// filter (an OR-allreduce), packs from those slices the word-row chunks
+/// of its filtered operand blocks that it sends
+/// ([`DistAta::owned_chunks`]), and runs the SUMMA sweep — passing the
 /// filter fingerprint so the decoded-block cache can skip re-decodes
 /// across batches with identical filters. The result is gathered on rank
 /// 0 for return. Communication counters for all ranks are included in the
@@ -201,47 +203,60 @@ pub fn similarity_at_scale_distributed(
         let mut ata = DistAta::new(world, n, replication)?;
         let mut acc = ata.new_accumulator();
         let mut card = ata.new_cardinalities();
-        let right_cols: Vec<usize> = ata.my_col_range().collect();
-        let left_cols: Vec<usize> = ata.my_row_range().collect();
+        let (right_cols, left_cols) = (ata.my_col_range(), ata.my_row_range());
         let same_blocks = right_cols == left_cols;
         let mut batch_seconds = Vec::with_capacity(plan.batch_count());
         for (lo, hi) in plan.iter() {
             let batch_start = Instant::now();
             let batch_rows = (hi - lo) as usize;
             // Each rank reads the samples of its two operand blocks for
-            // this batch (they coincide on the diagonal of square grids).
-            let right_columns = collection.batch_columns(lo, hi, &right_cols);
-            let left_columns = if same_blocks {
-                right_columns.clone()
-            } else {
-                collection.batch_columns(lo, hi, &left_cols)
+            // this batch, as slices of the collection (they coincide on
+            // the diagonal of square grids).
+            let slices = |cols: Range<usize>| -> Vec<&[u64]> {
+                cols.map(|i| collection.batch_values(i, lo, hi)).collect()
             };
-            // Every rank accumulates the rows it observes in its column
-            // block into a packed bitmap; the OR-allreduce makes the
-            // union filter available everywhere (the paper's
-            // accumulate-write formulation). With the filter disabled the
-            // batch is packed as-is. Renumbering and packing stay two
-            // steps here (not `BitMatrix::from_filtered_columns`): the perf
-            // ledger's phase-by-phase replay of this driver times them apart.
-            let (nrows, left_f, right_f, key) = if use_filter {
-                let local_rows: Vec<usize> = right_columns.iter().flatten().copied().collect();
-                ctx.add_mem_traffic((local_rows.len() * std::mem::size_of::<u64>()) as u64);
+            let right_values = slices(right_cols.clone());
+            let left_values = if same_blocks { Vec::new() } else { slices(left_cols.clone()) };
+            // Every rank scatters the rows it observes in its column block
+            // into a packed bitmap; the OR-allreduce makes the union filter
+            // available everywhere (the paper's accumulate-write
+            // formulation). With the filter disabled the batch is packed
+            // as-is.
+            let filter = if use_filter {
+                let observed = observed_rows(lo, batch_rows, &right_values);
+                let entries: usize = right_values.iter().map(|s| s.len()).sum();
+                ctx.add_mem_traffic((entries * std::mem::size_of::<u64>()) as u64);
                 // Distributed zero-row filter (collective over all ranks).
-                let filter = dist_row_filter(world, batch_rows, &local_rows)?;
-                let right_f = apply_filter(&right_columns, &filter);
-                let left_f = if same_blocks {
-                    right_f.clone()
-                } else {
-                    apply_filter(&left_columns, &filter)
-                };
-                (filter.num_nonzero_rows(), left_f, right_f, Some(filter.fingerprint()))
+                Some(dist_row_filter_from_bitmap(world, batch_rows, observed)?)
             } else {
-                (batch_rows, left_columns, right_columns, None)
+                None
             };
-            let right = BitMatrix::from_columns(nrows, &right_f)?;
-            let left =
-                if same_blocks { right.clone() } else { BitMatrix::from_columns(nrows, &left_f)? };
-            ata.accumulate_batch_keyed(&left, &right, key, &mut acc, &mut card)?;
+            // Each rank renumbers and packs, in one pass over its slices,
+            // only the word-row chunks it cuts into SUMMA blocks: the sweep
+            // reads no other word. The perf ledger's traced replay of this
+            // driver keeps the old `apply_filter` + `BitMatrix::from_columns`
+            // sequence over the full extent until the driver emits its own
+            // spans (ROADMAP 1(b)), and is held to the same wire bytes. Its
+            // `core.indicator.batch_columns_ms`, `core.filter.apply_ms` and
+            // `sparse.bitmat.pack_ms` rows on `allpairs_dist` therefore time
+            // the replay, not this driver, and `trace.overhead_ratio` rises.
+            let nrows = filter.as_ref().map_or(batch_rows, RowFilter::num_nonzero_rows);
+            let (left_keep, right_keep) = ata.owned_chunks(nrows.div_ceil(WORD_BITS));
+            let pack = |values: &[&[u64]], keep: &[Range<usize>]| {
+                BitMatrix::from_batch_slices(lo..hi, values, filter.as_ref(), keep)
+            };
+            let key = filter.as_ref().map(RowFilter::fingerprint);
+            if same_blocks {
+                let mut keep = [left_keep, right_keep].concat();
+                keep.sort_by_key(|chunk| (chunk.start, chunk.end));
+                keep.dedup();
+                let both = pack(&right_values, &keep)?;
+                ata.accumulate_batch_keyed(&both, &both, key, &mut acc, &mut card)?;
+            } else {
+                let (left, right) =
+                    (pack(&left_values, &left_keep)?, pack(&right_values, &right_keep)?);
+                ata.accumulate_batch_keyed(&left, &right, key, &mut acc, &mut card)?;
+            }
             ctx.record_superstep();
             batch_seconds.push(batch_start.elapsed().as_secs_f64());
         }
@@ -280,6 +295,17 @@ pub fn similarity_at_scale_distributed(
         grid_dims,
         active_ranks: grid_dims.iter().product(),
     })
+}
+
+/// The packed bitmap of the rows of the batch starting at `lo` that
+/// appear in `values` (each value lies in the batch's `batch_rows` rows).
+fn observed_rows(lo: u64, batch_rows: usize, values: &[&[u64]]) -> Vec<u64> {
+    let mut words = vec![0u64; batch_rows.div_ceil(WORD_BITS)];
+    for &v in values.iter().copied().flatten() {
+        let r = (v - lo) as usize;
+        words[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
+    }
+    words
 }
 
 #[cfg(test)]

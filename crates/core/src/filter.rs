@@ -15,8 +15,9 @@
 //! On the paper's default path renumbering happens inside packing:
 //! [`crate::mask::prepare_batch`] hands the filter to
 //! `BitMatrix::from_filtered_columns`, which never builds the renumbered
-//! lists. [`apply_filter`] builds them, and remains for the unmasked
-//! ablation and the distributed driver.
+//! lists, and the distributed driver packs straight from the sample
+//! slices. [`apply_filter`] builds them, and remains for the unmasked
+//! ablation and the perf ledger's traced replay of the distributed driver.
 
 use gas_sparse::bitmat::WORD_BITS;
 pub use gas_sparse::dist::filter::RowFilter;
@@ -49,6 +50,11 @@ pub fn batch_row_filter(batch_rows: usize, columns: &[Vec<usize>]) -> RowFilter 
 /// replaced by its compacted index; rows removed by the filter are
 /// dropped (they cannot occur if the filter was built from the same
 /// columns, but an externally supplied filter may be narrower).
+///
+/// No driver of the masked path calls this any more: besides the unmasked
+/// ablation it is kept for the perf ledger's phase-by-phase replay of
+/// [`crate::algorithm::similarity_at_scale_distributed`], which times
+/// renumbering and packing apart.
 pub fn apply_filter(columns: &[Vec<usize>], filter: &RowFilter) -> Vec<Vec<usize>> {
     columns
         .iter()

@@ -132,6 +132,15 @@ impl SampleCollection {
         self.samples.iter().map(|s| s.len() as u64).collect()
     }
 
+    /// The sorted values of sample `i` that fall in the batch `[lo, hi)`:
+    /// column `i` of `A^(l)` in Eq. (3), borrowed, not renumbered.
+    pub fn batch_values(&self, i: usize, lo: u64, hi: u64) -> &[u64] {
+        let s = &self.samples[i];
+        let start = s.partition_point(|&v| v < lo);
+        let end = start + s[start..].partition_point(|&v| v < hi);
+        &s[start..end]
+    }
+
     /// Extract the rows of a batch `[lo, hi)` for the given samples: for
     /// each selected sample, the sorted list of *batch-local* row indices
     /// (`value − lo`). This is the column view of `A^(l)` in Eq. (3).
@@ -223,6 +232,10 @@ mod tests {
         assert!(cols[2].is_empty());
         assert_eq!(cols[3], vec![114]);
         assert_eq!(c.batch_nnz(5, 120), 5);
+        assert_eq!(c.batch_values(0, 5, 120), &[5, 9]);
+        assert_eq!(c.batch_values(3, 5, 120), &[119]);
+        assert!(c.batch_values(2, 5, 120).is_empty());
+        assert!(c.batch_values(0, 121, 500).is_empty());
         // Selecting a subset of samples keeps the order of the request.
         let subset = c.batch_columns(5, 120, &[3, 0]);
         assert_eq!(subset[0], vec![114]);

@@ -103,9 +103,14 @@ pub fn bitmap_count_ones(words: &[u64]) -> u64 {
 /// The error of the first entry of column `j` that is out of bounds or
 /// not above its predecessor, in entry order (the column failed
 /// [`BitMatrix::pack`]'s validating pass).
-fn first_column_error(j: usize, rows: &[usize], nrows: usize, ncols: usize) -> SparseError {
+fn first_column_error(
+    j: usize,
+    rows: impl IntoIterator<Item = usize>,
+    nrows: usize,
+    ncols: usize,
+) -> SparseError {
     let mut last_row: Option<usize> = None;
-    for &r in rows {
+    for r in rows {
         if r >= nrows {
             return SparseError::IndexOutOfBounds { row: r, col: j, nrows, ncols };
         }
@@ -138,7 +143,8 @@ impl BitMatrix {
     /// `columns[j]` lists the rows set in column `j`, in strictly
     /// increasing order.
     pub fn from_columns(nrows: usize, columns: &[Vec<usize>]) -> SparseResult<Self> {
-        BitMatrix::pack(nrows, nrows, columns, Some)
+        let all = 0..nrows.div_ceil(WORD_BITS);
+        BitMatrix::pack(nrows, columns, |r| r, None, &[all])
     }
 
     /// Filter, renumber and pack a batch in one pass (Eqs. 5–7): row `r`
@@ -151,54 +157,165 @@ impl BitMatrix {
     /// filter's source extent `filter.batch_rows()`. A filter that keeps
     /// every row packs the columns as given.
     pub fn from_filtered_columns(columns: &[Vec<usize>], filter: &RowFilter) -> SparseResult<Self> {
-        let (source_rows, nrows) = (filter.batch_rows(), filter.num_nonzero_rows());
-        if nrows == source_rows {
-            return BitMatrix::pack(source_rows, nrows, columns, Some);
-        }
-        BitMatrix::pack(source_rows, nrows, columns, |r| filter.compacted_index(r))
+        let all = 0..filter.num_nonzero_rows().div_ceil(WORD_BITS);
+        BitMatrix::pack(filter.batch_rows(), columns, |r| r, Some(filter), &[all])
     }
 
-    /// The packer behind both constructors: every column must ascend
-    /// strictly below `source_rows`; `renumber` maps a source row to its
-    /// row of the `nrows`-row output, or `None` to drop it, and must be
-    /// monotone so the packed words ascend without a second check.
+    /// Filter, renumber and pack the word rows in `keep` only, straight
+    /// from sorted attribute values: value `v` of a column is source row
+    /// `v − rows.start` of the batch `rows`. Under `filter` (whose
+    /// `batch_rows()` must be the batch's length) row `r` becomes row
+    /// `filter.compacted_index(r)`; without one every row is kept as is.
+    ///
+    /// The matrix has the full extent — `filter.num_nonzero_rows()` (or
+    /// `rows`' length) boolean rows — but stores words only in the word
+    /// rows of `keep`: there exactly the words
+    /// [`BitMatrix::from_filtered_columns`] stores, elsewhere none. `keep`
+    /// lists word-row ranges in ascending order, disjoint (empty ranges
+    /// are ignored). Each column is checked whole, as `from_columns`
+    /// checks it, so a bad column is refused with the same error whatever
+    /// `keep` is.
+    pub fn from_batch_slices(
+        rows: Range<u64>,
+        columns: &[&[u64]],
+        filter: Option<&RowFilter>,
+        keep: &[Range<usize>],
+    ) -> SparseResult<Self> {
+        let source_rows = rows.end.saturating_sub(rows.start) as usize;
+        if let Some(f) = filter.filter(|f| f.batch_rows() != source_rows) {
+            return Err(SparseError::ShapeMismatch {
+                context: format!(
+                    "a filter over {} rows for a batch of {source_rows} rows",
+                    f.batch_rows()
+                ),
+            });
+        }
+        let lo = rows.start;
+        BitMatrix::pack(source_rows, columns, |v: u64| v.wrapping_sub(lo) as usize, filter, keep)
+    }
+
+    /// The packer behind every constructor. Every column must ascend
+    /// strictly below `source_rows` once `row_of` (strictly monotone) maps
+    /// its entries to source rows. `filter` renumbers rows and drops the
+    /// ones it removed; without one, or under one that keeps every row,
+    /// the rows are packed as they are. Only the output word rows in
+    /// `keep` are packed: each range is mapped to the source rows that
+    /// renumber into it ([`RowFilter::select`]), and each column is sliced
+    /// there by binary search.
     #[inline(always)]
-    fn pack(
+    fn pack<T: Copy>(
+        source_rows: usize,
+        columns: &[impl AsRef<[T]>],
+        row_of: impl Fn(T) -> usize + Copy,
+        filter: Option<&RowFilter>,
+        keep: &[Range<usize>],
+    ) -> SparseResult<Self> {
+        match filter {
+            Some(f) if f.num_nonzero_rows() < source_rows => BitMatrix::pack_renumbered(
+                source_rows,
+                f.num_nonzero_rows(),
+                columns,
+                row_of,
+                |r| f.compacted_index(r),
+                |k| f.select(k).unwrap_or(source_rows),
+                keep,
+            ),
+            _ => BitMatrix::pack_renumbered(
+                source_rows,
+                source_rows,
+                columns,
+                row_of,
+                Some,
+                |k| k.min(source_rows),
+                keep,
+            ),
+        }
+    }
+
+    /// [`BitMatrix::pack`] under one renumbering: `renumber` maps a source
+    /// row to its row of the `nrows`-row output, or `None` to drop it, and
+    /// must be monotone so the packed words ascend without a second check;
+    /// `source_start(k)` is the first source row that renumbers to `k` or
+    /// beyond (`source_rows` for `k ≥ nrows`).
+    #[inline(always)]
+    fn pack_renumbered<T: Copy>(
         source_rows: usize,
         nrows: usize,
-        columns: &[Vec<usize>],
+        columns: &[impl AsRef<[T]>],
+        row_of: impl Fn(T) -> usize + Copy,
         mut renumber: impl FnMut(usize) -> Option<usize>,
+        source_start: impl Fn(usize) -> usize,
+        keep: &[Range<usize>],
     ) -> SparseResult<Self> {
         let word_rows = nrows.div_ceil(WORD_BITS);
         let ncols = columns.len();
-        // A column stores at most one word per entry and per word row.
-        let entries: usize = columns.iter().map(Vec::len).sum();
-        let capacity = entries.min(ncols.saturating_mul(word_rows));
+        let keep: Vec<&Range<usize>> = keep.iter().filter(|w| !w.is_empty()).collect();
+        if let Some((prev, next)) =
+            keep.windows(2).map(|w| (w[0], w[1])).find(|(a, b)| a.end > b.start)
+        {
+            return Err(SparseError::ShapeMismatch {
+                context: format!("word-row ranges {prev:?} and {next:?} overlap or descend"),
+            });
+        }
+        if let Some(last) = keep.last().filter(|w| w.end > word_rows) {
+            return Err(SparseError::IndexOutOfBounds {
+                row: last.end,
+                col: 0,
+                nrows: word_rows,
+                ncols,
+            });
+        }
+        // The source rows that renumber into each kept range, then where
+        // they sit in each column: two binary searches per range.
+        let bounds: Vec<(usize, usize)> = keep
+            .iter()
+            .map(|w| (source_start(w.start * WORD_BITS), source_start(w.end * WORD_BITS)))
+            .collect();
+        let mut spans = Vec::with_capacity(ncols * bounds.len());
+        for col in columns {
+            let rows = col.as_ref();
+            let mut from = 0;
+            for &(lo, hi) in &bounds {
+                let start = from + rows[from..].partition_point(|&v| row_of(v) < lo);
+                from = start + rows[start..].partition_point(|&v| row_of(v) < hi);
+                spans.push(start..from);
+            }
+        }
+        // A column stores at most one word per kept entry and per kept
+        // word row.
+        let entries: usize = spans.iter().map(Range::len).sum();
+        let kept_word_rows: usize = keep.iter().map(|w| w.len()).sum();
+        let capacity = entries.min(ncols.saturating_mul(kept_word_rows));
         let mut indptr = Vec::with_capacity(ncols + 1);
         indptr.push(0usize);
         let mut indices = vec![0usize; capacity];
         let mut data = vec![0u64; capacity];
         // Words stored so far; the last of them is the open one.
         let mut stored = 0usize;
-        for (j, rows) in columns.iter().enumerate() {
-            // Validate without branching on the entries: a strictly
-            // ascending column is in bounds iff its last row is.
-            let ascending = rows.windows(2).fold(true, |ok, w| ok & (w[0] < w[1]));
-            if !ascending || rows.last().is_some_and(|&r| r >= source_rows) {
+        for (j, col) in columns.iter().enumerate() {
+            let rows = col.as_ref();
+            // Validate the whole column, kept or not, without branching on
+            // the entries: a strictly ascending column is in bounds iff its
+            // last row is.
+            let ascending = rows.windows(2).fold(true, |ok, w| ok & (row_of(w[0]) < row_of(w[1])));
+            if !ascending || rows.last().is_some_and(|&v| row_of(v) >= source_rows) {
+                let rows = rows.iter().map(|&v| row_of(v));
                 return Err(first_column_error(j, rows, source_rows, ncols));
             }
             // Pack without branching on word boundaries either (a k-mer
             // batch crosses one every few entries, at random): every entry
             // rewrites the open word, and a new word index opens the next.
             let (mut word, mut mask) = (usize::MAX, 0u64);
-            for r in rows.iter().filter_map(|&r| renumber(r)) {
-                let opens = usize::from(r / WORD_BITS != word);
-                stored += opens;
-                mask &= (opens as u64).wrapping_sub(1);
-                mask |= 1u64 << (r % WORD_BITS);
-                word = r / WORD_BITS;
-                indices[stored - 1] = word;
-                data[stored - 1] = mask;
+            for span in &spans[j * bounds.len()..(j + 1) * bounds.len()] {
+                for r in rows[span.clone()].iter().filter_map(|&v| renumber(row_of(v))) {
+                    let opens = usize::from(r / WORD_BITS != word);
+                    stored += opens;
+                    mask &= (opens as u64).wrapping_sub(1);
+                    mask |= 1u64 << (r % WORD_BITS);
+                    word = r / WORD_BITS;
+                    indices[stored - 1] = word;
+                    data[stored - 1] = mask;
+                }
             }
             indptr.push(stored);
         }
@@ -436,6 +553,131 @@ mod tests {
                 context: "column 0 row indices must be strictly increasing (7 then 2)".into()
             }
         );
+    }
+
+    /// `columns` as attribute values of the batch starting at `lo`.
+    fn as_values(lo: u64, columns: &[Vec<usize>]) -> Vec<Vec<u64>> {
+        columns.iter().map(|col| col.iter().map(|&r| lo + r as u64).collect()).collect()
+    }
+
+    /// Block `idx` of `0..total` split `parts` ways (the SUMMA chunking).
+    fn chunk(total: usize, parts: usize, idx: usize) -> Range<usize> {
+        idx * total / parts..(idx + 1) * total / parts
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)] // lists of one word-row range
+    fn packing_kept_word_rows_stores_the_full_pack_there_and_nothing_elsewhere() {
+        let mut rng = Rng(34);
+        let lo = 1_000_000u64;
+        // A ragged last word, and one under the `T = 6` chunk count.
+        for (nrows, percent) in [(1_000usize, 30usize), (1_000, 2), (300, 10)] {
+            let columns = rng.columns(nrows, 5, percent);
+            let values = as_values(lo, &columns);
+            let slices: Vec<&[u64]> = values.iter().map(Vec::as_slice).collect();
+            let mut survivors: Vec<usize> = columns.iter().flatten().copied().collect();
+            survivors.sort_unstable();
+            survivors.dedup();
+            let identity = RowFilter::from_local(nrows, (0..nrows).collect());
+            let filters = [
+                None,
+                Some(identity),
+                // The batch's own filter, and a narrower one.
+                Some(RowFilter::from_local(nrows, survivors.clone())),
+                Some(RowFilter::from_local(nrows, survivors.iter().copied().step_by(3).collect())),
+            ];
+            for filter in &filters {
+                let full = match filter {
+                    Some(f) => BitMatrix::from_filtered_columns(&columns, f).unwrap(),
+                    None => BitMatrix::from_columns(nrows, &columns).unwrap(),
+                };
+                let word_rows = full.word_rows();
+                // p = 6 is the 2 × 3 grid, T = 6: right operands keep the
+                // chunks of one residue mod 2, left ones of one residue
+                // mod 3, and a diagonal-style union mixes both.
+                let steps = |pick: &dyn Fn(usize) -> bool| -> Vec<Range<usize>> {
+                    (0..6).filter(|&t| pick(t)).map(|t| chunk(word_rows, 6, t)).collect()
+                };
+                let keeps = [
+                    vec![],
+                    vec![0..word_rows],
+                    steps(&|t| t % 2 == 0),
+                    steps(&|t| t % 2 == 1),
+                    steps(&|t| t % 3 == 1),
+                    steps(&|t| t % 2 == 0 || t % 3 == 0),
+                    vec![0..0, word_rows / 2..word_rows / 2, word_rows - 1..word_rows],
+                ];
+                for keep in &keeps {
+                    let ctx = format!("{nrows} rows at {percent}%, {filter:?}, keep {keep:?}");
+                    let part = BitMatrix::from_batch_slices(
+                        lo..lo + nrows as u64,
+                        &slices,
+                        filter.as_ref(),
+                        keep,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        (part.orig_rows(), part.word_rows(), part.ncols()),
+                        (full.orig_rows(), word_rows, full.ncols()),
+                        "{ctx}"
+                    );
+                    let mut kept_words = 0;
+                    for range in keep {
+                        let expected = full.select_word_rows(range.clone()).unwrap();
+                        assert_eq!(
+                            part.select_word_rows(range.clone()).unwrap(),
+                            expected,
+                            "{ctx}"
+                        );
+                        kept_words += expected.nnz_words();
+                    }
+                    assert_eq!(part.nnz_words(), kept_words, "{ctx}: words outside `keep`");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)] // lists of one word-row range
+    fn a_bad_column_is_refused_alike_whatever_word_rows_are_kept() {
+        // 300 rows are 5 words; every bad entry sits in word row 3 or 4.
+        let lo = 64u64;
+        let filter = RowFilter::from_local(300, (0..300).step_by(2).collect());
+        for columns in [
+            vec![vec![1, 2], vec![3, 200, 299, 300]],
+            vec![vec![1, 2], vec![3, 250, 240]],
+            vec![vec![5, 260, 260]],
+            vec![vec![], vec![1, 900]],
+        ] {
+            let values = as_values(lo, &columns);
+            let slices: Vec<&[u64]> = values.iter().map(Vec::as_slice).collect();
+            let unfiltered = BitMatrix::from_columns(300, &columns).unwrap_err();
+            let filtered = BitMatrix::from_filtered_columns(&columns, &filter).unwrap_err();
+            assert_eq!(unfiltered, filtered, "{columns:?}");
+            let word_rows = filter.num_nonzero_rows().div_ceil(WORD_BITS);
+            for keep in [vec![], vec![0..1], vec![0..2, 2..3], vec![0..word_rows]] {
+                for f in [None, Some(&filter)] {
+                    let err =
+                        BitMatrix::from_batch_slices(lo..lo + 300, &slices, f, &keep).unwrap_err();
+                    assert_eq!(err, unfiltered, "{columns:?}, keep {keep:?}, filter {f:?}");
+                }
+            }
+        }
+        // Keep ranges must ascend, disjoint, inside the word rows; a filter
+        // must cover the batch.
+        let slices: [&[u64]; 1] = [&[64, 70]];
+        let pack = |keep: &[Range<usize>], f: Option<&RowFilter>| {
+            BitMatrix::from_batch_slices(lo..lo + 300, &slices, f, keep)
+        };
+        assert!(matches!(pack(&[2..4, 1..2], None), Err(SparseError::ShapeMismatch { .. })));
+        assert!(matches!(pack(&[0..2, 1..3], None), Err(SparseError::ShapeMismatch { .. })));
+        assert!(matches!(
+            pack(&[3..6], None),
+            Err(SparseError::IndexOutOfBounds { row: 6, nrows: 5, .. })
+        ));
+        assert!(pack(&[3..3, 0..1, 5..5], None).is_ok());
+        let other = RowFilter::from_local(299, vec![0, 6]);
+        assert!(matches!(pack(&[], Some(&other)), Err(SparseError::ShapeMismatch { .. })));
     }
 
     #[test]

@@ -29,13 +29,15 @@
 //! word. The owner cuts either form straight from its packed batch (two
 //! binary searches per column; the right operand is transposed once, here,
 //! not once per receiver) and takes the chunk's cardinality popcounts from
-//! the same slices. A receiver widens the arrays and validates them through
-//! `from_raw_parts` before the kernel sees them. [`DistAta`] keeps the
-//! decoded blocks per SUMMA step, keyed on the active zero-row filter: when
-//! consecutive batches carry the same filter key and a step's block arrives
-//! equal, element for element, to the decoded one held, the decode is
-//! skipped. A chunk too large for `u32` is a mis-planned batch and is
-//! rejected typed, not shipped wide.
+//! the same slices. Those cuts are the only words of a batch the sweep
+//! reads, so a rank need pack only the chunks it owns
+//! ([`DistAta::owned_chunks`]). A receiver widens the arrays and
+//! validates them through `from_raw_parts` before the kernel sees them.
+//! [`DistAta`] keeps the decoded blocks per SUMMA step, keyed on the
+//! active zero-row filter: when consecutive batches carry the same filter
+//! key and a step's block arrives equal, element for element, to the
+//! decoded one held, the decode is skipped. A chunk too large for `u32` is
+//! a mis-planned batch and is rejected typed, not shipped wide.
 
 use std::ops::Range;
 
@@ -419,6 +421,34 @@ impl DistAta {
         block_range(word_rows, self.steps * self.c, self.coords[2] * self.steps + t)
     }
 
+    /// The word-row chunks of a `word_rows`-row packed batch whose blocks
+    /// this rank cuts in [`Self::accumulate_batch_keyed`], ascending, as
+    /// `(left, right)`: the chunks of the steps `t` of its layer with
+    /// `t mod q == j` for the left operand and `t mod r == i` for the
+    /// right. The sweep reads no other word of either operand, so a batch
+    /// packed in these chunks only (see
+    /// [`BitMatrix::from_batch_slices`]) contracts to the same result.
+    pub fn owned_chunks(&self, word_rows: usize) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
+        let [i, j, _] = self.coords;
+        let chunks = |owner: fn(&Self, usize) -> usize, me: usize| -> Vec<Range<usize>> {
+            let mine = (0..self.steps).filter(|&t| owner(self, t) == me);
+            mine.map(|t| self.step_chunk(word_rows, t)).collect()
+        };
+        (chunks(Self::left_owner, j), chunks(Self::right_owner, i))
+    }
+
+    /// The grid column whose ranks hold the left operand of step `t`: local
+    /// rank `t mod q` of each row communicator.
+    fn left_owner(&self, t: usize) -> usize {
+        t % self.q
+    }
+
+    /// The grid row whose ranks hold the right operand of step `t`: local
+    /// rank `t mod r` of each column communicator.
+    fn right_owner(&self, t: usize) -> usize {
+        t % self.r
+    }
+
     /// Zeroed accumulator for this rank's output block `B[R_i, C_j]`.
     pub fn new_accumulator(&self) -> DenseMatrix<u64> {
         DenseMatrix::zeros(self.my_row_range().len(), self.my_col_range().len())
@@ -430,10 +460,12 @@ impl DistAta {
     }
 
     /// Contract one batch: `left` is this rank's packed row-block columns
-    /// (`A[:, R_i]`, full word-row extent) and `right` its column-block
-    /// columns (`A[:, C_j]`). Runs the SUMMA sweep of this rank's layer,
-    /// accumulating into `acc` and adding the column popcounts of the
-    /// chunks this rank owns into `card`.
+    /// (`A[:, R_i]`) and `right` its column-block columns (`A[:, C_j]`),
+    /// both with the batch's full word-row extent but read only in the
+    /// chunks [`Self::owned_chunks`] lists: words elsewhere may be absent.
+    /// Runs the SUMMA sweep of this rank's layer, accumulating into `acc`
+    /// and adding the column popcounts of the chunks this rank owns into
+    /// `card`.
     ///
     /// `filter_key` identifies the zero-row filter the batch was prepared
     /// under (e.g. [`crate::dist::filter::RowFilter::fingerprint`]);
@@ -487,9 +519,8 @@ impl DistAta {
         self.cache.begin_batch(filter_key, self.steps);
         for t in 0..self.steps {
             let chunk = self.step_chunk(word_rows, t);
-            // Right operand A[chunk, C_j]: owned by grid row (t mod r),
-            // which is local rank (t mod r) of this column communicator.
-            let right_owner = t % self.r;
+            // Right operand A[chunk, C_j].
+            let right_owner = self.right_owner(t);
             // That rank is the unique holder of (chunk, C_j): the
             // popcounts of its cut are this chunk's cardinality
             // contribution.
@@ -497,9 +528,8 @@ impl DistAta {
                 .then(|| WireBlock::cut_csr(right, chunk.clone(), &mut card[cols.clone()]))
                 .transpose()?;
             let right_wire = self.col_comm.bcast(right_owner, right_seed)?;
-            // Left operand A[chunk, R_i]: owned by grid column (t mod q),
-            // local rank (t mod q) of this row communicator.
-            let left_owner = t % self.q;
+            // Left operand A[chunk, R_i].
+            let left_owner = self.left_owner(t);
             let left_seed =
                 (j == left_owner).then(|| WireBlock::cut_csc(left, chunk)).transpose()?;
             let left_wire = self.row_comm.bcast(left_owner, left_seed)?;
@@ -568,6 +598,7 @@ impl DistAta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmat::WORD_BITS;
     use crate::semiring::PlusTimes;
     use crate::spgemm::ata_dense;
     use crate::testutil::Rng;
@@ -637,6 +668,65 @@ mod tests {
             let (full, card, _) = run_distributed(p, c, 200, &columns);
             assert_eq!(full, expected, "p = {p}, c = {c}");
             assert_eq!(card, expected_card, "p = {p}, c = {c}");
+        }
+    }
+
+    /// Per rank, the accumulator and cardinalities after one batch; then
+    /// the run's total bytes sent and flops.
+    type Contraction = (Vec<(DenseMatrix<u64>, Vec<u64>)>, u64, u64);
+
+    /// The [`Contraction`] of one batch whose operands
+    /// `pack(ata, rows, columns)` built.
+    fn per_rank_contraction(
+        p: usize,
+        replication: usize,
+        rows: usize,
+        columns: &[Vec<usize>],
+        pack: impl Fn(&DistAta, usize, &[Vec<usize>]) -> (BitMatrix, BitMatrix) + Sync,
+    ) -> Contraction {
+        let out = Runtime::new(p)
+            .run(|ctx| {
+                let mut ata = DistAta::new(ctx.world(), columns.len(), replication).unwrap();
+                let mut acc = ata.new_accumulator();
+                let mut card = ata.new_cardinalities();
+                let (left, right) = pack(&ata, rows, columns);
+                ata.accumulate_batch_keyed(&left, &right, None, &mut acc, &mut card).unwrap();
+                (acc, card)
+            })
+            .unwrap();
+        let total = out.aggregate();
+        (out.results, total.total_bytes_sent, total.total_flops)
+    }
+
+    #[test]
+    fn operands_packed_in_the_owned_chunks_only_contract_like_full_ones() {
+        // The rows of `columns` whose word lies in one of `chunks`: packed
+        // with the full extent, they store words in those chunks only.
+        let restrict = |rows: usize, columns: &[Vec<usize>], chunks: &[Range<usize>]| {
+            let owned = |r: &usize| chunks.iter().any(|c| c.contains(&(r / WORD_BITS)));
+            let kept: Vec<Vec<usize>> =
+                columns.iter().map(|col| col.iter().copied().filter(owned).collect()).collect();
+            BitMatrix::from_columns(rows, &kept).unwrap()
+        };
+        let owned_only = |ata: &DistAta, rows: usize, columns: &[Vec<usize>]| {
+            let (left_chunks, right_chunks) = ata.owned_chunks(rows.div_ceil(WORD_BITS));
+            let block = |range: Range<usize>| columns[range].to_vec();
+            (
+                restrict(rows, &block(ata.my_row_range()), &left_chunks),
+                restrict(rows, &block(ata.my_col_range()), &right_chunks),
+            )
+        };
+        // 200 rows are 4 word rows, fewer than most grids' `T · c` chunks;
+        // 5 000 rows are 79.
+        let mut rng = Rng(34);
+        for (rows, columns) in [(200, columns()), (5_000, rng.columns(5_000, 9, 4))] {
+            for (p, c) in
+                [(1, 1), (2, 1), (4, 1), (5, 1), (6, 1), (6, 2), (8, 1), (8, 2), (9, 1), (12, 2)]
+            {
+                let expected = per_rank_contraction(p, c, rows, &columns, pack_blocks);
+                let got = per_rank_contraction(p, c, rows, &columns, owned_only);
+                assert_eq!(got, expected, "{rows} rows, p = {p}, c = {c}");
+            }
         }
     }
 

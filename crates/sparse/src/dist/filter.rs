@@ -22,7 +22,10 @@
 //! and why it is about memory. The survivors are listed as indices only
 //! for a caller that asks ([`RowFilter::nonzero_rows`]).
 //! [`BitMatrix::from_filtered_columns`](crate::bitmat::BitMatrix::from_filtered_columns)
-//! calls it while it packs.
+//! calls it while it packs; its inverse [`RowFilter::select`] maps a range
+//! of output word rows back to the source rows a packer must read for it.
+//! A rank that scatters its observed rows itself hands the bitmap to
+//! [`dist_row_filter_from_bitmap`].
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -178,6 +181,28 @@ impl RowFilter {
             .then(|| rank.before[row / WORD_BITS] + (word & (bit - 1)).count_ones() as usize)
     }
 
+    /// The source row of the `k`-th survivor (counting from 0), or `None`
+    /// past the last: the inverse of [`RowFilter::compacted_index`]. With
+    /// a rank directory this is a binary search of the per-word survivor
+    /// counts and a walk over one word's set bits; without one it is
+    /// `nonzero_rows()[k]`.
+    pub fn select(&self, k: usize) -> Option<usize> {
+        if k >= self.survivors {
+            return None;
+        }
+        let Some(rank) = &self.rank else {
+            return Some(self.nonzero_rows()[k]);
+        };
+        // The last word with at most `k` survivors before it holds the
+        // `k`-th: every later one has more, and `k < survivors`.
+        let w = rank.before.partition_point(|&b| b <= k) - 1;
+        let mut word = rank.words[w];
+        for _ in rank.before[w]..k {
+            word &= word - 1;
+        }
+        Some(w * WORD_BITS + word.trailing_zeros() as usize)
+    }
+
     /// A stable fingerprint of this filter: the batch extent plus the
     /// surviving rows, read in the one representation the density guard
     /// gives them (directory words above it, the sorted list below). Used
@@ -206,7 +231,20 @@ pub fn dist_row_filter(
     batch_rows: usize,
     local_rows: &[usize],
 ) -> SparseResult<RowFilter> {
-    let mine = pack_row_bitmap(batch_rows, local_rows);
+    dist_row_filter_from_bitmap(comm, batch_rows, pack_row_bitmap(batch_rows, local_rows))
+}
+
+/// [`dist_row_filter`] for a rank that has already packed the rows it
+/// observes: bit `r` of `mine` is set iff row `r` is nonzero in its local
+/// columns. `mine` is cut or zero-extended to `⌈batch_rows / 64⌉` words
+/// (rows at or past `batch_rows` are ignored, as `pack_row_bitmap` clips
+/// them), so every rank sends the same number of bytes.
+pub fn dist_row_filter_from_bitmap(
+    comm: &Communicator,
+    batch_rows: usize,
+    mut mine: Vec<u64>,
+) -> SparseResult<RowFilter> {
+    mine.resize(batch_rows.div_ceil(WORD_BITS), 0);
     let combined = comm.allreduce(&mine, |a, b| *a | *b)?;
     // Charge the prefix-sum renumbering of the survivors.
     comm.add_flops(combined.len() as u64);
@@ -298,6 +336,10 @@ mod tests {
                         "row {r} of {batch_rows}, {survivors} drawn"
                     );
                 }
+                for (k, &r) in f.nonzero_rows().iter().enumerate() {
+                    assert_eq!(f.select(k), Some(r), "survivor {k} of {batch_rows} rows");
+                }
+                assert_eq!(f.select(f.num_nonzero_rows()), None);
             }
         }
         // A universe-sized batch stays O(survivors).

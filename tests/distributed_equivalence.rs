@@ -190,31 +190,63 @@ fn hypersparse(seed: u64) -> SampleCollection {
     SampleCollection::from_sorted_sets(samples).unwrap()
 }
 
+/// `hypersparse(seed)` below row 160 000, plus about fifty rows in
+/// `[240 000, 241 000)`, over a 400 000-row universe: in five batches the
+/// fourth keeps one word row — every SUMMA chunk but one is empty on any
+/// grid with `T · c > 1` — and the fifth keeps none.
+fn hypersparse_with_a_sparse_tail(seed: u64) -> SampleCollection {
+    let samples = DatasetSpec::explicit(400_000, 32, 1e-3, seed).generate().unwrap();
+    let samples = samples
+        .into_iter()
+        .enumerate()
+        .map(|(j, s)| {
+            let mut s: Vec<u64> = s.into_iter().filter(|&v| v < 160_000).collect();
+            s.extend([240_000 + 3 * (j as u64 % 20), 240_500 + j as u64]);
+            s
+        })
+        .collect();
+    SampleCollection::from_sorted_sets(samples).unwrap().with_universe(400_000).unwrap()
+}
+
 #[test]
 fn hypersparse_batches_equal_shared_memory_with_and_without_the_filter() {
-    let collection = hypersparse(24);
-    for ranks in env_usize_list("GAS_DIST_RANKS", &[1, 4, 6]) {
-        for replication in env_usize_list("GAS_DIST_REPLICATION", &[1, 2]) {
-            for batches in [2usize, 5] {
-                for use_zero_row_filter in [true, false] {
-                    let config = SimilarityConfig {
-                        use_zero_row_filter,
-                        ..SimilarityConfig::with_batches(batches).with_replication(replication)
-                    };
-                    let shared = similarity_at_scale(&collection, &config).unwrap();
-                    let distributed = similarity_at_scale_distributed(
-                        &collection,
-                        &config,
-                        ranks,
-                        &Machine::laptop(),
-                    )
-                    .unwrap();
-                    let ctx = format!(
-                        "ranks={ranks}, c={replication}, batches={batches}, \
-                         filter={use_zero_row_filter}"
-                    );
-                    assert_eq!(distributed.result.intersections(), shared.intersections(), "{ctx}");
-                    assert_eq!(distributed.result.cardinalities(), shared.cardinalities(), "{ctx}");
+    let cases = [(hypersparse(24), vec![2usize, 5]), (hypersparse_with_a_sparse_tail(24), vec![5])];
+    let plan = BatchPlan::from_config(&SimilarityConfig::with_batches(5), &cases[1].0, 1).unwrap();
+    let survivors: Vec<u64> = plan
+        .iter()
+        .map(|(lo, hi)| {
+            let columns = cases[1].0.batch_columns_all(lo, hi);
+            let (_, filter) = prepare_batch((hi - lo) as usize, &columns, true, true).unwrap();
+            filter.num_nonzero_rows() as u64
+        })
+        .collect();
+    assert!(survivors[3] > 0 && survivors[3] <= 64 && survivors[4] == 0, "{survivors:?}");
+    for (collection, batch_counts) in &cases {
+        for ranks in env_usize_list("GAS_DIST_RANKS", &[1, 4, 6, 8, 9, 12]) {
+            for replication in env_usize_list("GAS_DIST_REPLICATION", &[1, 2]) {
+                for &batches in batch_counts {
+                    for use_zero_row_filter in [true, false] {
+                        let config = SimilarityConfig {
+                            use_zero_row_filter,
+                            ..SimilarityConfig::with_batches(batches).with_replication(replication)
+                        };
+                        let shared = similarity_at_scale(collection, &config).unwrap();
+                        let distributed = similarity_at_scale_distributed(
+                            collection,
+                            &config,
+                            ranks,
+                            &Machine::laptop(),
+                        )
+                        .unwrap();
+                        let ctx = format!(
+                            "m={}, ranks={ranks}, c={replication}, batches={batches}, \
+                             filter={use_zero_row_filter}",
+                            collection.m()
+                        );
+                        let result = &distributed.result;
+                        assert_eq!(result.intersections(), shared.intersections(), "{ctx}");
+                        assert_eq!(result.cardinalities(), shared.cardinalities(), "{ctx}");
+                    }
                 }
             }
         }
