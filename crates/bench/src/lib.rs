@@ -1,27 +1,22 @@
-//! # gas-bench — the experiment harness
+//! # gas-bench — experiment binaries and shared workloads
 //!
-//! One binary per table/figure of the paper's evaluation (Section V), plus
-//! the `chaos_drill` fault-injection drill. Every binary prints the same
-//! rows/series the paper reports and writes a CSV under `results/`.
-//! Timings the repository tracks over time come from the perf ledger
-//! (`bench/ledger`), not from these binaries.
+//! Three binaries, each writing its table under `results/`:
 //!
-//! Absolute times cannot match a 1024-node Stampede2 run, so each
-//! experiment reports three things per configuration:
+//! - `comm_volume` — bytes per rank of SimilarityAtScale against the
+//!   allreduce baseline, and of the bitmap zero-row filter against the
+//!   index allgather (the paper's communication claim);
+//! - `minhash_accuracy` — MinHash estimate error against exact Jaccard
+//!   across divergences and sketch sizes (the paper's motivation);
+//! - `chaos_drill` — the fault-injection drill CI runs per seed and layer.
 //!
-//! 1. **measured** — wall-clock of the real computation at the scale the
-//!    host can execute (simulated ranks are threads),
-//! 2. **modeled** — the BSP α–β–γ projection at the paper's rank count,
-//!    driven by the communication counters the simulator recorded and the
-//!    paper's analytic cost model,
-//! 3. **projected total** — `time/batch × #batches`, the quantity the
-//!    paper's figures plot.
+//! The paper's Section IV cost analysis and Section V figures are not
+//! binaries: `tests/paper_evaluation.rs` asserts them on exact counts,
+//! priced with the α–β–γ machine model, on the workloads of
+//! [`workloads`]. Timings live in the perf ledger (`bench/ledger`).
 
 #![forbid(unsafe_code)]
 
 pub mod report;
-pub mod scaling;
 pub mod workloads;
 
 pub use report::Table;
-pub use scaling::{strong_scaling, ScalingPoint, ScalingSpec};

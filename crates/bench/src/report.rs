@@ -337,22 +337,6 @@ fn json_cell(cell: &str) -> String {
     json_string(cell)
 }
 
-/// Format seconds compactly: milliseconds below one second, otherwise
-/// seconds / minutes / hours / days as appropriate.
-pub fn format_seconds(s: f64) -> String {
-    if s < 1.0 {
-        format!("{:.1} ms", s * 1e3)
-    } else if s < 120.0 {
-        format!("{s:.2} s")
-    } else if s < 7200.0 {
-        format!("{:.2} min", s / 60.0)
-    } else if s < 48.0 * 3600.0 {
-        format!("{:.2} h", s / 3600.0)
-    } else {
-        format!("{:.2} d", s / 86400.0)
-    }
-}
-
 /// Default results directory (relative to the workspace root when run via
 /// `cargo run`).
 pub fn results_dir() -> std::path::PathBuf {
@@ -436,14 +420,5 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.push_row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn seconds_formatting_covers_ranges() {
-        assert!(format_seconds(0.01).ends_with("ms"));
-        assert!(format_seconds(5.0).ends_with(" s"));
-        assert!(format_seconds(600.0).ends_with("min"));
-        assert!(format_seconds(10_000.0).ends_with(" h"));
-        assert!(format_seconds(500_000.0).ends_with(" d"));
     }
 }

@@ -1,22 +1,16 @@
-//! Workload construction shared by the experiment binaries.
+//! Workload construction shared by the experiment binaries and the
+//! paper-evaluation tests.
 //!
 //! Each workload is a scaled-down synthetic stand-in for a dataset of
-//! Section V-A, built through `gas-genomics::datasets` (the substitution
-//! is documented in `DESIGN.md`). The scale factors default to values that
-//! run in seconds on a laptop; the `GAS_SCALE` environment variable
-//! multiplies them for larger runs.
+//! Section V-A, built through `gas-genomics::datasets`. The caller picks
+//! the scale.
 
 use gas_core::indicator::SampleCollection;
 use gas_genomics::datasets::DatasetSpec;
 
-/// Global scale multiplier read from `GAS_SCALE` (default 1.0).
-pub fn scale_factor() -> f64 {
-    std::env::var("GAS_SCALE").ok().and_then(|v| v.parse::<f64>().ok()).unwrap_or(1.0).max(0.01)
-}
-
 /// Kingsford-like workload (low variability, density ≈ 1.5e-4).
-pub fn kingsford_collection(base_scale: f64) -> SampleCollection {
-    let spec = DatasetSpec::kingsford_like(base_scale * scale_factor());
+pub fn kingsford_collection(scale: f64) -> SampleCollection {
+    let spec = DatasetSpec::kingsford_like(scale);
     SampleCollection::from_sorted_sets(spec.generate().expect("valid preset"))
         .expect("generated samples are sorted")
         .with_universe(spec.m_attributes as u64)
@@ -24,8 +18,8 @@ pub fn kingsford_collection(base_scale: f64) -> SampleCollection {
 }
 
 /// BIGSI-like workload (extremely sparse, highly skewed column density).
-pub fn bigsi_collection(base_scale: f64) -> SampleCollection {
-    let spec = DatasetSpec::bigsi_like(base_scale * scale_factor());
+pub fn bigsi_collection(scale: f64) -> SampleCollection {
+    let spec = DatasetSpec::bigsi_like(scale);
     SampleCollection::from_sorted_sets(spec.generate().expect("valid preset"))
         .expect("generated samples are sorted")
         .with_universe(spec.m_attributes as u64)
@@ -55,10 +49,5 @@ mod tests {
         let s = synthetic_collection(5000, 16, 0.01, 3);
         assert_eq!(s.n(), 16);
         assert!((s.density() - 0.01).abs() < 0.005);
-    }
-
-    #[test]
-    fn scale_factor_defaults_to_one() {
-        assert!((scale_factor() - 1.0).abs() < 1e-9 || scale_factor() > 0.0);
     }
 }

@@ -12,8 +12,6 @@
 //!   average-UPGMA linkage) over a distance matrix;
 //! * [`nj`] — neighbor-joining tree construction with Newick output (the
 //!   guide trees used for multiple sequence alignment);
-//! * [`kmedoids`] — k-medoids partitioning (the k-means-style use of the
-//!   Jaccard distance on categorical data);
 //! * [`outlier`] — proximity-based anomaly detection;
 //! * [`graph`] — the vertex-neighborhood framing of Table III;
 //! * [`documents`] — the word-set framing of Table III.
@@ -24,12 +22,10 @@ pub mod documents;
 pub mod error;
 pub mod graph;
 pub mod hierarchical;
-pub mod kmedoids;
 pub mod nj;
 pub mod outlier;
 
 pub use error::{ClusterError, ClusterResult};
 pub use hierarchical::{hierarchical_cluster, Dendrogram, Linkage};
-pub use kmedoids::k_medoids;
 pub use nj::{neighbor_joining, PhyloTree};
 pub use outlier::knn_outlier_scores;

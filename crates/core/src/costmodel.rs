@@ -1,9 +1,6 @@
 //! The paper's analytic BSP cost model (Section III-C).
 //!
-//! The evaluation scales to 1024 nodes / 32,768 ranks — far beyond what
-//! the simulated runtime can execute natively as threads. The benchmark
-//! harness therefore combines *measured* per-element kernel rates (from
-//! runs it can execute) with the paper's analytic per-batch cost
+//! The paper prices one batch of its algorithm as
 //!
 //! ```text
 //! T(z, n, M, c, p) = O( (1 + z/(M√(cp)))·α
@@ -11,129 +8,23 @@
 //!                     + (F/p)·γ )
 //! ```
 //!
-//! and the total cost `(Z / (M·p)) · T̃(n, M, p)` to project execution
-//! times at the paper's node counts. The strong-scaling efficiency result
-//! (`E_p = O(1)` in the memory-bound regime) is also exposed so the
-//! theory experiment can chart it.
+//! and shows that, with the batch sized to fill memory, strong scaling
+//! keeps a constant parallel efficiency (`E_p = O(1)`).
+//! [`PaperCostModel`] evaluates that formula on a concrete α–β–γ machine.
+//! The β term's word count is [`ProjectionInput::bandwidth_words`], which
+//! `tests/paper_evaluation.rs` holds the simulator's exact per-rank bytes
+//! against across rectangular grids.
 
-use gas_dstsim::cost::{CostModel, CostReport};
+use gas_dstsim::cost::CostModel;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{CoreError, CoreResult};
-
-/// One measured sample for fitting the α–β–γ machine parameters: the
-/// per-rank counters of a finished run plus the seconds that rank spent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CostObservation {
-    /// Supersteps (synchronisation rounds) the rank executed.
-    pub supersteps: f64,
-    /// Bytes the rank received over the network.
-    pub bytes: f64,
-    /// Multiply-accumulate operations the rank performed.
-    pub flops: f64,
-    /// Measured wall-clock seconds for the rank.
-    pub seconds: f64,
-}
-
-impl CostObservation {
-    /// Build an observation from a simulator [`CostReport`].
-    pub fn from_report(report: &CostReport) -> Self {
-        CostObservation {
-            supersteps: report.supersteps as f64,
-            bytes: report.bytes_received as f64,
-            flops: report.flops as f64,
-            seconds: report.measured_seconds,
-        }
-    }
-}
-
-/// Least-squares fit of the α–β–γ machine parameters from measured
-/// per-rank observations: solves `argmin Σ (s·α + b·β + f·γ − t)²` via the
-/// 3×3 normal equations with column scaling (the raw columns span ~10
-/// orders of magnitude). Negative solutions are clamped to zero — a
-/// counter whose contribution the measurements cannot resolve costs
-/// nothing rather than producing a nonsensical negative rate. Memory and
-/// streaming parameters are carried over from `base` since the
-/// observations say nothing about them.
-pub fn fit_cost_model(observations: &[CostObservation], base: CostModel) -> CoreResult<CostModel> {
-    if observations.len() < 3 {
-        return Err(CoreError::InvalidConfig(format!(
-            "fitting three machine parameters needs at least 3 observations, got {}",
-            observations.len()
-        )));
-    }
-    // Column scales keep the normal equations well conditioned.
-    let mut scale = [0.0f64; 3];
-    for o in observations {
-        scale[0] = scale[0].max(o.supersteps.abs());
-        scale[1] = scale[1].max(o.bytes.abs());
-        scale[2] = scale[2].max(o.flops.abs());
-    }
-    for s in &mut scale {
-        if *s == 0.0 {
-            *s = 1.0;
-        }
-    }
-    // Accumulate AᵀA (3×3 symmetric) and Aᵀb on the scaled columns.
-    let mut ata = [[0.0f64; 3]; 3];
-    let mut atb = [0.0f64; 3];
-    for o in observations {
-        let row = [o.supersteps / scale[0], o.bytes / scale[1], o.flops / scale[2]];
-        for i in 0..3 {
-            for j in 0..3 {
-                ata[i][j] += row[i] * row[j];
-            }
-            atb[i] += row[i] * o.seconds;
-        }
-    }
-    // Gaussian elimination with partial pivoting.
-    let mut a = ata;
-    let mut b = atb;
-    for col in 0..3 {
-        let pivot = (col..3)
-            .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
-            .expect("non-empty pivot range");
-        if a[pivot][col].abs() < 1e-12 {
-            return Err(CoreError::InvalidConfig(
-                "observations do not determine the machine parameters (singular system); \
-                 vary the rank count or batch size across runs"
-                    .to_string(),
-            ));
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        let lead = a[col];
-        for row in (col + 1)..3 {
-            let factor = a[row][col] / lead[col];
-            for (entry, l) in a[row].iter_mut().zip(lead).skip(col) {
-                *entry -= factor * l;
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    let mut x = [0.0f64; 3];
-    for col in (0..3).rev() {
-        let mut acc = b[col];
-        for k in (col + 1)..3 {
-            acc -= a[col][k] * x[k];
-        }
-        x[col] = acc / a[col][col];
-    }
-    Ok(CostModel {
-        alpha: (x[0] / scale[0]).max(0.0),
-        beta: (x[1] / scale[1]).max(0.0),
-        gamma: (x[2] / scale[2]).max(0.0),
-        ..base
-    })
-}
 
 /// Problem/machine parameters for one projected configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProjectionInput {
     /// Number of data samples `n`.
     pub n_samples: usize,
-    /// Total nonzeros `Z` of the (packed) indicator matrix.
-    pub total_nonzeros: f64,
     /// Total multiply-accumulate operations `G` of the full product.
     pub total_flops: f64,
     /// Number of ranks `p`.
@@ -142,6 +33,17 @@ pub struct ProjectionInput {
     pub mem_words_per_rank: f64,
     /// Replication factor `c`.
     pub replication: usize,
+}
+
+impl ProjectionInput {
+    /// Words the busiest rank moves for a batch of `z` nonzeros: the β
+    /// term `z/√(cp) + c·n²/p + p` of the paper's per-batch cost.
+    pub fn bandwidth_words(&self, z: f64) -> f64 {
+        let p = self.ranks as f64;
+        let c = self.replication.max(1) as f64;
+        let n = self.n_samples as f64;
+        z / (c * p).sqrt() + c * n * n / p + p
+    }
 }
 
 /// The analytic cost model: the paper's formulas evaluated with a concrete
@@ -169,59 +71,21 @@ impl PaperCostModel {
     pub fn batch_cost(&self, z: f64, input: &ProjectionInput, flops: f64) -> CoreResult<f64> {
         let p = input.ranks as f64;
         let c = input.replication.max(1) as f64;
-        let n = input.n_samples as f64;
         let m_words = input.mem_words_per_rank;
-        if p < 1.0 || m_words <= 0.0 {
-            return Err(CoreError::InvalidConfig(
-                "projection needs at least one rank and positive memory".to_string(),
-            ));
+        // A NaN memory size compares false both ways, so test for the
+        // valid range rather than against it.
+        if p < 1.0 || !(m_words.is_finite() && m_words > 0.0) {
+            return Err(CoreError::InvalidConfig(format!(
+                "projection needs at least one rank and a finite positive memory size \
+                 (got {} ranks, {m_words} words)",
+                input.ranks
+            )));
         }
         let latency_terms = 1.0 + z / (m_words * (c * p).sqrt());
-        let bandwidth_words = z / (c * p).sqrt() + c * n * n / p + p;
         let compute = flops / p;
         Ok(latency_terms * self.machine.alpha
-            + bandwidth_words * self.beta_word()
+            + input.bandwidth_words(z) * self.beta_word()
             + compute * self.machine.gamma)
-    }
-
-    /// The simplified memory-bound per-batch cost `T̃(n, M, p)` obtained by
-    /// choosing `z = Θ(M·p)` and `c = Θ(min(p, M·p/n²))`.
-    pub fn simplified_batch_cost(
-        &self,
-        input: &ProjectionInput,
-        batch_flops: f64,
-    ) -> CoreResult<f64> {
-        let n = input.n_samples as f64;
-        let m_words = input.mem_words_per_rank;
-        let p = input.ranks as f64;
-        if p < 1.0 || m_words <= 0.0 {
-            return Err(CoreError::InvalidConfig(
-                "projection needs at least one rank and positive memory".to_string(),
-            ));
-        }
-        Ok((n / m_words.sqrt()) * self.machine.alpha
-            + n * m_words.sqrt() * self.beta_word()
-            + (batch_flops / p) * self.machine.gamma)
-    }
-
-    /// Total projected cost: `(Z / (M·p)) · T̃`, i.e. the number of
-    /// maximal batches times the per-batch cost, with the compute term
-    /// using the overall `G / p`.
-    pub fn total_cost(&self, input: &ProjectionInput) -> CoreResult<f64> {
-        let p = input.ranks as f64;
-        let m_words = input.mem_words_per_rank;
-        let z = input.total_nonzeros;
-        let n = input.n_samples as f64;
-        if p < 1.0 || m_words <= 0.0 {
-            return Err(CoreError::InvalidConfig(
-                "projection needs at least one rank and positive memory".to_string(),
-            ));
-        }
-        let batches = (z / (m_words * p)).max(1.0);
-        let latency = batches * (n / m_words.sqrt()) * self.machine.alpha;
-        let bandwidth = batches * n * m_words.sqrt() * self.beta_word();
-        let compute = input.total_flops / p * self.machine.gamma;
-        Ok(latency + bandwidth + compute)
     }
 
     /// Strong-scaling parallel efficiency `E_p`: the ratio of the cost of
@@ -250,34 +114,6 @@ impl PaperCostModel {
         let t1 = self.batch_cost(base_z * factor, &scaled, base_flops * factor)?;
         Ok(t0 / t1)
     }
-
-    /// Project a full-dataset execution time from a measured per-batch
-    /// time at a reference configuration: the paper's figures plot
-    /// `time/batch × #batches`, and when extrapolating to more nodes the
-    /// analytic model supplies the ratio of per-batch costs.
-    pub fn extrapolate_total_time(
-        &self,
-        measured_batch_seconds: f64,
-        measured: &ProjectionInput,
-        measured_batch_flops: f64,
-        target: &ProjectionInput,
-        target_batches: f64,
-    ) -> CoreResult<f64> {
-        if measured_batch_seconds <= 0.0 || target_batches <= 0.0 {
-            return Err(CoreError::InvalidConfig(
-                "measured batch time and target batch count must be positive".to_string(),
-            ));
-        }
-        let measured_model =
-            self.batch_cost(measured.total_nonzeros, measured, measured_batch_flops)?;
-        let target_model = self.batch_cost(
-            target.total_nonzeros / target_batches,
-            target,
-            target.total_flops / target_batches,
-        )?;
-        let ratio = if measured_model > 0.0 { target_model / measured_model } else { 1.0 };
-        Ok(measured_batch_seconds * ratio * target_batches)
-    }
 }
 
 #[cfg(test)]
@@ -292,7 +128,6 @@ mod tests {
     fn base_input() -> ProjectionInput {
         ProjectionInput {
             n_samples: 2580,
-            total_nonzeros: 1.5e9,
             total_flops: 5.0e12,
             ranks: 32,
             mem_words_per_rank: 3.0e8,
@@ -311,19 +146,6 @@ mod tests {
         let t_small = m.batch_cost(z, &small, flops).unwrap();
         let t_large = m.batch_cost(z, &large, flops).unwrap();
         assert!(t_large < t_small);
-    }
-
-    #[test]
-    fn total_cost_scales_down_with_ranks_in_memory_bound_regime() {
-        let m = model();
-        let mut costs = Vec::new();
-        for ranks in [32usize, 128, 512, 2048] {
-            let input = ProjectionInput { ranks, ..base_input() };
-            costs.push(m.total_cost(&input).unwrap());
-        }
-        for w in costs.windows(2) {
-            assert!(w[1] < w[0], "costs should decrease: {costs:?}");
-        }
     }
 
     #[test]
@@ -357,96 +179,10 @@ mod tests {
         let mut bad = base_input();
         bad.ranks = 0;
         assert!(m.batch_cost(1.0, &bad, 1.0).is_err());
-        assert!(m.total_cost(&bad).is_err());
-        let mut bad = base_input();
-        bad.mem_words_per_rank = 0.0;
-        assert!(m.simplified_batch_cost(&bad, 1.0).is_err());
-    }
-
-    #[test]
-    fn extrapolation_reproduces_measured_time_at_identity() {
-        let m = model();
-        let input = base_input();
-        let t = m.extrapolate_total_time(2.5, &input, input.total_flops, &input, 1.0).unwrap();
-        // Same configuration and one batch: projection equals measurement
-        // (total nonzeros already equal the per-batch nonzeros here).
-        assert!((t - 2.5).abs() < 1e-9);
-        assert!(m.extrapolate_total_time(0.0, &input, 1.0, &input, 1.0).is_err());
-        assert!(m.extrapolate_total_time(1.0, &input, 1.0, &input, 0.0).is_err());
-    }
-
-    #[test]
-    fn fit_recovers_known_machine_parameters() {
-        let (alpha, beta, gamma) = (2.0e-6, 8.0e-11, 1.0e-9);
-        let mut obs = Vec::new();
-        // Vary all three counters independently so the system is
-        // well determined.
-        for (s, b, f) in
-            [(10.0, 1.0e8, 2.0e9), (25.0, 3.0e8, 1.0e9), (40.0, 5.0e7, 8.0e9), (15.0, 9.0e8, 4.0e9)]
-        {
-            obs.push(CostObservation {
-                supersteps: s,
-                bytes: b,
-                flops: f,
-                seconds: s * alpha + b * beta + f * gamma,
-            });
+        for words in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bad = ProjectionInput { mem_words_per_rank: words, ..base_input() };
+            assert!(m.batch_cost(1.0, &bad, 1.0).is_err(), "M = {words}");
+            assert!(m.strong_scaling_efficiency(&bad, 64).is_err(), "M = {words}");
         }
-        let fitted = fit_cost_model(&obs, CostModel::default()).unwrap();
-        assert!((fitted.alpha - alpha).abs() / alpha < 1e-6, "alpha = {}", fitted.alpha);
-        assert!((fitted.beta - beta).abs() / beta < 1e-6, "beta = {}", fitted.beta);
-        assert!((fitted.gamma - gamma).abs() / gamma < 1e-6, "gamma = {}", fitted.gamma);
-        // Base parameters the observations say nothing about are carried.
-        assert_eq!(fitted.mem_per_rank, CostModel::default().mem_per_rank);
-    }
-
-    #[test]
-    fn fit_rejects_underdetermined_systems() {
-        let one = CostObservation { supersteps: 1.0, bytes: 1.0, flops: 1.0, seconds: 1.0 };
-        assert!(fit_cost_model(&[one, one], CostModel::default()).is_err());
-        // Three identical rows are rank deficient.
-        assert!(fit_cost_model(&[one, one, one], CostModel::default()).is_err());
-    }
-
-    #[test]
-    fn fit_clamps_unresolvable_parameters_to_zero() {
-        // seconds depend only on flops; α and β should come out ~0, not
-        // negative.
-        let mut obs = Vec::new();
-        for (s, b, f) in [(10.0, 1.0e8, 2.0e9), (25.0, 3.0e8, 1.0e9), (40.0, 5.0e7, 8.0e9)] {
-            obs.push(CostObservation { supersteps: s, bytes: b, flops: f, seconds: f * 1.0e-9 });
-        }
-        let fitted = fit_cost_model(&obs, CostModel::default()).unwrap();
-        assert!(fitted.alpha >= 0.0 && fitted.beta >= 0.0);
-        assert!((fitted.gamma - 1.0e-9).abs() / 1.0e-9 < 1e-6);
-    }
-
-    #[test]
-    fn observation_from_report_maps_the_measured_fields() {
-        let report = CostReport {
-            rank: 3,
-            msgs_sent: 1,
-            msgs_received: 2,
-            bytes_sent: 100,
-            bytes_received: 200,
-            flops: 300,
-            mem_traffic: 0,
-            supersteps: 7,
-            collectives: 4,
-            measured_seconds: 0.5,
-        };
-        let o = CostObservation::from_report(&report);
-        assert_eq!(o.supersteps, 7.0);
-        assert_eq!(o.bytes, 200.0);
-        assert_eq!(o.flops, 300.0);
-        assert_eq!(o.seconds, 0.5);
-    }
-
-    #[test]
-    fn extrapolation_scales_with_batch_count() {
-        let m = model();
-        let input = base_input();
-        let t1 = m.extrapolate_total_time(2.0, &input, 1.0e10, &input, 1.0).unwrap();
-        let t8 = m.extrapolate_total_time(2.0, &input, 1.0e10, &input, 8.0).unwrap();
-        assert!(t8 > t1);
     }
 }

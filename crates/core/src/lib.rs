@@ -21,8 +21,8 @@
 //!
 //! Drivers live in [`algorithm`]; comparison points in [`minhash`]
 //! (Mash-style sketching) and [`baselines`] (exact single-node and
-//! allreduce-style distributed schemes); the analytic BSP cost model used
-//! to project to the paper's 1024-node scale is in [`costmodel`].
+//! allreduce-style distributed schemes); the paper's analytic BSP cost
+//! formula (Section III-C) is in [`costmodel`].
 //!
 //! ```
 //! use gas_core::algorithm::similarity_at_scale;
@@ -53,7 +53,7 @@ pub mod minhash;
 
 pub use algorithm::{similarity_at_scale, similarity_at_scale_distributed};
 pub use config::SimilarityConfig;
-pub use costmodel::{fit_cost_model, CostObservation, PaperCostModel, ProjectionInput};
+pub use costmodel::{PaperCostModel, ProjectionInput};
 pub use error::{CoreError, CoreResult};
 pub use indicator::SampleCollection;
 pub use jaccard::{jaccard_exact_pairwise, SimilarityResult};

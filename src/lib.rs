@@ -18,7 +18,7 @@
 //!   Jaccard similarity/distance matrices), plus MinHash and allreduce
 //!   baselines and the paper's analytic BSP cost model.
 //! * [`cluster`] — downstream applications: hierarchical clustering,
-//!   neighbor-joining guide trees, k-medoids, outlier detection.
+//!   neighbor-joining guide trees, outlier detection.
 //! * [`index`] — the persistent MinHash–LSH sketch index and its batched
 //!   top-k query engine (build / persist / query / distribute), the
 //!   query-serving counterpart of the all-pairs pipeline — now a full
