@@ -96,7 +96,6 @@ fn storage_drill(seed: u64) -> Outcome {
     commit_two(&mut writer).expect("seed generation");
     recorded.insert(writer.generation(), answers(&writer.reader()));
 
-    gas_chaos::set_enabled(true);
     let mut injected = 0u64;
     let mut recoveries = 0u64;
     let kinds =
@@ -164,7 +163,6 @@ fn storage_drill(seed: u64) -> Outcome {
         }
         recorded.insert(healed.generation(), answers(&healed));
     }
-    gas_chaos::set_enabled(false);
     std::fs::remove_file(&path).ok();
     if injected == 0 {
         violations.push("the scripted plans injected no faults".into());
@@ -203,7 +201,6 @@ fn service_drill(seed: u64) -> Outcome {
     service.add_batch(batch(0)).expect("seed batch");
     service.commit_wait().expect("seed commit");
 
-    gas_chaos::set_enabled(true);
     // One-shot fault: absorbed by the bounded retry loop.
     service.set_storage(Arc::new(ChaosStorage::over_fs(
         FaultPlan::seeded(seed, 0).script(0, FaultKind::IoError),
@@ -232,7 +229,6 @@ fn service_drill(seed: u64) -> Outcome {
     if let Err(e) = service.commit_wait_retry() {
         violations.push(format!("healing retry failed under RealFs: {e}"));
     }
-    gas_chaos::set_enabled(false);
 
     maintenance_leg(&service, seed, &path, &mut violations);
 
@@ -319,12 +315,10 @@ fn maintenance_leg(
     // fails a replace before its rename.
     let kinds =
         [FaultKind::IoError, FaultKind::ShortWrite, FaultKind::TornWrite, FaultKind::FsyncLoss];
-    gas_chaos::set_enabled(true);
     service.set_storage(Arc::new(ChaosStorage::over_fs(
         FaultPlan::seeded(seed, 0).script(1, kinds[seed as usize % kinds.len()]),
     )));
     service.maintain();
-    gas_chaos::set_enabled(false);
     let compact = service.stats().compact;
     if (compact.passes, compact.vacuums_run, compact.vacuums_failed) != (1, 0, 1) {
         violations.push(format!(

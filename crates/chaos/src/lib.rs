@@ -15,9 +15,12 @@
 //!   seed replays the same faults in the same places. One-shot faults
 //!   can also be scripted at exact operation indices for targeted
 //!   tests;
-//! * a process-global [`enabled`] switch gates every injection site at
-//!   the cost of **one relaxed atomic load** — the production default
-//!   (`false`) makes a chaos-wrapped storage a plain pass-through;
+//! * injection is per storage, not per process: a [`ChaosStorage`]
+//!   always consults its plan and [`RealFs`] never injects, so a drill
+//!   turns chaos on by installing a `ChaosStorage` and heals by
+//!   installing `RealFs`, and drills in one process never see each
+//!   other's faults. [`FaultPlan::none`] makes a `ChaosStorage` a plain
+//!   pass-through;
 //! * [`RetryPolicy`] provides bounded-attempt exponential backoff with
 //!   *deterministic* jitter (`splitmix64(seed, attempt)`), shared by
 //!   the service layer's commit retry and anything else that backs
@@ -32,52 +35,8 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Process-global injection switch. While `false` (the default) every
-/// [`ChaosStorage`] method is a pass-through guarded by one relaxed
-/// atomic load; [`RealFs`] never checks it at all.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Is fault injection globally enabled? One relaxed atomic load.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Flip the global injection switch (chaos drills that own the whole
-/// process; tests sharing a process go through [`chaos_on`]).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Scoped injection for tests that share a process: enabled while the
-/// guard is held, disabled on drop. Holders are serialized behind one
-/// process-wide gate, so parallel chaos tests never turn each other's
-/// faults off mid-run (a test that must observe the switch *off* takes
-/// the guard too and flips it back inside the scope).
-pub struct ChaosOn {
-    _gate: MutexGuard<'static, ()>,
-}
-
-impl Drop for ChaosOn {
-    fn drop(&mut self) {
-        set_enabled(false);
-    }
-}
-
-/// Take the process-wide chaos gate and enable injection until the
-/// returned guard drops.
-pub fn chaos_on() -> ChaosOn {
-    static GATE: Mutex<()> = Mutex::new(());
-    // The gate guards no data, so a holder that panicked (a failed test)
-    // leaves nothing to repair: recover the guard.
-    let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    set_enabled(true);
-    ChaosOn { _gate: guard }
-}
 
 /// SplitMix64 — the one PRNG the whole plan derives from. Local copy so
 /// this crate stays at the bottom of the workspace DAG (no `gas-core`).
@@ -335,9 +294,7 @@ impl Storage for RealFs {
 }
 
 /// A storage wrapper that injects the wrapped [`FaultPlan`]'s faults
-/// into every call — when the global [`enabled`] switch is on. When it
-/// is off every method is a pass-through behind one relaxed atomic
-/// load.
+/// into every call: each call consumes one op of the plan.
 #[derive(Debug)]
 pub struct ChaosStorage {
     inner: Arc<dyn Storage>,
@@ -361,9 +318,6 @@ impl ChaosStorage {
     }
 
     fn next_fault(&self) -> Option<Fault> {
-        if !enabled() {
-            return None;
-        }
         let fault = self.plan.lock().expect("chaos plan lock poisoned").decide();
         if let Some(f) = fault {
             gas_obs::counter("gas_chaos_injected_total").inc();
@@ -472,7 +426,7 @@ mod tests {
     use super::*;
 
     fn unique_path(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::AtomicU64;
+        use std::sync::atomic::{AtomicU64, Ordering};
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("gas_chaos_{tag}_{}_{n}.bin", std::process::id()))
@@ -510,21 +464,18 @@ mod tests {
     }
 
     #[test]
-    fn disabled_injection_is_a_pass_through() {
-        let _gate = chaos_on();
-        set_enabled(false);
+    fn an_inert_plan_is_a_pass_through() {
         let path = unique_path("pass");
-        let chaos = ChaosStorage::over_fs(FaultPlan::seeded(1, 1000));
+        let chaos = ChaosStorage::over_fs(FaultPlan::none());
         chaos.write(&path, b"hello").unwrap();
         assert_eq!(chaos.read(&path).unwrap(), b"hello");
-        // The plan never advanced: injection sites are dormant.
-        assert_eq!(chaos.ops_seen(), 0);
+        // Every call consulted the plan, and none faulted.
+        assert_eq!(chaos.ops_seen(), 2);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_append_leaves_a_prefix_and_reports_failure() {
-        let _chaos = chaos_on();
         let path = unique_path("torn");
         let chaos = ChaosStorage::over_fs(FaultPlan::seeded(9, 0).script(1, FaultKind::TornWrite));
         chaos.write(&path, b"base").unwrap();
@@ -538,7 +489,6 @@ mod tests {
 
     #[test]
     fn failed_replace_keeps_the_original_intact() {
-        let _chaos = chaos_on();
         let path = unique_path("replace");
         std::fs::write(&path, b"live generation").unwrap();
         for kind in [FaultKind::IoError, FaultKind::TornWrite, FaultKind::FsyncLoss] {
@@ -556,7 +506,6 @@ mod tests {
 
     #[test]
     fn fsync_loss_reports_success_but_loses_the_tail() {
-        let _chaos = chaos_on();
         let path = unique_path("fsync");
         let chaos = ChaosStorage::over_fs(FaultPlan::seeded(5, 0).script(1, FaultKind::FsyncLoss));
         chaos.write(&path, b"base").unwrap();

@@ -69,13 +69,13 @@ pub enum IndexError {
         query_scheme: String,
     },
     /// The serving frontend shed this request: a bounded queue was full,
-    /// a per-batch deadline expired before the work was picked up, or the
-    /// service is shutting down. Overload shedding is admission control,
-    /// not corruption — the caller may retry once pressure drains.
+    /// or the service shut down before the work completed. Overload
+    /// shedding is admission control, not corruption — the caller may
+    /// retry once pressure drains.
     Overloaded {
         /// Request class that was shed ("commit", "query", "compact").
         class: String,
-        /// Which limit tripped (queue bound, deadline, shutdown).
+        /// Which limit tripped (queue bound or shutdown).
         context: String,
     },
     /// A pagination cursor references a snapshot generation the service

@@ -136,6 +136,6 @@ pub use query::{
 };
 pub use segment::{Segment, SegmentStats};
 pub use service::{
-    CompactionStats, DegradedBatch, DegradedCauses, IndexOptions, IndexService, LatencyHistogram,
-    LocalIndexService, RequestClassStats, ServiceStats,
+    CompactionStats, DegradedBatch, DegradedCauses, IndexOptions, IndexService, LocalIndexService,
+    RequestClassStats, ServiceStats,
 };

@@ -622,15 +622,6 @@ impl IndexWriter {
         self.finish_commit(sealed, rows_added, deletes)
     }
 
-    /// Give up on an in-flight batch (its commit was shed by admission
-    /// control): the reserved global ids leak permanently — ids are
-    /// never reused, so a gap is indistinguishable from a
-    /// deleted-and-compacted row — and the rows never become visible.
-    pub(crate) fn abandon_in_flight(&mut self, rows: usize) {
-        debug_assert!(self.in_flight >= rows as u32);
-        self.in_flight -= (rows as u32).min(self.in_flight);
-    }
-
     /// Seal every sample of `collection` as one segment in a single
     /// step — the one-shot-build fast path: signatures are computed
     /// straight off the collection's sample slices, with no staged
@@ -1111,14 +1102,6 @@ impl IndexReader {
 
     /// The live segments, ordered by first global id.
     pub fn segments(&self) -> &[SharedSegment] {
-        &self.segments
-    }
-
-    /// The shared segment-set handle backing this snapshot. The serving
-    /// frontend downgrades it to a `Weak` to learn when the last reader
-    /// pinned to a pre-compaction generation has dropped (which is when
-    /// a deferred vacuum may run).
-    pub(crate) fn segments_handle(&self) -> &Arc<Vec<SharedSegment>> {
         &self.segments
     }
 
@@ -1812,7 +1795,6 @@ mod tests {
         // The satellite pin: vacuum is write-temp-then-rename, so any
         // injected fault during the rewrite must leave the original file
         // byte-identical and servable, and a clean retry must succeed.
-        let _chaos = gas_chaos::chaos_on();
         use gas_chaos::{ChaosStorage, FaultKind, FaultPlan};
         let path = unique_path("chaosvac");
         let mut w = IndexOptions::from_config(config()).create_writer_at(&path).unwrap();
@@ -1867,7 +1849,6 @@ mod tests {
         // Tentpole requirement: a torn append mid-commit errors, the
         // reopened file serves the newest intact prior generation, and
         // the next successful commit heals the tail.
-        let _chaos = gas_chaos::chaos_on();
         use gas_chaos::{ChaosStorage, FaultKind, FaultPlan};
         let path = unique_path("chaostorn");
         let mut w = IndexOptions::from_config(config()).create_writer_at(&path).unwrap();
@@ -1908,7 +1889,6 @@ mod tests {
         // ahead of the disk; reopen falls back to the newest intact
         // generation, and a vacuum (full rewrite) re-syncs disk with
         // memory.
-        let _chaos = gas_chaos::chaos_on();
         use gas_chaos::{ChaosStorage, FaultKind, FaultPlan};
         let path = unique_path("chaosfsync");
         let mut w = IndexOptions::from_config(config()).create_writer_at(&path).unwrap();

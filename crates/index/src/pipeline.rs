@@ -18,19 +18,14 @@
 //!   time under the writer lock, so manifest generations stay strictly
 //!   ordered no matter which signer finishes first.
 //!
-//! Admission control lives at both ends: the service bounds the number
-//! of in-flight commits *before* staging is taken (nothing is lost on a
-//! queue-full shed), and each job carries an optional **deadline**
-//! checked at signer pickup — a job that waited too long is shed with a
-//! typed [`IndexError::Overloaded`], its reserved ids leak (ids are
-//! never reused, so a gap is indistinguishable from a
-//! deleted-and-compacted row), and the sealer still advances past its
-//! sequence number so later commits are never stuck.
+//! Admission control lives at the door: the service bounds the number
+//! of in-flight commits *before* staging is taken, so a queue-full shed
+//! loses nothing and every submitted batch is signed and sealed.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gas_core::minhash::SignatureScheme;
@@ -42,7 +37,7 @@ use crate::service::ClassMetrics;
 
 /// The receipt of a pipelined commit: resolves to the same
 /// [`CommitSummary`] a serial `commit()` would have returned, or to a
-/// typed error if the commit was shed or the seal failed.
+/// typed error if the seal failed or the pipeline stopped first.
 #[derive(Debug)]
 pub struct CommitTicket {
     rx: Receiver<IndexResult<CommitSummary>>,
@@ -57,7 +52,7 @@ impl CommitTicket {
         CommitTicket { rx }
     }
 
-    /// Block until the commit seals (or is shed) and return its outcome.
+    /// Block until the commit seals and return its outcome.
     pub fn wait(self) -> IndexResult<CommitSummary> {
         self.rx.recv().unwrap_or_else(|_| {
             Err(IndexError::Overloaded {
@@ -73,23 +68,15 @@ struct SignJob {
     seq: u64,
     batch: StagedBatch,
     enqueued: Instant,
-    deadline: Option<Duration>,
     ticket: Sender<IndexResult<CommitSummary>>,
 }
 
-/// One signed (or shed) batch travelling from a signer to the sealer.
-enum SignedCommit {
-    Signed {
-        rows: Vec<SegmentRow>,
-        deletes: BTreeSet<u32>,
-        enqueued: Instant,
-        ticket: Sender<IndexResult<CommitSummary>>,
-    },
-    Shed {
-        rows: usize,
-        context: String,
-        ticket: Sender<IndexResult<CommitSummary>>,
-    },
+/// One signed batch travelling from a signer to the sealer.
+struct SignedCommit {
+    rows: Vec<SegmentRow>,
+    deletes: BTreeSet<u32>,
+    enqueued: Instant,
+    ticket: Sender<IndexResult<CommitSummary>>,
 }
 
 struct SealMsg {
@@ -134,14 +121,9 @@ impl CommitPipeline {
 
     /// Enqueue a taken batch. Must be called under the same writer lock
     /// that took the batch, so sequence order equals id order.
-    pub(crate) fn submit(
-        &mut self,
-        batch: StagedBatch,
-        deadline: Option<Duration>,
-    ) -> CommitTicket {
+    pub(crate) fn submit(&mut self, batch: StagedBatch) -> CommitTicket {
         let (tx, rx) = unbounded();
-        let job =
-            SignJob { seq: self.next_seq, batch, enqueued: Instant::now(), deadline, ticket: tx };
+        let job = SignJob { seq: self.next_seq, batch, enqueued: Instant::now(), ticket: tx };
         self.next_seq += 1;
         if let Some(job_tx) = &self.job_tx {
             // A send can only fail after shutdown; the dropped ticket
@@ -167,7 +149,7 @@ impl Drop for CommitPipeline {
 }
 
 /// Pull jobs until the service closes the channel, signing each batch
-/// lock-free (or shedding it if its deadline expired while queued).
+/// lock-free.
 fn signer_loop(
     jobs: &Mutex<Receiver<SignJob>>,
     seal_tx: &Sender<SealMsg>,
@@ -179,39 +161,28 @@ fn signer_loop(
             rx.recv()
         };
         let Ok(job) = job else { return };
-        let SignJob { seq, batch, enqueued, deadline, ticket } = job;
-        let commit = if deadline.is_some_and(|d| enqueued.elapsed() > d) {
-            SignedCommit::Shed {
-                rows: batch.samples.len(),
-                context: format!(
-                    "batch waited past its {:?} deadline before signing",
-                    deadline.unwrap_or_default()
-                ),
-                ticket,
-            }
-        } else {
-            let sign_started = Instant::now();
-            let mut sign_span = gas_obs::span("commit", "sign");
-            let sets: Vec<&[u64]> = batch.samples.iter().map(|s| s.values.as_slice()).collect();
-            let signatures = scheme.sign_batch(&sets);
-            let rows: Vec<SegmentRow> = batch
-                .samples
-                .iter()
-                .zip(signatures)
-                .enumerate()
-                .map(|(i, (sample, signature))| SegmentRow {
-                    global_id: batch.base + i as u32,
-                    signature,
-                    set_size: sample.values.len() as u64,
-                    name: sample.name.clone(),
-                })
-                .collect();
-            sign_span.annotate("rows", rows.len() as f64);
-            drop(sign_span);
-            gas_obs::histogram("gas_commit_sign_micros")
-                .record_micros(sign_started.elapsed().as_micros() as u64);
-            SignedCommit::Signed { rows, deletes: batch.deletes, enqueued, ticket }
-        };
+        let SignJob { seq, batch, enqueued, ticket } = job;
+        let sign_started = Instant::now();
+        let mut sign_span = gas_obs::span("commit", "sign");
+        let sets: Vec<&[u64]> = batch.samples.iter().map(|s| s.values.as_slice()).collect();
+        let signatures = scheme.sign_batch(&sets);
+        let rows: Vec<SegmentRow> = batch
+            .samples
+            .iter()
+            .zip(signatures)
+            .enumerate()
+            .map(|(i, (sample, signature))| SegmentRow {
+                global_id: batch.base + i as u32,
+                signature,
+                set_size: sample.values.len() as u64,
+                name: sample.name.clone(),
+            })
+            .collect();
+        sign_span.annotate("rows", rows.len() as f64);
+        drop(sign_span);
+        gas_obs::histogram("gas_commit_sign_micros")
+            .record_micros(sign_started.elapsed().as_micros() as u64);
+        let commit = SignedCommit { rows, deletes: batch.deletes, enqueued, ticket };
         if seal_tx.send(SealMsg { seq, commit }).is_err() {
             return; // sealer gone: shutdown
         }
@@ -225,30 +196,21 @@ fn sealer_loop(seal_rx: &Receiver<SealMsg>, writer: &Mutex<IndexWriter>, metrics
     let mut holdback: BTreeMap<u64, SignedCommit> = BTreeMap::new();
     while let Ok(msg) = seal_rx.recv() {
         holdback.insert(msg.seq, msg.commit);
-        while let Some(commit) = holdback.remove(&next_seq) {
+        while let Some(SignedCommit { rows, deletes, enqueued, ticket }) =
+            holdback.remove(&next_seq)
+        {
             next_seq += 1;
             let mut guard = writer.lock().expect("writer lock poisoned");
-            match commit {
-                SignedCommit::Signed { rows, deletes, enqueued, ticket } => {
-                    let seal_started = Instant::now();
-                    let result = {
-                        let _seal_span = gas_obs::span("commit", "seal");
-                        guard.commit_signed_rows(rows, deletes)
-                    };
-                    drop(guard);
-                    gas_obs::histogram("gas_commit_seal_micros")
-                        .record_micros(seal_started.elapsed().as_micros() as u64);
-                    metrics.finish(enqueued.elapsed(), result.is_ok());
-                    let _ = ticket.send(result);
-                }
-                SignedCommit::Shed { rows, context, ticket } => {
-                    guard.abandon_in_flight(rows);
-                    drop(guard);
-                    metrics.shed();
-                    let _ = ticket
-                        .send(Err(IndexError::Overloaded { class: "commit".into(), context }));
-                }
-            }
+            let seal_started = Instant::now();
+            let result = {
+                let _seal_span = gas_obs::span("commit", "seal");
+                guard.commit_signed_rows(rows, deletes)
+            };
+            drop(guard);
+            gas_obs::histogram("gas_commit_seal_micros")
+                .record_micros(seal_started.elapsed().as_micros() as u64);
+            metrics.finish(enqueued.elapsed(), result.is_ok());
+            let _ = ticket.send(result);
         }
     }
 }

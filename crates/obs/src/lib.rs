@@ -7,8 +7,8 @@
 //!   recorder that is a guaranteed-cheap no-op while disabled
 //!   (`GAS_TRACE=1` or [`set_enabled`]).
 //! - [`metrics`]: a process-global registry of named counters, gauges
-//!   and latency histograms ([`LatencyHistogram`] moved here from
-//!   `gas_index::service`), snapshotted for export.
+//!   and latency histograms ([`LatencyHistogram`]), snapshotted for
+//!   export.
 //! - [`export`]: hand-rolled Prometheus-text and JSON writers (both
 //!   round-trip-parseable), folded-stacks dumps for flamegraphs, and the
 //!   predicted-vs-measured collectives report.

@@ -4,8 +4,7 @@
 //! The recorder is a guaranteed-cheap no-op while disabled: opening a
 //! span costs one relaxed atomic load and constructs nothing. It is
 //! enabled by the `GAS_TRACE=1` environment variable (read once, at
-//! first use) or programmatically via [`set_enabled`] (the
-//! `IndexOptions::with_tracing` path).
+//! first use) or programmatically via [`set_enabled`].
 //!
 //! Each thread buffers its own closed spans and flushes them to the
 //! global recorder whenever its *root* span closes (so signer, sealer,

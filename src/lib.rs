@@ -86,14 +86,14 @@ pub mod prelude {
         install_placement, plan_placement, ChaosStorage, CommitSummary, CommitTicket,
         CompactionPolicy, CompactionStats, CompactionSummary, Compactor, DegradedBatch,
         DegradedCauses, DegradedReport, DistQueryStats, FaultKind, FaultPlan, IndexConfig,
-        IndexOptions, IndexReader, IndexService, IndexWriter, LatencyHistogram, LocalIndexService,
-        LshParams, Neighbor, PageCursor, PageRequest, PlacementInstallStats, QueryEngine,
-        QueryOptions, QueryPage, RequestClassStats, RetryPolicy, SegmentObservation,
-        SegmentPlacement, SegmentStats, ServiceStats, ServingLayout, SignerKind, VacuumReport,
+        IndexOptions, IndexReader, IndexService, IndexWriter, LocalIndexService, LshParams,
+        Neighbor, PageCursor, PageRequest, PlacementInstallStats, QueryEngine, QueryOptions,
+        QueryPage, RequestClassStats, RetryPolicy, SegmentObservation, SegmentPlacement,
+        SegmentStats, ServiceStats, ServingLayout, SignerKind, VacuumReport,
     };
     pub use gas_obs::{
         collective_cost_report, folded_stacks, render_collective_costs, to_prometheus,
-        trace_to_json, MetricsSnapshot, TraceEvent,
+        trace_to_json, LatencyHistogram, MetricsSnapshot, TraceEvent,
     };
     pub use gas_sparse::dense::DenseMatrix;
 }

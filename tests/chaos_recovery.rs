@@ -17,18 +17,7 @@ use genomeatscale::index::IndexError;
 use genomeatscale::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// The process-global chaos switch is one flag for the whole test
-/// binary: serialize the torture cases so a parallel non-chaos test
-/// never observes injection mid-flight.
-static CHAOS_GATE: Mutex<()> = Mutex::new(());
-
-fn chaos_on() -> MutexGuard<'static, ()> {
-    let guard = CHAOS_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    genomeatscale::chaos::set_enabled(true);
-    guard
-}
+use std::sync::Arc;
 
 fn unique_path(tag: &str) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,7 +97,6 @@ fn reopen_and_check(
 }
 
 fn run_case(signer: SignerKind, ops: &[Op], fault_seed: u64, per_mille: u16) {
-    let _gate = chaos_on();
     let path = unique_path("torture");
     let config =
         IndexConfig::default().with_signature_len(32).with_threshold(0.5).with_signer(signer);
@@ -223,7 +211,6 @@ proptest! {
 /// regression test too.
 #[test]
 fn lying_fsync_is_caught_at_reopen_and_healed() {
-    let _gate = chaos_on();
     let path = unique_path("fsync");
     let config = IndexConfig::default().with_signature_len(32).with_threshold(0.5);
     let mut w = IndexOptions::from_config(config).create_writer_at(&path).unwrap();
