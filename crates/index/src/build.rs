@@ -17,8 +17,6 @@
 //! hashes its `b` band keys once ([`band_keys`]) and probes every segment
 //! with them.
 
-use std::collections::BTreeMap;
-
 use gas_core::minhash::{splitmix64, MinHashSignature, SignerKind};
 use serde::{Deserialize, Serialize};
 
@@ -82,8 +80,9 @@ impl IndexConfig {
 ///
 /// `keys` is sorted and parallel to `offsets`: the ids of bucket
 /// `keys[i]` are `ids[offsets[i] .. offsets[i + 1]]`, each list sorted
-/// ascending. `u32` ids bound an index to 4 billion samples — far beyond
-/// what one shard holds.
+/// ascending. No bucket is empty: `offsets` strictly increases, so every
+/// stored key names at least one row. `u32` ids bound an index to 4
+/// billion samples — far beyond what one shard holds.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BandBuckets {
     keys: Vec<u64>,
@@ -105,8 +104,10 @@ impl BandBuckets {
                 context: "bucket offsets do not span the id array".into(),
             });
         }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(IndexError::Corrupt { context: "bucket offsets decrease".into() });
+        if offsets.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(IndexError::Corrupt {
+                context: "bucket offsets are not strictly increasing (a bucket is empty)".into(),
+            });
         }
         if keys.windows(2).any(|w| w[0] >= w[1]) {
             return Err(IndexError::Corrupt {
@@ -123,17 +124,35 @@ impl BandBuckets {
         Ok(BandBuckets { keys, offsets, ids })
     }
 
-    pub(crate) fn from_map(map: BTreeMap<u64, Vec<u32>>) -> Self {
-        let mut keys = Vec::with_capacity(map.len());
-        let mut offsets = Vec::with_capacity(map.len() + 1);
-        offsets.push(0u32);
-        let mut ids = Vec::new();
-        for (key, members) in map {
-            keys.push(key);
-            ids.extend_from_slice(&members);
-            offsets.push(ids.len() as u32);
+    /// Build from one band's `(key, local row)` run, sorted ascending:
+    /// each bucket is a maximal run of one key, its rows already in
+    /// ascending order. The distinct keys are counted first, so `keys`,
+    /// `offsets` and `ids` are allocated at exact capacity.
+    pub(crate) fn from_sorted_run(run: &[(u64, u32)]) -> Self {
+        debug_assert!(run.windows(2).all(|w| w[0] < w[1]), "run not strictly sorted");
+        let buckets = run.chunk_by(|a, b| a.0 == b.0);
+        let distinct = buckets.clone().count();
+        let mut keys = Vec::with_capacity(distinct);
+        let mut offsets = Vec::with_capacity(distinct + 1);
+        let mut end = 0u32;
+        offsets.push(end);
+        for bucket in buckets {
+            keys.push(bucket[0].0);
+            end += bucket.len() as u32;
+            offsets.push(end);
         }
+        let ids = run.iter().map(|&(_, local)| local).collect();
         BandBuckets { keys, offsets, ids }
+    }
+
+    /// `(len, capacity)` of `keys`, `offsets` and `ids`.
+    #[cfg(test)]
+    pub(crate) fn allocation(&self) -> [(usize, usize); 3] {
+        [
+            (self.keys.len(), self.keys.capacity()),
+            (self.offsets.len(), self.offsets.capacity()),
+            (self.ids.len(), self.ids.capacity()),
+        ]
     }
 
     /// Number of distinct buckets in this band.
@@ -372,6 +391,9 @@ mod tests {
         assert!(BandBuckets::from_raw_parts(vec![10, 10], vec![0, 1, 2], vec![1, 2]).is_err());
         assert!(BandBuckets::from_raw_parts(vec![20, 10], vec![0, 1, 2], vec![1, 2]).is_err());
         assert!(BandBuckets::from_raw_parts(vec![10], vec![1, 1], vec![1]).is_err());
+        // No bucket may be empty.
+        assert!(BandBuckets::from_raw_parts(vec![10, 20], vec![0, 0, 1], vec![1]).is_err());
+        assert!(BandBuckets::from_raw_parts(vec![10, 20], vec![0, 1, 1], vec![1]).is_err());
         // Ids inside a bucket must strictly ascend; across buckets they
         // need not.
         assert!(BandBuckets::from_raw_parts(vec![10], vec![0, 2], vec![7, 5]).is_err());

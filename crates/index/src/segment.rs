@@ -11,7 +11,6 @@
 //! instead of editing them. The one mutable part is its probe heat, an
 //! observation of serving rather than content (see [`Segment`]).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -399,13 +398,18 @@ pub struct SegmentStats {
 /// Shared by every segment builder: one key-sorted bucket table per
 /// band, bucket members are local rows in ascending order.
 fn build_bands(params: &LshParams, signatures: &[MinHashSignature]) -> Vec<BandBuckets> {
+    let mut run: Vec<(u64, u32)> = Vec::with_capacity(signatures.len());
     (0..params.bands())
         .map(|band| {
-            let mut map: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-            for (local, sig) in signatures.iter().enumerate() {
-                map.entry(band_key(params, band, sig)).or_default().push(local as u32);
-            }
-            BandBuckets::from_map(map)
+            run.clear();
+            run.extend(
+                signatures
+                    .iter()
+                    .enumerate()
+                    .map(|(local, sig)| (band_key(params, band, sig), local as u32)),
+            );
+            run.sort_unstable();
+            BandBuckets::from_sorted_run(&run)
         })
         .collect()
 }
@@ -576,6 +580,48 @@ mod tests {
                 matches!(with_band0(mutated), Err(IndexError::Corrupt { .. })),
                 "{case} accepted"
             );
+        }
+    }
+
+    #[test]
+    fn bucket_tables_equal_a_btreemap_build_at_exact_capacity() {
+        /// The ordered-map build the sorted run replaced.
+        fn reference_band(seg: &Segment, band: usize) -> BandBuckets {
+            let mut map: std::collections::BTreeMap<u64, Vec<u32>> = Default::default();
+            for (local, sig) in seg.signatures().iter().enumerate() {
+                map.entry(band_key(seg.params(), band, sig)).or_default().push(local as u32);
+            }
+            let offsets = std::iter::once(0)
+                .chain(map.values().scan(0, |end, members| {
+                    *end += members.len() as u32;
+                    Some(*end)
+                }))
+                .collect();
+            let keys = map.keys().copied().collect();
+            BandBuckets::from_raw_parts(keys, offsets, map.into_values().flatten().collect())
+                .unwrap()
+        }
+        // (rows, alphabet, widest bucket's range): empty and one-row
+        // segments, (nearly) singleton buckets, and buckets of thousands
+        // of rows (an alphabet of 2 or 3 over 2-row bands leaves 4 or 9
+        // keys).
+        for (rows, alphabet, widest_range) in [
+            (0, 1_000, 0..=0),
+            (1, 1_000, 1..=1),
+            (300, 1_000, 1..=2),
+            (6_000, 2, 1_000..=6_000),
+            (6_000, 3, 600..=6_000),
+        ] {
+            let seg = random_segment(rows as u64, rows, alphabet);
+            for band in 0..seg.params().bands() {
+                let built = seg.band(band);
+                assert_eq!(built, &reference_band(&seg, band), "{rows} rows, band {band}");
+                for (len, capacity) in built.allocation() {
+                    assert_eq!(len, capacity, "{rows} rows, band {band}");
+                }
+                let widest = built.offsets().windows(2).map(|w| w[1] - w[0]).max();
+                assert!(widest_range.contains(&widest.unwrap_or(0)), "{rows} rows, band {band}");
+            }
         }
     }
 

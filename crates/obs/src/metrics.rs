@@ -89,24 +89,35 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::default)
 }
 
+/// The handle registered under `name`, registering `new()` first when
+/// there is none. The name is copied only on that first registration.
+fn get_or_register<T: Clone>(
+    map: &Mutex<BTreeMap<String, T>>,
+    name: &str,
+    new: impl FnOnce() -> T,
+) -> T {
+    let mut map = map.lock().expect("metrics registry poisoned");
+    if let Some(handle) = map.get(name) {
+        return handle.clone();
+    }
+    map.entry(name.to_string()).or_insert_with(new).clone()
+}
+
 /// Get or create the counter named `name`.
 pub fn counter(name: &str) -> Counter {
-    let mut map = registry().counters.lock().expect("metrics registry poisoned");
-    map.entry(name.to_string()).or_insert_with(|| Counter(Arc::new(AtomicU64::new(0)))).clone()
+    get_or_register(&registry().counters, name, || Counter(Arc::new(AtomicU64::new(0))))
 }
 
 /// Get or create the gauge named `name`.
 pub fn gauge(name: &str) -> Gauge {
-    let mut map = registry().gauges.lock().expect("metrics registry poisoned");
-    map.entry(name.to_string()).or_insert_with(|| Gauge(Arc::new(AtomicI64::new(0)))).clone()
+    get_or_register(&registry().gauges, name, || Gauge(Arc::new(AtomicI64::new(0))))
 }
 
 /// Get or create the histogram named `name`.
 pub fn histogram(name: &str) -> Histogram {
-    let mut map = registry().histograms.lock().expect("metrics registry poisoned");
-    map.entry(name.to_string())
-        .or_insert_with(|| Histogram(Arc::new(Mutex::new(LatencyHistogram::new()))))
-        .clone()
+    get_or_register(&registry().histograms, name, || {
+        Histogram(Arc::new(Mutex::new(LatencyHistogram::new())))
+    })
 }
 
 /// A point-in-time capture of every registered metric, sorted by name.
@@ -223,6 +234,24 @@ mod tests {
             b.add(2);
             assert_eq!(a.get(), 3);
             assert_eq!(snapshot().counter("gas_test_requests_total"), Some(3));
+        });
+    }
+
+    #[test]
+    fn lookups_share_one_handle_and_new_names_still_register() {
+        serialized(|| {
+            let (a, b) = (counter("gas_test_hits"), counter("gas_test_hits"));
+            assert!(Arc::ptr_eq(&a.0, &b.0));
+            assert!(Arc::ptr_eq(&gauge("gas_test_level").0, &gauge("gas_test_level").0));
+            assert!(Arc::ptr_eq(&histogram("gas_test_lat").0, &histogram("gas_test_lat").0));
+            let other = counter("gas_test_misses");
+            assert!(!Arc::ptr_eq(&a.0, &other.0));
+            other.inc();
+            let snap = snapshot();
+            assert_eq!(snap.counter("gas_test_hits"), Some(0));
+            assert_eq!(snap.counter("gas_test_misses"), Some(1));
+            assert_eq!(snap.gauge("gas_test_level"), Some(0));
+            assert!(snap.histogram("gas_test_lat").is_some());
         });
     }
 

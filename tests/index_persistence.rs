@@ -366,6 +366,14 @@ fn checksum_valid_files_with_malformed_buckets_are_corrupt() {
             }),
         ),
         ("a row dropped from the band", mutate(&|band| band[pair].1.retain(|&id| id != row))),
+        (
+            "an empty bucket",
+            mutate(&|band| {
+                let key = band[pair].0 + 1;
+                assert!(band.get(pair + 1).is_none_or(|(next, _)| key < *next));
+                band.insert(pair + 1, (key, Vec::new()));
+            }),
+        ),
     ];
     for (case, tables) in cases {
         let opened = open_bytes(&path, &file_with(&tables));
