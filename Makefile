@@ -5,7 +5,7 @@
 # facade's integration suites. Always go through `make test` (or pass
 # --workspace yourself) so local coverage matches CI.
 
-.PHONY: build test lint fmt chaos-matrix dist-matrix index-lifecycle ledger-smoke all
+.PHONY: build test lint fmt smoke chaos-matrix dist-matrix index-lifecycle ledger-smoke all
 
 all: lint build test
 
@@ -32,6 +32,16 @@ lint:
 
 fmt:
 	cargo fmt
+
+# The CI smoke job: the five examples that assert their own answers
+# (facade end to end, the rank sweep, the index lifecycle on a file,
+# persist/reload/shard, and the serving frontend).
+smoke:
+	cargo run --release --locked --example quickstart
+	cargo run --release --locked --example distributed_scaling
+	cargo run --release --locked --example incremental_index
+	cargo run --release --locked --example query_index
+	cargo run --release --locked --example serve_index
 
 # One cell of the CI chaos-matrix job, e.g.:
 #   make chaos-matrix CHAOS_SEED=2 CHAOS_SCENARIO=service

@@ -39,6 +39,10 @@ use gas_index::{
     LocalIndexService, Neighbor, PageRequest, QueryEngine, QueryOptions, RealFs,
 };
 
+/// How many recent generations the service keeps pinned for cursor
+/// resumption (its fixed retention window).
+const SNAPSHOT_RETENTION: usize = 8;
+
 fn seed() -> u64 {
     std::env::var("GAS_CHAOS_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
 }
@@ -192,7 +196,6 @@ fn service_drill(seed: u64) -> Outcome {
         .with_signature_len(64)
         .with_threshold(0.5)
         .with_auto_compact(false)
-        .with_snapshot_retention(1)
         .serve_at(&path)
         .expect("serve drill index");
     let batch = |from: u64| -> Vec<(String, Vec<u64>)> {
@@ -232,8 +235,9 @@ fn service_drill(seed: u64) -> Outcome {
 
     maintenance_leg(&service, seed, &path, &mut violations);
 
-    // Stale cursor: retention 1 evicts the paged snapshot after two
-    // commits; the degraded path restarts instead of erroring.
+    // Stale cursor: SNAPSHOT_RETENTION + 1 newer pinned generations
+    // evict the paged snapshot; the degraded path restarts instead of
+    // erroring.
     let queries = probes();
     let first = service
         .query_paged(&queries, &PageRequest::new(1))
@@ -256,13 +260,12 @@ fn service_drill(seed: u64) -> Outcome {
             violations,
         };
     };
-    for from in [6u64, 8] {
+    for from in (100u64..).step_by(2).take(SNAPSHOT_RETENTION + 1) {
         service.add_batch(batch(from)).expect("staling batch");
         service.commit_wait().expect("staling commit");
+        // A fresh scan pins the new generation.
+        service.query_paged(&queries, &PageRequest::new(1)).expect("fresh scan");
     }
-    // A fresh scan pins the new generation, evicting the cursor's
-    // snapshot from the retention-1 cache.
-    service.query_paged(&queries, &PageRequest::new(1)).expect("fresh scan");
     let mut request = PageRequest::new(1);
     request.cursor = Some(stale);
     let mut degraded_flagged = false;

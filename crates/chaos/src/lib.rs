@@ -21,10 +21,9 @@
 //!   installing `RealFs`, and drills in one process never see each
 //!   other's faults. [`FaultPlan::none`] makes a `ChaosStorage` a plain
 //!   pass-through;
-//! * [`RetryPolicy`] provides bounded-attempt exponential backoff with
-//!   *deterministic* jitter (`splitmix64(seed, attempt)`), shared by
-//!   the service layer's commit retry and anything else that backs
-//!   off.
+//! * [`splitmix64`] is the one PRNG: it derives the fault schedule here
+//!   and the deterministic jitter of the service layer's commit-retry
+//!   backoff.
 //!
 //! Every injected fault bumps a `gas_chaos_*` counter in the
 //! [`gas_obs`] registry, so chaos drills leave the same audit trail a
@@ -36,7 +35,6 @@ use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// SplitMix64 — the one PRNG the whole plan derives from. Local copy so
 /// this crate stays at the bottom of the workspace DAG (no `gas-core`).
@@ -174,46 +172,6 @@ impl FaultPlan {
             return Some(Fault { kind, roll });
         }
         None
-    }
-}
-
-/// Bounded-attempt exponential backoff with deterministic jitter.
-///
-/// Delay for attempt *k* (0-based) is
-/// `min(max_delay, base_delay · 2^k) · (0.5 + jitter/2)` where `jitter`
-/// is `splitmix64(jitter_seed ^ k)` mapped to `[0, 1)` — the same seed
-/// replays the same backoff schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included). `1` disables retries.
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base_delay: Duration,
-    /// Backoff cap.
-    pub max_delay: Duration,
-    /// Seed for the deterministic jitter stream.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(50),
-            jitter_seed: 0x6A17,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff to sleep after failed attempt `attempt` (0-based).
-    pub fn delay(&self, attempt: u32) -> Duration {
-        let exp = self.base_delay.saturating_mul(1u32 << attempt.min(20));
-        let capped = exp.min(self.max_delay);
-        let jitter =
-            (splitmix64(self.jitter_seed ^ attempt as u64) >> 11) as f64 / (1u64 << 53) as f64;
-        capped.mul_f64(0.5 + jitter / 2.0)
     }
 }
 
@@ -513,17 +471,5 @@ mod tests {
         let on_disk = std::fs::read(&path).unwrap();
         assert!(on_disk.len() < 14, "the lying sync must have dropped bytes");
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn retry_backoff_is_deterministic_bounded_and_monotone_in_cap() {
-        let policy = RetryPolicy::default();
-        for attempt in 0..8 {
-            let d1 = policy.delay(attempt);
-            let d2 = policy.delay(attempt);
-            assert_eq!(d1, d2, "jitter must be deterministic");
-            assert!(d1 <= policy.max_delay, "delay exceeds cap at attempt {attempt}");
-            assert!(d1 >= policy.base_delay / 2u32.pow(1), "delay under half the base");
-        }
     }
 }

@@ -12,8 +12,8 @@
 //!   [`allreduce_jaccard_distributed`], which computes the same result
 //!   but allreduces the full `n × n` intersection matrix every batch.
 //!
-//! Running both under the same simulated runtime lets the benchmarks
-//! compare communication volumes directly (the `comm_volume` experiment).
+//! Running both under the same simulated runtime lets the tests compare
+//! their communication volumes directly.
 
 use gas_dstsim::cost::{AggregateCost, CostReport};
 use gas_dstsim::machine::Machine;
@@ -195,18 +195,20 @@ mod tests {
         let samples = DatasetSpec::explicit(4000, 24, 0.02, 9).generate().unwrap();
         let c = SampleCollection::from_sorted_sets(samples).unwrap();
         let config = SimilarityConfig::with_batches(4);
-        let nranks = 4;
-        let ours =
-            similarity_at_scale_distributed(&c, &config, nranks, &Machine::laptop()).unwrap();
-        let baseline =
-            allreduce_jaccard_distributed(&c, &config, nranks, &Machine::laptop()).unwrap();
-        assert_eq!(ours.result.intersections(), baseline.result.intersections());
-        assert!(
-            baseline.aggregate.total_bytes_sent > ours.aggregate.total_bytes_sent,
-            "allreduce {} bytes vs ours {} bytes",
-            baseline.aggregate.total_bytes_sent,
-            ours.aggregate.total_bytes_sent
-        );
+        for nranks in [2, 4, 8, 16] {
+            let ours =
+                similarity_at_scale_distributed(&c, &config, nranks, &Machine::laptop()).unwrap();
+            let baseline =
+                allreduce_jaccard_distributed(&c, &config, nranks, &Machine::laptop()).unwrap();
+            assert_eq!(ours.result.intersections(), baseline.result.intersections());
+            assert_eq!(ours.active_ranks, nranks, "rectangular grids use every rank");
+            assert!(
+                baseline.aggregate.total_bytes_sent > ours.aggregate.total_bytes_sent,
+                "p = {nranks}: allreduce {} bytes vs ours {} bytes",
+                baseline.aggregate.total_bytes_sent,
+                ours.aggregate.total_bytes_sent
+            );
+        }
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub use dist::{
     ServingLayout, SignatureShard,
 };
 pub use error::{IndexError, IndexResult};
-pub use gas_chaos::{ChaosStorage, FaultKind, FaultPlan, RealFs, RetryPolicy, Storage};
+pub use gas_chaos::{ChaosStorage, FaultKind, FaultPlan, RealFs, Storage};
 pub use gas_core::minhash::SignerKind;
 pub use lifecycle::{
     CommitSummary, CompactionPolicy, CompactionSummary, Compactor, IndexReader, IndexWriter,

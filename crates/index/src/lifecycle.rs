@@ -1240,25 +1240,6 @@ impl Default for CompactionPolicy {
 }
 
 impl CompactionPolicy {
-    /// Return a copy with the given geometric tier width (validated by
-    /// [`Compactor::new`]).
-    pub fn with_tier_factor(mut self, tier_factor: usize) -> Self {
-        self.tier_factor = tier_factor;
-        self
-    }
-
-    /// Return a copy with the given minimum merge width.
-    pub fn with_min_merge(mut self, min_merge: usize) -> Self {
-        self.min_merge = min_merge;
-        self
-    }
-
-    /// Return a copy with the given dead-row rewrite trigger percentage.
-    pub fn with_rewrite_dead_pct(mut self, pct: u8) -> Self {
-        self.rewrite_dead_pct = pct;
-        self
-    }
-
     /// The tier of a segment with `live_rows` live rows.
     pub fn tier(&self, live_rows: usize) -> usize {
         let mut tier = 0usize;
@@ -1520,14 +1501,10 @@ mod tests {
 
     #[test]
     fn compaction_policy_builders_set_each_knob() {
-        let p = CompactionPolicy::default()
-            .with_tier_factor(6)
-            .with_min_merge(3)
-            .with_rewrite_dead_pct(50);
-        assert_eq!((p.tier_factor, p.min_merge, p.rewrite_dead_pct), (6, 3, 50));
-        // Builders feed the same validation as literal construction.
-        assert!(Compactor::new(CompactionPolicy::default().with_tier_factor(1)).is_err());
-        assert!(Compactor::new(p).is_ok());
+        let p = CompactionPolicy { tier_factor: 6, min_merge: 3, rewrite_dead_pct: 50 };
+        assert_eq!(Compactor::new(p).unwrap().policy(), &p);
+        // A struct update over the default feeds the same validation.
+        assert!(Compactor::new(CompactionPolicy { tier_factor: 1, ..Default::default() }).is_err());
     }
 
     #[test]

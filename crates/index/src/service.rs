@@ -29,7 +29,11 @@
 //!   bytes.
 //!
 //! Construction goes through [`IndexOptions`], the one builder of the
-//! index stack.
+//! index stack. The serving parameters are constants: 64 in-flight
+//! commits, 64 concurrent queries, 4 signer threads, a 10 ms compaction
+//! interval, 8 retained snapshot generations and three commit attempts
+//! backing off from 1 ms to at most 50 ms. Background compaction runs the
+//! default size-tiered policy and pauses while the commit queue is full.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -39,53 +43,67 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gas_chaos::{RetryPolicy, Storage};
+use gas_chaos::{splitmix64, Storage};
 use gas_core::indicator::SampleCollection;
 use gas_obs::LatencyHistogram;
 
 use crate::build::IndexConfig;
 use crate::error::{IndexError, IndexResult};
-use crate::lifecycle::{
-    CommitSummary, CompactionPolicy, Compactor, IndexReader, IndexWriter, VacuumReport,
-};
+use crate::lifecycle::{CommitSummary, Compactor, IndexReader, IndexWriter, VacuumReport};
 use crate::pipeline::{CommitPipeline, CommitTicket};
 use crate::query::{PageRequest, QueryEngine, QueryPage};
 
-/// The one construction surface of the index stack: signature scheme,
-/// LSH parameters, compaction policy and serving knobs in one builder.
+/// In-flight (submitted, not yet sealed) commits; a `commit()` beyond
+/// them sheds with [`IndexError::Overloaded`], and background compaction
+/// pauses while the queue is full.
+const MAX_PENDING_COMMITS: usize = 64;
+/// Concurrently served `query_paged` calls; one more sheds typed.
+const MAX_CONCURRENT_QUERIES: usize = 64;
+/// Signer pool size of the commit pipeline.
+const SIGNER_THREADS: usize = 4;
+/// How often the background compactor wakes for a maintenance pass.
+const COMPACT_INTERVAL: Duration = Duration::from_millis(10);
+/// Recent snapshot generations kept pinned for cursor resumption.
+const SNAPSHOT_RETENTION: usize = 8;
+/// [`LocalIndexService::commit_wait_retry`]'s attempts, first try included.
+const RETRY_ATTEMPTS: u32 = 3;
+/// Backoff before the first retry.
+const RETRY_BASE_DELAY: Duration = Duration::from_millis(1);
+/// Backoff cap.
+const RETRY_MAX_DELAY: Duration = Duration::from_millis(50);
+/// Seed of the deterministic jitter stream.
+const RETRY_JITTER_SEED: u64 = 0x6A17;
+
+/// The backoff to sleep after failed attempt `attempt` (0-based):
+/// `min(RETRY_MAX_DELAY, RETRY_BASE_DELAY · 2^attempt) · (0.5 + jitter/2)`,
+/// where `jitter` is `splitmix64(RETRY_JITTER_SEED ^ attempt)` mapped to
+/// `[0, 1)` — every run replays the same schedule.
+fn retry_delay(attempt: u32) -> Duration {
+    let capped = RETRY_BASE_DELAY.saturating_mul(1u32 << attempt.min(20)).min(RETRY_MAX_DELAY);
+    let jitter =
+        (splitmix64(RETRY_JITTER_SEED ^ attempt as u64) >> 11) as f64 / (1u64 << 53) as f64;
+    capped.mul_f64(0.5 + jitter / 2.0)
+}
+
+/// The one construction surface of the index stack: signature scheme
+/// and LSH parameters, plus whether a service runs its background
+/// compactor. Admission bounds, the signer pool, the compaction policy
+/// and interval, snapshot retention and the commit-retry schedule are
+/// fixed (see the README's serving section).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexOptions {
     config: IndexConfig,
-    compaction: CompactionPolicy,
-    max_pending_commits: usize,
-    max_concurrent_queries: usize,
-    signer_threads: usize,
     auto_compact: bool,
-    compact_interval: Duration,
-    snapshot_retention: usize,
-    retry: RetryPolicy,
-    compact_pause_depth: usize,
 }
 
 impl Default for IndexOptions {
     fn default() -> Self {
-        IndexOptions {
-            config: IndexConfig::default(),
-            compaction: CompactionPolicy::default(),
-            max_pending_commits: 64,
-            max_concurrent_queries: 64,
-            signer_threads: 4,
-            auto_compact: true,
-            compact_interval: Duration::from_millis(10),
-            snapshot_retention: 8,
-            retry: RetryPolicy::default(),
-            compact_pause_depth: 64,
-        }
+        IndexOptions { config: IndexConfig::default(), auto_compact: true }
     }
 }
 
 impl IndexOptions {
-    /// Options with every knob at its default.
+    /// Options at the default configuration, background compaction on.
     pub fn new() -> Self {
         Self::default()
     }
@@ -124,70 +142,9 @@ impl IndexOptions {
         self
     }
 
-    /// Set the size-tiered compaction policy.
-    pub fn with_compaction(mut self, compaction: CompactionPolicy) -> Self {
-        self.compaction = compaction;
-        self
-    }
-
-    /// The compaction policy in force.
-    pub fn compaction(&self) -> &CompactionPolicy {
-        &self.compaction
-    }
-
-    /// Bound the in-flight (submitted, not yet sealed) commits; further
-    /// `commit()` calls shed with [`IndexError::Overloaded`].
-    pub fn with_max_pending_commits(mut self, max: usize) -> Self {
-        self.max_pending_commits = max.max(1);
-        self
-    }
-
-    /// Bound the concurrently served `query_paged` calls.
-    pub fn with_max_concurrent_queries(mut self, max: usize) -> Self {
-        self.max_concurrent_queries = max.max(1);
-        self
-    }
-
-    /// Signer pool size of the commit pipeline.
-    pub fn with_signer_threads(mut self, threads: usize) -> Self {
-        self.signer_threads = threads.max(1);
-        self
-    }
-
     /// Enable or disable the background compaction thread.
     pub fn with_auto_compact(mut self, auto_compact: bool) -> Self {
         self.auto_compact = auto_compact;
-        self
-    }
-
-    /// How often the background compactor wakes for a maintenance pass.
-    pub fn with_compact_interval(mut self, interval: Duration) -> Self {
-        self.compact_interval = interval;
-        self
-    }
-
-    /// How many recent snapshot generations the service keeps pinned
-    /// for pagination-cursor resumption.
-    pub fn with_snapshot_retention(mut self, generations: usize) -> Self {
-        self.snapshot_retention = generations.max(1);
-        self
-    }
-
-    /// Set the retry policy [`LocalIndexService::commit_wait_retry`]
-    /// uses for transient faults (storage errors, overload sheds):
-    /// bounded attempts, exponential backoff, deterministic jitter.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Pause background compaction while this many (or more) commits
-    /// are in flight — under commit pressure the maintenance thread
-    /// yields the writer lock to the serving path instead of competing
-    /// for it. Paused passes are counted in
-    /// [`CompactionStats::paused_passes`].
-    pub fn with_compact_pause_depth(mut self, depth: usize) -> Self {
-        self.compact_pause_depth = depth.max(1);
         self
     }
 
@@ -213,11 +170,6 @@ impl IndexOptions {
         Ok(writer.reader())
     }
 
-    /// A [`Compactor`] under these options' compaction policy.
-    pub fn compactor(&self) -> IndexResult<Compactor> {
-        Compactor::new(self.compaction)
-    }
-
     /// Start an in-memory [`LocalIndexService`] under these options.
     pub fn serve(&self) -> IndexResult<LocalIndexService> {
         LocalIndexService::create(*self)
@@ -225,12 +177,12 @@ impl IndexOptions {
 
     /// Start a [`LocalIndexService`] over a fresh container file.
     pub fn serve_at(&self, path: impl AsRef<Path>) -> IndexResult<LocalIndexService> {
-        LocalIndexService::from_writer(self.create_writer_at(path)?, *self)
+        Ok(LocalIndexService::from_writer(self.create_writer_at(path)?, *self))
     }
 
     /// Start a [`LocalIndexService`] over an existing index file.
     pub fn serve_open(&self, path: impl AsRef<Path>) -> IndexResult<LocalIndexService> {
-        LocalIndexService::from_writer(IndexWriter::open(path)?, *self)
+        Ok(LocalIndexService::from_writer(IndexWriter::open(path)?, *self))
     }
 }
 
@@ -333,8 +285,8 @@ pub struct CompactionStats {
     pub stale_passes: u64,
     /// Merges whose build or apply failed with an error.
     pub failed_passes: u64,
-    /// Maintenance passes skipped because commit pressure was at or
-    /// above the configured pause depth (degraded mode: serving wins).
+    /// Maintenance passes skipped because the commit queue was full
+    /// (degraded mode: serving wins).
     pub paused_passes: u64,
     /// Vacuums that rewrote the backing file.
     pub vacuums_run: u64,
@@ -499,12 +451,11 @@ pub trait IndexService: Send + Sync {
 /// the background compactor.
 struct ServiceShared {
     writer: Arc<Mutex<IndexWriter>>,
-    options: IndexOptions,
     commit_metrics: Arc<ClassMetrics>,
     query_metrics: Arc<ClassMetrics>,
     compact_stats: Mutex<CompactionStats>,
     /// Recent generations kept pinned for cursor resumption,
-    /// generation → snapshot. Bounded by `options.snapshot_retention`;
+    /// generation → snapshot. Bounded by [`SNAPSHOT_RETENTION`];
     /// the vacuum step may additionally evict pre-swap generations.
     pinned: Mutex<BTreeMap<u64, IndexReader>>,
     /// Generation of the newest compaction swap the file has not been
@@ -519,7 +470,7 @@ impl ServiceShared {
         let reader = self.writer.lock().expect("writer lock poisoned").reader();
         let mut pinned = self.pinned.lock().expect("pinned lock poisoned");
         pinned.insert(reader.generation(), reader.clone());
-        while pinned.len() > self.options.snapshot_retention {
+        while pinned.len() > SNAPSHOT_RETENTION {
             let oldest = *pinned.keys().next().expect("non-empty map");
             pinned.remove(&oldest);
         }
@@ -555,22 +506,18 @@ impl LocalIndexService {
     /// Start a service over an already-constructed writer (how the
     /// file-backed entry points [`IndexOptions::serve_at`] and
     /// [`IndexOptions::serve_open`] come in).
-    pub fn from_writer(writer: IndexWriter, options: IndexOptions) -> IndexResult<Self> {
-        // Validate the compaction policy up front: the background
-        // thread has no one to report a bad policy to.
-        Compactor::new(*options.compaction())?;
+    pub fn from_writer(writer: IndexWriter, options: IndexOptions) -> Self {
         let scheme = *writer.scheme();
         let writer = Arc::new(Mutex::new(writer));
         let commit_metrics = Arc::new(ClassMetrics::default());
         let pipeline = CommitPipeline::start(
             Arc::clone(&writer),
             scheme,
-            options.signer_threads,
+            SIGNER_THREADS,
             Arc::clone(&commit_metrics),
         );
         let shared = Arc::new(ServiceShared {
             writer,
-            options,
             commit_metrics,
             query_metrics: Arc::new(ClassMetrics::default()),
             compact_stats: Mutex::new(CompactionStats::default()),
@@ -585,17 +532,12 @@ impl LocalIndexService {
         } else {
             None
         };
-        Ok(LocalIndexService {
+        LocalIndexService {
             shared,
             pipeline: Mutex::new(pipeline),
             compactor_stop,
             compactor_thread,
-        })
-    }
-
-    /// The options this service was created with.
-    pub fn options(&self) -> &IndexOptions {
-        &self.shared.options
+        }
     }
 
     /// Run one maintenance pass (plan → off-lock merge → swap → vacuum
@@ -614,12 +556,12 @@ impl LocalIndexService {
         self.shared.writer.lock().expect("writer lock poisoned").set_storage(storage);
     }
 
-    /// [`IndexService::commit_wait`] with the options' [`RetryPolicy`]:
-    /// transient failures — overload sheds and storage I/O faults — are
-    /// retried under bounded exponential backoff with deterministic
-    /// jitter; anything else returns immediately. When the budget runs
-    /// out the last transient error is wrapped in
-    /// [`IndexError::RetryExhausted`].
+    /// [`IndexService::commit_wait`] with retries: transient failures —
+    /// overload sheds and storage I/O faults — are retried, three
+    /// attempts in all, under exponential backoff from 1 ms capped at
+    /// 50 ms with deterministic jitter; anything else returns
+    /// immediately. When the budget runs out the last transient error is
+    /// wrapped in [`IndexError::RetryExhausted`].
     ///
     /// Safe to retry by construction: a door shed leaves the staged
     /// batch untouched, and a failed persist leaves the commit applied
@@ -627,12 +569,10 @@ impl LocalIndexService {
     /// issued before each retry re-persists that state (an empty commit
     /// heals, it never re-stages).
     pub fn commit_wait_retry(&self) -> IndexResult<CommitSummary> {
-        let policy = self.shared.options.retry;
-        let attempts = policy.max_attempts.max(1);
         let mut last: Option<IndexError> = None;
-        for attempt in 0..attempts {
+        for attempt in 0..RETRY_ATTEMPTS {
             if attempt > 0 {
-                let delay = policy.delay(attempt - 1);
+                let delay = retry_delay(attempt - 1);
                 gas_obs::counter("gas_retry_backoff_micros_total").add(delay.as_micros() as u64);
                 std::thread::sleep(delay);
             }
@@ -671,7 +611,7 @@ impl LocalIndexService {
         }
         gas_obs::counter("gas_retry_exhausted_total").inc();
         Err(IndexError::RetryExhausted {
-            attempts,
+            attempts: RETRY_ATTEMPTS,
             last: last.map(|e| e.to_string()).unwrap_or_else(|| "no error recorded".into()),
         })
     }
@@ -745,7 +685,7 @@ impl Drop for LocalIndexService {
 
 impl IndexService for LocalIndexService {
     fn create(options: IndexOptions) -> IndexResult<Self> {
-        LocalIndexService::from_writer(options.open_writer()?, options)
+        Ok(LocalIndexService::from_writer(options.open_writer()?, options))
     }
 
     fn add_batch(&self, samples: Vec<(String, Vec<u64>)>) -> IndexResult<Range<u32>> {
@@ -774,13 +714,12 @@ impl IndexService for LocalIndexService {
                 deletes_applied: 0,
             })));
         }
-        let bound = self.shared.options.max_pending_commits;
-        if !self.shared.commit_metrics.try_admit(bound) {
+        if !self.shared.commit_metrics.try_admit(MAX_PENDING_COMMITS) {
             // Refused at the door: nothing was taken, the staged batch
             // stays intact for a later commit.
             return Err(IndexError::Overloaded {
                 class: "commit".into(),
-                context: format!("{bound} commits already in flight"),
+                context: format!("{MAX_PENDING_COMMITS} commits already in flight"),
             });
         }
         let batch = writer.take_staged();
@@ -789,11 +728,10 @@ impl IndexService for LocalIndexService {
 
     fn query_paged(&self, queries: &[Vec<u64>], req: &PageRequest) -> IndexResult<Vec<QueryPage>> {
         let metrics = &self.shared.query_metrics;
-        let bound = self.shared.options.max_concurrent_queries;
-        if !metrics.try_admit(bound) {
+        if !metrics.try_admit(MAX_CONCURRENT_QUERIES) {
             return Err(IndexError::Overloaded {
                 class: "query".into(),
-                context: format!("{bound} queries already in flight"),
+                context: format!("{MAX_CONCURRENT_QUERIES} queries already in flight"),
             });
         }
         let started = Instant::now();
@@ -839,14 +777,13 @@ impl IndexService for LocalIndexService {
 /// The background maintenance thread: one pass per interval until the
 /// service drops.
 fn compactor_loop(shared: &ServiceShared, stop: &AtomicBool) {
-    let interval = shared.options.compact_interval;
     while !stop.load(Ordering::Relaxed) {
         maintenance_pass(shared);
         // Sleep in small slices so a dropping service never waits a
         // full interval for the join.
         let mut slept = Duration::ZERO;
-        while slept < interval && !stop.load(Ordering::Relaxed) {
-            let slice = (interval - slept).min(Duration::from_millis(2));
+        while slept < COMPACT_INTERVAL && !stop.load(Ordering::Relaxed) {
+            let slice = (COMPACT_INTERVAL - slept).min(Duration::from_millis(2));
             std::thread::sleep(slice);
             slept += slice;
         }
@@ -858,20 +795,18 @@ fn compactor_loop(shared: &ServiceShared, stop: &AtomicBool) {
 /// swap atomically, then evaluate the vacuum rule — every pass, merge or
 /// not — and run or skip the file vacuum.
 fn maintenance_pass(shared: &ServiceShared) {
-    // Degraded mode: under commit pressure the maintenance thread backs
-    // off entirely — no compaction, no vacuum — so the serving path
-    // never queues behind a merge for the writer lock.
-    if shared.commit_metrics.depth() >= shared.options.compact_pause_depth {
+    // Degraded mode: while the commit queue is full the maintenance
+    // thread backs off entirely — no compaction, no vacuum — so the
+    // serving path never queues behind a merge for the writer lock.
+    if shared.commit_metrics.depth() >= MAX_PENDING_COMMITS {
         bump(shared, |s| s.paused_passes += 1);
         gas_obs::counter("gas_compact_paused_passes_total").inc();
         return;
     }
-    let compactor =
-        Compactor::new(*shared.options.compaction()).expect("policy validated at create");
     let begun = {
         let _plan_span = gas_obs::span("compact", "plan");
         let mut writer = shared.writer.lock().expect("writer lock poisoned");
-        let plan = compactor.plan(&writer.segment_stats());
+        let plan = Compactor::default().plan(&writer.segment_stats());
         writer.begin_compaction(plan)
     };
     match begun {
@@ -1046,27 +981,36 @@ mod tests {
         assert_eq!(service.stats().commit.accepted, 0, "empty commits never enter the pipeline");
     }
 
+    /// Occupy `n` admission slots of a class bounded at `bound`, as
+    /// in-flight requests do.
+    fn hold_slots(metrics: &ClassMetrics, bound: usize, n: usize) {
+        for _ in 0..n {
+            assert!(metrics.try_admit(bound));
+        }
+    }
+
+    /// Release `n` held admission slots.
+    fn release_slots(metrics: &ClassMetrics, n: usize) {
+        for _ in 0..n {
+            metrics.finish(Duration::ZERO, true);
+        }
+    }
+
     #[test]
     fn commit_queue_bound_sheds_at_the_door_and_keeps_the_batch_staged() {
-        // One signer + a signing-heavy first batch keeps the pipeline
-        // busy while the second commit arrives.
-        let service = IndexOptions::from_config(config())
-            .with_signer_threads(1)
-            .with_max_pending_commits(1)
-            .with_auto_compact(false)
-            .serve()
-            .unwrap();
-        service.add_batch(batch("big", 256, 0)).unwrap();
-        let ticket = service.commit().unwrap();
+        let service = IndexOptions::from_config(config()).with_auto_compact(false).serve().unwrap();
+        hold_slots(&service.shared.commit_metrics, MAX_PENDING_COMMITS, MAX_PENDING_COMMITS);
         service.add_batch(batch("second", 2, 1)).unwrap();
         let err = service.commit().unwrap_err();
         assert!(matches!(err, IndexError::Overloaded { ref class, .. } if class == "commit"));
-        ticket.wait().unwrap();
+        assert_eq!(service.shared.writer.lock().unwrap().staged_samples(), 2);
+        assert_eq!(service.stats().commit.shed, 1);
+        release_slots(&service.shared.commit_metrics, MAX_PENDING_COMMITS);
         // Nothing was lost: the refused batch is still staged and the
         // next commit seals it.
         let summary = service.commit_wait().unwrap();
         assert_eq!(summary.rows_added, 2);
-        assert!(service.stats().commit.shed >= 1);
+        assert_eq!(service.stats().commit.shed, 1);
     }
 
     #[test]
@@ -1173,11 +1117,7 @@ mod tests {
 
     #[test]
     fn cursors_resume_within_retention_and_go_stale_typed_beyond_it() {
-        let service = IndexOptions::from_config(config())
-            .with_auto_compact(false)
-            .with_snapshot_retention(1)
-            .serve()
-            .unwrap();
+        let service = IndexOptions::from_config(config()).with_auto_compact(false).serve().unwrap();
         service.add_batch(batch("page", 12, 0)).unwrap();
         service.commit_wait().unwrap();
 
@@ -1192,11 +1132,9 @@ mod tests {
         assert!(!second[0].hits.is_empty());
         assert_eq!(first[0].total_candidates, second[0].total_candidates);
 
-        // Two commits later (retention 1), the pinned generation is
-        // evicted: the cursor fails typed instead of mixing rankings.
-        service.add_batch(batch("later", 4, 1)).unwrap();
-        service.commit_wait().unwrap();
-        service.query_paged(std::slice::from_ref(&probe), &PageRequest::new(3)).unwrap();
+        // SNAPSHOT_RETENTION + 1 newer pinned generations evict the
+        // cursor's: it fails typed instead of mixing rankings.
+        pin_newer_generations(&service, SNAPSHOT_RETENTION + 1);
         let err = service
             .query_paged(std::slice::from_ref(&probe), &req.with_cursor(cursor))
             .unwrap_err();
@@ -1204,6 +1142,15 @@ mod tests {
         let stats = service.stats();
         assert!(stats.query.failed >= 1);
         assert!(stats.query.accepted >= 4);
+    }
+
+    /// Commit and pin `n` newer generations, one fresh scan each.
+    fn pin_newer_generations(service: &LocalIndexService, n: usize) {
+        for salt in 1..=n as u64 {
+            service.add_batch(batch("later", 2, salt)).unwrap();
+            service.commit_wait().unwrap();
+            service.query_paged(&[family(0, 400)], &PageRequest::new(3)).unwrap();
+        }
     }
 
     #[test]
@@ -1231,16 +1178,14 @@ mod tests {
 
     #[test]
     fn query_concurrency_bound_sheds_typed() {
-        let service = IndexOptions::from_config(config())
-            .with_max_concurrent_queries(1)
-            .with_auto_compact(false)
-            .serve()
-            .unwrap();
+        let service = IndexOptions::from_config(config()).with_auto_compact(false).serve().unwrap();
         service.add_batch(batch("q", 4, 0)).unwrap();
         service.commit_wait().unwrap();
-        // Two threads hammer the one query slot; whichever loses the
-        // race sheds, so the class-level shed counter must move. Every
-        // non-shed answer must still be a real answer.
+        // Hold all but one query slot; two threads hammer the last one.
+        // Whichever loses the race sheds, so the class-level shed counter
+        // must move. Every non-shed answer must still be a real answer.
+        let queries = &service.shared.query_metrics;
+        hold_slots(queries, MAX_CONCURRENT_QUERIES, MAX_CONCURRENT_QUERIES - 1);
         let service = Arc::new(service);
         let gate = Arc::new(std::sync::Barrier::new(2));
         let worker = |service: Arc<LocalIndexService>, gate: Arc<std::sync::Barrier>| {
@@ -1272,10 +1217,7 @@ mod tests {
 
     #[test]
     fn auto_compactor_thread_compacts_without_blocking_serving() {
-        let service = IndexOptions::from_config(config())
-            .with_compact_interval(Duration::from_millis(1))
-            .serve()
-            .unwrap();
+        let service = IndexOptions::from_config(config()).serve().unwrap();
         let probe = family(0, 400);
         let mut reference = None;
         for b in 0..6u64 {
@@ -1315,24 +1257,12 @@ mod tests {
         std::env::temp_dir().join(format!("gas_service_{tag}_{}_{n}.gidx", std::process::id()))
     }
 
-    fn fast_retry(attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: attempts,
-            base_delay: Duration::from_micros(50),
-            max_delay: Duration::from_micros(400),
-            jitter_seed: 11,
-        }
-    }
-
     #[test]
     fn commit_wait_retry_heals_a_one_shot_storage_fault() {
         use gas_chaos::{ChaosStorage, FaultKind, FaultPlan};
         let path = service_path("retryheal");
-        let service = IndexOptions::from_config(config())
-            .with_auto_compact(false)
-            .with_retry_policy(fast_retry(3))
-            .serve_at(&path)
-            .unwrap();
+        let service =
+            IndexOptions::from_config(config()).with_auto_compact(false).serve_at(&path).unwrap();
         service.add_batch(batch("a", 6, 0)).unwrap();
         service.set_storage(Arc::new(ChaosStorage::over_fs(
             FaultPlan::seeded(3, 0).script(0, FaultKind::TornWrite),
@@ -1353,11 +1283,8 @@ mod tests {
     fn commit_wait_retry_exhausts_typed_under_persistent_faults() {
         use gas_chaos::{ChaosStorage, FaultKind, FaultPlan};
         let path = service_path("retryout");
-        let service = IndexOptions::from_config(config())
-            .with_auto_compact(false)
-            .with_retry_policy(fast_retry(3))
-            .serve_at(&path)
-            .unwrap();
+        let service =
+            IndexOptions::from_config(config()).with_auto_compact(false).serve_at(&path).unwrap();
         service.add_batch(batch("b", 4, 0)).unwrap();
         // Every storage op faults: the budget must run out, typed.
         service.set_storage(Arc::new(ChaosStorage::over_fs(
@@ -1366,7 +1293,7 @@ mod tests {
         let err = service.commit_wait_retry().unwrap_err();
         match err {
             IndexError::RetryExhausted { attempts, last } => {
-                assert_eq!(attempts, 3);
+                assert_eq!(attempts, RETRY_ATTEMPTS);
                 assert!(!last.is_empty());
             }
             other => panic!("expected RetryExhausted, got {other}"),
@@ -1449,11 +1376,7 @@ mod tests {
 
     #[test]
     fn degraded_queries_absorb_overload_with_an_explicit_flag() {
-        let service = IndexOptions::from_config(config())
-            .with_auto_compact(false)
-            .with_max_concurrent_queries(1)
-            .serve()
-            .unwrap();
+        let service = IndexOptions::from_config(config()).with_auto_compact(false).serve().unwrap();
         service.add_batch(batch("d", 4, 0)).unwrap();
         service.commit_wait().unwrap();
         let probe = family(0, 400);
@@ -1465,16 +1388,17 @@ mod tests {
         assert!(!calm.degraded);
         assert!(!calm.pages[0].hits.is_empty());
 
-        // Occupy the one query slot: the next query sheds, and the
+        // Occupy every query slot: the next query sheds, and the
         // degraded wrapper turns that into empty pages + the flag.
-        assert!(service.shared.query_metrics.try_admit(1));
+        let queries = &service.shared.query_metrics;
+        hold_slots(queries, MAX_CONCURRENT_QUERIES, MAX_CONCURRENT_QUERIES);
         let shed = service
             .query_paged_degraded(std::slice::from_ref(&probe), &PageRequest::new(4))
             .unwrap();
         assert!(shed.degraded);
         assert_eq!(shed.causes.overloaded, 1);
         assert!(shed.pages.is_empty());
-        service.shared.query_metrics.finish(Duration::ZERO, true);
+        release_slots(queries, MAX_CONCURRENT_QUERIES);
 
         // Caller mistakes still surface as errors, not degradation.
         let err = service
@@ -1485,11 +1409,7 @@ mod tests {
 
     #[test]
     fn degraded_queries_restart_stale_cursors_from_a_fresh_snapshot() {
-        let service = IndexOptions::from_config(config())
-            .with_auto_compact(false)
-            .with_snapshot_retention(1)
-            .serve()
-            .unwrap();
+        let service = IndexOptions::from_config(config()).with_auto_compact(false).serve().unwrap();
         service.add_batch(batch("s", 12, 0)).unwrap();
         service.commit_wait().unwrap();
         let probe = family(0, 400);
@@ -1497,10 +1417,9 @@ mod tests {
         let first = service.query_paged(std::slice::from_ref(&probe), &req).unwrap();
         let cursor = first[0].next_cursor.expect("more than one page");
 
-        // Evict the pinned generation (retention 1, two commits later).
-        service.add_batch(batch("t", 4, 1)).unwrap();
-        service.commit_wait().unwrap();
-        service.query_paged(std::slice::from_ref(&probe), &PageRequest::new(3)).unwrap();
+        // Evict the pinned generation behind SNAPSHOT_RETENTION + 1
+        // newer ones.
+        pin_newer_generations(&service, SNAPSHOT_RETENTION + 1);
 
         let resumed = service
             .query_paged_degraded(std::slice::from_ref(&probe), &req.with_cursor(cursor))
@@ -1513,18 +1432,52 @@ mod tests {
 
     #[test]
     fn compaction_pauses_under_commit_pressure_and_resumes() {
-        let service = IndexOptions::from_config(config())
-            .with_auto_compact(false)
-            .with_compact_pause_depth(1)
-            .serve()
-            .unwrap();
-        // Simulate one in-flight commit occupying the queue slot.
-        assert!(service.shared.commit_metrics.try_admit(1));
+        let service = IndexOptions::from_config(config()).with_auto_compact(false).serve().unwrap();
+        // Simulate a full queue of in-flight commits.
+        hold_slots(&service.shared.commit_metrics, MAX_PENDING_COMMITS, MAX_PENDING_COMMITS);
         service.maintain();
         assert_eq!(service.stats().compact.paused_passes, 1, "pressure pauses the pass");
         assert_eq!(service.stats().compact.passes, 0);
-        service.shared.commit_metrics.finish(Duration::ZERO, true);
+        release_slots(&service.shared.commit_metrics, MAX_PENDING_COMMITS);
         service.maintain();
         assert_eq!(service.stats().compact.paused_passes, 1, "pressure gone, passes resume");
+    }
+
+    #[test]
+    fn compaction_pauses_exactly_when_the_commit_queue_is_full() {
+        let service = IndexOptions::from_config(config()).with_auto_compact(false).serve().unwrap();
+        // Four equal segments: the default size-tiered plan merges them.
+        for b in 0..4u64 {
+            service.add_batch(batch("tier", 4, b)).unwrap();
+            service.commit_wait().unwrap();
+        }
+        // One slot below full: the pass runs and a commit is admitted.
+        hold_slots(&service.shared.commit_metrics, MAX_PENDING_COMMITS, MAX_PENDING_COMMITS - 1);
+        service.maintain();
+        let compact = service.stats().compact;
+        assert_eq!((compact.paused_passes, compact.passes), (0, 1));
+        service.add_batch(batch("edge", 2, 7)).unwrap();
+        assert_eq!(service.commit().unwrap().wait().unwrap().rows_added, 2);
+
+        // Full: the pass pauses and the next commit sheds at the door.
+        hold_slots(&service.shared.commit_metrics, MAX_PENDING_COMMITS, 1);
+        service.maintain();
+        assert_eq!(service.stats().compact.paused_passes, 1);
+        service.add_batch(batch("full", 2, 8)).unwrap();
+        let err = service.commit().unwrap_err();
+        assert!(matches!(err, IndexError::Overloaded { ref class, .. } if class == "commit"));
+        assert_eq!(service.stats().commit.shed, 1);
+        release_slots(&service.shared.commit_metrics, MAX_PENDING_COMMITS);
+    }
+
+    #[test]
+    fn retry_backoff_is_deterministic_bounded_and_monotone_in_cap() {
+        for attempt in 0..8 {
+            let d1 = retry_delay(attempt);
+            let d2 = retry_delay(attempt);
+            assert_eq!(d1, d2, "jitter must be deterministic");
+            assert!(d1 <= RETRY_MAX_DELAY, "delay exceeds cap at attempt {attempt}");
+            assert!(d1 >= RETRY_BASE_DELAY / 2u32.pow(1), "delay under half the base");
+        }
     }
 }

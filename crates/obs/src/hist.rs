@@ -1,8 +1,7 @@
-//! Power-of-two latency histogram shared across the workspace.
-//!
-//! Moved here from `gas_index::service` (which re-exports it for
-//! compatibility) so the commit pipeline, the compactor and the metrics
-//! registry all bin latencies identically.
+//! Power-of-two latency histogram shared across the workspace, so the
+//! commit pipeline, the compactor and the metrics registry all bin
+//! latencies identically. Counts and sums saturate at `u64::MAX` rather
+//! than overflow.
 
 use std::time::Duration;
 
@@ -38,7 +37,7 @@ impl LatencyHistogram {
         total_micros: u64,
         max_micros: u64,
     ) -> Self {
-        let count = buckets.iter().sum();
+        let count = buckets.iter().fold(0u64, |sum, &b| sum.saturating_add(b));
         LatencyHistogram { buckets, count, total_micros, max_micros }
     }
 
@@ -50,19 +49,19 @@ impl LatencyHistogram {
     /// Record one latency sample given directly in microseconds.
     pub fn record_micros(&mut self, micros: u64) {
         let idx = (64 - micros.leading_zeros() as usize).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.total_micros += micros;
+        self.buckets[idx] = self.buckets[idx].saturating_add(1);
+        self.count = self.count.saturating_add(1);
+        self.total_micros = self.total_micros.saturating_add(micros);
         self.max_micros = self.max_micros.max(micros);
     }
 
     /// Fold another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
+            *b = b.saturating_add(*o);
         }
-        self.count += other.count;
-        self.total_micros += other.total_micros;
+        self.count = self.count.saturating_add(other.count);
+        self.total_micros = self.total_micros.saturating_add(other.total_micros);
         self.max_micros = self.max_micros.max(other.max_micros);
     }
 
@@ -103,7 +102,7 @@ impl LatencyHistogram {
         let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= rank {
                 return if i + 1 == self.buckets.len() { self.max_micros } else { 1u64 << i };
             }
@@ -132,6 +131,23 @@ mod tests {
         assert_eq!(h.mean_micros(), (3 + 5 + 9 + 17 + 100 + 1000) / 6);
         assert!(h.quantile_micros(0.5) <= 16);
         assert!(h.quantile_micros(1.0) >= 1000);
+    }
+
+    #[test]
+    fn sums_saturate_instead_of_overflowing() {
+        let mut h = LatencyHistogram::new();
+        h.record(Duration::MAX);
+        h.record(Duration::MAX);
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.total_micros(), u64::MAX);
+        assert_eq!(h.quantile_micros(1.0), u64::MAX);
+        let mut merged = h.clone();
+        merged.merge(&h);
+        assert_eq!((merged.count(), merged.total_micros()), (4, u64::MAX));
+        // Parsed parts whose buckets sum past u64::MAX saturate too;
+        // the count then equals bucket 0's, so every quantile lands there.
+        let full = LatencyHistogram::from_parts([u64::MAX; HISTOGRAM_BUCKETS], 0, 7);
+        assert_eq!((full.count(), full.quantile_micros(1.0)), (u64::MAX, 1));
     }
 
     #[test]

@@ -253,9 +253,9 @@ pub fn dist_row_filter_from_bitmap(
 
 /// The index-based construction this module used before the bitmap
 /// formulation: every rank contributes the raw row indices it observed
-/// and an allgather makes the union available everywhere. Kept for
-/// communication-volume comparisons (`comm_volume`) and as the reference
-/// in equivalence tests; [`dist_row_filter`] moves `≥ 8×` fewer bytes on
+/// and an allgather makes the union available everywhere. Kept as the
+/// baseline of communication-volume tests and the reference in
+/// equivalence tests; [`dist_row_filter`] moves `≥ 8×` fewer bytes on
 /// realistic batches.
 pub fn dist_row_filter_indexed(
     comm: &Communicator,

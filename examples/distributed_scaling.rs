@@ -53,6 +53,6 @@ fn main() {
          the cost structure visible: on this deliberately tiny workload the replicated filter \
          vector dominates and is a constant per-rank overhead, while the 2.5D product traffic — \
          the term that dominates at the paper's scales — shrinks per rank as the grid grows \
-         (the comm_volume binary and tests/paper_evaluation.rs cover that regime)."
+         (tests/paper_evaluation.rs covers that regime)."
     );
 }

@@ -33,9 +33,7 @@ fn main() {
         .with_signature_len(128)
         .with_threshold(0.5)
         .with_signer(SignerKind::Oph);
-    let options = IndexOptions::from_config(config)
-        .with_signer_threads(3)
-        .with_compact_interval(Duration::from_millis(1));
+    let options = IndexOptions::from_config(config);
     genomeatscale::obs::set_enabled(true);
     let service = options.serve_at(&path).expect("open the serving frontend");
 
@@ -69,7 +67,7 @@ fn main() {
     );
 
     // 2. DELETES + BACKGROUND COMPACTION — tombstone a few rows, then let
-    // the compactor thread (1 ms interval) merge the small segments and
+    // the compactor thread (10 ms interval) merge the small segments and
     // physically drop the tombstones while this thread keeps serving.
     let pinned = service.snapshot();
     let deleted = (pinned.n_live() / 3 + 1) as u32;

@@ -88,8 +88,8 @@ pub mod prelude {
         DegradedCauses, DegradedReport, DistQueryStats, FaultKind, FaultPlan, IndexConfig,
         IndexOptions, IndexReader, IndexService, IndexWriter, LocalIndexService, LshParams,
         Neighbor, PageCursor, PageRequest, PlacementInstallStats, QueryEngine, QueryOptions,
-        QueryPage, RequestClassStats, RetryPolicy, SegmentObservation, SegmentPlacement,
-        SegmentStats, ServiceStats, ServingLayout, SignerKind, VacuumReport,
+        QueryPage, RequestClassStats, SegmentObservation, SegmentPlacement, SegmentStats,
+        ServiceStats, ServingLayout, SignerKind, VacuumReport,
     };
     pub use gas_obs::{
         collective_cost_report, folded_stacks, render_collective_costs, to_prometheus,

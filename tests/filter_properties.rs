@@ -65,7 +65,7 @@ fn bitmap_filter_moves_eight_times_fewer_bytes_than_the_index_allgather() {
     let collection = synthetic_collection(4_000, 32, 0.02, 77);
     let batch_rows = collection.m() as usize;
     let columns = collection.batch_columns_all(0, collection.m());
-    for ranks in [2, 4, 8] {
+    for ranks in [2, 4, 8, 16] {
         // Rank r observes the rows of its block of the sample columns —
         // the same reading discipline as the distributed driver.
         let per_rank_rows: Vec<Vec<usize>> = (0..ranks)

@@ -571,13 +571,7 @@ fn service_stress_commits_compactions_and_paged_queries_stay_serializable() {
         .with_signature_len(64)
         .with_threshold(0.4)
         .with_signer(SignerKind::Oph);
-    let service = Arc::new(
-        IndexOptions::from_config(config)
-            .with_compact_interval(std::time::Duration::from_millis(1))
-            .with_signer_threads(3)
-            .serve()
-            .unwrap(),
-    );
+    let service = Arc::new(IndexOptions::from_config(config).serve().unwrap());
     let corpus: Arc<Mutex<Vec<Vec<u64>>>> = Arc::new(Mutex::new(Vec::new()));
     let probes: Vec<Vec<u64>> =
         (0..4u64).map(|f| (f * 10_000..f * 10_000 + 140).collect()).collect();

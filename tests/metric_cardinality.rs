@@ -35,11 +35,10 @@ fn sample(i: u64) -> Vec<u64> {
 
 #[test]
 fn segment_churn_does_not_grow_the_registry() {
-    let options = IndexOptions::new()
-        .with_signature_len(32)
-        .with_threshold(0.4)
-        .with_compaction(CompactionPolicy::default().with_min_merge(2).with_tier_factor(2));
-    let compactor = options.compactor().unwrap();
+    let options = IndexOptions::new().with_signature_len(32).with_threshold(0.4);
+    let compactor =
+        Compactor::new(CompactionPolicy { min_merge: 2, tier_factor: 2, ..Default::default() })
+            .unwrap();
     let mut writer = options.open_writer().unwrap();
     let mut next = 0u64;
     for _ in 0..8 {
