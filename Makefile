@@ -5,7 +5,7 @@
 # facade's integration suites. Always go through `make test` (or pass
 # --workspace yourself) so local coverage matches CI.
 
-.PHONY: build test lint fmt smoke chaos-matrix dist-matrix index-lifecycle ledger-smoke all
+.PHONY: build test lint fmt smoke chaos-matrix dist-matrix index-lifecycle ledger-smoke ab-pairs all
 
 all: lint build test
 
@@ -82,3 +82,16 @@ dist-matrix:
 	GAS_DIST_RANKS=$(RANKS) GAS_DIST_REPLICATION=$(REPLICATION) GAS_DIST_SEGMENTS=$(SEGMENTS) \
 		cargo test --locked -q --test distributed_equivalence --test filter_properties \
 		--test query_serving --test index_lifecycle
+
+# Alternating A/B pairs of one perf-ledger workload: PARENT against this
+# checkout's tracked files, both built in git worktrees under results/ab/
+# (git-ignored; nothing under bench/ledger/ is touched). Prints every
+# run, wins per metric, medians and quartiles. See bench/ab_pairs.sh, e.g.:
+#   make ab-pairs PARENT=HEAD~1 WORKLOAD=serve_read SEED=2 PAIRS=10 SECONDS=25
+PARENT ?= HEAD
+WORKLOAD ?= serve_read
+SEED ?= 1
+PAIRS ?= 10
+SECONDS ?= 25
+ab-pairs:
+	sh bench/ab_pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(SEED)" "$(PAIRS)" "$(SECONDS)"

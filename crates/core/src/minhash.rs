@@ -180,8 +180,8 @@ pub const EMPTY_SET_SENTINEL: u64 = u64::MAX;
 
 /// Number of positions on which two raw signature rows agree. The
 /// slice-level form of [`MinHashSignature::agreement`], shared with the
-/// `gas-index` distributed scorer, which compares query signatures
-/// against fetched signature-matrix rows without rebuilding
+/// `gas-index` scorers, which compare query signatures against rows of a
+/// segment's signature matrix (local or fetched) without rebuilding
 /// [`MinHashSignature`] values.
 ///
 /// Panics if the rows have different lengths (they must come from the
@@ -192,8 +192,9 @@ pub fn signature_agreement(a: &[u64], b: &[u64]) -> usize {
 }
 
 impl MinHashSignature {
-    /// Reassemble a signature from its raw position values (used by the
-    /// `gas-index` persistence layer when reading a container back).
+    /// Reassemble a signature from its raw position values (used where
+    /// signatures travel as raw words, e.g. the `gas-index` distributed
+    /// query broadcast).
     pub fn from_values(mins: Vec<u64>) -> Self {
         MinHashSignature { mins }
     }
@@ -386,43 +387,42 @@ impl SignatureScheme {
         densify_rotation(slots);
     }
 
-    /// Sign every sample of a collection, one signature per column of the
-    /// indicator matrix, in parallel: the output array is pre-allocated
-    /// and filled in place over contiguous runs of samples
-    /// (`par_chunks_mut`), so the hashing and the densification pass of
-    /// every row run inside the parallel fill and no second copy of the
-    /// signature matrix is ever materialized.
-    pub fn sign_collection(&self, collection: &SampleCollection) -> Vec<MinHashSignature> {
+    /// Sign every sample of a collection into one row-major
+    /// `n × len` signature matrix (row `i` is sample `i`'s signature), in
+    /// parallel: the matrix is pre-allocated and filled in place over
+    /// contiguous runs of rows (`par_chunks_mut`), so the hashing and the
+    /// densification pass of every row run inside the parallel fill and
+    /// no per-row allocation or second copy is ever made.
+    pub fn sign_collection(&self, collection: &SampleCollection) -> Vec<u64> {
         self.sign_batch_by(collection.n(), |i| collection.sample(i))
     }
 
     /// Sign a *delta batch* of raw sets under this (already fixed)
-    /// scheme: the incremental-indexing path, where newly arriving
-    /// samples must be signed exactly as the existing corpus was (same
-    /// signer kind, length and seed) without rebuilding a
-    /// [`SampleCollection`] around them. Cost is proportional to the
-    /// batch, not the corpus; signatures are bit-identical to signing
-    /// the same sets through [`Self::sign_collection`].
-    pub fn sign_batch(&self, sets: &[&[u64]]) -> Vec<MinHashSignature> {
+    /// scheme into one row-major `sets.len() × len` signature matrix: the
+    /// incremental-indexing path, where newly arriving samples must be
+    /// signed exactly as the existing corpus was (same signer kind,
+    /// length and seed) without rebuilding a [`SampleCollection`] around
+    /// them. Cost is proportional to the batch, not the corpus; row `i`
+    /// is bit-identical to [`Self::sign`] of `sets[i]` and to the same
+    /// row of [`Self::sign_collection`] over the same sets.
+    pub fn sign_batch(&self, sets: &[&[u64]]) -> Vec<u64> {
         self.sign_batch_by(sets.len(), |i| sets[i])
     }
 
-    /// Shared parallel fill of `n` signatures drawn through `set_of`.
-    fn sign_batch_by<'a, F>(&self, n: usize, set_of: F) -> Vec<MinHashSignature>
+    /// Shared parallel fill of an `n × len` matrix from `set_of`.
+    fn sign_batch_by<'a, F>(&self, n: usize, set_of: F) -> Vec<u64>
     where
         F: Fn(usize) -> &'a [u64] + Sync,
     {
         use rayon::prelude::*;
         const RUN: usize = 16;
-        let mut signatures = vec![MinHashSignature { mins: Vec::new() }; n];
-        signatures.par_chunks_mut(RUN).enumerate().for_each(|(run, group)| {
-            for (j, sig) in group.iter_mut().enumerate() {
-                let mut mins = vec![EMPTY_SET_SENTINEL; self.len];
-                self.sign_into(set_of(run * RUN + j), &mut mins);
-                sig.mins = mins;
+        let mut matrix = vec![EMPTY_SET_SENTINEL; n * self.len];
+        matrix.par_chunks_mut(RUN * self.len).enumerate().for_each(|(run, rows)| {
+            for (j, row) in rows.chunks_exact_mut(self.len).enumerate() {
+                self.sign_into(set_of(run * RUN + j), row);
             }
         });
-        signatures
+        matrix
     }
 }
 
@@ -600,9 +600,9 @@ mod tests {
         .unwrap();
         let scheme = SignatureScheme::new(48).unwrap();
         let signed = scheme.sign_collection(&collection);
-        assert_eq!(signed.len(), 4);
-        for (i, sig) in signed.iter().enumerate() {
-            assert_eq!(sig, &scheme.sign(collection.sample(i)));
+        assert_eq!(signed.len(), 4 * 48);
+        for (i, row) in signed.chunks_exact(48).enumerate() {
+            assert_eq!(row, scheme.sign(collection.sample(i)).values());
         }
     }
 
@@ -696,9 +696,9 @@ mod tests {
         .unwrap();
         let scheme = SignatureScheme::new(48).unwrap().with_kind(SignerKind::Oph);
         let signed = scheme.sign_collection(&collection);
-        assert_eq!(signed.len(), 4);
-        for (i, sig) in signed.iter().enumerate() {
-            assert_eq!(sig, &scheme.sign(collection.sample(i)));
+        assert_eq!(signed.len(), 4 * 48);
+        for (i, row) in signed.chunks_exact(48).enumerate() {
+            assert_eq!(row, scheme.sign(collection.sample(i)).values());
         }
     }
 
@@ -718,9 +718,9 @@ mod tests {
         for kind in [SignerKind::KMins, SignerKind::Oph] {
             let scheme = SignatureScheme::new(48).unwrap().with_kind(kind).with_seed(11);
             let batch = scheme.sign_batch(&refs);
-            assert_eq!(batch.len(), sets.len());
-            for (set, sig) in sets.iter().zip(&batch) {
-                assert_eq!(sig, &scheme.sign(set), "signer {kind}");
+            assert_eq!(batch.len(), sets.len() * 48);
+            for (set, row) in sets.iter().zip(batch.chunks_exact(48)) {
+                assert_eq!(row, scheme.sign(set).values(), "signer {kind}");
             }
             assert!(scheme.sign_batch(&[]).is_empty());
         }

@@ -17,7 +17,7 @@
 //! hashes its `b` band keys once ([`band_keys`]) and probes every segment
 //! with them.
 
-use gas_core::minhash::{splitmix64, MinHashSignature, SignerKind};
+use gas_core::minhash::{splitmix64, SignerKind};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{IndexError, IndexResult};
@@ -234,9 +234,10 @@ impl BandBuckets {
     }
 }
 
-/// The bucket keys of every band of `sig`, band-ordered: the `b` hashes
-/// one query probes every segment of an index with.
-pub fn band_keys(params: &LshParams, sig: &MinHashSignature) -> Vec<u64> {
+/// The bucket keys of every band of the signature row `sig`,
+/// band-ordered: the `b` hashes one query probes every segment of an
+/// index with.
+pub fn band_keys(params: &LshParams, sig: &[u64]) -> Vec<u64> {
     (0..params.bands()).map(|band| band_key(params, band, sig)).collect()
 }
 
@@ -244,12 +245,12 @@ pub fn band_keys(params: &LshParams, sig: &MinHashSignature) -> Vec<u64> {
 /// `r` signature rows through the splitmix finalizer. Including the band
 /// index means identical row values in different bands do not alias to
 /// the same key space.
-pub fn band_key(params: &LshParams, band: usize, sig: &MinHashSignature) -> u64 {
+pub fn band_key(params: &LshParams, band: usize, sig: &[u64]) -> u64 {
     debug_assert_eq!(sig.len(), params.signature_len());
     let lo = band * params.rows();
     let hi = lo + params.rows();
     let mut h = splitmix64(0xB16B_00B5 ^ band as u64);
-    for &v in &sig.values()[lo..hi] {
+    for &v in &sig[lo..hi] {
         h = splitmix64(h ^ v);
     }
     h
@@ -372,10 +373,10 @@ mod tests {
         let scheme = SignatureScheme::new(8).unwrap();
         let params = LshParams::new(4, 2).unwrap();
         let sig = scheme.sign(&(0..100u64).collect::<Vec<_>>());
-        let k0 = band_key(&params, 0, &sig);
-        let k1 = band_key(&params, 1, &sig);
+        let k0 = band_key(&params, 0, sig.values());
+        let k1 = band_key(&params, 1, sig.values());
         assert_ne!(k0, k1, "band index must enter the key");
-        assert_eq!(k0, band_key(&params, 0, &sig), "keys are deterministic");
+        assert_eq!(k0, band_key(&params, 0, sig.values()), "keys are deterministic");
     }
 
     #[test]

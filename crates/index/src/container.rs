@@ -37,21 +37,34 @@
 //! rewrite — a vacuum, a writer's first rewrite after an open — reuses
 //! it; test builds re-hash to check the cached value against the bytes.
 //!
+//! A `SEG` payload holds the segment's scheme and banding, its global
+//! ids, set sizes and names, its signature matrix as one run of
+//! `rows × len` words, and its band tables. The matrix is written with
+//! one `push_u64s` and read back with one bounds-checked `u64s`.
+//!
 //! The whole file is read once; every checksum is validated before a
 //! payload byte is interpreted, and payloads decode through a
 //! bounds-checked [`PodReader`] that never sizes an allocation from a
 //! count the payload has not backed with bytes — corrupt or forged input
 //! produces a typed [`IndexError`], never a panic, a wild slice or an
-//! allocation abort. Versions 1 and 2 (a single-index section table) are
+//! allocation abort. Open verifies the payload checksums in interleaved
+//! lanes ([`fnv1a64_each`]: four FNV-1a chains in lock step, bit-identical
+//! to one chain per payload) after walking the block headers, then
+//! decodes in file order up to the first mismatch — the stop rule of a
+//! block-by-block walk. Writers hash each block as one chain
+//! (`frame_block`); the lanes only verify. Versions 1 and 2 (a
+//! single-index section table) are
 //! no longer read: every opener refuses them with
 //! [`IndexError::UnsupportedVersion`] and leaves the file untouched.
 
-use gas_core::minhash::{MinHashSignature, SignatureScheme, SignerKind};
+use std::fmt::Display;
+
+use gas_core::minhash::{SignatureScheme, SignerKind};
 
 use crate::build::BandBuckets;
 use crate::error::{IndexError, IndexResult};
 use crate::params::LshParams;
-use crate::segment::{Segment, SharedSegment};
+use crate::segment::{Segment, SharedSegment, SignedRows};
 
 /// Container magic: "GASIDX" plus the two-digit format generation (the
 /// file *family*; incompatible layout revisions bump the version field,
@@ -67,19 +80,77 @@ pub const MAGIC: [u8; 8] = *b"GASIDX01";
 /// truncation mid-commit falls back to the previous generation.
 pub const VERSION_SEGMENTED: u32 = 3;
 
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// FNV-1a 64-bit checksum (the container's integrity hash: simple,
 /// dependency-free and byte-order independent).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    fnv1a64_from(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a chain at state `h` over `bytes`.
+fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
+/// [`fnv1a64`] of every payload, in input order, bit-identical to
+/// hashing them one by one. One FNV-1a chain is a serial multiply per
+/// byte, so a single chain runs at the multiplier's latency, not its
+/// throughput: here 4 payloads are hashed in lock step, four independent
+/// chains per step. Payloads enter the lanes longest first, and a lane
+/// whose payload ends is refilled with the next, so the lanes stay full
+/// until the queue runs dry and only the shortest payloads are left to
+/// finish one chain at a time.
+pub fn fnv1a64_each(payloads: &[&[u8]]) -> Vec<u64> {
+    const LANES: usize = 4;
+    let mut hashes = vec![FNV_OFFSET; payloads.len()];
+    let mut queue: Vec<usize> = (0..payloads.len()).collect();
+    queue.sort_by_key(|&i| std::cmp::Reverse(payloads[i].len()));
+    let mut queue = queue.into_iter();
+    // Each lane: (payload index, bytes still to hash, running hash).
+    let mut lanes: Vec<(usize, &[u8], u64)> = Vec::with_capacity(LANES);
+    loop {
+        while lanes.len() < LANES {
+            let Some(i) = queue.next() else { break };
+            lanes.push((i, payloads[i], FNV_OFFSET));
+        }
+        let [a, b, c, d] = &mut lanes[..] else { break };
+        let step = a.1.len().min(b.1.len()).min(c.1.len()).min(d.1.len());
+        let (mut ha, mut hb, mut hc, mut hd) = (a.2, b.2, c.2, d.2);
+        let lock_step = a.1[..step].iter().zip(&b.1[..step]).zip(&c.1[..step]).zip(&d.1[..step]);
+        for (((&xa, &xb), &xc), &xd) in lock_step {
+            ha = (ha ^ xa as u64).wrapping_mul(FNV_PRIME);
+            hb = (hb ^ xb as u64).wrapping_mul(FNV_PRIME);
+            hc = (hc ^ xc as u64).wrapping_mul(FNV_PRIME);
+            hd = (hd ^ xd as u64).wrapping_mul(FNV_PRIME);
+        }
+        for (lane, h) in [(a, ha), (b, hb), (c, hc), (d, hd)] {
+            lane.1 = &lane.1[step..];
+            lane.2 = h;
+        }
+        lanes.retain(|&(i, rest, h)| {
+            if rest.is_empty() {
+                hashes[i] = h;
+            }
+            !rest.is_empty()
+        });
+    }
+    // Fewer payloads than lanes are left: finish them one by one.
+    for (i, rest, h) in lanes {
+        hashes[i] = fnv1a64_from(h, rest);
+    }
+    hashes
+}
+
 /// Bounds-checked little-endian pod decoding over a borrowed block
-/// payload.
+/// payload. Each read names what it reads (`what`) for its error
+/// context. The label is any [`Display`], so a per-row label such as
+/// `format_args!("name {i}")` is formatted only when the read fails.
 #[derive(Debug)]
 pub struct PodReader<'a> {
     buf: &'a [u8],
@@ -97,17 +168,19 @@ impl<'a> PodReader<'a> {
     /// still follow. Decoders ask this *before* sizing an allocation from
     /// a wire count: checksums are not secrets, so a forged count must be
     /// a typed error, not an allocation the payload never backed.
-    fn backs(&self, count: usize, min_len: usize, what: &str) -> IndexResult<()> {
+    fn backs(&self, count: usize, min_len: usize, what: impl Display) -> IndexResult<()> {
         match count.checked_mul(min_len) {
             Some(need) if need <= self.buf.len() - self.pos => Ok(()),
             _ => Err(IndexError::Truncated { context: format!("{}: {what}", self.section) }),
         }
     }
 
-    fn take(&mut self, n: usize, what: &str) -> IndexResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or_else(|| IndexError::Corrupt {
-            context: format!("{}: {what} length overflows", self.section),
-        })?;
+    fn take(&mut self, n: usize, what: impl Display) -> IndexResult<&'a [u8]> {
+        let Some(end) = self.pos.checked_add(n) else {
+            return Err(IndexError::Corrupt {
+                context: format!("{}: {what} length overflows", self.section),
+            });
+        };
         if end > self.buf.len() {
             return Err(IndexError::Truncated { context: format!("{}: {what}", self.section) });
         }
@@ -116,42 +189,48 @@ impl<'a> PodReader<'a> {
         Ok(slice)
     }
 
+    /// `count` records of `width` bytes each.
+    fn take_records(
+        &mut self,
+        count: usize,
+        width: usize,
+        what: impl Display,
+    ) -> IndexResult<&'a [u8]> {
+        match count.checked_mul(width) {
+            Some(n) => self.take(n, what),
+            None => Err(IndexError::Corrupt {
+                context: format!("{}: {what} count overflows", self.section),
+            }),
+        }
+    }
+
     /// Read one `u32`.
-    pub fn u32(&mut self, what: &str) -> IndexResult<u32> {
+    pub fn u32(&mut self, what: impl Display) -> IndexResult<u32> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
     /// Read one `u64`.
-    pub fn u64(&mut self, what: &str) -> IndexResult<u64> {
+    pub fn u64(&mut self, what: impl Display) -> IndexResult<u64> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    /// Read `count` little-endian `u64`s.
-    pub fn u64s(&mut self, count: usize, what: &str) -> IndexResult<Vec<u64>> {
-        let bytes = self.take(
-            count.checked_mul(8).ok_or_else(|| IndexError::Corrupt {
-                context: format!("{}: {what} count overflows", self.section),
-            })?,
-            what,
-        )?;
+    /// Read `count` little-endian `u64`s. The bytes are taken (bounds
+    /// checked) before the output is allocated.
+    pub fn u64s(&mut self, count: usize, what: impl Display) -> IndexResult<Vec<u64>> {
+        let bytes = self.take_records(count, 8, what)?;
         Ok(bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
     /// Read `count` little-endian `u32`s.
-    pub fn u32s(&mut self, count: usize, what: &str) -> IndexResult<Vec<u32>> {
-        let bytes = self.take(
-            count.checked_mul(4).ok_or_else(|| IndexError::Corrupt {
-                context: format!("{}: {what} count overflows", self.section),
-            })?,
-            what,
-        )?;
+    pub fn u32s(&mut self, count: usize, what: impl Display) -> IndexResult<Vec<u32>> {
+        let bytes = self.take_records(count, 4, what)?;
         Ok(bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
     /// Read a length-prefixed UTF-8 string (`u32` length + bytes).
-    pub fn string(&mut self, what: &str) -> IndexResult<String> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
+    pub fn string(&mut self, what: impl Display) -> IndexResult<String> {
+        let len = self.u32(&what)? as usize;
+        let bytes = self.take(len, &what)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| IndexError::Corrupt {
             context: format!("{}: {what} is not UTF-8", self.section),
         })
@@ -315,9 +394,7 @@ fn encode_segment(out: &mut Vec<u8>, seg: &Segment) {
         push_u32(out, name.len() as u32);
         out.extend_from_slice(name.as_bytes());
     }
-    for sig in seg.signatures() {
-        push_u64s(out, sig.values());
-    }
+    push_u64s(out, seg.signatures());
     for band in 0..seg.params().bands() {
         let b = seg.band(band);
         push_u32(out, b.len() as u32);
@@ -345,26 +422,26 @@ pub(crate) fn decode_segment(payload: &[u8]) -> IndexResult<Segment> {
     // `n` is backed from here on: its ids and set sizes were just taken.
     let mut names = Vec::with_capacity(n);
     for i in 0..n {
-        names.push(r.string(&format!("name {i}"))?);
+        names.push(r.string(format_args!("name {i}"))?);
     }
-    let mut signatures = Vec::with_capacity(n);
-    for i in 0..n {
-        signatures
-            .push(MinHashSignature::from_values(r.u64s(scheme.len(), &format!("signature {i}"))?));
-    }
+    let words = n.checked_mul(scheme.len()).ok_or_else(|| IndexError::Corrupt {
+        context: "SEG: signature matrix size overflows".into(),
+    })?;
+    let signatures = r.u64s(words, "signature matrix")?;
     // The smallest band table is two counts and one offset.
     r.backs(params.bands(), 12, "band tables")?;
     let mut bands = Vec::with_capacity(params.bands());
     for band in 0..params.bands() {
-        let key_count = r.u32(&format!("band {band} key count"))? as usize;
-        let id_count = r.u32(&format!("band {band} id count"))? as usize;
-        let keys = r.u64s(key_count, &format!("band {band} keys"))?;
-        let offsets = r.u32s(key_count + 1, &format!("band {band} offsets"))?;
-        let ids = r.u32s(id_count, &format!("band {band} ids"))?;
+        let key_count = r.u32(format_args!("band {band} key count"))? as usize;
+        let id_count = r.u32(format_args!("band {band} id count"))? as usize;
+        let keys = r.u64s(key_count, format_args!("band {band} keys"))?;
+        let offsets = r.u32s(key_count + 1, format_args!("band {band} offsets"))?;
+        let ids = r.u32s(id_count, format_args!("band {band} ids"))?;
         bands.push(BandBuckets::from_raw_parts(keys, offsets, ids)?);
     }
     r.finish()?;
-    Segment::from_parts(id, scheme, params, global_ids, signatures, set_sizes, names, bands)
+    let rows = SignedRows { global_ids, signatures, set_sizes, names };
+    Segment::from_parts(id, scheme, params, rows, bands)
 }
 
 /// One manifest entry: which segment, how many rows, and the checksum
@@ -424,9 +501,9 @@ pub(crate) fn decode_manifest(payload: &[u8]) -> IndexResult<ManifestRecord> {
     r.backs(segment_count, 20, "segment refs")?;
     let mut segments = Vec::with_capacity(segment_count);
     for i in 0..segment_count {
-        let id = r.u64(&format!("segment ref {i} id"))?;
-        let rows = r.u32(&format!("segment ref {i} rows"))?;
-        let crc = r.u64(&format!("segment ref {i} crc"))?;
+        let id = r.u64(format_args!("segment ref {i} id"))?;
+        let rows = r.u32(format_args!("segment ref {i} rows"))?;
+        let crc = r.u64(format_args!("segment ref {i} crc"))?;
         segments.push(ManifestSegmentRef { id, rows, crc });
     }
     let tombstone_count = r.u32("tombstone count")? as usize;
@@ -481,6 +558,14 @@ pub(crate) struct V3Scan {
 /// manifest whose referenced segments all resolved wins. Structural
 /// garbage *inside* a checksum-valid block is a hard typed error — it
 /// cannot come from a crash, only from a writer bug or a forged file.
+///
+/// The walk runs in three passes over the bytes, with the stop rules of
+/// one serial walk. First the block headers: each header's own checksum,
+/// its length and its bounds, stopping at the first torn header and
+/// after the first block of an unknown kind. Then every payload
+/// checksum, in interleaved lanes ([`fnv1a64_each`]). Last, the blocks
+/// are decoded in file order up to the first payload whose checksum does
+/// not match: no byte past it is ever interpreted.
 pub(crate) fn scan_v3(bytes: &[u8]) -> IndexResult<V3Scan> {
     let truncated = || IndexError::Truncated { context: "container header".into() };
     if bytes.len() < 12 {
@@ -503,6 +588,9 @@ pub(crate) fn scan_v3(bytes: &[u8]) -> IndexResult<V3Scan> {
     if fnv1a64(&bytes[..12]) != stored {
         return Err(IndexError::ChecksumMismatch { section: "v3 header".into() });
     }
+    let blocks = walk_block_headers(bytes);
+    let payloads: Vec<&[u8]> = blocks.iter().map(|b| &bytes[b.payload.clone()]).collect();
+    let crcs = fnv1a64_each(&payloads);
     let mut scan = V3Scan {
         segments: Default::default(),
         manifest: None,
@@ -512,38 +600,17 @@ pub(crate) fn scan_v3(bytes: &[u8]) -> IndexResult<V3Scan> {
         max_segment_id: 0,
         foreign_kind: None,
     };
-    let mut pos = V3_HEADER_LEN;
-    while pos + V3_BLOCK_HEADER_LEN <= bytes.len() {
-        let header = &bytes[pos..pos + V3_BLOCK_HEADER_LEN];
-        let stored = u64::from_le_bytes(header[24..32].try_into().unwrap());
-        if fnv1a64(&header[..24]) != stored {
-            break; // torn or flipped block header
-        }
-        let kind: [u8; 4] = header[0..4].try_into().unwrap();
-        let payload_len = u64::from_le_bytes(header[8..16].try_into().unwrap()) as usize;
-        let Some(end) =
-            pos.checked_add(V3_BLOCK_HEADER_LEN).and_then(|p| p.checked_add(payload_len))
-        else {
-            break;
-        };
-        if end > bytes.len() {
-            break; // truncated payload
-        }
-        let payload = &bytes[pos + V3_BLOCK_HEADER_LEN..end];
-        let payload_crc = u64::from_le_bytes(header[16..24].try_into().unwrap());
-        if fnv1a64(payload) != payload_crc {
+    for ((block, payload), crc) in blocks.iter().zip(payloads).zip(crcs) {
+        if crc != block.payload_crc {
             break; // flipped payload
         }
-        let framed_len = (end - pos) as u64;
-        match kind {
+        let framed_len = (V3_BLOCK_HEADER_LEN + payload.len()) as u64;
+        match block.kind {
             BLOCK_SEGMENT => {
                 let segment = decode_segment(payload)?;
                 scan.max_segment_id = scan.max_segment_id.max(segment.id());
-                let scanned = ScannedSegment {
-                    segment: SharedSegment::new(segment),
-                    crc: payload_crc,
-                    len: framed_len,
-                };
+                let scanned =
+                    ScannedSegment { segment: SharedSegment::new(segment), crc, len: framed_len };
                 if scan.segments.insert(scanned.segment.id(), scanned).is_some() {
                     return Err(IndexError::Corrupt {
                         context: "duplicate segment id in container".into(),
@@ -569,9 +636,9 @@ pub(crate) fn scan_v3(bytes: &[u8]) -> IndexResult<V3Scan> {
                 }
                 scan.manifest = Some(manifest);
                 scan.manifest_len = framed_len;
-                scan.valid_len = end;
+                scan.valid_len = block.payload.end;
             }
-            _ => {
+            kind => {
                 // A checksum-valid block of a kind this build does not
                 // know: bytes from a newer build, not corruption. Stop
                 // scanning (we cannot interpret what follows) but record
@@ -580,10 +647,50 @@ pub(crate) fn scan_v3(bytes: &[u8]) -> IndexResult<V3Scan> {
                 break;
             }
         }
-        pos = end;
     }
     scan.torn_bytes = bytes.len() - scan.valid_len;
     Ok(scan)
+}
+
+/// One block whose header checked out.
+struct BlockHeader {
+    kind: [u8; 4],
+    /// Byte range of the payload, in bounds.
+    payload: std::ops::Range<usize>,
+    payload_crc: u64,
+}
+
+/// The blocks behind the file header whose headers check out, in file
+/// order: up to the first torn header (a header checksum mismatch, a
+/// length that overflows or runs past the end), and through the first
+/// block of a kind this build does not know, which ends every walk.
+fn walk_block_headers(bytes: &[u8]) -> Vec<BlockHeader> {
+    let mut blocks = Vec::new();
+    let mut pos = V3_HEADER_LEN;
+    while pos + V3_BLOCK_HEADER_LEN <= bytes.len() {
+        let header = &bytes[pos..pos + V3_BLOCK_HEADER_LEN];
+        let stored = u64::from_le_bytes(header[24..32].try_into().unwrap());
+        if fnv1a64(&header[..24]) != stored {
+            break; // torn or flipped block header
+        }
+        let kind: [u8; 4] = header[0..4].try_into().unwrap();
+        let payload_len = u64::from_le_bytes(header[8..16].try_into().unwrap()) as usize;
+        let Some(end) =
+            pos.checked_add(V3_BLOCK_HEADER_LEN).and_then(|p| p.checked_add(payload_len))
+        else {
+            break;
+        };
+        if end > bytes.len() {
+            break; // truncated payload
+        }
+        let payload_crc = u64::from_le_bytes(header[16..24].try_into().unwrap());
+        blocks.push(BlockHeader { kind, payload: pos + V3_BLOCK_HEADER_LEN..end, payload_crc });
+        if kind != BLOCK_SEGMENT && kind != BLOCK_MANIFEST {
+            break;
+        }
+        pos = end;
+    }
+    blocks
 }
 
 #[cfg(test)]
@@ -742,6 +849,59 @@ mod tests {
         assert!(r.backs(2, 4, "fits").is_ok());
         assert!(matches!(r.backs(3, 4, "too many"), Err(IndexError::Truncated { .. })));
         assert!(matches!(r.backs(usize::MAX, 2, "overflow"), Err(IndexError::Truncated { .. })));
+    }
+
+    #[test]
+    fn a_truncated_name_section_names_the_row() {
+        // Twenty rows named `sample-{i}`: cut the payload inside row 17's
+        // name, once in its length prefix and once in its bytes.
+        let sets: Vec<Vec<u64>> = (0..20u64).map(|i| (i * 10..i * 10 + 50).collect()).collect();
+        let names: Vec<String> = (0..20).map(|i| format!("sample-{i}")).collect();
+        let collection =
+            SampleCollection::from_sorted_sets(sets).unwrap().with_names(names.clone()).unwrap();
+        let config = IndexConfig::default().with_signature_len(16);
+        let index = IndexOptions::from_config(config).build_index(&collection).unwrap();
+        let payload = segment_payload(&index.segments()[0]);
+        // layout u32 | id u64 | scheme 24 bytes | rows u32 | ids | sizes.
+        let names_at = 40 + 20 * (4 + 8);
+        let name_17 = names_at + names[..17].iter().map(|name| 4 + name.len()).sum::<usize>();
+        for cut in [name_17 + 2, name_17 + 4 + 3] {
+            let err = decode_segment(&payload[..cut]).unwrap_err();
+            assert_eq!(err.to_string(), "container truncated while reading SEG: name 17");
+        }
+        // A cut inside the signature matrix names the matrix.
+        let matrix_at = name_17 + names[17..].iter().map(|name| 4 + name.len()).sum::<usize>();
+        let err = decode_segment(&payload[..matrix_at + 20 * 16 * 8 - 8]).unwrap_err();
+        assert_eq!(err.to_string(), "container truncated while reading SEG: signature matrix");
+    }
+
+    /// `n` seeded bytes.
+    fn seeded_bytes(seed: u64, n: usize) -> Vec<u8> {
+        (0..n as u64).map(|i| gas_core::minhash::splitmix64(seed ^ i << 20) as u8).collect()
+    }
+
+    #[test]
+    fn lanes_hash_every_payload_like_the_serial_chain() {
+        let lengths = |lens: &[usize]| -> Vec<Vec<u8>> {
+            lens.iter().enumerate().map(|(i, &n)| seeded_bytes(i as u64, n)).collect()
+        };
+        let mut seeded: Vec<usize> =
+            (0..40u64).map(|i| (gas_core::minhash::splitmix64(i) % 10_000) as usize).collect();
+        seeded.sort_unstable_by_key(|&n| gas_core::minhash::splitmix64(n as u64));
+        let cases: [(&str, Vec<Vec<u8>>); 7] = [
+            ("no payloads", Vec::new()),
+            ("empty payloads mixed in", lengths(&[0, 7, 0, 0, 300, 0, 12, 0])),
+            ("one byte", lengths(&[1])),
+            ("exactly four", lengths(&[5, 900, 33, 64])),
+            ("five", lengths(&[5, 900, 33, 64, 2])),
+            ("forty seeded lengths, shuffled", lengths(&seeded)),
+            ("one payload 100x the rest", lengths(&[50, 50, 5_000, 50, 50, 50])),
+        ];
+        for (case, payloads) in cases {
+            let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+            let serial: Vec<u64> = refs.iter().map(|p| fnv1a64(p)).collect();
+            assert_eq!(fnv1a64_each(&refs), serial, "{case}");
+        }
     }
 
     #[test]

@@ -142,12 +142,9 @@ impl SignatureShard {
     /// matrix.
     pub fn for_segment(segment: &Segment, rank: usize, nranks: usize) -> Self {
         let len = segment.scheme().len();
-        let n = segment.n_rows();
-        let mut rows = Vec::with_capacity(n.div_ceil(nranks.max(1)) * len);
-        let mut local = rank;
-        while let Some(row) = segment.signature_words(local) {
+        let mut rows = Vec::with_capacity(segment.n_rows().div_ceil(nranks.max(1)) * len);
+        for row in segment.signatures().chunks_exact(len).skip(rank).step_by(nranks) {
             rows.extend_from_slice(row);
-            local += nranks;
         }
         SignatureShard { rank, nranks, len, rows }
     }
@@ -1541,10 +1538,7 @@ mod tests {
             for id in 0..index.n_rows() as u32 {
                 let owner = sample_shard(id as usize, p);
                 assert!(shards[owner].owns(id));
-                assert_eq!(
-                    shards[owner].row(id),
-                    index.segments()[0].signature(id as usize).values()
-                );
+                assert_eq!(shards[owner].row(id), index.segments()[0].signature(id as usize));
                 for (r, shard) in shards.iter().enumerate() {
                     assert_eq!(shard.owns(id), r == owner);
                 }
@@ -1582,7 +1576,7 @@ mod tests {
                     for (r, shards) in all.iter().enumerate() {
                         assert_eq!(shards.owns_key(key).unwrap(), r == owner);
                     }
-                    assert_eq!(all[owner].row(key), seg.signature(local as usize).values());
+                    assert_eq!(all[owner].row(key), seg.signature(local as usize));
                 }
             }
             // Out-of-range keys are typed corruption, never a panic.

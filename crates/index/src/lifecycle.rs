@@ -36,13 +36,13 @@ use std::sync::Arc;
 
 use gas_chaos::{RealFs, Storage};
 use gas_core::indicator::SampleCollection;
-use gas_core::minhash::{MinHashSignature, SignatureScheme};
+use gas_core::minhash::SignatureScheme;
 
 use crate::build::IndexConfig;
 use crate::container::{self, ManifestRecord, ManifestSegmentRef};
 use crate::error::{IndexError, IndexResult};
 use crate::params::LshParams;
-use crate::segment::{Segment, SegmentRow, SegmentStats, SharedSegment};
+use crate::segment::{Segment, SegmentStats, SharedSegment, SignedRows};
 
 /// What one `commit()` did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,6 +218,24 @@ pub(crate) struct StagedBatch {
     pub(crate) base: u32,
     pub(crate) samples: Vec<StagedSample>,
     pub(crate) deletes: BTreeSet<u32>,
+}
+
+/// Sign staged samples holding the global ids `base..` into the rows of
+/// one segment: the staged commit and the commit pipeline's signers.
+pub(crate) fn sign_staged(
+    scheme: &SignatureScheme,
+    base: u32,
+    samples: Vec<StagedSample>,
+) -> SignedRows {
+    let sets: Vec<&[u64]> = samples.iter().map(|s| s.values.as_slice()).collect();
+    let signatures = scheme.sign_batch(&sets);
+    let set_sizes = sets.iter().map(|set| set.len() as u64).collect();
+    SignedRows {
+        global_ids: (base..base + samples.len() as u32).collect(),
+        signatures,
+        set_sizes,
+        names: samples.into_iter().map(|s| s.name).collect(),
+    }
 }
 
 /// The mutable half of the lifecycle: stages samples and deletes,
@@ -552,19 +570,10 @@ impl IndexWriter {
         let mut sealed = None;
         let mut rows_added = 0usize;
         if !self.staged.is_empty() {
-            let base = self.committed_next_id();
-            let staged = std::mem::take(&mut self.staged);
-            let global_ids: Vec<u32> = (base..self.next_id).collect();
-            let names: Vec<String> = staged.iter().map(|s| s.name.clone()).collect();
-            let sets: Vec<&[u64]> = staged.iter().map(|s| s.values.as_slice()).collect();
-            let segment = Segment::sign_and_build(
-                self.next_segment_id,
-                self.scheme,
-                self.params,
-                global_ids,
-                names,
-                &sets,
-            )?;
+            // Staged samples hold the newest ids: `next_id - staged..next_id`.
+            let base = self.next_id - self.staged.len() as u32;
+            let rows = sign_staged(&self.scheme, base, std::mem::take(&mut self.staged));
+            let segment = Segment::seal(self.next_segment_id, self.scheme, self.params, rows)?;
             self.next_segment_id += 1;
             sealed = Some(segment.id());
             rows_added = segment.n_rows();
@@ -589,16 +598,16 @@ impl IndexWriter {
 
     /// Seal an already-signed batch (the commit pipeline's landing path):
     /// `rows` must carry the contiguous global ids a matching
-    /// [`Self::take_staged`] reserved, in order. Applies `deletes` as
-    /// tombstones, bumps the generation and flushes — exactly what
-    /// `commit()` would have done for the same batch, minus the signing
-    /// (already performed off-thread).
+    /// [`Self::take_staged`] reserved, in order ([`sign_staged`]).
+    /// Applies `deletes` as tombstones, bumps the generation and flushes
+    /// — exactly what `commit()` would have done for the same batch,
+    /// minus the signing (already performed off-thread).
     pub(crate) fn commit_signed_rows(
         &mut self,
-        rows: Vec<SegmentRow>,
+        rows: SignedRows,
         deletes: BTreeSet<u32>,
     ) -> IndexResult<CommitSummary> {
-        if rows.is_empty() && deletes.is_empty() {
+        if rows.global_ids.is_empty() && deletes.is_empty() {
             if self.dirty {
                 self.persist()?;
             }
@@ -611,9 +620,9 @@ impl IndexWriter {
         }
         let mut sealed = None;
         let mut rows_added = 0usize;
-        if !rows.is_empty() {
-            self.in_flight -= rows.len() as u32;
-            let segment = Segment::from_rows(self.next_segment_id, self.scheme, self.params, rows)?;
+        if !rows.global_ids.is_empty() {
+            self.in_flight -= rows.global_ids.len() as u32;
+            let segment = Segment::seal(self.next_segment_id, self.scheme, self.params, rows)?;
             self.next_segment_id += 1;
             sealed = Some(segment.id());
             rows_added = segment.n_rows();
@@ -645,19 +654,13 @@ impl IndexWriter {
                 collection.n()
             )));
         }
-        let base = self.next_id;
-        let signatures = self.scheme.sign_collection(collection);
-        let rows: Vec<SegmentRow> = signatures
-            .into_iter()
-            .enumerate()
-            .map(|(i, signature)| SegmentRow {
-                global_id: base + i as u32,
-                signature,
-                set_size: collection.sample(i).len() as u64,
-                name: collection.names()[i].clone(),
-            })
-            .collect();
-        let segment = Segment::from_rows(self.next_segment_id, self.scheme, self.params, rows)?;
+        let rows = SignedRows {
+            global_ids: (self.next_id..self.next_id + collection.n() as u32).collect(),
+            signatures: self.scheme.sign_collection(collection),
+            set_sizes: collection.cardinalities(),
+            names: collection.names().to_vec(),
+        };
+        let segment = Segment::seal(self.next_segment_id, self.scheme, self.params, rows)?;
         self.next_segment_id += 1;
         self.next_id += collection.n() as u32;
         let sealed = Some(segment.id());
@@ -1022,22 +1025,29 @@ impl CompactionTask {
             BuiltCompaction { merged: Vec::with_capacity(self.groups.len()), rows_written: 0 };
         for (merged_id, members) in self.groups {
             let member_ids: Vec<u64> = members.iter().map(|s| s.id()).collect();
-            let mut rows: Vec<SegmentRow> = Vec::new();
+            // Live rows as `(global id, member, local row)`, merged into
+            // global id order; each row's signature slice is then copied
+            // straight into the merged matrix.
+            let mut live = Vec::new();
             let mut purged = Vec::new();
-            for seg in &members {
-                rows.extend(seg.live_rows(|id| self.tombstones.binary_search(&id).is_ok()));
-                purged.extend(
-                    seg.global_ids()
-                        .iter()
-                        .copied()
-                        .filter(|id| self.tombstones.binary_search(id).is_ok()),
-                );
+            for (m, seg) in members.iter().enumerate() {
+                for (local, &id) in seg.global_ids().iter().enumerate() {
+                    if self.tombstones.binary_search(&id).is_ok() {
+                        purged.push(id);
+                    } else {
+                        live.push((id, m, local));
+                    }
+                }
             }
-            rows.sort_by_key(|r| r.global_id);
-            let merged = if rows.is_empty() {
+            live.sort_unstable();
+            let merged = if live.is_empty() {
                 None
             } else {
-                let seg = Segment::from_rows(merged_id, self.scheme, self.params, rows)?;
+                let mut rows = SignedRows::default();
+                for (_, m, local) in live {
+                    rows.push_row(&members[m], local);
+                }
+                let seg = Segment::seal(merged_id, self.scheme, self.params, rows)?;
                 out.rows_written += seg.n_rows();
                 Some(seg)
             };
@@ -1151,7 +1161,7 @@ impl IndexReader {
 
     /// The signature of live global id `id` (`None` when unknown or
     /// tombstoned).
-    pub fn signature_of(&self, id: u32) -> Option<&MinHashSignature> {
+    pub fn signature_of(&self, id: u32) -> Option<&[u64]> {
         if self.is_deleted(id) {
             return None;
         }

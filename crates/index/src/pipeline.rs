@@ -31,8 +31,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use gas_core::minhash::SignatureScheme;
 
 use crate::error::{IndexError, IndexResult};
-use crate::lifecycle::{CommitSummary, IndexWriter, StagedBatch};
-use crate::segment::SegmentRow;
+use crate::lifecycle::{sign_staged, CommitSummary, IndexWriter, StagedBatch};
+use crate::segment::SignedRows;
 use crate::service::ClassMetrics;
 
 /// The receipt of a pipelined commit: resolves to the same
@@ -73,7 +73,7 @@ struct SignJob {
 
 /// One signed batch travelling from a signer to the sealer.
 struct SignedCommit {
-    rows: Vec<SegmentRow>,
+    rows: SignedRows,
     deletes: BTreeSet<u32>,
     enqueued: Instant,
     ticket: Sender<IndexResult<CommitSummary>>,
@@ -164,21 +164,8 @@ fn signer_loop(
         let SignJob { seq, batch, enqueued, ticket } = job;
         let sign_started = Instant::now();
         let mut sign_span = gas_obs::span("commit", "sign");
-        let sets: Vec<&[u64]> = batch.samples.iter().map(|s| s.values.as_slice()).collect();
-        let signatures = scheme.sign_batch(&sets);
-        let rows: Vec<SegmentRow> = batch
-            .samples
-            .iter()
-            .zip(signatures)
-            .enumerate()
-            .map(|(i, (sample, signature))| SegmentRow {
-                global_id: batch.base + i as u32,
-                signature,
-                set_size: sample.values.len() as u64,
-                name: sample.name.clone(),
-            })
-            .collect();
-        sign_span.annotate("rows", rows.len() as f64);
+        let rows = sign_staged(&scheme, batch.base, batch.samples);
+        sign_span.annotate("rows", rows.global_ids.len() as f64);
         drop(sign_span);
         gas_obs::histogram("gas_commit_sign_micros")
             .record_micros(sign_started.elapsed().as_micros() as u64);

@@ -13,7 +13,7 @@
 //! ties break toward the smaller sample id.
 
 use gas_core::indicator::SampleCollection;
-use gas_core::minhash::MinHashSignature;
+use gas_core::minhash::{signature_agreement, MinHashSignature};
 use rayon::prelude::*;
 
 use crate::build::band_keys;
@@ -337,7 +337,7 @@ pub(crate) fn live_candidates_by_segment<F: Fn(usize) -> bool>(
 ) -> Vec<Vec<Vec<u32>>> {
     let mut heat = ProbeHeat::new(reader);
     let keys: Vec<Vec<u64>> =
-        signatures.iter().map(|sig| band_keys(reader.params(), sig)).collect();
+        signatures.iter().map(|sig| band_keys(reader.params(), sig.values())).collect();
     let mut words = Vec::new();
     let by_segment = reader
         .segments()
@@ -371,7 +371,7 @@ fn scored_over_reader(
     keep: usize,
     heat: &mut ProbeHeat,
 ) -> Vec<Scored> {
-    let keys = band_keys(reader.params(), sig);
+    let keys = band_keys(reader.params(), sig.values());
     let mut words = Vec::new();
     let mut entries: Vec<Scored> = Vec::new();
     for (position, seg) in reader.segments().iter().enumerate() {
@@ -385,7 +385,7 @@ fn scored_over_reader(
         let top = {
             let _score_span = gas_obs::span("serve", "score");
             lsh_top_by(
-                &|local| seg.signature(local as usize).agreement(sig) as u32,
+                &|local| signature_agreement(seg.signature(local as usize), sig.values()) as u32,
                 &candidates,
                 keep,
             )

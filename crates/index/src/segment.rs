@@ -1,40 +1,55 @@
 //! Immutable index segments — the unit of the LSM-style index lifecycle.
 //!
-//! A [`Segment`] is one sealed batch of samples: signatures, metadata,
-//! per-band bucket tables and a mapping from *local* rows (the dense
-//! `0..n` of this segment) to *global* sample ids (assigned once by the
-//! `IndexWriter` and never reused). Bucket tables store local
-//! rows, so a segment is self-contained: it can be built, persisted,
-//! checksummed and sharded without knowing about any other segment.
-//! Once sealed a segment's content never changes — deletes are
-//! tombstones held by the manifest, and compaction *replaces* segments
-//! instead of editing them. The one mutable part is its probe heat, an
-//! observation of serving rather than content (see [`Segment`]).
+//! A [`Segment`] is one sealed batch of samples: one row-major
+//! `n_rows × len` signature matrix, metadata, per-band bucket tables and
+//! a mapping from *local* rows (the dense `0..n` of this segment) to
+//! *global* sample ids (assigned once by the `IndexWriter` and never
+//! reused). Every layer that signs, seals, persists, opens, scores or
+//! compacts reads and writes that one matrix: signing fills it, sealing
+//! hashes each row's band keys in one pass over it, the container writes
+//! and reads it as one run of words, scorers compare row slices of it,
+//! and compaction copies live rows' slices into the merged matrix.
+//! Bucket tables store local rows, so a segment is self-contained: it
+//! can be built, persisted, checksummed and sharded without knowing
+//! about any other segment. Once sealed a segment's content never
+//! changes — deletes are tombstones held by the manifest, and compaction
+//! *replaces* segments instead of editing them. The one mutable part is
+//! its probe heat, an observation of serving rather than content (see
+//! [`Segment`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gas_core::minhash::{MinHashSignature, SignatureScheme};
+use gas_core::minhash::SignatureScheme;
 
 use crate::build::{band_key, BandBuckets};
 use crate::error::{IndexError, IndexResult};
 use crate::params::LshParams;
 
-/// One row of a segment under construction: everything compaction (or a
-/// future ingestion tier) must carry over for a sample — its global id,
-/// its already-computed signature, and its metadata. Compaction merges
-/// rows from several segments *without re-signing*: signatures depend
-/// only on sample content and scheme, so they move verbatim.
-#[derive(Debug, Clone)]
-pub struct SegmentRow {
-    /// Global sample id (assigned at `add` time, stable for life).
-    pub global_id: u32,
-    /// The sample's min-wise signature under the index scheme.
-    pub signature: MinHashSignature,
-    /// Original set cardinality.
-    pub set_size: u64,
-    /// Sample name.
-    pub name: String,
+/// The rows of a segment about to be sealed, column by column: strictly
+/// increasing global ids, the row-major `n × len` signature matrix, set
+/// cardinalities and names. Every seal site — a commit, the pipeline's
+/// signed commits, a whole-collection commit and compaction — fills one
+/// and hands it to [`Segment::seal`]. Compaction carries rows over
+/// *without re-signing* ([`Self::push_row`]): signatures depend only on
+/// sample content and scheme, so their words move verbatim.
+#[derive(Debug, Default)]
+pub(crate) struct SignedRows {
+    pub(crate) global_ids: Vec<u32>,
+    pub(crate) signatures: Vec<u64>,
+    pub(crate) set_sizes: Vec<u64>,
+    pub(crate) names: Vec<String>,
+}
+
+impl SignedRows {
+    /// Append local row `local` of `seg`: its signature slice is copied
+    /// straight into this matrix.
+    pub(crate) fn push_row(&mut self, seg: &Segment, local: usize) {
+        self.global_ids.push(seg.global_ids[local]);
+        self.signatures.extend_from_slice(seg.signature(local));
+        self.set_sizes.push(seg.set_sizes[local]);
+        self.names.push(seg.names[local].clone());
+    }
 }
 
 /// An immutable, sealed segment of the index.
@@ -53,7 +68,8 @@ pub struct Segment {
     scheme: SignatureScheme,
     params: LshParams,
     global_ids: Vec<u32>,
-    signatures: Vec<MinHashSignature>,
+    /// Row-major `n_rows × scheme.len()`.
+    signatures: Vec<u64>,
     set_sizes: Vec<u64>,
     names: Vec<String>,
     bands: Vec<BandBuckets>,
@@ -84,59 +100,26 @@ impl PartialEq for SegmentHeat {
 }
 
 impl Segment {
-    /// Seal a segment from raw sets: sign the batch under the (already
-    /// fixed) scheme and bucket every local row once per band. `sets`
-    /// must be sorted, deduplicated value sets, parallel to `global_ids`
-    /// and `names`; `global_ids` must be strictly increasing.
-    pub(crate) fn sign_and_build(
+    /// Seal a segment from signed rows: bucket every local row once per
+    /// band (bucket tables are built over the new local numbering).
+    /// `rows.global_ids` must be strictly increasing.
+    pub(crate) fn seal(
         id: u64,
         scheme: SignatureScheme,
         params: LshParams,
-        global_ids: Vec<u32>,
-        names: Vec<String>,
-        sets: &[&[u64]],
+        rows: SignedRows,
     ) -> IndexResult<Self> {
-        let set_sizes = sets.iter().map(|s| s.len() as u64).collect();
-        let signatures = scheme.sign_batch(sets);
-        let bands = build_bands(&params, &signatures);
-        Segment::from_parts(id, scheme, params, global_ids, signatures, set_sizes, names, bands)
-    }
-
-    /// Seal a segment from already-signed rows (the compaction path:
-    /// merged inputs hand their rows over verbatim, bucket tables are
-    /// rebuilt over the new local numbering). `rows` must be strictly
-    /// increasing in `global_id`.
-    pub(crate) fn from_rows(
-        id: u64,
-        scheme: SignatureScheme,
-        params: LshParams,
-        rows: Vec<SegmentRow>,
-    ) -> IndexResult<Self> {
-        let mut global_ids = Vec::with_capacity(rows.len());
-        let mut signatures = Vec::with_capacity(rows.len());
-        let mut set_sizes = Vec::with_capacity(rows.len());
-        let mut names = Vec::with_capacity(rows.len());
-        for row in rows {
-            global_ids.push(row.global_id);
-            signatures.push(row.signature);
-            set_sizes.push(row.set_size);
-            names.push(row.name);
-        }
-        let bands = build_bands(&params, &signatures);
-        Segment::from_parts(id, scheme, params, global_ids, signatures, set_sizes, names, bands)
+        let bands = build_bands(&params, &rows.signatures);
+        Segment::from_parts(id, scheme, params, rows, bands)
     }
 
     /// Reassemble a segment from its parts (the persistence reader
     /// path), validating every structural invariant.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         id: u64,
         scheme: SignatureScheme,
         params: LshParams,
-        global_ids: Vec<u32>,
-        signatures: Vec<MinHashSignature>,
-        set_sizes: Vec<u64>,
-        names: Vec<String>,
+        rows: SignedRows,
         bands: Vec<BandBuckets>,
     ) -> IndexResult<Self> {
         if params.signature_len() != scheme.len() {
@@ -148,19 +131,23 @@ impl Segment {
                 ),
             });
         }
-        if signatures.iter().any(|s| s.len() != scheme.len()) {
-            return Err(IndexError::Corrupt {
-                context: "stored signature length differs from the scheme".into(),
-            });
-        }
-        let n = signatures.len();
-        if set_sizes.len() != n || names.len() != n || global_ids.len() != n {
+        let SignedRows { global_ids, signatures, set_sizes, names } = rows;
+        let n = global_ids.len();
+        if set_sizes.len() != n || names.len() != n {
             return Err(IndexError::Corrupt {
                 context: format!(
-                    "{n} signatures but {} global ids, {} set sizes and {} names",
-                    global_ids.len(),
+                    "{n} global ids but {} set sizes and {} names",
                     set_sizes.len(),
                     names.len()
+                ),
+            });
+        }
+        if n.checked_mul(scheme.len()) != Some(signatures.len()) {
+            return Err(IndexError::Corrupt {
+                context: format!(
+                    "a signature matrix of {} words for {n} rows of {}",
+                    signatures.len(),
+                    scheme.len()
                 ),
             });
         }
@@ -230,12 +217,12 @@ impl Segment {
     /// Number of rows stored (tombstoned rows included until compaction
     /// drops them).
     pub fn n_rows(&self) -> usize {
-        self.signatures.len()
+        self.global_ids.len()
     }
 
     /// Whether the segment stores no rows.
     pub fn is_empty(&self) -> bool {
-        self.signatures.is_empty()
+        self.global_ids.is_empty()
     }
 
     /// The global sample ids of this segment's rows, strictly increasing.
@@ -253,20 +240,16 @@ impl Segment {
         self.global_ids.binary_search(&id).ok()
     }
 
-    /// Signature of local row `local`.
-    pub fn signature(&self, local: usize) -> &MinHashSignature {
-        &self.signatures[local]
+    /// The signature of local row `local`: row `local` of the matrix.
+    pub fn signature(&self, local: usize) -> &[u64] {
+        let len = self.scheme.len();
+        &self.signatures[local * len..(local + 1) * len]
     }
 
-    /// All signatures, local-row-ordered.
-    pub fn signatures(&self) -> &[MinHashSignature] {
+    /// The whole signature matrix: row-major, `n_rows × scheme().len()`
+    /// words, local-row-ordered.
+    pub fn signatures(&self) -> &[u64] {
         &self.signatures
-    }
-
-    /// The raw signature words of local row `local`, or `None` past the
-    /// end — the checked form shard extraction strides with.
-    pub fn signature_words(&self, local: usize) -> Option<&[u64]> {
-        self.signatures.get(local).map(|s| s.values())
     }
 
     /// Original set cardinalities, local-row-ordered.
@@ -362,20 +345,6 @@ impl Segment {
     pub(crate) fn heat(&self) -> (u64, u64) {
         (self.heat.probes.load(Ordering::Relaxed), self.heat.candidates.load(Ordering::Relaxed))
     }
-
-    /// The rows of this segment as carry-over records for compaction,
-    /// skipping rows whose global id `dropped` admits (tombstones).
-    pub(crate) fn live_rows<F: Fn(u32) -> bool>(&self, dropped: F) -> Vec<SegmentRow> {
-        (0..self.n_rows())
-            .filter(|&local| !dropped(self.global_ids[local]))
-            .map(|local| SegmentRow {
-                global_id: self.global_ids[local],
-                signature: self.signatures[local].clone(),
-                set_size: self.set_sizes[local],
-                name: self.names[local].clone(),
-            })
-            .collect()
-    }
 }
 
 /// Summary of one segment as seen through a reader snapshot.
@@ -395,19 +364,24 @@ pub struct SegmentStats {
     pub candidates: u64,
 }
 
-/// Shared by every segment builder: one key-sorted bucket table per
-/// band, bucket members are local rows in ascending order.
-fn build_bands(params: &LshParams, signatures: &[MinHashSignature]) -> Vec<BandBuckets> {
-    let mut run: Vec<(u64, u32)> = Vec::with_capacity(signatures.len());
+/// Shared by every seal: one key-sorted bucket table per band, bucket
+/// members are local rows in ascending order. Each signature row is read
+/// once — all `b` band keys are hashed in one pass over it into a
+/// band-major key buffer (`n · b` words) — then each band's
+/// `(key, local)` run is sorted and cut into buckets.
+fn build_bands(params: &LshParams, signatures: &[u64]) -> Vec<BandBuckets> {
+    let n = signatures.len() / params.signature_len();
+    let mut keys = vec![0u64; params.bands() * n];
+    for (local, row) in signatures.chunks_exact(params.signature_len()).enumerate() {
+        for band in 0..params.bands() {
+            keys[band * n + local] = band_key(params, band, row);
+        }
+    }
+    let mut run: Vec<(u64, u32)> = Vec::with_capacity(n);
     (0..params.bands())
         .map(|band| {
             run.clear();
-            run.extend(
-                signatures
-                    .iter()
-                    .enumerate()
-                    .map(|(local, sig)| (band_key(params, band, sig), local as u32)),
-            );
+            run.extend(keys[band * n..(band + 1) * n].iter().copied().zip(0u32..));
             run.sort_unstable();
             BandBuckets::from_sorted_run(&run)
         })
@@ -427,25 +401,52 @@ mod tests {
 
     /// A seeded signature of `len` positions drawn from `0..alphabet`: a
     /// small alphabet makes band keys collide into large buckets.
-    fn random_signature(seed: u64, len: usize, alphabet: u64) -> MinHashSignature {
-        MinHashSignature::from_values(
-            (0..len as u64).map(|j| splitmix64(splitmix64(seed) ^ j) % alphabet).collect(),
-        )
+    fn random_signature(seed: u64, len: usize, alphabet: u64) -> Vec<u64> {
+        (0..len as u64).map(|j| splitmix64(splitmix64(seed) ^ j) % alphabet).collect()
     }
 
     /// A segment of `rows` random signatures (16 positions, 8 bands of 2).
     fn random_segment(id: u64, rows: usize, alphabet: u64) -> Segment {
         let scheme = SignatureScheme::new(16).unwrap();
         let params = LshParams::new(8, 2).unwrap();
-        let rows = (0..rows as u32)
-            .map(|local| SegmentRow {
-                global_id: local,
-                signature: random_signature(id << 32 | local as u64, 16, alphabet),
-                set_size: 0,
-                name: String::new(),
-            })
-            .collect();
-        Segment::from_rows(id, scheme, params, rows).unwrap()
+        let rows = SignedRows {
+            global_ids: (0..rows as u32).collect(),
+            signatures: (0..rows as u64)
+                .flat_map(|local| random_signature(id << 32 | local, 16, alphabet))
+                .collect(),
+            set_sizes: vec![0; rows],
+            names: vec![String::new(); rows],
+        };
+        Segment::seal(id, scheme, params, rows).unwrap()
+    }
+
+    /// `sets` signed under `scheme` as the rows `global_ids`, named
+    /// `names`, and sealed — what a commit does.
+    fn signed_segment(
+        id: u64,
+        (scheme, params): (SignatureScheme, LshParams),
+        global_ids: Vec<u32>,
+        names: &[&str],
+        sets: &[Vec<u64>],
+    ) -> Segment {
+        let refs: Vec<&[u64]> = sets.iter().map(Vec::as_slice).collect();
+        let rows = SignedRows {
+            global_ids,
+            signatures: scheme.sign_batch(&refs),
+            set_sizes: sets.iter().map(|s| s.len() as u64).collect(),
+            names: names.iter().map(|&name| name.into()).collect(),
+        };
+        Segment::seal(id, scheme, params, rows).unwrap()
+    }
+
+    /// The rows of `seg` whose global id `keep` admits, carried over as
+    /// compaction carries them.
+    fn carried(seg: &Segment, keep: impl Fn(u32) -> bool) -> SignedRows {
+        let mut rows = SignedRows::default();
+        for local in (0..seg.n_rows()).filter(|&local| keep(seg.global_id(local))) {
+            rows.push_row(seg, local);
+        }
+        rows
     }
 
     /// The concatenate-sort-dedup probe, over `binary_search`ed buckets.
@@ -488,7 +489,7 @@ mod tests {
         let (mut bitmap_probes, mut sorted_probes) = (0, 0);
         for (s, &(rows, alphabet)) in shapes.iter().enumerate() {
             let seg = &random_segment(s as u64, rows, alphabet);
-            let own = (0..4).map(|i| seg.signature(i * seg.n_rows() / 4).clone());
+            let own = (0..4).map(|i| seg.signature(i * seg.n_rows() / 4).to_vec());
             let strangers = (0..4).map(|q| random_signature(1 << 40 | q, 16, alphabet));
             for sig in own.chain(strangers) {
                 let keys = band_keys(seg.params(), &sig);
@@ -554,10 +555,7 @@ mod tests {
                 seg.id(),
                 *seg.scheme(),
                 *seg.params(),
-                seg.global_ids().to_vec(),
-                seg.signatures().to_vec(),
-                seg.set_sizes().to_vec(),
-                seg.names().to_vec(),
+                carried(&seg, |_| true),
                 bands,
             )
         };
@@ -588,7 +586,7 @@ mod tests {
         /// The ordered-map build the sorted run replaced.
         fn reference_band(seg: &Segment, band: usize) -> BandBuckets {
             let mut map: std::collections::BTreeMap<u64, Vec<u32>> = Default::default();
-            for (local, sig) in seg.signatures().iter().enumerate() {
+            for (local, sig) in seg.signatures().chunks_exact(seg.scheme().len()).enumerate() {
                 map.entry(band_key(seg.params(), band, sig)).or_default().push(local as u32);
             }
             let offsets = std::iter::once(0)
@@ -632,20 +630,10 @@ mod tests {
     }
 
     #[test]
-    fn sign_and_build_buckets_every_row_once_per_band() {
-        let (scheme, params) = scheme_and_params();
+    fn seal_buckets_every_row_once_per_band() {
         let sets: Vec<Vec<u64>> =
             vec![(0..200).collect(), (100..300).collect(), (10_000..10_200).collect()];
-        let refs: Vec<&[u64]> = sets.iter().map(Vec::as_slice).collect();
-        let seg = Segment::sign_and_build(
-            7,
-            scheme,
-            params,
-            vec![4, 9, 11],
-            vec!["a".into(), "b".into(), "c".into()],
-            &refs,
-        )
-        .unwrap();
+        let seg = signed_segment(7, scheme_and_params(), vec![4, 9, 11], &["a", "b", "c"], &sets);
         assert_eq!(seg.id(), 7);
         assert_eq!(seg.n_rows(), 3);
         assert_eq!(seg.global_ids(), &[4, 9, 11]);
@@ -665,31 +653,22 @@ mod tests {
         }
         // Signatures are exactly the scheme's signatures of the sets.
         for (local, set) in sets.iter().enumerate() {
-            assert_eq!(seg.signature(local), &seg.scheme().sign(set));
+            assert_eq!(seg.signature(local), seg.scheme().sign(set).values());
         }
     }
 
     #[test]
-    fn from_rows_preserves_signatures_and_rebuilds_buckets() {
+    fn carried_rows_keep_signatures_and_rebuild_buckets() {
         let (scheme, params) = scheme_and_params();
         let sets: Vec<Vec<u64>> = vec![(0..150).collect(), (75..225).collect()];
-        let refs: Vec<&[u64]> = sets.iter().map(Vec::as_slice).collect();
-        let seg = Segment::sign_and_build(
-            1,
-            scheme,
-            params,
-            vec![0, 1],
-            vec!["x".into(), "y".into()],
-            &refs,
-        )
-        .unwrap();
+        let seg = signed_segment(1, (scheme, params), vec![0, 1], &["x", "y"], &sets);
         // Same rows, same id: an equal segment. The id is part of equality.
-        let rebuilt = Segment::from_rows(1, scheme, params, seg.live_rows(|_| false)).unwrap();
+        let rebuilt = Segment::seal(1, scheme, params, carried(&seg, |_| true)).unwrap();
         assert_eq!(rebuilt, seg);
-        let renumbered = Segment::from_rows(2, scheme, params, seg.live_rows(|_| false)).unwrap();
+        let renumbered = Segment::seal(2, scheme, params, carried(&seg, |_| true)).unwrap();
         assert_ne!(renumbered, seg, "ids differ");
         // Dropping one row renumbers locals and keeps global ids.
-        let pruned = Segment::from_rows(3, scheme, params, seg.live_rows(|id| id == 0)).unwrap();
+        let pruned = Segment::seal(3, scheme, params, carried(&seg, |id| id != 0)).unwrap();
         assert_eq!(pruned.global_ids(), &[1]);
         assert_eq!(pruned.signature(0), seg.signature(1));
     }
@@ -697,11 +676,8 @@ mod tests {
     #[test]
     fn heat_is_not_content() {
         let (scheme, params) = scheme_and_params();
-        let sets: Vec<Vec<u64>> = vec![(0..150).collect()];
-        let refs: Vec<&[u64]> = sets.iter().map(Vec::as_slice).collect();
-        let seg =
-            Segment::sign_and_build(1, scheme, params, vec![0], vec!["x".into()], &refs).unwrap();
-        let twin = Segment::from_rows(1, scheme, params, seg.live_rows(|_| false)).unwrap();
+        let seg = signed_segment(1, (scheme, params), vec![0], &["x"], &[(0..150).collect()]);
+        let twin = Segment::seal(1, scheme, params, carried(&seg, |_| true)).unwrap();
         seg.record_heat(3, 7);
         seg.record_heat(1, 2);
         assert_eq!((seg.heat(), twin.heat()), ((4, 9), (0, 0)));
@@ -712,45 +688,54 @@ mod tests {
     #[test]
     fn from_parts_validates_invariants() {
         let (scheme, params) = scheme_and_params();
-        let sets: Vec<Vec<u64>> = vec![(0..100).collect()];
-        let refs: Vec<&[u64]> = sets.iter().map(Vec::as_slice).collect();
-        let seg =
-            Segment::sign_and_build(1, scheme, params, vec![3], vec!["s".into()], &refs).unwrap();
+        let seg = signed_segment(1, (scheme, params), vec![3], &["s"], &[(0..100).collect()]);
+        let bands = || (0..params.bands()).map(|b| seg.band(b).clone()).collect();
+        let sig = seg.signature(0);
         // Non-increasing global ids.
-        assert!(Segment::from_parts(
-            1,
-            scheme,
-            params,
-            vec![3, 3],
-            vec![seg.signature(0).clone(), seg.signature(0).clone()],
-            vec![100, 100],
-            vec!["s".into(), "t".into()],
-            (0..params.bands()).map(|b| seg.band(b).clone()).collect(),
-        )
-        .is_err());
+        let rows = SignedRows {
+            global_ids: vec![3, 3],
+            signatures: [sig, sig].concat(),
+            set_sizes: vec![100, 100],
+            names: vec!["s".into(), "t".into()],
+        };
+        assert!(Segment::from_parts(1, scheme, params, rows, bands()).is_err());
         // Mismatched metadata lengths.
-        assert!(Segment::from_parts(
-            1,
-            scheme,
-            params,
-            vec![3],
-            vec![seg.signature(0).clone()],
-            vec![],
-            vec!["s".into()],
-            (0..params.bands()).map(|b| seg.band(b).clone()).collect(),
-        )
-        .is_err());
+        let rows = SignedRows {
+            global_ids: vec![3],
+            signatures: sig.to_vec(),
+            set_sizes: vec![],
+            names: vec!["s".into()],
+        };
+        assert!(Segment::from_parts(1, scheme, params, rows, bands()).is_err());
         // Wrong band count.
-        assert!(Segment::from_parts(
-            1,
-            scheme,
-            params,
-            vec![3],
-            vec![seg.signature(0).clone()],
-            vec![100],
-            vec!["s".into()],
-            vec![],
-        )
-        .is_err());
+        assert!(Segment::from_parts(1, scheme, params, carried(&seg, |_| true), vec![]).is_err());
+    }
+
+    #[test]
+    fn a_signature_matrix_of_the_wrong_length_is_corrupt() {
+        // The matrix must hold exactly `rows × len` words: one short, one
+        // long, or a whole row long (which a per-row check could not see
+        // without a row count) are all typed corruption.
+        let (scheme, params) = scheme_and_params();
+        let sets: Vec<Vec<u64>> = vec![(0..100).collect(), (50..150).collect()];
+        let seg = signed_segment(1, (scheme, params), vec![3, 4], &["s", "t"], &sets);
+        let bands = || (0..params.bands()).map(|b| seg.band(b).clone()).collect();
+        let with_matrix = |signatures: Vec<u64>| {
+            let rows = SignedRows { signatures, ..carried(&seg, |_| true) };
+            Segment::from_parts(1, scheme, params, rows, bands())
+        };
+        assert_eq!(with_matrix(seg.signatures().to_vec()).unwrap(), seg);
+        let full = seg.signatures();
+        let one_word_long = [full, &[7]].concat();
+        let one_row_long = [full, seg.signature(0)].concat();
+        for (case, matrix) in [
+            ("one word short", full[..full.len() - 1].to_vec()),
+            ("one word long", one_word_long),
+            ("one row long", one_row_long),
+            ("empty", Vec::new()),
+        ] {
+            let got = with_matrix(matrix);
+            assert!(matches!(got, Err(IndexError::Corrupt { .. })), "{case}: {got:?}");
+        }
     }
 }

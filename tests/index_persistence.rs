@@ -500,3 +500,130 @@ fn file_level_round_trip_with_magic_constant() {
     std::fs::remove_file(&path).ok();
     assert_eq!(loaded.segments(), index.segments());
 }
+
+/// `(kind, offset)` of every block behind the file header of a file whose
+/// every block header is intact.
+fn block_layout(bytes: &[u8]) -> Vec<([u8; 4], usize)> {
+    let mut blocks = Vec::new();
+    let mut pos = 20;
+    while pos < bytes.len() {
+        let kind = bytes[pos..pos + 4].try_into().unwrap();
+        let payload_len = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().unwrap());
+        blocks.push((kind, pos));
+        pos += 32 + payload_len as usize;
+    }
+    blocks
+}
+
+#[test]
+fn payload_flips_past_the_lane_count_fall_back_where_a_serial_scan_stops() {
+    // Open checks payload checksums four at a time; it must still stop
+    // at the first flipped payload in file order, on a file with more
+    // blocks than lanes: the generation-0 manifest, five `SEG MAN`
+    // commits and one delete-only commit (`MAN` alone) — 12 blocks.
+    let path = unique_path("lane_stop");
+    let config = IndexConfig::default().with_signature_len(32).with_threshold(0.5);
+    let mut writer = IndexOptions::from_config(config).create_writer_at(&path).unwrap();
+    let sample = |i: u64| -> Vec<u64> { (i * 37 % 300..i * 37 % 300 + 150).collect() };
+    let queries: Vec<Vec<u64>> = (0..12).map(sample).collect();
+    let opts = QueryOptions { top_k: 3, ..Default::default() };
+    let answers =
+        |reader: IndexReader| QueryEngine::snapshot(reader).query_batch(&queries, &opts).unwrap();
+    let mut by_generation = vec![answers(writer.reader())];
+    for commit in 0..5u64 {
+        for i in commit * 2..commit * 2 + 2 {
+            writer.add(format!("s{i}"), sample(i)).unwrap();
+        }
+        writer.commit().unwrap();
+        by_generation.push(answers(writer.reader()));
+    }
+    writer.delete(3).unwrap();
+    writer.commit().unwrap();
+    by_generation.push(answers(writer.reader()));
+    drop(writer);
+    let bytes = std::fs::read(&path).unwrap();
+    let blocks = block_layout(&bytes);
+    assert_eq!(blocks.len(), 12);
+    assert_ne!(by_generation[5], by_generation[6], "the delete changes answers");
+
+    // Flip one payload byte of `block` in `bytes`.
+    let flip = |bytes: &mut [u8], block: usize| {
+        let (start, end) =
+            (blocks[block].1 + 32, blocks.get(block + 1).map_or(bytes.len(), |b| b.1));
+        bytes[(start + end) / 2] ^= 0x5A;
+    };
+    // The generation left standing by a flip in block `k`: the last
+    // manifest in front of it, and the bytes it ends at (the offset of
+    // the block after it — `k` itself when that manifest is `k - 1`).
+    let standing = |k: usize| {
+        let m = blocks[..k].iter().rposition(|(kind, _)| kind == b"MAN\0")?;
+        let generation = blocks[..m].iter().filter(|(kind, _)| kind == b"MAN\0").count();
+        Some((generation, blocks[m + 1].1))
+    };
+    for k in 0..blocks.len() {
+        let mut flipped = bytes.clone();
+        flip(&mut flipped, k);
+        std::fs::write(&path, &flipped).unwrap();
+        let opened = IndexReader::open_with_report(&path);
+        match standing(k) {
+            None => assert!(matches!(opened, Err(IndexError::NoLiveGeneration(_))), "block {k}"),
+            Some((generation, kept)) => {
+                let (reader, report) = opened.unwrap();
+                assert_eq!(report.generation, generation as u64, "block {k}");
+                assert_eq!(report.torn_bytes, bytes.len() - kept, "block {k}");
+                assert_eq!(answers(reader), by_generation[generation], "block {k}");
+            }
+        }
+    }
+
+    // A checksum-valid `SEG` holding structural garbage: never decoded
+    // behind a flipped block, still `Corrupt` in front of one.
+    let garbage = block(b"SEG\0", b"not a segment payload");
+    let splice = |bytes: &[u8], at: usize| [&bytes[..at], &garbage[..], &bytes[at..]].concat();
+    let k = 5;
+    let (generation, kept) = standing(k).unwrap();
+    let mut flipped = bytes.clone();
+    flip(&mut flipped, k);
+    for at in [blocks[k + 1].1, blocks[9].1, bytes.len()] {
+        let spliced = splice(&flipped, at);
+        std::fs::write(&path, &spliced).unwrap();
+        let (reader, report) = IndexReader::open_with_report(&path).unwrap();
+        assert_eq!(report.generation, generation as u64, "garbage at {at}");
+        assert_eq!(report.torn_bytes, spliced.len() - kept, "garbage at {at}");
+        assert_eq!(answers(reader), by_generation[generation], "garbage at {at}");
+    }
+    for at in [blocks[1].1, blocks[3].1, blocks[k].1] {
+        let opened = open_bytes(&path, &splice(&flipped, at));
+        assert!(matches!(opened, Err(IndexError::Corrupt { .. })), "garbage at {at}: {opened:?}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_signature_matrix_one_word_short_is_truncated_not_allocated() {
+    // A checksum-valid segment of two rows of 8 positions whose matrix
+    // stops one word short: the decoder takes the whole matrix as one
+    // bounds-checked run, so this is `Truncated` before anything is
+    // allocated for it.
+    let mut segment = 1u32.to_le_bytes().to_vec(); // layout
+    segment.extend(1u64.to_le_bytes()); // segment id
+    segment.extend(0u32.to_le_bytes()); // signer kind: k-mins
+    segment.extend(8u32.to_le_bytes()); // signature length
+    segment.extend(7u64.to_le_bytes()); // seed
+    segment.extend(4u32.to_le_bytes()); // bands
+    segment.extend(2u32.to_le_bytes()); // rows per band
+    segment.extend(2u32.to_le_bytes()); // row count
+    segment.extend([0u32, 1].iter().flat_map(|id| id.to_le_bytes())); // global ids
+    segment.extend([5u64, 6].iter().flat_map(|size| size.to_le_bytes())); // set sizes
+    segment.extend([0u32, 0].iter().flat_map(|len| len.to_le_bytes())); // two empty names
+    segment.extend((0..2 * 8 - 1u64).flat_map(|word| word.to_le_bytes()));
+    let mut file = header(3);
+    file.extend(block(b"SEG\0", &segment));
+    let path = unique_path("matrix_short");
+    let opened = open_bytes(&path, &file);
+    std::fs::remove_file(&path).ok();
+    match opened {
+        Err(IndexError::Truncated { context }) => assert_eq!(context, "SEG: signature matrix"),
+        other => panic!("{other:?}"),
+    }
+}

@@ -179,7 +179,7 @@ fn signer_choice_changes_signatures_but_not_serving_quality() {
                 );
             }
         }
-        per_signer_answers.push(index.signature_of(0).unwrap().values().to_vec());
+        per_signer_answers.push(index.signature_of(0).unwrap().to_vec());
     }
     assert_ne!(
         per_signer_answers[0], per_signer_answers[1],

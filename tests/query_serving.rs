@@ -176,7 +176,7 @@ fn signature_shards_cover_every_sample_exactly_once_on_ci_grids() {
         for id in 0..index.n_rows() {
             let owner = sample_shard(id, ranks);
             assert_eq!(shards.iter().filter(|s| s.owns(id as u32)).count(), 1);
-            assert_eq!(shards[owner].row(id as u32), segment.signature(id).values());
+            assert_eq!(shards[owner].row(id as u32), segment.signature(id));
         }
     }
 }
