@@ -45,23 +45,26 @@ smoke:
 
 # One cell of the CI chaos-matrix job, e.g.:
 #   make chaos-matrix CHAOS_SEED=2 CHAOS_SCENARIO=service
+# CHAOS_SCENARIO (storage, service or dist) filters the drill's tests by
+# name; left empty it runs all three. Each writes
+# results/chaos_drill_<scenario>.json before asserting.
 CHAOS_SEED ?= 1
-CHAOS_SCENARIO ?= all
+CHAOS_SCENARIO ?=
 chaos-matrix:
-	GAS_CHAOS_SEED=$(CHAOS_SEED) GAS_CHAOS_SCENARIO=$(CHAOS_SCENARIO) \
-		cargo run --release --locked -p gas-bench --bin chaos_drill
+	GAS_CHAOS_SEED=$(CHAOS_SEED) \
+		cargo test --release --locked --test chaos_drill -- $(CHAOS_SCENARIO)
 
 # The segmented index lifecycle suites: writer/reader/compactor unit
 # tests, the `incremental add + compact ≡ full rebuild` and crash-safe
 # commit proptests, the container round-trip/corruption/refusal and
 # byte-identity suite, the crash-recovery torture over random fault
-# schedules, the segmented sharded-serving grid equality, and the
-# observability suite that pins the service's compaction and vacuum
-# counters and file gauges.
+# schedules, the seeded chaos drill, the segmented sharded-serving grid
+# equality, and the observability suite that pins the service's
+# compaction and vacuum counters and file gauges.
 index-lifecycle:
 	cargo test -p gas-index --locked -q
 	cargo test --locked -q --test index_lifecycle --test index_persistence \
-		--test chaos_recovery --test query_serving --test observability
+		--test chaos_recovery --test chaos_drill --test query_serving --test observability
 
 # The last step of CI's build-and-test job: the perf ledger
 # (bench/ledger, its own package and lock file) on its tiny fixtures —

@@ -33,7 +33,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// SplitMix64 — the one PRNG the whole plan derives from. Local copy so
@@ -213,6 +213,15 @@ pub fn sync_parent_dir(path: &Path) {
     let _ = path;
 }
 
+/// Where a faulted [`ChaosStorage`] replace of `path` leaves its torn
+/// temp image: the sibling `<name>.chaos-torn`. Callers that inject
+/// faults into a file remove this path with the file.
+pub fn decoy_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    name.push(".chaos-torn");
+    path.with_file_name(name)
+}
+
 /// The real filesystem: exactly the I/O the container performed before
 /// the trait existed, byte for byte.
 #[derive(Debug, Clone, Copy, Default)]
@@ -352,10 +361,7 @@ impl Storage for ChaosStorage {
             // temp path of a later successful replace.
             FaultKind::ShortWrite | FaultKind::TornWrite => {
                 let cut = f.cut(bytes.len());
-                let mut decoy_name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-                decoy_name.push(".chaos-torn");
-                let decoy = path.with_file_name(decoy_name);
-                let _ = self.inner.write(&decoy, &bytes[..cut]);
+                let _ = self.inner.write(&decoy_path(path), &bytes[..cut]);
                 Err(io::Error::other("injected crash before rename"))
             }
             // For an atomic replace a lying sync downgrades to a failed
@@ -455,11 +461,7 @@ mod tests {
             assert_eq!(std::fs::read(&path).unwrap(), b"live generation", "{kind:?}");
         }
         std::fs::remove_file(&path).unwrap();
-        let _ =
-            std::fs::remove_file(path.with_file_name(format!(
-                "{}.chaos-torn",
-                path.file_name().unwrap().to_string_lossy()
-            )));
+        std::fs::remove_file(decoy_path(&path)).unwrap();
     }
 
     #[test]

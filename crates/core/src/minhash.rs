@@ -6,8 +6,9 @@
 //! for computation of a distance between highly dissimilar sets unless
 //! very large sketch sizes are used" (Section I). This module implements
 //! the bottom-k MinHash sketch and the Mash distance estimator so the
-//! reproduction can quantify that accuracy/size trade-off (Table II
-//! context and the `minhash_accuracy` experiment).
+//! reproduction can quantify that accuracy/size trade-off: Table II's
+//! MinHash row is `tests/paper_evaluation.rs`'s
+//! `table2_minhash_error_stays_within_the_bottom_k_band`.
 
 use serde::{Deserialize, Serialize};
 

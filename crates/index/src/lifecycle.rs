@@ -1821,14 +1821,8 @@ mod tests {
         assert_eq!(top1(&path, &probe), want);
         std::fs::remove_file(&path).ok();
         // ShortWrite/TornWrite leave a decoy torn temp file behind by
-        // design (the crash image); sweep it.
-        if let Some(dir) = path.parent() {
-            for entry in std::fs::read_dir(dir).unwrap().flatten() {
-                if entry.path().extension().is_some_and(|e| e == "chaos-torn") {
-                    std::fs::remove_file(entry.path()).ok();
-                }
-            }
-        }
+        // design (the crash image); remove this file's.
+        std::fs::remove_file(gas_chaos::decoy_path(&path)).ok();
     }
 
     #[test]

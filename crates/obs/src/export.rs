@@ -1,11 +1,12 @@
 //! Exporters: Prometheus text, JSON report rows, folded stacks and the
 //! predicted-vs-measured collectives report.
 //!
-//! The Prometheus writer is paired with a strict parser so exports are
-//! round-trip-testable without a third-party client; the JSON writers
-//! emit exactly the `{"title": ..., "rows": [...]}` shape of
-//! `gas_bench::report::Table::write_json`, so the bench crate's
-//! `read_json_rows` reads them back.
+//! Each text format has one writer and one strict parser here, so
+//! exports are round-trip-testable without a third-party client:
+//! [`to_prometheus`] / [`parse_prometheus`], and [`json_report`] /
+//! [`parse_json_report`] for the `{"title": ..., "rows": [...]}` report
+//! shape that [`trace_to_json`], [`metrics_to_json`] and the chaos
+//! drill's per-scenario rows share.
 
 use std::collections::BTreeMap;
 
@@ -51,7 +52,7 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
 
 /// Parse text produced by [`to_prometheus`] back into a snapshot.
 ///
-/// Deliberately strict (like `read_json_rows`): it accepts exactly the
+/// Deliberately strict (like [`parse_json_report`]): it accepts exactly the
 /// shape the writer emits and fails loudly on anything else, so a
 /// corrupted scrape is an error rather than an empty snapshot.
 pub fn parse_prometheus(text: &str) -> Result<MetricsSnapshot, String> {
@@ -135,10 +136,11 @@ fn parse_sample(line: &str) -> Result<(&str, &str), String> {
 }
 
 // ---------------------------------------------------------------------------
-// JSON report rows (the Table::write_json shape)
+// JSON report rows
 // ---------------------------------------------------------------------------
 
-fn json_string(s: &str) -> String {
+/// Escape `s` as a JSON string literal, quotes included.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {
@@ -156,7 +158,10 @@ fn json_string(s: &str) -> String {
     out
 }
 
-fn json_report(title: &str, rows: Vec<Vec<(String, String)>>) -> String {
+/// Render a JSON report: `{"title": ..., "rows": [{column: value, ...}]}`.
+/// Each value is JSON text already — a bare number or boolean, or a
+/// [`json_string`] literal — so the caller decides each column's type.
+pub fn json_report(title: &str, rows: Vec<Vec<(String, String)>>) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"title\": {},\n", json_string(title)));
@@ -171,7 +176,166 @@ fn json_report(title: &str, rows: Vec<Vec<(String, String)>>) -> String {
     out
 }
 
-/// Render trace events as a JSON report (`read_json_rows`-compatible):
+/// Parse text produced by [`json_report`] back into its rows, one
+/// `(column, value)` list per row.
+///
+/// Deliberately not a general JSON parser: it accepts exactly the shape
+/// the writer emits (an object with a string `"title"` and a `"rows"`
+/// array of flat objects whose values are strings or bare scalars) and
+/// fails loudly on anything else, so a malformed report is an error
+/// rather than an empty one. Scalars come back as their raw JSON text
+/// (`"3.5"`, `"true"`); strings come back unescaped.
+pub fn parse_json_report(text: &str) -> Result<Vec<Vec<(String, String)>>, String> {
+    let mut p = JsonCursor { text, pos: 0 };
+    p.expect(b'{')?;
+    p.key("title")?;
+    p.string()?;
+    p.expect(b',')?;
+    p.key("rows")?;
+    p.expect(b'[')?;
+    let mut rows = Vec::new();
+    if !p.eat(b']') {
+        loop {
+            rows.push(p.flat_object()?);
+            if !p.eat(b',') {
+                p.expect(b']')?;
+                break;
+            }
+        }
+    }
+    p.expect(b'}')?;
+    p.skip_ws();
+    if p.pos != text.len() {
+        return Err("trailing content after the report object".into());
+    }
+    Ok(rows)
+}
+
+/// Cursor over [`json_report`]'s output shape. `pos` only ever steps
+/// over ASCII bytes or whole characters, so it stays on a char boundary.
+struct JsonCursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl JsonCursor<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, want: u8) -> bool {
+        self.skip_ws();
+        let hit = self.peek() == Some(want);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, want: u8) -> Result<(), String> {
+        if self.eat(want) {
+            return Ok(());
+        }
+        Err(format!(
+            "expected '{}' at byte {}, found {:?}",
+            want as char,
+            self.pos,
+            self.text[self.pos..].chars().next()
+        ))
+    }
+
+    /// The object key `want` and its colon.
+    fn key(&mut self, want: &str) -> Result<(), String> {
+        let key = self.string()?;
+        if key != want {
+            return Err(format!("expected \"{want}\", found \"{key}\""));
+        }
+        self.expect(b':')
+    }
+
+    /// A JSON string literal, unescaped.
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b'u') => {
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or("truncated \\u escape")?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                            self.pos += 4;
+                        }
+                        other => return Err(format!("unsupported escape {other:?}")),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    let ch = self.text[self.pos..].chars().next().expect("peeked a byte");
+                    out.push(ch);
+                    self.pos += ch.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// A flat `{column: value, ...}` row: values are strings or bare
+    /// scalars (returned as raw text).
+    fn flat_object(&mut self) -> Result<Vec<(String, String)>, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        if self.eat(b'}') {
+            return Ok(fields);
+        }
+        loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            self.skip_ws();
+            let value = if self.peek() == Some(b'"') {
+                self.string()?
+            } else {
+                let start = self.pos;
+                while self
+                    .peek()
+                    .is_some_and(|b| !matches!(b, b',' | b'}') && !b.is_ascii_whitespace())
+                {
+                    self.pos += 1;
+                }
+                if self.pos == start {
+                    return Err(format!("empty scalar for key \"{key}\""));
+                }
+                self.text[start..self.pos].to_string()
+            };
+            fields.push((key, value));
+            if !self.eat(b',') {
+                self.expect(b'}')?;
+                return Ok(fields);
+            }
+        }
+    }
+}
+
+/// Render trace events as a [`json_report`]:
 /// one row per closed span with `thread`/`phase`/`name`/`stack`/`depth`/
 /// `start_ns`/`dur_ns` columns plus `attrs` as a `key=value` list.
 pub fn trace_to_json(events: &[TraceEvent]) -> String {
@@ -195,9 +359,9 @@ pub fn trace_to_json(events: &[TraceEvent]) -> String {
     json_report("trace", rows)
 }
 
-/// Render a metrics snapshot as a JSON report (`read_json_rows`-
-/// compatible): one row per metric with uniform columns — scalars fill
-/// `value`, histograms fill the latency columns.
+/// Render a metrics snapshot as a [`json_report`]: one row per metric
+/// with uniform columns — scalars fill `value`, histograms fill the
+/// latency columns.
 pub fn metrics_to_json(snap: &MetricsSnapshot) -> String {
     let mut rows = Vec::new();
     let scalar = |kind: &str, name: &str, value: String| {
@@ -395,6 +559,52 @@ mod tests {
         );
         assert!(json.contains("\"kind\": \"histogram\", \"name\": \"gas_serve_query_micros\""));
         assert!(json.contains("\"max_us\": 30000000"));
+    }
+
+    #[test]
+    fn json_reports_round_trip_through_parse_json_report() {
+        let row = |cells: [(&str, String); 4]| cells.map(|(k, v)| (k.to_string(), v)).to_vec();
+        let text = json_report(
+            "trip \"quoted\"",
+            vec![
+                row([
+                    ("workload", json_string("tiny")),
+                    ("qps", "6531.3".into()),
+                    ("ok", "true".into()),
+                    ("note", json_string("line\nbreak \u{1} µs")),
+                ]),
+                row([
+                    ("workload", json_string("default")),
+                    ("qps", "42".into()),
+                    ("ok", "false".into()),
+                    ("note", json_string("ok")),
+                ]),
+            ],
+        );
+        assert!(text.contains("\"title\": \"trip \\\"quoted\\\"\""));
+        let rows = parse_json_report(&text).unwrap();
+        assert_eq!(rows.len(), 2);
+        // Columns and raw values survive, whether bare scalars (qps, ok)
+        // or escaped strings (note).
+        assert_eq!(rows[0][0], ("workload".into(), "tiny".into()));
+        assert_eq!(rows[0][1], ("qps".into(), "6531.3".into()));
+        assert_eq!(rows[0][2], ("ok".into(), "true".into()));
+        assert_eq!(rows[0][3], ("note".into(), "line\nbreak \u{1} µs".into()));
+        assert_eq!(rows[1][1], ("qps".into(), "42".into()));
+        assert_eq!(parse_json_report(&json_report("t", Vec::new())).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn json_report_parser_rejects_malformed_reports() {
+        for (name, text) in [
+            ("empty", ""),
+            ("not_report", "{\"rows\": []}"),
+            ("truncated", "{\n  \"title\": \"t\",\n  \"rows\": [\n    {\"a\": 1}"),
+            ("trailing", "{\n  \"title\": \"t\",\n  \"rows\": []\n}\nextra"),
+            ("empty_scalar", "{\"title\": \"t\", \"rows\": [{\"a\": }]}"),
+        ] {
+            assert!(parse_json_report(text).is_err(), "{name} must be rejected");
+        }
     }
 
     fn ev(stack: &str, dur_ns: u64) -> TraceEvent {

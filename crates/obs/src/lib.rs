@@ -9,9 +9,9 @@
 //! - [`metrics`]: a process-global registry of named counters, gauges
 //!   and latency histograms ([`LatencyHistogram`]), snapshotted for
 //!   export.
-//! - [`export`]: hand-rolled Prometheus-text and JSON writers (both
-//!   round-trip-parseable), folded-stacks dumps for flamegraphs, and the
-//!   predicted-vs-measured collectives report.
+//! - [`export`]: hand-rolled Prometheus-text and JSON-report writers,
+//!   each with its strict parser, folded-stacks dumps for flamegraphs,
+//!   and the predicted-vs-measured collectives report.
 //!
 //! The serving stack (`gas-index`) and the simulator (`gas-dstsim`) hang
 //! their instrumentation off this crate; it depends on nothing, so it
@@ -25,8 +25,9 @@ pub mod metrics;
 pub mod trace;
 
 pub use export::{
-    collective_cost_report, folded_stacks, metrics_to_json, parse_prometheus,
-    render_collective_costs, to_prometheus, trace_to_json, CollectiveCost,
+    collective_cost_report, folded_stacks, json_report, json_string, metrics_to_json,
+    parse_json_report, parse_prometheus, render_collective_costs, to_prometheus, trace_to_json,
+    CollectiveCost,
 };
 pub use hist::{LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use metrics::{

@@ -10,9 +10,9 @@
 //!
 //! Run with: `cargo run --release --example serve_index` (a few seconds).
 
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use gas_bench::report::results_dir;
 use genomeatscale::prelude::*;
 
 /// A family-structured "genome": a shared core plus a private stretch.
@@ -161,7 +161,7 @@ fn main() {
     // rows and a folded-stacks flamegraph dump, and print the
     // predicted-vs-measured collectives report of the sharded section.
     let telemetry = service.telemetry();
-    let dir = results_dir();
+    let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir).expect("create the results directory");
     let prom_path = dir.join("serve_metrics.prom");
     std::fs::write(&prom_path, to_prometheus(&telemetry)).expect("write Prometheus export");

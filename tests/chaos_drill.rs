@@ -1,7 +1,7 @@
 //! Deterministic chaos drill: exercise the fault-injection story end to
 //! end — storage crashes, service retries and degraded queries, and
 //! distributed failover — under a seeded plan, and pin the invariants
-//! the README promises:
+//! the README promises, one `#[test]` per scenario:
 //!
 //! * **storage** — every injected commit fault (scripted plus a seeded
 //!   random plan) leaves the container servable at a previously
@@ -20,38 +20,40 @@
 //!   degrades with exact lost-band accounting, typed everywhere, and
 //!   never panics.
 //!
-//! Configuration: `GAS_CHAOS_SEED` (default 1) seeds every fault plan;
-//! `GAS_CHAOS_SCENARIO` picks `storage`, `service`, `dist` or `all`
-//! (default). The same seed replays the same schedule bit-for-bit.
+//! `GAS_CHAOS_SEED` (default 1) seeds every fault plan; the same seed
+//! replays the same schedule bit-for-bit. A test-name filter picks one
+//! scenario: `GAS_CHAOS_SEED=2 cargo test --release --test chaos_drill
+//! -- service`.
 //!
-//! Writes `results/chaos_drill.json` — one row per scenario — *before*
-//! asserting, so a tripped invariant still leaves the diagnostic
-//! artifact for CI to upload.
+//! Each test writes its report row to `results/chaos_drill_<scenario>.json`
+//! *before* asserting, so a tripped invariant still leaves the
+//! diagnostic artifact for CI to upload.
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use gas_bench::report::Table;
+use gas_chaos::decoy_path;
 use gas_dstsim::{RankFaults, Runtime, SimError};
 use gas_index::{
     dist_query_reader_batch, dist_query_reader_batch_replicated, ChaosStorage, FaultKind,
     FaultPlan, IndexConfig, IndexError, IndexOptions, IndexReader, IndexService, IndexWriter,
     LocalIndexService, Neighbor, PageRequest, QueryEngine, QueryOptions, RealFs,
 };
+use gas_obs::{json_report, json_string};
 
 /// How many recent generations the service keeps pinned for cursor
 /// resumption (its fixed retention window).
 const SNAPSHOT_RETENTION: usize = 8;
 
+const KINDS: [FaultKind; 4] =
+    [FaultKind::IoError, FaultKind::ShortWrite, FaultKind::TornWrite, FaultKind::FsyncLoss];
+
 fn seed() -> u64 {
     std::env::var("GAS_CHAOS_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
 }
 
-fn scenario() -> String {
-    std::env::var("GAS_CHAOS_SCENARIO").unwrap_or_else(|_| "all".into())
-}
-
-fn unique_path(tag: &str) -> std::path::PathBuf {
+fn unique_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gas_chaos_drill_{tag}_{}.gidx", std::process::id()))
 }
 
@@ -70,17 +72,36 @@ fn answers(reader: &IndexReader) -> Vec<Vec<Neighbor>> {
     probes().iter().map(|q| engine.query(q, &opts).expect("drill query")).collect()
 }
 
-/// One scenario's report row plus the violations it found (empty = ok).
-struct Outcome {
-    row: Vec<String>,
-    violations: Vec<String>,
+/// Write `scenario`'s report row — its seed, its own `facts` (each
+/// value JSON text) and the outcome — then fail on any violation.
+fn record_and_assert(scenario: &str, seed: u64, facts: &[(&str, String)], violations: &[String]) {
+    let outcome = if violations.is_empty() { "ok" } else { "FAIL" };
+    let row = [("scenario", json_string(scenario)), ("seed", seed.to_string())]
+        .into_iter()
+        .chain(facts.iter().cloned())
+        .chain([("outcome", json_string(outcome))])
+        .map(|(column, value)| (column.to_string(), value))
+        .collect();
+    let dir = Path::new("results");
+    std::fs::create_dir_all(dir).expect("create the results directory");
+    let path = dir.join(format!("chaos_drill_{scenario}.json"));
+    std::fs::write(&path, json_report(&format!("Chaos drill: {scenario}"), vec![row]))
+        .expect("write the drill report");
+    assert!(
+        violations.is_empty(),
+        "{} chaos invariant(s) violated under seed {seed} ({scenario}):\n{}",
+        violations.len(),
+        violations.join("\n")
+    );
 }
 
 /// Storage drill: scripted one-shot faults of every kind, then a seeded
 /// random plan, against a live commit history. After every injected
 /// crash the file must reopen at a recorded generation bit-identically,
 /// and a clean commit must heal it.
-fn storage_drill(seed: u64) -> Outcome {
+#[test]
+fn storage() {
+    let seed = seed();
     let mut violations = Vec::new();
     let path = unique_path("storage");
     std::fs::remove_file(&path).ok();
@@ -102,11 +123,9 @@ fn storage_drill(seed: u64) -> Outcome {
 
     let mut injected = 0u64;
     let mut recoveries = 0u64;
-    let kinds =
-        [FaultKind::IoError, FaultKind::ShortWrite, FaultKind::TornWrite, FaultKind::FsyncLoss];
     // Scripted pass (one fault of each kind at the first storage op of a
     // commit), then ten rounds under the seeded random plan.
-    let plans: Vec<FaultPlan> = kinds
+    let plans: Vec<FaultPlan> = KINDS
         .iter()
         .map(|&k| FaultPlan::seeded(seed, 0).script(0, k))
         .chain((0..10).map(|round| FaultPlan::seeded(seed ^ round, 400)))
@@ -168,27 +187,24 @@ fn storage_drill(seed: u64) -> Outcome {
         recorded.insert(healed.generation(), answers(&healed));
     }
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(decoy_path(&path)).ok();
     if injected == 0 {
         violations.push("the scripted plans injected no faults".into());
     }
-    Outcome {
-        row: vec![
-            "storage".into(),
-            seed.to_string(),
-            injected.to_string(),
-            recoveries.to_string(),
-            String::new(),
-            String::new(),
-            if violations.is_empty() { "ok".into() } else { "FAIL".into() },
-        ],
-        violations,
-    }
+    record_and_assert(
+        "storage",
+        seed,
+        &[("faults_injected", injected.to_string()), ("recoveries", recoveries.to_string())],
+        &violations,
+    );
 }
 
 /// Service drill: retry absorbs a one-shot fault, exhausts typed under
 /// a persistent one, heals clean, maintenance survives a faulted vacuum,
 /// and a stale cursor degrades into a flagged restart.
-fn service_drill(seed: u64) -> Outcome {
+#[test]
+fn service() {
+    let seed = seed();
     let mut violations = Vec::new();
     let path = unique_path("service");
     std::fs::remove_file(&path).ok();
@@ -245,53 +261,41 @@ fn service_drill(seed: u64) -> Outcome {
         .into_iter()
         .next()
         .expect("one page per query");
-    let Some(stale) = first.next_cursor else {
-        violations.push("drill workload produced no second page".into());
-        return Outcome {
-            row: vec![
-                "service".into(),
-                seed.to_string(),
-                String::new(),
-                String::new(),
-                retried_ok.to_string(),
-                exhausted_typed.to_string(),
-                "FAIL".into(),
-            ],
-            violations,
-        };
-    };
-    for from in (100u64..).step_by(2).take(SNAPSHOT_RETENTION + 1) {
-        service.add_batch(batch(from)).expect("staling batch");
-        service.commit_wait().expect("staling commit");
-        // A fresh scan pins the new generation.
-        service.query_paged(&queries, &PageRequest::new(1)).expect("fresh scan");
-    }
-    let mut request = PageRequest::new(1);
-    request.cursor = Some(stale);
     let mut degraded_flagged = false;
-    match service.query_paged_degraded(&queries, &request) {
-        Ok(result) if result.degraded && result.causes.stale_cursor > 0 => {
-            degraded_flagged = !result.pages.is_empty();
-            if !degraded_flagged {
-                violations.push("degraded restart returned no pages".into());
-            }
+    if let Some(stale) = first.next_cursor {
+        for from in (100u64..).step_by(2).take(SNAPSHOT_RETENTION + 1) {
+            service.add_batch(batch(from)).expect("staling batch");
+            service.commit_wait().expect("staling commit");
+            // A fresh scan pins the new generation.
+            service.query_paged(&queries, &PageRequest::new(1)).expect("fresh scan");
         }
-        Ok(_) => violations.push("stale cursor was not flagged as degraded".into()),
-        Err(e) => violations.push(format!("degraded query errored instead of restarting: {e}")),
+        let mut request = PageRequest::new(1);
+        request.cursor = Some(stale);
+        match service.query_paged_degraded(&queries, &request) {
+            Ok(result) if result.degraded && result.causes.stale_cursor > 0 => {
+                degraded_flagged = !result.pages.is_empty();
+                if !degraded_flagged {
+                    violations.push("degraded restart returned no pages".into());
+                }
+            }
+            Ok(_) => violations.push("stale cursor was not flagged as degraded".into()),
+            Err(e) => violations.push(format!("degraded query errored instead of restarting: {e}")),
+        }
+    } else {
+        violations.push("drill workload produced no second page".into());
     }
     std::fs::remove_file(&path).ok();
-    Outcome {
-        row: vec![
-            "service".into(),
-            seed.to_string(),
-            String::new(),
-            String::new(),
-            retried_ok.to_string(),
-            format!("{}", exhausted_typed && degraded_flagged),
-            if violations.is_empty() { "ok".into() } else { "FAIL".into() },
+    std::fs::remove_file(decoy_path(&path)).ok();
+    record_and_assert(
+        "service",
+        seed,
+        &[
+            ("retried_ok", retried_ok.to_string()),
+            ("exhausted_typed", exhausted_typed.to_string()),
+            ("degraded_flagged", degraded_flagged.to_string()),
         ],
-        violations,
-    }
+        &violations,
+    );
 }
 
 /// The service drill's maintenance leg: commits fill a size tier, the
@@ -302,7 +306,7 @@ fn service_drill(seed: u64) -> Outcome {
 fn maintenance_leg(
     service: &LocalIndexService,
     seed: u64,
-    path: &std::path::Path,
+    path: &Path,
     violations: &mut Vec<String>,
 ) {
     for from in [10u64, 12] {
@@ -316,10 +320,8 @@ fn maintenance_leg(
 
     // Op 0 is the merge's append, op 1 the vacuum's replace; every kind
     // fails a replace before its rename.
-    let kinds =
-        [FaultKind::IoError, FaultKind::ShortWrite, FaultKind::TornWrite, FaultKind::FsyncLoss];
     service.set_storage(Arc::new(ChaosStorage::over_fs(
-        FaultPlan::seeded(seed, 0).script(1, kinds[seed as usize % kinds.len()]),
+        FaultPlan::seeded(seed, 0).script(1, KINDS[seed as usize % KINDS.len()]),
     )));
     service.maintain();
     let compact = service.stats().compact;
@@ -355,16 +357,14 @@ fn maintenance_leg(
         Ok(_) => violations.push("answers changed after the healed vacuum".into()),
         Err(e) => violations.push(format!("file failed to reopen after the healed vacuum: {e}")),
     }
-    // A short or torn replace leaves its temp-file image in a decoy.
-    let mut decoy = path.as_os_str().to_owned();
-    decoy.push(".chaos-torn");
-    std::fs::remove_file(decoy).ok();
 }
 
 /// Distributed drill: a crashed rank fails over to surviving band
 /// replicas bit-identically; without replicas the batch degrades with
 /// exact lost-band accounting — typed, never a panic.
-fn dist_drill(seed: u64) -> Outcome {
+#[test]
+fn dist() {
+    let seed = seed();
     let mut violations = Vec::new();
     const RANKS: usize = 4;
     let crashed = 1 + (seed as usize % (RANKS - 1));
@@ -495,65 +495,14 @@ fn dist_drill(seed: u64) -> Outcome {
         }
     }
 
-    Outcome {
-        row: vec![
-            "dist".into(),
-            seed.to_string(),
-            crashed.to_string(),
-            lost_bands_seen.to_string(),
-            failover_ok.to_string(),
-            String::new(),
-            if violations.is_empty() { "ok".into() } else { "FAIL".into() },
-        ],
-        violations,
-    }
-}
-
-fn main() {
-    let seed = seed();
-    let scenario = scenario();
-    let outcomes: Vec<Outcome> = match scenario.as_str() {
-        "storage" => vec![storage_drill(seed)],
-        "service" => vec![service_drill(seed)],
-        "dist" => vec![dist_drill(seed)],
-        "all" => vec![storage_drill(seed), service_drill(seed), dist_drill(seed)],
-        other => {
-            eprintln!(
-                "chaos_drill: unknown GAS_CHAOS_SCENARIO {other:?} (want storage|service|dist|all)"
-            );
-            std::process::exit(2);
-        }
-    };
-
-    let mut table = Table::new(
-        "Chaos drill: seeded fault injection across storage, service and dist",
+    record_and_assert(
+        "dist",
+        seed,
         &[
-            "scenario",
-            "seed",
-            "faults_injected",
-            "recoveries",
-            "retried_ok",
-            "typed_degradation",
-            "outcome",
+            ("crashed_rank", crashed.to_string()),
+            ("failover_ok", failover_ok.to_string()),
+            ("lost_bands", lost_bands_seen.to_string()),
         ],
+        &violations,
     );
-    for outcome in &outcomes {
-        table.push_row(outcome.row.clone());
-    }
-    table.print();
-    let dir = gas_bench::report::results_dir();
-    let json = table.write_json(&dir, "chaos_drill").expect("write chaos_drill JSON");
-    println!("Chaos-drill report written to {}", json.display());
-
-    // The report is on disk; now trip on any violated invariant.
-    let violations: Vec<&String> = outcomes.iter().flat_map(|o| o.violations.iter()).collect();
-    for v in &violations {
-        eprintln!("chaos_drill FAIL: {v}");
-    }
-    assert!(
-        violations.is_empty(),
-        "{} chaos invariant(s) violated under seed {seed} ({scenario})",
-        violations.len()
-    );
-    println!("chaos_drill OK: all invariants held under seed {seed} ({scenario})");
 }

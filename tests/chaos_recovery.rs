@@ -13,6 +13,7 @@
 //! Fault plans are deterministic (seeded, per-operation counter), so a
 //! failing case shrinks and replays exactly.
 
+use genomeatscale::chaos::decoy_path;
 use genomeatscale::index::IndexError;
 use genomeatscale::prelude::*;
 use proptest::prelude::*;
@@ -187,6 +188,7 @@ fn run_case(signer: SignerKind, ops: &[Op], fault_seed: u64, per_mille: u16) {
     assert_eq!(report.torn_bytes, 0);
     assert_eq!(answers(&final_reader), answers(&writer.reader()));
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(decoy_path(&path)).ok();
 }
 
 proptest! {

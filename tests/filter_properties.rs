@@ -4,8 +4,9 @@
 //! locally and through the distributed collectives — while moving at
 //! least 8× fewer bytes.
 
-use gas_bench::workloads::synthetic_collection;
+use genomeatscale::core::indicator::SampleCollection;
 use genomeatscale::dstsim::runtime::Runtime;
+use genomeatscale::genomics::datasets::DatasetSpec;
 use genomeatscale::sparse::bitmat::{bitmap_rows, pack_row_bitmap};
 use genomeatscale::sparse::dist::filter::{dist_row_filter, dist_row_filter_indexed, RowFilter};
 use proptest::prelude::*;
@@ -62,7 +63,9 @@ fn bitmap_filter_moves_eight_times_fewer_bytes_than_the_index_allgather() {
     // One bit per batch row instead of 8 bytes per observed row: on a
     // 4,000-row batch of 32 samples at density 0.02 the ratio is 17.7×
     // at p = 2 and grows with p.
-    let collection = synthetic_collection(4_000, 32, 0.02, 77);
+    let samples = DatasetSpec::explicit(4_000, 32, 0.02, 77).generate().unwrap();
+    let collection =
+        SampleCollection::from_sorted_sets(samples).unwrap().with_universe(4_000).unwrap();
     let batch_rows = collection.m() as usize;
     let columns = collection.batch_columns_all(0, collection.m());
     for ranks in [2, 4, 8, 16] {

@@ -3,13 +3,12 @@
 //! inside the request span and their durations sum within it — and the
 //! exporters must round-trip: Prometheus text re-parses to the exact
 //! snapshot, the JSON exports parse with the strict
-//! `gas_bench::report::read_json_rows` reader of the bench reports, and
-//! the distributed path's trace carries the simulator's predicted cost
-//! next to measured wall-clock for every collective phase.
+//! `gas_obs::parse_json_report` reader, and the distributed path's trace
+//! carries the simulator's predicted cost next to measured wall-clock for
+//! every collective phase.
 
 use std::sync::{Mutex, MutexGuard};
 
-use gas_bench::report::read_json_rows;
 use genomeatscale::obs;
 use genomeatscale::prelude::*;
 
@@ -178,28 +177,21 @@ fn exports_round_trip_through_prometheus_and_the_report_reader() {
     assert_eq!(reparsed, telemetry);
     assert!(telemetry.counter("gas_serve_commit_completed_total").unwrap_or(0) >= 1);
 
-    // Both JSON exports parse with the same strict reader the trend gate
-    // uses on bench reports.
-    let dir = std::env::temp_dir();
-    let trace_path = dir.join(format!("obs_trace_{}.json", std::process::id()));
-    std::fs::write(&trace_path, trace_to_json(&events)).expect("write trace json");
-    let rows = read_json_rows(&trace_path).expect("trace json parses");
+    // Both JSON exports parse with the one strict report reader.
+    let rows = obs::parse_json_report(&trace_to_json(&events)).expect("trace json parses");
     assert_eq!(rows.len(), events.len());
     for row in &rows {
         for col in ["thread", "phase", "name", "stack", "depth", "start_ns", "dur_ns"] {
             assert!(row.iter().any(|(h, _)| h == col), "trace rows carry a {col} column");
         }
     }
-    std::fs::remove_file(&trace_path).ok();
 
-    let metrics_path = dir.join(format!("obs_metrics_{}.json", std::process::id()));
-    std::fs::write(&metrics_path, obs::metrics_to_json(&telemetry)).expect("write metrics json");
-    let rows = read_json_rows(&metrics_path).expect("metrics json parses");
+    let rows =
+        obs::parse_json_report(&obs::metrics_to_json(&telemetry)).expect("metrics json parses");
     assert_eq!(
         rows.len(),
         telemetry.counters.len() + telemetry.gauges.len() + telemetry.histograms.len()
     );
-    std::fs::remove_file(&metrics_path).ok();
 }
 
 #[test]

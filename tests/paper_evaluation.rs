@@ -1,33 +1,50 @@
 //! The paper's evaluation (Section IV's cost analysis, Section V's
-//! Figures 2–3 and §V-D), asserted on exact counts.
+//! Figures 2–3 and §V-D, and Table II's MinHash row), asserted on exact
+//! counts.
 //!
 //! Every simulated byte, message, superstep and flop is counted exactly, so
 //! [`DistributedRunSummary::projected_time`] under a fixed machine is a
 //! deterministic function of the run. Each test prices runs on the
 //! Stampede2-like KNL preset the paper used and asserts the direction or
 //! band the paper reports. No test reads a clock, and each band is derived
-//! from the cost terms in a comment, not fitted to a run. README's "The
+//! in a comment — from the cost terms, or for MinHash from its sampling
+//! error — not fitted to a run. README's "The
 //! paper's evaluation, as tests" maps every claim to its test, including
 //! the ones not reproduced at test scale.
 //!
-//! The fixtures are the experiment workloads of `gas_bench::workloads`,
-//! scaled so the whole file runs in seconds unoptimised. The projected
-//! time is `α·S + β·B + γ·F + M/stream_bw`, each counter the maximum over
-//! ranks ([`CostModel::project`]). On this machine `α` = 2 µs per
+//! The fixtures are `gas_genomics::datasets` presets, scaled so the whole
+//! file runs in seconds unoptimised. The projected time is
+//! `α·S + β·B + γ·F + M/stream_bw`, each counter the maximum over ranks
+//! ([`CostModel::project`]). On the Stampede2 preset `α` = 2 µs per
 //! superstep, `β` = 2.56 ns per byte (12.5 GB/s shared by 32 ranks) and
 //! `γ` = 0.83 ns per flop, so a byte on the wire costs about three flops.
 
-use gas_bench::workloads::{bigsi_collection, kingsford_collection, synthetic_collection};
 use gas_core::algorithm::{similarity_at_scale_distributed, DistributedRunSummary};
 use gas_core::config::SimilarityConfig;
 use gas_core::costmodel::ProjectionInput;
 use gas_core::indicator::SampleCollection;
+use gas_core::minhash::MinHasher;
 use gas_dstsim::cost::{CostModel, CostReport};
 use gas_dstsim::machine::Machine;
+use gas_genomics::datasets::DatasetSpec;
+use gas_genomics::kmer::KmerExtractor;
+use gas_genomics::sample::KmerSample;
+use gas_genomics::synth::{genome_family, mutate};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// The rank counts of every strong-scaling sweep: one simulated rank per
 /// paper node, up to the 16 a test can afford.
 const RANKS: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// A dataset preset as a collection over its full attribute universe, so
+/// every batch plan cuts the same rows the preset describes.
+fn collection(spec: DatasetSpec) -> SampleCollection {
+    SampleCollection::from_sorted_sets(spec.generate().expect("valid spec"))
+        .expect("generated samples are sorted")
+        .with_universe(spec.m_attributes as u64)
+        .expect("universe covers generated values")
+}
 
 fn stampede2() -> CostModel {
     Machine::stampede2_knl().cost_model().expect("the preset is valid")
@@ -134,7 +151,7 @@ fn strictly_rises(times: &[f64]) -> bool {
 
 #[test]
 fn fig2b_bigsi_strong_scaling_projected_time_falls() {
-    let collection = bigsi_collection(0.0003);
+    let collection = collection(DatasetSpec::bigsi_like(0.0003));
     let series = strong_scaling(&collection, 16);
     assert!(gather_over_product(&collection, &series[0]) < 1.0);
     let times = totals(&series);
@@ -143,7 +160,7 @@ fn fig2b_bigsi_strong_scaling_projected_time_falls() {
 
 #[test]
 fn fig2e_synthetic_strong_scaling_projected_time_falls() {
-    let collection = synthetic_collection(100_000, 100, 0.01, 2020);
+    let collection = collection(DatasetSpec::explicit(100_000, 100, 0.01, 2020));
     let series = strong_scaling(&collection, 16);
     assert!(gather_over_product(&collection, &series[0]) < 1.0);
     let times = totals(&series);
@@ -162,7 +179,7 @@ fn fig2e_synthetic_strong_scaling_projected_time_falls() {
 // sample, so there the product dominates, as in 2b/2e.
 #[test]
 fn fig2a_kingsford_strong_scaling_projected_time_rises_at_test_scale() {
-    let collection = kingsford_collection(0.2);
+    let collection = collection(DatasetSpec::kingsford_like(0.2));
     let n = collection.n() as u64;
     let series = strong_scaling(&collection, 64);
     assert!(gather_over_product(&collection, &series[0]) > 1.0);
@@ -202,12 +219,16 @@ fn assert_batch_sensitivity(collection: &SampleCollection, p: usize, batch_count
 
 #[test]
 fn fig2c_kingsford_batch_sensitivity() {
-    assert_batch_sensitivity(&kingsford_collection(0.05), 8, &[2, 4, 8, 16, 32, 64]);
+    assert_batch_sensitivity(
+        &collection(DatasetSpec::kingsford_like(0.05)),
+        8,
+        &[2, 4, 8, 16, 32, 64],
+    );
 }
 
 #[test]
 fn fig2d_bigsi_batch_sensitivity() {
-    assert_batch_sensitivity(&bigsi_collection(0.0003), 16, &[2, 4, 8, 16, 32]);
+    assert_batch_sensitivity(&collection(DatasetSpec::bigsi_like(0.0003)), 16, &[2, 4, 8, 16, 32]);
 }
 
 // Fig. 2f: under weak scaling the modeled time grows more slowly than the
@@ -228,7 +249,7 @@ fn fig2f_synthetic_weak_scaling_time_grows_slower_than_work() {
     let points = points.into_iter().chain([(64, 8_000, 80), (256, 16_000, 160)]);
     let series: Vec<Terms> = points
         .map(|(cores, m, n)| {
-            let collection = synthetic_collection(m, n, 0.01, 90 + cores as u64);
+            let collection = collection(DatasetSpec::explicit(m, n, 0.01, 90 + cores as u64));
             run(&collection, cores.div_ceil(32), 1)
         })
         .collect();
@@ -264,7 +285,7 @@ fn fig3_time_is_a_floor_plus_a_near_constant_cost_per_nonzero() {
     let runs: Vec<(f64, Terms)> = densities
         .iter()
         .map(|&d| {
-            let collection = synthetic_collection(320_000, 100, d, 33);
+            let collection = collection(DatasetSpec::explicit(320_000, 100, d, 33));
             (collection.nnz() as f64, run(&collection, 16, 4))
         })
         .collect();
@@ -293,7 +314,7 @@ fn fig3_time_is_a_floor_plus_a_near_constant_cost_per_nonzero() {
 // it is bounded here by 1 % of the cached time.
 #[test]
 fn section_vd_mcdram_penalty_is_the_stream_term_alone() {
-    let collection = kingsford_collection(0.05);
+    let collection = collection(DatasetSpec::kingsford_like(0.05));
     let config = SimilarityConfig::with_batches(8);
     for p in [4, 16] {
         let [(cached, bw_cached), (flat, bw_flat)] = [true, false].map(|on| {
@@ -336,7 +357,7 @@ fn section_vd_mcdram_penalty_is_the_stream_term_alone() {
 // The other grids fall between, so every point lies in [1/2, 2].
 #[test]
 fn section_iv_max_rank_bytes_track_the_paper_bandwidth_term() {
-    let collection = synthetic_collection(50_000, 48, 0.02, 5);
+    let collection = collection(DatasetSpec::explicit(50_000, 48, 0.02, 5));
     let machine = Machine::stampede2_knl();
     let mut checked = 0;
     for p in [4usize, 6, 8, 9, 12, 16] {
@@ -370,4 +391,41 @@ fn section_iv_max_rank_bytes_track_the_paper_bandwidth_term() {
     // Six rank counts × two replication factors × three batch counts,
     // less the three p = 9, c = 2 points.
     assert_eq!(checked, 33);
+}
+
+// Table II, "MinHash is approximate": the Mash-style bottom-s sketch
+// estimates J from the shared share of the s smallest hashes of A ∪ B,
+// a sample of s union elements drawn without replacement. Its standard
+// deviation is at most √(J(1−J)/s), and the estimate is a count over s,
+// so it moves in steps of 1/s. Every cell of the sweep — pairs from
+// near-identical (0.05 % divergence, J ≈ 0.98) to distant (25 %,
+// J ≈ 0.001), sketches of 64 to 8192 hashes — must land within
+// 4·√(J(1−J)/s) + 1/s of the exact J. That band is the error the paper
+// attributes to MinHash and the reason it computes J exactly: at s = 64
+// a J ≈ 0.98 pair may read anywhere in about ±0.09.
+#[test]
+fn table2_minhash_error_stays_within_the_bottom_k_band() {
+    let extractor = KmerExtractor::new(21).expect("k = 21 is valid");
+    let family = genome_family(50_000, &[], 7).expect("valid family");
+    let ancestor = &family[0];
+    let a = KmerSample::from_sequence("a", ancestor, &extractor);
+    let mut rng = StdRng::seed_from_u64(99);
+    let mut cells = 0;
+    for divergence in [0.0005, 0.005, 0.02, 0.10, 0.25] {
+        let derived = mutate(ancestor, divergence, &mut rng);
+        let b = KmerSample::from_sequence("b", &derived, &extractor);
+        let exact = a.jaccard(&b);
+        for s in [64usize, 256, 1024, 8192] {
+            let hasher = MinHasher::new(s).expect("non-empty sketch");
+            let estimate = hasher.sketch(a.kmers()).jaccard_estimate(&hasher.sketch(b.kmers()));
+            let band = 4.0 * (exact * (1.0 - exact) / s as f64).sqrt() + 1.0 / s as f64;
+            let error = (estimate - exact).abs();
+            assert!(
+                error <= band,
+                "divergence {divergence}, s = {s}: |{estimate:.4} − {exact:.4}| > {band:.4}"
+            );
+            cells += 1;
+        }
+    }
+    assert_eq!(cells, 20);
 }
