@@ -40,7 +40,7 @@ impl SampleCollection {
         if samples.is_empty() {
             return Err(CoreError::InvalidInput("collection has no samples".to_string()));
         }
-        let m = samples.iter().filter_map(|s| s.last()).max().map(|&v| v + 1).unwrap_or(1);
+        let m = universe(samples.iter().filter_map(|s| s.last().copied()).max())?;
         let names = (0..samples.len()).map(|i| format!("sample_{i}")).collect();
         Ok(SampleCollection { samples, names, m })
     }
@@ -58,13 +58,19 @@ impl SampleCollection {
         SampleCollection::from_sorted_sets(samples)
     }
 
-    /// Build from k-mer samples produced by `gas-genomics`.
+    /// Build from k-mer samples produced by `gas-genomics`, keeping their
+    /// names. Every `KmerSample` constructor keeps its k-mers strictly
+    /// increasing, so their order is not checked again.
     pub fn from_kmer_samples(samples: &[KmerSample]) -> CoreResult<Self> {
-        let mut c = SampleCollection::from_sorted_sets(
-            samples.iter().map(|s| s.kmers().to_vec()).collect(),
-        )?;
-        c.names = samples.iter().map(|s| s.name().to_string()).collect();
-        Ok(c)
+        if samples.is_empty() {
+            return Err(CoreError::InvalidInput("collection has no samples".to_string()));
+        }
+        let m = universe(samples.iter().filter_map(|s| s.kmers().last().copied()).max())?;
+        Ok(SampleCollection {
+            samples: samples.iter().map(|s| s.kmers().to_vec()).collect(),
+            names: samples.iter().map(|s| s.name().to_string()).collect(),
+            m,
+        })
     }
 
     /// Override the attribute-universe size `m` (must cover every stored
@@ -171,6 +177,18 @@ impl SampleCollection {
     }
 }
 
+/// The universe size `m` that covers `max`, the largest stored value: one
+/// more than it, or 1 for a collection with no values. `u64::MAX` has no
+/// such `m`.
+fn universe(max: Option<u64>) -> CoreResult<u64> {
+    match max {
+        None => Ok(1),
+        Some(v) => v.checked_add(1).ok_or_else(|| {
+            CoreError::InvalidInput(format!("value {v}: the universe size max + 1 overflows u64"))
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,6 +271,29 @@ mod tests {
     }
 
     #[test]
+    fn the_largest_u64_is_rejected_not_wrapped() {
+        for err in [
+            SampleCollection::from_sorted_sets(vec![vec![1, u64::MAX], vec![u64::MAX]]),
+            SampleCollection::from_sets(vec![vec![u64::MAX, 1]]),
+            SampleCollection::from_kmer_samples(&[
+                KmerSample::from_kmers("a", vec![1, u64::MAX]),
+                KmerSample::from_kmers("b", vec![u64::MAX]),
+            ]),
+        ] {
+            match err {
+                Err(CoreError::InvalidInput(msg)) => assert!(msg.contains("universe"), "{msg}"),
+                other => panic!("expected InvalidInput, got {other:?}"),
+            }
+        }
+        let c = SampleCollection::from_sorted_sets(vec![vec![1, u64::MAX - 1]]).unwrap();
+        assert_eq!(c.m(), u64::MAX);
+        let c =
+            SampleCollection::from_kmer_samples(&[KmerSample::from_kmers("a", vec![])]).unwrap();
+        assert_eq!(c.m(), 1);
+        assert!(SampleCollection::from_kmer_samples(&[]).is_err());
+    }
+
+    #[test]
     fn from_kmer_samples_preserves_names() {
         let ex = KmerExtractor::new(5).unwrap();
         let samples = vec![
@@ -263,5 +304,8 @@ mod tests {
         assert_eq!(c.n(), 2);
         assert_eq!(c.names(), &["human".to_string(), "mouse".to_string()]);
         assert!(c.m() <= 1 << 10);
+        let sets = samples.iter().map(|s| s.kmers().to_vec()).collect();
+        let names = samples.iter().map(|s| s.name().to_string()).collect();
+        assert_eq!(c, SampleCollection::from_sorted_sets(sets).unwrap().with_names(names).unwrap());
     }
 }

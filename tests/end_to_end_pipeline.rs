@@ -98,3 +98,35 @@ fn minhash_estimates_track_the_exact_matrix() {
     let err = exact.similarity().max_abs_diff(&approx).unwrap();
     assert!(err < 0.08, "MinHash with a large sketch should track the exact values, err = {err}");
 }
+
+#[test]
+fn sorted_kmer_files_reproduce_the_in_memory_pipeline() {
+    use std::fs::File;
+    use std::io::BufReader;
+    let samples = build_family();
+    let dir = std::env::temp_dir().join(format!("gas_e2e_kmer_files_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // The files GenomeAtScale's preprocessing emits: one sorted k-mer
+    // file per sample, written here through an unbuffered `File`.
+    for s in &samples {
+        s.write_sorted(File::create(dir.join(format!("{}.kmers", s.name()))).unwrap()).unwrap();
+    }
+    let read: Vec<KmerSample> = samples
+        .iter()
+        .map(|s| {
+            let file = File::open(dir.join(format!("{}.kmers", s.name()))).unwrap();
+            KmerSample::read_sorted(s.name(), BufReader::new(file)).unwrap()
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(read, samples);
+
+    let from_files = SampleCollection::from_kmer_samples(&read).unwrap();
+    let in_memory = SampleCollection::from_kmer_samples(&samples).unwrap();
+    assert_eq!(from_files, in_memory);
+    let config = SimilarityConfig::with_batches(3);
+    assert_eq!(
+        similarity_at_scale(&from_files, &config).unwrap(),
+        similarity_at_scale(&in_memory, &config).unwrap()
+    );
+}
