@@ -18,13 +18,10 @@ build:
 # file lacks, fails here and not in the benchmark run. gas-sparse is
 # tested a second time optimised: its kernels reach hardware popcount
 # through `target_feature` + `inline(always)`, which a debug build does
-# not exercise. gas-genomics is too: the k-mer file reader's digit
-# arithmetic traps on overflow in a debug build and would wrap in a
-# release one, were it not checked.
+# not exercise.
 test:
 	cargo test --workspace --locked -q
 	cargo test -p gas-sparse --release --locked -q
-	cargo test -p gas-genomics --release --locked -q
 	cargo check --offline --locked --manifest-path bench/ledger/Cargo.toml
 
 # The rustdoc gate fails on a doc link to a deleted or private item.

@@ -6,7 +6,7 @@
 //! column; the batching machinery extracts row ranges of `A` on demand
 //! (Eq. 3) without ever materializing the hypersparse full matrix.
 
-use gas_genomics::sample::KmerSample;
+use gas_genomics::sample::{strictly_increasing, KmerSample};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{CoreError, CoreResult};
@@ -28,10 +28,7 @@ impl SampleCollection {
     /// Build from per-sample sorted, strictly-increasing value lists.
     pub fn from_sorted_sets(samples: Vec<Vec<u64>>) -> CoreResult<Self> {
         for (i, s) in samples.iter().enumerate() {
-            // Branch-free over the sample (one exit per sample, not per
-            // pair): the early-exit scan's speed moved 45 % with where
-            // the linker placed it.
-            if !s.windows(2).fold(true, |ok, w| ok & (w[0] < w[1])) {
+            if !strictly_increasing(s) {
                 return Err(CoreError::InvalidInput(format!(
                     "sample {i} is not strictly increasing"
                 )));
