@@ -120,26 +120,6 @@ impl AdjacencyGraph {
         }
         labels
     }
-
-    /// Score all non-edges by neighborhood similarity — the
-    /// missing-link-discovery use case. Returns `(u, v, score)` sorted by
-    /// descending score.
-    pub fn missing_link_scores(&self) -> Vec<(usize, usize, f64)> {
-        let n = self.n();
-        let mut scores = Vec::new();
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if self.adj[u].binary_search(&v).is_err() {
-                    let s = self.vertex_similarity(u, v);
-                    if s > 0.0 {
-                        scores.push((u, v, s));
-                    }
-                }
-            }
-        }
-        scores.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite scores"));
-        scores
-    }
 }
 
 #[cfg(test)]
@@ -203,21 +183,5 @@ mod tests {
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(distinct.len(), 6);
-    }
-
-    #[test]
-    fn missing_links_prefer_same_triangle_pairs() {
-        let g = two_triangles();
-        let scores = g.missing_link_scores();
-        assert!(!scores.is_empty());
-        // Every reported pair is a non-edge with positive similarity, and
-        // the list is sorted by score.
-        for w in scores.windows(2) {
-            assert!(w[0].2 >= w[1].2);
-        }
-        for &(u, v, s) in &scores {
-            assert!(s > 0.0);
-            assert!(!g.neighbors(u).contains(&v));
-        }
     }
 }

@@ -93,16 +93,6 @@ impl PhyloTree {
         s.push(';');
         s
     }
-
-    /// The set partition induced by removing the root: indices of the
-    /// leaves on each side. Useful for checking that closely related
-    /// samples end up together.
-    pub fn root_bipartition(&self) -> (Vec<usize>, Vec<usize>) {
-        match &self.root {
-            TreeNode::Leaf { index, .. } => (vec![*index], vec![]),
-            TreeNode::Internal { left, right } => (left.0.leaf_indices(), right.0.leaf_indices()),
-        }
-    }
 }
 
 /// Build a neighbor-joining tree from a symmetric distance matrix and

@@ -59,6 +59,7 @@ impl SampleCollection {
     /// names. Every `KmerSample` constructor keeps its k-mers strictly
     /// increasing, so their order is not checked again.
     pub fn from_kmer_samples(samples: &[KmerSample]) -> CoreResult<Self> {
+        let _span = gas_dstsim::obs::span("paper", "from_kmer_samples");
         if samples.is_empty() {
             return Err(CoreError::InvalidInput("collection has no samples".to_string()));
         }

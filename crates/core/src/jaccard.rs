@@ -74,18 +74,6 @@ impl SimilarityResult {
         self.similarity.map(|v| 1.0 - v)
     }
 
-    /// The union-cardinality matrix `C` (`c_ij = ĉ_i + ĉ_j − b_ij`).
-    pub fn unions(&self) -> DenseMatrix<u64> {
-        let n = self.n();
-        let mut c = DenseMatrix::<u64>::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                c.set(i, j, self.cardinalities[i] + self.cardinalities[j] - self.b.get(i, j));
-            }
-        }
-        c
-    }
-
     /// Maximum absolute element-wise difference of the similarity matrices.
     pub fn max_similarity_diff(&self, other: &SimilarityResult) -> CoreResult<f64> {
         Ok(self.similarity.max_abs_diff(other.similarity())?)
@@ -167,16 +155,6 @@ mod tests {
             }
         }
         assert_eq!(d.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn unions_follow_inclusion_exclusion() {
-        let r = jaccard_exact_pairwise(&collection());
-        let c = r.unions();
-        assert_eq!(c.get(0, 1), 7);
-        assert_eq!(c.get(0, 2), 7);
-        assert_eq!(c.get(3, 3), 0);
-        assert_eq!(c.get(0, 0), 5);
     }
 
     #[test]

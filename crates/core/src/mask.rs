@@ -35,14 +35,6 @@ pub enum PreparedBatch {
 }
 
 impl PreparedBatch {
-    /// Number of stored entries (words when masked, booleans otherwise).
-    pub fn stored_entries(&self) -> usize {
-        match self {
-            PreparedBatch::Masked(b) => b.nnz_words(),
-            PreparedBatch::Unmasked { csc, .. } => csc.nnz(),
-        }
-    }
-
     /// Number of matrix rows the `AᵀA` kernel will iterate over.
     pub fn kernel_rows(&self) -> usize {
         match self {
@@ -121,6 +113,14 @@ mod tests {
         vec![vec![3, 500, 900], vec![3, 901], vec![]]
     }
 
+    /// Stored entries: words when masked, booleans otherwise.
+    fn stored_entries(batch: &PreparedBatch) -> usize {
+        match batch {
+            PreparedBatch::Masked(b) => b.nnz_words(),
+            PreparedBatch::Unmasked { csc, .. } => csc.nnz(),
+        }
+    }
+
     #[test]
     fn masked_batch_compresses_rows() {
         let (batch, filter) = prepare_batch(1000, &columns(), true, true).unwrap();
@@ -142,7 +142,7 @@ mod tests {
         let (batch, filter) = prepare_batch(1000, &columns(), true, false).unwrap();
         assert_eq!(filter.num_nonzero_rows(), 4);
         assert_eq!(batch.kernel_rows(), 4);
-        assert_eq!(batch.stored_entries(), 5);
+        assert_eq!(stored_entries(&batch), 5);
         assert_eq!(batch.col_cardinalities(), vec![3, 2, 0]);
     }
 
@@ -176,7 +176,7 @@ mod tests {
         let (masked, _) = prepare_batch(100_000, &columns(), true, true).unwrap();
         let (unfiltered, _) = prepare_batch(100_000, &columns(), false, false).unwrap();
         assert!(masked.kernel_rows() < unfiltered.kernel_rows());
-        assert!(masked.stored_entries() <= unfiltered.stored_entries());
+        assert!(stored_entries(&masked) <= stored_entries(&unfiltered));
     }
 
     #[test]

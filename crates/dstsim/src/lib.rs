@@ -23,6 +23,10 @@
 //!   for a target machine (e.g. a Stampede2-like KNL cluster with
 //!   Omni-Path), including larger scales than the host can run natively.
 //!
+//! Every collective opens a `gas_obs` span; the crate re-exports
+//! `gas_obs` as [`obs`] so the crates built on it (the paper path's
+//! drivers and SUMMA) open their phase spans through the same edge.
+//!
 //! The simulator runs the *real* algorithm — data genuinely moves between
 //! ranks and results are bit-exact — while the cost model reproduces the
 //! communication/synchronization behaviour the paper's evaluation is about.
@@ -58,6 +62,7 @@ pub use comm::Communicator;
 pub use cost::{CostModel, CostReport, CostTracker};
 pub use error::{SimError, SimResult};
 pub use faults::RankFaults;
+pub use gas_obs as obs;
 pub use machine::Machine;
 pub use runtime::{RankCtx, RunOutput, Runtime};
 pub use topology::ProcessorGrid;

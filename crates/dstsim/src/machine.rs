@@ -116,11 +116,6 @@ impl Machine {
         model.validate()?;
         Ok(model)
     }
-
-    /// Total ranks when using `nodes` nodes of this machine.
-    pub fn total_ranks(&self, nodes: usize) -> usize {
-        nodes * self.ranks_per_node
-    }
 }
 
 impl Default for Machine {
@@ -140,7 +135,6 @@ mod tests {
         assert_eq!(m.ranks_per_node, 32);
         assert_eq!(m.mem_per_node, 96 * (1usize << 30));
         assert!(m.mcdram_cache);
-        assert_eq!(m.total_ranks(1024), 32_768);
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl KmerExtractor {
         self.k
     }
 
-    /// Whether reverse complements are collapsed to a canonical code.
-    pub fn is_canonical(&self) -> bool {
-        self.canonical
-    }
-
     /// Number of distinct k-mer codes (`4^k`), i.e. the attribute-universe
     /// size `m` of the indicator matrix.
     pub fn universe_size(&self) -> u64 {
@@ -147,14 +142,6 @@ impl KmerExtractor {
                 }
             }
         }
-    }
-
-    /// Extract the *set* of distinct k-mers of a sequence (sorted).
-    pub fn extract_distinct(&self, seq: &[u8]) -> Vec<Kmer> {
-        let mut v = self.extract(seq);
-        v.sort_unstable();
-        v.dedup();
-        v
     }
 }
 
@@ -252,14 +239,6 @@ mod tests {
     fn universe_size_is_four_to_the_k() {
         assert_eq!(KmerExtractor::new(3).unwrap().universe_size(), 64);
         assert_eq!(KmerExtractor::new(19).unwrap().universe_size(), 1u64 << 38);
-    }
-
-    #[test]
-    fn extract_distinct_dedups() {
-        let ex = KmerExtractor::new_forward(2).unwrap();
-        let distinct = ex.extract_distinct(b"AAAAAA");
-        assert_eq!(distinct.len(), 1);
-        assert_eq!(decode_kmer(distinct[0], 2), "AA");
     }
 
     #[test]

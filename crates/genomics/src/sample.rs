@@ -20,7 +20,6 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 
 use crate::error::{GenomicsError, GenomicsResult};
-use crate::fasta::FastaRecord;
 use crate::kmer::{Kmer, KmerExtractor};
 
 /// A named data sample: a sorted, deduplicated set of k-mer codes.
@@ -66,15 +65,6 @@ impl KmerSample {
             extractor.extract_into(s, &mut all);
         }
         KmerSample::from_kmers(name, all)
-    }
-
-    /// Extract the sample from FASTA records.
-    pub fn from_fasta_records(
-        name: impl Into<String>,
-        records: &[FastaRecord],
-        extractor: &KmerExtractor,
-    ) -> Self {
-        KmerSample::from_sequences(name, records.iter().map(|r| r.seq.as_slice()), extractor)
     }
 
     /// Extract the sample from noisy reads, keeping only k-mers observed
@@ -563,16 +553,5 @@ mod tests {
                 assert!(got.starts_with("Ok("), "seed {seed}: {got}");
             }
         }
-    }
-
-    #[test]
-    fn from_fasta_records_uses_all_records() {
-        let recs = vec![
-            FastaRecord::new("r1", b"ACGT".to_vec()),
-            FastaRecord::new("r2", b"GGGG".to_vec()),
-        ];
-        let s = KmerSample::from_fasta_records("sample", &recs, &ex());
-        assert!(s.len() >= 2);
-        assert_eq!(s.name(), "sample");
     }
 }

@@ -1135,11 +1135,6 @@ impl IndexReader {
         self.tombstones.binary_search(&id).is_ok()
     }
 
-    /// Whether global id `id` is a live sample of this snapshot.
-    pub fn is_live(&self, id: u32) -> bool {
-        !self.is_deleted(id) && self.locate(id).is_some()
-    }
-
     /// All live global ids, ascending.
     pub fn live_ids(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.n_live());
@@ -1449,7 +1444,6 @@ mod tests {
         let reader = w.reader();
         assert_eq!(reader.n_live(), 6);
         assert!(reader.is_deleted(2));
-        assert!(!reader.is_live(2));
         assert_eq!(reader.live_ids(), vec![0, 1, 3, 4, 5, 6]);
         // Tombstoned rows never surface as answers.
         let engine = QueryEngine::snapshot(reader);

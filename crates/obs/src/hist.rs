@@ -70,11 +70,6 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// Mean latency in microseconds (0 when empty).
-    pub fn mean_micros(&self) -> u64 {
-        self.total_micros.checked_div(self.count).unwrap_or(0)
-    }
-
     /// Sum of all recorded samples, in microseconds.
     pub fn total_micros(&self) -> u64 {
         self.total_micros
@@ -128,7 +123,6 @@ mod tests {
             h.record(Duration::from_micros(micros));
         }
         assert_eq!(h.count(), 6);
-        assert_eq!(h.mean_micros(), (3 + 5 + 9 + 17 + 100 + 1000) / 6);
         assert!(h.quantile_micros(0.5) <= 16);
         assert!(h.quantile_micros(1.0) >= 1000);
     }

@@ -14,8 +14,9 @@
 //!   and the predicted-vs-measured collectives report.
 //!
 //! The serving stack (`gas-index`) and the simulator (`gas-dstsim`) hang
-//! their instrumentation off this crate; it depends on nothing, so it
-//! sits at the bottom of the workspace DAG.
+//! their instrumentation off this crate, and the paper path (`gas-core`,
+//! `gas-sparse`) reaches it through `gas-dstsim`'s re-export; it depends
+//! on nothing, so it sits at the bottom of the workspace DAG.
 
 #![forbid(unsafe_code)]
 

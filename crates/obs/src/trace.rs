@@ -24,7 +24,7 @@ pub struct TraceEvent {
     /// Process-unique id of the recording thread.
     pub thread: u64,
     /// Coarse phase tag (`"serve"`, `"commit"`, `"compact"`, `"dist"`,
-    /// `"collective"`, ...).
+    /// `"collective"`, `"paper"`, ...).
     pub phase: &'static str,
     /// Span name (`"probe"`, `"seal"`, `"allgatherv"`, ...).
     pub name: &'static str,

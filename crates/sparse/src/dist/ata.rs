@@ -518,6 +518,7 @@ impl DistAta {
         let word_rows = right.word_rows();
         self.cache.begin_batch(filter_key, self.steps);
         for t in 0..self.steps {
+            let _step = gas_dstsim::obs::span("paper", "summa_step");
             let chunk = self.step_chunk(word_rows, t);
             // Right operand A[chunk, C_j].
             let right_owner = self.right_owner(t);

@@ -5,11 +5,14 @@
 //! at several rank counts; every run is checked bit-exactly against the
 //! exact reference, and the per-rank communication volume, superstep
 //! count and BSP-projected time on a Stampede2-like machine are printed.
+//! One more run at p = 4 is traced, and its span tree is written as a
+//! folded-stacks flamegraph input to `results/paper_trace.folded`.
 //!
 //! Run with: `cargo run --release --example distributed_scaling`
 
 use genomeatscale::core::algorithm::similarity_at_scale_distributed;
 use genomeatscale::genomics::datasets::DatasetSpec;
+use genomeatscale::obs;
 use genomeatscale::prelude::*;
 
 fn main() {
@@ -26,7 +29,8 @@ fn main() {
     let exact = jaccard_exact_pairwise(&collection);
     let machine = Machine::stampede2_knl();
     let cost_model = machine.cost_model().expect("valid machine");
-    let config = SimilarityConfig::with_batches(4).with_replication(2);
+    let batches = 4;
+    let config = SimilarityConfig::with_batches(batches).with_replication(2);
 
     println!(
         "\n{:>6} {:>10} {:>14} {:>12} {:>14} {:>14}",
@@ -40,10 +44,10 @@ fn main() {
         let agg = &summary.aggregate;
         println!(
             "{ranks:>6} {:>10} {:>14} {:>12} {:>13.3}s {:>13.6}s",
-            summary.batch_seconds.len(),
+            batches,
             agg.total_bytes_sent / ranks as u64,
             agg.max_supersteps,
-            summary.measured_seconds,
+            agg.max_measured_seconds,
             summary.projected_time(&cost_model)
         );
     }
@@ -55,4 +59,20 @@ fn main() {
          the term that dominates at the paper's scales — shrinks per rank as the grid grows \
          (tests/paper_evaluation.rs covers that regime)."
     );
+
+    // Where the time goes: one traced run at p = 4, its spans folded per
+    // stack (rank threads root at `setup`, `batch`, `reduce` and `gather`).
+    obs::set_enabled(true);
+    let traced = similarity_at_scale_distributed(&collection, &config, 4, &machine)
+        .expect("traced run succeeds");
+    obs::set_enabled(false);
+    assert_eq!(traced.result.intersections(), exact.intersections());
+    let folded = folded_stacks(&obs::take_events());
+    assert!(
+        folded.lines().any(|line| line.starts_with("batch;summa;summa_step ")),
+        "the traced run must record SUMMA steps inside each batch"
+    );
+    std::fs::create_dir_all("results").expect("create the results directory");
+    std::fs::write("results/paper_trace.folded", &folded).expect("write folded stacks");
+    println!("wrote results/paper_trace.folded ({} stacks)", folded.lines().count());
 }

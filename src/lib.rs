@@ -31,7 +31,9 @@
 //!   README § Placement).
 //! * [`obs`] — structured tracing spans, the unified metrics registry and
 //!   the Prometheus/JSON/folded-stacks exporters instrumenting the
-//!   serve/commit/compact/dist hot paths (see README § Observability).
+//!   serve/commit/compact/dist hot paths and the paper path: both
+//!   SimilarityAtScale drivers emit `paper`-phase spans per batch, SUMMA
+//!   step, reduce and gather (see README § Observability).
 //!
 //! ## Quickstart
 //!

@@ -5,12 +5,20 @@
 //! snapshot, the JSON exports parse with the strict
 //! `gas_obs::parse_json_report` reader, and the distributed path's trace
 //! carries the simulator's predicted cost next to measured wall-clock for
-//! every collective phase.
+//! every collective phase. On the paper path the span tree is an exact
+//! count (batches, SUMMA steps, the reduce and the gather per rank, read
+//! without a clock), and tracing changes neither the answer nor any cost
+//! counter.
 
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
+use genomeatscale::core::algorithm::{similarity_at_scale_distributed, DistributedRunSummary};
+use genomeatscale::dstsim::CostReport;
+use genomeatscale::genomics::datasets::DatasetSpec;
 use genomeatscale::obs;
 use genomeatscale::prelude::*;
+use genomeatscale::sparse::dist::ata::DistAta;
 
 /// Tests toggle the process-global tracer, so they must not interleave:
 /// each takes this gate, then starts from an empty trace.
@@ -231,4 +239,134 @@ fn dist_trace_carries_predicted_next_to_measured_cost() {
     }
     let rendered = render_collective_costs(&report);
     assert!(rendered.contains("predicted_us") && rendered.contains("measured_us"));
+}
+
+/// The paper-path fixture: 12 samples over 4 000 attributes.
+fn paper_collection() -> SampleCollection {
+    let samples = DatasetSpec::explicit(4000, 12, 0.02, 17).generate().expect("valid spec");
+    SampleCollection::from_sorted_sets(samples).expect("sorted samples")
+}
+
+fn run_distributed(
+    collection: &SampleCollection,
+    batches: usize,
+    ranks: usize,
+) -> DistributedRunSummary {
+    let config = SimilarityConfig::with_batches(batches);
+    similarity_at_scale_distributed(collection, &config, ranks, &Machine::laptop())
+        .expect("distributed run")
+}
+
+/// Run `f` with tracing on, from an empty trace; return its output and
+/// its spans. Callers hold the gate.
+fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<TraceEvent>) {
+    obs::clear();
+    obs::set_enabled(true);
+    let out = f();
+    obs::set_enabled(false);
+    (out, obs::take_events())
+}
+
+/// `name` spans of the paper phase, counted per recording thread.
+fn per_thread(events: &[TraceEvent], name: &str) -> BTreeMap<u64, usize> {
+    let mut counts = BTreeMap::new();
+    for e in events.iter().filter(|e| e.phase == "paper" && e.name == name) {
+        *counts.entry(e.thread).or_insert(0) += 1;
+    }
+    counts
+}
+
+#[test]
+fn paper_path_span_tree_is_an_exact_count() {
+    let collection = paper_collection();
+    let _gate = tracing_session();
+    obs::set_enabled(false);
+    for ranks in [1usize, 4, 6] {
+        // The SUMMA steps per layer of this grid, from the product itself.
+        let steps = Runtime::new(ranks)
+            .run(|ctx| {
+                DistAta::new(ctx.world(), collection.n(), 1).expect("grid").steps_per_layer()
+            })
+            .expect("grid run")
+            .results[0];
+        for batches in [1usize, 3] {
+            let (_, events) = traced(|| run_distributed(&collection, batches, ranks));
+            let at = format!("p = {ranks}, b = {batches}");
+
+            let batch = per_thread(&events, "batch");
+            assert_eq!(batch.len(), ranks, "{at}: one rank thread per rank");
+            let rank_threads: Vec<u64> = batch.keys().copied().collect();
+            let each = |n: usize| rank_threads.iter().map(|&t| (t, n)).collect::<BTreeMap<_, _>>();
+            assert_eq!(batch, each(batches), "{at}: batch spans per rank");
+            assert_eq!(per_thread(&events, "summa_step"), each(batches * steps), "{at}");
+            for phase in ["read", "filter", "pack", "summa"] {
+                assert_eq!(per_thread(&events, phase), each(batches), "{at}: {phase}");
+            }
+            for phase in ["setup", "reduce", "gather"] {
+                assert_eq!(per_thread(&events, phase), each(1), "{at}: {phase}");
+            }
+            for e in events.iter().filter(|e| e.phase == "paper") {
+                match e.name {
+                    "read" | "filter" | "pack" | "summa" => {
+                        assert_eq!(e.stack, format!("batch;{}", e.name), "{at}");
+                    }
+                    "summa_step" => assert_eq!(e.stack, "batch;summa;summa_step", "{at}"),
+                    _ => assert_eq!(e.depth, 0, "{at}: {} is a root span", e.stack),
+                }
+            }
+            // Every collective nests under a paper phase of its rank.
+            for e in events.iter().filter(|e| e.phase == "collective") {
+                let root = e.stack.split(';').next().unwrap_or_default();
+                assert!(e.depth > 0, "{at}: {} runs outside any phase", e.stack);
+                assert!(["setup", "batch", "reduce", "gather"].contains(&root), "{}", e.stack);
+            }
+        }
+    }
+
+    // The shared-memory driver: one root per run, b batches of four
+    // phases each, then the finalize.
+    for batches in [1usize, 3] {
+        let config = SimilarityConfig::with_batches(batches);
+        let (_, events) = traced(|| similarity_at_scale(&collection, &config).expect("shared run"));
+        let count = |stack: &str| events.iter().filter(|e| e.stack == stack).count();
+        assert_eq!(count("similarity_at_scale"), 1);
+        assert_eq!(count("similarity_at_scale;batch"), batches);
+        assert_eq!(count("similarity_at_scale;finalize"), 1);
+        let children: Vec<&str> = events
+            .iter()
+            .filter(|e| e.stack.starts_with("similarity_at_scale;batch;"))
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(children.len(), 4 * batches, "b = {batches}: four phases per batch");
+        for phase in ["batch_columns", "prepare", "kernel", "accumulate"] {
+            assert_eq!(children.iter().filter(|&&n| n == phase).count(), batches, "{phase}");
+        }
+    }
+
+    // Building a collection from k-mer samples is a span of its own.
+    let kmers = [KmerSample::from_kmers("a", vec![3, 1]), KmerSample::from_kmers("b", vec![2])];
+    let (_, events) = traced(|| SampleCollection::from_kmer_samples(&kmers).expect("collection"));
+    assert_eq!(events.iter().filter(|e| e.stack == "from_kmer_samples").count(), 1);
+}
+
+#[test]
+fn tracing_changes_neither_the_answer_nor_the_cost_counters() {
+    let collection = paper_collection();
+    let _gate = tracing_session();
+    let (on, events) = traced(|| run_distributed(&collection, 3, 4));
+    assert!(!events.is_empty(), "the traced run must leave spans");
+    let off = run_distributed(&collection, 3, 4);
+    assert!(obs::take_events().is_empty(), "the untraced run must leave none");
+
+    assert_eq!(on.result.intersections(), off.result.intersections());
+    assert_eq!(on.result.cardinalities(), off.result.cardinalities());
+    let counters = |r: &CostReport| {
+        let (bytes, msgs) = ((r.bytes_sent, r.bytes_received), (r.msgs_sent, r.msgs_received));
+        (bytes, msgs, r.supersteps, r.collectives, r.flops)
+    };
+    assert_eq!((on.reports.len(), off.reports.len()), (4, 4));
+    for (a, b) in on.reports.iter().zip(&off.reports) {
+        assert_eq!(a.rank, b.rank);
+        assert_eq!(counters(a), counters(b), "rank {}", a.rank);
+    }
 }
