@@ -77,7 +77,9 @@ ledger-smoke:
 
 # One cell of the CI dist-matrix job, e.g.:
 #   make dist-matrix RANKS=8 REPLICATION=2 SEGMENTS=7
-# 16 segments is the perf ledger's `serve_read` reader.
+# 16 segments is the perf ledger's `serve_read` reader. query_serving also
+# checks each rank's placement-install and exchange bytes and collectives
+# against its simulator cost tracker at every RANKS value.
 RANKS ?= 4,6,8,12
 REPLICATION ?= 1,2
 SEGMENTS ?= 1,7,16

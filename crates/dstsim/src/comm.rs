@@ -23,31 +23,30 @@ use crate::cost::{CostModel, CostTracker};
 use crate::error::{SimError, SimResult};
 use crate::faults::RankFaults;
 
-/// RAII guard around one collective call: a `gas_obs` span plus a
-/// snapshot of the rank's cost counters at entry. When the span closes,
-/// the counter deltas are converted through [`CostModel::default`] into
-/// the BSP-predicted time of the collective and attached as a
-/// `predicted_us` attribute — so a trace carries the model's prediction
-/// right next to the measured wall-clock duration of the same call.
+/// RAII guard around one collective call: a `gas_obs` span plus, while
+/// the span records, a snapshot of the rank's cost counters at entry.
+/// When the span closes, the counter deltas are converted through
+/// [`CostModel::default`] into the BSP-predicted time of the collective
+/// and attached as a `predicted_us` attribute — so a trace carries the
+/// model's prediction right next to the measured wall-clock duration of
+/// the same call.
 pub(crate) struct CollectiveSpan {
     span: gas_obs::Span,
     cost: Rc<RefCell<CostTracker>>,
-    start_supersteps: u64,
-    start_bytes: u64,
-    start_flops: u64,
+    start: Option<CostTracker>,
 }
 
 impl Drop for CollectiveSpan {
     fn drop(&mut self) {
-        if !self.span.is_recording() {
+        let Some(start) = &self.start else {
             return;
-        }
+        };
         let (supersteps, bytes, flops) = {
             let c = self.cost.borrow();
             (
-                c.supersteps() - self.start_supersteps,
-                c.bytes_received() - self.start_bytes,
-                c.flops() - self.start_flops,
+                c.supersteps() - start.supersteps(),
+                c.bytes_received() - start.bytes_received(),
+                c.flops() - start.flops(),
             )
         };
         let model = CostModel::default();
@@ -260,24 +259,20 @@ impl Communicator {
         self.cost.borrow_mut().record_collective();
     }
 
+    /// This rank's cost counters so far — every communicator of the rank
+    /// charges the same tracker, so the difference of two reads is
+    /// exactly what the rank sent, received and ran in between.
+    pub fn cost_snapshot(&self) -> CostTracker {
+        self.cost.borrow().clone()
+    }
+
     /// Open a tracing span for the collective `name`, capturing the cost
     /// counters so the drop can annotate the span with the modeled time.
     /// When tracing is disabled this is a single relaxed atomic load.
     pub(crate) fn collective_span(&self, name: &'static str) -> CollectiveSpan {
         let span = gas_obs::span("collective", name);
-        let (start_supersteps, start_bytes, start_flops) = if span.is_recording() {
-            let c = self.cost.borrow();
-            (c.supersteps(), c.bytes_received(), c.flops())
-        } else {
-            (0, 0, 0)
-        };
-        CollectiveSpan {
-            span,
-            cost: Rc::clone(&self.cost),
-            start_supersteps,
-            start_bytes,
-            start_flops,
-        }
+        let start = span.is_recording().then(|| self.cost_snapshot());
+        CollectiveSpan { span, cost: Rc::clone(&self.cost), start }
     }
 
     /// Next collective-internal tag; all ranks of a communicator call

@@ -192,6 +192,11 @@ impl CostTracker {
     pub fn flops(&self) -> u64 {
         self.flops
     }
+
+    /// Collective operations recorded so far.
+    pub fn collectives(&self) -> u64 {
+        self.collectives
+    }
 }
 
 /// Immutable per-rank summary of a finished run.

@@ -52,8 +52,10 @@
 //!
 //! That is five collectives per batch (six with exact re-ranking); only
 //! a layout with a lost slot spends one more, to agree on the dropped
-//! rows. [`DistQueryStats`] observes the invariant and accounts for
-//! every wire byte exactly, under every layout. The pre-keyed exchange
+//! rows. [`DistQueryStats`] observes the invariant under every layout;
+//! its collective count and per-phase wire bytes are read off the rank's
+//! own `CostTracker`, so only the simulator knows how a collective
+//! delivers bytes. The pre-keyed exchange
 //! (one request/fetch pair per segment) is retained as
 //! [`dist_query_reader_batch_stats_per_segment`] — the reference the
 //! proptests and the bench sweep compare against, over the same helpers.
@@ -69,7 +71,7 @@ use std::collections::BTreeMap;
 use gas_core::indicator::SampleCollection;
 use gas_core::minhash::{signature_agreement, MinHashSignature};
 use gas_dstsim::comm::Communicator;
-use gas_dstsim::cost::CostModel;
+use gas_dstsim::cost::{CostModel, CostTracker};
 use gas_dstsim::SimError;
 use serde::{Deserialize, Serialize};
 
@@ -473,14 +475,10 @@ pub struct SegmentExchangeStats {
 
 /// Memory and traffic accounting of one sharded query round, per rank.
 ///
-/// The four `*_bytes` phase counters record the bytes this rank
-/// **received over the wire** in each phase, exactly: broadcasts
-/// deliver their payload to every non-root rank once (binomial tree),
-/// and an allgatherv's ring delivers every *foreign* block exactly once
-/// (a rank's own contribution never travels to itself). Their sum,
-/// [`Self::wire_bytes`], equals the simulator's per-rank
-/// `CostReport::bytes_received` for the batch under every layout —
-/// pinned by a unit test, so the bench's byte columns are trustworthy.
+/// `collective_calls` and the four `*_bytes` phase counters are read off
+/// the rank's simulator cost tracker around each phase's collectives:
+/// the bytes this rank **received over the wire**, exactly as
+/// `CostReport::bytes_received` charges them, under every layout.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DistQueryStats {
     /// Signature rows this rank stores in its slot copies, summed over
@@ -528,8 +526,8 @@ pub struct DistQueryStats {
 
 impl DistQueryStats {
     /// Total wire bytes this rank received for the batch — the sum of
-    /// the four phase counters, equal to the simulator's per-rank
-    /// `bytes_received` for the round.
+    /// the four phase counters, the tracker's `bytes_received` for the
+    /// round.
     pub fn wire_bytes(&self) -> usize {
         self.bcast_bytes + self.request_bytes + self.fetch_bytes + self.merge_bytes
     }
@@ -584,7 +582,8 @@ fn decode_partials(stream: &[u64], nqueries: usize) -> IndexResult<Vec<Vec<(u32,
             context: format!("partial top-k stream ends before query {q}"),
         })? as usize;
         pos += 1;
-        if pos + len > stream.len() {
+        // `len` came off the wire: compare without an add that overflows.
+        if len > stream.len() - pos {
             return Err(IndexError::Corrupt {
                 context: format!("partial top-k stream truncated inside query {q}"),
             });
@@ -605,12 +604,31 @@ fn decode_partials(stream: &[u64], nqueries: usize) -> IndexResult<Vec<Vec<(u32,
     Ok(out)
 }
 
-/// The words of an allgatherv result that actually crossed the wire
-/// into rank `me`: every block except its own (the ring forwards each
-/// foreign block to each rank exactly once; the local block never
-/// leaves the rank).
-fn foreign_words(blocks: &[Vec<u64>], me: usize) -> usize {
-    blocks.iter().enumerate().filter(|&(r, _)| r != me).map(|(_, b)| b.len()).sum()
+/// Reads this rank's wire traffic phase by phase off its own cost
+/// tracker, so how a collective delivers bytes stays the simulator's
+/// business: every count of a round is a difference of two reads.
+struct WireMeter<'a> {
+    world: &'a Communicator,
+    start: CostTracker,
+    last: CostTracker,
+}
+
+impl<'a> WireMeter<'a> {
+    fn new(world: &'a Communicator) -> Self {
+        let start = world.cost_snapshot();
+        WireMeter { world, last: start.clone(), start }
+    }
+
+    /// Bytes received since the previous lap (or since [`Self::new`]).
+    fn lap(&mut self) -> usize {
+        let last = std::mem::replace(&mut self.last, self.world.cost_snapshot());
+        (self.last.bytes_received() - last.bytes_received()) as usize
+    }
+
+    /// Collectives run from [`Self::new`] to the latest lap.
+    fn collectives(&self) -> usize {
+        (self.last.collectives() - self.start.collectives()) as usize
+    }
 }
 
 /// FNV-1a over a little-endian word stream — the per-row ingredient of
@@ -667,23 +685,16 @@ type BroadcastBatch = (Vec<MinHashSignature>, Option<Vec<Vec<u64>>>);
 /// re-ranking needs them). The validity flag is broadcast *first* so
 /// that a misuse on the ingress rank (no query batch) surfaces as a
 /// typed error on every rank instead of leaving the other ranks blocked
-/// in a bcast that never comes. Two or three collectives, counted and
-/// byte-accounted into `stats`.
+/// in a bcast that never comes. Two or three collectives; the caller
+/// reads their bytes off the rank's tracker.
 fn broadcast_query_batch(
     world: &Communicator,
     reader: &IndexReader,
     queries: Option<&[Vec<u64>]>,
     opts: &QueryOptions,
-    stats: &mut DistQueryStats,
 ) -> IndexResult<BroadcastBatch> {
     let me = world.rank();
-    // A broadcast delivers its payload once to every non-root rank.
-    let mut charge = |bytes: usize| {
-        stats.collective_calls += 1;
-        stats.bcast_bytes += if me == 0 { 0 } else { bytes };
-    };
     let root_ok = world.bcast(0, if me == 0 { Some(queries.is_some() as u8) } else { None })?;
-    charge(1);
     if root_ok == 0 {
         return Err(IndexError::InvalidQuery("rank 0 must provide the query batch".into()));
     }
@@ -691,16 +702,10 @@ fn broadcast_query_batch(
     let signed: Option<Vec<Vec<u64>>> =
         queries.map(|qs| qs.iter().map(|q| reader.scheme().sign(q).values().to_vec()).collect());
     let signed_values: Vec<Vec<u64>> = world.bcast(0, signed)?;
-    charge(signed_values.iter().map(|s| s.len() * 8).sum());
     let signatures: Vec<MinHashSignature> =
         signed_values.into_iter().map(MinHashSignature::from_values).collect();
-    let raw_queries: Option<Vec<Vec<u64>>> = if opts.rerank_exact {
-        let raw = world.bcast(0, queries.map(<[_]>::to_vec))?;
-        charge(raw.iter().map(|q| q.len() * 8).sum());
-        Some(raw)
-    } else {
-        None
-    };
+    let raw_queries =
+        if opts.rerank_exact { Some(world.bcast(0, queries.map(<[_]>::to_vec))?) } else { None };
     Ok((signatures, raw_queries))
 }
 
@@ -746,30 +751,29 @@ fn route_candidates(
     }
 }
 
-/// Phases 3–4, the one request/fetch pair, over `wanted` (sorted,
-/// distinct, covering whatever segments the caller batched). Each
-/// serving owner *contributes* each requested row once, but the
-/// allgather delivers every contribution to all ranks —
-/// [`DistQueryStats::fetch_bytes`] records that fan-out exactly.
-fn exchange_rows(
-    world: &Communicator,
-    layout: &ServingLayout,
-    wanted: &[u64],
-    stats: &mut DistQueryStats,
-) -> IndexResult<KeyedRows> {
-    let me = world.rank();
-    let all_requests: Vec<Vec<u64>> = world.allgatherv(wanted)?;
-    stats.collective_calls += 1;
-    stats.request_bytes += foreign_words(&all_requests, me) * 8;
-
-    // Ship the union of everyone's requests, deduplicated so a row
-    // wanted by several ranks or queries still travels exactly once.
-    let mut requested: Vec<u64> = all_requests.into_iter().flatten().collect();
+/// Phase 3, the request half of the one request/fetch pair: allgather
+/// every rank's `wanted` keys (sorted, distinct, covering whatever
+/// segments the caller batched) and return their union, deduplicated so
+/// a row wanted by several ranks or queries still travels exactly once.
+fn request_rows(world: &Communicator, wanted: &[u64]) -> IndexResult<Vec<u64>> {
+    let mut requested: Vec<u64> = world.allgatherv(wanted)?.into_iter().flatten().collect();
     requested.sort_unstable();
     requested.dedup();
+    Ok(requested)
+}
+
+/// Phase 4, the fetch half: each serving owner *contributes* each
+/// `requested` row once, but the allgather delivers every contribution
+/// to all ranks — the rank's tracker, hence
+/// [`DistQueryStats::fetch_bytes`], records that fan-out. Returns the
+/// rows of `wanted`.
+fn fetch_rows(
+    world: &Communicator,
+    layout: &ServingLayout,
+    requested: Vec<u64>,
+    wanted: &[u64],
+) -> IndexResult<KeyedRows> {
     let shipped = layout.allgather_rows(world, requested)?;
-    stats.collective_calls += 1;
-    stats.fetch_bytes += foreign_words(&shipped, me) * 8;
 
     // Keep only the rows this rank asked for (the allgather delivers
     // everyone's); one rank serves a slot, so keys never collide.
@@ -809,7 +813,7 @@ fn score_segment(
             let row = match rows.resolve(local) {
                 Resolved::Local(row) => row,
                 Resolved::Fetch => {
-                    fetched.row(row_key(rows.seg_idx, local)).expect("validated by exchange_rows")
+                    fetched.row(row_key(rows.seg_idx, local)).expect("validated by fetch_rows")
                 }
                 Resolved::Lost => unreachable!("route_candidates drops lost rows before scoring"),
             };
@@ -837,16 +841,12 @@ fn merge_partials_and_finalize(
     collection: Option<&SampleCollection>,
     opts: &QueryOptions,
     len: usize,
-    stats: &mut DistQueryStats,
 ) -> IndexResult<Vec<Vec<Neighbor>>> {
-    let me = world.rank();
     let nqueries = per_query_entries.len();
     let keep = opts.keep();
     let partials: Vec<Vec<Scored>> =
         per_query_entries.into_iter().map(|entries| merge_scored_sources(entries, keep)).collect();
     let streams: Vec<Vec<u64>> = world.allgatherv(&encode_partials(&partials))?;
-    stats.collective_calls += 1;
-    stats.merge_bytes += foreign_words(&streams, me) * 8;
     let mut merged: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nqueries];
     for stream in &streams {
         for (q, partial) in decode_partials(stream, nqueries)?.into_iter().enumerate() {
@@ -890,11 +890,13 @@ fn execute(
         ));
     }
     let mut stats = layout.fresh_stats(reader);
+    let mut wire = WireMeter::new(world);
 
     let (signatures, raw_queries) = {
         let _bcast_span = gas_obs::span("dist", "bcast");
-        broadcast_query_batch(world, reader, queries, opts, &mut stats)?
+        broadcast_query_batch(world, reader, queries, opts)?
     };
+    stats.bcast_bytes = wire.lap();
 
     // Phase 2, no communication: probe the bands this rank serves of
     // every segment (skipping tombstoned rows) before any exchange, so
@@ -916,8 +918,6 @@ fn execute(
     // table, and with full coverage nothing can have been dropped.
     let lost_rows = if layout.has_lost_slot() {
         let all_dropped: Vec<Vec<u64>> = world.allgatherv(&dropped)?;
-        stats.collective_calls += 1;
-        stats.request_bytes += foreign_words(&all_dropped, me) * 8;
         let mut lost_keys: Vec<u64> = all_dropped.into_iter().flatten().collect();
         lost_keys.sort_unstable();
         lost_keys.dedup();
@@ -926,9 +926,14 @@ fn execute(
         0
     };
 
+    // The dropped-row allgather above counts as request traffic.
     let fetched = {
         let _exchange_span = gas_obs::span("dist", "exchange");
-        exchange_rows(world, layout, &wanted, &mut stats)?
+        let requested = request_rows(world, &wanted)?;
+        stats.request_bytes = wire.lap();
+        let fetched = fetch_rows(world, layout, requested, &wanted)?;
+        stats.fetch_bytes = wire.lap();
+        fetched
     };
     stats.absorb_fetched(&fetched);
 
@@ -944,17 +949,10 @@ fn execute(
 
     let answers = {
         let _merge_span = gas_obs::span("dist", "merge");
-        let len = layout.len;
-        merge_partials_and_finalize(
-            world,
-            entries,
-            &raw_queries,
-            collection,
-            opts,
-            len,
-            &mut stats,
-        )?
+        merge_partials_and_finalize(world, entries, &raw_queries, collection, opts, layout.len)?
     };
+    stats.merge_bytes = wire.lap();
+    stats.collective_calls = wire.collectives();
 
     let slots = &layout.slots;
     let lost_bands: Vec<usize> = (0..reader.params().bands())
@@ -1030,8 +1028,9 @@ pub fn dist_query_reader_batch_stats_per_segment(
 ) -> IndexResult<(Vec<Vec<Neighbor>>, DistQueryStats)> {
     let layout = ServingLayout::sharded(world, reader, 1);
     let mut stats = layout.fresh_stats(reader);
-    let (signatures, raw_queries) =
-        broadcast_query_batch(world, reader, queries, opts, &mut stats)?;
+    let mut wire = WireMeter::new(world);
+    let (signatures, raw_queries) = broadcast_query_batch(world, reader, queries, opts)?;
+    stats.bcast_bytes = wire.lap();
     let keep = opts.keep();
 
     let mut per_segment_candidates =
@@ -1043,21 +1042,18 @@ pub fn dist_query_reader_batch_stats_per_segment(
         // below then fails typed on every rank.
         let (mut wanted, mut lost) = (Vec::new(), Vec::new());
         stats.per_segment.push(route_candidates(&rows, per_query, &mut wanted, &mut lost));
-        let fetched = exchange_rows(world, &layout, &wanted, &mut stats)?;
+        let requested = request_rows(world, &wanted)?;
+        stats.request_bytes += wire.lap();
+        let fetched = fetch_rows(world, &layout, requested, &wanted)?;
+        stats.fetch_bytes += wire.lap();
         stats.absorb_fetched(&fetched);
         score_segment(&rows, &fetched, &signatures, per_query, keep, &mut entries);
     }
 
-    let len = layout.len;
-    let answers = merge_partials_and_finalize(
-        world,
-        entries,
-        &raw_queries,
-        collection,
-        opts,
-        len,
-        &mut stats,
-    )?;
+    let answers =
+        merge_partials_and_finalize(world, entries, &raw_queries, collection, opts, layout.len)?;
+    stats.merge_bytes = wire.lap();
+    stats.collective_calls = wire.collectives();
     Ok((answers, stats))
 }
 
@@ -1287,12 +1283,13 @@ pub struct PlacementInstallStats {
     /// Resident bytes of all replica matrices after the install (in
     /// addition to the slot copies this rank keeps for every segment).
     pub replica_bytes: usize,
-    /// Wire bytes this rank received in the install allgather — equal
-    /// to the simulator's `bytes_received` for the round.
+    /// Wire bytes this rank received in the install allgather, read off
+    /// its cost tracker.
     pub install_bytes: usize,
-    /// Always 1: the install is a single allgather no matter how many
-    /// segments change placement (zero-payload when nothing does), so
-    /// plan changes never reintroduce O(#segments) collectives.
+    /// Collectives of the install, read off the rank's tracker: always 1,
+    /// a single allgather no matter how many segments change placement
+    /// (zero-payload when nothing does), so plan changes never
+    /// reintroduce O(#segments) collectives.
     pub collective_calls: usize,
 }
 
@@ -1335,6 +1332,7 @@ pub fn install_placement(
         None => ServingLayout::sharded(world, reader, 1),
     };
     let mut stats = PlacementInstallStats::default();
+    let mut wire = WireMeter::new(world);
 
     // Reuse first: any replicated segment whose id had a replica in the
     // prior state keeps it without touching the wire.
@@ -1359,8 +1357,8 @@ pub fn install_placement(
         (0..segments[seg_idx].n_rows() as u32).map(move |local| row_key(seg_idx, local))
     });
     let shipped = layout.allgather_rows(world, install_keys)?;
-    stats.collective_calls += 1;
-    stats.install_bytes += foreign_words(&shipped, me) * 8;
+    stats.install_bytes = wire.lap();
+    stats.collective_calls = wire.collectives();
 
     // Assemble each installing segment from the streams (own rows
     // included): sorted by key, a complete one is the run
@@ -1521,6 +1519,8 @@ mod tests {
         assert!(decode_partials(&stream, 4).is_err());
         assert!(decode_partials(&stream, 2).is_err());
         assert!(decode_partials(&[], 0).unwrap().is_empty());
+        // A length word near u64::MAX must not overflow the bounds check.
+        assert!(decode_partials(&[u64::MAX, 0], 1).is_err());
     }
 
     #[test]
@@ -1675,17 +1675,19 @@ mod tests {
 
     #[test]
     fn per_phase_wire_bytes_sum_to_the_cost_report_exactly() {
-        // The satellite bugfix pin: the phase byte counters must account
-        // for every wire byte the simulator charged this rank — no
-        // per-segment double counting, no missing broadcast bytes, no
-        // uncharged dropped-row allgather — under every layout. The
-        // collective count must match the tracker's too.
+        // The phase byte counters are tracker differences around each
+        // phase's collectives, so they add up to every wire byte the
+        // simulator charged this rank only if no traffic of the round
+        // (the dropped-row allgather included) falls outside a phase —
+        // under every layout. The collective count must match the
+        // tracker's too.
         use gas_dstsim::RankFaults;
         let collection = workload();
         let config = IndexConfig::default().with_signature_len(64).with_threshold(0.4);
         let writer = segmented_writer(&collection, &config, 4, &[2, 9]);
         let reader = writer.reader();
         let queries: Vec<Vec<u64>> = (0..5).map(|i| collection.sample(i * 4).to_vec()).collect();
+        let (len, raw_words) = (reader.scheme().len(), queries.iter().map(Vec::len).sum::<usize>());
         // (replication, crashed rank, collectives beyond the keyed
         // budget): the keyed entry point, then the replicated one
         // fault-free, failing over with full coverage, and degraded.
@@ -1700,6 +1702,7 @@ mod tests {
                     }
                     let faults =
                         crashed.map_or(RankFaults::none(), |r| RankFaults::none().crash(r));
+                    let round_root = (0..p).find(|&r| crashed != Some(r));
                     let out = Runtime::new(p)
                         .with_faults(faults)
                         .run(|ctx| {
@@ -1758,6 +1761,20 @@ mod tests {
                                 + stats.fetch_bytes
                                 + stats.merge_bytes
                         );
+                        // The split, not only the sum: a binomial broadcast
+                        // delivers its payload once to every rank but the
+                        // round's rank 0 (the lowest alive world rank, which
+                        // sends and receives nothing). The others receive the
+                        // 1-byte validity flag, then `len` words of
+                        // signature per query — `Vec<Vec<u64>>` travels as
+                        // its words, without length prefixes — and, when
+                        // re-ranking, every raw query value.
+                        let bcast = if round_root == Some(rank) {
+                            0
+                        } else {
+                            1 + 8 * len * queries.len() + if rerank { 8 * raw_words } else { 0 }
+                        };
+                        assert_eq!(stats.bcast_bytes, bcast, "{case}: broadcast bytes");
                         // Four segments, one breakdown entry each, candidates
                         // partitioned into owned + fetched.
                         assert_eq!(stats.per_segment.len(), 4);

@@ -419,8 +419,9 @@ proptest! {
     /// The planned mixed-placement path answers bit-identically to both
     /// the single-rank engine and the pure band-sharded keyed path,
     /// across random commit layouts × random placements × both signers ×
-    /// both rerank modes — and replicated segments never fetch a row
-    /// over the wire.
+    /// both rerank modes — replicated segments never fetch a row over the
+    /// wire, and each rank's install and batch counts cover its whole
+    /// cost report.
     #[test]
     fn planned_mixed_placement_equals_single_rank_and_pure_sharding(
         splits in prop::collection::btree_set(1usize..30, 0..5),
@@ -502,8 +503,9 @@ proptest! {
                     )
                 })
                 .unwrap();
-            for (rank, ((pa, ps, install), (sa, _))) in
-                planned_out.results.iter().zip(&sharded_out.results).enumerate()
+            let planned_runs = planned_out.results.iter().zip(&planned_out.reports);
+            for (rank, (((pa, ps, install), report), (sa, _))) in
+                planned_runs.zip(&sharded_out.results).enumerate()
             {
                 prop_assert_eq!(
                     pa, &reference,
@@ -516,6 +518,16 @@ proptest! {
                 );
                 prop_assert_eq!(install.collective_calls, 1);
                 prop_assert_eq!(ps.collective_calls, if rerank { 6 } else { 5 });
+                // The install and the batch are all this rank ran: their
+                // counts must cover its whole cost report, on every grid.
+                prop_assert_eq!(
+                    (install.install_bytes + ps.wire_bytes()) as u64, report.bytes_received,
+                    "wire bytes diverge from the tracker (p={}, rank={})", ranks, rank
+                );
+                prop_assert_eq!(
+                    (install.collective_calls + ps.collective_calls) as u64, report.collectives,
+                    "collectives diverge from the tracker (p={}, rank={})", ranks, rank
+                );
                 for (seg_idx, seg) in ps.per_segment.iter().enumerate() {
                     prop_assert_eq!(seg.owned_rows + seg.fetched_rows, seg.candidate_rows);
                     if placements[seg_idx] == SegmentPlacement::Replicated {
