@@ -70,7 +70,11 @@ index-lifecycle:
 # (bench/ledger, its own package and lock file) on its tiny fixtures —
 # all four workloads untraced and traced, every metric of BENCHMARK.json
 # present, every oracle green (timings are marked non-comparable) — then
-# its own tests. The ledger is where this repository's timings live.
+# its own tests. The ledger is where this repository's timings live. Its
+# traced rows time phase-by-phase replays, not the drivers: both drivers
+# pack straight from the sample slices, while the replays still run
+# `apply_filter` + `from_columns` (distributed; held to the driver's wire
+# bytes) and `prepare_batch` → `to_csr` → `ata_dense_parallel` (dense).
 ledger-smoke:
 	cargo run --release --offline --locked --quiet --manifest-path bench/ledger/Cargo.toml -- --smoke
 	cargo test --offline --manifest-path bench/ledger/Cargo.toml

@@ -25,20 +25,31 @@ use gas_sparse::dense::DenseMatrix;
 use gas_sparse::dist::ata::DistAta;
 use gas_sparse::dist::filter::{dist_row_filter_from_bitmap, RowFilter};
 use gas_sparse::semiring::{PlusTimes, PopcountAnd};
-use gas_sparse::spgemm::ata_dense_parallel;
+use gas_sparse::spgemm::ata_upper_accumulate;
 
 use crate::batch::BatchPlan;
 use crate::config::SimilarityConfig;
 use crate::error::{CoreError, CoreResult};
+use crate::filter::{observed_rows, slice_row_filter};
 use crate::indicator::SampleCollection;
 use crate::jaccard::SimilarityResult;
 use crate::mask::{prepare_batch, PreparedBatch};
 
 /// Run SimilarityAtScale on shared memory.
 ///
+/// Each batch runs the distributed driver's pipeline on one rank: it
+/// borrows the samples' values in the batch as slices of the collection,
+/// builds the zero-row filter from them, packs them in one pass
+/// ([`BitMatrix::from_batch_slices`]) and adds the upper triangle of the
+/// popcount-AND `AᵀA` straight into `B` ([`ata_upper_accumulate`]). `B` is
+/// mirrored once, after the last batch. The unmasked ablation
+/// (`use_bitmask: false`) builds its boolean views with
+/// [`crate::mask::prepare_batch`], which filters as well, and adds the
+/// plus-times triangle the same way.
+///
 /// Traced, a run is one `similarity_at_scale` span holding one `batch`
-/// span per batch — each with `batch_columns`, `prepare`, `kernel` and
-/// `accumulate` inside — and a closing `finalize`.
+/// span per batch — `read`, `filter` (when filtering the masked path),
+/// `pack` and `kernel` inside it — and a closing `finalize`.
 pub fn similarity_at_scale(
     collection: &SampleCollection,
     config: &SimilarityConfig,
@@ -51,39 +62,47 @@ pub fn similarity_at_scale(
     let mut cardinalities = vec![0u64; n];
     for (lo, hi) in plan.iter() {
         let _batch = obs::span("paper", "batch");
-        let columns = {
-            let _columns = obs::span("paper", "batch_columns");
-            collection.batch_columns_all(lo, hi)
+        let batch_rows = (hi - lo) as usize;
+        let values: Vec<&[u64]> = {
+            let _read = obs::span("paper", "read");
+            (0..n).map(|i| collection.batch_values(i, lo, hi)).collect()
         };
-        let (prepared, _) = {
-            let _prepare = obs::span("paper", "prepare");
-            prepare_batch(
-                (hi - lo) as usize,
-                &columns,
-                config.use_zero_row_filter,
-                config.use_bitmask,
-            )?
-        };
-        // Packed: the lists are dead weight under the kernel.
-        drop(columns);
-        let partial = {
+        for (c, v) in cardinalities.iter_mut().zip(&values) {
+            *c += v.len() as u64;
+        }
+        if config.use_bitmask {
+            let filter = config.use_zero_row_filter.then(|| {
+                let _filter = obs::span("paper", "filter");
+                slice_row_filter(lo, batch_rows, &values)
+            });
+            let packed = {
+                let _pack = obs::span("paper", "pack");
+                let nrows = filter.as_ref().map_or(batch_rows, RowFilter::num_nonzero_rows);
+                let all = 0..nrows.div_ceil(WORD_BITS);
+                BitMatrix::from_batch_slices(lo..hi, &values, filter.as_ref(), &[all])?
+            };
+            let _kernel = obs::span("paper", "kernel");
+            ata_upper_accumulate::<PopcountAnd>(packed.as_csc(), None, &mut b)?;
+        } else {
+            let (prepared, _) = {
+                let _pack = obs::span("paper", "pack");
+                let columns: Vec<Vec<usize>> =
+                    values.iter().map(|v| v.iter().map(|&x| (x - lo) as usize).collect()).collect();
+                prepare_batch(batch_rows, &columns, config.use_zero_row_filter, false)?
+            };
             let _kernel = obs::span("paper", "kernel");
             match &prepared {
-                PreparedBatch::Masked(bm) => {
-                    ata_dense_parallel::<PopcountAnd>(bm.as_csc(), &bm.to_csr())?
-                }
                 PreparedBatch::Unmasked { csc, csr } => {
-                    ata_dense_parallel::<PlusTimes<u64>>(csc, csr)?
+                    ata_upper_accumulate::<PlusTimes<u64>>(csc, Some(csr), &mut b)?
+                }
+                PreparedBatch::Masked(bm) => {
+                    ata_upper_accumulate::<PopcountAnd>(bm.as_csc(), None, &mut b)?
                 }
             }
-        };
-        let _accumulate = obs::span("paper", "accumulate");
-        for (i, c) in prepared.col_cardinalities().into_iter().enumerate() {
-            cardinalities[i] += c;
         }
-        b.add_assign(&partial)?;
     }
     let _finalize = obs::span("paper", "finalize");
+    b.mirror_upper()?;
     SimilarityResult::from_intersections(b, cardinalities)
 }
 
@@ -192,11 +211,14 @@ pub fn similarity_at_scale_distributed(
             };
             // Each rank renumbers and packs, in one pass over its slices,
             // only the word-row chunks it cuts into SUMMA blocks: the sweep
-            // reads no other word. The perf ledger's traced replay still
-            // runs the old `apply_filter` + `BitMatrix::from_columns`
-            // sequence over the full extent, held to the same wire bytes,
-            // so its `allpairs_dist` phase rows time that replay; draining
-            // these spans instead is the ledger-side edit left (ROADMAP 1A).
+            // reads no other word. The perf ledger's traced replays still
+            // run the old sequences: `apply_filter` +
+            // `BitMatrix::from_columns` over the full extent here, held to
+            // the same wire bytes, and `prepare_batch` → `to_csr` →
+            // `ata_dense_parallel` for the shared driver. With the unmasked
+            // ablation and the allreduce baseline they are the last callers
+            // of `apply_filter` and `prepare_batch`; draining these spans
+            // instead is the ledger-side edit left (ROADMAP 1A).
             let pack_span = obs::span("paper", "pack");
             let nrows = filter.as_ref().map_or(batch_rows, RowFilter::num_nonzero_rows);
             let (left_keep, right_keep) = ata.owned_chunks(nrows.div_ceil(WORD_BITS));
@@ -243,17 +265,6 @@ pub fn similarity_at_scale_distributed(
         grid_dims,
         active_ranks: grid_dims.iter().product(),
     })
-}
-
-/// The packed bitmap of the rows of the batch starting at `lo` that
-/// appear in `values` (each value lies in the batch's `batch_rows` rows).
-fn observed_rows(lo: u64, batch_rows: usize, values: &[&[u64]]) -> Vec<u64> {
-    let mut words = vec![0u64; batch_rows.div_ceil(WORD_BITS)];
-    for &v in values.iter().copied().flatten() {
-        let r = (v - lo) as usize;
-        words[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
-    }
-    words
 }
 
 #[cfg(test)]

@@ -12,12 +12,17 @@
 //! the survivor list (a hypersparse batch over the k-mer universe keeps
 //! the `O(survivors)` binary search).
 //!
-//! On the paper's default path renumbering happens inside packing:
-//! [`crate::mask::prepare_batch`] hands the filter to
-//! `BitMatrix::from_filtered_columns`, which never builds the renumbered
-//! lists, and the distributed driver packs straight from the sample
-//! slices. [`apply_filter`] builds them, and remains for the unmasked
-//! ablation and the perf ledger's traced replay of the distributed driver.
+//! Both drivers build the filter from the batch's sample slices: the
+//! shared-memory driver with `slice_row_filter`, the distributed one by
+//! scattering its local rows with `observed_rows`, the same bitmap, before
+//! the OR-allreduce. Renumbering happens inside packing: the drivers hand
+//! the filter to `BitMatrix::from_batch_slices`, which never builds the
+//! renumbered lists, and so does [`crate::mask::prepare_batch`] through
+//! `BitMatrix::from_filtered_columns`. [`batch_row_filter`] and
+//! [`apply_filter`] work on column lists: their callers are `prepare_batch`
+//! (the unmasked ablation, the allreduce baseline and the perf ledger's
+//! replays) and, for `apply_filter`, the ledger's traced replay of the
+//! distributed driver.
 
 use gas_sparse::bitmat::WORD_BITS;
 pub use gas_sparse::dist::filter::RowFilter;
@@ -46,12 +51,37 @@ pub fn batch_row_filter(batch_rows: usize, columns: &[Vec<usize>]) -> RowFilter 
     RowFilter::from_local(batch_rows, rows)
 }
 
+/// The packed bitmap of the rows of the batch starting at `lo` that
+/// appear in `values` (each value lies in the batch's `batch_rows` rows).
+pub(crate) fn observed_rows(lo: u64, batch_rows: usize, values: &[&[u64]]) -> Vec<u64> {
+    let mut words = vec![0u64; batch_rows.div_ceil(WORD_BITS)];
+    for &v in values.iter().copied().flatten() {
+        let r = (v - lo) as usize;
+        words[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
+    }
+    words
+}
+
+/// The zero-row filter of the batch starting at `lo`, from its sample
+/// slices: [`observed_rows`]' bitmap where its `⌈batch_rows/64⌉` words are
+/// no more than the entries, else the sorted survivors, `O(entries)` in
+/// memory for a hypersparse batch over a huge universe (the density guard
+/// of [`batch_row_filter`]).
+pub(crate) fn slice_row_filter(lo: u64, batch_rows: usize, values: &[&[u64]]) -> RowFilter {
+    let entries: usize = values.iter().map(|v| v.len()).sum();
+    if batch_rows.div_ceil(WORD_BITS) <= entries {
+        return RowFilter::from_bitmap(batch_rows, &observed_rows(lo, batch_rows, values));
+    }
+    let rows = values.iter().copied().flatten().map(|&v| (v - lo) as usize).collect();
+    RowFilter::from_local(batch_rows, rows)
+}
+
 /// Apply a filter to the batch columns: every surviving row index is
 /// replaced by its compacted index; rows removed by the filter are
 /// dropped (they cannot occur if the filter was built from the same
 /// columns, but an externally supplied filter may be narrower).
 ///
-/// No driver of the masked path calls this any more: besides the unmasked
+/// No driver of the masked path calls this: besides the unmasked
 /// ablation it is kept for the perf ledger's phase-by-phase replay of
 /// [`crate::algorithm::similarity_at_scale_distributed`], which times
 /// renumbering and packing apart.
@@ -132,6 +162,21 @@ mod tests {
         // Out-of-range entries are clipped on both paths.
         assert_eq!(batch_row_filter(64, &[vec![1, 64, 700]]).nonzero_rows(), &[1]);
         assert_eq!(batch_row_filter(6400, &[vec![1, 6400]]).nonzero_rows(), &[1]);
+    }
+
+    #[test]
+    fn slice_filter_is_the_column_filter_on_both_sides_of_the_guard() {
+        // A batch starting at value 1000 with four entries: over 130 rows
+        // (3 words) the bitmap is built, over 6400 (100 words) the list.
+        let values: [&[u64]; 3] = [&[1002, 1129], &[1002, 1064], &[]];
+        let columns: Vec<Vec<usize>> =
+            values.iter().map(|v| v.iter().map(|&x| (x - 1000) as usize).collect()).collect();
+        for batch_rows in [130usize, 6400] {
+            let f = slice_row_filter(1000, batch_rows, &values);
+            assert_eq!(f, batch_row_filter(batch_rows, &columns), "{batch_rows} rows");
+            assert_eq!(f.nonzero_rows(), &[2, 64, 129]);
+        }
+        assert_eq!(observed_rows(1000, 130, &values), vec![1 << 2, 1, 1 << 1]);
     }
 
     /// `from_filtered_columns` is `from_columns` over `apply_filter`'s

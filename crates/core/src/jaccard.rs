@@ -23,6 +23,11 @@ pub struct SimilarityResult {
 
 impl SimilarityResult {
     /// Derive the similarity matrix from `B` and `ĉ` (Eq. 2).
+    ///
+    /// An entry `b_ij` above `ĉ_i` or `ĉ_j` is no intersection of two sets
+    /// of those sizes, and is refused with [`CoreError::InvalidInput`]. The
+    /// union `ĉ_i + ĉ_j − b_ij` does not wrap for cardinalities near
+    /// `u64::MAX`.
     pub fn from_intersections(b: DenseMatrix<u64>, cardinalities: Vec<u64>) -> CoreResult<Self> {
         let n = cardinalities.len();
         if b.nrows() != n || b.ncols() != n {
@@ -34,14 +39,27 @@ impl SimilarityResult {
             )));
         }
         let mut s = DenseMatrix::<f64>::zeros(n, n);
+        // Cardinalities up to 2⁵³ are exact as floats, so the common case
+        // checks every entry in the float pass that divides. The exact
+        // pass below finds an offending entry, and takes the rest.
+        if cardinalities.iter().all(|&c| c <= 1 << 53)
+            && similarities_within_cardinalities(&b, &cardinalities, &mut s)
+        {
+            return Ok(SimilarityResult { b, cardinalities, similarity: s });
+        }
         for i in 0..n {
             for j in 0..n {
-                let inter = b.get(i, j);
-                let union = cardinalities[i] + cardinalities[j] - inter;
-                let v = if union == 0 {
-                    1.0 // Both samples empty: J = 1 by definition.
-                } else {
-                    inter as f64 / union as f64
+                let (inter, ci, cj) = (b.get(i, j), cardinalities[i], cardinalities[j]);
+                if inter > ci.min(cj) {
+                    return Err(CoreError::InvalidInput(format!(
+                        "B[{i}][{j}] = {inter} exceeds the cardinalities {ci} and {cj}"
+                    )));
+                }
+                // `ĉ_i + (ĉ_j − b_ij)` passes `u64::MAX` only for two sets
+                // of over 2⁶³ elements; their float sum stands in there.
+                let v = match ci.checked_add(cj - inter) {
+                    Some(union) => similarity(inter, union),
+                    None => inter as f64 / (ci as f64 + (cj - inter) as f64),
                 };
                 s.set(i, j, v);
             }
@@ -78,6 +96,36 @@ impl SimilarityResult {
     pub fn max_similarity_diff(&self, other: &SimilarityResult) -> CoreResult<f64> {
         Ok(self.similarity.max_abs_diff(other.similarity())?)
     }
+}
+
+/// `b / union`, with `J = 1` when both samples are empty.
+#[inline(always)]
+fn similarity(inter: u64, union: u64) -> f64 {
+    if union == 0 {
+        1.0
+    } else {
+        inter as f64 / union as f64
+    }
+}
+
+/// Fill `s` with the similarities of `B` and `ĉ`, every cardinality at
+/// most 2⁵³; returns whether every `b_ij` is at most `ĉ_i` and `ĉ_j`. The
+/// check compares floats, exact here, so the loop stays branch-free.
+fn similarities_within_cardinalities(
+    b: &DenseMatrix<u64>,
+    cardinalities: &[u64],
+    s: &mut DenseMatrix<f64>,
+) -> bool {
+    let mut within = true;
+    for (i, &ci) in cardinalities.iter().enumerate() {
+        let pairs = b.row(i).iter().zip(cardinalities);
+        for (out, (&inter, &cj)) in s.row_mut(i).iter_mut().zip(pairs) {
+            let inter_f = inter as f64;
+            within &= (inter_f <= ci as f64) & (inter_f <= cj as f64);
+            *out = similarity(inter, ci.wrapping_add(cj).wrapping_sub(inter));
+        }
+    }
+    within
 }
 
 /// Exact all-pairs Jaccard similarity computed directly from the sorted
@@ -163,6 +211,36 @@ mod tests {
         assert!(SimilarityResult::from_intersections(b, vec![1, 2]).is_err());
         let b = DenseMatrix::<u64>::zeros(2, 3);
         assert!(SimilarityResult::from_intersections(b, vec![1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn from_intersections_refuses_an_intersection_above_a_cardinality() {
+        // 4 shared elements between sets of 5 and 3 elements.
+        let b = DenseMatrix::from_vec(2, 2, vec![5u64, 4, 4, 3]).unwrap();
+        let err = SimilarityResult::from_intersections(b, vec![5, 3]).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidInput(_)), "{err}");
+        // Above both, and on the diagonal.
+        let b = DenseMatrix::from_vec(2, 2, vec![5u64, 9, 9, 3]).unwrap();
+        assert!(SimilarityResult::from_intersections(b, vec![5, 3]).is_err());
+        let b = DenseMatrix::from_vec(1, 1, vec![2u64]).unwrap();
+        assert!(SimilarityResult::from_intersections(b, vec![1]).is_err());
+    }
+
+    #[test]
+    fn from_intersections_does_not_wrap_near_u64_max() {
+        let max = u64::MAX;
+        // Consistent counts whose sum ĉ_i + ĉ_j overflows 64 bits.
+        let b = DenseMatrix::from_vec(2, 2, vec![max, max - 1, max - 1, max - 1]).unwrap();
+        let r = SimilarityResult::from_intersections(b, vec![max, max - 1]).unwrap();
+        assert_eq!(r.similarity().get(0, 1), (max - 1) as f64 / max as f64);
+        assert_eq!(r.similarity().get(0, 0), 1.0);
+        // Disjoint sets of that size: a union past 64 bits, J = 0.
+        let b = DenseMatrix::from_vec(2, 2, vec![max, 0, 0, max]).unwrap();
+        let r = SimilarityResult::from_intersections(b, vec![max, max]).unwrap();
+        assert_eq!(r.similarity().get(1, 0), 0.0);
+        // And one past a cardinality there is still refused.
+        let b = DenseMatrix::from_vec(2, 2, vec![max, max, max, max - 1]).unwrap();
+        assert!(SimilarityResult::from_intersections(b, vec![max, max - 1]).is_err());
     }
 
     #[test]

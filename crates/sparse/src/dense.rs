@@ -95,6 +95,24 @@ impl<T: Copy + Default> DenseMatrix<T> {
         }
     }
 
+    /// Copy the upper triangle of a square matrix onto the lower one,
+    /// `self[j][i] = self[i][j]` for every `j > i`: the full symmetric
+    /// matrix from a product that computed only `j ≥ i`.
+    pub fn mirror_upper(&mut self) -> SparseResult<()> {
+        let n = self.nrows;
+        if self.ncols != n {
+            return Err(SparseError::ShapeMismatch {
+                context: format!("mirror_upper of a {}x{} matrix", n, self.ncols),
+            });
+        }
+        for i in 0..n {
+            for j in i + 1..n {
+                self.data[j * n + i] = self.data[i * n + j];
+            }
+        }
+        Ok(())
+    }
+
     /// Transpose the matrix.
     pub fn transpose(&self) -> DenseMatrix<T> {
         let mut out = DenseMatrix::zeros(self.ncols, self.nrows);
@@ -210,6 +228,15 @@ mod tests {
         assert_eq!(t.ncols(), 2);
         assert_eq!(t.get(2, 0), 3);
         assert_eq!(t.get(0, 1), 4);
+    }
+
+    #[test]
+    fn mirror_upper_copies_the_upper_triangle_down() {
+        let mut a = DenseMatrix::from_vec(3, 3, vec![1u8, 2, 3, 9, 4, 5, 9, 9, 6]).unwrap();
+        a.mirror_upper().unwrap();
+        assert_eq!(a.as_slice(), &[1, 2, 3, 2, 4, 5, 3, 5, 6]);
+        assert!(DenseMatrix::<u8>::zeros(2, 3).mirror_upper().is_err());
+        DenseMatrix::<u8>::zeros(0, 0).mirror_upper().unwrap();
     }
 
     #[test]

@@ -6,39 +6,49 @@
 //! semiring on 64-bit words (Eq. 7). This module provides:
 //!
 //! * [`ata_dense`] — row-wise (Gustavson) `AᵀA` with a dense accumulator;
-//! * [`ata_dense_parallel`] — the same product parallelized over output
-//!   rows with Rayon (the on-node parallelism of a rank);
+//! * [`ata_upper_accumulate`] — the upper triangle of `AᵀA`, parallelized
+//!   over output rows with Rayon (the on-node parallelism of a rank) and
+//!   added into the caller's matrix: the shared-memory driver's kernel;
+//! * [`ata_dense_parallel`] — the full `AᵀA` through the same body;
 //! * [`atb_block_dense`] — the `C += AᵀB` block kernel used by the
 //!   distributed SUMMA/2.5D algorithm.
 //!
 //! # Symmetry
 //!
-//! `AᵀA` of one matrix under a commutative `mul` is symmetric, so
-//! [`ata_dense_parallel`] multiplies only the word pairs of the upper
-//! triangle (`j ≥ i`) and mirrors them in its epilogue: half the
-//! products, the same full matrix out. [`atb_block_dense`] multiplies two
-//! different blocks and has no such structure.
+//! `AᵀA` of one matrix under a commutative `mul` is symmetric, so the
+//! triangle body multiplies only the word pairs of the upper triangle
+//! (`j ≥ i`): half the products. [`ata_upper_accumulate`] adds them into
+//! the caller's matrix and leaves its lower triangle alone, so a caller
+//! summing many batches mirrors once, at the end
+//! ([`DenseMatrix::mirror_upper`]); [`ata_dense_parallel`] zeroes, adds
+//! and mirrors in one call. [`atb_block_dense`] multiplies two different
+//! blocks and has no such structure.
 //!
 //! # Two row bodies
 //!
-//! [`ata_dense_parallel`] and [`atb_block_dense`] fill output row `i`
-//! (from column `first_col` on) with `Σ_k a_ki ⊗ b_kj`, through one of two
-//! bodies picked once per call:
+//! Every kernel fills output row `i` (from column `first_col` on) with
+//! `Σ_k a_ki ⊗ b_kj`, through one of two bodies picked once per call:
 //!
 //! * `accumulate_row` (Gustavson) walks, for every stored `a_ki`, the
 //!   stored entries of row `k` of `B`. It touches only stored pairs, but
 //!   pays for each with a column-index load, a word load and an indirect
-//!   load-add-store into the output row.
+//!   load-add-store into the output row. It reads the CSR view of `B`, so
+//!   [`ata_upper_accumulate`] transposes its CSC input only when this body
+//!   is picked and the caller has no CSR view to hand it.
 //! * `accumulate_tiled` cuts `B` into tiles of consecutive word rows
 //!   holding at most 32 KiB (`TILE_BYTES`; a single wider row is its own
 //!   tile), densifies each tile once, row-major, with the semiring's
 //!   absent value ([`Semiring::absent_operands`]) in the gaps, and adds
 //!   `a_ki ⊗ tile[k][j]` to the contiguous run `out[i][first_col..]` for
 //!   every stored `a_ki` of the tile: no index indirection, so the loop
-//!   vectorises. Each output row keeps a cursor into column `i` of `A`
-//!   from one tile to the next, which — like `accumulate_row`'s
-//!   `partition_point` skip — needs indices strictly ascending within a
-//!   column or row, an invariant `from_raw_parts` checks.
+//!   vectorises. The triangle of [`ata_upper_accumulate`] densifies its
+//!   tiles from the CSC view of `A` itself, with one cursor per column;
+//!   [`atb_block_dense`] and [`ata_dense_parallel`] densify from the CSR
+//!   view they are handed. Each output row keeps a cursor into column `i`
+//!   of `A` from one tile to the next, which — like the column cursors
+//!   and `accumulate_row`'s `partition_point` skip — needs indices
+//!   strictly ascending within a column or row, an invariant
+//!   `from_raw_parts` checks.
 //!
 //! The tiled body multiplies each stored word of `A` by the whole row
 //! width, absent partners included, so it is picked by a cost ratio of
@@ -46,7 +56,8 @@
 //! `A` × row width) must be at most `TILE_COST_RATIO` = 8 times the
 //! Gustavson count `Σ_k nnz_A(k)·nnz_B(k)` — for the triangle, both in
 //! their upper-triangle forms `Σ_i nnz_A(col i)·(n − i)` and
-//! `Σ_k nnz(k)·(nnz(k)+1)/2`. On evenly filled word rows the ratio is the
+//! `Σ_k nnz(k)·(nnz(k)+1)/2`, the row counts `nnz(k)` taken in one pass
+//! over the CSC view's row indices. On evenly filled word rows the ratio is the
 //! inverse of the fill, so the bound sits near 1/8 full: the lanes of one
 //! 512-bit `vpopcntq`, which multiplies eight word pairs with no index
 //! traffic. Measured on one thread of an AVX-512 VPOPCNTDQ Xeon over
@@ -135,17 +146,15 @@ where
 /// each row) **of the same matrix**, and a `mul` that commutes across
 /// them: `mul(a_ki, a_kj) == mul(a_kj, a_ki)` — true of `PlusTimes`,
 /// `PopcountAnd` and every caller in this workspace. Only the upper
-/// triangle `j ≥ i` is multiplied (`Σ_k nnz(row k)·(nnz(row k)+1)/2`
-/// products); the lower one is its mirror, and the returned matrix is the
-/// full symmetric `B`. Shapes and stored-entry counts of the two views
-/// are checked here; that they hold the same entries is the caller's to
-/// guarantee (views of two different matrices would come back as a
-/// symmetrised half of `AᵀB`).
-///
-/// Output row `i` costs about `n − i` entries, so the rows are handed out
-/// as the `⌈n/2⌉` pairs `(p, n−1−p)` of constant size, and each thread
-/// owns one contiguous run of pairs, free of write conflicts: the tiled
-/// body densifies every tile once per run, not once per pair.
+/// triangle `j ≥ i` is multiplied, by the body of
+/// [`ata_upper_accumulate`] into a zeroed matrix, and
+/// [`DenseMatrix::mirror_upper`] copies it onto the lower one: the
+/// returned matrix is the full symmetric `B`. Here the tiled body
+/// densifies its tiles from the CSR view, the one of the right operand's
+/// element type. Shapes and
+/// stored-entry counts of the two views are checked here; that they hold
+/// the same entries is the caller's to guarantee (views of two different
+/// matrices would come back as a symmetrised half of `AᵀB`).
 pub fn ata_dense_parallel<S>(
     a_csc: &CscMatrix<S::Left>,
     a_csr: &CsrMatrix<S::Right>,
@@ -156,42 +165,103 @@ where
     S::Right: Copy + Sync + Send,
     S::Out: Copy + Default + Sync + Send,
 {
-    if a_csc.nrows() != a_csr.nrows()
-        || a_csc.ncols() != a_csr.ncols()
-        || a_csc.nnz() != a_csr.nnz()
-    {
-        return Err(SparseError::ShapeMismatch {
-            context: format!(
-                "CSC view is {}x{} with {} entries but CSR view is {}x{} with {}",
-                a_csc.nrows(),
-                a_csc.ncols(),
-                a_csc.nnz(),
-                a_csr.nrows(),
-                a_csr.ncols(),
-                a_csr.nnz()
-            ),
-        });
-    }
+    check_views(a_csc, a_csr)?;
     let n = a_csc.ncols();
-    let dense: u64 = (0..n).map(|i| (a_csc.col_nnz(i) * (n - i)) as u64).sum();
-    let gustavson: u64 = (0..a_csr.nrows())
-        .map(|k| {
-            let r = a_csr.row_nnz(k) as u64;
-            r * (r + 1) / 2
-        })
-        .sum();
-    let flat = ata_upper::<S>(a_csc, a_csr, tiles_pay::<S>(dense, gustavson));
-    DenseMatrix::from_vec(n, n, flat)
+    let body = match tiles_pay::<S>(upper_dense_products(a_csc), || upper_products(a_csc)) {
+        Some(absent) => Body::Tiled(Tiles::Rows(a_csr), absent),
+        None => Body::Gustavson(a_csr),
+    };
+    let mut out = DenseMatrix::from_vec(n, n, vec![S::zero(); n * n])?;
+    accumulate_upper::<S>(a_csc, body, out.as_mut_slice());
+    out.mirror_upper()?;
+    Ok(out)
 }
 
-/// The row-major `AᵀA` of [`ata_dense_parallel`]'s checked views, through
-/// the tiled body when `tiles` holds the absent value, else through the
-/// Gustavson one.
-fn ata_upper<S>(
+/// Accumulate the upper triangle of `AᵀA` over semiring `S` into `out`:
+/// `out[i][j] ⊕= Σ_k a_ki ⊗ a_kj` for every `j ≥ i`, leaving the strictly
+/// lower triangle as it is. A caller that sums many products mirrors once,
+/// at the end ([`DenseMatrix::mirror_upper`]).
+///
+/// `A` comes as its CSC view; `a_csr`, if the caller holds one, is its CSR
+/// view, and must hold the same entries. The tiled body densifies its
+/// tiles from the CSC view; the CSR view is only read, or else built,
+/// when the Gustavson body is picked. `mul` must commute, as for
+/// [`ata_dense_parallel`], whose row pairs and threads this shares.
+pub fn ata_upper_accumulate<S>(
     a_csc: &CscMatrix<S::Left>,
-    a_csr: &CsrMatrix<S::Right>,
-    tiles: Option<S::Right>,
-) -> Vec<S::Out>
+    a_csr: Option<&CsrMatrix<S::Left>>,
+    out: &mut DenseMatrix<S::Out>,
+) -> SparseResult<()>
+where
+    S: Semiring<Right = <S as Semiring>::Left>,
+    S::Left: Copy + Sync + Send,
+    S::Out: Copy + Default + Sync + Send,
+{
+    let n = a_csc.ncols();
+    if out.nrows() != n || out.ncols() != n {
+        return Err(SparseError::ShapeMismatch {
+            context: format!("output is {}x{} but AᵀA is {n}x{n}", out.nrows(), out.ncols()),
+        });
+    }
+    if let Some(csr) = a_csr {
+        check_views(a_csc, csr)?;
+    }
+    let out = out.as_mut_slice();
+    match tiles_pay::<S>(upper_dense_products(a_csc), || upper_products(a_csc)) {
+        Some(absent) => accumulate_upper::<S>(a_csc, Body::Tiled(Tiles::Cols(a_csc), absent), out),
+        None => match a_csr {
+            Some(csr) => accumulate_upper::<S>(a_csc, Body::Gustavson(csr), out),
+            None => accumulate_upper::<S>(a_csc, Body::Gustavson(&a_csc.to_csr()), out),
+        },
+    }
+    Ok(())
+}
+
+/// Refuse CSC and CSR views of `A` that differ in shape or stored-entry
+/// count; that they hold the same entries is the caller's to guarantee.
+fn check_views<L: Copy, R: Copy>(a_csc: &CscMatrix<L>, a_csr: &CsrMatrix<R>) -> SparseResult<()> {
+    if (a_csc.nrows(), a_csc.ncols(), a_csc.nnz()) == (a_csr.nrows(), a_csr.ncols(), a_csr.nnz()) {
+        return Ok(());
+    }
+    Err(SparseError::ShapeMismatch {
+        context: format!(
+            "CSC view is {}x{} with {} entries but CSR view is {}x{} with {}",
+            a_csc.nrows(),
+            a_csc.ncols(),
+            a_csc.nnz(),
+            a_csr.nrows(),
+            a_csr.ncols(),
+            a_csr.nnz()
+        ),
+    })
+}
+
+/// The tiled body's product count over the upper triangle of `AᵀA`,
+/// `Σ_i nnz(col i)·(n − i)`.
+fn upper_dense_products<T: Copy>(a: &CscMatrix<T>) -> u64 {
+    let n = a.ncols();
+    (0..n).map(|i| (a.col_nnz(i) * (n - i)) as u64).sum()
+}
+
+/// The Gustavson body's product count over the upper triangle of `AᵀA`,
+/// `Σ_k nnz(row k)·(nnz(row k)+1)/2`, from one pass over the CSC view's
+/// row indices.
+fn upper_products<T: Copy>(a: &CscMatrix<T>) -> u64 {
+    let mut row_nnz = vec![0u64; a.nrows()];
+    for &k in a.indices() {
+        row_nnz[k] += 1;
+    }
+    row_nnz.iter().map(|&r| r * (r + 1) / 2).sum()
+}
+
+/// The upper triangle of `AᵀA` added into the row-major `out` through
+/// `body`, whose right operand holds the same entries as `a_csc`.
+///
+/// Output row `i` costs about `n − i` entries, so the rows are handed out
+/// as the `⌈n/2⌉` pairs `(p, n−1−p)` of constant size, and each thread
+/// owns one contiguous run of pairs, free of write conflicts: the tiled
+/// body densifies every tile once per run, not once per pair.
+fn accumulate_upper<S>(a_csc: &CscMatrix<S::Left>, body: Body<'_, S::Right>, out: &mut [S::Out])
 where
     S: Semiring,
     S::Left: Copy + Sync + Send,
@@ -199,13 +269,12 @@ where
     S::Out: Copy + Sync + Send,
 {
     let n = a_csc.ncols();
-    let mut flat = vec![S::zero(); n * n];
     if n == 0 {
-        return flat;
+        return;
     }
     // Rows 0..⌈n/2⌉ ascending, each beside its partner from the bottom
     // (the middle row of an odd `n` has none).
-    let (top, bottom) = flat.split_at_mut(n.div_ceil(2) * n);
+    let (top, bottom) = out.split_at_mut(n.div_ceil(2) * n);
     let mut pairs: Vec<_> = top
         .chunks_mut(n)
         .zip(bottom.chunks_mut(n).rev().map(Some).chain(std::iter::repeat_with(|| None)))
@@ -221,14 +290,8 @@ where
                 rows.push(OutRow { col: i, first_col: i, out: lower });
             }
         }
-        accumulate_rows::<S>(a_csc, a_csr, &mut rows, tiles);
+        accumulate_rows::<S>(a_csc, body, &mut rows);
     });
-    for i in 0..n {
-        for j in i + 1..n {
-            flat[j * n + i] = flat[i * n + j];
-        }
-    }
-    flat
 }
 
 /// Accumulate `out += AᵀB` over semiring `S`, where `A` (CSC, `m × na`)
@@ -270,7 +333,7 @@ where
     }
     let products: u64 = a_csc.indices().iter().map(|&k| b_csr.row_nnz(k) as u64).sum();
     let dense = (a_csc.nnz() * b_csr.ncols()) as u64;
-    atb_rows::<S>(a_csc, b_csr, out.as_mut_slice(), tiles_pay::<S>(dense, products));
+    atb_rows::<S>(a_csc, b_csr, out.as_mut_slice(), tiles_pay::<S>(dense, || products));
     Ok(products)
 }
 
@@ -291,7 +354,11 @@ fn atb_rows<S: Semiring>(
         .enumerate()
         .map(|(i, out)| OutRow { col: i, first_col: 0, out })
         .collect();
-    accumulate_rows::<S>(a_csc, b_csr, &mut rows, tiles);
+    let body = match tiles {
+        Some(absent) => Body::Tiled(Tiles::Rows(b_csr), absent),
+        None => Body::Gustavson(b_csr),
+    };
+    accumulate_rows::<S>(a_csc, body, &mut rows);
 }
 
 /// Bytes of the right operand one tile of `accumulate_tiled` densifies.
@@ -304,10 +371,10 @@ const TILE_COST_RATIO: u64 = 8;
 /// The value absent entries of the right operand are densified to, if
 /// the tiled body is to run: `S` has one, this CPU runs the body with
 /// vector popcount, and its `dense` product count is at most
-/// [`TILE_COST_RATIO`] times the `gustavson` one.
-fn tiles_pay<S: Semiring>(dense: u64, gustavson: u64) -> Option<S::Right> {
+/// [`TILE_COST_RATIO`] times the `gustavson` one (counted only then).
+fn tiles_pay<S: Semiring>(dense: u64, gustavson: impl FnOnce() -> u64) -> Option<S::Right> {
     let (_, absent) = S::absent_operands()?;
-    (dispatch::vector_popcount() && dense <= gustavson.saturating_mul(TILE_COST_RATIO))
+    (dispatch::vector_popcount() && dense <= gustavson().saturating_mul(TILE_COST_RATIO))
         .then_some(absent)
 }
 
@@ -325,17 +392,43 @@ struct OutRow<'o, T> {
     out: &'o mut [T],
 }
 
-/// Every row of `rows` through the tiled body when `tiles` holds the
-/// absent value, else through the Gustavson one.
+/// The right operand of a kernel call, in the view its row body reads.
+#[derive(Clone, Copy)]
+enum Body<'b, T> {
+    /// The Gustavson body, over the stored entries of each row.
+    Gustavson(&'b CsrMatrix<T>),
+    /// The tiled body, with the absent value in the tiles' gaps.
+    Tiled(Tiles<'b, T>, T),
+}
+
+/// What the tiled body densifies its tiles from.
+#[derive(Clone, Copy)]
+enum Tiles<'b, T> {
+    /// Row `k` of a CSR view, for word row `k`.
+    Rows(&'b CsrMatrix<T>),
+    /// A CSC view, walked with one cursor per column.
+    Cols(&'b CscMatrix<T>),
+}
+
+impl<T: Copy> Tiles<'_, T> {
+    /// Word rows and columns of the operand.
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            Tiles::Rows(b) => (b.nrows(), b.ncols()),
+            Tiles::Cols(b) => (b.nrows(), b.ncols()),
+        }
+    }
+}
+
+/// Every row of `rows` through the body `body` names.
 fn accumulate_rows<S: Semiring>(
     a_csc: &CscMatrix<S::Left>,
-    b_csr: &CsrMatrix<S::Right>,
+    body: Body<'_, S::Right>,
     rows: &mut [OutRow<'_, S::Out>],
-    tiles: Option<S::Right>,
 ) {
-    match tiles {
-        Some(absent) => dispatch::accumulate_tiled::<S>(a_csc, b_csr, absent, rows),
-        None => {
+    match body {
+        Body::Tiled(tiles, absent) => dispatch::accumulate_tiled::<S>(a_csc, tiles, absent, rows),
+        Body::Gustavson(b_csr) => {
             for row in rows {
                 dispatch::accumulate_row::<S>(a_csc, b_csr, row.col, row.first_col, row.out);
             }
@@ -375,22 +468,21 @@ fn accumulate_row<S: Semiring>(
 }
 
 /// The tiled row body: the sums of [`accumulate_row`] for every row of
-/// `rows`, one tile of `B`'s word rows at a time (see the module header).
-/// `absent` is what a gap in `B` is densified to, and must annihilate
-/// ([`Semiring::absent_operands`]).
+/// `rows`, one tile of the right operand's word rows at a time (see the
+/// module header), densified from `tiles`. `absent` is what a gap is
+/// densified to, and must annihilate ([`Semiring::absent_operands`]).
 ///
 /// `#[inline(always)]` and closure-free in its loops for the same reason
 /// as [`accumulate_row`].
 #[inline(always)]
 fn accumulate_tiled<S: Semiring>(
     a_csc: &CscMatrix<S::Left>,
-    b_csr: &CsrMatrix<S::Right>,
+    tiles: Tiles<'_, S::Right>,
     absent: S::Right,
     rows: &mut [OutRow<'_, S::Out>],
 ) {
     let (a_ptr, a_rows, a_vals) = (a_csc.indptr(), a_csc.indices(), a_csc.data());
-    let (b_ptr, b_cols, b_vals) = (b_csr.indptr(), b_csr.indices(), b_csr.data());
-    let (m, width) = (b_csr.nrows(), b_csr.ncols());
+    let (m, width) = tiles.shape();
     if width == 0 {
         return;
     }
@@ -401,14 +493,34 @@ fn accumulate_tiled<S: Semiring>(
     for row in rows.iter() {
         next.push(a_ptr[row.col]);
     }
+    // Likewise where each column of a CSC source continues.
+    let mut source_next = match tiles {
+        Tiles::Cols(b) => b.indptr()[..width].to_vec(),
+        Tiles::Rows(_) => Vec::new(),
+    };
     let mut tile = Vec::with_capacity(height.min(m) * width);
     for k0 in (0..m).step_by(height) {
         let k1 = (k0 + height).min(m);
         tile.clear();
         tile.resize((k1 - k0) * width, absent);
-        for (k, dense) in (k0..k1).zip(tile.chunks_exact_mut(width)) {
-            for t in b_ptr[k]..b_ptr[k + 1] {
-                dense[b_cols[t]] = b_vals[t];
+        match tiles {
+            Tiles::Rows(b) => {
+                let (b_ptr, b_cols, b_vals) = (b.indptr(), b.indices(), b.data());
+                for (k, dense) in (k0..k1).zip(tile.chunks_exact_mut(width)) {
+                    for t in b_ptr[k]..b_ptr[k + 1] {
+                        dense[b_cols[t]] = b_vals[t];
+                    }
+                }
+            }
+            Tiles::Cols(b) => {
+                let (b_ptr, b_rows, b_vals) = (b.indptr(), b.indices(), b.data());
+                for (j, t) in source_next.iter_mut().enumerate() {
+                    let end = b_ptr[j + 1];
+                    while *t < end && b_rows[*t] < k1 {
+                        tile[(b_rows[*t] - k0) * width + j] = b_vals[*t];
+                        *t += 1;
+                    }
+                }
             }
         }
         for (row, t) in rows.iter_mut().zip(next.iter_mut()) {
@@ -429,7 +541,7 @@ fn accumulate_tiled<S: Semiring>(
 /// crate steps outside safe Rust.
 #[allow(unsafe_code)]
 mod dispatch {
-    use super::{CscMatrix, CsrMatrix, OutRow, Semiring};
+    use super::{CscMatrix, CsrMatrix, OutRow, Semiring, Tiles};
 
     /// Whether this CPU runs [`accumulate_tiled`] with vector popcount.
     pub(super) fn vector_popcount() -> bool {
@@ -485,7 +597,7 @@ mod dispatch {
     #[inline]
     pub(super) fn accumulate_tiled<S: Semiring>(
         a_csc: &CscMatrix<S::Left>,
-        b_csr: &CsrMatrix<S::Right>,
+        tiles: Tiles<'_, S::Right>,
         absent: S::Right,
         rows: &mut [OutRow<'_, S::Out>],
     ) {
@@ -495,10 +607,10 @@ mod dispatch {
                 // SAFETY: `vector_popcount` just reported AVX-512F,
                 // AVX-512 VPOPCNTDQ and POPCNT on the running CPU, the
                 // wrapper's only requirement.
-                return unsafe { accumulate_tiled_avx512::<S>(a_csc, b_csr, absent, rows) };
+                return unsafe { accumulate_tiled_avx512::<S>(a_csc, tiles, absent, rows) };
             }
         }
-        super::accumulate_tiled::<S>(a_csc, b_csr, absent, rows)
+        super::accumulate_tiled::<S>(a_csc, tiles, absent, rows)
     }
 
     /// # Safety
@@ -509,11 +621,11 @@ mod dispatch {
     #[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
     unsafe fn accumulate_tiled_avx512<S: Semiring>(
         a_csc: &CscMatrix<S::Left>,
-        b_csr: &CsrMatrix<S::Right>,
+        tiles: Tiles<'_, S::Right>,
         absent: S::Right,
         rows: &mut [OutRow<'_, S::Out>],
     ) {
-        super::accumulate_tiled::<S>(a_csc, b_csr, absent, rows)
+        super::accumulate_tiled::<S>(a_csc, tiles, absent, rows)
     }
 }
 
@@ -655,6 +767,20 @@ mod tests {
     /// picks it only where it runs with vector popcount.
     const TILED: Option<u64> = Some(0);
 
+    /// Every body the triangle can run, whatever this CPU would pick:
+    /// Gustavson, and tiles densified from either view.
+    fn bodies<'b>(csc: &'b CscMatrix<u64>, csr: &'b CsrMatrix<u64>) -> [Body<'b, u64>; 3] {
+        [Body::Gustavson(csr), Body::Tiled(Tiles::Rows(csr), 0), Body::Tiled(Tiles::Cols(csc), 0)]
+    }
+
+    fn name<T>(body: Body<'_, T>) -> &'static str {
+        match body {
+            Body::Gustavson(_) => "Gustavson",
+            Body::Tiled(Tiles::Rows(_), _) => "tiles from the CSR",
+            Body::Tiled(Tiles::Cols(_), _) => "tiles from the CSC",
+        }
+    }
+
     #[test]
     fn popcount_triangle_kernel_equals_the_plus_times_oracle_and_is_symmetric() {
         let mut rng = Rng(0x5eed);
@@ -677,9 +803,11 @@ mod tests {
                     let got = ata_dense_parallel::<PopcountAnd>(csc, &csr).unwrap();
                     assert_eq!(got, want, "{ctx}");
                     assert_eq!(got, got.transpose(), "{ctx}");
-                    for tiles in [None, TILED] {
-                        let body = ata_upper::<PopcountAnd>(csc, &csr, tiles);
-                        assert_eq!(body, want.as_slice(), "{ctx}, tiles: {tiles:?}");
+                    for body in bodies(csc, &csr) {
+                        let mut out = DenseMatrix::zeros(n, n);
+                        accumulate_upper::<PopcountAnd>(csc, body, out.as_mut_slice());
+                        out.mirror_upper().unwrap();
+                        assert_eq!(out, want, "{ctx}, {}", name(body));
                     }
                     let dense: usize = (0..n).map(|i| csc.col_nnz(i) * (n - i)).sum();
                     let pairs: usize =
@@ -693,6 +821,90 @@ mod tests {
             }
         }
         assert!(tiled_side > 0 && gustavson_side > 0, "{tiled_side} / {gustavson_side}");
+    }
+
+    #[test]
+    fn upper_triangle_accumulates_into_the_callers_matrix_like_the_oracle() {
+        let mut rng = Rng(0x7a1);
+        let (mut tiled_side, mut gustavson_side) = (0, 0);
+        for n in [0usize, 1, 2, 7, 8, 33] {
+            let counts = if n == 0 { vec![0, 1, 3] } else { word_row_counts(n).to_vec() };
+            for word_rows in counts {
+                for permille in [0, 20, 130, 600, 1000] {
+                    let ctx = format!("n = {n}, {word_rows} word rows at {permille} ‰");
+                    let nrows = 64 * word_rows;
+                    let mut columns = word_columns(&mut rng, word_rows, n, permille);
+                    // An empty column, and an empty word row at every fill.
+                    if n > 2 {
+                        columns[n / 2].clear();
+                    }
+                    for col in &mut columns {
+                        col.retain(|&r| r / 64 != word_rows / 2);
+                    }
+                    let bm = BitMatrix::from_columns(nrows, &columns).unwrap();
+                    let (csc, csr) = (bm.as_csc(), bm.to_csr());
+                    let oracle = ata_dense::<PopcountAnd>(&csr);
+                    // Two calls into a prefilled matrix: the upper triangle
+                    // gains twice the product, the lower one is untouched.
+                    let prefill: Vec<u64> = (0..n * n).map(|x| 100 + x as u64).collect();
+                    let want: Vec<u64> = (0..n * n)
+                        .map(|x| {
+                            let (i, j) = (x / n, x % n);
+                            prefill[x] + if j >= i { 2 * oracle.get(i, j) } else { 0 }
+                        })
+                        .collect();
+                    let mut mirrored = oracle.clone();
+                    for i in 0..n {
+                        for j in i..n {
+                            mirrored.set(i, j, want[i * n + j]);
+                        }
+                    }
+                    mirrored.mirror_upper().unwrap();
+                    for body in bodies(csc, &csr) {
+                        let mut out = prefill.clone();
+                        accumulate_upper::<PopcountAnd>(csc, body, &mut out);
+                        accumulate_upper::<PopcountAnd>(csc, body, &mut out);
+                        assert_eq!(out, want, "{ctx}, {}", name(body));
+                    }
+                    for view in [None, Some(&csr)] {
+                        let mut out = DenseMatrix::from_vec(n, n, prefill.clone()).unwrap();
+                        ata_upper_accumulate::<PopcountAnd>(csc, view, &mut out).unwrap();
+                        ata_upper_accumulate::<PopcountAnd>(csc, view, &mut out).unwrap();
+                        assert_eq!(out.as_slice(), want, "{ctx}, CSR given: {}", view.is_some());
+                        out.mirror_upper().unwrap();
+                        assert_eq!(out, mirrored, "{ctx}");
+                    }
+                    let pairs: usize =
+                        (0..word_rows).map(|k| csr.row_nnz(k) * (csr.row_nnz(k) + 1) / 2).sum();
+                    assert_eq!(upper_products(csc), pairs as u64, "{ctx}");
+                    if upper_dense_products(csc) <= 8 * pairs as u64 {
+                        tiled_side += 1;
+                    } else {
+                        gustavson_side += 1;
+                    }
+                    // `PlusTimes` has no absent value: Gustavson over the
+                    // unpacked matrix, its CSR built when not given.
+                    let boolean = unpacked(nrows, &columns);
+                    let boolean_csr = boolean.to_csr();
+                    let plus = ata_dense::<PlusTimes<u64>>(&boolean_csr);
+                    for view in [None, Some(&boolean_csr)] {
+                        let mut out = DenseMatrix::zeros(n, n);
+                        ata_upper_accumulate::<PlusTimes<u64>>(&boolean, view, &mut out).unwrap();
+                        out.mirror_upper().unwrap();
+                        assert_eq!(out, plus, "{ctx}, plus-times");
+                    }
+                }
+            }
+        }
+        assert!(tiled_side > 0 && gustavson_side > 0, "{tiled_side} / {gustavson_side}");
+        // A wrong output shape, and a CSR view of another matrix.
+        let bm = BitMatrix::from_columns(70, &[vec![1, 65], vec![65]]).unwrap();
+        let mut three = DenseMatrix::<u64>::zeros(3, 3);
+        assert!(ata_upper_accumulate::<PopcountAnd>(bm.as_csc(), None, &mut three).is_err());
+        let other = BitMatrix::from_columns(70, &[vec![1], vec![65]]).unwrap().to_csr();
+        let mut two = DenseMatrix::<u64>::zeros(2, 2);
+        let err = ata_upper_accumulate::<PopcountAnd>(bm.as_csc(), Some(&other), &mut two);
+        assert!(matches!(err, Err(SparseError::ShapeMismatch { .. })));
     }
 
     #[test]
@@ -729,21 +941,26 @@ mod tests {
                     let bm = BitMatrix::from_columns(64 * word_rows, &columns).unwrap();
                     let (csc, csr) = (bm.as_csc(), bm.to_csr());
                     for start in starts {
-                        let mut outs = [(); 4].map(|_| vec![3u64; n * n]);
-                        let [portable, dispatched, tiled, tiled_dispatched] = &mut outs;
+                        let mut outs = [(); 2].map(|_| vec![3u64; n * n]);
+                        let [portable, dispatched] = &mut outs;
                         for (i, out) in portable.chunks_mut(n).enumerate() {
                             accumulate_row::<PopcountAnd>(csc, &csr, i, start(i, n), out);
                         }
                         for (i, out) in dispatched.chunks_mut(n).enumerate() {
                             dispatch::accumulate_row::<PopcountAnd>(csc, &csr, i, start(i, n), out);
                         }
-                        let mut rows = out_rows(tiled, n, start);
-                        accumulate_tiled::<PopcountAnd>(csc, &csr, 0, &mut rows);
-                        let mut rows = out_rows(tiled_dispatched, n, start);
-                        dispatch::accumulate_tiled::<PopcountAnd>(csc, &csr, 0, &mut rows);
+                        for tiles in [Tiles::Rows(&csr), Tiles::Cols(csc)] {
+                            let mut tiled = vec![3u64; n * n];
+                            let mut rows = out_rows(&mut tiled, n, start);
+                            accumulate_tiled::<PopcountAnd>(csc, tiles, 0, &mut rows);
+                            let mut tiled_dispatched = vec![3u64; n * n];
+                            let mut rows = out_rows(&mut tiled_dispatched, n, start);
+                            dispatch::accumulate_tiled::<PopcountAnd>(csc, tiles, 0, &mut rows);
+                            let ctx = format!("{ctx}, {}", name(Body::Tiled(tiles, 0)));
+                            assert_eq!(*portable, tiled, "{ctx}");
+                            assert_eq!(tiled, tiled_dispatched, "{ctx}");
+                        }
                         assert_eq!(portable, dispatched, "{ctx}");
-                        assert_eq!(portable, tiled, "{ctx}");
-                        assert_eq!(tiled, tiled_dispatched, "{ctx}");
                     }
                 }
             }

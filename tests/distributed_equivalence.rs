@@ -254,6 +254,44 @@ fn hypersparse_batches_equal_shared_memory_with_and_without_the_filter() {
 }
 
 #[test]
+fn shared_driver_equals_the_oracle_and_the_distributed_driver_on_both_filter_branches() {
+    // `workload`'s values over a universe a hundred times wider: every
+    // batch has fewer entries than its row bitmap has words, so the shared
+    // driver's filter takes the sorted-survivor branch. The sparse tail
+    // has a batch that keeps one word row and a batch that keeps none.
+    let far = workload(3, 12).with_universe(600_000).unwrap();
+    let tail = hypersparse_with_a_sparse_tail(24);
+    for (name, collection, batches) in [("far universe", &far, 3usize), ("sparse tail", &tail, 5)] {
+        let plan = BatchPlan::from_config(&SimilarityConfig::with_batches(batches), collection, 1)
+            .unwrap();
+        if name == "far universe" {
+            for (lo, hi) in plan.iter() {
+                assert!((hi - lo).div_ceil(64) > collection.batch_nnz(lo, hi), "[{lo}, {hi})");
+            }
+        }
+        let exact = jaccard_exact_pairwise(collection);
+        for (use_zero_row_filter, use_bitmask) in
+            [(true, true), (true, false), (false, true), (false, false)]
+        {
+            let config = SimilarityConfig {
+                use_zero_row_filter,
+                use_bitmask,
+                ..SimilarityConfig::with_batches(batches)
+            };
+            let ctx = format!("{name}, filter={use_zero_row_filter}, mask={use_bitmask}");
+            let shared = similarity_at_scale(collection, &config).unwrap();
+            assert_eq!(shared, exact, "{ctx}");
+            for ranks in [1usize, 4] {
+                let distributed =
+                    similarity_at_scale_distributed(collection, &config, ranks, &Machine::laptop())
+                        .unwrap();
+                assert_eq!(distributed.result, shared, "{ctx}, ranks={ranks}");
+            }
+        }
+    }
+}
+
+#[test]
 fn flop_charge_and_wire_bytes_are_pinned_across_the_grid() {
     // (p, c, total_flops, max_flops, total_bytes_sent). Most of the flops
     // are the γ charge `DistAta` books per SUMMA step — the Gustavson

@@ -323,23 +323,37 @@ fn paper_path_span_tree_is_an_exact_count() {
         }
     }
 
-    // The shared-memory driver: one root per run, b batches of four
-    // phases each, then the finalize.
+    // The shared-memory driver: one root per run, b batches of the
+    // distributed driver's phases — `read`, `filter` when filtering,
+    // `pack`, then `kernel` where a rank runs `summa` — then the finalize.
     for batches in [1usize, 3] {
-        let config = SimilarityConfig::with_batches(batches);
-        let (_, events) = traced(|| similarity_at_scale(&collection, &config).expect("shared run"));
-        let count = |stack: &str| events.iter().filter(|e| e.stack == stack).count();
-        assert_eq!(count("similarity_at_scale"), 1);
-        assert_eq!(count("similarity_at_scale;batch"), batches);
-        assert_eq!(count("similarity_at_scale;finalize"), 1);
-        let children: Vec<&str> = events
-            .iter()
-            .filter(|e| e.stack.starts_with("similarity_at_scale;batch;"))
-            .map(|e| e.name)
-            .collect();
-        assert_eq!(children.len(), 4 * batches, "b = {batches}: four phases per batch");
-        for phase in ["batch_columns", "prepare", "kernel", "accumulate"] {
-            assert_eq!(children.iter().filter(|&&n| n == phase).count(), batches, "{phase}");
+        for use_zero_row_filter in [true, false] {
+            let config =
+                SimilarityConfig { use_zero_row_filter, ..SimilarityConfig::with_batches(batches) };
+            let (_, events) =
+                traced(|| similarity_at_scale(&collection, &config).expect("shared run"));
+            let at = format!("b = {batches}, filter = {use_zero_row_filter}");
+            let count = |stack: &str| events.iter().filter(|e| e.stack == stack).count();
+            assert_eq!(count("similarity_at_scale"), 1, "{at}");
+            assert_eq!(count("similarity_at_scale;batch"), batches, "{at}");
+            assert_eq!(count("similarity_at_scale;finalize"), 1, "{at}");
+            let children: Vec<&str> = events
+                .iter()
+                .filter(|e| e.stack.starts_with("similarity_at_scale;batch;"))
+                .map(|e| e.name)
+                .collect();
+            let phases: &[&str] = if use_zero_row_filter {
+                &["read", "filter", "pack", "kernel"]
+            } else {
+                &["read", "pack", "kernel"]
+            };
+            assert_eq!(children.len(), phases.len() * batches, "{at}: phases per batch");
+            for phase in phases {
+                assert_eq!(children.iter().filter(|&n| n == phase).count(), batches, "{at}");
+            }
+            for e in events.iter().filter(|e| e.stack.starts_with("similarity_at_scale;batch;")) {
+                assert_eq!(e.stack, format!("similarity_at_scale;batch;{}", e.name), "{at}");
+            }
         }
     }
 
