@@ -93,9 +93,10 @@ dist-matrix:
 		--test query_serving --test index_lifecycle
 
 # Alternating A/B pairs of one perf-ledger workload: PARENT against this
-# checkout's tracked files, both built in git worktrees under results/ab/
-# (git-ignored; nothing under bench/ledger/ is touched). Prints every
-# run, wins per metric, medians and quartiles. See bench/ab_pairs.sh, e.g.:
+# checkout's tracked files, both extracted with `git archive` and built
+# under results/ab/ (git-ignored; nothing under bench/ledger/ is touched,
+# no worktree to remove). Prints every run, wins per metric, medians and
+# quartiles. See bench/ab_pairs.sh, e.g.:
 #   make ab-pairs PARENT=HEAD~1 WORKLOAD=serve_read SEED=2 PAIRS=10 SECONDS=25
 PARENT ?= HEAD
 WORKLOAD ?= serve_read

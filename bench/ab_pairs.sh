@@ -5,12 +5,14 @@
 #   bench/ab_pairs.sh PARENT WORKLOAD SEED PAIRS SECONDS
 #   make ab-pairs PARENT=<rev> WORKLOAD=serve_read SEED=1 PAIRS=10 SECONDS=25
 #
-# Both sides are built from git worktrees under results/ab/ (git-ignored),
-# each with its own target directory, so nothing under bench/ledger/ is
-# built, written or changed. The parent side is PARENT; the change side
-# is this checkout's tracked files as they stand, staged or not
-# (`git stash create`, or HEAD when nothing differs). Untracked files are
-# not part of the change side: `git add` them first.
+# Both sides are extracted with `git archive` into plain directories under
+# results/ab/ (git-ignored) and built there, each with its own target
+# directory, so nothing under bench/ledger/ is built, written or changed,
+# and no worktree is registered in .git. The parent side is PARENT; the
+# change side is this checkout's tracked files as they stand, staged or
+# not (`git stash create`, or HEAD when nothing differs). Untracked files
+# are not part of the change side: `git add` them first. Delete
+# results/ab/ when done; a re-run over unchanged trees reuses it.
 #
 # Each pair runs both sides once, untraced, with the parent first in odd
 # pairs and the change first in even ones. The script prints every run's
@@ -30,13 +32,17 @@ root=$(git rev-parse --show-toplevel)
 ab="$root/results/ab"
 mkdir -p "$ab"
 
-# Check out `rev` as a detached worktree at results/ab/<name>-<tree id>
-# (named by content, so a re-run over unchanged files reuses it) and
-# build its ledger there; print the binary's path.
+# Extract `rev` into results/ab/<name>-<tree id> (named by content, so a
+# re-run over unchanged files reuses it; extracted beside it first, so an
+# interrupted extraction is never reused) and build its ledger there;
+# print the binary's path.
 build_side() {
     tree="$ab/$2-$(git -C "$root" rev-parse --short=12 "$1^{tree}")"
     if [ ! -d "$tree" ]; then
-        git -C "$root" worktree add --detach --quiet "$tree" "$1"
+        rm -rf "$tree.partial"
+        mkdir "$tree.partial"
+        git -C "$root" archive "$1" | tar -x -C "$tree.partial"
+        mv "$tree.partial" "$tree"
     fi
     cargo build --release --offline --locked --quiet \
         --manifest-path "$tree/bench/ledger/Cargo.toml" --target-dir "$ab/target-$2" >&2

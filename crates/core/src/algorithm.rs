@@ -14,7 +14,9 @@
 //!   layer/cardinality reductions — and the cost trackers record the
 //!   communication the paper's evaluation is about.
 
+use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 use gas_dstsim::cost::{AggregateCost, CostModel, CostReport};
 use gas_dstsim::machine::Machine;
@@ -22,15 +24,15 @@ use gas_dstsim::obs;
 use gas_dstsim::runtime::Runtime;
 use gas_sparse::bitmat::{BitMatrix, WORD_BITS};
 use gas_sparse::dense::DenseMatrix;
-use gas_sparse::dist::ata::DistAta;
-use gas_sparse::dist::filter::{dist_row_filter_from_bitmap, RowFilter};
+use gas_sparse::dist::ata::{DistAta, SummaBuffers};
+use gas_sparse::dist::filter::{dist_row_filter_indexed, DistRowFilter, RowFilter};
 use gas_sparse::semiring::{PlusTimes, PopcountAnd};
 use gas_sparse::spgemm::ata_upper_accumulate;
 
 use crate::batch::BatchPlan;
 use crate::config::SimilarityConfig;
 use crate::error::{CoreError, CoreResult};
-use crate::filter::{observed_rows, slice_row_filter};
+use crate::filter::{dist_bitmap_pays, observe_rows, slice_row_filter};
 use crate::indicator::SampleCollection;
 use crate::jaccard::SimilarityResult;
 use crate::mask::{prepare_batch, PreparedBatch};
@@ -131,6 +133,24 @@ impl DistributedRunSummary {
     }
 }
 
+/// What one rank of [`similarity_at_scale_distributed`] refills from
+/// batch to batch: its SUMMA blocks, its zero-row filter and its two
+/// packed operand blocks.
+#[derive(Default)]
+struct RankBuffers {
+    blocks: SummaBuffers,
+    filter: DistRowFilter,
+    left: BitMatrix,
+    right: BitMatrix,
+}
+
+thread_local! {
+    /// The rank buffers of the last distributed run this thread made,
+    /// indexed by rank, for its next run: rank threads live for one run.
+    /// Freed with the thread; each buffer holds at most twice its last use.
+    static PARKED: RefCell<Vec<RankBuffers>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Run SimilarityAtScale on `nranks` simulated ranks of `machine`.
 ///
 /// The driver selects a rectangular `r × q × c` grid for the rank count
@@ -140,11 +160,25 @@ impl DistributedRunSummary {
 /// bitmap of the batch rows it observes to the distributed zero-row
 /// filter (an OR-allreduce), packs from those slices the word-row chunks
 /// of its filtered operand blocks that it sends
-/// ([`DistAta::owned_chunks`]), and runs the SUMMA sweep — passing the
-/// filter fingerprint so the decoded-block cache can skip re-decodes
-/// across batches with identical filters. The result is gathered on rank
-/// 0 for return. Communication counters for all ranks are included in the
-/// summary so benchmarks can report modeled times at the paper's scales.
+/// ([`DistAta::owned_chunks`]), and runs the SUMMA sweep. A hypersparse
+/// batch — fewer than one entry per 64 words of its bitmap — allgathers
+/// the rows each rank observes instead, so its filter stays `O(entries)`
+/// in memory whatever the universe; every rank picks the branch from the
+/// batch's entry count, which it reads off the collection. The result is
+/// gathered on rank 0 for return. Communication counters for all ranks
+/// are included in the summary so benchmarks can report modeled times at
+/// the paper's scales.
+///
+/// Each rank refills its filter, packed operands and SUMMA blocks from
+/// batch to batch, so a batch no larger than the ones before it allocates
+/// nothing of the batch's size. The rank threads are spawned per run, so
+/// those buffers are parked on the calling thread between runs (and freed
+/// with it): a thread that runs the driver again allocates them only
+/// where a batch outgrows them. That is where most of the saving is — for
+/// a caller that runs the driver again and again on one thread; a first
+/// run on a thread reuses its buffers within the run only. A kept buffer
+/// gives back what exceeds twice its last batch's use, so the park holds
+/// at most about twice what the last run's batches needed.
 ///
 /// Traced, every rank thread records a root `setup` span (the grid's
 /// communicators), one root `batch` span per batch — `read`, `filter`
@@ -171,17 +205,37 @@ pub fn similarity_at_scale_distributed(
 
     type RankOutput = Result<(Option<DenseMatrix<u64>>, Vec<u64>), CoreError>;
 
-    let out = runtime.run(move |ctx| -> RankOutput {
+    // Every batch's entries over all samples, from which every rank picks
+    // the same filter branch with no message.
+    let batch_entries: Vec<usize> = if use_filter {
+        plan.iter().map(|(lo, hi)| collection.batch_nnz(lo, hi) as usize).collect()
+    } else {
+        Vec::new()
+    };
+
+    let parked: Vec<Mutex<RankBuffers>> = PARKED.with_borrow_mut(|parked| {
+        let mut kept = std::mem::take(parked);
+        kept.resize_with(nranks, RankBuffers::default);
+        kept.into_iter().map(Mutex::new).collect()
+    });
+    // Every state of a rank's buffers is a valid one to reuse.
+    let take = |rank: usize| {
+        std::mem::take(&mut *parked[rank].lock().unwrap_or_else(PoisonError::into_inner))
+    };
+
+    let out = runtime.run(|ctx| -> RankOutput {
         let world = ctx.world();
+        let RankBuffers { blocks, filter: mut bitmap_filter, mut left, mut right } =
+            take(ctx.rank());
         let mut ata = {
             let _setup = obs::span("paper", "setup");
-            DistAta::new(world, n, replication)?
+            DistAta::with_buffers(world, n, replication, blocks)?
         };
         let mut acc = ata.new_accumulator();
         let mut card = ata.new_cardinalities();
         let (right_cols, left_cols) = (ata.my_col_range(), ata.my_row_range());
         let same_blocks = right_cols == left_cols;
-        for (lo, hi) in plan.iter() {
+        for (l, (lo, hi)) in plan.iter().enumerate() {
             let _batch = obs::span("paper", "batch");
             let batch_rows = (hi - lo) as usize;
             // Each rank reads the samples of its two operand blocks for
@@ -197,15 +251,24 @@ pub fn similarity_at_scale_distributed(
             // Every rank scatters the rows it observes in its column block
             // into a packed bitmap; the OR-allreduce makes the union filter
             // available everywhere (the paper's accumulate-write
-            // formulation). With the filter disabled the batch is packed
-            // as-is.
+            // formulation). A hypersparse batch allgathers the observed
+            // rows instead, as the shared driver sorts them. With the
+            // filter disabled the batch is packed as-is.
+            let sparse_filter;
             let filter = if use_filter {
                 let _filter = obs::span("paper", "filter");
-                let observed = observed_rows(lo, batch_rows, &right_values);
                 let entries: usize = right_values.iter().map(|s| s.len()).sum();
                 ctx.add_mem_traffic((entries * std::mem::size_of::<u64>()) as u64);
                 // Distributed zero-row filter (collective over all ranks).
-                Some(dist_row_filter_from_bitmap(world, batch_rows, observed)?)
+                if dist_bitmap_pays(batch_rows, batch_entries[l]) {
+                    let observe = |words: &mut [u64]| observe_rows(words, lo, &right_values);
+                    Some(bitmap_filter.rebuild(world, batch_rows, observe)?)
+                } else {
+                    let values = right_values.iter().copied().flatten();
+                    let rows: Vec<usize> = values.map(|&v| (v - lo) as usize).collect();
+                    sparse_filter = dist_row_filter_indexed(world, batch_rows, &rows)?;
+                    Some(&sparse_filter)
+                }
             } else {
                 None
             };
@@ -220,33 +283,42 @@ pub fn similarity_at_scale_distributed(
             // of `apply_filter` and `prepare_batch`; draining these spans
             // instead is the ledger-side edit left (ROADMAP 1A).
             let pack_span = obs::span("paper", "pack");
-            let nrows = filter.as_ref().map_or(batch_rows, RowFilter::num_nonzero_rows);
+            let nrows = filter.map_or(batch_rows, RowFilter::num_nonzero_rows);
             let (left_keep, right_keep) = ata.owned_chunks(nrows.div_ceil(WORD_BITS));
-            let pack = |values: &[&[u64]], keep: &[Range<usize>]| {
-                BitMatrix::from_batch_slices(lo..hi, values, filter.as_ref(), keep)
-            };
-            let (left, right) = if same_blocks {
+            if same_blocks {
                 let mut keep = [left_keep, right_keep].concat();
                 keep.sort_by_key(|chunk| (chunk.start, chunk.end));
                 keep.dedup();
-                (pack(&right_values, &keep)?, None)
+                left.refill_from_batch_slices(lo..hi, &right_values, filter, &keep)?;
             } else {
-                (pack(&left_values, &left_keep)?, Some(pack(&right_values, &right_keep)?))
-            };
+                left.refill_from_batch_slices(lo..hi, &left_values, filter, &left_keep)?;
+                right.refill_from_batch_slices(lo..hi, &right_values, filter, &right_keep)?;
+            }
             drop(pack_span);
             let _summa = obs::span("paper", "summa");
-            let key = filter.as_ref().map(RowFilter::fingerprint);
-            let right = right.as_ref().unwrap_or(&left);
-            ata.accumulate_batch_keyed(&left, right, key, &mut acc, &mut card)?;
+            let right = if same_blocks { &left } else { &right };
+            ata.accumulate_batch_keyed(&left, right, None, &mut acc, &mut card)?;
             ctx.record_superstep();
         }
         {
             let _reduce = obs::span("paper", "reduce");
             ata.finalize(&mut acc, &mut card)?;
         }
-        let _gather = obs::span("paper", "gather");
-        Ok((ata.gather_full(world, &acc)?, card))
+        let full = {
+            let _gather = obs::span("paper", "gather");
+            ata.gather_full(world, &acc)?
+        };
+        let blocks = ata.into_buffers();
+        let kept = RankBuffers { blocks, filter: bitmap_filter, left, right };
+        *parked[ctx.rank()].lock().unwrap_or_else(PoisonError::into_inner) = kept;
+        Ok((full, card))
     })?;
+    PARKED.with_borrow_mut(|kept| {
+        *kept = parked
+            .into_iter()
+            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+    });
 
     let reports = out.reports;
     let aggregate = AggregateCost::from_reports(&reports);

@@ -12,12 +12,16 @@
 //! the survivor list (a hypersparse batch over the k-mer universe keeps
 //! the `O(survivors)` binary search).
 //!
-//! Both drivers build the filter from the batch's sample slices: the
-//! shared-memory driver with `slice_row_filter`, the distributed one by
-//! scattering its local rows with `observed_rows`, the same bitmap, before
-//! the OR-allreduce. Renumbering happens inside packing: the drivers hand
-//! the filter to `BitMatrix::from_batch_slices`, which never builds the
-//! renumbered lists, and so does [`crate::mask::prepare_batch`] through
+//! Both drivers build the filter from the batch's sample slices. The
+//! shared-memory driver calls `slice_row_filter`: a bitmap where
+//! `bitmap_pays`, else the sorted entries. The distributed one scatters
+//! its local rows with `observe_rows`, the same bitmap, into the buffers
+//! a `DistRowFilter` keeps for the OR-allreduce — or, for a batch
+//! `dist_bitmap_pays` finds hypersparse, allgathers them
+//! (`dist_row_filter_indexed`). Renumbering happens inside packing: the
+//! drivers hand the filter to the packer (`BitMatrix::from_batch_slices`
+//! and its buffer-reusing sibling), which never builds the renumbered
+//! lists, and so does [`crate::mask::prepare_batch`] through
 //! `BitMatrix::from_filtered_columns`. [`batch_row_filter`] and
 //! [`apply_filter`] work on column lists: their callers are `prepare_batch`
 //! (the unmasked ablation, the allreduce baseline and the perf ledger's
@@ -37,9 +41,8 @@ pub use gas_sparse::dist::filter::RowFilter;
 /// entries are sorted and deduplicated instead, `O(entries)` in memory.
 pub fn batch_row_filter(batch_rows: usize, columns: &[Vec<usize>]) -> RowFilter {
     let entries: usize = columns.iter().map(Vec::len).sum();
-    let nwords = batch_rows.div_ceil(WORD_BITS);
-    if nwords <= entries {
-        let mut words = vec![0u64; nwords];
+    if bitmap_pays(batch_rows, entries) {
+        let mut words = vec![0u64; batch_rows.div_ceil(WORD_BITS)];
         for &r in columns.iter().flatten().filter(|&&r| r < batch_rows) {
             words[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
         }
@@ -51,26 +54,53 @@ pub fn batch_row_filter(batch_rows: usize, columns: &[Vec<usize>]) -> RowFilter 
     RowFilter::from_local(batch_rows, rows)
 }
 
-/// The packed bitmap of the rows of the batch starting at `lo` that
-/// appear in `values` (each value lies in the batch's `batch_rows` rows).
-pub(crate) fn observed_rows(lo: u64, batch_rows: usize, values: &[&[u64]]) -> Vec<u64> {
-    let mut words = vec![0u64; batch_rows.div_ceil(WORD_BITS)];
+/// Set the bit of every row of the batch starting at `lo` that appears in
+/// `values` in the batch's packed bitmap `words` (each value lies in the
+/// batch, whose rows `words` covers).
+pub(crate) fn observe_rows(words: &mut [u64], lo: u64, values: &[&[u64]]) {
     for &v in values.iter().copied().flatten() {
         let r = (v - lo) as usize;
         words[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
     }
-    words
+}
+
+/// Whether a batch of `batch_rows` rows holding `entries` entries filters
+/// through a one-bit-per-row bitmap: its `⌈batch_rows/64⌉` words are no
+/// more than the entries. Otherwise the survivors are sorted, `O(entries)`
+/// in memory for a hypersparse batch over a huge universe (the density
+/// guard of [`batch_row_filter`]).
+pub(crate) fn bitmap_pays(batch_rows: usize, entries: usize) -> bool {
+    batch_rows.div_ceil(WORD_BITS) <= entries
+}
+
+/// The most bitmap words per batch entry [`dist_bitmap_pays`] allows: the
+/// bitmap's bytes stay within 64 times the batch's own.
+const DIST_BITMAP_WORDS_PER_ENTRY: usize = 64;
+
+/// The distributed driver's guard, a memory bound only: whether a batch's
+/// filter is the paper's OR-allreduced bitmap, at most
+/// [`DIST_BITMAP_WORDS_PER_ENTRY`] words per entry of the batch, or — for
+/// a batch sparser than that, such as a handful of k-mers over a huge
+/// universe — the sorted union of the observed rows an allgather builds,
+/// `O(entries)` in memory. It is not a crossover of the two collectives'
+/// bytes: the branch also picks the batch's collective, and the driver
+/// keeps the paper's allreduce wherever the bitmap is no allocation
+/// hazard. The batches of the paper-figure tests that fail
+/// [`bitmap_pays`] (fig2c's at 1.04 words per entry, fig3's at 1.59) stay
+/// far inside this bound.
+pub(crate) fn dist_bitmap_pays(batch_rows: usize, entries: usize) -> bool {
+    batch_rows.div_ceil(WORD_BITS) <= DIST_BITMAP_WORDS_PER_ENTRY.saturating_mul(entries)
 }
 
 /// The zero-row filter of the batch starting at `lo`, from its sample
-/// slices: [`observed_rows`]' bitmap where its `⌈batch_rows/64⌉` words are
-/// no more than the entries, else the sorted survivors, `O(entries)` in
-/// memory for a hypersparse batch over a huge universe (the density guard
-/// of [`batch_row_filter`]).
+/// slices: the bitmap [`observe_rows`] sets where [`bitmap_pays`], else
+/// the sorted survivors.
 pub(crate) fn slice_row_filter(lo: u64, batch_rows: usize, values: &[&[u64]]) -> RowFilter {
     let entries: usize = values.iter().map(|v| v.len()).sum();
-    if batch_rows.div_ceil(WORD_BITS) <= entries {
-        return RowFilter::from_bitmap(batch_rows, &observed_rows(lo, batch_rows, values));
+    if bitmap_pays(batch_rows, entries) {
+        let mut words = vec![0u64; batch_rows.div_ceil(WORD_BITS)];
+        observe_rows(&mut words, lo, values);
+        return RowFilter::from_bitmap(batch_rows, &words);
     }
     let rows = values.iter().copied().flatten().map(|&v| (v - lo) as usize).collect();
     RowFilter::from_local(batch_rows, rows)
@@ -176,7 +206,9 @@ mod tests {
             assert_eq!(f, batch_row_filter(batch_rows, &columns), "{batch_rows} rows");
             assert_eq!(f.nonzero_rows(), &[2, 64, 129]);
         }
-        assert_eq!(observed_rows(1000, 130, &values), vec![1 << 2, 1, 1 << 1]);
+        let mut words = vec![0; 3];
+        observe_rows(&mut words, 1000, &values);
+        assert_eq!(words, vec![1 << 2, 1, 1 << 1]);
     }
 
     /// `from_filtered_columns` is `from_columns` over `apply_filter`'s

@@ -11,8 +11,23 @@
 //! order; internal messages are tagged with a per-communicator sequence
 //! number so different collectives never interfere.
 
+use std::sync::Arc;
+
 use crate::comm::{Communicator, Msg};
 use crate::error::{SimError, SimResult};
+
+/// Make the kept buffer `buf` a copy of `from`, in its own allocation
+/// where that fits, giving back capacity beyond twice `from`'s length (the
+/// most a growing `Vec` keeps unused): a buffer reused call after call
+/// holds at most twice its last use.
+fn copy_into<T: Clone>(buf: &mut Vec<T>, from: &[T]) {
+    buf.clear();
+    if buf.capacity() > from.len().saturating_mul(2) {
+        buf.shrink_to(from.len());
+    }
+    buf.reserve_exact(from.len());
+    buf.extend_from_slice(from);
+}
 
 impl Communicator {
     /// Synchronize all ranks (dissemination barrier, `⌈log₂ p⌉` rounds).
@@ -95,7 +110,25 @@ impl Communicator {
     /// Returns `Some(result)` on the root and `None` elsewhere.
     pub fn reduce<T, F>(&self, root: usize, data: &[T], op: F) -> SimResult<Option<Vec<T>>>
     where
-        T: Msg + Clone,
+        T: Msg + Clone + Sync,
+        F: Fn(&T, &T) -> T,
+    {
+        let mut acc = Arc::new(data.to_vec());
+        let on_root = self.reduce_tree(root, &mut acc, &op)?;
+        // The root's buffer never left it: unwrapping it does not copy.
+        Ok(on_root.then(|| Arc::unwrap_or_clone(acc)))
+    }
+
+    /// The binomial reduce tree behind [`Communicator::reduce`] and
+    /// [`Communicator::allreduce_in_place`]: `acc` holds this rank's
+    /// contribution, and on the root (the return is `true`) the result.
+    /// A non-root rank sends its parent `Arc::clone(acc)` — no copy — and
+    /// returns `false`; the parent folds it in and drops it before it
+    /// sends on, so `acc` is the rank's alone again once anything the root
+    /// sends after this reduce reaches it.
+    fn reduce_tree<T, F>(&self, root: usize, acc: &mut Arc<Vec<T>>, op: &F) -> SimResult<bool>
+    where
+        T: Msg + Clone + Sync,
         F: Fn(&T, &T) -> T,
     {
         self.record_collective();
@@ -106,9 +139,8 @@ impl Communicator {
         }
         let me = self.rank();
         let tag = self.next_coll_tag();
-        let mut acc: Vec<T> = data.to_vec();
         if p == 1 {
-            return Ok(Some(acc));
+            return Ok(true);
         }
         let relative = (me + p - root) % p;
         let mut mask = 1usize;
@@ -117,7 +149,7 @@ impl Communicator {
                 let src_rel = relative | mask;
                 if src_rel < p {
                     let src = (src_rel + root) % p;
-                    let other: Vec<T> = self.recv(src, tag)?;
+                    let other: Arc<Vec<T>> = self.recv(src, tag)?;
                     if other.len() != acc.len() {
                         return Err(SimError::CollectiveMismatch(format!(
                             "reduce buffers differ in length: {} vs {}",
@@ -125,7 +157,7 @@ impl Communicator {
                             other.len()
                         )));
                     }
-                    for (a, b) in acc.iter_mut().zip(other.iter()) {
+                    for (a, b) in Arc::make_mut(acc).iter_mut().zip(other.iter()) {
                         *a = op(a, b);
                     }
                     self.add_flops(acc.len() as u64);
@@ -133,32 +165,77 @@ impl Communicator {
             } else {
                 let dst_rel = relative & !mask;
                 let dst = (dst_rel + root) % p;
-                // This rank's one send, and its last use of `acc`.
-                self.send(dst, tag, acc)?;
+                // This rank's one send.
+                self.send(dst, tag, Arc::clone(acc))?;
                 self.record_superstep();
-                return Ok(None);
+                return Ok(false);
             }
             self.record_superstep();
             mask <<= 1;
         }
-        Ok(Some(acc))
+        Ok(true)
     }
 
     /// Element-wise allreduce with a custom associative operation
     /// (reduce-to-root followed by broadcast).
     pub fn allreduce<T, F>(&self, data: &[T], op: F) -> SimResult<Vec<T>>
     where
-        T: Msg + Clone,
+        T: Msg + Clone + Sync,
         F: Fn(&T, &T) -> T,
     {
         let reduced = self.reduce(0, data, op)?;
         self.bcast(0, reduced)
     }
 
+    /// [`Communicator::allreduce`] over buffers the caller keeps across
+    /// calls: `data` holds this rank's contribution on entry and the
+    /// result on return, and `payload` is the buffer the root broadcasts
+    /// from (unused elsewhere). No rank copies a buffer to send it:
+    /// contributions travel up the reduce tree as `Arc` clones that each
+    /// parent folds in and drops before it sends on, and the root copies
+    /// the result into `payload` and broadcasts that `Arc`, which every
+    /// other rank copies into its `data`. So each buffer is its rank's
+    /// alone again by the time the rank writes it — `data` once the
+    /// broadcast has arrived, the root's `payload` once the next call's
+    /// reduce has — and a call whose length fits the buffers' capacity
+    /// allocates nothing of the buffers' size (one under half of it gives
+    /// the excess back, so neither holds more than twice its last use).
+    /// Messages, bytes, supersteps and collectives are exactly those of
+    /// `allreduce`.
+    pub fn allreduce_in_place<T, F>(
+        &self,
+        data: &mut Vec<T>,
+        payload: &mut Arc<Vec<T>>,
+        op: F,
+    ) -> SimResult<()>
+    where
+        T: Msg + Clone + Sync,
+        F: Fn(&T, &T) -> T,
+    {
+        let mut acc = Arc::new(std::mem::take(data));
+        if self.reduce_tree(0, &mut acc, &op)? {
+            *data = Arc::unwrap_or_clone(acc);
+            if Arc::get_mut(payload).is_none() {
+                // A rank still holds an earlier result. The order above
+                // rules that out; a fresh buffer is right regardless.
+                *payload = Arc::default();
+            }
+            copy_into(Arc::get_mut(payload).expect("a fresh payload is unshared"), data);
+            self.bcast(0, Some(Arc::clone(payload)))?;
+        } else {
+            let result: Arc<Vec<T>> = self.bcast(0, None)?;
+            // The parent dropped its clone before sending on, so the
+            // buffer is this rank's again (else a fresh one replaces it).
+            *data = Arc::try_unwrap(acc).unwrap_or_default();
+            copy_into(data, &result);
+        }
+        Ok(())
+    }
+
     /// Allreduce with element-wise addition.
     pub fn allreduce_sum<T>(&self, data: &[T]) -> SimResult<Vec<T>>
     where
-        T: Msg + Clone + Copy + std::ops::Add<Output = T>,
+        T: Msg + Clone + Copy + Sync + std::ops::Add<Output = T>,
     {
         self.allreduce(data, |a, b| *a + *b)
     }
@@ -299,6 +376,64 @@ mod tests {
             .unwrap();
         for sum in out.results {
             assert_eq!(sum, vec![10, 490]);
+        }
+    }
+
+    #[test]
+    fn allreduce_in_place_is_allreduce_and_reuses_its_buffers() {
+        // The counters a run charges, without its wall-clock time.
+        let counts = |reports: &[crate::cost::CostReport]| -> Vec<[u64; 7]> {
+            let fields = |r: &crate::cost::CostReport| {
+                let [a, b, c, d] = [r.msgs_sent, r.msgs_received, r.bytes_sent, r.bytes_received];
+                [a, b, c, d, r.flops, r.supersteps, r.collectives]
+            };
+            reports.iter().map(fields).collect()
+        };
+        // Three calls of 300 words, then one of 100.
+        let contribution = |rank: usize, call: u64| -> Vec<u64> {
+            let len = if call < 3 { 300 } else { 100 };
+            (0..len).map(|i| ((i * 7 + call) << (rank % 5)) | ((rank as u64 + i) % 3)).collect()
+        };
+        for p in [1usize, 2, 3, 5, 8] {
+            let or = |a: &u64, b: &u64| *a | *b;
+            let plain = Runtime::new(p)
+                .run(|ctx| {
+                    let calls = (0..4).map(|call| contribution(ctx.rank(), call));
+                    calls.map(|mine| ctx.world().allreduce(&mine, or).unwrap()).collect::<Vec<_>>()
+                })
+                .unwrap();
+            let kept = Runtime::new(p)
+                .run(|ctx| {
+                    // Spare capacity no fresh buffer of 300 words would
+                    // have, under the twice-the-use bound: it stays only
+                    // if both buffers are reused.
+                    let mut data = Vec::with_capacity(500);
+                    let mut payload = std::sync::Arc::new(Vec::with_capacity(500));
+                    let mut results = Vec::new();
+                    let mut capacities = Vec::new();
+                    for call in 0..4 {
+                        data.clear();
+                        data.extend(contribution(ctx.rank(), call));
+                        ctx.world().allreduce_in_place(&mut data, &mut payload, or).unwrap();
+                        results.push(data.clone());
+                        capacities.push((data.capacity(), payload.capacity()));
+                    }
+                    (results, capacities)
+                })
+                .unwrap();
+            assert_eq!(counts(&kept.reports), counts(&plain.reports), "p = {p}");
+            for (rank, ((results, capacities), expected)) in
+                kept.results.iter().zip(&plain.results).enumerate()
+            {
+                assert_eq!(results, expected, "p = {p}, rank {rank}");
+                assert!(capacities[..3].iter().all(|&c| c == (500, 500)), "p = {p}, rank {rank}");
+                // The last call, under half of it, gives the excess back of
+                // the buffer it fills: the root's payload, another rank's
+                // result.
+                let (data, payload) = capacities[3];
+                let filled = if rank == 0 { payload } else { data };
+                assert!(filled <= 200, "p = {p}, rank {rank}: {filled}");
+            }
         }
     }
 

@@ -9,6 +9,15 @@
 //! Messages carry owned Rust values (no serialization is performed — the
 //! simulator runs in one process), but the number of bytes a message
 //! *would* occupy on the wire is computed through the [`Msg`] trait.
+//!
+//! A value several ranks only read can travel as a shared immutable
+//! payload, an `Arc<T>`: it is charged the wire bytes of the `T` inside,
+//! while delivering it moves a pointer. A broadcast of an `Arc` therefore
+//! clones one pointer per child, not the value — and every receiver
+//! charges the same bytes as for the value itself. A sender that wants
+//! its buffer back keeps its own clone and reuses the buffer once
+//! `Arc::get_mut` says every receiver has dropped theirs;
+//! [`Communicator::allreduce_in_place`] is built that way.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -105,6 +114,12 @@ impl<T: Msg> Msg for Option<T> {
 }
 
 impl<T: Msg> Msg for Box<T> {
+    fn nbytes(&self) -> usize {
+        (**self).nbytes()
+    }
+}
+
+impl<T: Msg + Sync> Msg for Arc<T> {
     fn nbytes(&self) -> usize {
         (**self).nbytes()
     }
@@ -527,6 +542,7 @@ mod tests {
         assert_eq!(Some(7u64).nbytes(), 9);
         assert_eq!(Option::<u64>::None.nbytes(), 1);
         assert_eq!(Box::new(5u32).nbytes(), 4);
+        assert_eq!(Arc::new(vec![1u64, 2]).nbytes(), 16);
         assert_eq!(vec![vec![1u8, 2], vec![3u8]].nbytes(), 3);
     }
 

@@ -33,11 +33,18 @@ pub const WORD_BITS: usize = 64;
 /// forked only when every chunk sets at least as many rows as the bitmap
 /// has words.
 pub fn pack_row_bitmap(nrows: usize, rows: &[usize]) -> Vec<u64> {
-    let nwords = nrows.div_ceil(WORD_BITS);
-    let mut words = vec![0u64; nwords];
+    let mut words = vec![0u64; nrows.div_ceil(WORD_BITS)];
+    pack_row_bitmap_into(&mut words, nrows, rows);
+    words
+}
+
+/// [`pack_row_bitmap`] into `words`, which must be zeroed and hold exactly
+/// `⌈nrows / 64⌉` words.
+pub(crate) fn pack_row_bitmap_into(words: &mut [u64], nrows: usize, rows: &[usize]) {
+    let nwords = words.len();
     let Some(chunk_len) = fork_chunk_len(nwords, rows.len()) else {
-        scatter_rows(&mut words, nrows, rows);
-        return words;
+        scatter_rows(words, nrows, rows);
+        return;
     };
     let partials: Vec<Vec<u64>> = rows
         .par_chunks(chunk_len)
@@ -52,7 +59,6 @@ pub fn pack_row_bitmap(nrows: usize, rows: &[usize]) -> Vec<u64> {
             *w |= p;
         }
     }
-    words
 }
 
 /// Set bit `r` of `words` for every `r < nrows` of `rows`.
@@ -95,6 +101,17 @@ pub fn bitmap_rows(words: &[u64]) -> Vec<usize> {
     out
 }
 
+/// Make the empty `v` hold `len` zeros: in place when its capacity
+/// allows, else in a fresh zeroed allocation, whose pages the packer then
+/// touches only as far as it writes.
+fn zeroed<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+    if v.capacity() < len {
+        *v = vec![T::default(); len];
+    } else {
+        v.resize(len, T::default());
+    }
+}
+
 /// Number of set bits in a packed bitmap.
 pub fn bitmap_count_ones(words: &[u64]) -> u64 {
     words.iter().map(|w| w.count_ones() as u64).sum()
@@ -135,6 +152,14 @@ pub struct BitMatrix {
     orig_rows: usize,
 }
 
+/// The empty `0 × 0` matrix, e.g. for
+/// [`BitMatrix::refill_from_batch_slices`] to fill.
+impl Default for BitMatrix {
+    fn default() -> Self {
+        BitMatrix { words: CscMatrix::empty(0, 0), orig_rows: 0 }
+    }
+}
+
 impl BitMatrix {
     /// Pack a boolean matrix given as "sorted row indices present in each
     /// column" (the natural output of the per-sample k-mer row lists).
@@ -144,7 +169,14 @@ impl BitMatrix {
     /// increasing order.
     pub fn from_columns(nrows: usize, columns: &[Vec<usize>]) -> SparseResult<Self> {
         let all = 0..nrows.div_ceil(WORD_BITS);
-        BitMatrix::pack(nrows, columns, |r| r, None, &[all])
+        BitMatrix::packed(|m| m.pack(nrows, columns, |r| r, None, &[all]))
+    }
+
+    /// The matrix `pack` writes into an empty one.
+    fn packed(pack: impl FnOnce(&mut BitMatrix) -> SparseResult<()>) -> SparseResult<Self> {
+        let mut matrix = BitMatrix::default();
+        pack(&mut matrix)?;
+        Ok(matrix)
     }
 
     /// Filter, renumber and pack a batch in one pass (Eqs. 5–7): row `r`
@@ -158,7 +190,7 @@ impl BitMatrix {
     /// every row packs the columns as given.
     pub fn from_filtered_columns(columns: &[Vec<usize>], filter: &RowFilter) -> SparseResult<Self> {
         let all = 0..filter.num_nonzero_rows().div_ceil(WORD_BITS);
-        BitMatrix::pack(filter.batch_rows(), columns, |r| r, Some(filter), &[all])
+        BitMatrix::packed(|m| m.pack(filter.batch_rows(), columns, |r| r, Some(filter), &[all]))
     }
 
     /// Filter, renumber and pack the word rows in `keep` only, straight
@@ -181,8 +213,24 @@ impl BitMatrix {
         filter: Option<&RowFilter>,
         keep: &[Range<usize>],
     ) -> SparseResult<Self> {
+        BitMatrix::packed(|m| m.refill_from_batch_slices(rows, columns, filter, keep))
+    }
+
+    /// [`BitMatrix::from_batch_slices`] into this matrix, whose arrays are
+    /// emptied and refilled, keeping their capacity up to twice what the
+    /// batch stores: a driver that packs batch after batch of one shape
+    /// into the same matrix allocates for the first only. On an error the
+    /// matrix is left empty.
+    pub fn refill_from_batch_slices(
+        &mut self,
+        rows: Range<u64>,
+        columns: &[&[u64]],
+        filter: Option<&RowFilter>,
+        keep: &[Range<usize>],
+    ) -> SparseResult<()> {
         let source_rows = rows.end.saturating_sub(rows.start) as usize;
         if let Some(f) = filter.filter(|f| f.batch_rows() != source_rows) {
+            *self = BitMatrix::default();
             return Err(SparseError::ShapeMismatch {
                 context: format!(
                     "a filter over {} rows for a batch of {source_rows} rows",
@@ -191,7 +239,7 @@ impl BitMatrix {
             });
         }
         let lo = rows.start;
-        BitMatrix::pack(source_rows, columns, |v: u64| v.wrapping_sub(lo) as usize, filter, keep)
+        self.pack(source_rows, columns, |v: u64| v.wrapping_sub(lo) as usize, filter, keep)
     }
 
     /// The packer behind every constructor. Every column must ascend
@@ -201,128 +249,141 @@ impl BitMatrix {
     /// the rows are packed as they are. Only the output word rows in
     /// `keep` are packed: each range is mapped to the source rows that
     /// renumber into it ([`RowFilter::select`]), and each column is sliced
-    /// there by binary search.
+    /// there by binary search. The result replaces this matrix, whose
+    /// arrays it reuses; on an error the matrix is left empty.
     #[inline(always)]
     fn pack<T: Copy>(
+        &mut self,
         source_rows: usize,
         columns: &[impl AsRef<[T]>],
         row_of: impl Fn(T) -> usize + Copy,
         filter: Option<&RowFilter>,
         keep: &[Range<usize>],
-    ) -> SparseResult<Self> {
+    ) -> SparseResult<()> {
         match filter {
-            Some(f) if f.num_nonzero_rows() < source_rows => BitMatrix::pack_renumbered(
+            Some(f) if f.num_nonzero_rows() < source_rows => self.pack_renumbered(
                 source_rows,
-                f.num_nonzero_rows(),
                 columns,
                 row_of,
-                |r| f.compacted_index(r),
-                |k| f.select(k).unwrap_or(source_rows),
+                (
+                    f.num_nonzero_rows(),
+                    |r| f.compacted_index(r),
+                    |k| f.select(k).unwrap_or(source_rows),
+                ),
                 keep,
             ),
-            _ => BitMatrix::pack_renumbered(
-                source_rows,
+            _ => self.pack_renumbered(
                 source_rows,
                 columns,
                 row_of,
-                Some,
-                |k| k.min(source_rows),
+                (source_rows, Some, |k: usize| k.min(source_rows)),
                 keep,
             ),
         }
     }
 
-    /// [`BitMatrix::pack`] under one renumbering: `renumber` maps a source
-    /// row to its row of the `nrows`-row output, or `None` to drop it, and
-    /// must be monotone so the packed words ascend without a second check;
+    /// [`BitMatrix::pack`] under one renumbering, given as
+    /// `(nrows, renumber, source_start)`: `renumber` maps a source row to
+    /// its row of the `nrows`-row output, or `None` to drop it, and must be
+    /// monotone so the packed words ascend without a second check;
     /// `source_start(k)` is the first source row that renumbers to `k` or
     /// beyond (`source_rows` for `k ≥ nrows`).
     #[inline(always)]
     fn pack_renumbered<T: Copy>(
+        &mut self,
         source_rows: usize,
-        nrows: usize,
         columns: &[impl AsRef<[T]>],
         row_of: impl Fn(T) -> usize + Copy,
-        mut renumber: impl FnMut(usize) -> Option<usize>,
-        source_start: impl Fn(usize) -> usize,
+        (nrows, mut renumber, source_start): (
+            usize,
+            impl FnMut(usize) -> Option<usize>,
+            impl Fn(usize) -> usize,
+        ),
         keep: &[Range<usize>],
-    ) -> SparseResult<Self> {
+    ) -> SparseResult<()> {
         let word_rows = nrows.div_ceil(WORD_BITS);
         let ncols = columns.len();
-        let keep: Vec<&Range<usize>> = keep.iter().filter(|w| !w.is_empty()).collect();
-        if let Some((prev, next)) =
-            keep.windows(2).map(|w| (w[0], w[1])).find(|(a, b)| a.end > b.start)
-        {
-            return Err(SparseError::ShapeMismatch {
-                context: format!("word-row ranges {prev:?} and {next:?} overlap or descend"),
-            });
-        }
-        if let Some(last) = keep.last().filter(|w| w.end > word_rows) {
-            return Err(SparseError::IndexOutOfBounds {
-                row: last.end,
-                col: 0,
-                nrows: word_rows,
-                ncols,
-            });
-        }
-        // The source rows that renumber into each kept range, then where
-        // they sit in each column: two binary searches per range.
-        let bounds: Vec<(usize, usize)> = keep
-            .iter()
-            .map(|w| (source_start(w.start * WORD_BITS), source_start(w.end * WORD_BITS)))
-            .collect();
-        let mut spans = Vec::with_capacity(ncols * bounds.len());
-        for col in columns {
-            let rows = col.as_ref();
-            let mut from = 0;
-            for &(lo, hi) in &bounds {
-                let start = from + rows[from..].partition_point(|&v| row_of(v) < lo);
-                from = start + rows[start..].partition_point(|&v| row_of(v) < hi);
-                spans.push(start..from);
+        self.orig_rows = 0;
+        self.words.refill(word_rows, ncols, |mut indptr, mut indices, mut data| {
+            let keep: Vec<&Range<usize>> = keep.iter().filter(|w| !w.is_empty()).collect();
+            if let Some((prev, next)) =
+                keep.windows(2).map(|w| (w[0], w[1])).find(|(a, b)| a.end > b.start)
+            {
+                return Err(SparseError::ShapeMismatch {
+                    context: format!("word-row ranges {prev:?} and {next:?} overlap or descend"),
+                });
             }
-        }
-        // A column stores at most one word per kept entry and per kept
-        // word row.
-        let entries: usize = spans.iter().map(Range::len).sum();
-        let kept_word_rows: usize = keep.iter().map(|w| w.len()).sum();
-        let capacity = entries.min(ncols.saturating_mul(kept_word_rows));
-        let mut indptr = Vec::with_capacity(ncols + 1);
-        indptr.push(0usize);
-        let mut indices = vec![0usize; capacity];
-        let mut data = vec![0u64; capacity];
-        // Words stored so far; the last of them is the open one.
-        let mut stored = 0usize;
-        for (j, col) in columns.iter().enumerate() {
-            let rows = col.as_ref();
-            // Validate the whole column, kept or not, without branching on
-            // the entries: a strictly ascending column is in bounds iff its
-            // last row is.
-            let ascending = rows.windows(2).fold(true, |ok, w| ok & (row_of(w[0]) < row_of(w[1])));
-            if !ascending || rows.last().is_some_and(|&v| row_of(v) >= source_rows) {
-                let rows = rows.iter().map(|&v| row_of(v));
-                return Err(first_column_error(j, rows, source_rows, ncols));
+            if let Some(last) = keep.last().filter(|w| w.end > word_rows) {
+                return Err(SparseError::IndexOutOfBounds {
+                    row: last.end,
+                    col: 0,
+                    nrows: word_rows,
+                    ncols,
+                });
             }
-            // Pack without branching on word boundaries either (a k-mer
-            // batch crosses one every few entries, at random): every entry
-            // rewrites the open word, and a new word index opens the next.
-            let (mut word, mut mask) = (usize::MAX, 0u64);
-            for span in &spans[j * bounds.len()..(j + 1) * bounds.len()] {
-                for r in rows[span.clone()].iter().filter_map(|&v| renumber(row_of(v))) {
-                    let opens = usize::from(r / WORD_BITS != word);
-                    stored += opens;
-                    mask &= (opens as u64).wrapping_sub(1);
-                    mask |= 1u64 << (r % WORD_BITS);
-                    word = r / WORD_BITS;
-                    indices[stored - 1] = word;
-                    data[stored - 1] = mask;
+            // The source rows that renumber into each kept range, then
+            // where they sit in each column: two binary searches per range.
+            let bounds: Vec<(usize, usize)> = keep
+                .iter()
+                .map(|w| (source_start(w.start * WORD_BITS), source_start(w.end * WORD_BITS)))
+                .collect();
+            let mut spans = Vec::with_capacity(ncols * bounds.len());
+            for col in columns {
+                let rows = col.as_ref();
+                let mut from = 0;
+                for &(lo, hi) in &bounds {
+                    let start = from + rows[from..].partition_point(|&v| row_of(v) < lo);
+                    from = start + rows[start..].partition_point(|&v| row_of(v) < hi);
+                    spans.push(start..from);
                 }
             }
-            indptr.push(stored);
-        }
-        indices.truncate(stored);
-        data.truncate(stored);
-        let words = CscMatrix::from_raw_parts(word_rows, ncols, indptr, indices, data)?;
-        Ok(BitMatrix { words, orig_rows: nrows })
+            // A column stores at most one word per kept entry and per kept
+            // word row.
+            let entries: usize = spans.iter().map(Range::len).sum();
+            let kept_word_rows: usize = keep.iter().map(|w| w.len()).sum();
+            let capacity = entries.min(ncols.saturating_mul(kept_word_rows));
+            indptr.reserve_exact(ncols + 1);
+            indptr.push(0usize);
+            zeroed(&mut indices, capacity);
+            zeroed(&mut data, capacity);
+            let (word_of, words) = (indices.as_mut_slice(), data.as_mut_slice());
+            // Words stored so far; the last of them is the open one.
+            let mut stored = 0usize;
+            for (j, col) in columns.iter().enumerate() {
+                let rows = col.as_ref();
+                // Validate the whole column, kept or not, without branching
+                // on the entries: a strictly ascending column is in bounds
+                // iff its last row is.
+                let ascending =
+                    rows.windows(2).fold(true, |ok, w| ok & (row_of(w[0]) < row_of(w[1])));
+                if !ascending || rows.last().is_some_and(|&v| row_of(v) >= source_rows) {
+                    let rows = rows.iter().map(|&v| row_of(v));
+                    return Err(first_column_error(j, rows, source_rows, ncols));
+                }
+                // Pack without branching on word boundaries either (a k-mer
+                // batch crosses one every few entries, at random): every
+                // entry rewrites the open word, and a new word index opens
+                // the next.
+                let (mut word, mut mask) = (usize::MAX, 0u64);
+                for span in &spans[j * bounds.len()..(j + 1) * bounds.len()] {
+                    for r in rows[span.clone()].iter().filter_map(|&v| renumber(row_of(v))) {
+                        let opens = usize::from(r / WORD_BITS != word);
+                        stored += opens;
+                        mask &= (opens as u64).wrapping_sub(1);
+                        mask |= 1u64 << (r % WORD_BITS);
+                        word = r / WORD_BITS;
+                        word_of[stored - 1] = word;
+                        words[stored - 1] = mask;
+                    }
+                }
+                indptr.push(stored);
+            }
+            indices.truncate(stored);
+            data.truncate(stored);
+            Ok((indptr, indices, data))
+        })?;
+        self.orig_rows = nrows;
+        Ok(())
     }
 
     /// Number of boolean rows before packing.
@@ -570,6 +631,8 @@ mod tests {
     fn packing_kept_word_rows_stores_the_full_pack_there_and_nothing_elsewhere() {
         let mut rng = Rng(34);
         let lo = 1_000_000u64;
+        // Refilled by every pack below in turn, larger and smaller ones.
+        let mut refilled = BitMatrix::default();
         // A ragged last word, and one under the `T = 6` chunk count.
         for (nrows, percent) in [(1_000usize, 30usize), (1_000, 2), (300, 10)] {
             let columns = rng.columns(nrows, 5, percent);
@@ -616,6 +679,11 @@ mod tests {
                         keep,
                     )
                     .unwrap();
+                    let rows = lo..lo + nrows as u64;
+                    refilled
+                        .refill_from_batch_slices(rows, &slices, filter.as_ref(), keep)
+                        .unwrap();
+                    assert_eq!(refilled, part, "{ctx}");
                     assert_eq!(
                         (part.orig_rows(), part.word_rows(), part.ncols()),
                         (full.orig_rows(), word_rows, full.ncols()),
@@ -660,6 +728,12 @@ mod tests {
                     let err =
                         BitMatrix::from_batch_slices(lo..lo + 300, &slices, f, &keep).unwrap_err();
                     assert_eq!(err, unfiltered, "{columns:?}, keep {keep:?}, filter {f:?}");
+                    // A refill is refused alike and leaves the matrix empty.
+                    let mut held = BitMatrix::from_columns(300, &[vec![7, 299]]).unwrap();
+                    let rows = lo..lo + 300;
+                    let refused = held.refill_from_batch_slices(rows, &slices, f, &keep);
+                    assert_eq!(refused, Err(unfiltered.clone()), "{columns:?}, keep {keep:?}");
+                    assert_eq!(held, BitMatrix::default());
                 }
             }
         }

@@ -7,6 +7,8 @@
 //! entries of each column contiguously with row indices in increasing
 //! order.
 
+use std::mem::take;
+
 use serde::{Deserialize, Serialize};
 
 use crate::csr::CsrMatrix;
@@ -33,45 +35,61 @@ impl<T: Copy> CscMatrix<T> {
         indices: Vec<usize>,
         data: Vec<T>,
     ) -> SparseResult<Self> {
-        if indptr.len() != ncols + 1 {
-            return Err(SparseError::ShapeMismatch {
-                context: format!("indptr has length {} for {} columns", indptr.len(), ncols),
-            });
-        }
-        if indices.len() != data.len() {
-            return Err(SparseError::ShapeMismatch {
-                context: "indices and data lengths differ".to_string(),
-            });
-        }
-        if *indptr.last().unwrap_or(&0) != indices.len() {
-            return Err(SparseError::ShapeMismatch {
-                context: "indptr does not terminate at nnz".to_string(),
-            });
-        }
-        if indptr[0] != 0 || indptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(SparseError::ShapeMismatch {
-                context: "indptr must start at 0 and be non-decreasing".to_string(),
-            });
-        }
-        // One pass over the entries; the first offending one is reported.
-        for (j, span) in indptr.windows(2).enumerate() {
-            let mut next_min = 0;
-            for &r in &indices[span[0]..span[1]] {
-                if r >= nrows {
-                    return Err(SparseError::IndexOutOfBounds { row: r, col: j, nrows, ncols });
-                }
-                if r < next_min {
-                    return Err(SparseError::ShapeMismatch {
-                        context: format!(
-                            "column {j} row indices must be strictly increasing ({} then {r})",
-                            next_min - 1
-                        ),
-                    });
-                }
-                next_min = r + 1;
+        check_parts(nrows, ncols, &indptr, &indices, data.len())?;
+        Ok(CscMatrix { nrows, ncols, indptr, indices, data })
+    }
+
+    /// Replace this matrix by the `nrows × ncols` one whose arrays `fill`
+    /// returns, built in this matrix's own buffers, which `fill` is handed
+    /// emptied with their capacity kept; the arrays are checked as
+    /// [`CscMatrix::from_raw_parts`] checks them. An array left holding
+    /// more than twice what it stores gives the excess back
+    /// ([`drop_slack`]), so a matrix refilled again and again holds at most
+    /// twice its last fill. On an error from `fill` or the check the matrix
+    /// is left empty, `0 × 0`. Always inlined, so that a packing loop
+    /// passed as `fill` compiles into its caller; the arrays are handed
+    /// over by value, so the loop writes to its own locals.
+    #[inline(always)]
+    pub(crate) fn refill(
+        &mut self,
+        nrows: usize,
+        ncols: usize,
+        fill: impl FnOnce(Vec<usize>, Vec<usize>, Vec<T>) -> SparseResult<Parts<T>>,
+    ) -> SparseResult<()> {
+        let (mut indptr, mut indices) = (take(&mut self.indptr), take(&mut self.indices));
+        let mut data = take(&mut self.data);
+        indptr.clear();
+        indices.clear();
+        data.clear();
+        let filled = fill(indptr, indices, data).and_then(|(indptr, indices, data)| {
+            CscMatrix::from_raw_parts(nrows, ncols, indptr, indices, data)
+        });
+        match filled {
+            Ok(matrix) => {
+                *self = matrix;
+                drop_slack(&mut self.indptr);
+                drop_slack(&mut self.indices);
+                drop_slack(&mut self.data);
+                Ok(())
+            }
+            Err(e) => {
+                *self = CscMatrix::empty(0, 0);
+                Err(e)
             }
         }
-        Ok(CscMatrix { nrows, ncols, indptr, indices, data })
+    }
+
+    /// Check this matrix's arrays as [`CscMatrix::from_raw_parts`] does:
+    /// for a matrix that reached its reader some other way than through a
+    /// checked constructor, such as a SUMMA block another rank cut.
+    pub(crate) fn check(&self) -> SparseResult<()> {
+        check_parts(self.nrows, self.ncols, &self.indptr, &self.indices, self.data.len())
+    }
+
+    /// The arrays, unchecked, for tests that corrupt them.
+    #[cfg(test)]
+    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<usize>, &mut Vec<usize>, &mut Vec<T>) {
+        (&mut self.indptr, &mut self.indices, &mut self.data)
     }
 
     /// An empty matrix with no stored entries.
@@ -191,6 +209,71 @@ impl<T: Copy + Default + PartialEq> CscMatrix<T> {
     }
 }
 
+/// The arrays of a compressed matrix: offsets, indices and values.
+pub(crate) type Parts<T> = (Vec<usize>, Vec<usize>, Vec<T>);
+
+/// Give back the capacity of a kept buffer beyond twice what it holds —
+/// the most a growing `Vec` keeps unused — so that a buffer refilled
+/// batch after batch holds at most twice its last fill, whatever an
+/// earlier, larger fill reserved.
+pub(crate) fn drop_slack<T>(v: &mut Vec<T>) {
+    if v.capacity() > v.len().saturating_mul(2) {
+        v.shrink_to_fit();
+    }
+}
+
+/// The checks of [`CscMatrix::from_raw_parts`]: `indptr` has one offset per column
+/// plus one, from 0 non-decreasing to the `indices.len()` entries that
+/// `data_len` matches, and every column lists its indices in bounds and
+/// strictly ascending.
+fn check_parts(
+    nrows: usize,
+    ncols: usize,
+    indptr: &[usize],
+    indices: &[usize],
+    data_len: usize,
+) -> SparseResult<()> {
+    if indptr.len() != ncols + 1 {
+        return Err(SparseError::ShapeMismatch {
+            context: format!("indptr has length {} for {} columns", indptr.len(), ncols),
+        });
+    }
+    if indices.len() != data_len {
+        return Err(SparseError::ShapeMismatch {
+            context: "indices and data lengths differ".to_string(),
+        });
+    }
+    if *indptr.last().unwrap_or(&0) != indices.len() {
+        return Err(SparseError::ShapeMismatch {
+            context: "indptr does not terminate at nnz".to_string(),
+        });
+    }
+    if indptr[0] != 0 || indptr.windows(2).any(|w| w[0] > w[1]) {
+        return Err(SparseError::ShapeMismatch {
+            context: "indptr must start at 0 and be non-decreasing".to_string(),
+        });
+    }
+    // One pass over the entries; the first offending one is reported.
+    for (j, span) in indptr.windows(2).enumerate() {
+        let mut next_min = 0;
+        for &r in &indices[span[0]..span[1]] {
+            if r >= nrows {
+                return Err(SparseError::IndexOutOfBounds { row: r, col: j, nrows, ncols });
+            }
+            if r < next_min {
+                return Err(SparseError::ShapeMismatch {
+                    context: format!(
+                        "column {j} row indices must be strictly increasing ({} then {r})",
+                        next_min - 1
+                    ),
+                });
+            }
+            next_min = r + 1;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +308,27 @@ mod tests {
         // Row indices must strictly ascend within a column.
         let parts = |indices: Vec<usize>| {
             let nnz = indices.len();
-            CscMatrix::<u8>::from_raw_parts(4, 2, vec![0, 1, nnz], indices, vec![1; nnz])
+            let built = CscMatrix::<u8>::from_raw_parts(
+                4,
+                2,
+                vec![0, 1, nnz],
+                indices.clone(),
+                vec![1; nnz],
+            );
+            // Refilling a matrix in use checks the same arrays alike, and
+            // an error leaves it empty.
+            let mut held = CscMatrix::from_raw_parts(3, 1, vec![0, 1], vec![2], vec![7u8]).unwrap();
+            let refilled = held.refill(4, 2, |mut indptr, mut held_indices, mut data| {
+                indptr.extend([0, 1, nnz]);
+                held_indices.extend_from_slice(&indices);
+                data.resize(nnz, 1);
+                Ok((indptr, held_indices, data))
+            });
+            match &built {
+                Ok(matrix) => assert_eq!((refilled, &held), (Ok(()), matrix)),
+                Err(e) => assert_eq!((refilled, held), (Err(e.clone()), CscMatrix::empty(0, 0))),
+            }
+            built
         };
         assert!(parts(vec![3, 0, 1, 2]).is_ok());
         // Column 1 may start below where column 0 ended.

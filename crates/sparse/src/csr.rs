@@ -7,8 +7,11 @@
 //! bitmask compression reduces — a CSR row pointer costs as much as a
 //! nonzero, so shrinking the number of rows by `b` matters.
 
+use std::mem::take;
+
 use serde::{Deserialize, Serialize};
 
+use crate::csc::{drop_slack, Parts};
 use crate::error::{SparseError, SparseResult};
 
 /// A sparse matrix in CSR form.
@@ -32,45 +35,61 @@ impl<T: Copy> CsrMatrix<T> {
         indices: Vec<usize>,
         data: Vec<T>,
     ) -> SparseResult<Self> {
-        if indptr.len() != nrows + 1 {
-            return Err(SparseError::ShapeMismatch {
-                context: format!("indptr has length {} for {} rows", indptr.len(), nrows),
-            });
-        }
-        if indices.len() != data.len() {
-            return Err(SparseError::ShapeMismatch {
-                context: "indices and data lengths differ".to_string(),
-            });
-        }
-        if *indptr.last().unwrap_or(&0) != indices.len() {
-            return Err(SparseError::ShapeMismatch {
-                context: "indptr does not terminate at nnz".to_string(),
-            });
-        }
-        if indptr[0] != 0 || indptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(SparseError::ShapeMismatch {
-                context: "indptr must start at 0 and be non-decreasing".to_string(),
-            });
-        }
-        // One pass over the entries; the first offending one is reported.
-        for (i, span) in indptr.windows(2).enumerate() {
-            let mut next_min = 0;
-            for &c in &indices[span[0]..span[1]] {
-                if c >= ncols {
-                    return Err(SparseError::IndexOutOfBounds { row: i, col: c, nrows, ncols });
-                }
-                if c < next_min {
-                    return Err(SparseError::ShapeMismatch {
-                        context: format!(
-                            "row {i} column indices must be strictly increasing ({} then {c})",
-                            next_min - 1
-                        ),
-                    });
-                }
-                next_min = c + 1;
+        check_parts(nrows, ncols, &indptr, &indices, data.len())?;
+        Ok(CsrMatrix { nrows, ncols, indptr, indices, data })
+    }
+
+    /// Replace this matrix by the `nrows × ncols` one whose arrays `fill`
+    /// returns, built in this matrix's own buffers, which `fill` is handed
+    /// emptied with their capacity kept; the arrays are checked as
+    /// [`CsrMatrix::from_raw_parts`] checks them. An array left holding
+    /// more than twice what it stores gives the excess back
+    /// ([`drop_slack`]), so a matrix refilled again and again holds at most
+    /// twice its last fill. On an error from `fill` or the check the matrix
+    /// is left empty, `0 × 0`. Always inlined, so that a packing loop
+    /// passed as `fill` compiles into its caller; the arrays are handed
+    /// over by value, so the loop writes to its own locals.
+    #[inline(always)]
+    pub(crate) fn refill(
+        &mut self,
+        nrows: usize,
+        ncols: usize,
+        fill: impl FnOnce(Vec<usize>, Vec<usize>, Vec<T>) -> SparseResult<Parts<T>>,
+    ) -> SparseResult<()> {
+        let (mut indptr, mut indices) = (take(&mut self.indptr), take(&mut self.indices));
+        let mut data = take(&mut self.data);
+        indptr.clear();
+        indices.clear();
+        data.clear();
+        let filled = fill(indptr, indices, data).and_then(|(indptr, indices, data)| {
+            CsrMatrix::from_raw_parts(nrows, ncols, indptr, indices, data)
+        });
+        match filled {
+            Ok(matrix) => {
+                *self = matrix;
+                drop_slack(&mut self.indptr);
+                drop_slack(&mut self.indices);
+                drop_slack(&mut self.data);
+                Ok(())
+            }
+            Err(e) => {
+                *self = CsrMatrix::empty(0, 0);
+                Err(e)
             }
         }
-        Ok(CsrMatrix { nrows, ncols, indptr, indices, data })
+    }
+
+    /// Check this matrix's arrays as [`CsrMatrix::from_raw_parts`] does:
+    /// for a matrix that reached its reader some other way than through a
+    /// checked constructor, such as a SUMMA block another rank cut.
+    pub(crate) fn check(&self) -> SparseResult<()> {
+        check_parts(self.nrows, self.ncols, &self.indptr, &self.indices, self.data.len())
+    }
+
+    /// The arrays, unchecked, for tests that corrupt them.
+    #[cfg(test)]
+    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<usize>, &mut Vec<usize>, &mut Vec<T>) {
+        (&mut self.indptr, &mut self.indices, &mut self.data)
     }
 
     /// An empty matrix with no stored entries.
@@ -205,6 +224,58 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
     }
 }
 
+/// The checks of [`CsrMatrix::from_raw_parts`]: `indptr` has one offset per row
+/// plus one, from 0 non-decreasing to the `indices.len()` entries that
+/// `data_len` matches, and every row lists its indices in bounds and
+/// strictly ascending.
+fn check_parts(
+    nrows: usize,
+    ncols: usize,
+    indptr: &[usize],
+    indices: &[usize],
+    data_len: usize,
+) -> SparseResult<()> {
+    if indptr.len() != nrows + 1 {
+        return Err(SparseError::ShapeMismatch {
+            context: format!("indptr has length {} for {} rows", indptr.len(), nrows),
+        });
+    }
+    if indices.len() != data_len {
+        return Err(SparseError::ShapeMismatch {
+            context: "indices and data lengths differ".to_string(),
+        });
+    }
+    if *indptr.last().unwrap_or(&0) != indices.len() {
+        return Err(SparseError::ShapeMismatch {
+            context: "indptr does not terminate at nnz".to_string(),
+        });
+    }
+    if indptr[0] != 0 || indptr.windows(2).any(|w| w[0] > w[1]) {
+        return Err(SparseError::ShapeMismatch {
+            context: "indptr must start at 0 and be non-decreasing".to_string(),
+        });
+    }
+    // One pass over the entries; the first offending one is reported.
+    for (i, span) in indptr.windows(2).enumerate() {
+        let mut next_min = 0;
+        for &c in &indices[span[0]..span[1]] {
+            if c >= ncols {
+                return Err(SparseError::IndexOutOfBounds { row: i, col: c, nrows, ncols });
+            }
+            if c < next_min {
+                return Err(SparseError::ShapeMismatch {
+                    context: format!(
+                        "row {i} column indices must be strictly increasing ({} then {c})",
+                        next_min - 1
+                    ),
+                });
+            }
+            next_min = c + 1;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,7 +308,27 @@ mod tests {
         // Column indices must strictly ascend within a row.
         let parts = |indices: Vec<usize>| {
             let nnz = indices.len();
-            CsrMatrix::<u8>::from_raw_parts(2, 4, vec![0, 1, nnz], indices, vec![1; nnz])
+            let built = CsrMatrix::<u8>::from_raw_parts(
+                2,
+                4,
+                vec![0, 1, nnz],
+                indices.clone(),
+                vec![1; nnz],
+            );
+            // Refilling a matrix in use checks the same arrays alike, and
+            // an error leaves it empty.
+            let mut held = CsrMatrix::from_raw_parts(1, 3, vec![0, 1], vec![2], vec![7u8]).unwrap();
+            let refilled = held.refill(2, 4, |mut indptr, mut held_indices, mut data| {
+                indptr.extend([0, 1, nnz]);
+                held_indices.extend_from_slice(&indices);
+                data.resize(nnz, 1);
+                Ok((indptr, held_indices, data))
+            });
+            match &built {
+                Ok(matrix) => assert_eq!((refilled, &held), (Ok(()), matrix)),
+                Err(e) => assert_eq!((refilled, held), (Err(e.clone()), CsrMatrix::empty(0, 0))),
+            }
+            built
         };
         assert!(parts(vec![3, 0, 1, 2]).is_ok());
         assert_eq!(

@@ -22,24 +22,36 @@
 //! over the fiber communicators at the end — the standard
 //! communication-avoiding 2.5D schedule, generalized to rectangles.
 //!
-//! A block travels in the layout its receiver's kernel reads, narrow: the
-//! left operand column-major (the CSC arrays of `A[chunk, R_i]`), the right
-//! operand word-row-major (the CSR arrays of `A[chunk, C_j]`), both with
-//! `u32` offsets and indices beside the `u64` words — 12 bytes per stored
-//! word. The owner cuts either form straight from its packed batch (two
-//! binary searches per column; the right operand is transposed once, here,
-//! not once per receiver) and takes the chunk's cardinality popcounts from
-//! the same slices. Those cuts are the only words of a batch the sweep
-//! reads, so a rank need pack only the chunks it owns
-//! ([`DistAta::owned_chunks`]). A receiver widens the arrays and
-//! validates them through `from_raw_parts` before the kernel sees them.
-//! [`DistAta`] keeps the decoded blocks per SUMMA step, keyed on the
-//! active zero-row filter: when consecutive batches carry the same filter
-//! key and a step's block arrives equal, element for element, to the
-//! decoded one held, the decode is skipped. A chunk too large for `u32` is
-//! a mis-planned batch and is rejected typed, not shipped wide.
+//! A block is charged the bytes of the layout its receiver's kernel reads,
+//! narrow: the left operand column-major (the CSC arrays of
+//! `A[chunk, R_i]`), the right operand word-row-major (the CSR arrays of
+//! `A[chunk, C_j]`), both with `u32` offsets and indices beside the `u64`
+//! words — 12 bytes per stored word. A chunk too large for `u32` is a
+//! mis-planned batch and is rejected typed, not shipped wide. The owner
+//! cuts either form straight from its packed batch (two binary searches
+//! per column; the right operand is transposed once, here, not once per
+//! receiver), validating it as `from_raw_parts` would, and takes the
+//! chunk's cardinality popcounts from the same slices. Those cuts are the
+//! only words of a batch the sweep reads, so a rank need pack only the
+//! chunks it owns ([`DistAta::owned_chunks`]).
+//!
+//! Ranks share one address space, so a block travels as the matrix the
+//! kernel reads, in an `Arc`: the binomial tree forwards a pointer, not
+//! the block. Every receiver checks the block's arrays as
+//! `from_raw_parts` would, refusing a corrupted one typed, runs its
+//! kernel on the owner's cut and drops its pointer before it sends again.
+//! Each rank keeps the blocks it cuts, one per owned SUMMA step and
+//! operand, from batch to batch — and, through
+//! [`DistAta::into_buffers`], from run to run — and refills them in place,
+//! so a batch no larger than the one before allocates nothing of a
+//! block's size (and a block holds at most twice its last cut). Before
+//! the owner cuts a step again, every other member of the communicator
+//! has owned a later step, so its block reached the owner after that
+//! member had dropped the old one; the owner falls back to a fresh block
+//! only if a receiver still holds it.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use gas_dstsim::comm::{Communicator, Msg};
 use gas_dstsim::topology::ProcessorGrid;
@@ -52,57 +64,61 @@ use crate::error::{SparseError, SparseResult};
 use crate::semiring::PopcountAnd;
 use crate::spgemm::atb_block_dense;
 
-/// Wire form of one SUMMA operand chunk: compressed arrays over a major
-/// axis (`indptr`) listing minor-axis `indices` beside the packed `data`
-/// words. Which axis is which is the sender's and receiver's shared
-/// knowledge of the schedule: the left operand is cut column-major
-/// ([`WireBlock::cut_csc`] / [`WireBlock::into_csc`]), the right one
-/// word-row-major ([`WireBlock::cut_csr`] / [`WireBlock::into_csr`]).
-/// `nbytes` reports what the block would occupy on a real network, so the
-/// cost trackers see SUMMA's true traffic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct WireBlock {
-    word_rows: u32,
-    ncols: u32,
-    indptr: Vec<u32>,
-    indices: Vec<u32>,
-    data: Vec<u64>,
+/// One SUMMA operand chunk as its owner cuts and sends it: the left operand
+/// as the CSC matrix of `A[chunk, R_i]` ([`cut_csc`]), the right as the
+/// CSR matrix of `A[chunk, C_j]` ([`cut_csr`]). `nbytes` reports what its
+/// narrow form would occupy on a real network, so the cost trackers see
+/// SUMMA's true traffic.
+struct Block<M>(M);
+
+/// The wire bytes of a block with `offsets` offsets and `nnz` stored
+/// words: a 16-byte header, `u32` offsets and indices, `u64` words.
+fn narrow_bytes(offsets: usize, nnz: usize) -> usize {
+    16 + 4 * (offsets + nnz) + 8 * nnz
 }
 
-impl Msg for WireBlock {
+impl Msg for Block<CscMatrix<u64>> {
     fn nbytes(&self) -> usize {
-        16 + 4 * (self.indptr.len() + self.indices.len()) + 8 * self.data.len()
+        narrow_bytes(self.0.indptr().len(), self.0.nnz())
     }
 }
 
-/// A count a [`WireBlock`] stores in 32 bits — at most `limit`, which is
-/// `u32::MAX` everywhere but in the test of this check — or the typed
-/// refusal.
-fn narrow(count: usize, what: &str, limit: usize) -> SparseResult<u32> {
+impl Msg for Block<CsrMatrix<u64>> {
+    fn nbytes(&self) -> usize {
+        narrow_bytes(self.0.indptr().len(), self.0.nnz())
+    }
+}
+
+impl Default for Block<CscMatrix<u64>> {
+    fn default() -> Self {
+        Block(CscMatrix::empty(0, 0))
+    }
+}
+
+impl Default for Block<CsrMatrix<u64>> {
+    fn default() -> Self {
+        Block(CsrMatrix::empty(0, 0))
+    }
+}
+
+/// Check that a block's `count` fits its 32-bit wire field — at most
+/// `limit`, which is `u32::MAX` everywhere but in the test of this check —
+/// or the typed refusal.
+fn narrow(count: usize, what: &str, limit: usize) -> SparseResult<()> {
     if count > limit {
         return Err(SparseError::InvalidDistribution(format!(
             "a SUMMA chunk with {count} {what} exceeds the {limit} a wire block can index: \
              plan more batches or a larger grid"
         )));
     }
-    Ok(count as u32)
-}
-
-fn widen(wire: &[u32]) -> Vec<usize> {
-    wire.iter().map(|&v| v as usize).collect()
-}
-
-fn same_indices(wire: &[u32], held: &[usize]) -> bool {
-    wire.len() == held.len() && wire.iter().zip(held).all(|(&a, &b)| a as usize == b)
+    Ok(())
 }
 
 /// Where the words of `batch[chunk, :]` are stored, column by column,
-/// with the counts a [`WireBlock`] of them carries.
+/// once every count a block of them carries fits its wire field.
 struct ChunkSpans {
     spans: Vec<Range<usize>>,
     nnz: usize,
-    word_rows: u32,
-    ncols: u32,
 }
 
 impl ChunkSpans {
@@ -119,117 +135,94 @@ impl ChunkSpans {
         let nnz = spans.iter().map(Range::len).sum();
         let limit = u32::MAX as usize;
         narrow(nnz, "stored words", limit)?;
-        Ok(ChunkSpans {
-            spans,
-            nnz,
-            word_rows: narrow(chunk.len(), "word rows", limit)?,
-            ncols: narrow(batch.ncols(), "columns", limit)?,
-        })
+        narrow(chunk.len(), "word rows", limit)?;
+        narrow(batch.ncols(), "columns", limit)?;
+        Ok(ChunkSpans { spans, nnz })
     }
 }
 
-impl WireBlock {
-    /// `batch[chunk, :]` column-major: the left operand of a SUMMA step.
-    fn cut_csc(batch: &BitMatrix, chunk: Range<usize>) -> SparseResult<WireBlock> {
-        let ChunkSpans { spans, nnz, word_rows, ncols } = ChunkSpans::of(batch, &chunk)?;
-        let csc = batch.as_csc();
-        let mut indptr = Vec::with_capacity(spans.len() + 1);
-        indptr.push(0u32);
-        let mut indices = Vec::with_capacity(nnz);
-        let mut data = Vec::with_capacity(nnz);
+/// Refill `held` with `batch[chunk, :]` column-major: the left operand of
+/// a SUMMA step.
+fn cut_csc(held: &mut CscMatrix<u64>, batch: &BitMatrix, chunk: Range<usize>) -> SparseResult<()> {
+    let ChunkSpans { spans, nnz } = ChunkSpans::of(batch, &chunk)?;
+    let csc = batch.as_csc();
+    held.refill(chunk.len(), batch.ncols(), |mut indptr, mut indices, mut data| {
+        indptr.reserve_exact(spans.len() + 1);
+        indptr.push(0);
+        indices.reserve_exact(nnz);
+        data.reserve_exact(nnz);
         for span in spans {
-            indices.extend(csc.indices()[span.clone()].iter().map(|&w| (w - chunk.start) as u32));
+            indices.extend(csc.indices()[span.clone()].iter().map(|&w| w - chunk.start));
             data.extend_from_slice(&csc.data()[span]);
-            indptr.push(indices.len() as u32);
+            indptr.push(indices.len());
         }
-        Ok(WireBlock { word_rows, ncols, indptr, indices, data })
-    }
+        Ok((indptr, indices, data))
+    })
+}
 
-    /// `batch[chunk, :]` word-row-major — the right operand of a SUMMA
-    /// step, transposed here so that no receiver has to — adding the
-    /// chunk's set bits of column `j` to `card[j]`.
-    fn cut_csr(
-        batch: &BitMatrix,
-        chunk: Range<usize>,
-        card: &mut [u64],
-    ) -> SparseResult<WireBlock> {
-        debug_assert_eq!(card.len(), batch.ncols(), "one counter per column");
-        let ChunkSpans { spans, nnz, word_rows, ncols } = ChunkSpans::of(batch, &chunk)?;
-        let csc = batch.as_csc();
-        // Counting transpose: words per row, prefix sum, scatter while
-        // walking the columns in order (so every row lists them ascending).
-        let mut indptr = vec![0u32; chunk.len() + 1];
+/// Refill `held` with `batch[chunk, :]` word-row-major — the right operand
+/// of a SUMMA step, transposed here so that no receiver has to — adding
+/// the chunk's set bits of column `j` to `card[j]`.
+fn cut_csr(
+    held: &mut CsrMatrix<u64>,
+    batch: &BitMatrix,
+    chunk: Range<usize>,
+    card: &mut [u64],
+) -> SparseResult<()> {
+    debug_assert_eq!(card.len(), batch.ncols(), "one counter per column");
+    let ChunkSpans { spans, nnz } = ChunkSpans::of(batch, &chunk)?;
+    let csc = batch.as_csc();
+    let rows = chunk.len();
+    held.refill(rows, batch.ncols(), |mut indptr, mut indices, mut data| {
+        // Counting transpose: words per row, prefix sum, then scatter
+        // while walking the columns in order (so every row lists them
+        // ascending), with `indptr[r]` as row `r`'s cursor — which leaves
+        // it at row `r + 1`'s start, so the offsets shift up one after.
+        indptr.reserve_exact(rows + 1);
+        indptr.resize(rows + 1, 0);
         for span in &spans {
             for &w in &csc.indices()[span.clone()] {
                 indptr[w - chunk.start + 1] += 1;
             }
         }
-        for r in 0..chunk.len() {
+        for r in 0..rows {
             indptr[r + 1] += indptr[r];
         }
-        let mut next = indptr[..chunk.len()].to_vec();
-        let mut indices = vec![0u32; nnz];
-        let mut data = vec![0u64; nnz];
+        indices.reserve_exact(nnz);
+        indices.resize(nnz, 0);
+        data.reserve_exact(nnz);
+        data.resize(nnz, 0);
         for ((j, span), count) in spans.into_iter().enumerate().zip(card) {
             for (&w, &word) in csc.indices()[span.clone()].iter().zip(&csc.data()[span]) {
-                let slot = &mut next[w - chunk.start];
-                indices[*slot as usize] = j as u32;
-                data[*slot as usize] = word;
+                let slot = &mut indptr[w - chunk.start];
+                indices[*slot] = j;
+                data[*slot] = word;
                 *slot += 1;
                 *count += u64::from(word.count_ones());
             }
         }
-        Ok(WireBlock { word_rows, ncols, indptr, indices, data })
-    }
+        indptr.copy_within(..rows, 1);
+        indptr[0] = 0;
+        Ok((indptr, indices, data))
+    })
+}
 
-    /// Decode a column-major block, validating it as a CSC matrix.
-    fn into_csc(self) -> SparseResult<CscMatrix<u64>> {
-        CscMatrix::from_raw_parts(
-            self.word_rows as usize,
-            self.ncols as usize,
-            widen(&self.indptr),
-            widen(&self.indices),
-            self.data,
-        )
+/// Step operands `(left, right)` as this rank's kernel reads them, each
+/// with whether this rank cut it. A block another rank cut crossed the
+/// wire, so its arrays are checked as `from_raw_parts` checks them, and a
+/// corrupted one is refused typed before the kernel reads it; the owner
+/// checked its own cut as it refilled it.
+fn received<'a>(
+    (left, left_mine): (&'a Block<CscMatrix<u64>>, bool),
+    (right, right_mine): (&'a Block<CsrMatrix<u64>>, bool),
+) -> SparseResult<(&'a CscMatrix<u64>, &'a CsrMatrix<u64>)> {
+    if !left_mine {
+        left.0.check()?;
     }
-
-    /// Decode a word-row-major block, validating it as a CSR matrix.
-    fn into_csr(self) -> SparseResult<CsrMatrix<u64>> {
-        CsrMatrix::from_raw_parts(
-            self.word_rows as usize,
-            self.ncols as usize,
-            widen(&self.indptr),
-            widen(&self.indices),
-            self.data,
-        )
+    if !right_mine {
+        right.0.check()?;
     }
-
-    /// Whether this block is, element for element, the one the
-    /// `nrows × ncols` matrix with these arrays was decoded from.
-    fn same_parts(
-        &self,
-        dims: (usize, usize),
-        indptr: &[usize],
-        indices: &[usize],
-        data: &[u64],
-    ) -> bool {
-        (self.word_rows as usize, self.ncols as usize) == dims
-            && same_indices(&self.indptr, indptr)
-            && same_indices(&self.indices, indices)
-            && self.data == data
-    }
-
-    /// Whether [`Self::into_csc`] would give `held` again.
-    fn is_csc(&self, held: &CscMatrix<u64>) -> bool {
-        let dims = (held.nrows(), held.ncols());
-        self.same_parts(dims, held.indptr(), held.indices(), held.data())
-    }
-
-    /// Whether [`Self::into_csr`] would give `held` again.
-    fn is_csr(&self, held: &CsrMatrix<u64>) -> bool {
-        let dims = (held.nrows(), held.ncols());
-        self.same_parts(dims, held.indptr(), held.indices(), held.data())
-    }
+    Ok((&left.0, &right.0))
 }
 
 /// Contiguous block `idx` of `0..total` split into `parts` near-equal
@@ -251,57 +244,24 @@ fn lcm(a: usize, b: usize) -> usize {
     a / gcd(a, b) * b
 }
 
-/// Per-step cache of decoded SUMMA operand blocks.
-///
-/// Keyed on the zero-row filter of the batch being accumulated: entries
-/// survive from one batch to the next only while the filter key matches,
-/// and a step's decode is reused only when the received block equals the
-/// decoded one held, element for element (a compare against re-running
-/// the widening and the `from_raw_parts` validation).
+/// The SUMMA operand blocks a rank cuts, kept across batches — and,
+/// through [`DistAta::into_buffers`], across runs: per SUMMA step, the
+/// left and the right block, cut for the steps whose operand the rank
+/// owns (and shared with the receivers while they read it), empty for the
+/// others.
 #[derive(Default)]
-struct BlockCache {
-    key: Option<u64>,
-    left: Vec<Option<CscMatrix<u64>>>,
-    right: Vec<Option<CsrMatrix<u64>>>,
-    hits: u64,
-    misses: u64,
+pub struct SummaBuffers {
+    left: Vec<Arc<Block<CscMatrix<u64>>>>,
+    right: Vec<Arc<Block<CsrMatrix<u64>>>>,
 }
 
-impl BlockCache {
-    fn begin_batch(&mut self, key: Option<u64>, steps: usize) {
-        if key.is_none() || self.key != key {
-            self.left.clear();
-            self.right.clear();
-        }
-        self.key = key;
-        self.left.resize_with(steps, || None);
-        self.right.resize_with(steps, || None);
+/// The block in `slot`, to be written: the one held when no receiver
+/// still holds it, else a fresh one.
+fn unshared<T: Default>(slot: &mut Arc<T>) -> &mut T {
+    if Arc::get_mut(slot).is_none() {
+        *slot = Arc::default();
     }
-
-    /// Decoded views of step `t`'s operands, reusing cached decodes when
-    /// the wire content is unchanged.
-    fn blocks(
-        &mut self,
-        t: usize,
-        left_wire: WireBlock,
-        right_wire: WireBlock,
-    ) -> SparseResult<(&CscMatrix<u64>, &CsrMatrix<u64>)> {
-        if self.left[t].as_ref().is_some_and(|held| left_wire.is_csc(held)) {
-            self.hits += 1;
-        } else {
-            self.left[t] = Some(left_wire.into_csc()?);
-            self.misses += 1;
-        }
-        if self.right[t].as_ref().is_some_and(|held| right_wire.is_csr(held)) {
-            self.hits += 1;
-        } else {
-            self.right[t] = Some(right_wire.into_csr()?);
-            self.misses += 1;
-        }
-        let left = self.left[t].as_ref().expect("left slot populated above");
-        let right = self.right[t].as_ref().expect("right slot populated above");
-        Ok((left, right))
-    }
+    Arc::get_mut(slot).expect("a fresh block is unshared")
 }
 
 /// Per-rank handle for the distributed `AᵀA` of one run.
@@ -326,7 +286,7 @@ pub struct DistAta {
     col_comm: Communicator,
     fiber_comm: Communicator,
     grid_comm: Communicator,
-    cache: BlockCache,
+    blocks: SummaBuffers,
 }
 
 impl DistAta {
@@ -347,6 +307,19 @@ impl DistAta {
     /// (clamped to the largest divisor of the world size). Every rank of
     /// `world` participates in the product.
     pub fn new(world: &Communicator, n: usize, replication: usize) -> SparseResult<DistAta> {
+        DistAta::with_buffers(world, n, replication, SummaBuffers::default())
+    }
+
+    /// [`DistAta::new`] over the block buffers an earlier handle gave back
+    /// ([`DistAta::into_buffers`]): the sweep refills them, so a run whose
+    /// blocks fit them allocates none. Nothing of the earlier run carries
+    /// over but their capacity.
+    pub fn with_buffers(
+        world: &Communicator,
+        n: usize,
+        replication: usize,
+        blocks: SummaBuffers,
+    ) -> SparseResult<DistAta> {
         let p = world.size();
         let grid = Self::select_grid(p, replication)?;
         let (r, q, c) = (grid.rows(), grid.cols(), grid.layers());
@@ -370,8 +343,13 @@ impl DistAta {
             col_comm,
             fiber_comm,
             grid_comm,
-            cache: BlockCache::default(),
+            blocks,
         })
+    }
+
+    /// This handle's block buffers, for [`DistAta::with_buffers`].
+    pub fn into_buffers(self) -> SummaBuffers {
+        self.blocks
     }
 
     /// The processor grid in use.
@@ -390,14 +368,15 @@ impl DistAta {
         self.steps
     }
 
-    /// Decoded-block cache hits across all batches so far.
+    /// Always 0: blocks are read where their owner cut them, so no
+    /// decode is cached. Kept for callers that report a hit ratio.
     pub fn cache_hits(&self) -> u64 {
-        self.cache.hits
+        0
     }
 
-    /// Decoded-block cache misses across all batches so far.
+    /// Always 0, as [`DistAta::cache_hits`].
     pub fn cache_misses(&self) -> u64 {
-        self.cache.misses
+        0
     }
 
     /// The samples of this rank's output *column* block `C_j` (block `j`
@@ -467,16 +446,15 @@ impl DistAta {
     /// and adding the column popcounts of the chunks this rank owns into
     /// `card`.
     ///
-    /// `filter_key` identifies the zero-row filter the batch was prepared
-    /// under (e.g. [`crate::dist::filter::RowFilter::fingerprint`]);
-    /// consecutive batches with the same key reuse cached block decodes
-    /// for every step whose received bytes are unchanged. Pass `None` to
-    /// disable caching.
+    /// The third argument, a key of the zero-row filter the batch was
+    /// prepared under, is not read: every rank reads a block where its
+    /// owner cut it, so there is no decode to reuse from batch to batch.
+    /// It stays for the callers that pass one.
     pub fn accumulate_batch_keyed(
         &mut self,
         left: &BitMatrix,
         right: &BitMatrix,
-        filter_key: Option<u64>,
+        _filter_key: Option<u64>,
         acc: &mut DenseMatrix<u64>,
         card: &mut [u64],
     ) -> SparseResult<()> {
@@ -516,27 +494,38 @@ impl DistAta {
             });
         }
         let word_rows = right.word_rows();
-        self.cache.begin_batch(filter_key, self.steps);
+        self.blocks.left.resize_with(self.steps, Arc::default);
+        self.blocks.right.resize_with(self.steps, Arc::default);
         for t in 0..self.steps {
             let _step = gas_dstsim::obs::span("paper", "summa_step");
             let chunk = self.step_chunk(word_rows, t);
-            // Right operand A[chunk, C_j].
-            let right_owner = self.right_owner(t);
-            // That rank is the unique holder of (chunk, C_j): the
-            // popcounts of its cut are this chunk's cardinality
-            // contribution.
-            let right_seed = (i == right_owner)
-                .then(|| WireBlock::cut_csr(right, chunk.clone(), &mut card[cols.clone()]))
-                .transpose()?;
+            let (left_owner, right_owner) = (self.left_owner(t), self.right_owner(t));
+            let blocks = &mut self.blocks;
+            // Right operand A[chunk, C_j]. Its owner is the unique holder
+            // of (chunk, C_j): the popcounts of its cut are this chunk's
+            // cardinality contribution.
+            let right_seed = if i == right_owner {
+                let held = &mut unshared(&mut blocks.right[t]).0;
+                cut_csr(held, right, chunk.clone(), &mut card[cols.clone()])?;
+                Some(Arc::clone(&blocks.right[t]))
+            } else {
+                None
+            };
             let right_wire = self.col_comm.bcast(right_owner, right_seed)?;
             // Left operand A[chunk, R_i].
-            let left_owner = self.left_owner(t);
-            let left_seed =
-                (j == left_owner).then(|| WireBlock::cut_csc(left, chunk)).transpose()?;
+            let left_seed = if j == left_owner {
+                cut_csc(&mut unshared(&mut blocks.left[t]).0, left, chunk)?;
+                Some(Arc::clone(&blocks.left[t]))
+            } else {
+                None
+            };
             let left_wire = self.row_comm.bcast(left_owner, left_seed)?;
-            let (left_csc, right_csr) = self.cache.blocks(t, left_wire, right_wire)?;
-            let ops = atb_block_dense::<PopcountAnd>(left_csc, right_csr, acc)?;
+            let (left_block, right_block) =
+                received((&left_wire, j == left_owner), (&right_wire, i == right_owner))?;
+            let ops = atb_block_dense::<PopcountAnd>(left_block, right_block, acc)?;
             self.grid_comm.add_flops(ops);
+            // Both pointers drop here, before this rank sends again: see
+            // the module doc.
         }
         Ok(())
     }
@@ -562,9 +551,8 @@ impl DistAta {
         world: &Communicator,
         acc: &DenseMatrix<u64>,
     ) -> SparseResult<Option<DenseMatrix<u64>>> {
-        let payload: Vec<u64> =
-            if self.coords[2] == 0 { acc.as_slice().to_vec() } else { Vec::new() };
-        let gathered = world.gatherv(0, &payload)?;
+        let payload = if self.coords[2] == 0 { acc.as_slice() } else { &[] };
+        let gathered = world.gatherv(0, payload)?;
         let Some(blocks) = gathered else {
             return Ok(None);
         };
@@ -783,71 +771,56 @@ mod tests {
     }
 
     #[test]
-    fn repeated_batches_with_same_key_hit_the_decode_cache() {
+    fn blocks_are_refilled_from_batch_to_batch_and_run_to_run() {
         let columns = columns();
         let n = columns.len();
-        let out = Runtime::new(4)
-            .run(|ctx| {
-                let mut ata = DistAta::new(ctx.world(), n, 1).unwrap();
-                let mut acc = ata.new_accumulator();
-                let mut card = ata.new_cardinalities();
-                let (left, right) = pack_blocks(&ata, 200, &columns);
-                // Same data, same filter key: the second pass must reuse
-                // every decoded block.
-                ata.accumulate_batch_keyed(&left, &right, Some(42), &mut acc, &mut card).unwrap();
-                let after_first = (ata.cache_hits(), ata.cache_misses());
-                ata.accumulate_batch_keyed(&left, &right, Some(42), &mut acc, &mut card).unwrap();
-                let after_second = (ata.cache_hits(), ata.cache_misses());
-                // A different key must flush the cache.
-                ata.accumulate_batch_keyed(&left, &right, Some(7), &mut acc, &mut card).unwrap();
-                let after_third = (ata.cache_hits(), ata.cache_misses());
-                ata.finalize(&mut acc, &mut card).unwrap();
-                let full = ata.gather_full(ctx.world(), &acc).unwrap();
-                (after_first, after_second, after_third, full, card)
-            })
-            .unwrap();
-        let columns_ref = reference(200, &columns);
-        let mut tripled = columns_ref.clone();
-        tripled.as_mut_slice().iter_mut().for_each(|v| *v *= 3);
-        for (rank, (first, second, third, full, card)) in out.results.iter().enumerate() {
-            assert_eq!(first.0, 0, "rank {rank}: first pass cannot hit");
-            assert!(first.1 > 0, "rank {rank}: first pass must decode");
-            assert_eq!(
-                second.0 - first.0,
-                first.1,
-                "rank {rank}: second pass must hit once per first-pass decode"
-            );
-            assert_eq!(second.1, first.1, "rank {rank}: second pass must not decode");
-            assert!(third.1 > second.1, "rank {rank}: new key must re-decode");
-            if rank == 0 {
-                assert_eq!(full.as_ref().unwrap(), &tripled, "three identical batches sum");
+        // Where each kept block's words live, per step and operand.
+        let addresses = |blocks: &SummaBuffers| -> Vec<usize> {
+            let left = blocks.left.iter().map(|b| b.0.data().as_ptr() as usize);
+            left.chain(blocks.right.iter().map(|b| b.0.data().as_ptr() as usize)).collect()
+        };
+        for (p, c) in [(1, 1), (4, 1), (6, 1), (8, 2)] {
+            let run = |kept: Vec<SummaBuffers>| {
+                let kept: Vec<_> = kept.into_iter().map(std::sync::Mutex::new).collect();
+                let out = Runtime::new(p)
+                    .run(|ctx| {
+                        let mine = std::mem::take(&mut *kept[ctx.rank()].lock().unwrap());
+                        let mut ata = DistAta::with_buffers(ctx.world(), n, c, mine).unwrap();
+                        let mut acc = ata.new_accumulator();
+                        let mut card = ata.new_cardinalities();
+                        let (left, right) = pack_blocks(&ata, 200, &columns);
+                        let mut seen = Vec::new();
+                        for _ in 0..3 {
+                            ata.accumulate_batch_keyed(&left, &right, None, &mut acc, &mut card)
+                                .unwrap();
+                            seen.push(addresses(&ata.blocks));
+                        }
+                        (seen, acc, ata.into_buffers())
+                    })
+                    .unwrap();
+                out.results
+            };
+            let first = run((0..p).map(|_| SummaBuffers::default()).collect());
+            let mut kept = Vec::new();
+            let mut expected = Vec::new();
+            for (rank, (seen, acc, blocks)) in first.into_iter().enumerate() {
+                assert!(seen.windows(2).all(|w| w[0] == w[1]), "p = {p}, rank {rank}");
+                expected.push((seen[0].clone(), acc));
+                kept.push(blocks);
             }
-            let expected: Vec<u64> = columns.iter().map(|col| 3 * col.len() as u64).collect();
-            assert_eq!(card, &expected);
+            for (rank, (seen, acc, _)) in run(kept).into_iter().enumerate() {
+                assert_eq!(seen[0], expected[rank].0, "p = {p}, rank {rank}: the next run");
+                assert_eq!(acc, expected[rank].1, "p = {p}, rank {rank}");
+            }
         }
     }
 
     #[test]
-    fn unkeyed_batches_never_hit_the_cache() {
-        let columns = columns();
-        let n = columns.len();
-        let out = Runtime::new(4)
-            .run(|ctx| {
-                let mut ata = DistAta::new(ctx.world(), n, 1).unwrap();
-                let mut acc = ata.new_accumulator();
-                let mut card = ata.new_cardinalities();
-                let (left, right) = pack_blocks(&ata, 200, &columns);
-                ata.accumulate_batch_keyed(&left, &right, None, &mut acc, &mut card).unwrap();
-                ata.accumulate_batch_keyed(&left, &right, None, &mut acc, &mut card).unwrap();
-                ata.cache_hits()
-            })
-            .unwrap();
-        assert!(out.results.iter().all(|&h| h == 0));
-    }
-
-    #[test]
-    fn cut_blocks_decode_to_the_selected_chunk_in_both_layouts() {
+    fn cut_blocks_are_the_selected_chunk_in_both_layouts() {
         let mut rng = Rng(24);
+        // One block of each layout, refilled by every chunk below in turn
+        // (larger and smaller ones, and empty ones).
+        let (mut left, mut right) = (CscMatrix::empty(0, 0), CsrMatrix::empty(0, 0));
         // Boolean rows: none, under one word, exactly one word, and
         // batches narrower and wider than the `T · c` split below.
         for nrows in [0usize, 1, 64, 65, 200, 1000] {
@@ -863,89 +836,73 @@ mod tests {
                         let chunk = block_range(batch.word_rows(), parts, idx);
                         let ctx = format!("{nrows}x{ncols} at {percent}%, chunk {idx} of {parts}");
                         let selected = batch.select_word_rows(chunk.clone()).unwrap();
-
-                        let left = WireBlock::cut_csc(&batch, chunk.clone()).unwrap();
-                        assert_eq!(left.indptr.len(), ncols + 1, "{ctx}");
                         let nnz = selected.nnz_words();
-                        assert_eq!(left.nbytes(), 16 + 4 * (ncols + 1 + nnz) + 8 * nnz, "{ctx}");
-                        assert!(left.is_csc(selected.as_csc()), "{ctx}");
-                        assert_eq!(&left.into_csc().unwrap(), selected.as_csc(), "{ctx}");
+
+                        cut_csc(&mut left, &batch, chunk.clone()).unwrap();
+                        assert_eq!(&left, selected.as_csc(), "{ctx}");
+                        let bytes = Block(left.clone()).nbytes();
+                        assert_eq!(bytes, 16 + 4 * (ncols + 1 + nnz) + 8 * nnz, "{ctx}");
 
                         let mut card = vec![7u64; ncols];
-                        let right = WireBlock::cut_csr(&batch, chunk.clone(), &mut card).unwrap();
+                        cut_csr(&mut right, &batch, chunk.clone(), &mut card).unwrap();
                         let counted: Vec<u64> = card.iter().map(|c| c - 7).collect();
                         assert_eq!(counted, selected.col_popcounts(), "{ctx}");
-                        assert_eq!(right.indptr.len(), chunk.len() + 1, "{ctx}");
-                        assert_eq!(
-                            right.nbytes(),
-                            16 + 4 * (chunk.len() + 1 + nnz) + 8 * nnz,
-                            "{ctx}"
-                        );
-                        assert!(right.is_csr(&selected.to_csr()), "{ctx}");
-                        assert_eq!(right.into_csr().unwrap(), selected.to_csr(), "{ctx}");
+                        assert_eq!(right, selected.to_csr(), "{ctx}");
+                        let bytes = Block(right.clone()).nbytes();
+                        assert_eq!(bytes, 16 + 4 * (chunk.len() + 1 + nnz) + 8 * nnz, "{ctx}");
                     }
                 }
             }
         }
         let batch = BitMatrix::from_columns(130, &[vec![0, 64, 129]]).unwrap();
         assert!(matches!(
-            WireBlock::cut_csc(&batch, 2..4),
+            cut_csc(&mut left, &batch, 2..4),
             Err(SparseError::IndexOutOfBounds { row: 4, nrows: 3, .. })
         ));
     }
 
     #[test]
-    fn a_block_that_differs_in_one_element_is_not_the_held_one() {
+    fn corrupted_blocks_fail_typed_at_the_receiver() {
         let batch = BitMatrix::from_columns(130, &[vec![0, 64, 129], vec![1], vec![]]).unwrap();
-        let wire = WireBlock::cut_csc(&batch, 0..3).unwrap();
-        let held = wire.clone().into_csc().unwrap();
-        assert!(wire.is_csc(&held));
-        let mut word = wire.clone();
-        word.data[1] ^= 1;
-        let mut index = wire.clone();
-        index.indices[1] = 2;
-        let mut shape = wire.clone();
-        shape.word_rows = 4;
-        for other in [word, index, shape] {
-            assert!(!other.is_csc(&held), "{other:?}");
-        }
-    }
-
-    #[test]
-    fn corrupted_blocks_fail_typed_at_decode() {
-        let batch = BitMatrix::from_columns(130, &[vec![0, 64, 129], vec![1], vec![]]).unwrap();
-        let left = WireBlock::cut_csc(&batch, 0..3).unwrap();
-        let right = WireBlock::cut_csr(&batch, 0..3, &mut [0; 3]).unwrap();
-        let decode = |left_form: bool, wire: WireBlock| {
-            if left_form {
-                wire.into_csc().err()
-            } else {
-                wire.into_csr().err()
-            }
+        let (mut left, mut right) = (CscMatrix::empty(0, 0), CsrMatrix::empty(0, 0));
+        cut_csc(&mut left, &batch, 0..3).unwrap();
+        cut_csr(&mut right, &batch, 0..3, &mut [0; 3]).unwrap();
+        let (left, right) = (Block(left), Block(right));
+        let refusal = |left: &Block<CscMatrix<u64>>, right: &Block<CsrMatrix<u64>>| {
+            received((left, false), (right, false)).err()
         };
-        for (left_form, wire) in [(true, left), (false, right)] {
-            assert!(decode(left_form, wire.clone()).is_none());
+        assert!(refusal(&left, &right).is_none());
+        type Corrupt = fn(&mut Vec<usize>, &mut Vec<usize>, &mut Vec<u64>);
+        let corruptions: [(Corrupt, bool); 3] = [
             // An index at the minor dimension (3 word rows / 3 columns).
-            let mut bad = wire.clone();
-            bad.indices[0] = 3;
-            assert!(
-                matches!(decode(left_form, bad), Some(SparseError::IndexOutOfBounds { .. })),
-                "left form: {left_form}"
-            );
-            let mut bad = wire.clone();
-            bad.indptr.swap(1, 2);
-            assert!(matches!(decode(left_form, bad), Some(SparseError::ShapeMismatch { .. })));
-            let mut bad = wire.clone();
-            bad.data.pop();
-            assert!(matches!(decode(left_form, bad), Some(SparseError::ShapeMismatch { .. })));
+            (|_, indices, _| indices[0] = 3, true),
+            (|indptr, _, _| indptr.swap(1, 2), false),
+            (|_, _, data| data.truncate(data.len() - 1), false),
+        ];
+        for (corrupt, out_of_bounds) in corruptions {
+            let mut bad_left = Block(left.0.clone());
+            let (indptr, indices, data) = bad_left.0.parts_mut();
+            corrupt(indptr, indices, data);
+            let mut bad_right = Block(right.0.clone());
+            let (indptr, indices, data) = bad_right.0.parts_mut();
+            corrupt(indptr, indices, data);
+            for got in [refusal(&bad_left, &right), refusal(&left, &bad_right)] {
+                match got {
+                    Some(SparseError::IndexOutOfBounds { .. }) => assert!(out_of_bounds),
+                    Some(SparseError::ShapeMismatch { .. }) => assert!(!out_of_bounds),
+                    other => panic!("expected a typed refusal, got {other:?}"),
+                }
+            }
+            // The owner checked its cut as it refilled it.
+            assert!(received((&bad_left, true), (&bad_right, true)).is_ok());
         }
     }
 
     #[test]
     fn counts_past_the_wire_limit_are_refused_typed() {
-        assert_eq!(narrow(0, "columns", 10).unwrap(), 0);
-        assert_eq!(narrow(10, "columns", 10).unwrap(), 10);
-        assert_eq!(narrow(u32::MAX as usize, "word rows", u32::MAX as usize).unwrap(), u32::MAX);
+        assert!(narrow(0, "columns", 10).is_ok());
+        assert!(narrow(10, "columns", 10).is_ok());
+        assert!(narrow(u32::MAX as usize, "word rows", u32::MAX as usize).is_ok());
         match narrow(11, "stored words", 10) {
             Err(SparseError::InvalidDistribution(msg)) => {
                 assert!(msg.contains("11 stored words") && msg.contains("the 10"), "{msg}")

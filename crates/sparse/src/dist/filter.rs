@@ -24,14 +24,17 @@
 //! [`BitMatrix::from_filtered_columns`](crate::bitmat::BitMatrix::from_filtered_columns)
 //! calls it while it packs; its inverse [`RowFilter::select`] maps a range
 //! of output word rows back to the source rows a packer must read for it.
-//! A rank that scatters its observed rows itself hands the bitmap to
-//! [`dist_row_filter_from_bitmap`].
+//! A driver that filters batch after batch keeps a [`DistRowFilter`]: each
+//! rank scatters its observed rows into the last batch's bitmap, and the
+//! allreduce and the directory reuse that rank's buffers, so a batch no
+//! larger than the one before allocates nothing of the bitmap's size.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use crate::bitmat::{bitmap_count_ones, bitmap_rows, pack_row_bitmap, WORD_BITS};
+use crate::bitmat::{bitmap_rows, pack_row_bitmap, pack_row_bitmap_into, WORD_BITS};
+use crate::csc::drop_slack;
 use crate::error::SparseResult;
 use gas_dstsim::comm::Communicator;
 
@@ -65,22 +68,26 @@ pub struct RowFilter {
 /// Bit `r` of `words` is set iff row `r` survives (exactly
 /// `⌈batch_rows/64⌉` words, no bit at or past `batch_rows`); `before[w]`
 /// is the number of survivors in words `0..w`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct RankDirectory {
     words: Vec<u64>,
     before: Vec<usize>,
 }
 
 impl RankDirectory {
-    /// `words` is exactly the batch's bitmap, tail bits clear.
-    fn over(words: Vec<u64>) -> Self {
-        let mut before = Vec::with_capacity(words.len());
+    /// Recount `before` (refilled in place) for `words`, which is exactly
+    /// the batch's bitmap, tail bits clear; returns the survivor count.
+    fn recount(&mut self) -> usize {
+        self.before.clear();
+        self.before.reserve_exact(self.words.len());
         let mut seen = 0usize;
-        for w in &words {
-            before.push(seen);
+        self.before.extend(self.words.iter().map(|w| {
+            let at = seen;
             seen += w.count_ones() as usize;
-        }
-        RankDirectory { words, before }
+            at
+        }));
+        drop_slack(&mut self.before);
+        seen
     }
 }
 
@@ -101,8 +108,12 @@ impl Eq for RowFilter {}
 impl RowFilter {
     /// `nonzero` is strictly ascending and `< batch_rows`.
     fn from_sorted(batch_rows: usize, nonzero: Vec<usize>) -> Self {
-        let rank = (batch_rows.div_ceil(WORD_BITS) <= nonzero.len())
-            .then(|| RankDirectory::over(pack_row_bitmap(batch_rows, &nonzero)));
+        let rank = (batch_rows.div_ceil(WORD_BITS) <= nonzero.len()).then(|| {
+            let mut dir =
+                RankDirectory { words: pack_row_bitmap(batch_rows, &nonzero), before: Vec::new() };
+            dir.recount();
+            dir
+        });
         let survivors = nonzero.len();
         RowFilter { batch_rows, survivors, rank, nonzero: OnceLock::from(nonzero) }
     }
@@ -110,18 +121,26 @@ impl RowFilter {
     /// The filter whose survivors are the set bits of `words` below
     /// `batch_rows`; a bitmap that passes the density guard is kept as
     /// the directory, not copied into one.
-    fn from_words(batch_rows: usize, mut words: Vec<u64>) -> Self {
+    fn from_words(batch_rows: usize, words: Vec<u64>) -> Self {
+        RowFilter::from_directory(batch_rows, RankDirectory { words, before: Vec::new() }).0
+    }
+
+    /// The filter whose survivors are the set bits of `dir.words` below
+    /// `batch_rows`, the words cut or zero-extended to the batch's
+    /// `⌈batch_rows/64⌉`. Where the density guard allows, `dir` becomes the
+    /// directory, its counts recounted in place; otherwise the filter is
+    /// the sorted list and `dir` comes back, for its buffers to be reused.
+    fn from_directory(batch_rows: usize, mut dir: RankDirectory) -> (Self, Option<RankDirectory>) {
         let nwords = batch_rows.div_ceil(WORD_BITS);
-        words.resize(nwords, 0);
-        if let (Some(last), tail @ 1..) = (words.last_mut(), batch_rows % WORD_BITS) {
+        dir.words.resize(nwords, 0);
+        if let (Some(last), tail @ 1..) = (dir.words.last_mut(), batch_rows % WORD_BITS) {
             *last &= (1u64 << tail) - 1;
         }
-        let survivors = bitmap_count_ones(&words) as usize;
+        let survivors = dir.recount();
         if nwords > survivors {
-            return RowFilter::from_sorted(batch_rows, bitmap_rows(&words));
+            return (RowFilter::from_sorted(batch_rows, bitmap_rows(&dir.words)), Some(dir));
         }
-        let rank = Some(RankDirectory::over(words));
-        RowFilter { batch_rows, survivors, rank, nonzero: OnceLock::new() }
+        (RowFilter { batch_rows, survivors, rank: Some(dir), nonzero: OnceLock::new() }, None)
     }
 
     /// Build a filter from locally known nonzero rows (clipped to the
@@ -205,9 +224,8 @@ impl RowFilter {
 
     /// A stable fingerprint of this filter: the batch extent plus the
     /// surviving rows, read in the one representation the density guard
-    /// gives them (directory words above it, the sorted list below). Used
-    /// as the cache key for decoded SUMMA blocks: two batches processed
-    /// under different filters can never share decoded blocks.
+    /// gives them (directory words above it, the sorted list below), so
+    /// equal filters have equal fingerprints.
     pub fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.batch_rows.hash(&mut h);
@@ -219,36 +237,80 @@ impl RowFilter {
     }
 }
 
+/// One rank's bitmap filter kept from batch to batch: the filter of the
+/// last batch, whose bitmap and per-word counts the next batch's filter is
+/// built in, and the buffer the allreduce root broadcasts from
+/// ([`Communicator::allreduce_in_place`]). Every rank of the communicator
+/// keeps one and calls [`DistRowFilter::rebuild`] once per batch. Each
+/// buffer holds at most twice what the last batch used of it.
+#[derive(Debug)]
+pub struct DistRowFilter {
+    filter: RowFilter,
+    /// The buffers of a directory while `filter` is the sorted list.
+    spare: RankDirectory,
+    payload: Arc<Vec<u64>>,
+}
+
+impl Default for DistRowFilter {
+    fn default() -> Self {
+        DistRowFilter {
+            filter: RowFilter::from_sorted(0, Vec::new()),
+            spare: RankDirectory::default(),
+            payload: Arc::default(),
+        }
+    }
+}
+
+impl DistRowFilter {
+    /// [`dist_row_filter`] of a batch of `batch_rows` rows, built in this
+    /// rank's kept buffers: `observe` sets bit `r` of the zeroed
+    /// `⌈batch_rows/64⌉`-word bitmap it is given for every row `r` this rank
+    /// observes (bits at or past `batch_rows` are ignored), the bitmaps are
+    /// OR-allreduced in place, and the result replaces the last batch's
+    /// filter. Collective over `comm`; messages and bytes are those of
+    /// `dist_row_filter`.
+    pub fn rebuild(
+        &mut self,
+        comm: &Communicator,
+        batch_rows: usize,
+        observe: impl FnOnce(&mut [u64]),
+    ) -> SparseResult<&RowFilter> {
+        let last = std::mem::replace(&mut self.filter, RowFilter::from_sorted(0, Vec::new()));
+        let mut dir = last.rank.unwrap_or_else(|| std::mem::take(&mut self.spare));
+        let nwords = batch_rows.div_ceil(WORD_BITS);
+        dir.words.clear();
+        dir.words.reserve_exact(nwords);
+        dir.words.resize(nwords, 0);
+        drop_slack(&mut dir.words);
+        observe(&mut dir.words);
+        comm.allreduce_in_place(&mut dir.words, &mut self.payload, |a, b| *a | *b)?;
+        // Charge the prefix-sum renumbering of the survivors.
+        comm.add_flops(dir.words.len() as u64);
+        let (filter, unused) = RowFilter::from_directory(batch_rows, dir);
+        self.filter = filter;
+        if let Some(dir) = unused {
+            self.spare = dir;
+        }
+        Ok(&self.filter)
+    }
+}
+
 /// Build the batch filter collectively with the paper's bitmap
 /// formulation: every rank packs the rows present in its local columns
 /// into a dense bitmap, the bitmaps are combined with a bitwise-OR
 /// allreduce, and every rank keeps the identical reduced bitmap as its
 /// filter's rank directory (by value: it is not copied or expanded).
 /// Communication is `⌈batch_rows / 64⌉` words per message regardless of
-/// how many row indices were observed.
+/// how many row indices were observed. A driver that filters batch after
+/// batch keeps a [`DistRowFilter`] instead.
 pub fn dist_row_filter(
     comm: &Communicator,
     batch_rows: usize,
     local_rows: &[usize],
 ) -> SparseResult<RowFilter> {
-    dist_row_filter_from_bitmap(comm, batch_rows, pack_row_bitmap(batch_rows, local_rows))
-}
-
-/// [`dist_row_filter`] for a rank that has already packed the rows it
-/// observes: bit `r` of `mine` is set iff row `r` is nonzero in its local
-/// columns. `mine` is cut or zero-extended to `⌈batch_rows / 64⌉` words
-/// (rows at or past `batch_rows` are ignored, as `pack_row_bitmap` clips
-/// them), so every rank sends the same number of bytes.
-pub fn dist_row_filter_from_bitmap(
-    comm: &Communicator,
-    batch_rows: usize,
-    mut mine: Vec<u64>,
-) -> SparseResult<RowFilter> {
-    mine.resize(batch_rows.div_ceil(WORD_BITS), 0);
-    let combined = comm.allreduce(&mine, |a, b| *a | *b)?;
-    // Charge the prefix-sum renumbering of the survivors.
-    comm.add_flops(combined.len() as u64);
-    Ok(RowFilter::from_words(batch_rows, combined))
+    let mut kept = DistRowFilter::default();
+    kept.rebuild(comm, batch_rows, |words| pack_row_bitmap_into(words, batch_rows, local_rows))?;
+    Ok(kept.filter)
 }
 
 /// The index-based construction this module used before the bitmap
@@ -494,6 +556,60 @@ mod tests {
         let b = bitmap.aggregate().total_bytes_sent;
         let i = indexed.aggregate().total_bytes_sent;
         assert!(i >= 8 * b, "bitmap filter should cut traffic ≥ 8×: bitmap {b} vs indexed {i}");
+    }
+
+    #[test]
+    fn a_kept_filter_rebuilt_batch_after_batch_is_the_union_on_every_rank() {
+        // (batch rows, rows each rank observes): directories of several
+        // sizes, a batch whose bitmap falls back to the sorted list, and a
+        // repeat of the first shape. Once grown, the bitmap buffer is
+        // reused while a batch uses at least half of it, and gives the
+        // rest back when one uses less.
+        let batches = [(257usize, 40usize), (1000, 300), (600, 60), (1000, 2), (257, 40)];
+        let rows = |rank: usize, (batch_rows, count): (usize, usize)| -> Vec<usize> {
+            (0..count).map(|i| (i * 13 + rank * 7) % batch_rows).collect()
+        };
+        for p in [1usize, 3, 4, 6] {
+            let kept = Runtime::new(p)
+                .run(|ctx| {
+                    let mut kept = DistRowFilter::default();
+                    let mut words_at = Vec::new();
+                    let mut filters = Vec::new();
+                    for &batch in &batches {
+                        let mine = rows(ctx.rank(), batch);
+                        let observe = |words: &mut [u64]| {
+                            mine.iter().for_each(|&r| words[r / WORD_BITS] |= 1 << (r % WORD_BITS))
+                        };
+                        filters.push(kept.rebuild(ctx.world(), batch.0, observe).unwrap().clone());
+                        let words = kept.filter.rank.as_ref().map(|d| &d.words);
+                        words_at.push(words.map(|w| (w.as_ptr() as usize, w.capacity())));
+                    }
+                    (filters, words_at)
+                })
+                .unwrap();
+            let fresh = Runtime::new(p)
+                .run(|ctx| {
+                    let each = batches.iter().map(|&batch| {
+                        dist_row_filter(ctx.world(), batch.0, &rows(ctx.rank(), batch)).unwrap()
+                    });
+                    each.collect::<Vec<_>>()
+                })
+                .unwrap();
+            assert_eq!(kept.aggregate().total_bytes_sent, fresh.aggregate().total_bytes_sent);
+            for (rank, ((filters, words_at), expected)) in
+                kept.results.iter().zip(&fresh.results).enumerate()
+            {
+                assert_eq!(filters, expected, "p = {p}, rank {rank}");
+                for (i, &batch) in batches.iter().enumerate() {
+                    let union = (0..p).flat_map(|r| rows(r, batch)).collect();
+                    assert_eq!(filters[i], RowFilter::from_local(batch.0, union), "p = {p}");
+                }
+                assert!(words_at[3].is_none(), "16 words, 12 survivors at most: the sorted list");
+                assert_eq!(words_at[1].map(|(at, _)| at), words_at[2].map(|(at, _)| at));
+                assert_eq!(words_at[2].map(|(_, capacity)| capacity), Some(16), "p = {p}");
+                assert_eq!(words_at[4].map(|(_, capacity)| capacity), Some(5), "p = {p}");
+            }
+        }
     }
 
     #[test]

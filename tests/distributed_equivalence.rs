@@ -292,6 +292,29 @@ fn shared_driver_equals_the_oracle_and_the_distributed_driver_on_both_filter_bra
 }
 
 #[test]
+fn a_batch_over_a_huge_universe_filters_without_a_universe_sized_bitmap() {
+    // One batch of 2⁵⁰ + 6 rows: its filter bitmap would be 2⁴⁴ words
+    // (128 TiB). The shared driver sorts the four observed rows; the
+    // distributed one must allgather them, not OR-allreduce a bitmap.
+    let collection = SampleCollection::from_sorted_sets(vec![
+        vec![1, 1 << 50],
+        vec![1 << 50],
+        vec![3, (1 << 50) + 5],
+    ])
+    .unwrap();
+    let config = SimilarityConfig::with_batches(1);
+    assert!(config.use_zero_row_filter);
+    let shared = similarity_at_scale(&collection, &config).unwrap();
+    assert_eq!(shared, jaccard_exact_pairwise(&collection));
+    for ranks in [1usize, 4, 6] {
+        let distributed =
+            similarity_at_scale_distributed(&collection, &config, ranks, &Machine::laptop())
+                .unwrap();
+        assert_eq!(distributed.result, shared, "ranks={ranks}");
+    }
+}
+
+#[test]
 fn flop_charge_and_wire_bytes_are_pinned_across_the_grid() {
     // (p, c, total_flops, max_flops, total_bytes_sent). Most of the flops
     // are the γ charge `DistAta` books per SUMMA step — the Gustavson
