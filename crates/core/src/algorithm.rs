@@ -2,10 +2,10 @@
 //!
 //! Two execution paths cover the paper's algorithm (Listing 1):
 //!
-//! * [`similarity_at_scale`] — the shared-memory driver: batches are
-//!   filtered, bit-packed and multiplied with the Rayon-parallel
-//!   popcount-AND kernel. This is what a single rank (one MPI process
-//!   with on-node threading) executes, and what the examples use.
+//! * [`similarity_at_scale`] — the shared-memory driver: one process
+//!   multiplies each batch with the Rayon-parallel popcount-AND triangle
+//!   kernel. This is what a single rank (one MPI process with on-node
+//!   threading) executes, and what the examples use.
 //! * [`similarity_at_scale_distributed`] — the simulated-distributed
 //!   driver: `p` ranks run the full pipeline over the simulated runtime —
 //!   the bitmap zero-row filter (an OR-allreduce of packed row bitmaps),
@@ -13,45 +13,158 @@
 //!   `AᵀA` (all `p` ranks active for every rank count), and the final
 //!   layer/cardinality reductions — and the cost trackers record the
 //!   communication the paper's evaluation is about.
+//!
+//! Both run each batch's read → zero-row filter → bit-pack through one
+//! step, `read_filter_pack`, into buffers they keep from batch to batch
+//! and park on the calling thread between runs. They differ only in the
+//! filter's collective (none for the shared driver), the kernel, and
+//! where the cardinalities come from.
 
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
+use gas_dstsim::comm::Communicator;
 use gas_dstsim::cost::{AggregateCost, CostModel, CostReport};
 use gas_dstsim::machine::Machine;
 use gas_dstsim::obs;
 use gas_dstsim::runtime::Runtime;
 use gas_sparse::bitmat::{BitMatrix, WORD_BITS};
 use gas_sparse::dense::DenseMatrix;
-use gas_sparse::dist::ata::{DistAta, SummaBuffers};
+use gas_sparse::dist::ata::{check_chunk_word_rows, DistAta, SummaBuffers};
 use gas_sparse::dist::filter::{dist_row_filter_indexed, DistRowFilter, RowFilter};
-use gas_sparse::semiring::{PlusTimes, PopcountAnd};
+use gas_sparse::semiring::PopcountAnd;
 use gas_sparse::spgemm::ata_upper_accumulate;
 
 use crate::batch::BatchPlan;
 use crate::config::SimilarityConfig;
 use crate::error::{CoreError, CoreResult};
-use crate::filter::{dist_bitmap_pays, observe_rows, slice_row_filter};
+use crate::filter::{bitmap_pays, observe_rows};
 use crate::indicator::SampleCollection;
 use crate::jaccard::SimilarityResult;
-use crate::mask::{prepare_batch, PreparedBatch};
+
+/// What a driver refills from batch to batch: its zero-row filter, its
+/// two packed operand blocks and — on a rank of the distributed driver —
+/// its SUMMA blocks.
+#[derive(Default)]
+struct RankBuffers {
+    blocks: SummaBuffers,
+    filter: DistRowFilter,
+    left: BitMatrix,
+    right: BitMatrix,
+}
+
+thread_local! {
+    /// The buffers of the last run this thread made, indexed by rank, for
+    /// its next run: rank threads live for one run, and the shared driver
+    /// is rank 0. Freed with the thread; each buffer holds at most twice
+    /// its last use.
+    static PARKED: RefCell<Vec<RankBuffers>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One batch `lo..hi` of Listing 1 up to its kernel, as both drivers run
+/// it: read, filter and pack, on a rank of the distributed driver (its
+/// world communicator and grid) or, given `None`, on the shared driver.
+///
+/// * `read` borrows the samples of the rank's row block `R_i` (the left
+///   operand) and column block `C_j` (the right one) in the batch as
+///   slices of the collection; the shared driver's two blocks are every
+///   sample, and so coincide, as they do on the diagonal of square grids.
+/// * `filter` (when `use_filter`) builds the batch's zero-row filter from
+///   the right block's slices. Where [`bitmap_pays`] it is the bitmap of
+///   the rows observed, kept in `kept.filter` and OR-allreduced across
+///   the ranks, whose right blocks cover every sample; a hypersparse batch
+///   takes the sorted union of the observed rows instead, allgathered
+///   across the ranks. The shared driver skips the collectives. Every rank
+///   reads the batch's entry count off the collection, so all pick the
+///   same branch.
+/// * `pack` renumbers and packs, in one pass over the slices, the word-row
+///   chunks the rank cuts into SUMMA blocks ([`DistAta::owned_chunks`]) —
+///   every word row on the shared driver — into `kept`'s operands; a chunk
+///   a SUMMA block could not index is refused before packing.
+///
+/// Returns the packed `(left, right)` operands.
+fn read_filter_pack<'k>(
+    collection: &SampleCollection,
+    (lo, hi): (u64, u64),
+    use_filter: bool,
+    rank: Option<(&Communicator, &DistAta)>,
+    kept: &'k mut RankBuffers,
+) -> CoreResult<(&'k BitMatrix, &'k BitMatrix)> {
+    let batch_rows = (hi - lo) as usize;
+    let comm = rank.map(|(comm, _)| comm);
+    let (left_cols, right_cols) = match rank {
+        Some((_, ata)) => (ata.my_row_range(), ata.my_col_range()),
+        None => (0..collection.n(), 0..collection.n()),
+    };
+    let same_blocks = left_cols == right_cols;
+    let read_span = obs::span("paper", "read");
+    let slices = |cols: Range<usize>| -> Vec<&[u64]> {
+        cols.map(|i| collection.batch_values(i, lo, hi)).collect()
+    };
+    let right_values = slices(right_cols);
+    let left_values = if same_blocks { Vec::new() } else { slices(left_cols) };
+    drop(read_span);
+    let sparse_filter;
+    let filter = if use_filter {
+        let _filter = obs::span("paper", "filter");
+        if let Some(comm) = comm {
+            let entries: usize = right_values.iter().map(|s| s.len()).sum();
+            comm.add_mem_traffic((entries * std::mem::size_of::<u64>()) as u64);
+        }
+        if bitmap_pays(batch_rows, collection.batch_nnz(lo, hi) as usize) {
+            let observe = |words: &mut [u64]| observe_rows(words, lo, &right_values);
+            Some(kept.filter.rebuild(comm, batch_rows, observe)?)
+        } else {
+            let values = right_values.iter().copied().flatten();
+            let rows: Vec<usize> = values.map(|&v| (v - lo) as usize).collect();
+            sparse_filter = match comm {
+                Some(comm) => dist_row_filter_indexed(comm, batch_rows, &rows)?,
+                None => RowFilter::from_local(batch_rows, rows),
+            };
+            Some(&sparse_filter)
+        }
+    } else {
+        None
+    };
+    let _pack = obs::span("paper", "pack");
+    let nrows = filter.map_or(batch_rows, RowFilter::num_nonzero_rows);
+    let word_rows = nrows.div_ceil(WORD_BITS);
+    let all = 0..word_rows;
+    let (left_keep, right_keep) = match rank {
+        Some((_, ata)) => ata.owned_chunks(word_rows),
+        None => (vec![all.clone()], vec![all]),
+    };
+    for chunk in left_keep.iter().chain(&right_keep) {
+        check_chunk_word_rows(chunk.len())?;
+    }
+    if same_blocks {
+        let mut keep = [left_keep, right_keep].concat();
+        keep.sort_by_key(|chunk| (chunk.start, chunk.end));
+        keep.dedup();
+        kept.left.refill_from_batch_slices(lo..hi, &right_values, filter, &keep)?;
+        return Ok((&kept.left, &kept.left));
+    }
+    kept.left.refill_from_batch_slices(lo..hi, &left_values, filter, &left_keep)?;
+    kept.right.refill_from_batch_slices(lo..hi, &right_values, filter, &right_keep)?;
+    Ok((&kept.left, &kept.right))
+}
 
 /// Run SimilarityAtScale on shared memory.
 ///
-/// Each batch runs the distributed driver's pipeline on one rank: it
-/// borrows the samples' values in the batch as slices of the collection,
-/// builds the zero-row filter from them, packs them in one pass
-/// ([`BitMatrix::from_batch_slices`]) and adds the upper triangle of the
-/// popcount-AND `AᵀA` straight into `B` ([`ata_upper_accumulate`]). `B` is
-/// mirrored once, after the last batch. The unmasked ablation
-/// (`use_bitmask: false`) builds its boolean views with
-/// [`crate::mask::prepare_batch`], which filters as well, and adds the
-/// plus-times triangle the same way.
+/// Each batch runs the distributed driver's step on one rank with no
+/// collective: it reads the samples' values in the batch as slices of the
+/// collection, builds the zero-row filter from them and packs the whole
+/// batch in one pass, into a filter and a packed matrix kept from batch to
+/// batch (and parked on the calling thread between runs, as the
+/// distributed driver's rank 0). The kernel then adds the upper triangle
+/// of the popcount-AND `AᵀA` straight into `B` ([`ata_upper_accumulate`]),
+/// which is mirrored once, after the last batch; the cardinalities are the
+/// samples' lengths. `use_bitmask` is not read: the paper always masks.
 ///
 /// Traced, a run is one `similarity_at_scale` span holding one `batch`
-/// span per batch — `read`, `filter` (when filtering the masked path),
-/// `pack` and `kernel` inside it — and a closing `finalize`.
+/// span per batch — `read`, `filter` (when filtering), `pack` and `kernel`
+/// inside it — and a closing `finalize`.
 pub fn similarity_at_scale(
     collection: &SampleCollection,
     config: &SimilarityConfig,
@@ -61,51 +174,22 @@ pub fn similarity_at_scale(
     let plan = BatchPlan::from_config(config, collection, 1)?;
     let n = collection.n();
     let mut b = DenseMatrix::<u64>::zeros(n, n);
-    let mut cardinalities = vec![0u64; n];
-    for (lo, hi) in plan.iter() {
+    let mut kept =
+        PARKED.with_borrow_mut(|parked| parked.first_mut().map(std::mem::take)).unwrap_or_default();
+    for batch in plan.iter() {
         let _batch = obs::span("paper", "batch");
-        let batch_rows = (hi - lo) as usize;
-        let values: Vec<&[u64]> = {
-            let _read = obs::span("paper", "read");
-            (0..n).map(|i| collection.batch_values(i, lo, hi)).collect()
-        };
-        for (c, v) in cardinalities.iter_mut().zip(&values) {
-            *c += v.len() as u64;
-        }
-        if config.use_bitmask {
-            let filter = config.use_zero_row_filter.then(|| {
-                let _filter = obs::span("paper", "filter");
-                slice_row_filter(lo, batch_rows, &values)
-            });
-            let packed = {
-                let _pack = obs::span("paper", "pack");
-                let nrows = filter.as_ref().map_or(batch_rows, RowFilter::num_nonzero_rows);
-                let all = 0..nrows.div_ceil(WORD_BITS);
-                BitMatrix::from_batch_slices(lo..hi, &values, filter.as_ref(), &[all])?
-            };
-            let _kernel = obs::span("paper", "kernel");
-            ata_upper_accumulate::<PopcountAnd>(packed.as_csc(), None, &mut b)?;
-        } else {
-            let (prepared, _) = {
-                let _pack = obs::span("paper", "pack");
-                let columns: Vec<Vec<usize>> =
-                    values.iter().map(|v| v.iter().map(|&x| (x - lo) as usize).collect()).collect();
-                prepare_batch(batch_rows, &columns, config.use_zero_row_filter, false)?
-            };
-            let _kernel = obs::span("paper", "kernel");
-            match &prepared {
-                PreparedBatch::Unmasked { csc, csr } => {
-                    ata_upper_accumulate::<PlusTimes<u64>>(csc, Some(csr), &mut b)?
-                }
-                PreparedBatch::Masked(bm) => {
-                    ata_upper_accumulate::<PopcountAnd>(bm.as_csc(), None, &mut b)?
-                }
-            }
-        }
+        let use_filter = config.use_zero_row_filter;
+        let (packed, _) = read_filter_pack(collection, batch, use_filter, None, &mut kept)?;
+        let _kernel = obs::span("paper", "kernel");
+        ata_upper_accumulate::<PopcountAnd>(packed.as_csc(), &mut b)?;
     }
+    PARKED.with_borrow_mut(|parked| match parked.first_mut() {
+        Some(first) => *first = kept,
+        None => parked.push(kept),
+    });
     let _finalize = obs::span("paper", "finalize");
     b.mirror_upper()?;
-    SimilarityResult::from_intersections(b, cardinalities)
+    SimilarityResult::from_intersections(b, collection.cardinalities())
 }
 
 /// Summary of a simulated-distributed run.
@@ -133,28 +217,11 @@ impl DistributedRunSummary {
     }
 }
 
-/// What one rank of [`similarity_at_scale_distributed`] refills from
-/// batch to batch: its SUMMA blocks, its zero-row filter and its two
-/// packed operand blocks.
-#[derive(Default)]
-struct RankBuffers {
-    blocks: SummaBuffers,
-    filter: DistRowFilter,
-    left: BitMatrix,
-    right: BitMatrix,
-}
-
-thread_local! {
-    /// The rank buffers of the last distributed run this thread made,
-    /// indexed by rank, for its next run: rank threads live for one run.
-    /// Freed with the thread; each buffer holds at most twice its last use.
-    static PARKED: RefCell<Vec<RankBuffers>> = const { RefCell::new(Vec::new()) };
-}
-
 /// Run SimilarityAtScale on `nranks` simulated ranks of `machine`.
 ///
 /// The driver selects a rectangular `r × q × c` grid for the rank count
-/// (every rank active), and each rank reads the sample columns of its
+/// (every rank active), and each rank runs every batch through the shared
+/// driver's read → filter → pack step: it reads the sample columns of its
 /// output row block `R_i` and column block `C_j` (the two SUMMA
 /// operands) as slices of the collection. Every rank contributes a packed
 /// bitmap of the batch rows it observes to the distributed zero-row
@@ -205,14 +272,6 @@ pub fn similarity_at_scale_distributed(
 
     type RankOutput = Result<(Option<DenseMatrix<u64>>, Vec<u64>), CoreError>;
 
-    // Every batch's entries over all samples, from which every rank picks
-    // the same filter branch with no message.
-    let batch_entries: Vec<usize> = if use_filter {
-        plan.iter().map(|(lo, hi)| collection.batch_nnz(lo, hi) as usize).collect()
-    } else {
-        Vec::new()
-    };
-
     let parked: Vec<Mutex<RankBuffers>> = PARKED.with_borrow_mut(|parked| {
         let mut kept = std::mem::take(parked);
         kept.resize_with(nranks, RankBuffers::default);
@@ -225,79 +284,19 @@ pub fn similarity_at_scale_distributed(
 
     let out = runtime.run(|ctx| -> RankOutput {
         let world = ctx.world();
-        let RankBuffers { blocks, filter: mut bitmap_filter, mut left, mut right } =
-            take(ctx.rank());
+        let mut kept = take(ctx.rank());
         let mut ata = {
             let _setup = obs::span("paper", "setup");
-            DistAta::with_buffers(world, n, replication, blocks)?
+            DistAta::with_buffers(world, n, replication, std::mem::take(&mut kept.blocks))?
         };
         let mut acc = ata.new_accumulator();
         let mut card = ata.new_cardinalities();
-        let (right_cols, left_cols) = (ata.my_col_range(), ata.my_row_range());
-        let same_blocks = right_cols == left_cols;
-        for (l, (lo, hi)) in plan.iter().enumerate() {
+        for batch in plan.iter() {
             let _batch = obs::span("paper", "batch");
-            let batch_rows = (hi - lo) as usize;
-            // Each rank reads the samples of its two operand blocks for
-            // this batch, as slices of the collection (they coincide on
-            // the diagonal of square grids).
-            let read_span = obs::span("paper", "read");
-            let slices = |cols: Range<usize>| -> Vec<&[u64]> {
-                cols.map(|i| collection.batch_values(i, lo, hi)).collect()
-            };
-            let right_values = slices(right_cols.clone());
-            let left_values = if same_blocks { Vec::new() } else { slices(left_cols.clone()) };
-            drop(read_span);
-            // Every rank scatters the rows it observes in its column block
-            // into a packed bitmap; the OR-allreduce makes the union filter
-            // available everywhere (the paper's accumulate-write
-            // formulation). A hypersparse batch allgathers the observed
-            // rows instead, as the shared driver sorts them. With the
-            // filter disabled the batch is packed as-is.
-            let sparse_filter;
-            let filter = if use_filter {
-                let _filter = obs::span("paper", "filter");
-                let entries: usize = right_values.iter().map(|s| s.len()).sum();
-                ctx.add_mem_traffic((entries * std::mem::size_of::<u64>()) as u64);
-                // Distributed zero-row filter (collective over all ranks).
-                if dist_bitmap_pays(batch_rows, batch_entries[l]) {
-                    let observe = |words: &mut [u64]| observe_rows(words, lo, &right_values);
-                    Some(bitmap_filter.rebuild(world, batch_rows, observe)?)
-                } else {
-                    let values = right_values.iter().copied().flatten();
-                    let rows: Vec<usize> = values.map(|&v| (v - lo) as usize).collect();
-                    sparse_filter = dist_row_filter_indexed(world, batch_rows, &rows)?;
-                    Some(&sparse_filter)
-                }
-            } else {
-                None
-            };
-            // Each rank renumbers and packs, in one pass over its slices,
-            // only the word-row chunks it cuts into SUMMA blocks: the sweep
-            // reads no other word. The perf ledger's traced replays still
-            // run the old sequences: `apply_filter` +
-            // `BitMatrix::from_columns` over the full extent here, held to
-            // the same wire bytes, and `prepare_batch` → `to_csr` →
-            // `ata_dense_parallel` for the shared driver. With the unmasked
-            // ablation and the allreduce baseline they are the last callers
-            // of `apply_filter` and `prepare_batch`; draining these spans
-            // instead is the ledger-side edit left (ROADMAP 1A).
-            let pack_span = obs::span("paper", "pack");
-            let nrows = filter.map_or(batch_rows, RowFilter::num_nonzero_rows);
-            let (left_keep, right_keep) = ata.owned_chunks(nrows.div_ceil(WORD_BITS));
-            if same_blocks {
-                let mut keep = [left_keep, right_keep].concat();
-                keep.sort_by_key(|chunk| (chunk.start, chunk.end));
-                keep.dedup();
-                left.refill_from_batch_slices(lo..hi, &right_values, filter, &keep)?;
-            } else {
-                left.refill_from_batch_slices(lo..hi, &left_values, filter, &left_keep)?;
-                right.refill_from_batch_slices(lo..hi, &right_values, filter, &right_keep)?;
-            }
-            drop(pack_span);
+            let rank = Some((world, &ata));
+            let (left, right) = read_filter_pack(collection, batch, use_filter, rank, &mut kept)?;
             let _summa = obs::span("paper", "summa");
-            let right = if same_blocks { &left } else { &right };
-            ata.accumulate_batch_keyed(&left, right, None, &mut acc, &mut card)?;
+            ata.accumulate_batch_keyed(left, right, None, &mut acc, &mut card)?;
             ctx.record_superstep();
         }
         {
@@ -308,8 +307,7 @@ pub fn similarity_at_scale_distributed(
             let _gather = obs::span("paper", "gather");
             ata.gather_full(world, &acc)?
         };
-        let blocks = ata.into_buffers();
-        let kept = RankBuffers { blocks, filter: bitmap_filter, left, right };
+        kept.blocks = ata.into_buffers();
         *parked[ctx.rank()].lock().unwrap_or_else(PoisonError::into_inner) = kept;
         Ok((full, card))
     })?;

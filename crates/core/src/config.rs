@@ -34,8 +34,9 @@ pub struct SimilarityConfig {
     /// the shared-memory driver).
     pub replication: usize,
     /// Whether to compress filtered batches into 64-bit masks before the
-    /// product. Disabling this is only useful for ablation experiments —
-    /// the paper always masks.
+    /// product. Read only by [`crate::mask::prepare_batch`]: the allreduce
+    /// baseline's unmasked ablation takes its boolean views from there.
+    /// Neither driver reads it — like the paper, both always mask.
     pub use_bitmask: bool,
     /// Whether to remove all-zero rows per batch before compression.
     /// Disabling this is only useful for ablation experiments.

@@ -12,21 +12,21 @@
 //! the survivor list (a hypersparse batch over the k-mer universe keeps
 //! the `O(survivors)` binary search).
 //!
-//! Both drivers build the filter from the batch's sample slices. The
-//! shared-memory driver calls `slice_row_filter`: a bitmap where
-//! `bitmap_pays`, else the sorted entries. The distributed one scatters
-//! its local rows with `observe_rows`, the same bitmap, into the buffers
-//! a `DistRowFilter` keeps for the OR-allreduce — or, for a batch
-//! `dist_bitmap_pays` finds hypersparse, allgathers them
-//! (`dist_row_filter_indexed`). Renumbering happens inside packing: the
-//! drivers hand the filter to the packer (`BitMatrix::from_batch_slices`
-//! and its buffer-reusing sibling), which never builds the renumbered
-//! lists, and so does [`crate::mask::prepare_batch`] through
-//! `BitMatrix::from_filtered_columns`. [`batch_row_filter`] and
-//! [`apply_filter`] work on column lists: their callers are `prepare_batch`
-//! (the unmasked ablation, the allreduce baseline and the perf ledger's
-//! replays) and, for `apply_filter`, the ledger's traced replay of the
-//! distributed driver.
+//! Both drivers build the filter from the batch's sample slices, in one
+//! step (`algorithm::read_filter_pack`) and under one guard,
+//! `bitmap_pays`: a batch at most 64 bitmap words per entry scatters its
+//! rows with `observe_rows` into the bitmap a kept `DistRowFilter` holds,
+//! OR-allreduced across the ranks of the distributed driver; a sparser one
+//! — a handful of k-mers over a huge universe — takes the sorted union of
+//! its rows, allgathered across ranks (`dist_row_filter_indexed`).
+//! Renumbering happens inside packing: the drivers hand the filter to
+//! `BitMatrix::refill_from_batch_slices`, which never builds the
+//! renumbered lists, and so does [`crate::mask::prepare_batch`] through
+//! `BitMatrix::from_filtered_columns`. [`batch_row_filter`] (same guard)
+//! and [`apply_filter`] work on column lists: their callers are
+//! `prepare_batch` (the allreduce baseline and the perf ledger's replays)
+//! and, for `apply_filter`, the ledger's traced replay of the distributed
+//! driver.
 
 use gas_sparse::bitmat::WORD_BITS;
 pub use gas_sparse::dist::filter::RowFilter;
@@ -35,10 +35,10 @@ pub use gas_sparse::dist::filter::RowFilter;
 /// (batch-local row indices).
 ///
 /// The paper's construction: OR every entry into a one-bit-per-row filter
-/// vector — taken when the `⌈batch_rows/64⌉`-word vector is no longer
-/// than the entry list it replaces. `batch_rows` is the k-mer universe,
-/// so for a hypersparse batch the vector would dwarf the data; there the
-/// entries are sorted and deduplicated instead, `O(entries)` in memory.
+/// vector — taken while it is at most 64 words per entry, the drivers'
+/// guard (`bitmap_pays`). `batch_rows` is the k-mer universe, so for a
+/// hypersparse batch the vector would dwarf the data; there the entries
+/// are sorted and deduplicated instead, `O(entries)` in memory.
 pub fn batch_row_filter(batch_rows: usize, columns: &[Vec<usize>]) -> RowFilter {
     let entries: usize = columns.iter().map(Vec::len).sum();
     if bitmap_pays(batch_rows, entries) {
@@ -64,46 +64,24 @@ pub(crate) fn observe_rows(words: &mut [u64], lo: u64, values: &[&[u64]]) {
     }
 }
 
-/// Whether a batch of `batch_rows` rows holding `entries` entries filters
-/// through a one-bit-per-row bitmap: its `⌈batch_rows/64⌉` words are no
-/// more than the entries. Otherwise the survivors are sorted, `O(entries)`
-/// in memory for a hypersparse batch over a huge universe (the density
-/// guard of [`batch_row_filter`]).
-pub(crate) fn bitmap_pays(batch_rows: usize, entries: usize) -> bool {
-    batch_rows.div_ceil(WORD_BITS) <= entries
-}
-
-/// The most bitmap words per batch entry [`dist_bitmap_pays`] allows: the
+/// The most bitmap words per batch entry [`bitmap_pays`] allows: the
 /// bitmap's bytes stay within 64 times the batch's own.
-const DIST_BITMAP_WORDS_PER_ENTRY: usize = 64;
+const BITMAP_WORDS_PER_ENTRY: usize = 64;
 
-/// The distributed driver's guard, a memory bound only: whether a batch's
-/// filter is the paper's OR-allreduced bitmap, at most
-/// [`DIST_BITMAP_WORDS_PER_ENTRY`] words per entry of the batch, or — for
-/// a batch sparser than that, such as a handful of k-mers over a huge
-/// universe — the sorted union of the observed rows an allgather builds,
-/// `O(entries)` in memory. It is not a crossover of the two collectives'
-/// bytes: the branch also picks the batch's collective, and the driver
-/// keeps the paper's allreduce wherever the bitmap is no allocation
-/// hazard. The batches of the paper-figure tests that fail
-/// [`bitmap_pays`] (fig2c's at 1.04 words per entry, fig3's at 1.59) stay
-/// far inside this bound.
-pub(crate) fn dist_bitmap_pays(batch_rows: usize, entries: usize) -> bool {
-    batch_rows.div_ceil(WORD_BITS) <= DIST_BITMAP_WORDS_PER_ENTRY.saturating_mul(entries)
-}
-
-/// The zero-row filter of the batch starting at `lo`, from its sample
-/// slices: the bitmap [`observe_rows`] sets where [`bitmap_pays`], else
-/// the sorted survivors.
-pub(crate) fn slice_row_filter(lo: u64, batch_rows: usize, values: &[&[u64]]) -> RowFilter {
-    let entries: usize = values.iter().map(|v| v.len()).sum();
-    if bitmap_pays(batch_rows, entries) {
-        let mut words = vec![0u64; batch_rows.div_ceil(WORD_BITS)];
-        observe_rows(&mut words, lo, values);
-        return RowFilter::from_bitmap(batch_rows, &words);
-    }
-    let rows = values.iter().copied().flatten().map(|&v| (v - lo) as usize).collect();
-    RowFilter::from_local(batch_rows, rows)
+/// The filter guard of both drivers and [`batch_row_filter`], a memory
+/// bound only: whether a batch of `batch_rows` rows holding `entries`
+/// entries filters through the paper's one-bit-per-row bitmap, at most
+/// [`BITMAP_WORDS_PER_ENTRY`] words per entry, or — for a batch sparser
+/// than that, such as a handful of k-mers over a huge universe — through
+/// the sorted union of its rows, `O(entries)` in memory. It is not a
+/// crossover of the two branches' collectives (the bitmap's OR-allreduce,
+/// the rows' allgather): the distributed driver keeps the paper's
+/// allreduce wherever the bitmap is no allocation hazard, and every rank
+/// reads `entries` off the collection, so the choice costs no message.
+/// The paper-figure tests' batches (fig2c's at 1.04 words per entry,
+/// fig3's at 1.59) stay far inside it.
+pub(crate) fn bitmap_pays(batch_rows: usize, entries: usize) -> bool {
+    batch_rows.div_ceil(WORD_BITS) <= BITMAP_WORDS_PER_ENTRY.saturating_mul(entries)
 }
 
 /// Apply a filter to the batch columns: every surviving row index is
@@ -111,8 +89,8 @@ pub(crate) fn slice_row_filter(lo: u64, batch_rows: usize, values: &[&[u64]]) ->
 /// dropped (they cannot occur if the filter was built from the same
 /// columns, but an externally supplied filter may be narrower).
 ///
-/// No driver of the masked path calls this: besides the unmasked
-/// ablation it is kept for the perf ledger's phase-by-phase replay of
+/// No driver calls this: besides `prepare_batch`'s unmasked views it is
+/// kept for the perf ledger's phase-by-phase replay of
 /// [`crate::algorithm::similarity_at_scale_distributed`], which times
 /// renumbering and packing apart.
 pub fn apply_filter(columns: &[Vec<usize>], filter: &RowFilter) -> Vec<Vec<usize>> {
@@ -189,21 +167,29 @@ mod tests {
         assert_eq!(bitmap_built, sort_built);
         assert_eq!(bitmap_built.fingerprint(), sort_built.fingerprint());
         assert_eq!(bitmap_built.nonzero_rows(), &[2, 64, 129]);
-        // Out-of-range entries are clipped on both paths.
+        // Out-of-range entries are clipped on both paths: 2 entries pay
+        // for at most 128 words, so 6400 rows (100 words) build the bitmap
+        // and 64 000 rows (1000 words) sort.
         assert_eq!(batch_row_filter(64, &[vec![1, 64, 700]]).nonzero_rows(), &[1]);
         assert_eq!(batch_row_filter(6400, &[vec![1, 6400]]).nonzero_rows(), &[1]);
+        assert_eq!(batch_row_filter(64_000, &[vec![1, 64_000]]).nonzero_rows(), &[1]);
     }
 
     #[test]
     fn slice_filter_is_the_column_filter_on_both_sides_of_the_guard() {
-        // A batch starting at value 1000 with four entries: over 130 rows
-        // (3 words) the bitmap is built, over 6400 (100 words) the list.
+        // A batch starting at value 1000 with four entries, which pay for
+        // at most 256 bitmap words: 16 384 rows are exactly 256 words and
+        // build the bitmap, one row more is 257 words and sorts; 130 rows
+        // are far inside the guard.
         let values: [&[u64]; 3] = [&[1002, 1129], &[1002, 1064], &[]];
         let columns: Vec<Vec<usize>> =
             values.iter().map(|v| v.iter().map(|&x| (x - 1000) as usize).collect()).collect();
-        for batch_rows in [130usize, 6400] {
-            let f = slice_row_filter(1000, batch_rows, &values);
-            assert_eq!(f, batch_row_filter(batch_rows, &columns), "{batch_rows} rows");
+        for (batch_rows, bitmap) in [(130usize, true), (16_384, true), (16_385, false)] {
+            assert_eq!(bitmap_pays(batch_rows, 4), bitmap, "{batch_rows} rows");
+            let mut kept = gas_sparse::dist::filter::DistRowFilter::default();
+            let observe = |words: &mut [u64]| observe_rows(words, 1000, &values);
+            let f = kept.rebuild(None, batch_rows, observe).unwrap();
+            assert_eq!(f, &batch_row_filter(batch_rows, &columns), "{batch_rows} rows");
             assert_eq!(f.nonzero_rows(), &[2, 64, 129]);
         }
         let mut words = vec![0; 3];
@@ -228,13 +214,14 @@ mod tests {
         use crate::minhash::splitmix64;
         // Which side of the density guard each filter fell on.
         let mut directories = [0usize; 2];
-        // Per batch: entries drawn per column. 6400 rows are 100 words,
-        // so 3 × 20 entries sort, 3 × 60 build the bitmap and keep it as
-        // the directory, and 3 × 34 build the bitmap but — with under 100
+        // Per batch: entries drawn per column. 409 600 rows are 6400
+        // words, over 64 per entry, so 3 × 20 entries sort. 6400 rows are
+        // 100 words: 3 × 60 entries build the bitmap and keep it as the
+        // directory, and 3 × 34 build the bitmap but — with under 100
         // distinct rows — fall back to the list. 1000 and 70 rows end in a
         // partial word; 70 rows drawn 300 times per column keep them all.
         for (batch_rows, per_column) in
-            [(6400usize, 20usize), (6400, 60), (6400, 34), (64, 9), (1000, 40), (70, 300)]
+            [(409_600usize, 20usize), (6400, 60), (6400, 34), (64, 9), (1000, 40), (70, 300)]
         {
             // The fourth column is empty.
             let columns: Vec<Vec<usize>> = (0..4u64)

@@ -12,12 +12,11 @@
 //! column lists are never built. The unmasked ablation renumbers through
 //! [`apply_filter`] first.
 //!
-//! Neither driver's masked path calls [`prepare_batch`]: both pack
-//! straight from the sample slices with `BitMatrix::from_batch_slices`.
-//! Its callers are the shared-memory driver's unmasked ablation
-//! (`use_bitmask: false`), which takes its boolean views from here, the
-//! allreduce baseline ([`crate::baselines`]) and the perf ledger's
-//! phase-by-phase replays of both drivers. It goes, with
+//! Neither driver calls [`prepare_batch`]: both pack straight from the
+//! sample slices with `BitMatrix::refill_from_batch_slices`. Its callers
+//! are the allreduce baseline ([`crate::baselines`]), whose unmasked
+//! ablation (`use_bitmask: false`) takes its boolean views from here, and
+//! the perf ledger's phase-by-phase replays of both drivers. It goes, with
 //! [`PreparedBatch`], once the ledger times the drivers' own spans.
 
 use gas_sparse::bitmat::BitMatrix;

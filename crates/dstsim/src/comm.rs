@@ -162,11 +162,38 @@ pub(crate) struct Fabric {
     pub senders: Vec<Sender<Envelope>>,
 }
 
-/// Per-rank inbound mailbox: the channel receiver plus a buffer of
-/// messages that arrived out of matching order.
+impl Fabric {
+    /// Tell every other rank that world rank `rank` has left the run: its
+    /// closure returned or unwound, so it sends nothing more. Each
+    /// sender's messages arrive in order, so a rank that reads the notice
+    /// has already read everything `rank` sent before it. The notice is
+    /// charged nothing.
+    pub(crate) fn depart(&self, rank: usize) {
+        for (dest, tx) in self.senders.iter().enumerate() {
+            if dest == rank {
+                continue;
+            }
+            let notice = Envelope {
+                src_world: rank,
+                comm_id: DEPARTED_COMM_ID,
+                tag: 0,
+                bytes: 0,
+                payload: Box::new(()),
+            };
+            // A rank that has left too has dropped its receiver: it waits
+            // on nobody.
+            let _ = tx.send(notice);
+        }
+    }
+}
+
+/// Per-rank inbound mailbox: the channel receiver, a buffer of messages
+/// that arrived out of matching order, and the world ranks whose
+/// departure notice ([`Fabric::depart`]) has arrived.
 pub(crate) struct Mailbox {
     pub rx: Receiver<Envelope>,
     pub pending: Vec<Envelope>,
+    pub departed: Vec<usize>,
 }
 
 impl Mailbox {
@@ -183,6 +210,9 @@ impl Mailbox {
 pub(crate) const WORLD_COMM_ID: u64 = 0;
 /// Tag bit reserved for collective-internal messages.
 pub(crate) const COLLECTIVE_TAG_BIT: u64 = 1 << 63;
+/// Communicator id of a departure notice: even and nonzero, so neither
+/// the world's id nor a derived (odd) one.
+const DEPARTED_COMM_ID: u64 = 2;
 
 fn derive_comm_id(parent: u64, split_seq: u64, color: u64) -> u64 {
     let mut h = DefaultHasher::new();
@@ -375,7 +405,10 @@ impl Communicator {
     }
 
     /// Receive a `T` from local rank `src` with `tag`, blocking until the
-    /// matching message arrives.
+    /// matching message arrives. In a fault-free run a receive from a rank
+    /// that has left the run (its closure returned or unwound) with no
+    /// matching message fails with [`SimError::Disconnected`]; under a
+    /// fault spec the wait is bounded by its timeout instead.
     pub fn recv<T: Msg>(&self, src: usize, tag: u64) -> SimResult<T> {
         let src_world = self.world_rank_of(src)?;
         if let Some(err) = self.crash_check(src_world) {
@@ -403,6 +436,9 @@ impl Communicator {
                         return Err(SimError::Disconnected { src });
                     }
                 };
+                if env.comm_id == DEPARTED_COMM_ID {
+                    continue;
+                }
                 if env.src_world == src_world && env.comm_id == self.comm_id && env.tag == tag {
                     break env;
                 }
@@ -410,7 +446,14 @@ impl Communicator {
             }
         } else {
             loop {
+                if mb.departed.contains(&src_world) {
+                    return Err(SimError::Disconnected { src });
+                }
                 let env = mb.rx.recv().map_err(|_| SimError::Disconnected { src })?;
+                if env.comm_id == DEPARTED_COMM_ID {
+                    mb.departed.push(env.src_world);
+                    continue;
+                }
                 if env.src_world == src_world && env.comm_id == self.comm_id && env.tag == tag {
                     break env;
                 }

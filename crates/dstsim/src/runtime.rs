@@ -127,6 +127,20 @@ impl<R> RunOutput<R> {
     }
 }
 
+/// Tells every other rank, when dropped, that its rank has left the run
+/// — the closure returned or unwound — so a receive from it that no sent
+/// message matches fails typed instead of blocking forever.
+struct Departure {
+    fabric: Arc<Fabric>,
+    rank: usize,
+}
+
+impl Drop for Departure {
+    fn drop(&mut self) {
+        self.fabric.depart(self.rank);
+    }
+}
+
 /// A simulated distributed machine runner.
 ///
 /// `Runtime::new(p)` prepares a world of `p` ranks; [`Runtime::run`]
@@ -208,8 +222,13 @@ impl Runtime {
                 let fabric = Arc::clone(&fabric);
                 let faults = Arc::clone(&self.faults);
                 handles.push(scope.spawn(move || {
+                    let _departure = Departure { fabric: Arc::clone(&fabric), rank };
                     let cost = Rc::new(RefCell::new(CostTracker::new()));
-                    let mailbox = Rc::new(RefCell::new(Mailbox { rx, pending: Vec::new() }));
+                    let mailbox = Rc::new(RefCell::new(Mailbox {
+                        rx,
+                        pending: Vec::new(),
+                        departed: Vec::new(),
+                    }));
                     let world = Communicator::world(
                         rank,
                         p,
@@ -475,6 +494,57 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out.results[0], Some(SimError::Timeout { src: 1, waited_micros: 5_000 }));
+    }
+
+    /// `body`'s value, run on a helper thread that is waited for at most
+    /// `secs` seconds: a run that hangs fails the test instead.
+    fn within<R: Send + 'static>(secs: u64, body: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(body()));
+        match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Ok(value) => value,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("hung for {secs} s"),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("the body panicked"),
+        }
+    }
+
+    #[test]
+    fn a_rank_that_leaves_before_a_bcast_fails_every_waiting_peer_typed() {
+        // The root of a broadcast returns, or panics, without sending: in a
+        // fault-free run nothing bounds the wait, so every other rank must
+        // learn of the departure — directly, or from a tree parent that
+        // left on its own error — and fail with `Disconnected`.
+        for p in [2usize, 4, 5] {
+            for root in [0, p - 1] {
+                for panics in [false, true] {
+                    let ctx = format!("p = {p}, root {root}, panics: {panics}");
+                    let (run, seen) = within(30, move || {
+                        let seen = std::sync::Mutex::new(vec![None; p]);
+                        let run = Runtime::new(p).run(|ctx| {
+                            if ctx.rank() == root {
+                                assert!(!panics, "rank {root} leaves");
+                                return;
+                            }
+                            let got = ctx.world().bcast(root, None::<u64>);
+                            seen.lock().unwrap()[ctx.rank()] = Some(got);
+                        });
+                        (run.map(|_| ()), seen.into_inner().unwrap())
+                    });
+                    match run {
+                        Err(SimError::RankPanicked { rank, .. }) if panics => {
+                            assert_eq!(rank, root, "{ctx}")
+                        }
+                        other => assert!(other.is_ok() && !panics, "{ctx}: {other:?}"),
+                    }
+                    for (rank, got) in seen.iter().enumerate().filter(|&(rank, _)| rank != root) {
+                        assert!(
+                            matches!(got, Some(Err(SimError::Disconnected { .. }))),
+                            "{ctx}: rank {rank} saw {got:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -194,10 +194,11 @@ impl BitMatrix {
     }
 
     /// Filter, renumber and pack the word rows in `keep` only, straight
-    /// from sorted attribute values: value `v` of a column is source row
-    /// `v − rows.start` of the batch `rows`. Under `filter` (whose
-    /// `batch_rows()` must be the batch's length) row `r` becomes row
-    /// `filter.compacted_index(r)`; without one every row is kept as is.
+    /// from sorted attribute values, into this matrix: value `v` of a
+    /// column is source row `v − rows.start` of the batch `rows`. Under
+    /// `filter` (whose `batch_rows()` must be the batch's length) row `r`
+    /// becomes row `filter.compacted_index(r)`; without one every row is
+    /// kept as is.
     ///
     /// The matrix has the full extent — `filter.num_nonzero_rows()` (or
     /// `rows`' length) boolean rows — but stores words only in the word
@@ -207,20 +208,11 @@ impl BitMatrix {
     /// are ignored). Each column is checked whole, as `from_columns`
     /// checks it, so a bad column is refused with the same error whatever
     /// `keep` is.
-    pub fn from_batch_slices(
-        rows: Range<u64>,
-        columns: &[&[u64]],
-        filter: Option<&RowFilter>,
-        keep: &[Range<usize>],
-    ) -> SparseResult<Self> {
-        BitMatrix::packed(|m| m.refill_from_batch_slices(rows, columns, filter, keep))
-    }
-
-    /// [`BitMatrix::from_batch_slices`] into this matrix, whose arrays are
-    /// emptied and refilled, keeping their capacity up to twice what the
-    /// batch stores: a driver that packs batch after batch of one shape
-    /// into the same matrix allocates for the first only. On an error the
-    /// matrix is left empty.
+    ///
+    /// The matrix's arrays are emptied and refilled, keeping their
+    /// capacity up to twice what the batch stores: a driver that packs
+    /// batch after batch of one shape into the same matrix allocates for
+    /// the first only. On an error the matrix is left empty.
     pub fn refill_from_batch_slices(
         &mut self,
         rows: Range<u64>,
@@ -672,14 +664,12 @@ mod tests {
                 ];
                 for keep in &keeps {
                     let ctx = format!("{nrows} rows at {percent}%, {filter:?}, keep {keep:?}");
-                    let part = BitMatrix::from_batch_slices(
-                        lo..lo + nrows as u64,
-                        &slices,
-                        filter.as_ref(),
-                        keep,
-                    )
-                    .unwrap();
+                    // Into an empty matrix, and into one refilled batch
+                    // after batch.
                     let rows = lo..lo + nrows as u64;
+                    let mut part = BitMatrix::default();
+                    part.refill_from_batch_slices(rows.clone(), &slices, filter.as_ref(), keep)
+                        .unwrap();
                     refilled
                         .refill_from_batch_slices(rows, &slices, filter.as_ref(), keep)
                         .unwrap();
@@ -725,14 +715,12 @@ mod tests {
             let word_rows = filter.num_nonzero_rows().div_ceil(WORD_BITS);
             for keep in [vec![], vec![0..1], vec![0..2, 2..3], vec![0..word_rows]] {
                 for f in [None, Some(&filter)] {
-                    let err =
-                        BitMatrix::from_batch_slices(lo..lo + 300, &slices, f, &keep).unwrap_err();
-                    assert_eq!(err, unfiltered, "{columns:?}, keep {keep:?}, filter {f:?}");
-                    // A refill is refused alike and leaves the matrix empty.
+                    // Refused alike, and the matrix is left empty.
                     let mut held = BitMatrix::from_columns(300, &[vec![7, 299]]).unwrap();
                     let rows = lo..lo + 300;
                     let refused = held.refill_from_batch_slices(rows, &slices, f, &keep);
-                    assert_eq!(refused, Err(unfiltered.clone()), "{columns:?}, keep {keep:?}");
+                    let ctx = format!("{columns:?}, keep {keep:?}, filter {f:?}");
+                    assert_eq!(refused, Err(unfiltered.clone()), "{ctx}");
                     assert_eq!(held, BitMatrix::default());
                 }
             }
@@ -741,7 +729,7 @@ mod tests {
         // must cover the batch.
         let slices: [&[u64]; 1] = [&[64, 70]];
         let pack = |keep: &[Range<usize>], f: Option<&RowFilter>| {
-            BitMatrix::from_batch_slices(lo..lo + 300, &slices, f, keep)
+            BitMatrix::default().refill_from_batch_slices(lo..lo + 300, &slices, f, keep)
         };
         assert!(matches!(pack(&[2..4, 1..2], None), Err(SparseError::ShapeMismatch { .. })));
         assert!(matches!(pack(&[0..2, 1..3], None), Err(SparseError::ShapeMismatch { .. })));

@@ -114,6 +114,13 @@ fn narrow(count: usize, what: &str, limit: usize) -> SparseResult<()> {
     Ok(())
 }
 
+/// Refuse a word-row chunk of `word_rows` rows that a SUMMA block's 32-bit
+/// wire field cannot index: the bound every chunk a rank cuts is held to,
+/// for a driver to check before it packs the chunk.
+pub fn check_chunk_word_rows(word_rows: usize) -> SparseResult<()> {
+    narrow(word_rows, "word rows", u32::MAX as usize)
+}
+
 /// Where the words of `batch[chunk, :]` are stored, column by column,
 /// once every count a block of them carries fits its wire field.
 struct ChunkSpans {
@@ -135,7 +142,7 @@ impl ChunkSpans {
         let nnz = spans.iter().map(Range::len).sum();
         let limit = u32::MAX as usize;
         narrow(nnz, "stored words", limit)?;
-        narrow(chunk.len(), "word rows", limit)?;
+        check_chunk_word_rows(chunk.len())?;
         narrow(batch.ncols(), "columns", limit)?;
         Ok(ChunkSpans { spans, nnz })
     }
@@ -406,7 +413,7 @@ impl DistAta {
     /// `t mod q == j` for the left operand and `t mod r == i` for the
     /// right. The sweep reads no other word of either operand, so a batch
     /// packed in these chunks only (see
-    /// [`BitMatrix::from_batch_slices`]) contracts to the same result.
+    /// [`BitMatrix::refill_from_batch_slices`]) contracts to the same result.
     pub fn owned_chunks(&self, word_rows: usize) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
         let [i, j, _] = self.coords;
         let chunks = |owner: fn(&Self, usize) -> usize, me: usize| -> Vec<Range<usize>> {

@@ -33,8 +33,8 @@
 //!   stored entries of row `k` of `B`. It touches only stored pairs, but
 //!   pays for each with a column-index load, a word load and an indirect
 //!   load-add-store into the output row. It reads the CSR view of `B`, so
-//!   [`ata_upper_accumulate`] transposes its CSC input only when this body
-//!   is picked and the caller has no CSR view to hand it.
+//!   [`ata_upper_accumulate`] transposes its CSC input when this body is
+//!   picked.
 //! * `accumulate_tiled` cuts `B` into tiles of consecutive word rows
 //!   holding at most 32 KiB (`TILE_BYTES`; a single wider row is its own
 //!   tile), densifies each tile once, row-major, with the semiring's
@@ -182,14 +182,12 @@ where
 /// lower triangle as it is. A caller that sums many products mirrors once,
 /// at the end ([`DenseMatrix::mirror_upper`]).
 ///
-/// `A` comes as its CSC view; `a_csr`, if the caller holds one, is its CSR
-/// view, and must hold the same entries. The tiled body densifies its
-/// tiles from the CSC view; the CSR view is only read, or else built,
-/// when the Gustavson body is picked. `mul` must commute, as for
-/// [`ata_dense_parallel`], whose row pairs and threads this shares.
+/// `A` comes as its CSC view. The tiled body densifies its tiles from it;
+/// the CSR view the Gustavson body reads is built, per call, only when
+/// that body is picked. `mul` must commute, as for [`ata_dense_parallel`],
+/// whose row pairs and threads this shares.
 pub fn ata_upper_accumulate<S>(
     a_csc: &CscMatrix<S::Left>,
-    a_csr: Option<&CsrMatrix<S::Left>>,
     out: &mut DenseMatrix<S::Out>,
 ) -> SparseResult<()>
 where
@@ -203,16 +201,10 @@ where
             context: format!("output is {}x{} but AᵀA is {n}x{n}", out.nrows(), out.ncols()),
         });
     }
-    if let Some(csr) = a_csr {
-        check_views(a_csc, csr)?;
-    }
     let out = out.as_mut_slice();
     match tiles_pay::<S>(upper_dense_products(a_csc), || upper_products(a_csc)) {
         Some(absent) => accumulate_upper::<S>(a_csc, Body::Tiled(Tiles::Cols(a_csc), absent), out),
-        None => match a_csr {
-            Some(csr) => accumulate_upper::<S>(a_csc, Body::Gustavson(csr), out),
-            None => accumulate_upper::<S>(a_csc, Body::Gustavson(&a_csc.to_csr()), out),
-        },
+        None => accumulate_upper::<S>(a_csc, Body::Gustavson(&a_csc.to_csr()), out),
     }
     Ok(())
 }
@@ -866,14 +858,12 @@ mod tests {
                         accumulate_upper::<PopcountAnd>(csc, body, &mut out);
                         assert_eq!(out, want, "{ctx}, {}", name(body));
                     }
-                    for view in [None, Some(&csr)] {
-                        let mut out = DenseMatrix::from_vec(n, n, prefill.clone()).unwrap();
-                        ata_upper_accumulate::<PopcountAnd>(csc, view, &mut out).unwrap();
-                        ata_upper_accumulate::<PopcountAnd>(csc, view, &mut out).unwrap();
-                        assert_eq!(out.as_slice(), want, "{ctx}, CSR given: {}", view.is_some());
-                        out.mirror_upper().unwrap();
-                        assert_eq!(out, mirrored, "{ctx}");
-                    }
+                    let mut out = DenseMatrix::from_vec(n, n, prefill.clone()).unwrap();
+                    ata_upper_accumulate::<PopcountAnd>(csc, &mut out).unwrap();
+                    ata_upper_accumulate::<PopcountAnd>(csc, &mut out).unwrap();
+                    assert_eq!(out.as_slice(), want, "{ctx}");
+                    out.mirror_upper().unwrap();
+                    assert_eq!(out, mirrored, "{ctx}");
                     let pairs: usize =
                         (0..word_rows).map(|k| csr.row_nnz(k) * (csr.row_nnz(k) + 1) / 2).sum();
                     assert_eq!(upper_products(csc), pairs as u64, "{ctx}");
@@ -883,27 +873,21 @@ mod tests {
                         gustavson_side += 1;
                     }
                     // `PlusTimes` has no absent value: Gustavson over the
-                    // unpacked matrix, its CSR built when not given.
+                    // unpacked matrix.
                     let boolean = unpacked(nrows, &columns);
-                    let boolean_csr = boolean.to_csr();
-                    let plus = ata_dense::<PlusTimes<u64>>(&boolean_csr);
-                    for view in [None, Some(&boolean_csr)] {
-                        let mut out = DenseMatrix::zeros(n, n);
-                        ata_upper_accumulate::<PlusTimes<u64>>(&boolean, view, &mut out).unwrap();
-                        out.mirror_upper().unwrap();
-                        assert_eq!(out, plus, "{ctx}, plus-times");
-                    }
+                    let plus = ata_dense::<PlusTimes<u64>>(&boolean.to_csr());
+                    let mut out = DenseMatrix::zeros(n, n);
+                    ata_upper_accumulate::<PlusTimes<u64>>(&boolean, &mut out).unwrap();
+                    out.mirror_upper().unwrap();
+                    assert_eq!(out, plus, "{ctx}, plus-times");
                 }
             }
         }
         assert!(tiled_side > 0 && gustavson_side > 0, "{tiled_side} / {gustavson_side}");
-        // A wrong output shape, and a CSR view of another matrix.
+        // A wrong output shape.
         let bm = BitMatrix::from_columns(70, &[vec![1, 65], vec![65]]).unwrap();
         let mut three = DenseMatrix::<u64>::zeros(3, 3);
-        assert!(ata_upper_accumulate::<PopcountAnd>(bm.as_csc(), None, &mut three).is_err());
-        let other = BitMatrix::from_columns(70, &[vec![1], vec![65]]).unwrap().to_csr();
-        let mut two = DenseMatrix::<u64>::zeros(2, 2);
-        let err = ata_upper_accumulate::<PopcountAnd>(bm.as_csc(), Some(&other), &mut two);
+        let err = ata_upper_accumulate::<PopcountAnd>(bm.as_csc(), &mut three);
         assert!(matches!(err, Err(SparseError::ShapeMismatch { .. })));
     }
 

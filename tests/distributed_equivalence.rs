@@ -255,18 +255,19 @@ fn hypersparse_batches_equal_shared_memory_with_and_without_the_filter() {
 
 #[test]
 fn shared_driver_equals_the_oracle_and_the_distributed_driver_on_both_filter_branches() {
-    // `workload`'s values over a universe a hundred times wider: every
-    // batch has fewer entries than its row bitmap has words, so the shared
-    // driver's filter takes the sorted-survivor branch. The sparse tail
-    // has a batch that keeps one word row and a batch that keeps none.
-    let far = workload(3, 12).with_universe(600_000).unwrap();
+    // `workload`'s values over a universe 2 700 times wider: every batch
+    // has more than 64 bitmap words per entry, so both drivers' filter
+    // takes the sorted-survivor branch. The sparse tail has a batch that
+    // keeps one word row and a batch that keeps none.
+    let far = workload(3, 12).with_universe(16_000_000).unwrap();
     let tail = hypersparse_with_a_sparse_tail(24);
     for (name, collection, batches) in [("far universe", &far, 3usize), ("sparse tail", &tail, 5)] {
         let plan = BatchPlan::from_config(&SimilarityConfig::with_batches(batches), collection, 1)
             .unwrap();
         if name == "far universe" {
             for (lo, hi) in plan.iter() {
-                assert!((hi - lo).div_ceil(64) > collection.batch_nnz(lo, hi), "[{lo}, {hi})");
+                let entries = collection.batch_nnz(lo, hi);
+                assert!((hi - lo).div_ceil(64) > 64 * entries, "[{lo}, {hi}): {entries} entries");
             }
         }
         let exact = jaccard_exact_pairwise(collection);
@@ -311,6 +312,58 @@ fn a_batch_over_a_huge_universe_filters_without_a_universe_sized_bitmap() {
             similarity_at_scale_distributed(&collection, &config, ranks, &Machine::laptop())
                 .unwrap();
         assert_eq!(distributed.result, shared, "ranks={ranks}");
+    }
+}
+
+/// `body`'s value, run on a helper thread that is waited for at most
+/// `secs` seconds: a run that hangs fails the test instead.
+fn within<R: Send + 'static>(secs: u64, body: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(body()));
+    match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(value) => value,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("hung for {secs} s"),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("the body panicked"),
+    }
+}
+
+#[test]
+fn a_batch_too_wide_for_a_wire_block_is_refused_typed_by_both_drivers() {
+    // The huge-universe fixture with the filter off: its one batch packs
+    // as 2⁴⁴ + 1 word rows. Both drivers refuse it before packing, with the
+    // bound a SUMMA block's 32-bit word-row field sets. The shared driver
+    // used to abort on a counter per word row, and the distributed one
+    // hung at p = 4, its chunk owners refusing while their peers waited in
+    // a broadcast. Each run is waited for on a helper thread, so such a
+    // hang fails the test instead.
+    let run = |ranks: Option<usize>| {
+        within(60, move || {
+            let collection = SampleCollection::from_sorted_sets(vec![
+                vec![1, 1 << 50],
+                vec![1 << 50],
+                vec![3, (1 << 50) + 5],
+            ])
+            .unwrap();
+            let config = SimilarityConfig {
+                use_zero_row_filter: false,
+                ..SimilarityConfig::with_batches(1)
+            };
+            let err = match ranks {
+                None => similarity_at_scale(&collection, &config).map(drop),
+                Some(p) => {
+                    similarity_at_scale_distributed(&collection, &config, p, &Machine::laptop())
+                        .map(drop)
+                }
+            };
+            err.unwrap_err().to_string()
+        })
+    };
+    let shared = run(None);
+    assert!(shared.contains("a SUMMA chunk with 17592186044417 word rows exceeds"), "{shared}");
+    assert_eq!(run(Some(1)), shared);
+    for ranks in [4usize, 6] {
+        let err = run(Some(ranks));
+        assert!(err.contains("word rows exceeds the 4294967295"), "ranks={ranks}: {err}");
     }
 }
 
