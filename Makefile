@@ -84,7 +84,7 @@ ledger-smoke:
 # 16 segments is the perf ledger's `serve_read` reader. query_serving also
 # checks each rank's placement-install and exchange bytes and collectives
 # against its simulator cost tracker at every RANKS value.
-RANKS ?= 4,6,8,12
+RANKS ?= 2,4,6,8,9,12
 REPLICATION ?= 1,2
 SEGMENTS ?= 1,7,16
 dist-matrix:

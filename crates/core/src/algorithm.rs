@@ -1,25 +1,15 @@
-//! The SimilarityAtScale drivers.
+//! The SimilarityAtScale driver.
 //!
-//! Two execution paths cover the paper's algorithm (Listing 1):
-//!
-//! * [`similarity_at_scale`] — the shared-memory driver: one process
-//!   multiplies each batch with the Rayon-parallel popcount-AND triangle
-//!   kernel. This is what a single rank (one MPI process with on-node
-//!   threading) executes, and what the examples use.
-//! * [`similarity_at_scale_distributed`] — the simulated-distributed
-//!   driver: `p` ranks run the full pipeline over the simulated runtime —
-//!   the bitmap zero-row filter (an OR-allreduce of packed row bitmaps),
-//!   per-rank bit-packed operand blocks, the rectangular-grid 2.5D SUMMA
-//!   `AᵀA` (all `p` ranks active for every rank count), and the final
-//!   layer/cardinality reductions — and the cost trackers record the
-//!   communication the paper's evaluation is about.
-//!
-//! Both run each batch's read → zero-row filter → bit-pack through one
-//! step, `read_filter_pack`, into buffers they keep from batch to batch
-//! and park on the calling thread between runs. They differ only in the
-//! filter's collective (none for the shared driver), the kernel, and
-//! where the cardinalities come from.
+//! [`similarity_at_scale_distributed`] runs the paper's algorithm
+//! (Listing 1) on `p` simulated ranks — the bitmap zero-row filter, per-rank
+//! bit-packed operand blocks, the rectangular-grid 2.5D SUMMA `AᵀA` and the
+//! final reductions — while the cost trackers record the communication
+//! the paper's evaluation is about. [`similarity_at_scale`] is the same
+//! driver on one rank, the grid's smallest case: there no peer receives a
+//! block, so the rank multiplies each packed batch in place with the
+//! Rayon-parallel triangle kernel, and its accumulator becomes the result.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
@@ -32,9 +22,7 @@ use gas_dstsim::runtime::Runtime;
 use gas_sparse::bitmat::{BitMatrix, WORD_BITS};
 use gas_sparse::dense::DenseMatrix;
 use gas_sparse::dist::ata::{check_chunk_word_rows, DistAta, SummaBuffers};
-use gas_sparse::dist::filter::{dist_row_filter_indexed, DistRowFilter, RowFilter};
-use gas_sparse::semiring::PopcountAnd;
-use gas_sparse::spgemm::ata_upper_accumulate;
+use gas_sparse::dist::filter::{dist_row_filter_indexed, DistRowFilter};
 
 use crate::batch::BatchPlan;
 use crate::config::SimilarityConfig;
@@ -43,9 +31,8 @@ use crate::filter::{bitmap_pays, observe_rows};
 use crate::indicator::SampleCollection;
 use crate::jaccard::SimilarityResult;
 
-/// What a driver refills from batch to batch: its zero-row filter, its
-/// two packed operand blocks and — on a rank of the distributed driver —
-/// its SUMMA blocks.
+/// What a rank refills from batch to batch: its zero-row filter, its two
+/// packed operand blocks and its SUMMA blocks.
 #[derive(Default)]
 struct RankBuffers {
     blocks: SummaBuffers,
@@ -56,47 +43,36 @@ struct RankBuffers {
 
 thread_local! {
     /// The buffers of the last run this thread made, indexed by rank, for
-    /// its next run: rank threads live for one run, and the shared driver
-    /// is rank 0. Freed with the thread; each buffer holds at most twice
-    /// its last use.
+    /// its next run: rank threads live for one run. Freed with the thread;
+    /// each buffer holds at most twice its last use.
     static PARKED: RefCell<Vec<RankBuffers>> = const { RefCell::new(Vec::new()) };
 }
 
-/// One batch `lo..hi` of Listing 1 up to its kernel, as both drivers run
-/// it: read, filter and pack, on a rank of the distributed driver (its
-/// world communicator and grid) or, given `None`, on the shared driver.
+/// One batch `lo..hi` of Listing 1 up to its SUMMA sweep, on the rank of
+/// `comm` (the world) whose grid position `ata` holds; returns the packed
+/// `(left, right)` operands.
 ///
 /// * `read` borrows the samples of the rank's row block `R_i` (the left
 ///   operand) and column block `C_j` (the right one) in the batch as
-///   slices of the collection; the shared driver's two blocks are every
-///   sample, and so coincide, as they do on the diagonal of square grids.
+///   slices of the collection, once where the two coincide.
 /// * `filter` (when `use_filter`) builds the batch's zero-row filter from
-///   the right block's slices. Where [`bitmap_pays`] it is the bitmap of
-///   the rows observed, kept in `kept.filter` and OR-allreduced across
-///   the ranks, whose right blocks cover every sample; a hypersparse batch
-///   takes the sorted union of the observed rows instead, allgathered
-///   across the ranks. The shared driver skips the collectives. Every rank
-///   reads the batch's entry count off the collection, so all pick the
-///   same branch.
+///   the right block's slices: where [`bitmap_pays`], the bitmap of the
+///   rows observed, kept in `kept.filter` and OR-allreduced across the
+///   ranks, whose right blocks cover every sample; else the sorted union
+///   of the rows, allgathered. Every rank reads the batch's entry count
+///   off the collection, so all pick the same branch.
 /// * `pack` renumbers and packs, in one pass over the slices, the word-row
-///   chunks the rank cuts into SUMMA blocks ([`DistAta::owned_chunks`]) —
-///   every word row on the shared driver — into `kept`'s operands; a chunk
-///   a SUMMA block could not index is refused before packing.
-///
-/// Returns the packed `(left, right)` operands.
+///   chunks the rank owns ([`DistAta::owned_chunks`]) into `kept`'s
+///   operands, after refusing a chunk a SUMMA block could not index.
 fn read_filter_pack<'k>(
     collection: &SampleCollection,
     (lo, hi): (u64, u64),
     use_filter: bool,
-    rank: Option<(&Communicator, &DistAta)>,
+    (comm, ata): (&Communicator, &DistAta),
     kept: &'k mut RankBuffers,
 ) -> CoreResult<(&'k BitMatrix, &'k BitMatrix)> {
     let batch_rows = (hi - lo) as usize;
-    let comm = rank.map(|(comm, _)| comm);
-    let (left_cols, right_cols) = match rank {
-        Some((_, ata)) => (ata.my_row_range(), ata.my_col_range()),
-        None => (0..collection.n(), 0..collection.n()),
-    };
+    let (left_cols, right_cols) = (ata.my_row_range(), ata.my_col_range());
     let same_blocks = left_cols == right_cols;
     let read_span = obs::span("paper", "read");
     let slices = |cols: Range<usize>| -> Vec<&[u64]> {
@@ -108,33 +84,23 @@ fn read_filter_pack<'k>(
     let sparse_filter;
     let filter = if use_filter {
         let _filter = obs::span("paper", "filter");
-        if let Some(comm) = comm {
-            let entries: usize = right_values.iter().map(|s| s.len()).sum();
-            comm.add_mem_traffic((entries * std::mem::size_of::<u64>()) as u64);
-        }
+        let entries: usize = right_values.iter().map(|s| s.len()).sum();
+        comm.add_mem_traffic((entries * std::mem::size_of::<u64>()) as u64);
         if bitmap_pays(batch_rows, collection.batch_nnz(lo, hi) as usize) {
             let observe = |words: &mut [u64]| observe_rows(words, lo, &right_values);
             Some(kept.filter.rebuild(comm, batch_rows, observe)?)
         } else {
             let values = right_values.iter().copied().flatten();
             let rows: Vec<usize> = values.map(|&v| (v - lo) as usize).collect();
-            sparse_filter = match comm {
-                Some(comm) => dist_row_filter_indexed(comm, batch_rows, &rows)?,
-                None => RowFilter::from_local(batch_rows, rows),
-            };
+            sparse_filter = dist_row_filter_indexed(comm, batch_rows, &rows)?;
             Some(&sparse_filter)
         }
     } else {
         None
     };
     let _pack = obs::span("paper", "pack");
-    let nrows = filter.map_or(batch_rows, RowFilter::num_nonzero_rows);
-    let word_rows = nrows.div_ceil(WORD_BITS);
-    let all = 0..word_rows;
-    let (left_keep, right_keep) = match rank {
-        Some((_, ata)) => ata.owned_chunks(word_rows),
-        None => (vec![all.clone()], vec![all]),
-    };
+    let nrows = filter.map_or(batch_rows, |f| f.num_nonzero_rows());
+    let (left_keep, right_keep) = ata.owned_chunks(nrows.div_ceil(WORD_BITS));
     for chunk in left_keep.iter().chain(&right_keep) {
         check_chunk_word_rows(chunk.len())?;
     }
@@ -150,46 +116,16 @@ fn read_filter_pack<'k>(
     Ok((&kept.left, &kept.right))
 }
 
-/// Run SimilarityAtScale on shared memory.
-///
-/// Each batch runs the distributed driver's step on one rank with no
-/// collective: it reads the samples' values in the batch as slices of the
-/// collection, builds the zero-row filter from them and packs the whole
-/// batch in one pass, into a filter and a packed matrix kept from batch to
-/// batch (and parked on the calling thread between runs, as the
-/// distributed driver's rank 0). The kernel then adds the upper triangle
-/// of the popcount-AND `AᵀA` straight into `B` ([`ata_upper_accumulate`]),
-/// which is mirrored once, after the last batch; the cardinalities are the
-/// samples' lengths. `use_bitmask` is not read: the paper always masks.
-///
-/// Traced, a run is one `similarity_at_scale` span holding one `batch`
-/// span per batch — `read`, `filter` (when filtering), `pack` and `kernel`
-/// inside it — and a closing `finalize`.
+/// Run SimilarityAtScale on shared memory: the result of
+/// [`similarity_at_scale_distributed`] on one rank of
+/// [`Machine::laptop`]. The rank runs on the calling thread, multiplies
+/// each packed batch in place with the Rayon-parallel triangle kernel,
+/// and parks its buffers on that thread between runs.
 pub fn similarity_at_scale(
     collection: &SampleCollection,
     config: &SimilarityConfig,
 ) -> CoreResult<SimilarityResult> {
-    config.validate()?;
-    let _run = obs::span("paper", "similarity_at_scale");
-    let plan = BatchPlan::from_config(config, collection, 1)?;
-    let n = collection.n();
-    let mut b = DenseMatrix::<u64>::zeros(n, n);
-    let mut kept =
-        PARKED.with_borrow_mut(|parked| parked.first_mut().map(std::mem::take)).unwrap_or_default();
-    for batch in plan.iter() {
-        let _batch = obs::span("paper", "batch");
-        let use_filter = config.use_zero_row_filter;
-        let (packed, _) = read_filter_pack(collection, batch, use_filter, None, &mut kept)?;
-        let _kernel = obs::span("paper", "kernel");
-        ata_upper_accumulate::<PopcountAnd>(packed.as_csc(), &mut b)?;
-    }
-    PARKED.with_borrow_mut(|parked| match parked.first_mut() {
-        Some(first) => *first = kept,
-        None => parked.push(kept),
-    });
-    let _finalize = obs::span("paper", "finalize");
-    b.mirror_upper()?;
-    SimilarityResult::from_intersections(b, collection.cardinalities())
+    Ok(similarity_at_scale_distributed(collection, config, 1, &Machine::laptop())?.result)
 }
 
 /// Summary of a simulated-distributed run.
@@ -220,34 +156,25 @@ impl DistributedRunSummary {
 /// Run SimilarityAtScale on `nranks` simulated ranks of `machine`.
 ///
 /// The driver selects a rectangular `r × q × c` grid for the rank count
-/// (every rank active), and each rank runs every batch through the shared
-/// driver's read → filter → pack step: it reads the sample columns of its
-/// output row block `R_i` and column block `C_j` (the two SUMMA
-/// operands) as slices of the collection. Every rank contributes a packed
-/// bitmap of the batch rows it observes to the distributed zero-row
-/// filter (an OR-allreduce), packs from those slices the word-row chunks
-/// of its filtered operand blocks that it sends
-/// ([`DistAta::owned_chunks`]), and runs the SUMMA sweep. A hypersparse
-/// batch — fewer than one entry per 64 words of its bitmap — allgathers
-/// the rows each rank observes instead, so its filter stays `O(entries)`
-/// in memory whatever the universe; every rank picks the branch from the
-/// batch's entry count, which it reads off the collection. The result is
-/// gathered on rank 0 for return. Communication counters for all ranks
-/// are included in the summary so benchmarks can report modeled times at
-/// the paper's scales.
+/// (every rank active). Each rank runs every batch through
+/// `read_filter_pack` over the sample columns of its output row block
+/// `R_i` and column block `C_j` (the two SUMMA operands), then the SUMMA
+/// sweep; on a `1 × 1` layer grid that sweep is one step that cuts no
+/// block and adds the upper triangle of the packed batch in place. After
+/// the layer and cardinality reductions the result is gathered on rank
+/// 0; on a `1 × 1` layer grid rank 0's accumulator is the result. The
+/// summary carries every rank's communication counters, so benchmarks can
+/// report modeled times at the paper's scales.
 ///
 /// Each rank refills its filter, packed operands and SUMMA blocks from
 /// batch to batch, so a batch no larger than the ones before it allocates
-/// nothing of the batch's size. The rank threads are spawned per run, so
-/// those buffers are parked on the calling thread between runs (and freed
-/// with it): a thread that runs the driver again allocates them only
-/// where a batch outgrows them. That is where most of the saving is — for
-/// a caller that runs the driver again and again on one thread; a first
-/// run on a thread reuses its buffers within the run only. A kept buffer
-/// gives back what exceeds twice its last batch's use, so the park holds
-/// at most about twice what the last run's batches needed.
+/// nothing of the batch's size. Rank threads live for one run (a single
+/// rank runs on the calling thread), so the buffers are parked on the
+/// calling thread between runs (and freed with it): a thread that runs
+/// the driver again reuses them too. A kept buffer gives back what
+/// exceeds twice its last batch's use.
 ///
-/// Traced, every rank thread records a root `setup` span (the grid's
+/// Traced, every rank records a root `setup` span (the grid's
 /// communicators), one root `batch` span per batch — `read`, `filter`
 /// (when filtering), `pack` and `summa` inside it, one `summa_step` per
 /// SUMMA step under `summa` — then a `reduce` and a `gather` span; the
@@ -265,12 +192,9 @@ pub fn similarity_at_scale_distributed(
     let n = collection.n();
     let plan = BatchPlan::from_config(config, collection, nranks)?;
     let runtime = Runtime::new(nranks).with_machine(machine.clone());
-    let use_filter = config.use_zero_row_filter;
-    let replication = config.replication;
+    let (use_filter, replication) = (config.use_zero_row_filter, config.replication);
     let grid = DistAta::select_grid(nranks, replication)?;
     let grid_dims = [grid.rows(), grid.cols(), grid.layers()];
-
-    type RankOutput = Result<(Option<DenseMatrix<u64>>, Vec<u64>), CoreError>;
 
     let parked: Vec<Mutex<RankBuffers>> = PARKED.with_borrow_mut(|parked| {
         let mut kept = std::mem::take(parked);
@@ -278,13 +202,11 @@ pub fn similarity_at_scale_distributed(
         kept.into_iter().map(Mutex::new).collect()
     });
     // Every state of a rank's buffers is a valid one to reuse.
-    let take = |rank: usize| {
-        std::mem::take(&mut *parked[rank].lock().unwrap_or_else(PoisonError::into_inner))
-    };
+    let slot = |rank: usize| parked[rank].lock().unwrap_or_else(PoisonError::into_inner);
 
-    let out = runtime.run(|ctx| -> RankOutput {
+    let out = runtime.run(|ctx| -> CoreResult<(Option<DenseMatrix<u64>>, Vec<u64>)> {
         let world = ctx.world();
-        let mut kept = take(ctx.rank());
+        let mut kept = std::mem::take(&mut *slot(ctx.rank()));
         let mut ata = {
             let _setup = obs::span("paper", "setup");
             DistAta::with_buffers(world, n, replication, std::mem::take(&mut kept.blocks))?
@@ -293,7 +215,7 @@ pub fn similarity_at_scale_distributed(
         let mut card = ata.new_cardinalities();
         for batch in plan.iter() {
             let _batch = obs::span("paper", "batch");
-            let rank = Some((world, &ata));
+            let rank = (world, &ata);
             let (left, right) = read_filter_pack(collection, batch, use_filter, rank, &mut kept)?;
             let _summa = obs::span("paper", "summa");
             ata.accumulate_batch_keyed(left, right, None, &mut acc, &mut card)?;
@@ -305,10 +227,10 @@ pub fn similarity_at_scale_distributed(
         }
         let full = {
             let _gather = obs::span("paper", "gather");
-            ata.gather_full(world, &acc)?
+            ata.gather_into_full(world, Cow::Owned(acc))?
         };
         kept.blocks = ata.into_buffers();
-        *parked[ctx.rank()].lock().unwrap_or_else(PoisonError::into_inner) = kept;
+        *slot(ctx.rank()) = kept;
         Ok((full, card))
     })?;
     PARKED.with_borrow_mut(|kept| {

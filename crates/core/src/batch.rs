@@ -88,10 +88,11 @@ impl BatchPlan {
         self.m.div_ceil(self.batch_rows) as usize
     }
 
-    /// The half-open row range of batch `l`.
+    /// The half-open row range of batch `l`; the last ends at `m` (without
+    /// forming `lo + batch_rows`, which can pass `u64::MAX`).
     pub fn range(&self, l: usize) -> (u64, u64) {
         let lo = (l as u64) * self.batch_rows;
-        let hi = (lo + self.batch_rows).min(self.m.max(1));
+        let hi = lo + self.batch_rows.min(self.m.max(1).saturating_sub(lo));
         (lo, hi)
     }
 
@@ -167,6 +168,31 @@ mod tests {
         let one =
             BatchPlan::from_config(&SimilarityConfig::with_memory_budget(1 << 40), &c, 1).unwrap();
         assert_eq!(one.batch_count(), 1);
+    }
+
+    #[test]
+    fn the_last_batch_of_a_universe_near_u64_max_ends_at_m() {
+        // m = u64::MAX in 1000 batches of ⌈m / 1000⌉ rows: the last one
+        // starts 0.1 % below m, and `lo + batch_rows` would pass 2⁶⁴.
+        let plan = BatchPlan::with_count(u64::MAX, 1000).unwrap();
+        let rows = plan.batch_rows();
+        assert_eq!(rows, 18_446_744_073_709_552);
+        assert_eq!(plan.batch_count(), 1000);
+        assert!((999 * rows).checked_add(rows).is_none(), "the old sum wraps");
+        let ranges: Vec<_> = plan.iter().collect();
+        assert_eq!(ranges[0], (0, rows));
+        assert_eq!(ranges[999], (999 * rows, u64::MAX));
+        for w in ranges.windows(2) {
+            assert_eq!(w[0].1, w[1].0);
+        }
+        // One batch of every row, and batches of one row at the top.
+        assert_eq!(BatchPlan::with_count(u64::MAX, 1).unwrap().range(0), (0, u64::MAX));
+        let ones = BatchPlan::with_rows(u64::MAX, 1).unwrap();
+        assert_eq!(ones.range(usize::MAX - 1), (u64::MAX - 1, u64::MAX));
+        // Half-full last batch of rows 2⁶³ + 1: no overflow either.
+        let halves = BatchPlan::with_rows(u64::MAX, 1 << 63).unwrap();
+        assert_eq!(halves.batch_count(), 2);
+        assert_eq!(halves.range(1), (1 << 63, u64::MAX));
     }
 
     #[test]

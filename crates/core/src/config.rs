@@ -30,13 +30,13 @@ pub struct SimilarityConfig {
     /// Batch policy (how many row batches the indicator matrix is split
     /// into).
     pub batch_policy: BatchPolicy,
-    /// Replication factor `c` of the 2.5D distributed product (ignored by
-    /// the shared-memory driver).
+    /// Replication factor `c` of the 2.5D distributed product (clamped to
+    /// a divisor of the rank count: 1 on one rank).
     pub replication: usize,
     /// Whether to compress filtered batches into 64-bit masks before the
     /// product. Read only by [`crate::mask::prepare_batch`]: the allreduce
     /// baseline's unmasked ablation takes its boolean views from there.
-    /// Neither driver reads it — like the paper, both always mask.
+    /// The driver does not read it: like the paper, it always masks.
     pub use_bitmask: bool,
     /// Whether to remove all-zero rows per batch before compression.
     /// Disabling this is only useful for ablation experiments.

@@ -12,14 +12,14 @@
 //! the survivor list (a hypersparse batch over the k-mer universe keeps
 //! the `O(survivors)` binary search).
 //!
-//! Both drivers build the filter from the batch's sample slices, in one
-//! step (`algorithm::read_filter_pack`) and under one guard,
-//! `bitmap_pays`: a batch at most 64 bitmap words per entry scatters its
-//! rows with `observe_rows` into the bitmap a kept `DistRowFilter` holds,
-//! OR-allreduced across the ranks of the distributed driver; a sparser one
-//! — a handful of k-mers over a huge universe — takes the sorted union of
-//! its rows, allgathered across ranks (`dist_row_filter_indexed`).
-//! Renumbering happens inside packing: the drivers hand the filter to
+//! The driver builds the filter from the batch's sample slices
+//! (`algorithm::read_filter_pack`) under one guard, `bitmap_pays`: a
+//! batch at most 64 bitmap words per entry scatters its rows with
+//! `observe_rows` into the bitmap a kept `DistRowFilter` holds,
+//! OR-allreduced across the ranks; a sparser one — a handful of k-mers
+//! over a huge universe — takes the sorted union of its rows, allgathered
+//! (`dist_row_filter_indexed`). Renumbering happens inside packing: the
+//! driver hands the filter to
 //! `BitMatrix::refill_from_batch_slices`, which never builds the
 //! renumbered lists, and so does [`crate::mask::prepare_batch`] through
 //! `BitMatrix::from_filtered_columns`. [`batch_row_filter`] (same guard)
@@ -68,7 +68,7 @@ pub(crate) fn observe_rows(words: &mut [u64], lo: u64, values: &[&[u64]]) {
 /// bitmap's bytes stay within 64 times the batch's own.
 const BITMAP_WORDS_PER_ENTRY: usize = 64;
 
-/// The filter guard of both drivers and [`batch_row_filter`], a memory
+/// The filter guard of the driver and [`batch_row_filter`], a memory
 /// bound only: whether a batch of `batch_rows` rows holding `entries`
 /// entries filters through the paper's one-bit-per-row bitmap, at most
 /// [`BITMAP_WORDS_PER_ENTRY`] words per entry, or — for a batch sparser
@@ -186,10 +186,13 @@ mod tests {
             values.iter().map(|v| v.iter().map(|&x| (x - 1000) as usize).collect()).collect();
         for (batch_rows, bitmap) in [(130usize, true), (16_384, true), (16_385, false)] {
             assert_eq!(bitmap_pays(batch_rows, 4), bitmap, "{batch_rows} rows");
-            let mut kept = gas_sparse::dist::filter::DistRowFilter::default();
-            let observe = |words: &mut [u64]| observe_rows(words, 1000, &values);
-            let f = kept.rebuild(None, batch_rows, observe).unwrap();
-            assert_eq!(f, &batch_row_filter(batch_rows, &columns), "{batch_rows} rows");
+            let one_rank = gas_dstsim::runtime::Runtime::new(1).run(|ctx| {
+                let mut kept = gas_sparse::dist::filter::DistRowFilter::default();
+                let observe = |words: &mut [u64]| observe_rows(words, 1000, &values);
+                kept.rebuild(ctx.world(), batch_rows, observe).unwrap().clone()
+            });
+            let f = one_rank.unwrap().results.remove(0);
+            assert_eq!(f, batch_row_filter(batch_rows, &columns), "{batch_rows} rows");
             assert_eq!(f.nonzero_rows(), &[2, 64, 129]);
         }
         let mut words = vec![0; 3];

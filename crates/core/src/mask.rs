@@ -12,11 +12,11 @@
 //! column lists are never built. The unmasked ablation renumbers through
 //! [`apply_filter`] first.
 //!
-//! Neither driver calls [`prepare_batch`]: both pack straight from the
+//! The driver does not call [`prepare_batch`]: it packs straight from the
 //! sample slices with `BitMatrix::refill_from_batch_slices`. Its callers
 //! are the allreduce baseline ([`crate::baselines`]), whose unmasked
 //! ablation (`use_bitmask: false`) takes its boolean views from here, and
-//! the perf ledger's phase-by-phase replays of both drivers. It goes, with
+//! the perf ledger's two phase-by-phase replays. It goes, with
 //! [`PreparedBatch`], once the ledger times the drivers' own spans.
 
 use gas_sparse::bitmat::BitMatrix;

@@ -2,6 +2,7 @@
 //! per-rank results and cost reports.
 
 use std::cell::RefCell;
+use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -145,7 +146,8 @@ impl Drop for Departure {
 ///
 /// `Runtime::new(p)` prepares a world of `p` ranks; [`Runtime::run`]
 /// executes a closure on every rank concurrently (each rank on its own OS
-/// thread) and returns their results together with cost reports.
+/// thread; a one-rank world on the calling thread) and returns their
+/// results together with cost reports.
 pub struct Runtime {
     nranks: usize,
     machine: Machine,
@@ -184,7 +186,8 @@ impl Runtime {
         &self.machine
     }
 
-    /// Run `f` on every rank. Blocks until all ranks finish.
+    /// Run `f` on every rank. Blocks until all ranks finish. With one rank
+    /// `f` runs on the calling thread.
     ///
     /// The closure receives a [`RankCtx`]; its return values are collected
     /// in rank order. If any rank panics the whole run fails with
@@ -207,55 +210,53 @@ impl Runtime {
             receivers.push(Some(rx));
         }
         let fabric = Arc::new(Fabric { senders });
-        let f = &f;
-        let machine = &self.machine;
+        let rank_main = |rank: usize, rx| {
+            let _departure = Departure { fabric: Arc::clone(&fabric), rank };
+            let cost = Rc::new(RefCell::new(CostTracker::new()));
+            let mailbox =
+                Rc::new(RefCell::new(Mailbox { rx, pending: Vec::new(), departed: Vec::new() }));
+            let faults = Arc::clone(&self.faults);
+            let world = Communicator::world(
+                rank,
+                p,
+                Arc::clone(&fabric),
+                mailbox,
+                Rc::clone(&cost),
+                Arc::clone(&faults),
+            );
+            let machine = self.machine.clone();
+            let mut ctx =
+                RankCtx { rank, nranks: p, world, machine, cost: Rc::clone(&cost), faults };
+            let start = Instant::now();
+            let result = f(&mut ctx);
+            let elapsed = start.elapsed().as_secs_f64();
+            let report = cost.borrow().report(rank, elapsed);
+            (result, report)
+        };
 
         let mut slots: Vec<Option<std::thread::Result<(R, CostReport)>>> = Vec::with_capacity(p);
-        for _ in 0..p {
-            slots.push(None);
+        if p == 1 {
+            // A one-rank world has no peer to overlap with: it runs on the
+            // calling thread, a panic caught as a rank thread's would be.
+            let rx = receivers[0].take().expect("receiver taken once");
+            slots.push(Some(std::panic::catch_unwind(AssertUnwindSafe(|| rank_main(0, rx)))));
+        } else {
+            slots.resize_with(p, || None);
+            std::thread::scope(|scope| {
+                let rank_main = &rank_main;
+                let handles: Vec<_> = receivers
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(rank, rx)| {
+                        let rx = rx.take().expect("receiver taken once");
+                        scope.spawn(move || rank_main(rank, rx))
+                    })
+                    .collect();
+                for (rank, handle) in handles.into_iter().enumerate() {
+                    slots[rank] = Some(handle.join());
+                }
+            });
         }
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for (rank, rx) in receivers.iter_mut().enumerate() {
-                let rx = rx.take().expect("receiver taken once");
-                let fabric = Arc::clone(&fabric);
-                let faults = Arc::clone(&self.faults);
-                handles.push(scope.spawn(move || {
-                    let _departure = Departure { fabric: Arc::clone(&fabric), rank };
-                    let cost = Rc::new(RefCell::new(CostTracker::new()));
-                    let mailbox = Rc::new(RefCell::new(Mailbox {
-                        rx,
-                        pending: Vec::new(),
-                        departed: Vec::new(),
-                    }));
-                    let world = Communicator::world(
-                        rank,
-                        p,
-                        fabric,
-                        mailbox,
-                        Rc::clone(&cost),
-                        Arc::clone(&faults),
-                    );
-                    let mut ctx = RankCtx {
-                        rank,
-                        nranks: p,
-                        world,
-                        machine: machine.clone(),
-                        cost: Rc::clone(&cost),
-                        faults,
-                    };
-                    let start = Instant::now();
-                    let result = f(&mut ctx);
-                    let elapsed = start.elapsed().as_secs_f64();
-                    let report = cost.borrow().report(rank, elapsed);
-                    (result, report)
-                }));
-            }
-            for (rank, handle) in handles.into_iter().enumerate() {
-                slots[rank] = Some(handle.join());
-            }
-        });
 
         let mut results = Vec::with_capacity(p);
         let mut reports = Vec::with_capacity(p);

@@ -436,17 +436,6 @@ impl BitMatrix {
         Ok(BitMatrix { words: self.words.select_cols(keep)?, orig_rows: self.orig_rows })
     }
 
-    /// Where column `j`'s words of the word rows in `range` sit in the
-    /// stored arrays of [`Self::as_csc`]. Word rows ascend within a
-    /// column, so this is two binary searches, not a scan of the column.
-    pub(crate) fn col_span(&self, j: usize, range: &Range<usize>) -> Range<usize> {
-        let (lo, hi) = (self.words.indptr()[j], self.words.indptr()[j + 1]);
-        let word_rows = &self.words.indices()[lo..hi];
-        let start = word_rows.partition_point(|&w| w < range.start);
-        let end = start + word_rows[start..].partition_point(|&w| w < range.end);
-        lo + start..lo + end
-    }
-
     /// Restrict to a contiguous range of word rows, re-basing word indices
     /// to start at zero. Used to split a packed batch into the row chunks
     /// of the 2.5D distribution.
@@ -465,7 +454,7 @@ impl BitMatrix {
         let mut indices = Vec::new();
         let mut data = Vec::new();
         for j in 0..self.ncols() {
-            let span = self.col_span(j, &range);
+            let span = self.words.col_span(j, &range);
             indices.extend(self.words.indices()[span.clone()].iter().map(|w| w - range.start));
             data.extend_from_slice(&self.words.data()[span]);
             indptr.push(indices.len());

@@ -8,6 +8,7 @@
 //! order.
 
 use std::mem::take;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -154,6 +155,18 @@ impl<T: Copy> CscMatrix<T> {
         self.indptr[j + 1] - self.indptr[j]
     }
 
+    /// Where column `j`'s entries of the rows in `rows` are stored: two
+    /// binary searches (rows ascend), or none for all the rows.
+    #[inline]
+    pub(crate) fn col_span(&self, j: usize, rows: &Range<usize>) -> Range<usize> {
+        let (lo, col) = (self.indptr[j], &self.indices[self.indptr[j]..self.indptr[j + 1]]);
+        if rows.start == 0 && rows.end >= self.nrows {
+            return lo..lo + col.len();
+        }
+        let start = col.partition_point(|&r| r < rows.start);
+        lo + start..lo + start + col[start..].partition_point(|&r| r < rows.end)
+    }
+
     /// Iterate over `(row, value)` pairs of column `j`.
     #[inline]
     pub fn col(&self, j: usize) -> impl Iterator<Item = (usize, T)> + '_ {
@@ -169,7 +182,9 @@ impl<T: Copy> CscMatrix<T> {
 
     /// Convert to CSR.
     pub fn to_csr(&self) -> CsrMatrix<T> {
-        CsrMatrix::from_transposed_parts(self.nrows, &self.indptr, &self.indices, &self.data)
+        let mut csr = CsrMatrix::empty(0, 0);
+        csr.refill_transposed(self.nrows, &self.indptr, &self.indices, &self.data);
+        csr
     }
 
     /// Restrict to the columns listed in `keep` (in order), producing a

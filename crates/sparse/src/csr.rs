@@ -169,47 +169,56 @@ impl<T: Copy> CsrMatrix<T> {
 
     /// Transpose into a new CSR matrix.
     pub fn transpose(&self) -> CsrMatrix<T> {
-        CsrMatrix::from_transposed_parts(self.ncols, &self.indptr, &self.indices, &self.data)
+        let mut out = CsrMatrix::empty(0, 0);
+        out.refill_transposed(self.ncols, &self.indptr, &self.indices, &self.data);
+        out
     }
 
-    /// The CSR matrix whose rows are the *minor* axis of a compressed
-    /// layout (`indptr` over the major axis, `indices` < `minor_len`):
-    /// a CSR's transpose, or the CSR view of a CSC matrix. A counting
-    /// transpose — count per minor index, prefix-sum, scatter while
-    /// walking the major axis in order — so it is `O(nnz + minor_len)`
+    /// Replace this matrix by the CSR matrix whose rows are the *minor*
+    /// axis of a compressed layout (`indptr` over the major axis,
+    /// `indices` < `minor_len`) — a CSR's transpose, or the CSR view of a
+    /// CSC matrix — built in this matrix's own arrays, which keep their
+    /// capacity up to twice the fill ([`drop_slack`]). A counting
+    /// transpose: count per minor index, prefix-sum, then scatter while
+    /// walking the major axis in order, each row's offset serving as its
+    /// cursor. `O(nnz + minor_len)`, nothing allocated beyond the arrays,
     /// and every output row lists its column indices ascending.
-    pub(crate) fn from_transposed_parts(
+    pub(crate) fn refill_transposed(
+        &mut self,
         minor_len: usize,
         indptr: &[usize],
         indices: &[usize],
         data: &[T],
-    ) -> CsrMatrix<T> {
-        let mut out_ptr = vec![0usize; minor_len + 1];
+    ) {
+        let out_ptr = &mut self.indptr;
+        out_ptr.clear();
+        out_ptr.resize(minor_len + 1, 0);
         for &r in indices {
             out_ptr[r + 1] += 1;
         }
         for r in 0..minor_len {
             out_ptr[r + 1] += out_ptr[r];
         }
-        // Next free slot of every output row; every slot is overwritten.
-        let mut next = out_ptr[..minor_len].to_vec();
-        let mut out_indices = vec![0usize; indices.len()];
-        let mut out_data = data.to_vec();
+        // Every slot is overwritten; each cursor ends on the next row's start.
+        self.indices.clear();
+        self.indices.resize(indices.len(), 0);
+        self.data.clear();
+        self.data.extend_from_slice(data);
         for (major, span) in indptr.windows(2).enumerate() {
             for t in span[0]..span[1] {
-                let slot = &mut next[indices[t]];
-                out_indices[*slot] = major;
-                out_data[*slot] = data[t];
+                let slot = &mut out_ptr[indices[t]];
+                self.indices[*slot] = major;
+                self.data[*slot] = data[t];
                 *slot += 1;
             }
         }
-        CsrMatrix {
-            nrows: minor_len,
-            ncols: indptr.len() - 1,
-            indptr: out_ptr,
-            indices: out_indices,
-            data: out_data,
-        }
+        out_ptr.copy_within(0..minor_len, 1);
+        out_ptr[0] = 0;
+        self.nrows = minor_len;
+        self.ncols = indptr.len() - 1;
+        drop_slack(&mut self.indptr);
+        drop_slack(&mut self.indices);
+        drop_slack(&mut self.data);
     }
 }
 

@@ -49,7 +49,16 @@
 //! has owned a later step, so its block reached the owner after that
 //! member had dropped the old one; the owner falls back to a fresh block
 //! only if a receiver still holds it.
+//!
+//! On a `1 × 1` layer grid (p = 1, or p = c) no peer receives a block,
+//! so the rank cuts none: it adds the upper triangle of its layer's chunk
+//! of the packed batch in place ([`ata_upper_accumulate`], whose
+//! Gustavson body reads a transpose kept in [`SummaBuffers`]), and
+//! [`DistAta::finalize`] mirrors it after the layer reduce. Every step is
+//! charged the block's Gustavson count `Σ_k nnz_A(k)·nnz_B(k)`, whichever
+//! body multiplies it.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -62,7 +71,7 @@ use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{SparseError, SparseResult};
 use crate::semiring::PopcountAnd;
-use crate::spgemm::atb_block_dense;
+use crate::spgemm::{ata_upper_accumulate, atb_block_dense};
 
 /// One SUMMA operand chunk as its owner cuts and sends it: the left operand
 /// as the CSC matrix of `A[chunk, R_i]` ([`cut_csc`]), the right as the
@@ -138,7 +147,7 @@ impl ChunkSpans {
                 ncols: batch.ncols(),
             });
         }
-        let spans: Vec<_> = (0..batch.ncols()).map(|j| batch.col_span(j, chunk)).collect();
+        let spans: Vec<_> = (0..batch.ncols()).map(|j| batch.as_csc().col_span(j, chunk)).collect();
         let nnz = spans.iter().map(Range::len).sum();
         let limit = u32::MAX as usize;
         narrow(nnz, "stored words", limit)?;
@@ -255,11 +264,13 @@ fn lcm(a: usize, b: usize) -> usize {
 /// through [`DistAta::into_buffers`], across runs: per SUMMA step, the
 /// left and the right block, cut for the steps whose operand the rank
 /// owns (and shared with the receivers while they read it), empty for the
-/// others.
+/// others; on a `1 × 1` layer grid, which cuts none, the CSR view of the
+/// packed batch that the Gustavson body reads.
 #[derive(Default)]
 pub struct SummaBuffers {
     left: Vec<Arc<Block<CscMatrix<u64>>>>,
     right: Vec<Arc<Block<CsrMatrix<u64>>>>,
+    transpose: Block<CsrMatrix<u64>>,
 }
 
 /// The block in `slot`, to be written: the one held when no receiver
@@ -448,15 +459,15 @@ impl DistAta {
     /// Contract one batch: `left` is this rank's packed row-block columns
     /// (`A[:, R_i]`) and `right` its column-block columns (`A[:, C_j]`),
     /// both with the batch's full word-row extent but read only in the
-    /// chunks [`Self::owned_chunks`] lists: words elsewhere may be absent.
+    /// chunks [`Self::owned_chunks`] lists (`left` not at all on a `1 × 1`
+    /// layer grid, where the two are one block): words elsewhere may be absent.
     /// Runs the SUMMA sweep of this rank's layer, accumulating into `acc`
     /// and adding the column popcounts of the chunks this rank owns into
-    /// `card`.
+    /// `card` (on a `1 × 1` layer grid [`Self::finalize`] adds them, off
+    /// `acc`'s diagonal).
     ///
-    /// The third argument, a key of the zero-row filter the batch was
-    /// prepared under, is not read: every rank reads a block where its
-    /// owner cut it, so there is no decode to reuse from batch to batch.
-    /// It stays for the callers that pass one.
+    /// The third argument, a filter key, is not read (no decode is cached);
+    /// it stays for the callers that pass one.
     pub fn accumulate_batch_keyed(
         &mut self,
         left: &BitMatrix,
@@ -501,6 +512,17 @@ impl DistAta {
             });
         }
         let word_rows = right.word_rows();
+        if self.r * self.q == 1 {
+            // No peer receives a block, so none is cut: the one step adds
+            // this layer's chunk in place, and `finalize` reads its
+            // cardinalities, `Σ_k popcount(a_kj & a_kj)`, off the diagonal.
+            let _step = gas_dstsim::obs::span("paper", "summa_step");
+            let chunk = self.step_chunk(word_rows, 0);
+            let transpose = &mut self.blocks.transpose.0;
+            let ops = ata_upper_accumulate::<PopcountAnd>(right.as_csc(), chunk, acc, transpose)?;
+            self.grid_comm.add_flops(ops);
+            return Ok(());
+        }
         self.blocks.left.resize_with(self.steps, Arc::default);
         self.blocks.right.resize_with(self.steps, Arc::default);
         for t in 0..self.steps {
@@ -541,34 +563,58 @@ impl DistAta {
     /// the accumulators across the `c` layers and allreduce the
     /// cardinalities so every rank holds the global per-sample counts.
     pub fn finalize(&self, acc: &mut DenseMatrix<u64>, card: &mut [u64]) -> SparseResult<()> {
+        let one_by_one = self.r * self.q == 1;
+        if one_by_one {
+            let diagonal = acc.as_slice().iter().step_by(self.n + 1);
+            card.iter_mut().zip(diagonal).for_each(|(c, &d)| *c += d);
+        }
         if self.c > 1 {
             let summed = self.fiber_comm.allreduce_sum(acc.as_slice())?;
             acc.as_mut_slice().copy_from_slice(&summed);
         }
         let full = self.grid_comm.allreduce_sum(&*card)?;
         card.copy_from_slice(&full);
+        // A `1 × 1` layer grid added the upper triangle only.
+        if one_by_one {
+            acc.mirror_upper()?;
+        }
         Ok(())
     }
 
-    /// Gather the distributed output blocks of layer 0 onto world rank 0
-    /// and assemble the full `n × n` matrix there. Collective over the
-    /// world; returns `Some(B)` on rank 0 and `None` elsewhere.
+    /// [`Self::gather_into_full`] of a borrowed accumulator.
     pub fn gather_full(
         &self,
         world: &Communicator,
         acc: &DenseMatrix<u64>,
     ) -> SparseResult<Option<DenseMatrix<u64>>> {
-        let payload = if self.coords[2] == 0 { acc.as_slice() } else { &[] };
-        let gathered = world.gatherv(0, payload)?;
-        let Some(blocks) = gathered else {
+        self.gather_into_full(world, Cow::Borrowed(acc))
+    }
+
+    /// Gather the distributed output blocks of layer 0 onto world rank 0
+    /// and assemble the full `n × n` matrix there: `Some(B)` on rank 0,
+    /// `None` elsewhere. Collective over the world. Rank 0 sends itself
+    /// nothing: it copies its block from `acc`, or, on a `1 × 1` layer
+    /// grid, returns `acc` (a move, given it owned).
+    pub fn gather_into_full(
+        &self,
+        world: &Communicator,
+        acc: Cow<'_, DenseMatrix<u64>>,
+    ) -> SparseResult<Option<DenseMatrix<u64>>> {
+        let me = world.rank();
+        let payload = if self.coords[2] == 0 && me != 0 { acc.as_slice() } else { &[] };
+        let Some(blocks) = world.gatherv(0, payload)? else {
             return Ok(None);
         };
+        if self.r * self.q == 1 {
+            return Ok(Some(acc.into_owned()));
+        }
         let mut full = DenseMatrix::<u64>::zeros(self.n, self.n);
-        for (rank, data) in blocks.into_iter().enumerate() {
+        for (rank, data) in blocks.iter().enumerate() {
             let [i, j, k] = self.grid.coords_of(rank)?;
             if k != 0 {
                 continue;
             }
+            let data = if rank == me { acc.as_slice() } else { data.as_slice() };
             let rows = block_range(self.n, self.r, i);
             let cols = block_range(self.n, self.q, j);
             if data.len() != rows.len() * cols.len() {
@@ -658,9 +704,19 @@ mod tests {
         let columns = columns();
         let expected = reference(200, &columns);
         let expected_card: Vec<u64> = columns.iter().map(|col| col.len() as u64).collect();
-        for (p, c) in
-            [(1, 1), (2, 1), (4, 1), (5, 1), (6, 1), (6, 2), (8, 1), (8, 2), (9, 1), (12, 2)]
-        {
+        for (p, c) in [
+            (1, 1),
+            (2, 1),
+            (2, 2),
+            (4, 1),
+            (5, 1),
+            (6, 1),
+            (6, 2),
+            (8, 1),
+            (8, 2),
+            (9, 1),
+            (12, 2),
+        ] {
             let (full, card, _) = run_distributed(p, c, 200, &columns);
             assert_eq!(full, expected, "p = {p}, c = {c}");
             assert_eq!(card, expected_card, "p = {p}, c = {c}");
@@ -716,9 +772,19 @@ mod tests {
         // 5 000 rows are 79.
         let mut rng = Rng(34);
         for (rows, columns) in [(200, columns()), (5_000, rng.columns(5_000, 9, 4))] {
-            for (p, c) in
-                [(1, 1), (2, 1), (4, 1), (5, 1), (6, 1), (6, 2), (8, 1), (8, 2), (9, 1), (12, 2)]
-            {
+            for (p, c) in [
+                (1, 1),
+                (2, 1),
+                (2, 2),
+                (4, 1),
+                (5, 1),
+                (6, 1),
+                (6, 2),
+                (8, 1),
+                (8, 2),
+                (9, 1),
+                (12, 2),
+            ] {
                 let expected = per_rank_contraction(p, c, rows, &columns, pack_blocks);
                 let got = per_rank_contraction(p, c, rows, &columns, owned_only);
                 assert_eq!(got, expected, "{rows} rows, p = {p}, c = {c}");
@@ -786,7 +852,7 @@ mod tests {
             let left = blocks.left.iter().map(|b| b.0.data().as_ptr() as usize);
             left.chain(blocks.right.iter().map(|b| b.0.data().as_ptr() as usize)).collect()
         };
-        for (p, c) in [(1, 1), (4, 1), (6, 1), (8, 2)] {
+        for (p, c) in [(1, 1), (2, 2), (4, 1), (6, 1), (8, 2)] {
             let run = |kept: Vec<SummaBuffers>| {
                 let kept: Vec<_> = kept.into_iter().map(std::sync::Mutex::new).collect();
                 let out = Runtime::new(p)
@@ -812,6 +878,8 @@ mod tests {
             let mut expected = Vec::new();
             for (rank, (seen, acc, blocks)) in first.into_iter().enumerate() {
                 assert!(seen.windows(2).all(|w| w[0] == w[1]), "p = {p}, rank {rank}");
+                // A 1 × 1 layer grid contracts its operand in place.
+                assert_eq!(seen[0].is_empty(), p == c, "p = {p}, rank {rank}");
                 expected.push((seen[0].clone(), acc));
                 kept.push(blocks);
             }

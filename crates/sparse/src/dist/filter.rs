@@ -241,10 +241,8 @@ impl RowFilter {
 /// last batch, whose bitmap and per-word counts the next batch's filter is
 /// built in, and the buffer the allreduce root broadcasts from
 /// ([`Communicator::allreduce_in_place`]). Every rank of the communicator
-/// keeps one and calls [`DistRowFilter::rebuild`] once per batch; a single
-/// process that observes every sample keeps one too and passes no
-/// communicator. Each buffer holds at most twice what the last batch used
-/// of it.
+/// keeps one and calls [`DistRowFilter::rebuild`] once per batch. Each
+/// buffer holds at most twice what the last batch used of it.
 #[derive(Debug)]
 pub struct DistRowFilter {
     filter: RowFilter,
@@ -270,11 +268,10 @@ impl DistRowFilter {
     /// observes (bits at or past `batch_rows` are ignored), the bitmaps are
     /// OR-allreduced in place, and the result replaces the last batch's
     /// filter. Collective over `comm`, whose messages and bytes are those of
-    /// `dist_row_filter`; without one the allreduce is skipped, and the
-    /// bitmap `observe` sets is the filter.
+    /// `dist_row_filter`.
     pub fn rebuild(
         &mut self,
-        comm: Option<&Communicator>,
+        comm: &Communicator,
         batch_rows: usize,
         observe: impl FnOnce(&mut [u64]),
     ) -> SparseResult<&RowFilter> {
@@ -286,11 +283,9 @@ impl DistRowFilter {
         dir.words.resize(nwords, 0);
         drop_slack(&mut dir.words);
         observe(&mut dir.words);
-        if let Some(comm) = comm {
-            comm.allreduce_in_place(&mut dir.words, &mut self.payload, |a, b| *a | *b)?;
-            // Charge the prefix-sum renumbering of the survivors.
-            comm.add_flops(dir.words.len() as u64);
-        }
+        comm.allreduce_in_place(&mut dir.words, &mut self.payload, |a, b| *a | *b)?;
+        // Charge the prefix-sum renumbering of the survivors.
+        comm.add_flops(dir.words.len() as u64);
         let (filter, unused) = RowFilter::from_directory(batch_rows, dir);
         self.filter = filter;
         if let Some(dir) = unused {
@@ -315,7 +310,7 @@ pub fn dist_row_filter(
 ) -> SparseResult<RowFilter> {
     let mut kept = DistRowFilter::default();
     let observe = |words: &mut [u64]| pack_row_bitmap_into(words, batch_rows, local_rows);
-    kept.rebuild(Some(comm), batch_rows, observe)?;
+    kept.rebuild(comm, batch_rows, observe)?;
     Ok(kept.filter)
 }
 
@@ -586,8 +581,8 @@ mod tests {
                         let observe = |words: &mut [u64]| {
                             mine.iter().for_each(|&r| words[r / WORD_BITS] |= 1 << (r % WORD_BITS))
                         };
-                        let comm = Some(ctx.world());
-                        filters.push(kept.rebuild(comm, batch.0, observe).unwrap().clone());
+                        let built = kept.rebuild(ctx.world(), batch.0, observe).unwrap();
+                        filters.push(built.clone());
                         let words = kept.filter.rank.as_ref().map(|d| &d.words);
                         words_at.push(words.map(|w| (w.as_ptr() as usize, w.capacity())));
                     }
@@ -616,22 +611,6 @@ mod tests {
                 assert_eq!(words_at[2].map(|(_, capacity)| capacity), Some(16), "p = {p}");
                 assert_eq!(words_at[4].map(|(_, capacity)| capacity), Some(5), "p = {p}");
             }
-        }
-    }
-
-    #[test]
-    fn without_a_communicator_the_observed_bitmap_is_the_filter() {
-        let mut kept = DistRowFilter::default();
-        let batches: [(usize, Vec<usize>); 3] =
-            [(257, vec![0, 13, 256]), (1000, (0..1000).step_by(3).collect()), (257, vec![5])];
-        for (batch_rows, rows) in batches {
-            let observe = |words: &mut [u64]| pack_row_bitmap_into(words, batch_rows, &rows);
-            let built = kept.rebuild(None, batch_rows, observe).unwrap();
-            assert_eq!(
-                built,
-                &RowFilter::from_local(batch_rows, rows.clone()),
-                "{batch_rows} rows"
-            );
         }
     }
 

@@ -7,22 +7,21 @@
 //!
 //! * [`ata_dense`] — row-wise (Gustavson) `AᵀA` with a dense accumulator;
 //! * [`ata_upper_accumulate`] — the upper triangle of `AᵀA`, parallelized
-//!   over output rows with Rayon (the on-node parallelism of a rank) and
-//!   added into the caller's matrix: the shared-memory driver's kernel;
+//!   over output rows with Rayon and added into the caller's matrix: the
+//!   kernel of a one-rank (`1 × 1`) SUMMA layer;
 //! * [`ata_dense_parallel`] — the full `AᵀA` through the same body;
-//! * [`atb_block_dense`] — the `C += AᵀB` block kernel used by the
-//!   distributed SUMMA/2.5D algorithm.
+//! * [`atb_block_dense`] — the `C += AᵀB` kernel of every other SUMMA
+//!   step.
 //!
 //! # Symmetry
 //!
 //! `AᵀA` of one matrix under a commutative `mul` is symmetric, so the
 //! triangle body multiplies only the word pairs of the upper triangle
-//! (`j ≥ i`): half the products. [`ata_upper_accumulate`] adds them into
-//! the caller's matrix and leaves its lower triangle alone, so a caller
-//! summing many batches mirrors once, at the end
-//! ([`DenseMatrix::mirror_upper`]); [`ata_dense_parallel`] zeroes, adds
-//! and mirrors in one call. [`atb_block_dense`] multiplies two different
-//! blocks and has no such structure.
+//! (`j ≥ i`): half the products. It adds them into the caller's matrix
+//! and leaves its lower triangle alone, so a caller summing many batches
+//! mirrors once, at the end ([`DenseMatrix::mirror_upper`]). Every entry
+//! point returns the full square's Gustavson count, the γ charge of a
+//! SUMMA step whichever body multiplies the block.
 //!
 //! # Two row bodies
 //!
@@ -33,8 +32,8 @@
 //!   stored entries of row `k` of `B`. It touches only stored pairs, but
 //!   pays for each with a column-index load, a word load and an indirect
 //!   load-add-store into the output row. It reads the CSR view of `B`, so
-//!   [`ata_upper_accumulate`] transposes its CSC input when this body is
-//!   picked.
+//!   [`ata_upper_accumulate`] transposes its CSC input, into a CSR matrix
+//!   the caller keeps, when this body is picked.
 //! * `accumulate_tiled` cuts `B` into tiles of consecutive word rows
 //!   holding at most 32 KiB (`TILE_BYTES`; a single wider row is its own
 //!   tile), densifies each tile once, row-major, with the semiring's
@@ -101,6 +100,8 @@
 //! shows the difference, hence `cargo test -p gas-sparse --release` in
 //! `make test`.
 
+use std::ops::Range;
+
 use rayon::prelude::*;
 
 use crate::csc::CscMatrix;
@@ -151,10 +152,10 @@ where
 /// [`DenseMatrix::mirror_upper`] copies it onto the lower one: the
 /// returned matrix is the full symmetric `B`. Here the tiled body
 /// densifies its tiles from the CSR view, the one of the right operand's
-/// element type. Shapes and
-/// stored-entry counts of the two views are checked here; that they hold
-/// the same entries is the caller's to guarantee (views of two different
-/// matrices would come back as a symmetrised half of `AᵀB`).
+/// element type. Shapes and stored-entry counts of the two views are
+/// checked here; that they hold the same entries is the caller's to
+/// guarantee (views of two different matrices would come back as a
+/// symmetrised half of `AᵀB`).
 pub fn ata_dense_parallel<S>(
     a_csc: &CscMatrix<S::Left>,
     a_csr: &CsrMatrix<S::Right>,
@@ -167,94 +168,102 @@ where
 {
     check_views(a_csc, a_csr)?;
     let n = a_csc.ncols();
-    let body = match tiles_pay::<S>(upper_dense_products(a_csc), || upper_products(a_csc)) {
+    let rows = 0..a_csc.nrows();
+    let upper = (gustavson_products(a_csc, a_csr) + a_csc.nnz() as u64) / 2;
+    let body = match tiles_pay::<S>(upper_dense_products(a_csc, &rows), || upper) {
         Some(absent) => Body::Tiled(Tiles::Rows(a_csr), absent),
         None => Body::Gustavson(a_csr),
     };
     let mut out = DenseMatrix::from_vec(n, n, vec![S::zero(); n * n])?;
-    accumulate_upper::<S>(a_csc, body, out.as_mut_slice());
+    accumulate_upper::<S>(a_csc, &rows, body, out.as_mut_slice());
     out.mirror_upper()?;
     Ok(out)
 }
 
-/// Accumulate the upper triangle of `AᵀA` over semiring `S` into `out`:
-/// `out[i][j] ⊕= Σ_k a_ki ⊗ a_kj` for every `j ≥ i`, leaving the strictly
-/// lower triangle as it is. A caller that sums many products mirrors once,
-/// at the end ([`DenseMatrix::mirror_upper`]).
+/// Accumulate the upper triangle of `A[rows, :]ᵀ A[rows, :]` over
+/// semiring `S` into `out`: `out[i][j] ⊕= Σ_{k ∈ rows} a_ki ⊗ a_kj` for
+/// every `j ≥ i` (rows past `A`'s own are empty), leaving the strictly
+/// lower triangle as it is. A caller that sums many products mirrors
+/// once, at the end ([`DenseMatrix::mirror_upper`]). This is the kernel
+/// of a rank on a `1 × 1` SUMMA layer, which contracts its packed batch
+/// in place.
 ///
 /// `A` comes as its CSC view. The tiled body densifies its tiles from it;
-/// the CSR view the Gustavson body reads is built, per call, only when
-/// that body is picked. `mul` must commute, as for [`ata_dense_parallel`],
-/// whose row pairs and threads this shares.
+/// the CSR view the Gustavson body reads is built only when that body is
+/// picked, in `transpose`'s arrays, which a caller that keeps the matrix
+/// refills from call to call. `mul` must commute, as for
+/// [`ata_dense_parallel`], whose row pairs and threads this shares.
+/// Returns the full square's Gustavson count `Σ_{k ∈ rows} nnz(row k)²`,
+/// the γ charge [`atb_block_dense`] would return for the two views.
 pub fn ata_upper_accumulate<S>(
     a_csc: &CscMatrix<S::Left>,
+    rows: Range<usize>,
     out: &mut DenseMatrix<S::Out>,
-) -> SparseResult<()>
+    transpose: &mut CsrMatrix<S::Left>,
+) -> SparseResult<u64>
 where
     S: Semiring<Right = <S as Semiring>::Left>,
     S::Left: Copy + Sync + Send,
     S::Out: Copy + Default + Sync + Send,
 {
     let n = a_csc.ncols();
-    if out.nrows() != n || out.ncols() != n {
-        return Err(SparseError::ShapeMismatch {
-            context: format!("output is {}x{} but AᵀA is {n}x{n}", out.nrows(), out.ncols()),
-        });
+    if (out.nrows(), out.ncols()) != (n, n) {
+        let context = format!("output is {}x{} but AᵀA is {n}x{n}", out.nrows(), out.ncols());
+        return Err(SparseError::ShapeMismatch { context });
     }
-    let out = out.as_mut_slice();
-    match tiles_pay::<S>(upper_dense_products(a_csc), || upper_products(a_csc)) {
-        Some(absent) => accumulate_upper::<S>(a_csc, Body::Tiled(Tiles::Cols(a_csc), absent), out),
-        None => accumulate_upper::<S>(a_csc, Body::Gustavson(&a_csc.to_csr()), out),
+    // Stored entries per row of `rows`, in one pass over the row indices.
+    let mut row_nnz = vec![0u64; rows.len()];
+    for k in a_csc.indices().iter().filter(|k| rows.contains(k)) {
+        row_nnz[k - rows.start] += 1;
     }
-    Ok(())
+    let square: u64 = row_nnz.iter().map(|&r| r * r).sum();
+    let upper = (square + row_nnz.iter().sum::<u64>()) / 2;
+    let body = match tiles_pay::<S>(upper_dense_products(a_csc, &rows), || upper) {
+        Some(absent) => Body::Tiled(Tiles::Cols(a_csc), absent),
+        None => {
+            let (indptr, indices, data) = (a_csc.indptr(), a_csc.indices(), a_csc.data());
+            transpose.refill_transposed(a_csc.nrows(), indptr, indices, data);
+            Body::Gustavson(transpose)
+        }
+    };
+    accumulate_upper::<S>(a_csc, &rows, body, out.as_mut_slice());
+    Ok(square)
 }
 
 /// Refuse CSC and CSR views of `A` that differ in shape or stored-entry
 /// count; that they hold the same entries is the caller's to guarantee.
 fn check_views<L: Copy, R: Copy>(a_csc: &CscMatrix<L>, a_csr: &CsrMatrix<R>) -> SparseResult<()> {
-    if (a_csc.nrows(), a_csc.ncols(), a_csc.nnz()) == (a_csr.nrows(), a_csr.ncols(), a_csr.nnz()) {
-        return Ok(());
-    }
-    Err(SparseError::ShapeMismatch {
-        context: format!(
-            "CSC view is {}x{} with {} entries but CSR view is {}x{} with {}",
-            a_csc.nrows(),
-            a_csc.ncols(),
-            a_csc.nnz(),
-            a_csr.nrows(),
-            a_csr.ncols(),
-            a_csr.nnz()
-        ),
-    })
+    let csc = (a_csc.nrows(), a_csc.ncols(), a_csc.nnz());
+    let csr = (a_csr.nrows(), a_csr.ncols(), a_csr.nnz());
+    let context = || format!("CSC view (rows, columns, entries) {csc:?} but CSR view {csr:?}");
+    (csc == csr).then_some(()).ok_or_else(|| SparseError::ShapeMismatch { context: context() })
 }
 
-/// The tiled body's product count over the upper triangle of `AᵀA`,
-/// `Σ_i nnz(col i)·(n − i)`.
-fn upper_dense_products<T: Copy>(a: &CscMatrix<T>) -> u64 {
+/// The Gustavson count of `AᵀB`, `Σ_k nnz_A(row k) · nnz_B(row k)`.
+fn gustavson_products<L: Copy, R: Copy>(a_csc: &CscMatrix<L>, b_csr: &CsrMatrix<R>) -> u64 {
+    a_csc.indices().iter().map(|&k| b_csr.row_nnz(k) as u64).sum()
+}
+
+/// The tiled body's product count over the triangle, `Σ_i nnz_rows(col i)·(n − i)`.
+fn upper_dense_products<T: Copy>(a: &CscMatrix<T>, rows: &Range<usize>) -> u64 {
     let n = a.ncols();
-    (0..n).map(|i| (a.col_nnz(i) * (n - i)) as u64).sum()
+    (0..n).map(|i| (a.col_span(i, rows).len() * (n - i)) as u64).sum()
 }
 
-/// The Gustavson body's product count over the upper triangle of `AᵀA`,
-/// `Σ_k nnz(row k)·(nnz(row k)+1)/2`, from one pass over the CSC view's
-/// row indices.
-fn upper_products<T: Copy>(a: &CscMatrix<T>) -> u64 {
-    let mut row_nnz = vec![0u64; a.nrows()];
-    for &k in a.indices() {
-        row_nnz[k] += 1;
-    }
-    row_nnz.iter().map(|&r| r * (r + 1) / 2).sum()
-}
-
-/// The upper triangle of `AᵀA` added into the row-major `out` through
-/// `body`, whose right operand holds the same entries as `a_csc`.
+/// The upper triangle of `A[rows, :]ᵀ A[rows, :]` added into the
+/// row-major `out` through `body`, whose right operand holds the same
+/// entries as `a_csc`.
 ///
 /// Output row `i` costs about `n − i` entries, so the rows are handed out
 /// as the `⌈n/2⌉` pairs `(p, n−1−p)` of constant size, and each thread
 /// owns one contiguous run of pairs, free of write conflicts: the tiled
 /// body densifies every tile once per run, not once per pair.
-fn accumulate_upper<S>(a_csc: &CscMatrix<S::Left>, body: Body<'_, S::Right>, out: &mut [S::Out])
-where
+fn accumulate_upper<S>(
+    a_csc: &CscMatrix<S::Left>,
+    rows: &Range<usize>,
+    body: Body<'_, S::Right>,
+    out: &mut [S::Out],
+) where
     S: Semiring,
     S::Left: Copy + Sync + Send,
     S::Right: Copy + Sync + Send,
@@ -274,15 +283,15 @@ where
     let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     let run = pairs.len().div_ceil(threads);
     pairs.par_chunks_mut(run).enumerate().for_each(|(c, run_pairs)| {
-        let mut rows = Vec::with_capacity(2 * run_pairs.len());
+        let row = |i: usize, out| OutRow { stored: a_csc.col_span(i, rows), first_col: i, out };
+        let mut out_rows = Vec::with_capacity(2 * run_pairs.len());
         for (p, (upper, lower)) in (c * run..).zip(run_pairs.iter_mut()) {
-            rows.push(OutRow { col: p, first_col: p, out: upper });
+            out_rows.push(row(p, &mut **upper));
             if let Some(lower) = lower {
-                let i = n - 1 - p;
-                rows.push(OutRow { col: i, first_col: i, out: lower });
+                out_rows.push(row(n - 1 - p, &mut **lower));
             }
         }
-        accumulate_rows::<S>(a_csc, body, &mut rows);
+        accumulate_rows::<S>(a_csc, body, rows.clone(), &mut out_rows);
     });
 }
 
@@ -323,7 +332,7 @@ where
             ),
         });
     }
-    let products: u64 = a_csc.indices().iter().map(|&k| b_csr.row_nnz(k) as u64).sum();
+    let products = gustavson_products(a_csc, b_csr);
     let dense = (a_csc.nnz() * b_csr.ncols()) as u64;
     atb_rows::<S>(a_csc, b_csr, out.as_mut_slice(), tiles_pay::<S>(dense, || products));
     Ok(products)
@@ -341,16 +350,17 @@ fn atb_rows<S: Semiring>(
     if b_csr.ncols() == 0 {
         return;
     }
+    let a_ptr = a_csc.indptr();
     let mut rows: Vec<_> = out
         .chunks_mut(b_csr.ncols())
         .enumerate()
-        .map(|(i, out)| OutRow { col: i, first_col: 0, out })
+        .map(|(i, out)| OutRow { stored: a_ptr[i]..a_ptr[i + 1], first_col: 0, out })
         .collect();
     let body = match tiles {
         Some(absent) => Body::Tiled(Tiles::Rows(b_csr), absent),
         None => Body::Gustavson(b_csr),
     };
-    accumulate_rows::<S>(a_csc, body, &mut rows);
+    accumulate_rows::<S>(a_csc, body, 0..b_csr.nrows(), &mut rows);
 }
 
 /// Bytes of the right operand one tile of `accumulate_tiled` densifies.
@@ -376,10 +386,11 @@ fn tile_height<T>(width: usize) -> usize {
     (TILE_BYTES / (width * std::mem::size_of::<T>()).max(1)).max(1)
 }
 
-/// One output row of a kernel call: `out[j] ⊕= Σ_k a_k,col ⊗ b_kj` for
-/// every `j ≥ first_col`.
+/// One output row `i` of a kernel call: `out[j] ⊕= Σ_k a_ki ⊗ b_kj` for
+/// every `j ≥ first_col`, over the stored `a_ki` at `stored` in the CSC
+/// arrays of `A` (column `i`, or its part in the word rows contracted).
 struct OutRow<'o, T> {
-    col: usize,
+    stored: Range<usize>,
     first_col: usize,
     out: &'o mut [T],
 }
@@ -403,34 +414,39 @@ enum Tiles<'b, T> {
 }
 
 impl<T: Copy> Tiles<'_, T> {
-    /// Word rows and columns of the operand.
-    fn shape(&self) -> (usize, usize) {
+    /// Columns of the operand: the width of a tile.
+    fn width(&self) -> usize {
         match self {
-            Tiles::Rows(b) => (b.nrows(), b.ncols()),
-            Tiles::Cols(b) => (b.nrows(), b.ncols()),
+            Tiles::Rows(b) => b.ncols(),
+            Tiles::Cols(b) => b.ncols(),
         }
     }
 }
 
-/// Every row of `rows` through the body `body` names.
+/// Every row of `rows` through the body `body` names, contracting the
+/// word rows `word_rows` (every row a row's `stored` entries lie in).
 fn accumulate_rows<S: Semiring>(
     a_csc: &CscMatrix<S::Left>,
     body: Body<'_, S::Right>,
+    word_rows: Range<usize>,
     rows: &mut [OutRow<'_, S::Out>],
 ) {
     match body {
-        Body::Tiled(tiles, absent) => dispatch::accumulate_tiled::<S>(a_csc, tiles, absent, rows),
+        Body::Tiled(tiles, absent) => {
+            dispatch::accumulate_tiled::<S>(a_csc, tiles, word_rows, absent, rows)
+        }
         Body::Gustavson(b_csr) => {
             for row in rows {
-                dispatch::accumulate_row::<S>(a_csc, b_csr, row.col, row.first_col, row.out);
+                let (stored, first_col) = (row.stored.clone(), row.first_col);
+                dispatch::accumulate_row::<S>(a_csc, b_csr, stored, first_col, row.out);
             }
         }
     }
 }
 
 /// The Gustavson row body: `out_row[j] ⊕= a_ki ⊗ b_kj` for every stored
-/// `a_ki` of column `i` of `A` and every stored `b_kj` of row `k` of `B`
-/// with `j ≥ first_col`.
+/// `a_ki` at `stored` (entries of column `i` of `A`) and every stored
+/// `b_kj` of row `k` of `B` with `j ≥ first_col`.
 ///
 /// `#[inline(always)]` so that it (and the `S::mul` inside) is compiled
 /// with the target features of whichever caller it lands in — see the
@@ -440,13 +456,13 @@ fn accumulate_rows<S: Semiring>(
 fn accumulate_row<S: Semiring>(
     a_csc: &CscMatrix<S::Left>,
     b_csr: &CsrMatrix<S::Right>,
-    i: usize,
+    stored: Range<usize>,
     first_col: usize,
     out_row: &mut [S::Out],
 ) {
-    let (a_ptr, a_rows, a_vals) = (a_csc.indptr(), a_csc.indices(), a_csc.data());
+    let (a_rows, a_vals) = (a_csc.indices(), a_csc.data());
     let (b_ptr, b_cols, b_vals) = (b_csr.indptr(), b_csr.indices(), b_csr.data());
-    for t in a_ptr[i]..a_ptr[i + 1] {
+    for t in stored {
         let (k, va) = (a_rows[t], a_vals[t]);
         let cols = &b_cols[b_ptr[k]..b_ptr[k + 1]];
         let vals = &b_vals[b_ptr[k]..b_ptr[k + 1]];
@@ -460,9 +476,10 @@ fn accumulate_row<S: Semiring>(
 }
 
 /// The tiled row body: the sums of [`accumulate_row`] for every row of
-/// `rows`, one tile of the right operand's word rows at a time (see the
-/// module header), densified from `tiles`. `absent` is what a gap is
-/// densified to, and must annihilate ([`Semiring::absent_operands`]).
+/// `rows`, one tile of the right operand's word rows `word_rows` at a
+/// time (see the module header), densified from `tiles`. `absent` is what
+/// a gap is densified to, and must annihilate
+/// ([`Semiring::absent_operands`]).
 ///
 /// `#[inline(always)]` and closure-free in its loops for the same reason
 /// as [`accumulate_row`].
@@ -470,11 +487,12 @@ fn accumulate_row<S: Semiring>(
 fn accumulate_tiled<S: Semiring>(
     a_csc: &CscMatrix<S::Left>,
     tiles: Tiles<'_, S::Right>,
+    word_rows: Range<usize>,
     absent: S::Right,
     rows: &mut [OutRow<'_, S::Out>],
 ) {
-    let (a_ptr, a_rows, a_vals) = (a_csc.indptr(), a_csc.indices(), a_csc.data());
-    let (m, width) = tiles.shape();
+    let (a_rows, a_vals) = (a_csc.indices(), a_csc.data());
+    let width = tiles.width();
     if width == 0 {
         return;
     }
@@ -483,16 +501,16 @@ fn accumulate_tiled<S: Semiring>(
     // every tile picks up where the last one stopped.
     let mut next = Vec::with_capacity(rows.len());
     for row in rows.iter() {
-        next.push(a_ptr[row.col]);
+        next.push(row.stored.start);
     }
     // Likewise where each column of a CSC source continues.
     let mut source_next = match tiles {
-        Tiles::Cols(b) => b.indptr()[..width].to_vec(),
+        Tiles::Cols(b) => (0..width).map(|j| b.col_span(j, &word_rows).start).collect(),
         Tiles::Rows(_) => Vec::new(),
     };
-    let mut tile = Vec::with_capacity(height.min(m) * width);
-    for k0 in (0..m).step_by(height) {
-        let k1 = (k0 + height).min(m);
+    let mut tile = Vec::with_capacity(height.min(word_rows.len()) * width);
+    for k0 in word_rows.clone().step_by(height) {
+        let k1 = (k0 + height).min(word_rows.end);
         tile.clear();
         tile.resize((k1 - k0) * width, absent);
         match tiles {
@@ -516,7 +534,7 @@ fn accumulate_tiled<S: Semiring>(
             }
         }
         for (row, t) in rows.iter_mut().zip(next.iter_mut()) {
-            let end = a_ptr[row.col + 1];
+            let end = row.stored.end;
             while *t < end && a_rows[*t] < k1 {
                 let va = a_vals[*t];
                 let dense = &tile[(a_rows[*t] - k0) * width..][row.first_col..width];
@@ -533,7 +551,7 @@ fn accumulate_tiled<S: Semiring>(
 /// crate steps outside safe Rust.
 #[allow(unsafe_code)]
 mod dispatch {
-    use super::{CscMatrix, CsrMatrix, OutRow, Semiring, Tiles};
+    use super::{CscMatrix, CsrMatrix, OutRow, Range, Semiring, Tiles};
 
     /// Whether this CPU runs [`accumulate_tiled`] with vector popcount.
     pub(super) fn vector_popcount() -> bool {
@@ -554,7 +572,7 @@ mod dispatch {
     pub(super) fn accumulate_row<S: Semiring>(
         a_csc: &CscMatrix<S::Left>,
         b_csr: &CsrMatrix<S::Right>,
-        i: usize,
+        stored: Range<usize>,
         first_col: usize,
         out_row: &mut [S::Out],
     ) {
@@ -563,10 +581,12 @@ mod dispatch {
             if std::is_x86_feature_detected!("popcnt") {
                 // SAFETY: `is_x86_feature_detected!` just reported POPCNT
                 // on the running CPU, the wrapper's only requirement.
-                return unsafe { accumulate_row_popcnt::<S>(a_csc, b_csr, i, first_col, out_row) };
+                return unsafe {
+                    accumulate_row_popcnt::<S>(a_csc, b_csr, stored, first_col, out_row)
+                };
             }
         }
-        super::accumulate_row::<S>(a_csc, b_csr, i, first_col, out_row)
+        super::accumulate_row::<S>(a_csc, b_csr, stored, first_col, out_row)
     }
 
     /// # Safety
@@ -577,11 +597,11 @@ mod dispatch {
     unsafe fn accumulate_row_popcnt<S: Semiring>(
         a_csc: &CscMatrix<S::Left>,
         b_csr: &CsrMatrix<S::Right>,
-        i: usize,
+        stored: Range<usize>,
         first_col: usize,
         out_row: &mut [S::Out],
     ) {
-        super::accumulate_row::<S>(a_csc, b_csr, i, first_col, out_row)
+        super::accumulate_row::<S>(a_csc, b_csr, stored, first_col, out_row)
     }
 
     /// [`super::accumulate_tiled`], compiled for AVX-512 VPOPCNTDQ when
@@ -590,6 +610,7 @@ mod dispatch {
     pub(super) fn accumulate_tiled<S: Semiring>(
         a_csc: &CscMatrix<S::Left>,
         tiles: Tiles<'_, S::Right>,
+        word_rows: Range<usize>,
         absent: S::Right,
         rows: &mut [OutRow<'_, S::Out>],
     ) {
@@ -599,10 +620,12 @@ mod dispatch {
                 // SAFETY: `vector_popcount` just reported AVX-512F,
                 // AVX-512 VPOPCNTDQ and POPCNT on the running CPU, the
                 // wrapper's only requirement.
-                return unsafe { accumulate_tiled_avx512::<S>(a_csc, tiles, absent, rows) };
+                return unsafe {
+                    accumulate_tiled_avx512::<S>(a_csc, tiles, word_rows, absent, rows)
+                };
             }
         }
-        super::accumulate_tiled::<S>(a_csc, tiles, absent, rows)
+        super::accumulate_tiled::<S>(a_csc, tiles, word_rows, absent, rows)
     }
 
     /// # Safety
@@ -614,20 +637,16 @@ mod dispatch {
     unsafe fn accumulate_tiled_avx512<S: Semiring>(
         a_csc: &CscMatrix<S::Left>,
         tiles: Tiles<'_, S::Right>,
+        word_rows: Range<usize>,
         absent: S::Right,
         rows: &mut [OutRow<'_, S::Out>],
     ) {
-        super::accumulate_tiled::<S>(a_csc, tiles, absent, rows)
+        super::accumulate_tiled::<S>(a_csc, tiles, word_rows, absent, rows)
     }
 }
 
-/// Number of products in the full square `AᵀA`, `Σ_k nnz(row k)²`.
-///
-/// A size measure, not a charge: nothing in this workspace bills γ-flops
-/// with it (the distributed product charges what [`atb_block_dense`]
-/// returns), and [`ata_dense_parallel`] multiplies only the upper
-/// triangle, `Σ_k nnz(row k)·(nnz(row k)+1)/2` Gustavson products — or,
-/// on its tiled body, `Σ_i nnz(col i)·(n − i)` dense ones.
+/// Number of products in the full square `AᵀA`, `Σ_k nnz(row k)²`: the
+/// γ charge every kernel returns, though the triangle multiplies half.
 pub fn ata_flops<T: Copy>(a: &CsrMatrix<T>) -> u64 {
     (0..a.nrows()).map(|k| (a.row_nnz(k) as u64).pow(2)).sum()
 }
@@ -797,7 +816,8 @@ mod tests {
                     assert_eq!(got, got.transpose(), "{ctx}");
                     for body in bodies(csc, &csr) {
                         let mut out = DenseMatrix::zeros(n, n);
-                        accumulate_upper::<PopcountAnd>(csc, body, out.as_mut_slice());
+                        let all = 0..word_rows;
+                        accumulate_upper::<PopcountAnd>(csc, &all, body, out.as_mut_slice());
                         out.mirror_upper().unwrap();
                         assert_eq!(out, want, "{ctx}, {}", name(body));
                     }
@@ -818,6 +838,8 @@ mod tests {
     #[test]
     fn upper_triangle_accumulates_into_the_callers_matrix_like_the_oracle() {
         let mut rng = Rng(0x7a1);
+        // One kept transpose, refilled by every call that picks Gustavson.
+        let mut transpose = CsrMatrix::empty(0, 0);
         let (mut tiled_side, mut gustavson_side) = (0, 0);
         for n in [0usize, 1, 2, 7, 8, 33] {
             let counts = if n == 0 { vec![0, 1, 3] } else { word_row_counts(n).to_vec() };
@@ -852,22 +874,35 @@ mod tests {
                         }
                     }
                     mirrored.mirror_upper().unwrap();
+                    let all = 0..word_rows;
                     for body in bodies(csc, &csr) {
                         let mut out = prefill.clone();
-                        accumulate_upper::<PopcountAnd>(csc, body, &mut out);
-                        accumulate_upper::<PopcountAnd>(csc, body, &mut out);
+                        accumulate_upper::<PopcountAnd>(csc, &all, body, &mut out);
+                        accumulate_upper::<PopcountAnd>(csc, &all, body, &mut out);
                         assert_eq!(out, want, "{ctx}, {}", name(body));
                     }
+                    // The entry point charges the full square's Gustavson
+                    // count, as `atb_block_dense` does for the two views.
+                    let square: usize = (0..word_rows).map(|k| csr.row_nnz(k).pow(2)).sum();
+                    let mut scratch = DenseMatrix::zeros(n, n);
+                    let charged = atb_block_dense::<PopcountAnd>(csc, &csr, &mut scratch).unwrap();
+                    assert_eq!(charged, square as u64, "{ctx}");
                     let mut out = DenseMatrix::from_vec(n, n, prefill.clone()).unwrap();
-                    ata_upper_accumulate::<PopcountAnd>(csc, &mut out).unwrap();
-                    ata_upper_accumulate::<PopcountAnd>(csc, &mut out).unwrap();
+                    for _ in 0..2 {
+                        let charge = ata_upper_accumulate::<PopcountAnd>(
+                            csc,
+                            all.clone(),
+                            &mut out,
+                            &mut transpose,
+                        );
+                        assert_eq!(charge.unwrap(), charged, "{ctx}");
+                    }
                     assert_eq!(out.as_slice(), want, "{ctx}");
                     out.mirror_upper().unwrap();
                     assert_eq!(out, mirrored, "{ctx}");
                     let pairs: usize =
                         (0..word_rows).map(|k| csr.row_nnz(k) * (csr.row_nnz(k) + 1) / 2).sum();
-                    assert_eq!(upper_products(csc), pairs as u64, "{ctx}");
-                    if upper_dense_products(csc) <= 8 * pairs as u64 {
+                    if upper_dense_products(csc, &(0..word_rows)) <= 8 * pairs as u64 {
                         tiled_side += 1;
                     } else {
                         gustavson_side += 1;
@@ -877,7 +912,14 @@ mod tests {
                     let boolean = unpacked(nrows, &columns);
                     let plus = ata_dense::<PlusTimes<u64>>(&boolean.to_csr());
                     let mut out = DenseMatrix::zeros(n, n);
-                    ata_upper_accumulate::<PlusTimes<u64>>(&boolean, &mut out).unwrap();
+                    let rows = 0..nrows;
+                    ata_upper_accumulate::<PlusTimes<u64>>(
+                        &boolean,
+                        rows,
+                        &mut out,
+                        &mut transpose,
+                    )
+                    .unwrap();
                     out.mirror_upper().unwrap();
                     assert_eq!(out, plus, "{ctx}, plus-times");
                 }
@@ -887,8 +929,57 @@ mod tests {
         // A wrong output shape.
         let bm = BitMatrix::from_columns(70, &[vec![1, 65], vec![65]]).unwrap();
         let mut three = DenseMatrix::<u64>::zeros(3, 3);
-        let err = ata_upper_accumulate::<PopcountAnd>(bm.as_csc(), &mut three);
+        let err =
+            ata_upper_accumulate::<PopcountAnd>(bm.as_csc(), 0..2, &mut three, &mut transpose);
         assert!(matches!(err, Err(SparseError::ShapeMismatch { .. })));
+        // Word rows past the operand's hold nothing.
+        let (mut two, mut again) = (DenseMatrix::zeros(2, 2), DenseMatrix::zeros(2, 2));
+        ata_upper_accumulate::<PopcountAnd>(bm.as_csc(), 1..2, &mut two, &mut transpose).unwrap();
+        ata_upper_accumulate::<PopcountAnd>(bm.as_csc(), 1..9, &mut again, &mut transpose).unwrap();
+        assert_eq!(two, again);
+    }
+
+    #[test]
+    fn the_in_place_triangle_of_some_word_rows_is_the_triangle_of_those_rows_cut_out() {
+        let mut rng = Rng(0x1a7e);
+        let mut transpose = CsrMatrix::empty(0, 0);
+        for n in [1usize, 7, 33] {
+            for word_rows in word_row_counts(n) {
+                for permille in [20, 130, 1000] {
+                    let columns = word_columns(&mut rng, word_rows, n, permille);
+                    let bm = BitMatrix::from_columns(64 * word_rows, &columns).unwrap();
+                    for parts in [1usize, 2, 3] {
+                        for idx in 0..parts {
+                            let rows = idx * word_rows / parts..(idx + 1) * word_rows / parts;
+                            let ctx = format!("n = {n}, word rows {rows:?} of {word_rows}");
+                            let cut = bm.select_word_rows(rows.clone()).unwrap();
+                            let want = ata_dense::<PopcountAnd>(&cut.to_csr());
+                            let mut out = DenseMatrix::zeros(n, n);
+                            let csc = bm.as_csc();
+                            let charged = ata_upper_accumulate::<PopcountAnd>(
+                                csc,
+                                rows,
+                                &mut out,
+                                &mut transpose,
+                            )
+                            .unwrap();
+                            out.mirror_upper().unwrap();
+                            assert_eq!(out, want, "{ctx}");
+                            assert_eq!(charged, ata_flops(&cut.to_csr()), "{ctx}");
+                            for body in bodies(cut.as_csc(), &cut.to_csr()) {
+                                // The bodies, on the cut, agree with it.
+                                let mut out = DenseMatrix::zeros(n, n);
+                                let all = 0..cut.word_rows();
+                                let slice = out.as_mut_slice();
+                                accumulate_upper::<PopcountAnd>(cut.as_csc(), &all, body, slice);
+                                out.mirror_upper().unwrap();
+                                assert_eq!(out, want, "{ctx}, {}", name(body));
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -905,13 +996,15 @@ mod tests {
                 "no AVX-512 VPOPCNTDQ on this CPU: comparing the portable tiled body with itself"
             );
         }
-        fn out_rows(
-            out: &mut [u64],
-            n: usize,
+        fn out_rows<'o>(
+            out: &'o mut [u64],
+            csc: &CscMatrix<u64>,
             start: fn(usize, usize) -> usize,
-        ) -> Vec<OutRow<'_, u64>> {
+        ) -> Vec<OutRow<'o, u64>> {
+            let (n, ptr) = (csc.ncols(), csc.indptr());
             let rows = out.chunks_mut(n).enumerate();
-            rows.map(|(i, out)| OutRow { col: i, first_col: start(i, n), out }).collect()
+            rows.map(|(i, out)| OutRow { stored: ptr[i]..ptr[i + 1], first_col: start(i, n), out })
+                .collect()
         }
         // Whole rows, the triangle, and a fixed start mid-row.
         let starts: [fn(usize, usize) -> usize; 3] = [|_, _| 0, |i, _| i, |_, n| n / 2];
@@ -927,19 +1020,25 @@ mod tests {
                     for start in starts {
                         let mut outs = [(); 2].map(|_| vec![3u64; n * n]);
                         let [portable, dispatched] = &mut outs;
+                        let ptr = csc.indptr();
                         for (i, out) in portable.chunks_mut(n).enumerate() {
-                            accumulate_row::<PopcountAnd>(csc, &csr, i, start(i, n), out);
+                            let stored = ptr[i]..ptr[i + 1];
+                            accumulate_row::<PopcountAnd>(csc, &csr, stored, start(i, n), out);
                         }
                         for (i, out) in dispatched.chunks_mut(n).enumerate() {
-                            dispatch::accumulate_row::<PopcountAnd>(csc, &csr, i, start(i, n), out);
+                            let (stored, first) = (ptr[i]..ptr[i + 1], start(i, n));
+                            dispatch::accumulate_row::<PopcountAnd>(csc, &csr, stored, first, out);
                         }
                         for tiles in [Tiles::Rows(&csr), Tiles::Cols(csc)] {
                             let mut tiled = vec![3u64; n * n];
-                            let mut rows = out_rows(&mut tiled, n, start);
-                            accumulate_tiled::<PopcountAnd>(csc, tiles, 0, &mut rows);
+                            let all = 0..word_rows;
+                            let mut rows = out_rows(&mut tiled, csc, start);
+                            accumulate_tiled::<PopcountAnd>(csc, tiles, all.clone(), 0, &mut rows);
                             let mut tiled_dispatched = vec![3u64; n * n];
-                            let mut rows = out_rows(&mut tiled_dispatched, n, start);
-                            dispatch::accumulate_tiled::<PopcountAnd>(csc, tiles, 0, &mut rows);
+                            let mut rows = out_rows(&mut tiled_dispatched, csc, start);
+                            dispatch::accumulate_tiled::<PopcountAnd>(
+                                csc, tiles, all, 0, &mut rows,
+                            );
                             let ctx = format!("{ctx}, {}", name(Body::Tiled(tiles, 0)));
                             assert_eq!(*portable, tiled, "{ctx}");
                             assert_eq!(tiled, tiled_dispatched, "{ctx}");

@@ -1,8 +1,8 @@
-//! Integration tests of the simulated-distributed driver: for every rank
-//! count, batch count and replication factor, the distributed result must
-//! equal the shared-memory result and the brute-force reference bit for
-//! bit, and the communication counters must behave as the paper's
-//! analysis predicts.
+//! Integration tests of the SimilarityAtScale driver: for every rank
+//! count (one rank is `similarity_at_scale`), batch count and replication
+//! factor, the result must equal the brute-force reference bit for bit,
+//! and the communication counters must behave as the paper's analysis
+//! predicts.
 
 use genomeatscale::core::algorithm::{similarity_at_scale, similarity_at_scale_distributed};
 use genomeatscale::core::baselines::allreduce_jaccard_distributed;
@@ -222,6 +222,7 @@ fn hypersparse_batches_equal_shared_memory_with_and_without_the_filter() {
         .collect();
     assert!(survivors[3] > 0 && survivors[3] <= 64 && survivors[4] == 0, "{survivors:?}");
     for (collection, batch_counts) in &cases {
+        let exact = jaccard_exact_pairwise(collection);
         for ranks in env_usize_list("GAS_DIST_RANKS", &[1, 4, 6, 8, 9, 12]) {
             for replication in env_usize_list("GAS_DIST_REPLICATION", &[1, 2]) {
                 for &batches in batch_counts {
@@ -230,7 +231,6 @@ fn hypersparse_batches_equal_shared_memory_with_and_without_the_filter() {
                             use_zero_row_filter,
                             ..SimilarityConfig::with_batches(batches).with_replication(replication)
                         };
-                        let shared = similarity_at_scale(collection, &config).unwrap();
                         let distributed = similarity_at_scale_distributed(
                             collection,
                             &config,
@@ -243,9 +243,7 @@ fn hypersparse_batches_equal_shared_memory_with_and_without_the_filter() {
                              filter={use_zero_row_filter}",
                             collection.m()
                         );
-                        let result = &distributed.result;
-                        assert_eq!(result.intersections(), shared.intersections(), "{ctx}");
-                        assert_eq!(result.cardinalities(), shared.cardinalities(), "{ctx}");
+                        assert_eq!(distributed.result, exact, "{ctx}");
                     }
                 }
             }
@@ -282,12 +280,10 @@ fn shared_driver_equals_the_oracle_and_the_distributed_driver_on_both_filter_bra
             let ctx = format!("{name}, filter={use_zero_row_filter}, mask={use_bitmask}");
             let shared = similarity_at_scale(collection, &config).unwrap();
             assert_eq!(shared, exact, "{ctx}");
-            for ranks in [1usize, 4] {
-                let distributed =
-                    similarity_at_scale_distributed(collection, &config, ranks, &Machine::laptop())
-                        .unwrap();
-                assert_eq!(distributed.result, shared, "{ctx}, ranks={ranks}");
-            }
+            let distributed =
+                similarity_at_scale_distributed(collection, &config, 4, &Machine::laptop())
+                    .unwrap();
+            assert_eq!(distributed.result, exact, "{ctx}, ranks=4");
         }
     }
 }
@@ -295,8 +291,8 @@ fn shared_driver_equals_the_oracle_and_the_distributed_driver_on_both_filter_bra
 #[test]
 fn a_batch_over_a_huge_universe_filters_without_a_universe_sized_bitmap() {
     // One batch of 2⁵⁰ + 6 rows: its filter bitmap would be 2⁴⁴ words
-    // (128 TiB). The shared driver sorts the four observed rows; the
-    // distributed one must allgather them, not OR-allreduce a bitmap.
+    // (128 TiB). The ranks must allgather the four observed rows, not
+    // OR-allreduce a bitmap.
     let collection = SampleCollection::from_sorted_sets(vec![
         vec![1, 1 << 50],
         vec![1 << 50],
@@ -305,14 +301,35 @@ fn a_batch_over_a_huge_universe_filters_without_a_universe_sized_bitmap() {
     .unwrap();
     let config = SimilarityConfig::with_batches(1);
     assert!(config.use_zero_row_filter);
-    let shared = similarity_at_scale(&collection, &config).unwrap();
-    assert_eq!(shared, jaccard_exact_pairwise(&collection));
-    for ranks in [1usize, 4, 6] {
+    let exact = jaccard_exact_pairwise(&collection);
+    assert_eq!(similarity_at_scale(&collection, &config).unwrap(), exact);
+    for ranks in [4usize, 6] {
         let distributed =
             similarity_at_scale_distributed(&collection, &config, ranks, &Machine::laptop())
                 .unwrap();
-        assert_eq!(distributed.result, shared, "ranks={ranks}");
+        assert_eq!(distributed.result, exact, "ranks={ranks}");
     }
+}
+
+#[test]
+fn the_last_batch_of_a_universe_near_u64_max_is_filtered_and_counted() {
+    // m = u64::MAX in 1000 batches: the last one starts 0.1 % below m,
+    // where `lo + batch_rows` passes 2⁶⁴. It holds both samples' one
+    // entry each, u64::MAX − 1; the first batch holds row 0.
+    let collection =
+        SampleCollection::from_sorted_sets(vec![vec![u64::MAX - 1], vec![0, u64::MAX - 1]])
+            .unwrap();
+    assert_eq!(collection.m(), u64::MAX);
+    let config = SimilarityConfig::with_batches(1000);
+    assert!(config.use_zero_row_filter);
+    let exact = jaccard_exact_pairwise(&collection);
+    for ranks in [1usize, 4] {
+        let distributed =
+            similarity_at_scale_distributed(&collection, &config, ranks, &Machine::laptop())
+                .unwrap();
+        assert_eq!(distributed.result, exact, "ranks={ranks}");
+    }
+    assert_eq!(similarity_at_scale(&collection, &config).unwrap(), exact);
 }
 
 /// `body`'s value, run on a helper thread that is waited for at most
@@ -330,12 +347,11 @@ fn within<R: Send + 'static>(secs: u64, body: impl FnOnce() -> R + Send + 'stati
 #[test]
 fn a_batch_too_wide_for_a_wire_block_is_refused_typed_by_both_drivers() {
     // The huge-universe fixture with the filter off: its one batch packs
-    // as 2⁴⁴ + 1 word rows. Both drivers refuse it before packing, with the
-    // bound a SUMMA block's 32-bit word-row field sets. The shared driver
-    // used to abort on a counter per word row, and the distributed one
-    // hung at p = 4, its chunk owners refusing while their peers waited in
-    // a broadcast. Each run is waited for on a helper thread, so such a
-    // hang fails the test instead.
+    // as 2⁴⁴ + 1 word rows. Every rank refuses it before packing, with the
+    // bound a SUMMA block's 32-bit word-row field sets. One rank used to
+    // abort on a counter per word row, and p = 4 hung, its chunk owners
+    // refusing while their peers waited in a broadcast. Each run is waited
+    // for on a helper thread, so such a hang fails the test instead.
     let run = |ranks: Option<usize>| {
         within(60, move || {
             let collection = SampleCollection::from_sorted_sets(vec![
@@ -360,7 +376,6 @@ fn a_batch_too_wide_for_a_wire_block_is_refused_typed_by_both_drivers() {
     };
     let shared = run(None);
     assert!(shared.contains("a SUMMA chunk with 17592186044417 word rows exceeds"), "{shared}");
-    assert_eq!(run(Some(1)), shared);
     for ranks in [4usize, 6] {
         let err = run(Some(ranks));
         assert!(err.contains("word rows exceeds the 4294967295"), "ranks={ranks}: {err}");

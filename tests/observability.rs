@@ -323,9 +323,8 @@ fn paper_path_span_tree_is_an_exact_count() {
         }
     }
 
-    // The shared-memory driver: one root per run, b batches of the
-    // distributed driver's phases — `read`, `filter` when filtering,
-    // `pack`, then `kernel` where a rank runs `summa` — then the finalize.
+    // The shared-memory driver is one rank's run: the same tree, with the
+    // `filter` span only where the batch is filtered.
     for batches in [1usize, 3] {
         for use_zero_row_filter in [true, false] {
             let config =
@@ -334,26 +333,23 @@ fn paper_path_span_tree_is_an_exact_count() {
                 traced(|| similarity_at_scale(&collection, &config).expect("shared run"));
             let at = format!("b = {batches}, filter = {use_zero_row_filter}");
             let count = |stack: &str| events.iter().filter(|e| e.stack == stack).count();
-            assert_eq!(count("similarity_at_scale"), 1, "{at}");
-            assert_eq!(count("similarity_at_scale;batch"), batches, "{at}");
-            assert_eq!(count("similarity_at_scale;finalize"), 1, "{at}");
-            let children: Vec<&str> = events
-                .iter()
-                .filter(|e| e.stack.starts_with("similarity_at_scale;batch;"))
-                .map(|e| e.name)
-                .collect();
-            let phases: &[&str] = if use_zero_row_filter {
-                &["read", "filter", "pack", "kernel"]
-            } else {
-                &["read", "pack", "kernel"]
-            };
-            assert_eq!(children.len(), phases.len() * batches, "{at}: phases per batch");
-            for phase in phases {
-                assert_eq!(children.iter().filter(|&n| n == phase).count(), batches, "{at}");
+            let filters = if use_zero_row_filter { batches } else { 0 };
+            for (stack, n) in [
+                ("setup", 1),
+                ("batch", batches),
+                ("batch;read", batches),
+                ("batch;filter", filters),
+                ("batch;pack", batches),
+                ("batch;summa", batches),
+                ("batch;summa;summa_step", batches),
+                ("reduce", 1),
+                ("gather", 1),
+                ("finalize", 1),
+            ] {
+                assert_eq!(count(stack), n, "{at}: {stack}");
             }
-            for e in events.iter().filter(|e| e.stack.starts_with("similarity_at_scale;batch;")) {
-                assert_eq!(e.stack, format!("similarity_at_scale;batch;{}", e.name), "{at}");
-            }
+            let paper = events.iter().filter(|e| e.phase == "paper").count();
+            assert_eq!(paper, 4 + 5 * batches + filters, "{at}: no other paper span");
         }
     }
 
