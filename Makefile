@@ -81,9 +81,11 @@ ledger-smoke:
 
 # One cell of the CI dist-matrix job, e.g.:
 #   make dist-matrix RANKS=8 REPLICATION=2 SEGMENTS=7
-# 16 segments is the perf ledger's `serve_read` reader. query_serving also
-# checks each rank's placement-install and exchange bytes and collectives
-# against its simulator cost tracker at every RANKS value.
+# 16 segments is the perf ledger's `serve_read` reader. At every RANKS ×
+# REPLICATION grid, distributed_equivalence holds every rank's paper-path
+# counters to the exact schedule tests/schedule restates, and
+# query_serving checks each rank's placement-install and exchange bytes
+# and collectives against its simulator cost tracker.
 RANKS ?= 2,4,6,8,9,12
 REPLICATION ?= 1,2
 SEGMENTS ?= 1,7,16

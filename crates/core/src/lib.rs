@@ -21,8 +21,11 @@
 //!
 //! Drivers live in [`algorithm`]; comparison points in [`minhash`]
 //! (Mash-style sketching) and [`baselines`] (exact single-node and
-//! allreduce-style distributed schemes); the paper's analytic BSP cost
-//! formula (Section III-C) is in [`costmodel`].
+//! allreduce-style distributed schemes). A run's per-rank counters are
+//! exact, so the paper's cost analysis (Sections III-C and IV) is checked
+//! against them: `tests/schedule` restates every rank's counters from the
+//! batch plan and the grid, and `tests/paper_evaluation.rs` holds them to
+//! the paper's bandwidth term.
 //!
 //! ```
 //! use gas_core::algorithm::similarity_at_scale;
@@ -43,7 +46,6 @@ pub mod algorithm;
 pub mod baselines;
 pub mod batch;
 pub mod config;
-pub mod costmodel;
 pub mod error;
 pub mod filter;
 pub mod indicator;
@@ -53,7 +55,6 @@ pub mod minhash;
 
 pub use algorithm::{similarity_at_scale, similarity_at_scale_distributed};
 pub use config::SimilarityConfig;
-pub use costmodel::{PaperCostModel, ProjectionInput};
 pub use error::{CoreError, CoreResult};
 pub use indicator::SampleCollection;
 pub use jaccard::{jaccard_exact_pairwise, SimilarityResult};

@@ -18,13 +18,12 @@ use crate::machine::Machine;
 /// Per-rank execution context handed to the user closure by
 /// [`Runtime::run`].
 ///
-/// It exposes the rank id, the world [`Communicator`] and the machine
-/// description, and forwards cost-charging helpers to the rank's tracker.
+/// It exposes the rank id and the world [`Communicator`], and forwards
+/// cost-charging helpers to the rank's tracker.
 pub struct RankCtx {
     rank: usize,
     nranks: usize,
     world: Communicator,
-    machine: Machine,
     cost: Rc<RefCell<CostTracker>>,
     faults: Arc<RankFaults>,
 }
@@ -45,11 +44,6 @@ impl RankCtx {
         &self.world
     }
 
-    /// The machine description used for cost projection.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
     /// Charge `n` local arithmetic operations to this rank.
     pub fn add_flops(&self, n: u64) {
         self.cost.borrow_mut().add_flops(n);
@@ -63,11 +57,6 @@ impl RankCtx {
     /// Record one explicit superstep boundary in the caller's algorithm.
     pub fn record_superstep(&self) {
         self.cost.borrow_mut().record_superstep();
-    }
-
-    /// Memory budget available to this rank (bytes), from the machine.
-    pub fn mem_per_rank(&self) -> usize {
-        self.machine.mem_per_rank()
     }
 
     /// The injected fault spec for this run (empty by default).
@@ -161,8 +150,8 @@ impl Runtime {
         Runtime { nranks, machine: Machine::default(), faults: Arc::new(RankFaults::none()) }
     }
 
-    /// Use a specific machine description for memory budgets and cost
-    /// projection.
+    /// Record the machine description the run models, for a caller to
+    /// read back with [`Runtime::machine`]; the ranks do not see it.
     pub fn with_machine(mut self, machine: Machine) -> Self {
         self.machine = machine;
         self
@@ -224,9 +213,7 @@ impl Runtime {
                 Rc::clone(&cost),
                 Arc::clone(&faults),
             );
-            let machine = self.machine.clone();
-            let mut ctx =
-                RankCtx { rank, nranks: p, world, machine, cost: Rc::clone(&cost), faults };
+            let mut ctx = RankCtx { rank, nranks: p, world, cost: Rc::clone(&cost), faults };
             let start = Instant::now();
             let result = f(&mut ctx);
             let elapsed = start.elapsed().as_secs_f64();
@@ -561,12 +548,5 @@ mod tests {
             }
         })
         .unwrap();
-    }
-
-    #[test]
-    fn mem_per_rank_comes_from_machine() {
-        let rt = Runtime::new(1).with_machine(Machine::laptop());
-        let out = rt.run(|ctx| ctx.mem_per_rank()).unwrap();
-        assert_eq!(out.results[0], Machine::laptop().mem_per_rank());
     }
 }

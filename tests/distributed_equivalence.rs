@@ -7,12 +7,12 @@
 use genomeatscale::core::algorithm::{similarity_at_scale, similarity_at_scale_distributed};
 use genomeatscale::core::baselines::allreduce_jaccard_distributed;
 use genomeatscale::core::batch::BatchPlan;
-use genomeatscale::core::mask::{prepare_batch, PreparedBatch};
-use genomeatscale::dstsim::runtime::RankCtx;
 use genomeatscale::genomics::datasets::DatasetSpec;
 use genomeatscale::prelude::*;
-use genomeatscale::sparse::dist::filter::dist_row_filter;
 use genomeatscale::sparse::dist::DistAta;
+
+mod schedule;
+use schedule::{assert_schedule, paper_schedule};
 
 fn workload(seed: u64, n: usize) -> SampleCollection {
     let samples = DatasetSpec::explicit(6_000, n, 0.015, seed).generate().unwrap();
@@ -212,12 +212,14 @@ fn hypersparse_with_a_sparse_tail(seed: u64) -> SampleCollection {
 fn hypersparse_batches_equal_shared_memory_with_and_without_the_filter() {
     let cases = [(hypersparse(24), vec![2usize, 5]), (hypersparse_with_a_sparse_tail(24), vec![5])];
     let plan = BatchPlan::from_config(&SimilarityConfig::with_batches(5), &cases[1].0, 1).unwrap();
-    let survivors: Vec<u64> = plan
+    let survivors: Vec<usize> = plan
         .iter()
         .map(|(lo, hi)| {
-            let columns = cases[1].0.batch_columns_all(lo, hi);
-            let (_, filter) = prepare_batch((hi - lo) as usize, &columns, true, true).unwrap();
-            filter.num_nonzero_rows() as u64
+            let values = (0..cases[1].0.n()).map(|s| cases[1].0.batch_values(s, lo, hi));
+            let mut rows: Vec<u64> = values.flatten().copied().collect();
+            rows.sort_unstable();
+            rows.dedup();
+            rows.len()
         })
         .collect();
     assert!(survivors[3] > 0 && survivors[3] <= 64 && survivors[4] == 0, "{survivors:?}");
@@ -382,98 +384,101 @@ fn a_batch_too_wide_for_a_wire_block_is_refused_typed_by_both_drivers() {
     }
 }
 
+/// `(total_flops, max_flops, total_bytes_sent)` over a schedule's ranks,
+/// as `CostReport::aggregate` sums them.
+fn scheduled_totals(schedule: &[schedule::Counters]) -> (u64, u64, u64) {
+    let flops = schedule.iter().map(|counters| counters.flops);
+    let bytes = schedule.iter().map(|counters| counters.bytes_sent).sum();
+    (flops.clone().sum(), flops.max().unwrap_or(0), bytes)
+}
+
 #[test]
 fn flop_charge_and_wire_bytes_are_pinned_across_the_grid() {
-    // (p, c, total_flops, max_flops, total_bytes_sent). Most of the flops
-    // are the γ charge `DistAta` books per SUMMA step — the Gustavson
-    // product count `Σ_k nnz_A(k)·nnz_B(k)` of each block — and the rest
-    // the reductions' element counts: none may move with the kernel body
-    // that multiplies a block.
-    const PINNED: [(usize, usize, u64, u64, u64); 8] = [
-        (1, 1, 32_294, 32_294, 0),
-        (4, 1, 32_954, 8_430, 39_960),
-        (4, 2, 33_978, 8_996, 41_416),
-        (6, 1, 33_394, 5_777, 62_916),
-        (6, 2, 34_418, 6_125, 63_440),
-        (8, 1, 33_834, 4_558, 81_872),
-        (8, 2, 34_858, 4_829, 68_056),
-        (9, 1, 34_054, 4_189, 83_736),
-    ];
+    // Two batches with the filter on, on the grids from p = 1 to p = 9 at
+    // c ∈ {1, 2}: most of the flops are the γ charge `DistAta` books per
+    // SUMMA step — the Gustavson product count `Σ_k nnz_A(k)·nnz_B(k)` of
+    // each block — and the rest the reductions' element counts: none may
+    // move with the kernel body that multiplies a block.
     let collection = workload(1, 32);
-    for (p, c, total_flops, max_flops, bytes) in PINNED {
+    for (p, c) in [(1, 1), (4, 1), (4, 2), (6, 1), (6, 2), (8, 1), (8, 2), (9, 1)] {
         let config = SimilarityConfig::with_batches(2).with_replication(c);
         assert!(config.use_zero_row_filter);
         let summary =
             similarity_at_scale_distributed(&collection, &config, p, &Machine::laptop()).unwrap();
         assert_eq!(summary.grid_dims[2], c, "p={p}: c={c} is a divisor");
+        let plan = BatchPlan::from_config(&config, &collection, p).unwrap();
+        let scheduled = paper_schedule(&collection, summary.grid_dims, &plan, true);
         let got = summary.aggregate;
         assert_eq!(
             (got.total_flops, got.max_flops, got.total_bytes_sent),
-            (total_flops, max_flops, bytes),
+            scheduled_totals(&scheduled),
             "p={p}, c={c}"
         );
+        assert_schedule(&summary.reports, &scheduled, &format!("p={p}, c={c}"));
     }
-}
-
-/// Bytes all `p` ranks send while each runs `f`.
-fn bytes_sent(p: usize, f: impl Fn(&mut RankCtx) + Send + Sync) -> u64 {
-    Runtime::new(p).run(f).unwrap().aggregate().total_bytes_sent
 }
 
 #[test]
 fn wire_bytes_are_the_filter_bitmaps_plus_the_narrow_blocks() {
     // p = 4, c = 1 is the 2 × 2 × 1 grid: two SUMMA steps per batch, each
-    // block sent to the one other rank of its row or column communicator.
-    let (p, r, q, steps) = (4usize, 2usize, 2usize, 2usize);
+    // block sent to the one other rank of its row or column communicator,
+    // after each batch's OR-allreduce of its ⌈batch_rows/64⌉-word bitmap.
     let collection = hypersparse(25);
-    let n = collection.n();
     let config = SimilarityConfig::with_batches(2);
     let summary =
-        similarity_at_scale_distributed(&collection, &config, p, &Machine::laptop()).unwrap();
-    assert_eq!(summary.grid_dims, [r, q, 1]);
-    // Everything but the batches: grid setup, the final reductions, the
-    // gather of the output blocks.
-    let mut expected = bytes_sent(p, |ctx| {
-        let ata = DistAta::new(ctx.world(), n, 1).unwrap();
-        let (mut acc, mut card) = (ata.new_accumulator(), ata.new_cardinalities());
-        ata.finalize(&mut acc, &mut card).unwrap();
-        ata.gather_full(ctx.world(), &acc).unwrap();
-    });
-    let block =
-        |total: usize, parts: usize, idx: usize| (idx * total / parts)..((idx + 1) * total / parts);
-    let plan = BatchPlan::from_config(&config, &collection, p).unwrap();
-    for (lo, hi) in plan.iter() {
-        let batch_rows = (hi - lo) as usize;
-        // The OR-allreduce moves ⌈batch_rows/64⌉ words whatever is set.
-        expected += bytes_sent(p, |ctx| {
-            dist_row_filter(ctx.world(), batch_rows, &[]).unwrap();
-        });
-        let columns = collection.batch_columns_all(lo, hi);
-        let (prepared, _) = prepare_batch(batch_rows, &columns, true, true).unwrap();
-        let PreparedBatch::Masked(packed) = prepared else { panic!("masking was asked for") };
-        for t in 0..steps {
-            let chunk = block(packed.word_rows(), steps, t);
-            // 16 header bytes, 4 per offset and per index, 8 per word:
-            // the right operand's offsets run over the chunk's word rows,
-            // the left operand's over its samples.
-            let nbytes = |samples: std::ops::Range<usize>, major: usize| {
-                let cols: Vec<usize> = samples.collect();
-                let words = packed
-                    .select_cols(&cols)
-                    .unwrap()
-                    .select_word_rows(chunk.clone())
-                    .unwrap()
-                    .nnz_words();
-                (16 + 4 * (major + 1 + words) + 8 * words) as u64
-            };
-            for j in 0..q {
-                expected += (r as u64 - 1) * nbytes(block(n, q, j), chunk.len());
-            }
-            for i in 0..r {
-                let samples = block(n, r, i);
-                expected += (q as u64 - 1) * nbytes(samples.clone(), samples.len());
+        similarity_at_scale_distributed(&collection, &config, 4, &Machine::laptop()).unwrap();
+    assert_eq!(summary.grid_dims, [2, 2, 1]);
+    let plan = BatchPlan::from_config(&config, &collection, 4).unwrap();
+    let scheduled = paper_schedule(&collection, [2, 2, 1], &plan, true);
+    assert_eq!(summary.aggregate.total_bytes_sent, scheduled_totals(&scheduled).2);
+    assert_schedule(&summary.reports, &scheduled, "hypersparse(25), 2x2x1 grid, 2 batches");
+}
+
+#[test]
+fn every_rank_counter_equals_the_schedule() {
+    // Every counter of every rank, on the grids the driver picks for
+    // p ∈ {1, 2, 3, 4, 6, 8, 9, 12} and c ∈ {1, 2, 3} (c is clamped to a
+    // divisor of p; each grid runs once): the bitmap filter (`workload`),
+    // the sorted-survivor filter (its values over a universe 2 700 times
+    // wider), and empty SUMMA chunks and an empty batch (the sparse tail),
+    // each with the filter on and off.
+    let far = workload(3, 12).with_universe(16_000_000).unwrap();
+    let fixtures = [
+        ("workload(1, 32)", workload(1, 32), &[1usize, 3][..]),
+        ("far universe", far, &[1, 3]),
+        ("sparse tail", hypersparse_with_a_sparse_tail(24), &[5]),
+    ];
+    let mut grids = Vec::new();
+    for p in env_usize_list("GAS_DIST_RANKS", &[1, 2, 3, 4, 6, 8, 9, 12]) {
+        for c in env_usize_list("GAS_DIST_REPLICATION", &[1, 2, 3]) {
+            let grid = DistAta::select_grid(p, c).unwrap();
+            let dims = [grid.rows(), grid.cols(), grid.layers()];
+            if !grids.contains(&(p, dims)) {
+                grids.push((p, dims));
             }
         }
     }
-    assert_eq!(summary.aggregate.total_bytes_sent, expected);
+    for (name, collection, batch_counts) in &fixtures {
+        for &(p, dims) in &grids {
+            for &batches in *batch_counts {
+                for use_zero_row_filter in [true, false] {
+                    let config = SimilarityConfig {
+                        use_zero_row_filter,
+                        ..SimilarityConfig::with_batches(batches).with_replication(dims[2])
+                    };
+                    let summary =
+                        similarity_at_scale_distributed(collection, &config, p, &Machine::laptop())
+                            .unwrap();
+                    assert_eq!(summary.grid_dims, dims);
+                    let plan = BatchPlan::from_config(&config, collection, p).unwrap();
+                    let scheduled = paper_schedule(collection, dims, &plan, use_zero_row_filter);
+                    let ctx = format!(
+                        "{name}, {}x{}x{} grid, {batches} batches, filter={use_zero_row_filter}",
+                        dims[0], dims[1], dims[2]
+                    );
+                    assert_schedule(&summary.reports, &scheduled, &ctx);
+                }
+            }
+        }
+    }
 }

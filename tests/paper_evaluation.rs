@@ -20,8 +20,8 @@
 //! `γ` = 0.83 ns per flop, so a byte on the wire costs about three flops.
 
 use gas_core::algorithm::{similarity_at_scale_distributed, DistributedRunSummary};
+use gas_core::batch::BatchPlan;
 use gas_core::config::SimilarityConfig;
-use gas_core::costmodel::ProjectionInput;
 use gas_core::indicator::SampleCollection;
 use gas_core::minhash::MinHasher;
 use gas_dstsim::cost::{CostModel, CostReport};
@@ -32,6 +32,9 @@ use gas_genomics::sample::KmerSample;
 use gas_genomics::synth::{genome_family, mutate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod schedule;
+use schedule::{assert_schedule, paper_schedule};
 
 /// The rank counts of every strong-scaling sweep: one simulated rank per
 /// paper node, up to the 16 a test can afford.
@@ -335,30 +338,26 @@ fn section_vd_mcdram_penalty_is_the_stream_term_alone() {
 
 // Section IV: the busiest rank's bytes per batch stay within a factor 2 of
 // 8 × the paper's β-term words z/√(cp) + c·n²/p + p, with the filter off,
-// across rectangular grids, replication factors and batch counts.
+// across rectangular grids, replication factors and batch counts. Every
+// rank's counters first equal the exact schedule
+// (`schedule::paper_schedule`), so the band bounds the schedule ÷ the
+// paper's term, grid by grid.
 //
-// On an r × q × c grid (p = rqc) a rank receives the left operand
-// A[chunk, R_i] at the (q − 1)/q of its layer's steps it does not own, and
-// the right operand A[chunk, C_j] at (r − 1)/r of them. That is
-// 12·ρ·z·(q − 1 + r − 1)/(c·r·q) bytes per batch: 12 bytes per stored
-// word, and ρ = (1 − 0.98⁶⁴)/(64·0.02) = 0.57 stored words per nonzero at
-// density 0.02. Against 8·z/√(cp) = 8·z/(c·√(rq)) this is
-// 1.5·ρ·(r + q − 2)/√(rq), from 0.60 on the 1 × 2 × 2 grid to 1.28 on
-// 4 × 4 × 1. Rank 0 also receives, once per run, the output gather
-// (8·n²·(1 − 1/(rq)) bytes, which the paper's model leaves out) and, for
-// c = 2, the other layer's partial block (8·n²/(rq) bytes). The two ends,
-// with z = nnz/b, n = 48 and nnz ≈ 48 000 (n²/nnz = 0.048):
-// - low, p = 4, c = 2, b = 4: the model's c·n²/p is a fifth of its words,
-//   while the implementation reduces the layers once per run, not per
-//   batch: (3·ρ·z + 8·n²/b) / (8·(z/√8 + n²/2 + 4)) ≈ 0.58;
-// - high, p = 16, c = 1, b = 1: 1.28 plus the gather's
-//   (15/16)·n² / (z/4 + n²/16 + 16) ≈ 0.18, plus the cardinality
-//   allreduce and the offsets: ≈ 1.5.
-// The other grids fall between, so every point lies in [1/2, 2].
+// On an r × q × c grid a rank receives the operand blocks of the steps it
+// does not own: 12·ρ·z·(r + q − 2)/(c·r·q) bytes per batch at ρ = 0.57
+// stored words per nonzero (density 0.02). Against the paper's
+// 8·z/(c·√(rq)) that is a factor 1.5·ρ·(r + q − 2)/√(rq): 0.60 on
+// 1 × 2 × 2, 1.28 on 4 × 4 × 1. The layer reduce (once per run, not per
+// batch) and the output gather onto rank 0 (which the paper leaves out)
+// move the ends to 0.59 (p = 4, c = 2, b = 4) and 1.50 (p = 16, c = 1,
+// b = 1).
 #[test]
 fn section_iv_max_rank_bytes_track_the_paper_bandwidth_term() {
     let collection = collection(DatasetSpec::explicit(50_000, 48, 0.02, 5));
-    let machine = Machine::stampede2_knl();
+    let n = collection.n() as f64;
+    // The paper's β term: words the busiest rank moves for a batch of z
+    // nonzeros on p ranks with replication c.
+    let bandwidth_words = |z: f64, p: f64, c: f64| z / (c * p).sqrt() + c * n * n / p + p;
     let mut checked = 0;
     for p in [4usize, 6, 8, 9, 12, 16] {
         for c in [1usize, 2] {
@@ -367,23 +366,25 @@ fn section_iv_max_rank_bytes_track_the_paper_bandwidth_term() {
                     use_zero_row_filter: false,
                     ..SimilarityConfig::with_batches(batches).with_replication(c)
                 };
-                let summary = similarity_at_scale_distributed(&collection, &config, p, &machine)
-                    .expect("simulated run succeeds");
+                let summary = similarity_at_scale_distributed(
+                    &collection,
+                    &config,
+                    p,
+                    &Machine::stampede2_knl(),
+                )
+                .expect("simulated run succeeds");
                 if summary.grid_dims[2] != c {
                     continue; // c is clamped to a divisor of p
                 }
-                let input = ProjectionInput {
-                    n_samples: collection.n(),
-                    total_flops: summary.aggregate.total_flops as f64,
-                    ranks: p,
-                    mem_words_per_rank: machine.mem_per_rank() as f64 / 8.0,
-                    replication: c,
-                };
+                let plan = BatchPlan::from_config(&config, &collection, p).expect("valid plan");
+                let scheduled = paper_schedule(&collection, summary.grid_dims, &plan, false);
+                let ctx = format!("p={p} c={c} b={batches}");
+                assert_schedule(&summary.reports, &scheduled, &ctx);
+                let busiest = scheduled.iter().map(|r| r.bytes_sent.max(r.bytes_received)).max();
                 let z = collection.nnz() as f64 / batches as f64;
-                let modeled = 8.0 * input.bandwidth_words(z);
-                let measured = Terms::of(&summary, &stampede2()).bytes as f64 / batches as f64;
-                let ratio = measured / modeled;
-                assert!((0.5..=2.0).contains(&ratio), "p={p} c={c} b={batches}: {ratio:.3}");
+                let paper_bytes = 8.0 * bandwidth_words(z, p as f64, c as f64);
+                let ratio = busiest.expect("ranks") as f64 / batches as f64 / paper_bytes;
+                assert!((0.5..=2.0).contains(&ratio), "{ctx}: {ratio:.3}");
                 checked += 1;
             }
         }
