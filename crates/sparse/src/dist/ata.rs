@@ -559,9 +559,11 @@ impl DistAta {
         Ok(())
     }
 
-    /// Reduce the layer partials: after the last batch, fiber-allreduce
-    /// the accumulators across the `c` layers and allreduce the
-    /// cardinalities so every rank holds the global per-sample counts.
+    /// Reduce the layer partials: after the last batch, fiber-reduce the
+    /// accumulators across the `c` layers onto layer 0 (the only layer
+    /// [`Self::gather_into_full`] sends; the others keep their partials)
+    /// and allreduce the cardinalities so every rank holds the global
+    /// per-sample counts.
     pub fn finalize(&self, acc: &mut DenseMatrix<u64>, card: &mut [u64]) -> SparseResult<()> {
         let one_by_one = self.r * self.q == 1;
         if one_by_one {
@@ -569,8 +571,11 @@ impl DistAta {
             card.iter_mut().zip(diagonal).for_each(|(c, &d)| *c += d);
         }
         if self.c > 1 {
-            let summed = self.fiber_comm.allreduce_sum(acc.as_slice())?;
-            acc.as_mut_slice().copy_from_slice(&summed);
+            // The fiber's local rank 0 is layer 0: it splits the grid
+            // communicator by (row, column), in world-rank order.
+            if let Some(summed) = self.fiber_comm.reduce(0, acc.as_slice(), |a, b| a + b)? {
+                acc.as_mut_slice().copy_from_slice(&summed);
+            }
         }
         let full = self.grid_comm.allreduce_sum(&*card)?;
         card.copy_from_slice(&full);

@@ -37,6 +37,19 @@ pub trait Semiring {
     fn absent_operands() -> Option<(Self::Left, Self::Right)> {
         None
     }
+
+    /// Right operands and outputs as `u64` words, if `mul(a, b)` is the
+    /// number of bits set in both words and `add` is `+` on output words:
+    /// `Some` lets the `AᵀA` triangle run its register-blocked body,
+    /// which reads both factors of a product from the right operand (in
+    /// `AᵀA` it is the left one too). `None`, the default, keeps the
+    /// triangle on its other bodies.
+    fn popcount_words<'a>(
+        _right: &'a [Self::Right],
+        _out: &'a mut [Self::Out],
+    ) -> Option<(&'a [u64], &'a mut [u64])> {
+        None
+    }
 }
 
 /// The ordinary `(+, ×)` semiring over a single numeric type.
@@ -80,6 +93,12 @@ impl Semiring for PopcountAnd {
     fn absent_operands() -> Option<(u64, u64)> {
         Some((0, 0))
     }
+    fn popcount_words<'a>(
+        right: &'a [u64],
+        out: &'a mut [u64],
+    ) -> Option<(&'a [u64], &'a mut [u64])> {
+        Some((right, out))
+    }
 }
 
 #[cfg(test)]
@@ -108,5 +127,11 @@ mod tests {
             assert_eq!(PopcountAnd::mul(mask, right), 0);
         }
         assert_eq!(PlusTimes::<f64>::absent_operands(), None);
+        // Only the popcount-AND semiring hands its words to the blocked
+        // triangle body.
+        let (words, mut out) = ([3u64, 5], [7u64]);
+        let (right, sums) = PopcountAnd::popcount_words(&words, &mut out).unwrap();
+        assert_eq!((right, &*sums), (&words[..], &[7][..]));
+        assert!(PlusTimes::<u64>::popcount_words(&words, &mut [7]).is_none());
     }
 }

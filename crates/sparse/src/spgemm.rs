@@ -23,10 +23,10 @@
 //! point returns the full square's Gustavson count, the γ charge of a
 //! SUMMA step whichever body multiplies the block.
 //!
-//! # Two row bodies
+//! # Three row bodies
 //!
 //! Every kernel fills output row `i` (from column `first_col` on) with
-//! `Σ_k a_ki ⊗ b_kj`, through one of two bodies picked once per call:
+//! `Σ_k a_ki ⊗ b_kj`, through one of three bodies picked once per call:
 //!
 //! * `accumulate_row` (Gustavson) walks, for every stored `a_ki`, the
 //!   stored entries of row `k` of `B`. It touches only stored pairs, but
@@ -48,24 +48,50 @@
 //!   and `accumulate_row`'s `partition_point` skip — needs indices
 //!   strictly ascending within a column or row, an invariant
 //!   `from_raw_parts` checks.
+//! * `accumulate_blocked`, the triangle's alone, densifies the same
+//!   tiles, and since `A` is both operands there it takes every `a_ki`
+//!   from the tile as well. It is a GEMM micro-kernel (Goto & van de
+//!   Geijn, TOMS 2008; BLIS, TOMS 2015): for a block of 6 output rows and
+//!   a strip of 32 columns it keeps the 6 × 32 sums in 24 `zmm` registers
+//!   across every word row of the tile, loading the strip's 4 vectors once
+//!   per word row and broadcasting the 6 `a_ki` beside them, and adds the
+//!   sums into `out` once per tile. The tiled body reads a tile row and
+//!   reads and writes an output row for every 8 word pairs instead. Each
+//!   thread's two runs of rows (see `accumulate_upper`) are cut into
+//!   blocks of 6; masked loads and stores keep out the columns from `n`
+//!   on and the strictly lower triangle. It runs on `u64` words only,
+//!   which [`Semiring::popcount_words`] hands over for
+//!   [`PopcountAnd`](crate::semiring::PopcountAnd).
 //!
 //! The tiled body multiplies each stored word of `A` by the whole row
-//! width, absent partners included, so it is picked by a cost ratio of
-//! two counts known before the call: its product count (stored words of
-//! `A` × row width) must be at most `TILE_COST_RATIO` = 8 times the
+//! width, absent partners included, and the blocked body every word pair
+//! of the triangle, so the body is picked by ratios of three counts known
+//! before the call. The tiled body's product count (stored words of `A`
+//! × row width) must be at most `TILE_COST_RATIO` = 8 times the
 //! Gustavson count `Σ_k nnz_A(k)·nnz_B(k)` — for the triangle, both in
 //! their upper-triangle forms `Σ_i nnz_A(col i)·(n − i)` and
 //! `Σ_k nnz(k)·(nnz(k)+1)/2`, the row counts `nnz(k)` taken in one pass
-//! over the CSC view's row indices. On evenly filled word rows the ratio is the
-//! inverse of the fill, so the bound sits near 1/8 full: the lanes of one
-//! 512-bit `vpopcntq`, which multiplies eight word pairs with no index
-//! traffic. Measured on one thread of an AVX-512 VPOPCNTDQ Xeon over
-//! random blocks 30 to 352 columns wide, the bodies break even at a ratio
-//! between ≈ 5.5 and ≈ 9 depending on the width, so just under the bound
-//! the tiled body can run up to ≈ 2× slower on narrow or wide blocks. The
-//! perf ledger's workloads sit well inside it: ≈ 1.0 on `allpairs_dense`
-//! (kernel ≈ 6× faster) and ≈ 4.4 on `allpairs_dist`'s 128 × 128 blocks
-//! (≈ 1.8×). Whichever body runs, [`atb_block_dense`] returns the
+//! over the CSC view's row indices. On evenly filled word rows the ratio
+//! is the inverse of the fill, so the bound sits near 1/8 full: the lanes
+//! of one 512-bit `vpopcntq`, which multiplies eight word pairs with no
+//! index traffic. Measured on one thread of an AVX-512 VPOPCNTDQ Xeon
+//! over random blocks 30 to 352 columns wide, the two break even at a
+//! ratio between ≈ 5.5 and ≈ 9 depending on the width, so just under the
+//! bound the tiled body can run up to ≈ 2× slower on narrow or wide
+//! blocks. `allpairs_dist`'s 128 × 128 blocks sit at ≈ 4.4.
+//!
+//! Where the blocked body can run, it is picked first if its count
+//! (word rows × `n(n+1)/2`) is at most `BLOCKED_COST_RATIO` = 3/2 times
+//! the tiled count: on even fills, word rows at least 2/3 full. Measured
+//! on one thread (pinned with `taskset`) of the same Xeon over random
+//! triangles 8 to 1024 columns wide, the blocked body breaks even with
+//! the tiled one at a count ratio of ≈ 1.6 for 1024 columns (whose tiles
+//! are 4 word rows tall, so its sums go to memory every 4 word rows),
+//! ≈ 1.8 for 352 and over 2.5 for 128 or fewer; at the bound it takes
+//! 0.6 (narrow) to 0.98 (1024 columns) of the tiled body's time, and at
+//! the ≈ 1.04 of `allpairs_dense`'s batches ≈ 0.66. Mid-fill batches
+//! (the paper's after its filter) stay on tiles and hypersparse ones on
+//! Gustavson. Whichever body runs, [`atb_block_dense`] returns the
 //! Gustavson count: it is the γ-flop charge of the distributed product.
 //!
 //! The tile bound is a heap bound: each worker holds one tile at a time,
@@ -78,26 +104,31 @@
 //! The paper's case for bit-masking is that the product becomes a
 //! hardware `popcount` of AND-ed words, but the x86-64 baseline this
 //! workspace compiles for has no `POPCNT`, and `u64::count_ones` lowers
-//! to a dozen shift-and-mask instructions there. Both bodies are
-//! `#[inline(always)]` and reached through `mod dispatch`, which runs
-//! them inside `#[target_feature]` wrappers on a CPU that reports the
-//! features (asked outside the word-pair loops), in two tiers:
+//! to a dozen shift-and-mask instructions there. Every body is reached
+//! through `mod dispatch`, which runs it inside `#[target_feature]`
+//! functions on a CPU that reports the features (asked outside the
+//! word-pair loops), in two tiers:
 //!
 //! * the Gustavson body under `popcnt`, where `(a & b).count_ones()`
 //!   becomes one instruction;
-//! * the tiled body under `avx512f,avx512vpopcntdq,popcnt`, where its
-//!   contiguous loop autovectorises to `vpopcntq` — no intrinsics.
+//! * under `avx512f,avx512vpopcntdq`: the tiled body (with `popcnt`),
+//!   whose contiguous loop autovectorises to `vpopcntq`, and the blocked
+//!   body's micro-kernel, written with `core::arch` AVX-512 intrinsics so
+//!   that its 24 sums stay in registers.
 //!
-//! The tiled body is picked only where the second tier runs; everywhere
-//! else the Gustavson body runs, and it stays the hypersparse body and
-//! the tests' reference. An AVX2-only tier waits until a host without
-//! VPOPCNTDQ can measure it. The `#[inline(always)]` is load-bearing:
-//! instruction selection follows the features of the function the code
-//! ends up *in*, so each body and the `S::mul` it calls must be inlined
-//! into its wrapper — and that is also why no [`Semiring`] needs to know
-//! about any of this. `mod dispatch`, the wrappers and their calls, is
-//! the one `#[allow(unsafe_code)]` of this crate. Only an optimised build
-//! shows the difference, hence `cargo test -p gas-sparse --release` in
+//! The tiled and blocked bodies are picked only where the second tier
+//! runs; everywhere else the Gustavson body runs, and it stays the
+//! hypersparse body and the tests' reference (the blocked body's plain
+//! loops, `triangle_block`, are its reference where the tier is
+//! missing). An AVX2-only tier waits until a host without VPOPCNTDQ can
+//! measure it. The Gustavson and tiled bodies are `#[inline(always)]`, and
+//! that is load-bearing: instruction selection follows the features of
+//! the function the code ends up *in*, so each body and the `S::mul` it
+//! calls must be inlined into its wrapper — and that is also why no
+//! [`Semiring`] needs to know about them. `mod dispatch`, the wrappers,
+//! their calls and the micro-kernel's masked loads and stores, is the one
+//! `#[allow(unsafe_code)]` of this crate. Only an optimised build shows
+//! the difference, hence `cargo test -p gas-sparse --release` in
 //! `make test`.
 
 use std::ops::Range;
@@ -170,10 +201,9 @@ where
     let n = a_csc.ncols();
     let rows = 0..a_csc.nrows();
     let upper = (gustavson_products(a_csc, a_csr) + a_csc.nnz() as u64) / 2;
-    let body = match tiles_pay::<S>(upper_dense_products(a_csc, &rows), || upper) {
-        Some(absent) => Body::Tiled(Tiles::Rows(a_csr), absent),
-        None => Body::Gustavson(a_csr),
-    };
+    let dense = upper_dense_products(a_csc, &rows);
+    let pick = pick_body(tile_absent::<S>(), blocked_products::<S>(&rows, n), dense, || upper);
+    let body = pick.body(Tiles::Rows(a_csr), || a_csr);
     let mut out = DenseMatrix::from_vec(n, n, vec![S::zero(); n * n])?;
     accumulate_upper::<S>(a_csc, &rows, body, out.as_mut_slice());
     out.mirror_upper()?;
@@ -188,10 +218,10 @@ where
 /// of a rank on a `1 × 1` SUMMA layer, which contracts its packed batch
 /// in place.
 ///
-/// `A` comes as its CSC view. The tiled body densifies its tiles from it;
-/// the CSR view the Gustavson body reads is built only when that body is
-/// picked, in `transpose`'s arrays, which a caller that keeps the matrix
-/// refills from call to call. `mul` must commute, as for
+/// `A` comes as its CSC view. The tiled and blocked bodies densify their
+/// tiles from it; the CSR view the Gustavson body reads is built only
+/// when that body is picked, in `transpose`'s arrays, which a caller that
+/// keeps the matrix refills from call to call. `mul` must commute, as for
 /// [`ata_dense_parallel`], whose row pairs and threads this shares.
 /// Returns the full square's Gustavson count `Σ_{k ∈ rows} nnz(row k)²`,
 /// the γ charge [`atb_block_dense`] would return for the two views.
@@ -218,14 +248,13 @@ where
     }
     let square: u64 = row_nnz.iter().map(|&r| r * r).sum();
     let upper = (square + row_nnz.iter().sum::<u64>()) / 2;
-    let body = match tiles_pay::<S>(upper_dense_products(a_csc, &rows), || upper) {
-        Some(absent) => Body::Tiled(Tiles::Cols(a_csc), absent),
-        None => {
-            let (indptr, indices, data) = (a_csc.indptr(), a_csc.indices(), a_csc.data());
-            transpose.refill_transposed(a_csc.nrows(), indptr, indices, data);
-            Body::Gustavson(transpose)
-        }
-    };
+    let dense = upper_dense_products(a_csc, &rows);
+    let pick = pick_body(tile_absent::<S>(), blocked_products::<S>(&rows, n), dense, || upper);
+    let body = pick.body(Tiles::Cols(a_csc), move || {
+        let (indptr, indices, data) = (a_csc.indptr(), a_csc.indices(), a_csc.data());
+        transpose.refill_transposed(a_csc.nrows(), indptr, indices, data);
+        transpose
+    });
     accumulate_upper::<S>(a_csc, &rows, body, out.as_mut_slice());
     Ok(square)
 }
@@ -250,14 +279,24 @@ fn upper_dense_products<T: Copy>(a: &CscMatrix<T>, rows: &Range<usize>) -> u64 {
     (0..n).map(|i| (a.col_span(i, rows).len() * (n - i)) as u64).sum()
 }
 
+/// The register-blocked body's product count over the triangle, every
+/// word pair of it (`word rows × n(n+1)/2`), if `S` hands its products
+/// over as popcount words ([`Semiring::popcount_words`]).
+fn blocked_products<S: Semiring>(rows: &Range<usize>, n: usize) -> Option<u64> {
+    let triangle = (n as u64).saturating_mul(n as u64 + 1) / 2;
+    S::popcount_words(&[], &mut []).map(|_| (rows.len() as u64).saturating_mul(triangle))
+}
+
 /// The upper triangle of `A[rows, :]ᵀ A[rows, :]` added into the
 /// row-major `out` through `body`, whose right operand holds the same
 /// entries as `a_csc`.
 ///
 /// Output row `i` costs about `n − i` entries, so the rows are handed out
 /// as the `⌈n/2⌉` pairs `(p, n−1−p)` of constant size, and each thread
-/// owns one contiguous run of pairs, free of write conflicts: the tiled
-/// body densifies every tile once per run, not once per pair.
+/// owns one contiguous run of pairs, free of write conflicts: two
+/// contiguous runs of rows, `p` ascending from the top and their partners
+/// at the bottom (the middle row of an odd `n` has none). The tiled and
+/// blocked bodies densify every tile once per thread, not once per pair.
 fn accumulate_upper<S>(
     a_csc: &CscMatrix<S::Left>,
     rows: &Range<usize>,
@@ -273,22 +312,25 @@ fn accumulate_upper<S>(
     if n == 0 {
         return;
     }
-    // Rows 0..⌈n/2⌉ ascending, each beside its partner from the bottom
-    // (the middle row of an odd `n` has none).
-    let (top, bottom) = out.split_at_mut(n.div_ceil(2) * n);
-    let mut pairs: Vec<_> = top
-        .chunks_mut(n)
-        .zip(bottom.chunks_mut(n).rev().map(Some).chain(std::iter::repeat_with(|| None)))
-        .collect();
+    let half = n.div_ceil(2);
     let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-    let run = pairs.len().div_ceil(threads);
-    pairs.par_chunks_mut(run).enumerate().for_each(|(c, run_pairs)| {
-        let row = |i: usize, out| OutRow { stored: a_csc.col_span(i, rows), first_col: i, out };
-        let mut out_rows = Vec::with_capacity(2 * run_pairs.len());
-        for (p, (upper, lower)) in (c * run..).zip(run_pairs.iter_mut()) {
-            out_rows.push(row(p, &mut **upper));
-            if let Some(lower) = lower {
-                out_rows.push(row(n - 1 - p, &mut **lower));
+    let run = half.div_ceil(threads);
+    // Thread `c` owns the top rows `c·run..` and, from the bottom, rows
+    // `..n − c·run`.
+    let (top, bottom) = out.split_at_mut(half * n);
+    let bottoms = bottom.rchunks_mut(run * n).chain(std::iter::repeat_with(|| &mut [][..]));
+    let mut runs: Vec<_> = top.chunks_mut(run * n).zip(bottoms).collect();
+    runs.par_chunks_mut(1).enumerate().for_each(|(c, thread_runs)| {
+        let (upper, lower) = &mut thread_runs[0];
+        let lower_first = n - c * run - lower.len() / n;
+        let mut runs = [(c * run, &mut **upper), (lower_first, &mut **lower)];
+        if let Body::Blocked(tiles, absent) = body {
+            return accumulate_blocked::<S>(tiles, rows.clone(), absent, &mut runs);
+        }
+        let mut out_rows = Vec::with_capacity(2 * run);
+        for (first, run_rows) in runs {
+            for (i, out) in (first..).zip(run_rows.chunks_mut(n)) {
+                out_rows.push(OutRow { stored: a_csc.col_span(i, rows), first_col: i, out });
             }
         }
         accumulate_rows::<S>(a_csc, body, rows.clone(), &mut out_rows);
@@ -334,18 +376,19 @@ where
     }
     let products = gustavson_products(a_csc, b_csr);
     let dense = (a_csc.nnz() * b_csr.ncols()) as u64;
-    atb_rows::<S>(a_csc, b_csr, out.as_mut_slice(), tiles_pay::<S>(dense, || products));
+    let pick = pick_body(tile_absent::<S>(), None, dense, || products);
+    atb_rows::<S>(a_csc, b_csr, out.as_mut_slice(), pick);
     Ok(products)
 }
 
 /// [`atb_block_dense`]'s product into the row-major `out`, through the
-/// tiled body when `tiles` holds the absent value, else through the
-/// Gustavson one.
+/// body `pick` names (the tiled one for [`Pick::Blocked`]: blocks are
+/// not triangles).
 fn atb_rows<S: Semiring>(
     a_csc: &CscMatrix<S::Left>,
     b_csr: &CsrMatrix<S::Right>,
     out: &mut [S::Out],
-    tiles: Option<S::Right>,
+    pick: Pick<S::Right>,
 ) {
     if b_csr.ncols() == 0 {
         return;
@@ -356,10 +399,7 @@ fn atb_rows<S: Semiring>(
         .enumerate()
         .map(|(i, out)| OutRow { stored: a_ptr[i]..a_ptr[i + 1], first_col: 0, out })
         .collect();
-    let body = match tiles {
-        Some(absent) => Body::Tiled(Tiles::Rows(b_csr), absent),
-        None => Body::Gustavson(b_csr),
-    };
+    let body = pick.body(Tiles::Rows(b_csr), || b_csr);
     accumulate_rows::<S>(a_csc, body, 0..b_csr.nrows(), &mut rows);
 }
 
@@ -370,14 +410,67 @@ const TILE_BYTES: usize = 32 * 1024;
 /// multiply and still be picked: the lanes of one 512-bit `vpopcntq`.
 const TILE_COST_RATIO: u64 = 8;
 
+/// How many more products than the tiled body the register-blocked body
+/// may multiply and still be picked, as `(numerator, denominator)`: 3/2,
+/// under the crossover measured in the module header.
+const BLOCKED_COST_RATIO: (u64, u64) = (3, 2);
+
+/// The body a kernel call runs, and the value absent entries of the
+/// right operand are densified to if it runs on tiles.
+#[derive(Clone, Copy, Debug)]
+enum Pick<T> {
+    Gustavson,
+    Tiled(T),
+    Blocked(T),
+}
+
+impl<T: Copy> Pick<T> {
+    /// The body over `tiles`, or over the CSR view `gustavson` returns
+    /// (made only for [`Pick::Gustavson`]).
+    fn body<'b>(
+        self,
+        tiles: Tiles<'b, T>,
+        gustavson: impl FnOnce() -> &'b CsrMatrix<T>,
+    ) -> Body<'b, T> {
+        match self {
+            Pick::Gustavson => Body::Gustavson(gustavson()),
+            Pick::Tiled(absent) => Body::Tiled(tiles, absent),
+            Pick::Blocked(absent) => Body::Blocked(tiles, absent),
+        }
+    }
+}
+
 /// The value absent entries of the right operand are densified to, if
-/// the tiled body is to run: `S` has one, this CPU runs the body with
-/// vector popcount, and its `dense` product count is at most
-/// [`TILE_COST_RATIO`] times the `gustavson` one (counted only then).
-fn tiles_pay<S: Semiring>(dense: u64, gustavson: impl FnOnce() -> u64) -> Option<S::Right> {
-    let (_, absent) = S::absent_operands()?;
-    (dispatch::vector_popcount() && dense <= gustavson().saturating_mul(TILE_COST_RATIO))
-        .then_some(absent)
+/// tiles run here: `S` has one, and this CPU runs them with vector
+/// popcount.
+fn tile_absent<S: Semiring>() -> Option<S::Right> {
+    S::absent_operands().filter(|_| dispatch::vector_popcount()).map(|(_, absent)| absent)
+}
+
+/// The body a call runs, by product counts known before it: the
+/// Gustavson body unless tiles run (`absent`, from [`tile_absent`]); then
+/// the register-blocked body if there is one (`blocked`, the triangle's
+/// count) and its count is at most [`BLOCKED_COST_RATIO`] times the tiled
+/// body's `dense` one, else the tiled body if `dense` is at most
+/// [`TILE_COST_RATIO`] times the `gustavson` count (counted only then),
+/// else the Gustavson body.
+fn pick_body<T>(
+    absent: Option<T>,
+    blocked: Option<u64>,
+    dense: u64,
+    gustavson: impl FnOnce() -> u64,
+) -> Pick<T> {
+    let Some(absent) = absent else {
+        return Pick::Gustavson;
+    };
+    let (num, den) = BLOCKED_COST_RATIO;
+    if blocked.is_some_and(|b| b.saturating_mul(den) <= dense.saturating_mul(num)) {
+        Pick::Blocked(absent)
+    } else if dense <= gustavson().saturating_mul(TILE_COST_RATIO) {
+        Pick::Tiled(absent)
+    } else {
+        Pick::Gustavson
+    }
 }
 
 /// Word rows of a tile over rows `width` entries wide: as many as fit in
@@ -402,6 +495,10 @@ enum Body<'b, T> {
     Gustavson(&'b CsrMatrix<T>),
     /// The tiled body, with the absent value in the tiles' gaps.
     Tiled(Tiles<'b, T>, T),
+    /// The register-blocked body of the triangle, with the absent value
+    /// in the tiles' gaps; for rows that are not the triangle's runs, the
+    /// tiled body.
+    Blocked(Tiles<'b, T>, T),
 }
 
 /// What the tiled body densifies its tiles from.
@@ -432,7 +529,7 @@ fn accumulate_rows<S: Semiring>(
     rows: &mut [OutRow<'_, S::Out>],
 ) {
     match body {
-        Body::Tiled(tiles, absent) => {
+        Body::Tiled(tiles, absent) | Body::Blocked(tiles, absent) => {
             dispatch::accumulate_tiled::<S>(a_csc, tiles, word_rows, absent, rows)
         }
         Body::Gustavson(b_csr) => {
@@ -496,43 +593,14 @@ fn accumulate_tiled<S: Semiring>(
     if width == 0 {
         return;
     }
-    let height = tile_height::<S::Right>(width);
     // Where each row's column of `A` continues: word rows ascend, so
     // every tile picks up where the last one stopped.
     let mut next = Vec::with_capacity(rows.len());
     for row in rows.iter() {
         next.push(row.stored.start);
     }
-    // Likewise where each column of a CSC source continues.
-    let mut source_next = match tiles {
-        Tiles::Cols(b) => (0..width).map(|j| b.col_span(j, &word_rows).start).collect(),
-        Tiles::Rows(_) => Vec::new(),
-    };
-    let mut tile = Vec::with_capacity(height.min(word_rows.len()) * width);
-    for k0 in word_rows.clone().step_by(height) {
-        let k1 = (k0 + height).min(word_rows.end);
-        tile.clear();
-        tile.resize((k1 - k0) * width, absent);
-        match tiles {
-            Tiles::Rows(b) => {
-                let (b_ptr, b_cols, b_vals) = (b.indptr(), b.indices(), b.data());
-                for (k, dense) in (k0..k1).zip(tile.chunks_exact_mut(width)) {
-                    for t in b_ptr[k]..b_ptr[k + 1] {
-                        dense[b_cols[t]] = b_vals[t];
-                    }
-                }
-            }
-            Tiles::Cols(b) => {
-                let (b_ptr, b_rows, b_vals) = (b.indptr(), b.indices(), b.data());
-                for (j, t) in source_next.iter_mut().enumerate() {
-                    let end = b_ptr[j + 1];
-                    while *t < end && b_rows[*t] < k1 {
-                        tile[(b_rows[*t] - k0) * width + j] = b_vals[*t];
-                        *t += 1;
-                    }
-                }
-            }
-        }
+    let mut tiler = Tiler::new(tiles, &word_rows, absent);
+    while let Some((k0, k1, tile)) = tiler.next_tile() {
         for (row, t) in rows.iter_mut().zip(next.iter_mut()) {
             let end = row.stored.end;
             while *t < end && a_rows[*t] < k1 {
@@ -547,13 +615,115 @@ fn accumulate_tiled<S: Semiring>(
     }
 }
 
+/// The tiles of a right operand's word rows, densified one at a time,
+/// row-major, into one buffer of at most [`TILE_BYTES`] (a single wider
+/// row is its own tile), with the absent value in the gaps.
+struct Tiler<'b, T> {
+    tiles: Tiles<'b, T>,
+    absent: T,
+    /// The word rows not densified yet.
+    rest: Range<usize>,
+    /// Where each column of a CSC source continues: word rows ascend, so
+    /// every tile picks up where the last one stopped.
+    cursors: Vec<usize>,
+    tile: Vec<T>,
+}
+
+impl<'b, T: Copy> Tiler<'b, T> {
+    fn new(tiles: Tiles<'b, T>, word_rows: &Range<usize>, absent: T) -> Self {
+        let width = tiles.width();
+        let cursors = match tiles {
+            Tiles::Cols(b) => (0..width).map(|j| b.col_span(j, word_rows).start).collect(),
+            Tiles::Rows(_) => Vec::new(),
+        };
+        let tile = Vec::with_capacity(tile_height::<T>(width).min(word_rows.len()) * width);
+        Tiler { tiles, absent, rest: word_rows.clone(), cursors, tile }
+    }
+
+    /// The next tile: its word rows `k0..k1` and its `(k1 − k0) × width`
+    /// words.
+    fn next_tile(&mut self) -> Option<(usize, usize, &[T])> {
+        let width = self.tiles.width();
+        if self.rest.is_empty() || width == 0 {
+            return None;
+        }
+        let (k0, k1) =
+            (self.rest.start, (self.rest.start + tile_height::<T>(width)).min(self.rest.end));
+        self.rest.start = k1;
+        let tile = &mut self.tile;
+        tile.clear();
+        tile.resize((k1 - k0) * width, self.absent);
+        match self.tiles {
+            Tiles::Rows(b) => {
+                let (b_ptr, b_cols, b_vals) = (b.indptr(), b.indices(), b.data());
+                for (k, dense) in (k0..k1).zip(tile.chunks_exact_mut(width)) {
+                    for t in b_ptr[k]..b_ptr[k + 1] {
+                        dense[b_cols[t]] = b_vals[t];
+                    }
+                }
+            }
+            Tiles::Cols(b) => {
+                let (b_ptr, b_rows, b_vals) = (b.indptr(), b.indices(), b.data());
+                for (j, t) in self.cursors.iter_mut().enumerate() {
+                    let end = b_ptr[j + 1];
+                    while *t < end && b_rows[*t] < k1 {
+                        tile[(b_rows[*t] - k0) * width + j] = b_vals[*t];
+                        *t += 1;
+                    }
+                }
+            }
+        }
+        Some((k0, k1, tile))
+    }
+}
+
+/// The register-blocked triangle body: for each run `(first, out)` of
+/// whole output rows, `first` the row of `out`'s first,
+/// `out[i][j] ⊕= Σ_k a_ki ⊗ a_kj` for every `j ≥ i`, over the word rows
+/// `word_rows` of the operand `tiles` densifies — `A` itself, so the
+/// `a_ki` come from the same tile (see the module header). `S` must hand
+/// its products over as popcount words ([`Semiring::popcount_words`]);
+/// the blocked body is picked only then.
+fn accumulate_blocked<S: Semiring>(
+    tiles: Tiles<'_, S::Right>,
+    word_rows: Range<usize>,
+    absent: S::Right,
+    runs: &mut [(usize, &mut [S::Out])],
+) {
+    let width = tiles.width();
+    let mut tiler = Tiler::new(tiles, &word_rows, absent);
+    while let Some((_, _, tile)) = tiler.next_tile() {
+        for (first, out) in runs.iter_mut() {
+            let words = S::popcount_words(tile, out);
+            let (tile, out) = words.expect("the blocked body is picked only for popcount words");
+            dispatch::triangle_block(tile, width, *first, out);
+        }
+    }
+}
+
+/// The sums of the register-blocked body ([`dispatch::triangle_block`])
+/// in plain loops: `out[i − first][j] += popcnt(tile[k][i] & tile[k][j])`
+/// for every word row `k` of `tile` (`width` words each), every row `i`
+/// of the run `out` (whole rows `width` wide, from row `first` on) and
+/// every `j ≥ i`.
+fn triangle_block(tile: &[u64], width: usize, first: usize, out: &mut [u64]) {
+    for (i, row) in (first..).zip(out.chunks_exact_mut(width)) {
+        for words in tile.chunks_exact(width) {
+            for (o, &b) in row[i..].iter_mut().zip(&words[i..]) {
+                *o += u64::from((words[i] & b).count_ones());
+            }
+        }
+    }
+}
+
 /// Where the row bodies pick up hardware popcount: the one place this
 /// crate steps outside safe Rust.
 #[allow(unsafe_code)]
 mod dispatch {
     use super::{CscMatrix, CsrMatrix, OutRow, Range, Semiring, Tiles};
 
-    /// Whether this CPU runs [`accumulate_tiled`] with vector popcount.
+    /// Whether this CPU runs [`accumulate_tiled`] and [`triangle_block`]
+    /// with vector popcount.
     pub(super) fn vector_popcount() -> bool {
         #[cfg(target_arch = "x86_64")]
         {
@@ -642,6 +812,141 @@ mod dispatch {
         rows: &mut [OutRow<'_, S::Out>],
     ) {
         super::accumulate_tiled::<S>(a_csc, tiles, word_rows, absent, rows)
+    }
+
+    /// Output rows per block of the register-blocked body.
+    const BLOCK_ROWS: usize = 6;
+
+    /// 8-word vectors per column strip of a block: 32 columns, so a block
+    /// keeps 6 × 4 = 24 sums in `zmm` registers.
+    const STRIP_VECTORS: usize = 4;
+
+    /// [`super::triangle_block`], by the register-blocked body of the
+    /// module header on a CPU with AVX-512 VPOPCNTDQ.
+    pub(super) fn triangle_block(tile: &[u64], width: usize, first: usize, out: &mut [u64]) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if vector_popcount() {
+                // SAFETY: `vector_popcount` just reported AVX-512F and
+                // AVX-512 VPOPCNTDQ on the running CPU, the features the
+                // function is compiled for.
+                return unsafe { triangle_block_avx512(tile, width, first, out) };
+            }
+        }
+        super::triangle_block(tile, width, first, out)
+    }
+
+    /// The lanes `l` of an 8-word vector at column `j` with `j + l < n`.
+    fn lanes_below(n: usize, j: usize) -> u8 {
+        ((1u16 << n.saturating_sub(j).min(8)) - 1) as u8
+    }
+
+    /// The lanes `l` of an 8-word vector at column `j` with `j + l ≥ i`.
+    fn lanes_from(i: usize, j: usize) -> u8 {
+        (0xffu16 << i.saturating_sub(j).min(8)) as u8
+    }
+
+    /// [`super::triangle_block`] in blocks of [`BLOCK_ROWS`] rows, each
+    /// cut into strips of [`STRIP_VECTORS`] vectors from its first row's
+    /// diagonal on, the last strip only as wide as the row
+    /// ([`triangle_strip`]).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn triangle_block_avx512(tile: &[u64], width: usize, first: usize, out: &mut [u64]) {
+        let n = width;
+        for (r0, block) in (0..).step_by(BLOCK_ROWS).zip(out.chunks_mut(BLOCK_ROWS * n)) {
+            let (i0, live) = (first + r0, block.len() / n);
+            // The column of each row's `a_ki` in the tile, the row itself;
+            // a short block repeats its last row.
+            let mut cols = [0; BLOCK_ROWS];
+            for (r, col) in cols.iter_mut().enumerate() {
+                *col = i0 + r.min(live - 1);
+            }
+            for j0 in (i0..n).step_by(8 * STRIP_VECTORS) {
+                // The vectors that hold a column below `n`.
+                match (n - j0).div_ceil(8) {
+                    1 => triangle_strip::<1>(tile, n, &cols, j0, block),
+                    2 => triangle_strip::<2>(tile, n, &cols, j0, block),
+                    3 => triangle_strip::<3>(tile, n, &cols, j0, block),
+                    _ => triangle_strip::<STRIP_VECTORS>(tile, n, &cols, j0, block),
+                }
+            }
+        }
+    }
+
+    /// Columns `j0 .. j0 + 8V` (those below `n`) of a block: the whole
+    /// rows `block` of `out`, `n` words each, where `cols[r]` is block row
+    /// `r`'s row, and so the tile column of its `a_ki`. The block's
+    /// `6 × V` sums stay in registers across every word row of `tile`,
+    /// which loads the strip's words once per word row and broadcasts each
+    /// row's `a_ki` beside them; only then are they added into `block`.
+    /// Masks keep every load and store inside its row (`j < n`), every
+    /// store off the strictly lower triangle (`j ≥ cols[r]`) and off the
+    /// rows `block` lacks.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn triangle_strip<const V: usize>(
+        tile: &[u64],
+        n: usize,
+        cols: &[usize; BLOCK_ROWS],
+        j0: usize,
+        block: &mut [u64],
+    ) {
+        use std::arch::x86_64::{
+            _mm512_add_epi64, _mm512_and_si512, _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi64,
+            _mm512_popcnt_epi64, _mm512_set1_epi64, _mm512_setzero_si512,
+        };
+        // The shapes every address below rests on.
+        assert!(
+            n > 0
+                && tile.len().is_multiple_of(n)
+                && block.len().is_multiple_of(n)
+                && cols.iter().all(|&c| c < n),
+            "a strip of rows {cols:?} over {} and {} words, {n} wide",
+            tile.len(),
+            block.len()
+        );
+        let mut inside = [0; V];
+        for (v, lanes) in inside.iter_mut().enumerate() {
+            *lanes = lanes_below(n, j0 + 8 * v);
+        }
+        let mut acc = [[_mm512_setzero_si512(); V]; BLOCK_ROWS];
+        for words in tile.chunks_exact(n) {
+            let at = words.as_ptr();
+            let mut b = [_mm512_setzero_si512(); V];
+            for (v, (b, &lanes)) in b.iter_mut().zip(&inside).enumerate() {
+                let strip = at.wrapping_add(j0 + 8 * v).cast();
+                // SAFETY: `lanes` keeps the lanes `l` with
+                // `j0 + 8v + l < n = words.len()`, and a masked-off lane is
+                // not read.
+                *b = unsafe { _mm512_maskz_loadu_epi64(lanes, strip) };
+            }
+            for (acc, &col) in acc.iter_mut().zip(cols) {
+                // SAFETY: `col < n = words.len()` (asserted above).
+                let a = _mm512_set1_epi64(unsafe { *at.add(col) } as i64);
+                for (acc, &b) in acc.iter_mut().zip(&b) {
+                    let pairs = _mm512_popcnt_epi64(_mm512_and_si512(a, b));
+                    *acc = _mm512_add_epi64(*acc, pairs);
+                }
+            }
+        }
+        let rows = block.len() / n;
+        for (r, (acc, &i)) in acc.iter().zip(cols).enumerate() {
+            let row_lanes = if r < rows { 0xff } else { 0 };
+            let row = block.as_mut_ptr().wrapping_add(r * n);
+            for (v, (&acc, &lanes)) in acc.iter().zip(&inside).enumerate() {
+                let j = j0 + 8 * v;
+                let lanes = lanes & row_lanes & lanes_from(i, j);
+                let at = row.wrapping_add(j).cast();
+                // SAFETY: `lanes` keeps only the lanes `l` with `j + l < n`
+                // of a row `r < rows` of `block`, `n` words long, and a
+                // masked-off lane is neither read nor written.
+                unsafe {
+                    let sum = _mm512_add_epi64(_mm512_maskz_loadu_epi64(lanes, at), acc);
+                    _mm512_mask_storeu_epi64(at, lanes, sum);
+                }
+            }
+        }
     }
 }
 
@@ -771,17 +1076,35 @@ mod tests {
     }
 
     /// Word-row fills in per mille: empty, sparse, either side of the
-    /// 1-in-[`TILE_COST_RATIO`] guard, and dense.
-    const FILLS: [usize; 6] = [0, 20, 120, 130, 600, 1000];
+    /// 1-in-[`TILE_COST_RATIO`] guard, either side of the 2-in-3 of
+    /// [`BLOCKED_COST_RATIO`], and dense.
+    const FILLS: [usize; 7] = [0, 20, 120, 130, 600, 700, 1000];
 
-    /// The tiled body computes the right answer on any CPU; the dispatch
-    /// picks it only where it runs with vector popcount.
-    const TILED: Option<u64> = Some(0);
+    /// Widths at which blocks of 6 rows, 8-lane vectors, 32-column strips
+    /// and the `(p, n−1−p)` pair split all meet their edges.
+    const WIDTHS: [usize; 11] = [1, 5, 6, 7, 8, 9, 31, 32, 33, 130, 352];
+
+    /// The side of the body guard the triangle of `A[rows, :]` falls on,
+    /// wherever tiles run: 0 Gustavson, 1 tiled, 2 blocked.
+    fn guard_side(csc: &CscMatrix<u64>, csr: &CsrMatrix<u64>, rows: Range<usize>) -> usize {
+        let upper = rows.clone().map(|k| csr.row_nnz(k) * (csr.row_nnz(k) + 1) / 2).sum::<usize>();
+        let blocked = blocked_products::<PopcountAnd>(&rows, csc.ncols());
+        match pick_body(Some(()), blocked, upper_dense_products(csc, &rows), || upper as u64) {
+            Pick::Gustavson => 0,
+            Pick::Tiled(()) => 1,
+            Pick::Blocked(()) => 2,
+        }
+    }
 
     /// Every body the triangle can run, whatever this CPU would pick:
-    /// Gustavson, and tiles densified from either view.
-    fn bodies<'b>(csc: &'b CscMatrix<u64>, csr: &'b CsrMatrix<u64>) -> [Body<'b, u64>; 3] {
-        [Body::Gustavson(csr), Body::Tiled(Tiles::Rows(csr), 0), Body::Tiled(Tiles::Cols(csc), 0)]
+    /// Gustavson, and the tiled and blocked bodies on tiles densified from
+    /// either view (the blocked one in its portable form without AVX-512
+    /// VPOPCNTDQ).
+    fn bodies<'b>(csc: &'b CscMatrix<u64>, csr: &'b CsrMatrix<u64>) -> [Body<'b, u64>; 5] {
+        let (rows, cols) = (Tiles::Rows(csr), Tiles::Cols(csc));
+        let tiled = [Body::Tiled(rows, 0), Body::Tiled(cols, 0)];
+        let blocked = [Body::Blocked(rows, 0), Body::Blocked(cols, 0)];
+        [Body::Gustavson(csr), tiled[0], tiled[1], blocked[0], blocked[1]]
     }
 
     fn name<T>(body: Body<'_, T>) -> &'static str {
@@ -789,17 +1112,19 @@ mod tests {
             Body::Gustavson(_) => "Gustavson",
             Body::Tiled(Tiles::Rows(_), _) => "tiles from the CSR",
             Body::Tiled(Tiles::Cols(_), _) => "tiles from the CSC",
+            Body::Blocked(Tiles::Rows(_), _) => "blocks on tiles from the CSR",
+            Body::Blocked(Tiles::Cols(_), _) => "blocks on tiles from the CSC",
         }
     }
 
     #[test]
     fn popcount_triangle_kernel_equals_the_plus_times_oracle_and_is_symmetric() {
         let mut rng = Rng(0x5eed);
-        let (mut tiled_side, mut gustavson_side) = (0, 0);
+        let mut sides = [0; 3];
         let n0 = BitMatrix::from_columns(0, &[]).unwrap();
         let empty = ata_dense_parallel::<PopcountAnd>(n0.as_csc(), &n0.to_csr()).unwrap();
         assert_eq!((empty.nrows(), empty.ncols()), (0, 0));
-        for n in [1usize, 3, 8, 9, 33, 130] {
+        for n in WIDTHS {
             for word_rows in word_row_counts(n) {
                 for permille in FILLS {
                     let ctx = format!("n = {n}, {word_rows} word rows at {permille} ‰");
@@ -821,18 +1146,11 @@ mod tests {
                         out.mirror_upper().unwrap();
                         assert_eq!(out, want, "{ctx}, {}", name(body));
                     }
-                    let dense: usize = (0..n).map(|i| csc.col_nnz(i) * (n - i)).sum();
-                    let pairs: usize =
-                        (0..word_rows).map(|k| csr.row_nnz(k) * (csr.row_nnz(k) + 1) / 2).sum();
-                    if dense <= 8 * pairs {
-                        tiled_side += 1;
-                    } else {
-                        gustavson_side += 1;
-                    }
+                    sides[guard_side(csc, &csr, 0..word_rows)] += 1;
                 }
             }
         }
-        assert!(tiled_side > 0 && gustavson_side > 0, "{tiled_side} / {gustavson_side}");
+        assert!(sides.iter().all(|&side| side > 0), "Gustavson / tiled / blocked: {sides:?}");
     }
 
     #[test]
@@ -840,11 +1158,11 @@ mod tests {
         let mut rng = Rng(0x7a1);
         // One kept transpose, refilled by every call that picks Gustavson.
         let mut transpose = CsrMatrix::empty(0, 0);
-        let (mut tiled_side, mut gustavson_side) = (0, 0);
-        for n in [0usize, 1, 2, 7, 8, 33] {
+        let mut sides = [0; 3];
+        for n in std::iter::once(0).chain(WIDTHS) {
             let counts = if n == 0 { vec![0, 1, 3] } else { word_row_counts(n).to_vec() };
             for word_rows in counts {
-                for permille in [0, 20, 130, 600, 1000] {
+                for permille in [0, 20, 130, 600, 700, 1000] {
                     let ctx = format!("n = {n}, {word_rows} word rows at {permille} ‰");
                     let nrows = 64 * word_rows;
                     let mut columns = word_columns(&mut rng, word_rows, n, permille);
@@ -900,13 +1218,7 @@ mod tests {
                     assert_eq!(out.as_slice(), want, "{ctx}");
                     out.mirror_upper().unwrap();
                     assert_eq!(out, mirrored, "{ctx}");
-                    let pairs: usize =
-                        (0..word_rows).map(|k| csr.row_nnz(k) * (csr.row_nnz(k) + 1) / 2).sum();
-                    if upper_dense_products(csc, &(0..word_rows)) <= 8 * pairs as u64 {
-                        tiled_side += 1;
-                    } else {
-                        gustavson_side += 1;
-                    }
+                    sides[guard_side(csc, &csr, all)] += 1;
                     // `PlusTimes` has no absent value: Gustavson over the
                     // unpacked matrix.
                     let boolean = unpacked(nrows, &columns);
@@ -925,7 +1237,7 @@ mod tests {
                 }
             }
         }
-        assert!(tiled_side > 0 && gustavson_side > 0, "{tiled_side} / {gustavson_side}");
+        assert!(sides.iter().all(|&side| side > 0), "Gustavson / tiled / blocked: {sides:?}");
         // A wrong output shape.
         let bm = BitMatrix::from_columns(70, &[vec![1, 65], vec![65]]).unwrap();
         let mut three = DenseMatrix::<u64>::zeros(3, 3);
@@ -943,7 +1255,7 @@ mod tests {
     fn the_in_place_triangle_of_some_word_rows_is_the_triangle_of_those_rows_cut_out() {
         let mut rng = Rng(0x1a7e);
         let mut transpose = CsrMatrix::empty(0, 0);
-        for n in [1usize, 7, 33] {
+        for n in WIDTHS {
             for word_rows in word_row_counts(n) {
                 for permille in [20, 130, 1000] {
                     let columns = word_columns(&mut rng, word_rows, n, permille);
@@ -1051,6 +1363,41 @@ mod tests {
     }
 
     #[test]
+    fn vector_and_portable_triangle_blocks_agree() {
+        if !dispatch::vector_popcount() {
+            eprintln!(
+                "no AVX-512 VPOPCNTDQ on this CPU: comparing the portable blocks with themselves"
+            );
+        }
+        let mut rng = Rng(0xb10c);
+        for n in WIDTHS {
+            for height in [1, 3, 11] {
+                // Random words, a quarter of them absent.
+                let tile: Vec<u64> = (0..height * n)
+                    .map(|_| if rng.below(4) == 0 { 0 } else { rng.next() })
+                    .collect();
+                // The whole triangle, two runs like a thread's, a run of one
+                // row, and an empty one.
+                let half = n.div_ceil(2);
+                for (first, rows) in [(0, n), (0, half), (half, n - half), (n - 1, 1), (n, 0)] {
+                    let ctx = format!("n = {n}, {height} word rows, rows {first}..+{rows}");
+                    let prefill: Vec<u64> = (0..rows * n).map(|x| x as u64).collect();
+                    let (mut portable, mut dispatched) = (prefill.clone(), prefill.clone());
+                    triangle_block(&tile, n, first, &mut portable);
+                    dispatch::triangle_block(&tile, n, first, &mut dispatched);
+                    assert_eq!(portable, dispatched, "{ctx}");
+                    // The strictly lower triangle is untouched.
+                    for (x, (&got, &was)) in dispatched.iter().zip(&prefill).enumerate() {
+                        if x % n < first + x / n {
+                            assert_eq!(got, was, "{ctx}, entry {x}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn atb_block_adds_to_a_prefilled_block_and_counts_every_product() {
         let mut rng = Rng(11);
         let shapes = [(1usize, 1usize), (3, 8), (8, 3), (5, 0), (0, 4), (9, 33), (33, 130)];
@@ -1084,10 +1431,10 @@ mod tests {
                         (0..word_rows).map(|k| a_csr.row_nnz(k) * b_csr.row_nnz(k)).sum();
                     assert_eq!(ops, products as u64, "{ctx}");
                     assert_eq!(out.as_slice(), want, "{ctx}");
-                    for tiles in [None, TILED] {
+                    for pick in [Pick::Gustavson, Pick::Tiled(0)] {
                         let mut body = prefill.clone();
-                        atb_rows::<PopcountAnd>(a_csc, &b_csr, &mut body, tiles);
-                        assert_eq!(body, want, "{ctx}, tiles: {tiles:?}");
+                        atb_rows::<PopcountAnd>(a_csc, &b_csr, &mut body, pick);
+                        assert_eq!(body, want, "{ctx}, {pick:?}");
                     }
                     if a.nnz_words() * nb <= 8 * products {
                         tiled_side += 1;

@@ -68,12 +68,16 @@ fn large_allocations(
     })
 }
 
-/// Whether the one-rank triangle kernel runs its tiled body here (AVX-512
-/// VPOPCNTDQ; the peak fixture's dense-to-Gustavson product ratio is near
-/// 1, far inside the tile guard), which densifies its tiles from the
-/// packed batch itself. Elsewhere the Gustavson body reads a CSR view of
-/// the packed batch, a transpose the rank keeps and refills from batch to
-/// batch: its word-row offsets, its word indices and its words.
+/// Whether the one-rank triangle kernel runs on word-row tiles here
+/// (AVX-512 VPOPCNTDQ), which it densifies from the packed batch itself.
+/// On the peak fixture that is the tiled body: about a fifth of its word
+/// slots hold a word, so the register-blocked body would multiply ≈ 5×
+/// the tiled body's products, outside its 3/2 guard, while the tiled
+/// body's ≈ 5× the Gustavson count is inside its 8× one. The full word
+/// rows of `equal_batches` run the register-blocked body at p = 1.
+/// Elsewhere the Gustavson body reads a CSR view of the packed batch, a
+/// transpose the rank keeps and refills from batch to batch: its word-row
+/// offsets, its word indices and its words.
 fn kernel_runs_tiles() -> bool {
     #[cfg(target_arch = "x86_64")]
     let tiled = std::is_x86_feature_detected!("avx512f")

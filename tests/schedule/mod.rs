@@ -22,9 +22,9 @@
 //!   charges the block's Gustavson count `Σ_w nnz_A(w)·nnz_B(w)`. A
 //!   `1 × 1` layer grid broadcasts nothing and charges its chunk's count
 //!   over all samples. The batch ends in one superstep.
-//! - After the last batch: with `c > 1` each fiber allreduces its `u64`
-//!   output block, then the world allreduces the `n` cardinalities, and
-//!   rank 0 gathers every layer-0 block but its own.
+//! - After the last batch: with `c > 1` each fiber reduces its `u64`
+//!   output block onto layer 0, then the world allreduces the `n`
+//!   cardinalities, and rank 0 gathers every layer-0 block but its own.
 //!
 //! The words come from the sorted values alone: the survivors are the
 //! batch's distinct values, a value's row is its rank among them (or its
@@ -322,7 +322,7 @@ pub fn paper_schedule(
     if c > 1 {
         for (i, j) in pairs() {
             let fiber: Vec<usize> = (0..c).map(|k| rank(i, j, k)).collect();
-            ledger.allreduce(&fiber, block_len(i, j));
+            ledger.reduce(&fiber, block_len(i, j));
         }
     }
     ledger.allreduce(&world, n as u64);
