@@ -18,10 +18,12 @@ build:
 # file lacks, fails here and not in the benchmark run. gas-sparse is
 # tested a second time optimised: its kernels reach hardware popcount
 # through `target_feature` + `inline(always)`, which a debug build does
-# not exercise.
+# not exercise; so is the mid-fill oracle test, which drives those
+# kernels through every SUMMA grid shape.
 test:
 	cargo test --workspace --locked -q
 	cargo test -p gas-sparse --release --locked -q
+	cargo test --release --locked -q --test distributed_equivalence mid_fill_batches_equal_the_pairwise_oracle_on_every_grid
 	cargo check --offline --locked --manifest-path bench/ledger/Cargo.toml
 
 # The rustdoc gate fails on a doc link to a deleted or private item.

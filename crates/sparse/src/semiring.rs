@@ -38,16 +38,18 @@ pub trait Semiring {
         None
     }
 
-    /// Right operands and outputs as `u64` words, if `mul(a, b)` is the
-    /// number of bits set in both words and `add` is `+` on output words:
-    /// `Some` lets the `AᵀA` triangle run its register-blocked body,
-    /// which reads both factors of a product from the right operand (in
-    /// `AᵀA` it is the left one too). `None`, the default, keeps the
-    /// triangle on its other bodies.
+    /// Left operands, right operands and outputs as `u64` words, if
+    /// `mul(a, b)` is the number of bits set in both words and `add` is
+    /// `+` on output words. `Some` lets the kernels keep their sums in
+    /// vector registers: the tiled body's register rows, and the `AᵀA`
+    /// triangle's register-blocked body, which reads both factors of a
+    /// product from the right operand (in `AᵀA` it is the left one too).
+    /// `None`, the default, keeps every kernel on its generic loops.
     fn popcount_words<'a>(
+        _left: &'a [Self::Left],
         _right: &'a [Self::Right],
         _out: &'a mut [Self::Out],
-    ) -> Option<(&'a [u64], &'a mut [u64])> {
+    ) -> Option<(&'a [u64], &'a [u64], &'a mut [u64])> {
         None
     }
 }
@@ -94,10 +96,11 @@ impl Semiring for PopcountAnd {
         Some((0, 0))
     }
     fn popcount_words<'a>(
+        left: &'a [u64],
         right: &'a [u64],
         out: &'a mut [u64],
-    ) -> Option<(&'a [u64], &'a mut [u64])> {
-        Some((right, out))
+    ) -> Option<(&'a [u64], &'a [u64], &'a mut [u64])> {
+        Some((left, right, out))
     }
 }
 
@@ -127,11 +130,11 @@ mod tests {
             assert_eq!(PopcountAnd::mul(mask, right), 0);
         }
         assert_eq!(PlusTimes::<f64>::absent_operands(), None);
-        // Only the popcount-AND semiring hands its words to the blocked
-        // triangle body.
-        let (words, mut out) = ([3u64, 5], [7u64]);
-        let (right, sums) = PopcountAnd::popcount_words(&words, &mut out).unwrap();
-        assert_eq!((right, &*sums), (&words[..], &[7][..]));
-        assert!(PlusTimes::<u64>::popcount_words(&words, &mut [7]).is_none());
+        // Only the popcount-AND semiring hands its words to the register
+        // bodies.
+        let (left, words, mut out) = ([9u64], [3u64, 5], [7u64]);
+        let (a, b, sums) = PopcountAnd::popcount_words(&left, &words, &mut out).unwrap();
+        assert_eq!((a, b, &*sums), (&left[..], &words[..], &[7][..]));
+        assert!(PlusTimes::<u64>::popcount_words(&left, &words, &mut [7]).is_none());
     }
 }

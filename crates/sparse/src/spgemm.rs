@@ -47,7 +47,17 @@
 //!   of `A` from one tile to the next, which — like the column cursors
 //!   and `accumulate_row`'s `partition_point` skip — needs indices
 //!   strictly ascending within a column or row, an invariant
-//!   `from_raw_parts` checks.
+//!   `from_raw_parts` checks. So a row's stored `a_ki` in a tile are one
+//!   contiguous run of column `i`, and for popcount words
+//!   ([`Semiring::popcount_words`]) the body walks that run with the
+//!   row's sums in registers (register rows, after the GEMM micro-kernels
+//!   below): for a strip of up to 16 vectors (128 columns) from
+//!   `first_col`, one broadcast of each `a_ki`, then the strip's loads,
+//!   AND, `vpopcntq` and add, and the sums added into `out` once per
+//!   (row, tile, strip). Only a strip's last vector is masked; wider rows
+//!   take more strips, each re-walking the run. The generic loop, which
+//!   reads a tile row and reads and writes an output row for every 8 word
+//!   pairs, runs every other semiring and stays the reference.
 //! * `accumulate_blocked`, the triangle's alone, densifies the same
 //!   tiles, and since `A` is both operands there it takes every `a_ki`
 //!   from the tile as well. It is a GEMM micro-kernel (Goto & van de
@@ -55,11 +65,11 @@
 //!   a strip of 32 columns it keeps the 6 × 32 sums in 24 `zmm` registers
 //!   across every word row of the tile, loading the strip's 4 vectors once
 //!   per word row and broadcasting the 6 `a_ki` beside them, and adds the
-//!   sums into `out` once per tile. The tiled body reads a tile row and
-//!   reads and writes an output row for every 8 word pairs instead. Each
-//!   thread's two runs of rows (see `accumulate_upper`) are cut into
-//!   blocks of 6; masked loads and stores keep out the columns from `n`
-//!   on and the strictly lower triangle. It runs on `u64` words only,
+//!   sums into `out` once per tile, where a register row of the tiled
+//!   body goes to memory once per run of one row's `a_ki`. Each thread's
+//!   two runs of rows (see `accumulate_upper`) are cut into blocks of 6;
+//!   masked loads and stores keep out the columns from `n` on and the
+//!   strictly lower triangle. It runs on `u64` words only,
 //!   which [`Semiring::popcount_words`] hands over for
 //!   [`PopcountAnd`](crate::semiring::PopcountAnd).
 //!
@@ -67,18 +77,25 @@
 //! width, absent partners included, and the blocked body every word pair
 //! of the triangle, so the body is picked by ratios of three counts known
 //! before the call. The tiled body's product count (stored words of `A`
-//! × row width) must be at most `TILE_COST_RATIO` = 8 times the
+//! × row width) must be at most `TILE_COST_RATIO` = 21/4 times the
 //! Gustavson count `Σ_k nnz_A(k)·nnz_B(k)` — for the triangle, both in
 //! their upper-triangle forms `Σ_i nnz_A(col i)·(n − i)` and
 //! `Σ_k nnz(k)·(nnz(k)+1)/2`, the row counts `nnz(k)` taken in one pass
 //! over the CSC view's row indices. On evenly filled word rows the ratio
-//! is the inverse of the fill, so the bound sits near 1/8 full: the lanes
-//! of one 512-bit `vpopcntq`, which multiplies eight word pairs with no
-//! index traffic. Measured on one thread of an AVX-512 VPOPCNTDQ Xeon
-//! over random blocks 30 to 352 columns wide, the two break even at a
-//! ratio between ≈ 5.5 and ≈ 9 depending on the width, so just under the
-//! bound the tiled body can run up to ≈ 2× slower on narrow or wide
-//! blocks. `allpairs_dist`'s 128 × 128 blocks sit at ≈ 4.4.
+//! is the inverse of the fill. Measured with register rows on one thread
+//! (pinned with `taskset`) of an AVX-512 VPOPCNTDQ Xeon over random
+//! blocks of 780 word rows, 30 to 352 columns wide, the two break even at
+//! a ratio of ≈ 7.5–9 (30 columns), ≈ 9–12 (48 to 160), ≈ 6.5–7 (200
+//! and 256) and ≈ 5.4–5.9 (300 and 352, whose tiles are 11 to 13 word
+//! rows tall, so a row's run in a tile holds one or two `a_ki` and its
+//! sums go to memory about as often as the generic loop's).
+//! `TILE_COST_RATIO` = 21/4 sits under the lowest of them, so the tiled
+//! body runs only where it is the faster at every width; between 21/4
+//! and ≈ 10 it would take 0.65–0.85 of the Gustavson body's time on
+//! blocks 48 to 160 wide. Triangles break even higher: at a ratio of
+//! ≈ 5.8 the tiled body takes 0.77 (352 columns) to 0.95 (512) of the
+//! Gustavson body's time. `allpairs_dist`'s 128 × 128 blocks sit at
+//! ≈ 4.4.
 //!
 //! Where the blocked body can run, it is picked first if its count
 //! (word rows × `n(n+1)/2`) is at most `BLOCKED_COST_RATIO` = 3/2 times
@@ -111,10 +128,12 @@
 //!
 //! * the Gustavson body under `popcnt`, where `(a & b).count_ones()`
 //!   becomes one instruction;
-//! * under `avx512f,avx512vpopcntdq`: the tiled body (with `popcnt`),
-//!   whose contiguous loop autovectorises to `vpopcntq`, and the blocked
-//!   body's micro-kernel, written with `core::arch` AVX-512 intrinsics so
-//!   that its 24 sums stay in registers.
+//! * under `avx512f,avx512vpopcntdq`: two micro-kernels written with
+//!   `core::arch` AVX-512 intrinsics so that their sums stay in
+//!   registers, the tiled body's register rows (up to 16 sums; its row
+//!   loop runs inside the wrapper, under `popcnt` too) and the blocked
+//!   body's 6 × 32 block (24 sums). The tiled body's generic loop, for
+//!   other semirings, autovectorises under the same features.
 //!
 //! The tiled and blocked bodies are picked only where the second tier
 //! runs; everywhere else the Gustavson body runs, and it stays the
@@ -126,7 +145,7 @@
 //! the function the code ends up *in*, so each body and the `S::mul` it
 //! calls must be inlined into its wrapper — and that is also why no
 //! [`Semiring`] needs to know about them. `mod dispatch`, the wrappers,
-//! their calls and the micro-kernel's masked loads and stores, is the one
+//! their calls and the micro-kernels' loads and stores, is the one
 //! `#[allow(unsafe_code)]` of this crate. Only an optimised build shows
 //! the difference, hence `cargo test -p gas-sparse --release` in
 //! `make test`.
@@ -284,7 +303,7 @@ fn upper_dense_products<T: Copy>(a: &CscMatrix<T>, rows: &Range<usize>) -> u64 {
 /// over as popcount words ([`Semiring::popcount_words`]).
 fn blocked_products<S: Semiring>(rows: &Range<usize>, n: usize) -> Option<u64> {
     let triangle = (n as u64).saturating_mul(n as u64 + 1) / 2;
-    S::popcount_words(&[], &mut []).map(|_| (rows.len() as u64).saturating_mul(triangle))
+    S::popcount_words(&[], &[], &mut []).map(|_| (rows.len() as u64).saturating_mul(triangle))
 }
 
 /// The upper triangle of `A[rows, :]ᵀ A[rows, :]` added into the
@@ -407,8 +426,9 @@ fn atb_rows<S: Semiring>(
 const TILE_BYTES: usize = 32 * 1024;
 
 /// How many more products than the Gustavson body the tiled body may
-/// multiply and still be picked: the lanes of one 512-bit `vpopcntq`.
-const TILE_COST_RATIO: u64 = 8;
+/// multiply and still be picked, as `(numerator, denominator)`: 21/4,
+/// under the lowest break-even of the two measured in the module header.
+const TILE_COST_RATIO: (u64, u64) = (21, 4);
 
 /// How many more products than the tiled body the register-blocked body
 /// may multiply and still be picked, as `(numerator, denominator)`: 3/2,
@@ -464,9 +484,10 @@ fn pick_body<T>(
         return Pick::Gustavson;
     };
     let (num, den) = BLOCKED_COST_RATIO;
+    let (tile_num, tile_den) = TILE_COST_RATIO;
     if blocked.is_some_and(|b| b.saturating_mul(den) <= dense.saturating_mul(num)) {
         Pick::Blocked(absent)
-    } else if dense <= gustavson().saturating_mul(TILE_COST_RATIO) {
+    } else if dense.saturating_mul(tile_den) <= gustavson().saturating_mul(tile_num) {
         Pick::Tiled(absent)
     } else {
         Pick::Gustavson
@@ -602,17 +623,28 @@ fn accumulate_tiled<S: Semiring>(
     let mut tiler = Tiler::new(tiles, &word_rows, absent);
     while let Some((k0, k1, tile)) = tiler.next_tile() {
         for (row, t) in rows.iter_mut().zip(next.iter_mut()) {
-            let end = row.stored.end;
-            while *t < end && a_rows[*t] < k1 {
-                let va = a_vals[*t];
-                let dense = &tile[(a_rows[*t] - k0) * width..][row.first_col..width];
+            for s in tile_run(a_rows, t, row.stored.end, k1) {
+                let va = a_vals[s];
+                let dense = &tile[(a_rows[s] - k0) * width..][row.first_col..width];
                 for (o, &vb) in row.out[row.first_col..].iter_mut().zip(dense) {
                     *o = S::add(*o, S::mul(va, vb));
                 }
-                *t += 1;
             }
         }
     }
+}
+
+/// The stored `a_ki` of an output row that fall in a tile ending before
+/// word row `k1`: from the row's cursor `t` (its column of `A` ends at
+/// `end`) up to the first one at or past `k1`, where `t` moves to. Word
+/// rows ascend within a column, so these are one contiguous run.
+#[inline(always)]
+fn tile_run(a_rows: &[usize], t: &mut usize, end: usize, k1: usize) -> Range<usize> {
+    let start = *t;
+    while *t < end && a_rows[*t] < k1 {
+        *t += 1;
+    }
+    start..*t
 }
 
 /// The tiles of a right operand's word rows, densified one at a time,
@@ -694,8 +726,8 @@ fn accumulate_blocked<S: Semiring>(
     let mut tiler = Tiler::new(tiles, &word_rows, absent);
     while let Some((_, _, tile)) = tiler.next_tile() {
         for (first, out) in runs.iter_mut() {
-            let words = S::popcount_words(tile, out);
-            let (tile, out) = words.expect("the blocked body is picked only for popcount words");
+            let words = S::popcount_words(&[], tile, out);
+            let (_, tile, out) = words.expect("the blocked body is picked only for popcount words");
             dispatch::triangle_block(tile, width, *first, out);
         }
     }
@@ -720,7 +752,7 @@ fn triangle_block(tile: &[u64], width: usize, first: usize, out: &mut [u64]) {
 /// crate steps outside safe Rust.
 #[allow(unsafe_code)]
 mod dispatch {
-    use super::{CscMatrix, CsrMatrix, OutRow, Range, Semiring, Tiles};
+    use super::{tile_run, CscMatrix, CsrMatrix, OutRow, Range, Semiring, Tiler, Tiles};
 
     /// Whether this CPU runs [`accumulate_tiled`] and [`triangle_block`]
     /// with vector popcount.
@@ -798,6 +830,14 @@ mod dispatch {
         super::accumulate_tiled::<S>(a_csc, tiles, word_rows, absent, rows)
     }
 
+    /// The tiled body with register rows: for popcount words
+    /// ([`Semiring::popcount_words`]) each output row's run of stored
+    /// `a_ki` in a tile goes through [`register_row`], its sums held in
+    /// `zmm` registers; any other semiring runs the generic loop of
+    /// [`super::accumulate_tiled`], compiled for these features. The row
+    /// loop stays in this function, so each (row, tile) pays no call into
+    /// a function of other features.
+    ///
     /// # Safety
     ///
     /// The running CPU must support AVX-512F, AVX-512 VPOPCNTDQ and
@@ -811,7 +851,129 @@ mod dispatch {
         absent: S::Right,
         rows: &mut [OutRow<'_, S::Out>],
     ) {
-        super::accumulate_tiled::<S>(a_csc, tiles, word_rows, absent, rows)
+        if S::popcount_words(&[], &[], &mut []).is_none() {
+            return super::accumulate_tiled::<S>(a_csc, tiles, word_rows, absent, rows);
+        }
+        let (a_rows, a_vals) = (a_csc.indices(), a_csc.data());
+        let width = tiles.width();
+        let mut next = Vec::with_capacity(rows.len());
+        for row in rows.iter() {
+            next.push(row.stored.start);
+        }
+        let mut tiler = Tiler::new(tiles, &word_rows, absent);
+        while let Some((k0, k1, tile)) = tiler.next_tile() {
+            for (row, t) in rows.iter_mut().zip(next.iter_mut()) {
+                let run = tile_run(a_rows, t, row.stored.end, k1);
+                if run.is_empty() {
+                    continue;
+                }
+                let first = row.first_col;
+                let words = S::popcount_words(&a_vals[run.clone()], tile, &mut row.out[first..]);
+                let (a, tile, out) = words.expect("`S` hands over popcount words (checked above)");
+                register_row(&a_rows[run], a, k0, tile, width, first, out);
+            }
+        }
+    }
+
+    /// 8-word vectors per strip of a register row: 128 columns, whose 16
+    /// sums stay in `zmm` registers.
+    const ROW_VECTORS: usize = 16;
+
+    /// One output row's share of a tile, `out` its columns `first..width`:
+    /// `out[j − first] += Σ_s popcnt(a[s] & tile[k[s] − k0][j])` over the
+    /// row's run of stored `a_ki` in the tile (word rows `k`, words `a`),
+    /// whose word rows start at `k0`, `width` words each. The row is cut
+    /// into strips of [`ROW_VECTORS`] vectors from `first` on, the last
+    /// only as wide as the row ([`row_strip`]); each strip re-walks the
+    /// run.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn register_row(
+        k: &[usize],
+        a: &[u64],
+        k0: usize,
+        tile: &[u64],
+        width: usize,
+        first: usize,
+        out: &mut [u64],
+    ) {
+        for j0 in (first..width).step_by(8 * ROW_VECTORS) {
+            let out = &mut out[j0 - first..];
+            // The vectors that hold a column below `width`, as a constant.
+            macro_rules! strip {
+                ($($v:literal)*) => {
+                    match (width - j0).div_ceil(8) {
+                        $($v => row_strip::<$v>(k, a, k0, tile, width, j0, out),)*
+                        _ => row_strip::<ROW_VECTORS>(k, a, k0, tile, width, j0, out),
+                    }
+                };
+            }
+            strip!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+        }
+    }
+
+    /// Columns `j0 .. j0 + 8V` (those below `width`) of a register row,
+    /// `out` holding the row's columns from `j0` on. The strip's `V` sums
+    /// stay in registers across the whole run: per `a_ki`, one broadcast,
+    /// then the strip's loads from its tile row, AND, `vpopcntq` and add.
+    /// Only then are they added into `out`. Only the last vector is
+    /// masked, to the columns below `width`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn row_strip<const V: usize>(
+        k: &[usize],
+        a: &[u64],
+        k0: usize,
+        tile: &[u64],
+        width: usize,
+        j0: usize,
+        out: &mut [u64],
+    ) {
+        use std::arch::x86_64::{
+            _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_mask_storeu_epi64,
+            _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64, _mm512_set1_epi64, _mm512_setzero_si512,
+        };
+        // The shapes every address below rests on: the strip's first
+        // `V − 1` vectors lie inside the row, and its last holds at least
+        // one column of it.
+        let len = width.saturating_sub(j0);
+        assert!(
+            V > 0 && 8 * (V - 1) < len && out.len() == len && k.len() == a.len(),
+            "a {V}-vector strip from column {j0} of {width} into {} words",
+            out.len()
+        );
+        let last = lanes_below(len, 8 * (V - 1));
+        let mut acc = [_mm512_setzero_si512(); V];
+        for (&k, &a) in k.iter().zip(a) {
+            let words = &tile[(k - k0) * width + j0..(k - k0 + 1) * width];
+            let at = words.as_ptr();
+            let a = _mm512_set1_epi64(a as i64);
+            for (v, acc) in acc.iter_mut().enumerate() {
+                let strip = at.wrapping_add(8 * v);
+                let b = if v + 1 < V {
+                    // SAFETY: `8v + 8 ≤ 8(V − 1) < len = words.len()`, so
+                    // all 8 words are inside the row.
+                    unsafe { _mm512_loadu_si512(strip.cast()) }
+                } else {
+                    // SAFETY: `last` keeps the lanes `l` with
+                    // `8v + l < len = words.len()`, and a masked-off lane
+                    // is not read.
+                    unsafe { _mm512_maskz_loadu_epi64(last, strip.cast()) }
+                };
+                *acc = _mm512_add_epi64(*acc, _mm512_popcnt_epi64(_mm512_and_si512(a, b)));
+            }
+        }
+        for (v, &acc) in acc.iter().enumerate() {
+            let lanes = if v + 1 < V { 0xff } else { last };
+            let at = out.as_mut_ptr().wrapping_add(8 * v).cast();
+            // SAFETY: `lanes` keeps only the lanes `l` with
+            // `8v + l < len = out.len()`, and a masked-off lane is neither
+            // read nor written.
+            unsafe {
+                let sum = _mm512_add_epi64(_mm512_maskz_loadu_epi64(lanes, at), acc);
+                _mm512_mask_storeu_epi64(at, lanes, sum);
+            }
+        }
     }
 
     /// Output rows per block of the register-blocked body.
@@ -1076,13 +1238,19 @@ mod tests {
     }
 
     /// Word-row fills in per mille: empty, sparse, either side of the
-    /// 1-in-[`TILE_COST_RATIO`] guard, either side of the 2-in-3 of
+    /// 4-in-21 of [`TILE_COST_RATIO`], either side of the 2-in-3 of
     /// [`BLOCKED_COST_RATIO`], and dense.
-    const FILLS: [usize; 7] = [0, 20, 120, 130, 600, 700, 1000];
+    const FILLS: [usize; 7] = [0, 20, 170, 210, 600, 700, 1000];
 
     /// Widths at which blocks of 6 rows, 8-lane vectors, 32-column strips
     /// and the `(p, n−1−p)` pair split all meet their edges.
     const WIDTHS: [usize; 11] = [1, 5, 6, 7, 8, 9, 31, 32, 33, 130, 352];
+
+    /// Widths at which register rows meet their edges: one vector, one
+    /// either side of it and of 8, a full 16-vector strip and one either
+    /// side of it, a strip and a whole or a masked vector more, and two
+    /// or three strips and a remainder.
+    const ROW_WIDTHS: [usize; 14] = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 136, 200, 257, 352];
 
     /// The side of the body guard the triangle of `A[rows, :]` falls on,
     /// wherever tiles run: 0 Gustavson, 1 tiled, 2 blocked.
@@ -1162,7 +1330,7 @@ mod tests {
         for n in std::iter::once(0).chain(WIDTHS) {
             let counts = if n == 0 { vec![0, 1, 3] } else { word_row_counts(n).to_vec() };
             for word_rows in counts {
-                for permille in [0, 20, 130, 600, 700, 1000] {
+                for permille in [0, 20, 210, 600, 700, 1000] {
                     let ctx = format!("n = {n}, {word_rows} word rows at {permille} ‰");
                     let nrows = 64 * word_rows;
                     let mut columns = word_columns(&mut rng, word_rows, n, permille);
@@ -1257,7 +1425,7 @@ mod tests {
         let mut transpose = CsrMatrix::empty(0, 0);
         for n in WIDTHS {
             for word_rows in word_row_counts(n) {
-                for permille in [20, 130, 1000] {
+                for permille in [20, 210, 1000] {
                     let columns = word_columns(&mut rng, word_rows, n, permille);
                     let bm = BitMatrix::from_columns(64 * word_rows, &columns).unwrap();
                     for parts in [1usize, 2, 3] {
@@ -1321,12 +1489,17 @@ mod tests {
         // Whole rows, the triangle, and a fixed start mid-row.
         let starts: [fn(usize, usize) -> usize; 3] = [|_, _| 0, |i, _| i, |_, n| n / 2];
         let mut rng = Rng(7);
-        for n in [1usize, 2, 9, 16, 130] {
-            // Every tile-boundary case of this width, at two fills.
+        for n in [2, 16].into_iter().chain(ROW_WIDTHS) {
+            // Every tile-boundary case of this width, at three fills: most
+            // rows without an `a_ki` in most tiles, mid fill, and full.
             for word_rows in word_row_counts(n) {
-                for permille in [130, 1000] {
+                for permille in [20, 210, 1000] {
                     let ctx = format!("n = {n}, {word_rows} word rows at {permille} ‰");
-                    let columns = word_columns(&mut rng, word_rows, n, permille);
+                    let mut columns = word_columns(&mut rng, word_rows, n, permille);
+                    // A row with no `a_ki` in any tile.
+                    if n > 2 {
+                        columns[n / 2].clear();
+                    }
                     let bm = BitMatrix::from_columns(64 * word_rows, &columns).unwrap();
                     let (csc, csr) = (bm.as_csc(), bm.to_csr());
                     for start in starts {
@@ -1401,6 +1574,9 @@ mod tests {
     fn atb_block_adds_to_a_prefilled_block_and_counts_every_product() {
         let mut rng = Rng(11);
         let shapes = [(1usize, 1usize), (3, 8), (8, 3), (5, 0), (0, 4), (9, 33), (33, 130)];
+        // Register rows at every edge of their strips, a few rows each.
+        let row_shapes = ROW_WIDTHS.map(|nb| (2 + nb % 3, nb));
+        let shapes = shapes.into_iter().chain(row_shapes);
         let (mut tiled_side, mut gustavson_side) = (0, 0);
         for (na, nb) in shapes {
             // A block without rows or columns skips the long inputs.
@@ -1436,7 +1612,22 @@ mod tests {
                         atb_rows::<PopcountAnd>(a_csc, &b_csr, &mut body, pick);
                         assert_eq!(body, want, "{ctx}, {pick:?}");
                     }
-                    if a.nnz_words() * nb <= 8 * products {
+                    // The generic loop the register rows replace, portable.
+                    let mut generic = prefill.clone();
+                    let a_ptr = a_csc.indptr();
+                    let mut rows: Vec<_> = (0..na)
+                        .zip(generic.chunks_mut(nb.max(1)))
+                        .map(|(i, out)| OutRow {
+                            stored: a_ptr[i]..a_ptr[i + 1],
+                            first_col: 0,
+                            out,
+                        })
+                        .collect();
+                    let all = 0..word_rows;
+                    accumulate_tiled::<PopcountAnd>(a_csc, Tiles::Rows(&b_csr), all, 0, &mut rows);
+                    assert_eq!(generic, want, "{ctx}, the generic tiled loop");
+                    let (num, den) = TILE_COST_RATIO;
+                    if (a.nnz_words() * nb) as u64 * den <= num * products as u64 {
                         tiled_side += 1;
                     } else {
                         gustavson_side += 1;

@@ -73,7 +73,8 @@ fn large_allocations(
 /// On the peak fixture that is the tiled body: about a fifth of its word
 /// slots hold a word, so the register-blocked body would multiply ≈ 5×
 /// the tiled body's products, outside its 3/2 guard, while the tiled
-/// body's ≈ 5× the Gustavson count is inside its 8× one. The full word
+/// body's 5.03× the Gustavson count is inside its 21/4 one (a guard
+/// under 5.03 would hand it the Gustavson body's transpose). The full word
 /// rows of `equal_batches` run the register-blocked body at p = 1.
 /// Elsewhere the Gustavson body reads a CSR view of the packed batch, a
 /// transpose the rank keeps and refills from batch to batch: its word-row

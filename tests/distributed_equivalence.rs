@@ -334,6 +334,64 @@ fn the_last_batch_of_a_universe_near_u64_max_is_filtered_and_counted() {
     assert_eq!(similarity_at_scale(&collection, &config).unwrap(), exact);
 }
 
+/// The paper's mid-fill regime, the one `allpairs_dist` runs, at a size
+/// the debug test budget holds: 256 samples over 400 000 rows at density
+/// d = 2·10⁻⁴, about 80 values a sample. A row survives the zero-row
+/// filter with probability 1 − (1 − d)²⁵⁶ ≈ 0.050, so a kept row holds a
+/// given sample's value with probability d / 0.050 ≈ 1/250, and a packed
+/// word of 64 kept rows is stored with probability
+/// 1 − (1 − 1/250)⁶⁴ ≈ 0.23: the word fill of `allpairs_dist`'s batches.
+/// Its ≈ 20 000 kept rows are ≈ 160 word rows in each of two batches, so
+/// a 128-column block spans five 32 KiB tiles (32 word rows of 128
+/// words), and a layer's half of a batch at c = 2 three.
+fn mid_fill(seed: u64) -> SampleCollection {
+    let samples = DatasetSpec::explicit(400_000, 256, 2e-4, seed).generate().unwrap();
+    SampleCollection::from_sorted_sets(samples).unwrap()
+}
+
+#[test]
+fn mid_fill_batches_equal_the_pairwise_oracle_on_every_grid() {
+    // The ledger's `allpairs_dist` check compares with the one-rank
+    // driver, whose triangle at this fill runs the same tiled body as the
+    // SUMMA blocks; this compares every grid with the brute-force oracle.
+    let collection = mid_fill(55);
+    let config = SimilarityConfig::with_batches(2);
+    assert!(config.use_zero_row_filter);
+    let n = collection.n();
+    let plan = BatchPlan::from_config(&config, &collection, 1).unwrap();
+    for (lo, hi) in plan.iter() {
+        // The word fill derived above, measured on each filtered batch:
+        // above 1/5, so the kernel's guard keeps its blocks on tiles.
+        let mut kept: Vec<u64> =
+            (0..n).flat_map(|s| collection.batch_values(s, lo, hi)).copied().collect();
+        kept.sort_unstable();
+        kept.dedup();
+        let words: usize = (0..n)
+            .map(|s| {
+                let values = collection.batch_values(s, lo, hi);
+                let mut words: Vec<usize> =
+                    values.iter().map(|v| kept.binary_search(v).unwrap() / 64).collect();
+                words.dedup();
+                words.len()
+            })
+            .sum();
+        let word_rows = kept.len().div_ceil(64);
+        let fill = words as f64 / (word_rows * n) as f64;
+        assert!((0.21..0.25).contains(&fill), "[{lo}, {hi}): word fill {fill}");
+        assert!(word_rows > 64, "[{lo}, {hi}): {word_rows} word rows");
+    }
+    let exact = jaccard_exact_pairwise(&collection);
+    // One rank's triangle, and 128-column blocks on 2 × 2 × 1 and 2 × 2 × 2.
+    for (ranks, grid) in [(1, [1, 1, 1]), (4, [2, 2, 1]), (8, [2, 2, 2])] {
+        let config = config.clone().with_replication(grid[2]);
+        let run = similarity_at_scale_distributed(&collection, &config, ranks, &Machine::laptop())
+            .unwrap();
+        let ctx = format!("p = {ranks}, c = {}", grid[2]);
+        assert_eq!(run.grid_dims, grid, "{ctx}");
+        assert_eq!(run.result, exact, "{ctx}");
+    }
+}
+
 /// `body`'s value, run on a helper thread that is waited for at most
 /// `secs` seconds: a run that hangs fails the test instead.
 fn within<R: Send + 'static>(secs: u64, body: impl FnOnce() -> R + Send + 'static) -> R {
